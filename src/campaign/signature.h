@@ -20,9 +20,7 @@
  *    render mode travels with the caller).
  *
  * Deliberately excluded: `jobs` (verdicts are byte-identical for
- * every worker count — the PR 2 contract), wall-clock, and the
- * interpreter dispatch mode (verdicts are dispatch-invariant — the
- * PR 7 contract, pinned by the golden_switch_* harness). The same
+ * every worker count) and wall-clock. The same
  * determinism results that make replay-based analysis sound make
  * this key sound: equal key implies equal verdict bytes.
  */

@@ -76,7 +76,6 @@ Portend::detect()
     result.clusters = race::clusterRaces(found);
     result.vm = interp.state().stats;
     result.decoded_sites = interp.decodedSites();
-    result.dispatch = rt::dispatchModeName(interp.dispatchMode());
 
     // The detection run's registry view (the --stats block reads
     // these instead of the raw VmStats fields). Pure function of the

@@ -45,7 +45,6 @@ struct DetectionResult
      *  renders it under --stats, reading the registry view below). */
     rt::VmStats vm;
     int decoded_sites = 0;       ///< dense decoded pc space size
-    const char *dispatch = "";   ///< dispatch mode actually used
 
     /** Registry view of this detection run: the counters above plus
      *  cluster/race tallies, as one deterministic shard. */

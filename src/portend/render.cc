@@ -56,8 +56,8 @@ statsText(const DetectionResult &d)
 {
     const obs::MetricsShard &m = d.metrics;
     std::ostringstream os;
-    os << "interpreter: dispatch=" << d.dispatch
-       << " decoded_sites=" << m.gauge(obs::Gauge::DecodedSites)
+    os << "interpreter: decoded_sites="
+       << m.gauge(obs::Gauge::DecodedSites)
        << " events_batched="
        << m.counter(obs::Counter::DetectEventsBatched)
        << " pages_unshared="
@@ -87,10 +87,8 @@ jsonReport(const std::string &name, const ir::Program &prog,
     // PR 8 the numbers are the detection run's registry view, not the
     // raw VmStats fields — same values, one source of truth.
     if (stats) {
-        const DetectionResult &d = res.detection;
-        const obs::MetricsShard &m = d.metrics;
-        os << ",\n    \"interp\": {\"dispatch\": \"" << d.dispatch
-           << "\", \"decoded_sites\": "
+        const obs::MetricsShard &m = res.detection.metrics;
+        os << ",\n    \"interp\": {\"decoded_sites\": "
            << m.gauge(obs::Gauge::DecodedSites)
            << ", \"events_batched\": "
            << m.counter(obs::Counter::DetectEventsBatched)

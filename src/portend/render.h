@@ -38,7 +38,7 @@ std::string jsonEscape(const std::string &s);
 std::string summaryText(const PortendResult &res);
 
 /** The --stats interpreter ledger of the detection run (a view over
- *  the registry shard; dispatch mode is the one non-metric field). */
+ *  the registry shard). */
 std::string statsText(const DetectionResult &d);
 
 /**

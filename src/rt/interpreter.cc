@@ -1,6 +1,5 @@
 #include "rt/interpreter.h"
 
-#include <atomic>
 #include <map>
 #include <mutex>
 
@@ -9,20 +8,8 @@
 #include "support/trace.h"
 #include "sym/simplify.h"
 
-// Threaded dispatch needs the GNU computed-goto extension; builds can
-// force the portable switch loop with -DPORTEND_THREADED_DISPATCH=0
-// (CMake option PORTEND_THREADED_DISPATCH).
-#ifndef PORTEND_THREADED_DISPATCH
-#define PORTEND_THREADED_DISPATCH 1
-#endif
-#if defined(__GNUC__) && PORTEND_THREADED_DISPATCH
-#define PORTEND_HAVE_CGOTO 1
-#else
-#define PORTEND_HAVE_CGOTO 0
-#endif
-
-// Every opcode, in ir::Op declaration order (the computed-goto jump
-// table is indexed by the raw enum value).
+// Every opcode, in ir::Op declaration order; the segment loop's
+// switch jumps to one L_<name> label per entry.
 #define PORTEND_OP_LIST(X)                                            \
     X(Nop) X(ConstOp) X(Mov) X(Bin) X(Un) X(Select) X(Load) X(Store)  \
     X(Br) X(Jmp) X(Call) X(Ret) X(Halt) X(ThreadCreate)               \
@@ -41,49 +28,12 @@ namespace {
 /** Flush threshold of the event staging buffer. */
 constexpr std::size_t kEventBatchCap = 256;
 
-std::atomic<DispatchMode> g_default_dispatch{DispatchMode::Threaded};
-
 } // namespace
-
-bool
-threadedDispatchAvailable()
-{
-    return PORTEND_HAVE_CGOTO != 0;
-}
-
-void
-setDefaultDispatchMode(DispatchMode m)
-{
-    g_default_dispatch.store(m, std::memory_order_relaxed);
-}
-
-DispatchMode
-defaultDispatchMode()
-{
-    DispatchMode m = g_default_dispatch.load(std::memory_order_relaxed);
-    return m == DispatchMode::Auto ? DispatchMode::Threaded : m;
-}
-
-const char *
-dispatchModeName(DispatchMode m)
-{
-    switch (m) {
-      case DispatchMode::Auto: return "auto";
-      case DispatchMode::Switch: return "switch";
-      case DispatchMode::Threaded: return "threaded";
-    }
-    return "?";
-}
 
 Interpreter::Interpreter(const ir::Program &p, ExecOptions o)
     : prog(p), dec(decodeProgram(p)), opts(std::move(o))
 {
     PORTEND_ASSERT(p.finalized(), "program must be finalized");
-    const DispatchMode m = opts.dispatch == DispatchMode::Auto
-                               ? defaultDispatchMode()
-                               : opts.dispatch;
-    use_threaded =
-        m == DispatchMode::Threaded && threadedDispatchAvailable();
     reset();
 }
 
@@ -948,8 +898,7 @@ Interpreter::run(const StopSpec &stop)
             first = true;
         }
 
-        const SegExit ex = use_threaded ? segmentThreaded(tid, first)
-                                        : segmentSwitch(tid, first);
+        const SegExit ex = segment(tid, first);
         if (ex == SegExit::StopBefore || ex == SegExit::StopEvent) {
             stopped_at_spec = true;
             active_stop = nullptr;
@@ -969,29 +918,353 @@ Interpreter::run(const StopSpec &stop)
     return st.outcome;
 }
 
-// The segment loop body is written once (rt/interp_loop.inc) and
-// compiled twice: with a jump-table switch dispatcher, and — when the
-// compiler has computed goto — with direct-threaded dispatch.
-#define PORTEND_SEGMENT_FN segmentSwitch
-#define PORTEND_SEGMENT_CGOTO 0
-#include "rt/interp_loop.inc"
-#undef PORTEND_SEGMENT_FN
-#undef PORTEND_SEGMENT_CGOTO
-
-#if PORTEND_HAVE_CGOTO
-#define PORTEND_SEGMENT_FN segmentThreaded
-#define PORTEND_SEGMENT_CGOTO 1
-#include "rt/interp_loop.inc"
-#undef PORTEND_SEGMENT_FN
-#undef PORTEND_SEGMENT_CGOTO
-#else
 Interpreter::SegExit
-Interpreter::segmentThreaded(ThreadId tid, bool first)
+Interpreter::segment(ThreadId tid, bool first)
 {
-    // Unreachable in practice: use_threaded is false without
-    // computed goto. Fall back to the portable loop anyway.
-    return segmentSwitch(tid, first);
+    for (;;) {
+        if (st.finished())
+            return SegExit::Blocked;
+        ThreadState *t = &st.threads[static_cast<std::size_t>(tid)];
+        if (!t->runnable())
+            return SegExit::Blocked;
+        if (st.global_step >= opts.max_steps) {
+            finish(RunOutcome::TimedOut, tid, -1,
+                   "step budget exhausted");
+            return SegExit::Blocked;
+        }
+
+        const Frame &fr = t->stack->back();
+        const DecodedInst &di =
+            dec->funcs[static_cast<std::size_t>(fr.func)]
+                .insts[static_cast<std::size_t>(fr.ip)];
+        const int rb = fr.reg_base;
+        // `fr` dangles once a case body calls stack.rw(); only `rb`
+        // and `di` (which lives in the immutable decode) survive.
+
+        if (active_stop && checkStops(tid, di)) {
+            st.resume_in_segment = true;
+            st.resume_first = first;
+            return SegExit::StopBefore;
+        }
+        // Without an installed policy the scheduler is FifoPolicy,
+        // which keeps the current (runnable-by-definition) thread at
+        // every decision point — so exiting the segment to pick
+        // would always re-pick this thread. Skip the round trip and
+        // keep executing; policies must still observe every decision
+        // point, both to steer and to keep trace cursors (which
+        // index by decision count) aligned between record and replay.
+        if (!first && policy != nullptr && isPreemptionPoint(*t, di))
+            return SegExit::Preempt;
+
+        st.global_step += 1;
+        st.stats.steps += 1;
+        t->steps += 1;
+        t->last_step = st.global_step;
+
+        switch (di.op) {
+#define PORTEND_X(name)                                               \
+  case ir::Op::name:                                                  \
+      goto L_##name;
+            PORTEND_OP_LIST(PORTEND_X)
+#undef PORTEND_X
+        }
+        goto L_post; // unreachable: the switch covers every opcode
+
+    L_Nop:
+    L_Yield: {
+        advance(*t);
+        goto L_post;
+    }
+
+    L_ConstOp: {
+        t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] =
+            Value::ofConst(di.a_imm);
+        advance(*t);
+        goto L_post;
+    }
+
+    L_Mov: {
+        Value v = readOperand(*t, rb, di.a, di.a_imm);
+        t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] =
+            std::move(v);
+        advance(*t);
+        goto L_post;
+    }
+
+    L_Bin: {
+        Value a = readOperand(*t, rb, di.a, di.a_imm);
+        Value b = readOperand(*t, rb, di.b, di.b_imm);
+        if (di.kind == sym::ExprKind::SDiv ||
+            di.kind == sym::ExprKind::SRem) {
+            if (b.isConcrete()) {
+                if (b.constValue() == 0) {
+                    finish(RunOutcome::CrashDivZero, tid, di.pc,
+                           "division by zero at " + di.loc.toString());
+                    goto L_post;
+                }
+            } else {
+                sym::ExprPtr nz =
+                    sym::mkNe(b.expr(), sym::mkConst(0, b.width()));
+                if (!decideCondition(nz, DecisionKind::DivZero)) {
+                    finish(RunOutcome::CrashDivZero, tid, di.pc,
+                           "symbolic division by zero at " +
+                               di.loc.toString());
+                    goto L_post;
+                }
+                t = &st.threads[static_cast<std::size_t>(tid)];
+            }
+        }
+        Value r = valueBinary(di.kind, a, b);
+        t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] =
+            std::move(r);
+        advance(*t);
+        goto L_post;
+    }
+
+    L_Un: {
+        Value r =
+            valueUnary(di.kind, readOperand(*t, rb, di.a, di.a_imm));
+        t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] =
+            std::move(r);
+        advance(*t);
+        goto L_post;
+    }
+
+    L_Select: {
+        Value c = readOperand(*t, rb, di.a, di.a_imm);
+        Value tv = readOperand(*t, rb, di.b, di.b_imm);
+        Value fv = readOperand(*t, rb, di.c, di.c_imm);
+        Value r;
+        if (c.isConcrete()) {
+            r = c.constValue() != 0 ? std::move(tv) : std::move(fv);
+        } else {
+            sym::ExprPtr cond =
+                sym::mkNe(c.expr(), sym::mkConst(0, c.width()));
+            r = Value(
+                sym::Expr::ite(cond, tv.toExpr(), fv.toExpr()));
+        }
+        t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] =
+            std::move(r);
+        advance(*t);
+        goto L_post;
+    }
+
+    L_Load: {
+        Value idx = readOperand(*t, rb, di.a, di.a_imm);
+        std::int64_t i = 0;
+        if (!resolveIndex(tid, di, idx, di.gsize, i))
+            goto L_post;
+        const int cell = di.cell_base + static_cast<int>(i);
+        t = &st.threads[static_cast<std::size_t>(tid)];
+        Value v = st.mem[static_cast<std::size_t>(cell)];
+        t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] =
+            std::move(v);
+        std::uint64_t *row =
+            st.access_counts.rw()[static_cast<std::size_t>(tid)]
+                .data();
+        const std::uint64_t occ =
+            ++row[static_cast<std::size_t>(di.pc)];
+        const std::uint64_t cocc =
+            ++row[static_cast<std::size_t>(st.counter_stride) +
+                  static_cast<std::size_t>(cell)];
+        t->recent_reads.push_back(cell);
+        if (static_cast<int>(t->recent_reads.size()) >
+            opts.spin_window) {
+            t->recent_reads.erase(t->recent_reads.begin());
+        }
+        advance(*t);
+        if (record_events) {
+            Event ev;
+            ev.kind = EventKind::MemRead;
+            ev.tid = tid;
+            ev.pc = di.pc;
+            ev.cell = cell;
+            ev.occurrence = occ;
+            ev.cell_occurrence = cocc;
+            ev.loc = di.loc;
+            publish(std::move(ev));
+        }
+        goto L_post;
+    }
+
+    L_Store: {
+        Value idx = readOperand(*t, rb, di.a, di.a_imm);
+        std::int64_t i = 0;
+        if (!resolveIndex(tid, di, idx, di.gsize, i))
+            goto L_post;
+        const int cell = di.cell_base + static_cast<int>(i);
+        t = &st.threads[static_cast<std::size_t>(tid)];
+        Value val = readOperand(*t, rb, di.b, di.b_imm);
+        st.mem.write(static_cast<std::size_t>(cell), std::move(val));
+        std::uint64_t *row =
+            st.access_counts.rw()[static_cast<std::size_t>(tid)]
+                .data();
+        const std::uint64_t occ =
+            ++row[static_cast<std::size_t>(di.pc)];
+        const std::uint64_t cocc =
+            ++row[static_cast<std::size_t>(st.counter_stride) +
+                  static_cast<std::size_t>(cell)];
+        advance(*t);
+        if (record_events) {
+            Event ev;
+            ev.kind = EventKind::MemWrite;
+            ev.tid = tid;
+            ev.pc = di.pc;
+            ev.cell = cell;
+            ev.occurrence = occ;
+            ev.cell_occurrence = cocc;
+            ev.loc = di.loc;
+            publish(std::move(ev));
+        }
+        goto L_post;
+    }
+
+    L_AtomicRmW: {
+        Value idx = readOperand(*t, rb, di.a, di.a_imm);
+        std::int64_t i = 0;
+        if (!resolveIndex(tid, di, idx, di.gsize, i))
+            goto L_post;
+        const int cell = di.cell_base + static_cast<int>(i);
+        t = &st.threads[static_cast<std::size_t>(tid)];
+        Value delta = readOperand(*t, rb, di.b, di.b_imm);
+        Value old = st.mem[static_cast<std::size_t>(cell)];
+        st.mem.write(static_cast<std::size_t>(cell),
+                     valueBinary(sym::ExprKind::Add, old, delta));
+        if (di.dst >= 0) {
+            t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] = old;
+        }
+        std::uint64_t *row =
+            st.access_counts.rw()[static_cast<std::size_t>(tid)]
+                .data();
+        const std::uint64_t occ =
+            ++row[static_cast<std::size_t>(di.pc)];
+        const std::uint64_t cocc =
+            ++row[static_cast<std::size_t>(st.counter_stride) +
+                  static_cast<std::size_t>(cell)];
+        advance(*t);
+        if (record_events) {
+            Event r;
+            r.kind = EventKind::MemRead;
+            r.tid = tid;
+            r.pc = di.pc;
+            r.cell = cell;
+            r.atomic = true;
+            r.occurrence = occ;
+            r.cell_occurrence = cocc;
+            r.loc = di.loc;
+            Event w = r;
+            w.kind = EventKind::MemWrite;
+            publish(std::move(r));
+            publish(std::move(w));
+        }
+        goto L_post;
+    }
+
+    L_Br: {
+        Value c = readOperand(*t, rb, di.a, di.a_imm);
+        bool take;
+        if (c.isConcrete()) {
+            take = c.constValue() != 0;
+        } else {
+            sym::ExprPtr cond =
+                sym::mkNe(c.expr(), sym::mkConst(0, c.width()));
+            take = decideCondition(cond, DecisionKind::Branch);
+            if (st.finished())
+                goto L_post;
+            t = &st.threads[static_cast<std::size_t>(tid)];
+        }
+        t->stack.rw().back().ip = take ? di.then_ip : di.else_ip;
+        goto L_post;
+    }
+
+    L_Jmp: {
+        t->stack.rw().back().ip = di.then_ip;
+        goto L_post;
+    }
+
+    L_Call: {
+        const int nparams =
+            di.callee_params < 3 ? di.callee_params : 3;
+        const std::int32_t slots[3] = {di.a, di.b, di.c};
+        const std::int64_t imms[3] = {di.a_imm, di.b_imm, di.c_imm};
+        Value args[3];
+        bool present[3] = {false, false, false};
+        for (int p = 0; p < nparams; ++p) {
+            if (slots[p] != kOpAbsent) {
+                args[p] = readOperand(*t, rb, slots[p], imms[p]);
+                present[p] = true;
+            }
+        }
+        advance(*t); // return resumes after the call
+        const int base = static_cast<int>(t->regs->size());
+        Frame nf;
+        nf.func = di.fid;
+        nf.ip = 0;
+        nf.ret_dst = di.dst;
+        nf.reg_base = base;
+        t->stack.rw().push_back(nf);
+        auto &rg = t->regs.rw();
+        rg.resize(static_cast<std::size_t>(base + di.callee_regs));
+        for (int p = 0; p < nparams; ++p) {
+            if (present[p])
+                rg[static_cast<std::size_t>(base + p)] =
+                    std::move(args[p]);
+        }
+        goto L_post;
+    }
+
+    L_Ret: {
+        const bool has_rv = di.a != kOpAbsent;
+        Value rv;
+        if (has_rv)
+            rv = readOperand(*t, rb, di.a, di.a_imm);
+        auto &stk = t->stack.rw();
+        const ir::Reg dst = stk.back().ret_dst;
+        const int base = stk.back().reg_base;
+        stk.pop_back();
+        t->regs.rw().resize(static_cast<std::size_t>(base));
+        if (stk.empty()) {
+            exitThread(tid);
+        } else if (has_rv && dst >= 0) {
+            t->regs.rw()[static_cast<std::size_t>(
+                stk.back().reg_base + dst)] = std::move(rv);
+        }
+        goto L_post;
+    }
+
+    L_Halt: {
+        finish(RunOutcome::Exited, tid, di.pc, "halt");
+        goto L_post;
+    }
+
+        // Cold opcodes: synchronization, threads, environment. One
+        // shared out-of-line path keeps the hot loop compact.
+    L_ThreadCreate:
+    L_ThreadJoin:
+    L_MutexLock:
+    L_MutexUnlock:
+    L_CondWait:
+    L_CondSignal:
+    L_CondBroadcast:
+    L_BarrierWait:
+    L_Sleep:
+    L_Input:
+    L_GetTime:
+    L_Output:
+    L_OutputStr:
+    L_Assert: {
+        executeSlow(tid, di);
+        goto L_post;
+    }
+
+    L_post:
+        first = false;
+        if (stop_event_fired) {
+            st.resume_in_segment = true;
+            st.resume_first = false;
+            return SegExit::StopEvent;
+        }
+    }
 }
-#endif
 
 } // namespace portend::rt

@@ -36,27 +36,6 @@ namespace portend::rt {
 
 class Interpreter;
 
-/**
- * Instruction dispatch strategy of the step loop. Threaded dispatch
- * (computed goto, a GNU extension) is the fast path; Switch is the
- * portable fallback; Auto resolves to the process-wide default (see
- * setDefaultDispatchMode), which is Threaded when available.
- */
-enum class DispatchMode : std::uint8_t { Auto, Switch, Threaded };
-
-/** True when this build can execute with threaded dispatch. */
-bool threadedDispatchAvailable();
-
-/** Set the process-wide dispatch default that Auto resolves to
- *  (CLI --dispatch; differential tests flip it per run). */
-void setDefaultDispatchMode(DispatchMode m);
-
-/** The current process-wide dispatch default. */
-DispatchMode defaultDispatchMode();
-
-/** Printable mode name ("threaded" / "switch" / "auto"). */
-const char *dispatchModeName(DispatchMode m);
-
 /** Where a symbolic decision arose. */
 enum class DecisionKind : std::uint8_t {
     Branch,   ///< conditional branch on symbolic data
@@ -164,9 +143,6 @@ struct ExecOptions
 
     /** Ring size of per-thread recent reads (spin diagnosis). */
     int spin_window = 64;
-
-    /** Step-loop dispatch strategy (Auto = process default). */
-    DispatchMode dispatch = DispatchMode::Auto;
 };
 
 /**
@@ -281,11 +257,6 @@ class Interpreter
     /** Number of decoded instruction sites (stats ledger). */
     int decodedSites() const { return dec->num_insts; }
 
-    /** The dispatch mode this interpreter executes with. */
-    DispatchMode dispatchMode() const
-    { return use_threaded ? DispatchMode::Threaded
-                          : DispatchMode::Switch; }
-
     /** The execution options. */
     const ExecOptions &options() const { return opts; }
     ExecOptions &options() { return opts; }
@@ -309,12 +280,8 @@ class Interpreter
         StopEvent,  ///< the after_event predicate fired
     };
 
-    /** Run thread @p tid until its segment ends (switch dispatch). */
-    SegExit segmentSwitch(ThreadId tid, bool first);
-
-    /** Run thread @p tid until its segment ends (threaded dispatch;
-     *  compiled only when the GNU computed-goto extension exists). */
-    SegExit segmentThreaded(ThreadId tid, bool first);
+    /** Run thread @p tid until its segment ends. */
+    SegExit segment(ThreadId tid, bool first);
 
     /** Decoded next instruction of thread @p t. */
     const DecodedInst &
@@ -385,7 +352,6 @@ class Interpreter
     std::shared_ptr<const DecodedProgram> dec;
     ExecOptions opts;
     VmState st;
-    bool use_threaded = false;
 
     SchedulePolicy *policy = nullptr;
     FifoPolicy default_policy;

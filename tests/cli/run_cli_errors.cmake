@@ -7,6 +7,9 @@
 # strtoll used to saturate without an ERANGE check, so an absurd
 # budget silently became INT64_MAX (then truncated through an int
 # cast) instead of being rejected.
+#
+# The last row pins the retired dispatch-loop flag: a script that
+# still passes it must fail loudly, never run silently.
 
 if(NOT DEFINED PORTEND)
     message(FATAL_ERROR "run_cli_errors.cmake needs -DPORTEND=...")
@@ -31,6 +34,7 @@ set(bad_cases
     "serve state --port 65536"
     "submit --port 0"
     "submit --socket x --timeout 0 --status"
+    "--dispatch switch classify avv"
     )
 
 foreach(case IN LISTS bad_cases)

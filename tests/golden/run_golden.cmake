@@ -17,16 +17,8 @@ foreach(var PORTEND WORKLOAD GOLDEN)
     endif()
 endforeach()
 
-# Optional -DDISPATCH=<switch|threaded|auto>: the golden bytes must
-# not depend on the interpreter's dispatch loop, so the harness also
-# runs each workload pinned to the portable switch loop.
-set(dispatch_args)
-if(DEFINED DISPATCH)
-    set(dispatch_args --dispatch ${DISPATCH})
-endif()
-
 execute_process(
-    COMMAND ${PORTEND} ${dispatch_args} classify ${WORKLOAD} --json
+    COMMAND ${PORTEND} classify ${WORKLOAD} --json
     OUTPUT_VARIABLE got
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

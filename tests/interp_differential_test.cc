@@ -1,29 +1,23 @@
 /**
  * @file
- * Dispatch-mode differential battery.
+ * Sink-delivery differential battery.
  *
- * The interpreter compiles its segment loop twice — a portable switch
- * and a computed-goto direct-threaded variant — and the rebuild's
- * whole correctness argument is that the two are observationally
- * identical: same event stream byte for byte, same final state, same
- * classification verdicts, under every scheduling policy. These tests
- * pin that equivalence, so a divergence introduced in either copy of
- * the loop (or in the shared decode/value/counter machinery they sit
- * on) fails loudly instead of surfacing as a golden drift.
- *
- * On toolchains without computed goto the threaded variant does not
- * exist; every test degrades to switch-vs-switch, which still
- * exercises the digest plumbing.
+ * The interpreter buffers events for ordinary sinks and hands them
+ * over in batches, but delivers to immediate sinks as each event
+ * happens. Batching must be an ordering-preserving buffer: a batched
+ * and an immediate sink on the same run see the same event stream,
+ * field for field, under the FIFO and the random policy. These tests
+ * pin that equivalence on the Table 1 workloads, the extension
+ * workloads and the generated programs at fuzz seed 42.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fuzz/generator.h"
-#include "portend/portend.h"
 #include "rt/interpreter.h"
 #include "rt/policy.h"
 #include "workloads/registry.h"
@@ -31,137 +25,64 @@
 namespace portend::rt {
 namespace {
 
-/** Restore the process-wide default dispatch mode on scope exit. */
-class DispatchModeGuard
-{
-  public:
-    DispatchModeGuard() : saved(defaultDispatchMode()) {}
-    ~DispatchModeGuard() { setDefaultDispatchMode(saved); }
-
-  private:
-    DispatchMode saved;
-};
-
-/** The mode pair under test: threaded when built in, else switch
- *  twice (the comparison becomes a determinism check). */
-DispatchMode
-secondMode()
-{
-    return threadedDispatchAvailable() ? DispatchMode::Threaded
-                                       : DispatchMode::Switch;
-}
-
-/** Serializes every observed event into one line. */
+/** Records every observed event's fields, in delivery order. */
 class StreamSink : public EventSink
 {
   public:
+    using Fields = std::tuple<int, ThreadId, int, std::uint64_t, int,
+                              bool, std::uint64_t, std::uint64_t,
+                              ir::SyncId, ThreadId>;
+
     explicit StreamSink(bool immediate) : immediate_(immediate) {}
 
     void
     onEvent(const Event &ev) override
     {
-        os << eventKindName(ev.kind) << ' ' << ev.tid << ' ' << ev.pc
-           << ' ' << ev.step << ' ' << ev.cell << ' ' << ev.atomic
-           << ' ' << ev.occurrence << ' ' << ev.cell_occurrence << ' '
-           << ev.sid << ' ' << ev.other << '\n';
+        events.emplace_back(static_cast<int>(ev.kind), ev.tid, ev.pc,
+                            ev.step, ev.cell, ev.atomic, ev.occurrence,
+                            ev.cell_occurrence, ev.sid, ev.other);
     }
 
     bool immediate() const override { return immediate_; }
 
-    std::string str() const { return os.str(); }
+    std::vector<Fields> events;
 
   private:
-    std::ostringstream os;
     bool immediate_;
 };
 
-/** Everything observable about one run, in comparable text form. */
-struct RunDigest
-{
-    std::string events;           ///< batched-sink stream
-    std::string immediate_events; ///< immediate-sink stream
-    std::string final_state;      ///< outcome, stats, memory, outputs
-};
-
-std::string
-digestState(const Interpreter &interp, RunOutcome outcome)
-{
-    const VmState &st = interp.state();
-    std::ostringstream os;
-    os << "outcome=" << static_cast<int>(outcome)
-       << " steps=" << st.stats.steps
-       << " preemptions=" << st.stats.preemption_points
-       << " threads=" << st.threads.size() << '\n';
-    for (std::size_t i = 0; i < st.mem.size(); ++i) {
-        const Value &v = st.mem[i];
-        os << "cell " << i << " = "
-           << (v.isConcrete() ? std::to_string(v.constValue())
-                              : v.expr()->toString())
-           << '\n';
-    }
-    for (const OutputRecord &r : st.output.records) {
-        os << "out " << r.label << " tid=" << r.tid << " pc=" << r.pc
-           << " val="
-           << (r.value ? r.value->toString() : std::string("<none>"))
-           << '\n';
-    }
-    os << "chain=" << st.output.concrete_chain.digest() << '\n';
-    return os.str();
-}
-
-RunDigest
-runOnce(const ir::Program &p, DispatchMode mode, bool random_policy)
-{
-    ExecOptions eo;
-    eo.preempt_on_memory = true;
-    eo.rng_seed = 7;
-    eo.dispatch = mode;
-    Interpreter interp(p, eo);
-    StreamSink batched(false);
-    StreamSink immediate(true);
-    interp.addSink(&batched);
-    interp.addSink(&immediate);
-    RandomPolicy random;
-    if (random_policy)
-        interp.setPolicy(&random);
-    const RunOutcome outcome = interp.run();
-    RunDigest d;
-    d.events = batched.str();
-    d.immediate_events = immediate.str();
-    d.final_state = digestState(interp, outcome);
-    return d;
-}
-
 void
-expectModesAgree(const ir::Program &p, const std::string &what)
+expectSinksAgree(const ir::Program &p, const std::string &what)
 {
     for (bool random : {false, true}) {
         SCOPED_TRACE(what + (random ? " [random policy]" : " [fifo]"));
-        const RunDigest a = runOnce(p, DispatchMode::Switch, random);
-        const RunDigest b = runOnce(p, secondMode(), random);
-        EXPECT_EQ(a.events, b.events);
-        EXPECT_EQ(a.final_state, b.final_state);
-        // Batching must be an ordering-preserving buffer: immediate
-        // and batched sinks on the *same* run see the same stream.
-        EXPECT_EQ(a.events, a.immediate_events);
-        EXPECT_EQ(b.events, b.immediate_events);
+        ExecOptions eo;
+        eo.preempt_on_memory = true;
+        eo.rng_seed = 7;
+        Interpreter interp(p, eo);
+        StreamSink batched(false);
+        StreamSink immediate(true);
+        interp.addSink(&batched);
+        interp.addSink(&immediate);
+        RandomPolicy rnd;
+        if (random)
+            interp.setPolicy(&rnd);
+        interp.run();
+        EXPECT_FALSE(immediate.events.empty());
+        EXPECT_EQ(batched.events, immediate.events);
     }
 }
 
 TEST(InterpDifferentialTest, WorkloadEventStreamsMatch)
 {
-    for (const std::string &name : workloads::workloadNames()) {
-        auto w = workloads::buildWorkload(name);
-        expectModesAgree(w.program, name);
-    }
+    for (const std::string &name : workloads::workloadNames())
+        expectSinksAgree(workloads::buildWorkload(name).program, name);
 }
 
 TEST(InterpDifferentialTest, ExtensionWorkloadEventStreamsMatch)
 {
-    for (const std::string &name : workloads::extensionWorkloadNames()) {
-        auto w = workloads::buildWorkload(name);
-        expectModesAgree(w.program, name);
-    }
+    for (const std::string &name : workloads::extensionWorkloadNames())
+        expectSinksAgree(workloads::buildWorkload(name).program, name);
 }
 
 TEST(InterpDifferentialTest, FuzzedProgramsMatch)
@@ -171,53 +92,8 @@ TEST(InterpDifferentialTest, FuzzedProgramsMatch)
         auto gen = fuzz::generateProgram(42, i, opts);
         if (!gen.verify_errors.empty())
             continue;
-        expectModesAgree(gen.program, gen.recipe.name);
+        expectSinksAgree(gen.program, gen.recipe.name);
     }
-}
-
-TEST(InterpDifferentialTest, ClassificationVerdictsMatch)
-{
-    // The classifier spins up many interpreters internally (replay,
-    // alternate schedules, symbolic exploration); steering them all
-    // through the process default pins the full pipeline, not just
-    // one loop.
-    DispatchModeGuard guard;
-    for (const char *name : {"avv", "dcl", "rw", "bbuf"}) {
-        auto w = workloads::buildWorkload(name);
-
-        setDefaultDispatchMode(DispatchMode::Switch);
-        core::Portend sw(w.program);
-        core::PortendResult rs = sw.run();
-
-        setDefaultDispatchMode(secondMode());
-        core::Portend th(w.program);
-        core::PortendResult rt_ = th.run();
-
-        ASSERT_EQ(rs.reports.size(), rt_.reports.size()) << name;
-        for (std::size_t i = 0; i < rs.reports.size(); ++i) {
-            EXPECT_EQ(core::formatReport(w.program, rs.reports[i]),
-                      core::formatReport(w.program, rt_.reports[i]))
-                << name << " report " << i;
-        }
-        EXPECT_EQ(rs.detection.dynamic_races,
-                  rt_.detection.dynamic_races)
-            << name;
-        EXPECT_EQ(rs.detection.steps, rt_.detection.steps) << name;
-    }
-}
-
-TEST(InterpDifferentialTest, ThreadedIsDefaultWhenAvailable)
-{
-    // Release builds on GCC/Clang must not silently regress to the
-    // switch loop: Auto resolves to Threaded whenever the variant
-    // was compiled in.
-    if (!threadedDispatchAvailable())
-        GTEST_SKIP() << "computed goto not available";
-    EXPECT_EQ(defaultDispatchMode(), DispatchMode::Threaded);
-    auto w = workloads::buildWorkload("avv");
-    ExecOptions eo;
-    Interpreter interp(w.program, eo);
-    EXPECT_EQ(interp.dispatchMode(), DispatchMode::Threaded);
 }
 
 } // namespace

@@ -130,13 +130,8 @@ Options:
   --no-adhoc           disable ad-hoc synchronization detection
   --json               emit a JSON report instead of the Fig. 6 text
   --stats              append the interpreter ledger of the detection
-                       run: dispatch mode, decoded sites, events
-                       batched, COW pages unshared, values boxed
-  --dispatch <mode>    interpreter dispatch loop for every execution
-                       in the process: "threaded" (computed-goto,
-                       error where unsupported), "switch" (portable),
-                       or "auto" (threaded when available; default).
-                       Accepted before any command
+                       run: decoded sites, events batched, COW pages
+                       unshared, values boxed
 
 Observability options (run, classify, campaign, fuzz, corpus run):
   --trace-out <file>   write a Chrome trace-event JSON timeline of
@@ -939,38 +934,6 @@ cmdCorpusRun(const std::string &dir, fuzz::OracleOptions opts,
     return res.allGreen() ? 0 : 1;
 }
 
-/**
- * Strip a leading `--dispatch <mode>` pair (valid before any
- * command) and install the mode process-wide, so every interpreter
- * the pipeline spawns — detection, replay, alternate schedules,
- * symbolic exploration — uses the same loop.
- */
-void
-applyDispatchFlag(int &argc, char **argv)
-{
-    if (argc < 3 || std::strcmp(argv[1], "--dispatch") != 0)
-        return;
-    const std::string mode = argv[2];
-    if (mode == "auto") {
-        rt::setDefaultDispatchMode(rt::DispatchMode::Auto);
-    } else if (mode == "switch") {
-        rt::setDefaultDispatchMode(rt::DispatchMode::Switch);
-    } else if (mode == "threaded") {
-        // Fail loudly: a CI lane asking for the threaded loop must
-        // not silently measure the switch fallback.
-        if (!rt::threadedDispatchAvailable())
-            usageError("--dispatch threaded: computed-goto dispatch "
-                       "not compiled in on this toolchain");
-        rt::setDefaultDispatchMode(rt::DispatchMode::Threaded);
-    } else {
-        usageError("unknown dispatch mode: " + mode +
-                   " (expected switch, threaded, or auto)");
-    }
-    for (int i = 3; i <= argc; ++i)
-        argv[i - 2] = argv[i]; // includes the trailing nullptr
-    argc -= 2;
-}
-
 // ---------------------------------------------------------------------------
 // serve / submit: the multi-process sharded triage server
 // ---------------------------------------------------------------------------
@@ -1153,7 +1116,6 @@ cmdSubmit(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    applyDispatchFlag(argc, argv);
     if (argc < 2) {
         std::fputs(kUsage, stderr);
         return 2;
