@@ -46,23 +46,10 @@ ReplayAnalyzer::analyze(const race::RaceReport &race,
     rt::VmState pre_ckpt = primary.state();
 
     // Primary post-race snapshot: first accessor then second.
-    int stage = 0;
     rt::Interpreter::StopSpec post;
-    const auto kind_of = [](bool is_write) {
-        return is_write ? rt::EventKind::MemWrite
-                        : rt::EventKind::MemRead;
-    };
-    post.after_event = [&](const rt::Event &ev) {
-        if (ev.cell != race.cell)
-            return false;
-        if (stage == 0 && ev.tid == race.first.tid &&
-            ev.kind == kind_of(race.first.is_write)) {
-            stage = 1;
-            return false;
-        }
-        return stage == 1 && ev.tid == race.second.tid &&
-               ev.kind == kind_of(race.second.is_write);
-    };
+    post.after_pair = {race.cell,
+                       {race.first.tid, race.first.is_write},
+                       {race.second.tid, race.second.is_write}};
     primary.run(post);
     if (!primary.stopped()) {
         out.verdict = ReplayVerdict::NotApplicable;
@@ -92,19 +79,10 @@ ReplayAnalyzer::analyze(const race::RaceReport &race,
     replay::AlternatePolicy enforce(race, &post_rotate);
     alt.setPolicy(&enforce);
 
-    int astage = 0;
     rt::Interpreter::StopSpec apost;
-    apost.after_event = [&](const rt::Event &ev) {
-        if (ev.cell != race.cell)
-            return false;
-        if (astage == 0 && ev.tid == race.second.tid &&
-            ev.kind == kind_of(race.second.is_write)) {
-            astage = 1;
-            return false;
-        }
-        return astage == 1 && ev.tid == race.first.tid &&
-               ev.kind == kind_of(race.first.is_write);
-    };
+    apost.after_pair = {race.cell,
+                        {race.second.tid, race.second.is_write},
+                        {race.first.tid, race.first.is_write}};
     rt::RunOutcome oc = alt.run(apost);
 
     if (!alt.stopped()) {

@@ -270,28 +270,6 @@ RaceAnalyzer::crashInvolvesRaceCell(const rt::VmState &final_state,
     return chain.count(race_global) > 0;
 }
 
-bool
-RaceAnalyzer::statesEqual(const rt::VmState &a, const rt::VmState &b)
-{
-    // The Record/Replay-Analyzer criterion [45]: the *memory image*
-    // immediately after the race. Thread scheduling positions are
-    // deliberately excluded — the alternate ordering trivially
-    // perturbs them, and [45] diffs memory/registers, not schedules.
-    if (a.mem.size() != b.mem.size())
-        return false;
-    for (std::size_t i = 0; i < a.mem.size();) {
-        // Pages the two images still share are equal by construction.
-        if (a.mem.sharesPage(i, b.mem)) {
-            i = a.mem.pageEnd(i);
-            continue;
-        }
-        if (!a.mem[i].equals(b.mem[i]))
-            return false;
-        ++i;
-    }
-    return true;
-}
-
 void
 RaceAnalyzer::absorbStats(AnalysisStats &stats, const rt::VmState &s)
 {
@@ -366,23 +344,10 @@ RaceAnalyzer::runAlternateFromState(
 
     // Snapshot the state right after both racing accesses completed
     // in the alternate order (second accessor, then first).
-    int stage = 0;
     rt::Interpreter::StopSpec spec;
-    const auto kind_of = [](bool is_write) {
-        return is_write ? rt::EventKind::MemWrite
-                        : rt::EventKind::MemRead;
-    };
-    spec.after_event = [&](const rt::Event &ev) {
-        if (ev.cell != race.cell)
-            return false;
-        if (stage == 0 && ev.tid == race.second.tid &&
-            ev.kind == kind_of(race.second.is_write)) {
-            stage = 1;
-            return false;
-        }
-        return stage == 1 && ev.tid == race.first.tid &&
-               ev.kind == kind_of(race.first.is_write);
-    };
+    spec.after_pair = {race.cell,
+                       {race.second.tid, race.second.is_write},
+                       {race.first.tid, race.first.is_write}};
 
     rt::RunOutcome oc = alt.run(spec);
     if (alt.stopped()) {
@@ -610,23 +575,10 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
     rt::RunOutcome oc = rt::RunOutcome::Running;
 
     // Post-race primary snapshot: first accessor, then second.
-    int stage = 0;
     rt::Interpreter::StopSpec post_stop;
-    const auto kind_of = [](bool is_write) {
-        return is_write ? rt::EventKind::MemWrite
-                        : rt::EventKind::MemRead;
-    };
-    post_stop.after_event = [&](const rt::Event &ev) {
-        if (ev.cell != race.cell)
-            return false;
-        if (stage == 0 && ev.tid == race.first.tid &&
-            ev.kind == kind_of(race.first.is_write)) {
-            stage = 1;
-            return false;
-        }
-        return stage == 1 && ev.tid == race.second.tid &&
-               ev.kind == kind_of(race.second.is_write);
-    };
+    post_stop.after_pair = {race.cell,
+                            {race.first.tid, race.first.is_write},
+                            {race.second.tid, race.second.is_write}};
     oc = interp.run(post_stop);
     const bool have_post_primary = interp.stopped();
     rt::VmState post_primary;

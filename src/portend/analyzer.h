@@ -350,9 +350,6 @@ class RaceAnalyzer
     bool crashInvolvesRaceCell(const rt::VmState &final_state,
                                const race::RaceReport &race) const;
 
-    /** Concrete post-race state comparison (RR-Analyzer criterion). */
-    static bool statesEqual(const rt::VmState &a, const rt::VmState &b);
-
     /** Fold a run's counters into @p stats. */
     static void absorbStats(AnalysisStats &stats, const rt::VmState &s);
 

@@ -88,6 +88,10 @@ Portend::detect()
     result.metrics.add(Counter::DetectClusters, result.clusters.size());
     result.metrics.add(Counter::DetectEventsBatched,
                        result.vm.events_batched);
+    result.metrics.add(Counter::DetectHistoryEvictions,
+                       opts.detector == DetectorKind::Lockset
+                           ? lockset.evictions()
+                           : hb.evictions());
     result.metrics.add(Counter::DetectPagesUnshared,
                        result.vm.pages_unshared);
     result.metrics.add(Counter::DetectValuesBoxed,

@@ -18,6 +18,7 @@ HbDetector::reset()
     barrier_pending.clear();
     history.clear();
     reports.clear();
+    evictions_ = 0;
     // Main thread starts with its own component at 1.
     clockOf(0).tick(0);
 }
@@ -66,8 +67,10 @@ HbDetector::handleAccess(const rt::Event &ev, bool is_write)
     rec.access = acc;
     rec.clock = me;
     hist.push_back(std::move(rec));
-    if (hist.size() > opts.max_history)
+    if (hist.size() > opts.max_history) {
         hist.erase(hist.begin());
+        evictions_ += 1;
+    }
 }
 
 void

@@ -37,7 +37,8 @@ struct HbOptions
     /** Do not report atomic-atomic conflicts as races. */
     bool ignore_atomic_pairs = true;
 
-    /** Per-cell access history bound (oldest evicted first). */
+    /** Per-cell access history bound (oldest evicted first; each
+     *  eviction is counted, see HbDetector::evictions()). */
     std::size_t max_history = 4096;
 };
 
@@ -61,6 +62,10 @@ class HbDetector : public rt::EventSink
 
     /** Static clusters of races() (paper §4 clustering). */
     std::vector<RaceCluster> clusters() const;
+
+    /** Accesses dropped from full per-cell histories; a race
+     *  against a dropped access goes unreported. */
+    std::uint64_t evictions() const { return evictions_; }
 
     /** Reset all detector state (for a fresh run). */
     void reset();
@@ -88,6 +93,7 @@ class HbDetector : public rt::EventSink
     std::map<int, std::vector<CellAccess>> history;
 
     std::vector<RaceReport> reports;
+    std::uint64_t evictions_ = 0;
 };
 
 } // namespace portend::race

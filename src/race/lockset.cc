@@ -15,6 +15,7 @@ LocksetDetector::reset()
     held.clear();
     cells.clear();
     reports.clear();
+    evictions_ = 0;
 }
 
 void
@@ -78,8 +79,10 @@ LocksetDetector::onEvent(const rt::Event &ev)
         }
     }
     cs.accesses.push_back(acc);
-    if (cs.accesses.size() > 4096)
+    if (cs.accesses.size() > kMaxHistory) {
         cs.accesses.erase(cs.accesses.begin());
+        evictions_ += 1;
+    }
 }
 
 std::vector<RaceCluster>

@@ -42,6 +42,13 @@ class LocksetDetector : public rt::EventSink
     /** Static clusters of races(). */
     std::vector<RaceCluster> clusters() const;
 
+    /** Per-cell bound of the accesses kept for report pairing. */
+    static constexpr std::size_t kMaxHistory = 4096;
+
+    /** Accesses dropped from full per-cell histories; a race can
+     *  then pair only with a newer conflicting access. */
+    std::uint64_t evictions() const { return evictions_; }
+
     /** Reset all detector state. */
     void reset();
 
@@ -59,6 +66,7 @@ class LocksetDetector : public rt::EventSink
     std::map<rt::ThreadId, std::set<int>> held;
     std::map<int, CellState> cells;
     std::vector<RaceReport> reports;
+    std::uint64_t evictions_ = 0;
 };
 
 } // namespace portend::race

@@ -1,5 +1,7 @@
 #include "replay/replayer.h"
 
+#include <algorithm>
+
 #include "rt/decode.h"
 #include "support/logging.h"
 
@@ -71,6 +73,28 @@ TracePolicy::pick(const rt::VmState &state,
     return runnable.front();
 }
 
+bool
+TracePolicy::loopKey(const rt::VmState &state,
+                     std::vector<std::uint64_t> &key) const
+{
+    if (state.stats.preemption_points < trace.decisions.size() ||
+        !fallback) {
+        return false;
+    }
+    return fallback->loopKey(state, key);
+}
+
+std::uint64_t
+AlternatePolicy::postTraceIndex(const rt::VmState &state) const
+{
+    // One extra slot is re-issued: the pre-race stop consumed the
+    // held thread's scheduling slot without executing its segment.
+    const std::uint64_t skip = hold_picks + 1;
+    return state.stats.preemption_points >= skip
+               ? state.stats.preemption_points - skip
+               : 0;
+}
+
 rt::ThreadId
 AlternatePolicy::pick(const rt::VmState &state,
                       const std::vector<rt::ThreadId> &runnable)
@@ -78,15 +102,9 @@ AlternatePolicy::pick(const rt::VmState &state,
     if (released) {
         // Post-race: prefer the original trace, shifted past the
         // decisions the hold phase consumed, so orderings unrelated
-        // to the reversed pair stay as recorded. One extra slot is
-        // re-issued: the pre-race stop consumed the held thread's
-        // scheduling slot without executing its segment.
+        // to the reversed pair stay as recorded.
         if (post_trace) {
-            std::uint64_t skip = hold_picks + 1;
-            std::uint64_t idx =
-                state.stats.preemption_points >= skip
-                    ? state.stats.preemption_points - skip
-                    : 0;
+            const std::uint64_t idx = postTraceIndex(state);
             if (idx < post_trace->decisions.size()) {
                 rt::ThreadId want = post_trace->decisions[idx].tid;
                 for (rt::ThreadId t : runnable) {
@@ -129,15 +147,31 @@ AlternatePolicy::onEvent(const rt::Event &ev)
     // a different program counter, but it must reach the recorded
     // dynamic occurrence — earlier accesses to the same cell were
     // already ordered before the held access in the primary.
-    std::uint64_t want = race.second.cell_occurrence > 0
-                             ? race.second.cell_occurrence
-                             : 1;
     if ((ev.kind == rt::EventKind::MemRead ||
          ev.kind == rt::EventKind::MemWrite) &&
         ev.tid == race.second.tid && ev.cell == race.cell &&
-        ev.cell_occurrence >= want) {
+        ev.cell_occurrence >= awaited()) {
         released = true;
     }
+}
+
+bool
+AlternatePolicy::loopKey(const rt::VmState &state,
+                         std::vector<std::uint64_t> &key) const
+{
+    if (!released) {
+        key.push_back(0);
+        key.push_back(std::min(
+            state.cellAccessCount(race.second.tid, race.cell),
+            awaited()));
+        return true;
+    }
+    if (post_trace &&
+        postTraceIndex(state) < post_trace->decisions.size()) {
+        return false;
+    }
+    key.push_back(1);
+    return post->loopKey(state, key);
 }
 
 } // namespace portend::replay

@@ -90,6 +90,16 @@ class TracePolicy : public rt::SchedulePolicy
     rt::ThreadId pick(const rt::VmState &state,
                       const std::vector<rt::ThreadId> &runnable) override;
 
+    /**
+     * Vouches only past the trace end, where the cursor (the state's
+     * preemption counter, which only grows) can never index the
+     * trace again and every pick is the fallback's. The private
+     * divergence counter does not move there, so skipping cycles
+     * leaves it exact.
+     */
+    bool loopKey(const rt::VmState &state,
+                 std::vector<std::uint64_t> &key) const override;
+
     /** Number of decisions that could not be followed. */
     int divergences() const { return diverged; }
 
@@ -132,6 +142,19 @@ class AlternatePolicy : public rt::SchedulePolicy
 
     void onEvent(const rt::Event &ev) override;
 
+    /**
+     * While holding, the key is the phase plus the second accessor's
+     * access count on the racing cell, capped at the occurrence the
+     * hold waits for: equal capped counts at both ends of a cycle
+     * mean the cycle never reaches that occurrence, so a proven
+     * cycle never releases and `hold_picks` (read only after
+     * release) may stay behind when cycles are skipped. After
+     * release the policy vouches only past the post-trace end,
+     * where it defers to the post-race policy for good.
+     */
+    bool loopKey(const rt::VmState &state,
+                 std::vector<std::uint64_t> &key) const override;
+
     /** True once the second accessor touched the racing cell. */
     bool enforced() const { return released; }
 
@@ -139,6 +162,18 @@ class AlternatePolicy : public rt::SchedulePolicy
     bool starved() const { return starved_; }
 
   private:
+    /** The second accessor's awaited occurrence on the cell. */
+    std::uint64_t
+    awaited() const
+    {
+        return race.second.cell_occurrence > 0
+                   ? race.second.cell_occurrence
+                   : 1;
+    }
+
+    /** Post-trace index of the decision at @p state (post-race). */
+    std::uint64_t postTraceIndex(const rt::VmState &state) const;
+
     race::RaceReport race;
     rt::SchedulePolicy *post;
     const ScheduleTrace *post_trace;

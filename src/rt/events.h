@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ir/inst.h"
 
@@ -81,6 +82,21 @@ class EventSink
      * semantic monitor sampling memory cells — override this.
      */
     virtual bool immediate() const { return false; }
+
+    /**
+     * Exact loop detection hook (see Interpreter::run): append the
+     * part of this sink's state that can still change what it does
+     * and return true — vouching that skipping whole cycles of
+     * events leaves the sink as it would have been after observing
+     * them. The default cannot vouch, and a run with such a sink
+     * is never shortened.
+     */
+    virtual bool
+    loopKey(std::vector<std::uint64_t> &key) const
+    {
+        (void)key;
+        return false;
+    }
 };
 
 } // namespace portend::rt

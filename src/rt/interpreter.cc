@@ -200,9 +200,19 @@ Interpreter::publish(Event ev)
     ev.step = st.global_step;
     for (EventSink *s : immediate_sinks)
         s->onEvent(ev);
-    if (active_stop && active_stop->after_event &&
-        active_stop->after_event(ev)) {
-        stop_event_fired = true;
+    if (active_stop && active_stop->after_pair &&
+        (ev.kind == EventKind::MemRead ||
+         ev.kind == EventKind::MemWrite)) {
+        const StopSpec::PairPoint &pp = *active_stop->after_pair;
+        const StopSpec::PairPoint::Access &want =
+            pair_stage == 0 ? pp.first : pp.then;
+        if (ev.cell == pp.cell && ev.tid == want.tid &&
+            (ev.kind == EventKind::MemWrite) == want.write) {
+            if (pair_stage == 0)
+                pair_stage = 1;
+            else
+                stop_pair_fired = true;
+        }
     }
     if (!batched_sinks.empty() || policy) {
         st.stats.events_batched += 1;
@@ -798,6 +808,237 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
     }
 }
 
+namespace {
+
+/**
+ * Scheduling decisions a run takes before Brent's first snapshot.
+ * Nearly all runs are short (at fuzz seed 42, 44,044 of 44,899 runs
+ * take under 100 steps) and finish before this, so they never copy
+ * state or compare it; a run that loops has long passed it when its
+ * budget runs out.
+ */
+constexpr std::uint64_t kLoopWarmup = 64;
+
+bool
+sameThread(const ThreadState &a, const ThreadState &b)
+{
+    if (a.status != b.status || a.wait_sync != b.wait_sync ||
+        a.wait_tid != b.wait_tid || a.cond_relock != b.cond_relock ||
+        a.spawn_arg != b.spawn_arg) {
+        return false;
+    }
+    if (!a.stack.sharedWith(b.stack) && *a.stack != *b.stack)
+        return false;
+    if (!a.regs.sharedWith(b.regs)) {
+        const std::vector<Value> &ra = *a.regs;
+        const std::vector<Value> &rb = *b.regs;
+        if (ra.size() != rb.size())
+            return false;
+        for (std::size_t i = 0; i < ra.size(); ++i) {
+            if (!ra[i].equals(rb[i]))
+                return false;
+        }
+    }
+    return a.recent_reads == b.recent_reads;
+}
+
+} // namespace
+
+/**
+ * One run()'s cycle check. The snapshot holds the *projected state*
+ * of an earlier decision — everything that steers future execution
+ * — plus the counters the skip advances. Counters only grow, so they
+ * stay out of the comparison: global_step, VmStats, per-thread steps
+ * and last_step, access_counts and virtual_time. The append-only
+ * logs (path, output, env_log, forced decisions) are compared by
+ * size: equal sizes mean nothing was appended in between.
+ */
+struct Interpreter::LoopCheck
+{
+    bool armed = false;          ///< still looking for a cycle
+    std::uint64_t decisions = 0; ///< scheduling decisions this run
+    std::uint64_t power = 1;     ///< Brent: current window length
+    std::uint64_t lam = 0;       ///< Brent: decisions since snapshot
+    std::uint64_t detected = 0;  ///< cycles found (0 or 1)
+    std::uint64_t skipped = 0;   ///< steps skipped
+    std::vector<std::uint64_t> key; ///< scratch: this decision's key
+
+    struct Snapshot
+    {
+        // Projected state.
+        std::vector<std::uint64_t> key;
+        MemImage mem;
+        std::vector<ThreadState> threads;
+        std::vector<MutexState> mutexes;
+        std::vector<CondState> conds;
+        std::vector<BarrierState> barriers;
+        ThreadId current = -1;
+        std::uint64_t rng = 0;
+        std::size_t path = 0, output = 0, env_log = 0, forced = 0,
+                    forced_cursor = 0;
+        int next_symbol = 0;
+        // Counters.
+        std::uint64_t global_step = 0;
+        VmStats stats;
+        std::uint64_t boxed = 0;
+        Cow<std::vector<std::vector<std::uint64_t>>> access_counts;
+        std::int64_t virtual_time = 0;
+    };
+    /** Held only while comparing: it shares pages and tables with
+     *  the live state, whose next write to them then clones. */
+    std::optional<Snapshot> snap;
+
+    void
+    take(const VmState &st)
+    {
+        Snapshot &s = snap.emplace();
+        s.key.swap(key);
+        s.mem = st.mem;
+        s.threads = st.threads;
+        s.mutexes = st.mutexes;
+        s.conds = st.conds;
+        s.barriers = st.barriers;
+        s.current = st.current;
+        s.rng = st.rng.rawState();
+        s.path = st.path.size();
+        s.output = st.output.size();
+        s.env_log = st.env_log.size();
+        s.forced = st.forced_decisions.size();
+        s.forced_cursor = st.forced_cursor;
+        s.next_symbol = st.next_symbol;
+        s.global_step = st.global_step;
+        s.stats = st.stats;
+        s.boxed = valuesBoxed();
+        s.access_counts = st.access_counts;
+        s.virtual_time = st.virtual_time;
+    }
+
+    /** True when @p st (with loop key `key`) repeats the snapshot;
+     *  cheap, discriminating fields first. */
+    bool
+    repeats(const VmState &st) const
+    {
+        const Snapshot &s = *snap;
+        if (key != s.key || st.current != s.current ||
+            st.rng.rawState() != s.rng ||
+            st.threads.size() != s.threads.size() ||
+            st.path.size() != s.path || st.output.size() != s.output ||
+            st.env_log.size() != s.env_log ||
+            st.forced_decisions.size() != s.forced ||
+            st.forced_cursor != s.forced_cursor ||
+            st.next_symbol != s.next_symbol) {
+            return false;
+        }
+        for (std::size_t i = 0; i < st.threads.size(); ++i) {
+            if (!sameThread(st.threads[i], s.threads[i]))
+                return false;
+        }
+        return st.mutexes == s.mutexes && st.conds == s.conds &&
+               st.barriers == s.barriers && st.mem.equals(s.mem);
+    }
+};
+
+bool
+Interpreter::loopKey(const SchedulePolicy &pol,
+                     std::vector<std::uint64_t> &key) const
+{
+    if (!pol.loopKey(st, key))
+        return false;
+    for (const EventSink *s : sinks) {
+        if (!s->loopKey(key))
+            return false;
+    }
+    if (!active_stop)
+        return true;
+    // A stop point can fire only while its count is below its
+    // target occurrence, and counts only grow: an equal capped
+    // count at both ends of a cycle means the cycle never moves it.
+    for (const auto &p : active_stop->before) {
+        key.push_back(
+            std::min(st.accessCount(p.tid, p.pc), p.occurrence));
+    }
+    for (const auto &p : active_stop->before_cell) {
+        key.push_back(
+            std::min(st.cellAccessCount(p.tid, p.cell), p.occurrence));
+    }
+    if (active_stop->after_pair)
+        key.push_back(static_cast<std::uint64_t>(pair_stage));
+    return true;
+}
+
+void
+Interpreter::checkLoop(LoopCheck &lc, const SchedulePolicy &pol)
+{
+    lc.decisions += 1;
+    if (lc.decisions < kLoopWarmup)
+        return;
+    lc.key.clear();
+    if (!loopKey(pol, lc.key)) {
+        // Compare only within a stretch every consumer vouches for.
+        lc.snap.reset();
+        return;
+    }
+    if (lc.snap) {
+        if (lc.repeats(st)) {
+            // Deterministic replay from an equal state under equal
+            // keys repeats the cycle until the budget. The unskipped
+            // run checks the budget before each decision, so the
+            // skip must land strictly below it.
+            const std::uint64_t len =
+                st.global_step - lc.snap->global_step;
+            const std::uint64_t k =
+                (opts.max_steps - st.global_step - 1) / len;
+            if (k > 0)
+                skipCycles(lc, k);
+            lc.detected = 1;
+            lc.skipped = k * len;
+            lc.armed = false;
+            lc.snap.reset();
+            return;
+        }
+        if (++lc.lam < lc.power)
+            return;
+        lc.power *= 2;
+    } else {
+        lc.power = 1;
+    }
+    lc.lam = 0;
+    lc.take(st);
+}
+
+void
+Interpreter::skipCycles(const LoopCheck &lc, std::uint64_t k)
+{
+    const LoopCheck::Snapshot &s = *lc.snap;
+    const std::uint64_t len = st.global_step - s.global_step;
+    st.global_step += k * len;
+    st.stats.steps += k * (st.stats.steps - s.stats.steps);
+    st.stats.preemption_points +=
+        k * (st.stats.preemption_points - s.stats.preemption_points);
+    st.stats.symbolic_branches +=
+        k * (st.stats.symbolic_branches - s.stats.symbolic_branches);
+    st.stats.events_batched +=
+        k * (st.stats.events_batched - s.stats.events_batched);
+    detail::noteBoxed(k * (valuesBoxed() - s.boxed));
+    st.virtual_time += static_cast<std::int64_t>(k) *
+                       (st.virtual_time - s.virtual_time);
+    if (!st.access_counts.sharedWith(s.access_counts)) {
+        auto &rows = st.access_counts.rw();
+        const auto &old = s.access_counts.ro();
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            for (std::size_t i = 0; i < rows[r].size(); ++i)
+                rows[r][i] += k * (rows[r][i] - old[r][i]);
+        }
+    }
+    for (std::size_t t = 0; t < st.threads.size(); ++t) {
+        ThreadState &th = st.threads[t];
+        const std::uint64_t dsteps = th.steps - s.threads[t].steps;
+        th.steps += k * dsteps;
+        if (dsteps > 0)
+            th.last_step += k * len;
+    }
+}
+
 RunOutcome
 Interpreter::run()
 {
@@ -809,7 +1050,8 @@ Interpreter::run(const StopSpec &stop)
 {
     active_stop = stop.empty() ? nullptr : &stop;
     stopped_at_spec = false;
-    stop_event_fired = false;
+    stop_pair_fired = false;
+    pair_stage = 0;
     fired_before_cell.clear();
     SchedulePolicy *pol = policy ? policy : &default_policy;
 
@@ -820,10 +1062,15 @@ Interpreter::run(const StopSpec &stop)
     for (EventSink *s : sinks)
         (s->immediate() ? immediate_sinks : batched_sinks).push_back(s);
     record_events = !sinks.empty() || policy != nullptr ||
-                    (active_stop && active_stop->after_event != nullptr);
+                    (active_stop && active_stop->after_pair);
     event_buf.clear();
 
     const std::uint64_t boxed0 = valuesBoxed();
+    const RunOutcome outcome0 = st.outcome;
+    // A fork hook decides symbolic branches outside the state, so
+    // its runs are never shortened.
+    LoopCheck loop;
+    loop.armed = hook == nullptr;
 
     // Observability: one span per run plus a delta flush of the
     // VmStats ledger into the process collector at run exit. The hot
@@ -848,6 +1095,12 @@ Interpreter::run(const StopSpec &stop)
                    st.stats.events_batched - entry_stats.events_batched);
             c->add(obs::Counter::InterpValuesBoxed,
                    st.stats.values_boxed - entry_stats.values_boxed);
+            c->add(obs::Counter::InterpCyclesDetected, loop.detected);
+            c->add(obs::Counter::InterpStepsSkipped, loop.skipped);
+            if (outcome0 != RunOutcome::TimedOut &&
+                st.outcome == RunOutcome::TimedOut) {
+                c->add(obs::Counter::InterpTimeouts, 1);
+            }
             c->observe(obs::Hist::InterpRunSteps, dsteps);
         }
     };
@@ -885,6 +1138,8 @@ Interpreter::run(const StopSpec &stop)
             // decision, so policies observe the same prefix they saw
             // under per-event delivery.
             flushEvents();
+            if (loop.armed)
+                checkLoop(loop, *pol);
             tid = pol->pick(st, runnable_scratch);
             if (tid < 0) {
                 finish(RunOutcome::Aborted, -1, -1,
@@ -899,7 +1154,7 @@ Interpreter::run(const StopSpec &stop)
         }
 
         const SegExit ex = segment(tid, first);
-        if (ex == SegExit::StopBefore || ex == SegExit::StopEvent) {
+        if (ex == SegExit::StopBefore || ex == SegExit::StopPair) {
             stopped_at_spec = true;
             active_stop = nullptr;
             flushEvents();
@@ -1068,10 +1323,8 @@ Interpreter::segment(ThreadId tid, bool first)
             ++row[static_cast<std::size_t>(st.counter_stride) +
                   static_cast<std::size_t>(cell)];
         t->recent_reads.push_back(cell);
-        if (static_cast<int>(t->recent_reads.size()) >
-            opts.spin_window) {
+        if (static_cast<int>(t->recent_reads.size()) > kSpinWindow)
             t->recent_reads.erase(t->recent_reads.begin());
-        }
         advance(*t);
         if (record_events) {
             Event ev;
@@ -1259,10 +1512,10 @@ Interpreter::segment(ThreadId tid, bool first)
 
     L_post:
         first = false;
-        if (stop_event_fired) {
+        if (stop_pair_fired) {
             st.resume_in_segment = true;
             st.resume_first = false;
-            return SegExit::StopEvent;
+            return SegExit::StopPair;
         }
     }
 }

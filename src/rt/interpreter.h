@@ -20,9 +20,9 @@
 #ifndef PORTEND_RT_INTERPRETER_H
 #define PORTEND_RT_INTERPRETER_H
 
-#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -140,9 +140,6 @@ struct ExecOptions
 
     /** Seed for the state-carried RNG. */
     std::uint64_t rng_seed = 1;
-
-    /** Ring size of per-thread recent reads (spin diagnosis). */
-    int spin_window = 64;
 };
 
 /**
@@ -182,14 +179,33 @@ class Interpreter
 
         std::vector<CellPoint> before_cell;
 
-        /** Stop once an emitted event satisfies this predicate. */
-        std::function<bool(const Event &)> after_event;
+        /**
+         * Stop right *after* a racing pair completed in a given
+         * order: an access of kind `first.write` by `first.tid` to
+         * `cell`, then one of kind `then.write` by `then.tid` (the
+         * post-race snapshot of Algorithm 1). The interpreter tracks
+         * the pair's stage itself, so the stage can join the loop
+         * key of the run.
+         */
+        struct PairPoint
+        {
+            struct Access
+            {
+                ThreadId tid = -1;
+                bool write = false;
+            };
+            int cell = -1;
+            Access first;
+            Access then;
+        };
+
+        std::optional<PairPoint> after_pair;
 
         bool
         empty() const
         {
             return before.empty() && before_cell.empty() &&
-                   !after_event;
+                   !after_pair;
         }
     };
 
@@ -226,6 +242,15 @@ class Interpreter
 
     /**
      * Run until a stop condition fires or execution finishes.
+     *
+     * Exact loop detection: at each scheduling decision the run
+     * checks (Brent's algorithm) whether it has come back to an
+     * earlier decision with an equal projected state and equal loop
+     * keys from its policy, sinks and stop spec. Such a run repeats
+     * itself until the step budget, so the whole cycles that fit
+     * below max_steps are skipped by advancing every counter; the
+     * run still times out at the same step, in the same state. See
+     * docs/ARCHITECTURE.md "Exact loop detection".
      *
      * @return the outcome; RunOutcome::Running means a stop
      *         condition fired and the state is resumable
@@ -277,8 +302,22 @@ class Interpreter
         Blocked,    ///< thread blocked/exited/finished/budget
         Preempt,    ///< hit a preemption point (scheduler's turn)
         StopBefore, ///< a before/before_cell stop point matched
-        StopEvent,  ///< the after_event predicate fired
+        StopPair,   ///< the after_pair stop completed
     };
+
+    /** Brent's cycle-check state of one run() (interpreter.cc). */
+    struct LoopCheck;
+
+    /** Loop-detection step at a scheduling decision of @p pol. */
+    void checkLoop(LoopCheck &lc, const SchedulePolicy &pol);
+
+    /** Append the loop keys of @p pol, the sinks and the active stop
+     *  spec; false when some consumer cannot vouch. */
+    bool loopKey(const SchedulePolicy &pol,
+                 std::vector<std::uint64_t> &key) const;
+
+    /** Advance every counter by @p k cycles of @p lc's snapshot. */
+    void skipCycles(const LoopCheck &lc, std::uint64_t k);
 
     /** Run thread @p tid until its segment ends. */
     SegExit segment(ThreadId tid, bool first);
@@ -316,8 +355,8 @@ class Interpreter
     /** Advance past the current instruction of @p t. */
     void advance(ThreadState &t);
 
-    /** Stage @p ev: deliver to immediate sinks and the after_event
-     *  stop predicate now, buffer for batched sinks and the policy. */
+    /** Stage @p ev: deliver to immediate sinks and the after_pair
+     *  stop now, buffer for batched sinks and the policy. */
     void publish(Event ev);
 
     /** Drain the event buffer to batched sinks and the policy. */
@@ -360,11 +399,13 @@ class Interpreter
 
     const StopSpec *active_stop = nullptr;
     bool stopped_at_spec = false;
-    bool stop_event_fired = false;
+    bool stop_pair_fired = false;
+    /** Accesses of the active after_pair seen so far (0 or 1). */
+    int pair_stage = 0;
     std::vector<std::size_t> fired_before_cell;
 
     /** True while any consumer wants events this run (sinks, an
-     *  installed policy, or an after_event stop); when false the hot
+     *  installed policy, or an after_pair stop); when false the hot
      *  loop skips Event construction entirely. */
     bool record_events = false;
     std::vector<EventSink *> immediate_sinks;

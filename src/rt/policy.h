@@ -41,6 +41,23 @@ class SchedulePolicy
 
     /** Observe an event (default: ignore). */
     virtual void onEvent(const Event &ev) { (void)ev; }
+
+    /**
+     * Exact loop detection hook (see Interpreter::run): append the
+     * private state that, together with @p state's projected part,
+     * determines every later pick(), and return true. Returning
+     * true vouches that a run returning to an earlier decision with
+     * an equal projected state and an equal key repeats itself
+     * forever. The default cannot vouch, so a policy that does not
+     * override this never has its runs shortened.
+     */
+    virtual bool
+    loopKey(const VmState &state, std::vector<std::uint64_t> &key) const
+    {
+        (void)state;
+        (void)key;
+        return false;
+    }
 };
 
 /**
@@ -59,6 +76,13 @@ class FifoPolicy : public SchedulePolicy
                 return t;
         }
         return runnable.front();
+    }
+
+    /** Stateless: picks depend on the projected state alone. */
+    bool
+    loopKey(const VmState &, std::vector<std::uint64_t> &) const override
+    {
+        return true;
     }
 };
 
@@ -79,6 +103,13 @@ class RandomPolicy : public SchedulePolicy
         auto &rng = const_cast<VmState &>(state).rng;
         return runnable[rng.below(runnable.size())];
     }
+
+    /** The RNG is part of the projected state; nothing else. */
+    bool
+    loopKey(const VmState &, std::vector<std::uint64_t> &) const override
+    {
+        return true;
+    }
 };
 
 /**
@@ -98,6 +129,13 @@ class RotatePolicy : public SchedulePolicy
                 return t;
         }
         return runnable.front();
+    }
+
+    /** Stateless: picks depend on the projected state alone. */
+    bool
+    loopKey(const VmState &, std::vector<std::uint64_t> &) const override
+    {
+        return true;
     }
 };
 

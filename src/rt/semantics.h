@@ -82,6 +82,17 @@ class SemanticMonitor : public EventSink
         }
     }
 
+    /**
+     * Without predicates the monitor ignores every event, so it
+     * vouches with an empty key; predicates may keep arbitrary
+     * scratch state and read live counters, so then it cannot.
+     */
+    bool
+    loopKey(std::vector<std::uint64_t> &) const override
+    {
+        return preds.empty();
+    }
+
     /** Non-empty when a predicate was violated. */
     const std::string &violation() const { return state_.violation; }
 

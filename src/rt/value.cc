@@ -15,9 +15,9 @@ valuesBoxed()
 namespace detail {
 
 void
-noteBoxed()
+noteBoxed(std::uint64_t n)
 {
-    g_values_boxed += 1;
+    g_values_boxed += n;
 }
 
 } // namespace detail

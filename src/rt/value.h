@@ -39,7 +39,8 @@ namespace portend::rt {
 std::uint64_t valuesBoxed();
 
 namespace detail {
-void noteBoxed();
+/** Count @p n boxing conversions on this thread. */
+void noteBoxed(std::uint64_t n = 1);
 } // namespace detail
 
 /**

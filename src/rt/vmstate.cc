@@ -137,6 +137,23 @@ VmState::allExited() const
     return true;
 }
 
+bool
+MemImage::equals(const MemImage &o) const
+{
+    if (n != o.n)
+        return false;
+    for (std::size_t i = 0; i < n;) {
+        if (sharesPage(i, o)) {
+            i = pageEnd(i);
+            continue;
+        }
+        if (!(*this)[i].equals(o[i]))
+            return false;
+        ++i;
+    }
+    return true;
+}
+
 void
 VmState::unshareAll()
 {

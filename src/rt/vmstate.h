@@ -109,6 +109,10 @@ class MemImage
         return std::min(n, (i / kPageCells + 1) * kPageCells);
     }
 
+    /** Cell-for-cell equality; pages shared with @p o are equal by
+     *  construction and skipped. */
+    bool equals(const MemImage &o) const;
+
     /** Force-unshare every page (deep-copy baseline for benches). */
     void
     unshareAll()
@@ -153,7 +157,17 @@ struct Frame
     int ip = 0;                ///< flat next-instruction pointer
     ir::Reg ret_dst = -1;      ///< caller register receiving the result
     int reg_base = 0;          ///< first register slot in the arena
+
+    bool operator==(const Frame &) const = default;
 };
+
+/**
+ * Ring size of ThreadState::recent_reads: how many of a thread's
+ * latest global reads infinite-loop diagnosis inspects. A fixed
+ * constant rather than an option because the ring is part of the
+ * state that exact loop detection compares.
+ */
+constexpr int kSpinWindow = 64;
 
 /** One thread of execution. */
 struct ThreadState
@@ -184,7 +198,8 @@ struct ThreadState
     std::uint64_t last_step = 0; ///< global step of last execution
     std::int64_t spawn_arg = 0;  ///< argument passed at creation
 
-    /** Recent read cells (ring) for spin-loop diagnosis. */
+    /** The last kSpinWindow read cells, oldest first (spin-loop
+     *  diagnosis). */
     std::vector<int> recent_reads;
 
     /** True when the thread can be scheduled. */
@@ -196,12 +211,16 @@ struct MutexState
 {
     ThreadId owner = -1;
     std::vector<ThreadId> waiters;
+
+    bool operator==(const MutexState &) const = default;
 };
 
 /** Condition variable runtime state. */
 struct CondState
 {
     std::vector<ThreadId> waiters;
+
+    bool operator==(const CondState &) const = default;
 };
 
 /** Barrier runtime state. */
@@ -209,6 +228,8 @@ struct BarrierState
 {
     int arrived = 0;
     std::vector<ThreadId> waiting;
+
+    bool operator==(const BarrierState &) const = default;
 };
 
 /** One output system call. */

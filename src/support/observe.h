@@ -68,6 +68,7 @@ namespace portend::obs {
     X(DetectClusters, "detect.clusters")                                      \
     X(DetectDynamicRaces, "detect.dynamic_races")                             \
     X(DetectEventsBatched, "detect.events_batched")                           \
+    X(DetectHistoryEvictions, "detect.history_evictions")                     \
     X(DetectPagesUnshared, "detect.pages_unshared")                           \
     X(DetectRuns, "detect.runs")                                              \
     X(DetectSteps, "detect.steps")                                            \
@@ -77,11 +78,14 @@ namespace portend::obs {
     X(ExploreRecorded, "explore.recorded")                                    \
     X(FuzzFlagged, "fuzz.flagged")                                            \
     X(FuzzPrograms, "fuzz.programs")                                          \
+    X(InterpCyclesDetected, "interp.cycles_detected")                         \
     X(InterpEventsBatched, "interp.events_batched")                           \
     X(InterpPreemptions, "interp.preemptions")                                \
     X(InterpRuns, "interp.runs")                                              \
     X(InterpSteps, "interp.steps")                                            \
+    X(InterpStepsSkipped, "interp.steps_skipped")                             \
     X(InterpSymBranches, "interp.sym_branches")                               \
+    X(InterpTimeouts, "interp.timeouts")                                      \
     X(InterpValuesBoxed, "interp.values_boxed")                               \
     X(LadderBuildSteps, "ladder.build_steps")                                 \
     X(LadderCoveredSteps, "ladder.covered_steps")                             \

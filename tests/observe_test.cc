@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.h"
+#include "fuzz/fuzzer.h"
 #include "portend/portend.h"
 #include "support/clock.h"
 #include "support/observe.h"
@@ -226,6 +228,84 @@ TEST(LedgerViewTest, DetectionShardMirrorsVmStats)
               d.vm.values_boxed);
     EXPECT_EQ(m.gauge(obs::Gauge::DecodedSites),
               static_cast<std::uint64_t>(d.decoded_sites));
+}
+
+// ---------------------------------------------------------------------------
+// Exact loop detection reconciles with the step and timeout counters
+// ---------------------------------------------------------------------------
+
+/** The `--metrics-out` shard of `classify --all --jobs N`: unit
+ *  shards in manifest order plus the process collector. */
+obs::MetricsShard
+classifyAllExport(int jobs)
+{
+    SinkGuard guard;
+    obs::Collector col;
+    obs::setCollector(&col);
+    campaign::CampaignConfig config;
+    config.render.classify_mode = true;
+    config.units = campaign::registryUnits();
+    campaign::Campaign engine(config);
+    obs::MetricsShard m = engine.run(-1, jobs).metrics;
+    col.drainInto(m);
+    return m;
+}
+
+/** The `--metrics-out` shard of `fuzz --fuzz-seed 42 --budget 200
+ *  --jobs N` (the collector alone). */
+obs::MetricsShard
+fuzzExport(int jobs)
+{
+    SinkGuard guard;
+    obs::Collector col;
+    obs::setCollector(&col);
+    fuzz::FuzzOptions fo;
+    fo.fuzz_seed = 42;
+    fo.budget = 200;
+    fo.jobs = jobs;
+    fuzz::runFuzz(fo);
+    obs::MetricsShard m;
+    col.drainInto(m);
+    return m;
+}
+
+/** The identities docs/ARCHITECTURE.md states for loop detection. */
+void
+expectLoopIdentities(const obs::MetricsShard &m)
+{
+    const std::uint64_t steps = m.counter(obs::Counter::InterpSteps);
+    const std::uint64_t skipped =
+        m.counter(obs::Counter::InterpStepsSkipped);
+    const std::uint64_t cycles =
+        m.counter(obs::Counter::InterpCyclesDetected);
+    const std::uint64_t timeouts =
+        m.counter(obs::Counter::InterpTimeouts);
+    // interp.steps and the per-run histogram count logical steps;
+    // executed steps are interp.steps - interp.steps_skipped.
+    EXPECT_EQ(m.histSum(obs::Hist::InterpRunSteps), steps);
+    EXPECT_LE(skipped, steps);
+    // A detected cycle always runs into the step budget.
+    EXPECT_LE(cycles, timeouts);
+    // On these fixed inputs every timeout is a detected cycle.
+    EXPECT_GT(cycles, 0u);
+    EXPECT_EQ(cycles, timeouts);
+    EXPECT_GT(skipped, 0u);
+}
+
+TEST(LoopIdentityTest, ClassifyAllReconcilesAcrossJobs)
+{
+    const obs::MetricsShard one = classifyAllExport(1);
+    const obs::MetricsShard four = classifyAllExport(4);
+    EXPECT_EQ(obs::metricsJson(one), obs::metricsJson(four));
+    expectLoopIdentities(one);
+}
+
+TEST(LoopIdentityTest, FuzzSeed42ReconcilesAcrossJobs)
+{
+    const obs::MetricsShard one = fuzzExport(1);
+    const obs::MetricsShard four = fuzzExport(4);
+    EXPECT_EQ(obs::metricsJson(one), obs::metricsJson(four));
+    expectLoopIdentities(one);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
+#include "portend/portend.h"
 #include "race/hb.h"
 #include "race/lockset.h"
 #include "race/vclock.h"
 #include "rt/interpreter.h"
+#include "support/observe.h"
 #include "support/rng.h"
 
 namespace portend::race {
@@ -299,6 +301,81 @@ TEST(LocksetTest, FalsePositiveOnForkJoinOrdering)
     interp.run();
     EXPECT_FALSE(ls.races().empty()); // lockset: false positive
     EXPECT_TRUE(hb.races().empty());  // happens-before: clean
+}
+
+/** A writer stores to x kWrites times; a sibling reads x once. */
+constexpr int kWrites = 5000;
+
+ir::Program
+longHistoryProgram()
+{
+    ir::ProgramBuilder pb("long_history");
+    ir::GlobalId g = pb.global("x");
+    auto &w = pb.function("writer", 1);
+    ir::BlockId entry = w.block("entry");
+    ir::BlockId body = w.block("body");
+    ir::BlockId done = w.block("done");
+    w.to(entry);
+    ir::Reg i = w.iconst(0);
+    w.jmp(body);
+    w.to(body);
+    w.store(g, I(0), R(i));
+    w.binInto(i, K::Add, R(i), I(1));
+    w.br(R(w.bin(K::Slt, R(i), I(kWrites))), body, done);
+    w.to(done);
+    w.retVoid();
+    auto &r = pb.function("reader", 1);
+    r.to(r.block("entry"));
+    r.load(g);
+    r.retVoid();
+    auto &mn = pb.function("main", 0);
+    mn.to(mn.block("entry"));
+    ir::Reg t1 = mn.threadCreate("writer", I(0));
+    ir::Reg t2 = mn.threadCreate("reader", I(0));
+    mn.threadJoin(R(t1));
+    mn.threadJoin(R(t2));
+    mn.halt();
+    return pb.build();
+}
+
+TEST(DetectorHistoryTest, EvictionsAreCountedAndReportsPinned)
+{
+    // Default FIFO: the writer finishes all its stores, then the
+    // reader's one load races with every retained store.
+    const ir::Program p = longHistoryProgram();
+    rt::Interpreter interp(p, rt::ExecOptions{});
+    HbDetector hb(p);
+    LocksetDetector ls(p);
+    interp.addSink(&hb);
+    interp.addSink(&ls);
+    EXPECT_EQ(interp.run(), rt::RunOutcome::Exited);
+
+    // 5,001 accesses to one cell against a 4,096-entry history.
+    const std::uint64_t dropped = kWrites + 1 - 4096;
+    EXPECT_EQ(hb.evictions(), dropped);
+    EXPECT_EQ(ls.evictions(), dropped);
+    // Happens-before pairs the read with each retained store (the
+    // evicted ones are gone); lockset with the latest one.
+    ASSERT_EQ(hb.races().size(), 4096u);
+    EXPECT_EQ(hb.races().front().first.cell_occurrence,
+              static_cast<std::uint64_t>(kWrites - 4096 + 1));
+    EXPECT_EQ(hb.races().back().first.cell_occurrence,
+              static_cast<std::uint64_t>(kWrites));
+    ASSERT_EQ(ls.races().size(), 1u);
+    EXPECT_EQ(ls.races()[0].first.cell_occurrence,
+              static_cast<std::uint64_t>(kWrites));
+    EXPECT_EQ(ls.races()[0].second.tid, 2);
+
+    // The detection run exports the same count.
+    for (core::DetectorKind kind :
+         {core::DetectorKind::HappensBefore, core::DetectorKind::Lockset}) {
+        core::PortendOptions opts;
+        opts.detector = kind;
+        core::Portend tool(p, opts);
+        core::DetectionResult d = tool.detect();
+        EXPECT_EQ(d.metrics.counter(obs::Counter::DetectHistoryEvictions),
+                  dropped);
+    }
 }
 
 } // namespace

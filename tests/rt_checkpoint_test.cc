@@ -128,11 +128,10 @@ TEST(VmStateForkTest, ForkThenMutateDoesNotBleedIntoParent)
     eo.preempt_on_memory = true;
     rt::Interpreter interp(prog, eo);
 
-    // Run partway, then checkpoint.
+    // Run partway, then checkpoint: just before the first worker's
+    // first write to g (its second access of the cell).
     rt::Interpreter::StopSpec stop;
-    stop.after_event = [](const rt::Event &ev) {
-        return ev.kind == rt::EventKind::MemWrite;
-    };
+    stop.before_cell.push_back({1, 0, 2});
     interp.run(stop);
     ASSERT_TRUE(interp.stopped());
 
