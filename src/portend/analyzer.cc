@@ -146,6 +146,29 @@ RaceAnalyzer::usableRung(const replay::CheckpointLadder *ladder,
     return rung;
 }
 
+const replay::CheckpointLadder::End *
+RaceAnalyzer::usableEnd(const replay::CheckpointLadder *ladder,
+                        const replay::CheckpointLadder::Rung *rung) const
+{
+    const replay::CheckpointLadder::End *end =
+        rung ? ladder->end() : nullptr;
+    if (!end)
+        return nullptr;
+    const rt::VmState &s = end->state;
+    // A timed-out end is where the ladder's budget cut the run; any
+    // other budget cuts it elsewhere.
+    if (s.outcome == rt::RunOutcome::TimedOut)
+        return end->budget == opts.max_steps ? end : nullptr;
+    // The interpreter checks its budget before each instruction and
+    // at each scheduling decision. An end reached inside an
+    // instruction (outcome_tid >= 0: exit, crash, failed assert) was
+    // last checked at global_step - 1; one the scheduler found (no
+    // runnable thread, or a policy abort) at global_step itself.
+    const std::uint64_t last_check =
+        s.outcome_tid >= 0 ? s.global_step - 1 : s.global_step;
+    return last_check < opts.max_steps ? end : nullptr;
+}
+
 ViolationKind
 RaceAnalyzer::violationOf(rt::RunOutcome o) const
 {
@@ -585,8 +608,24 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
     if (have_post_primary)
         post_primary = interp.state();
 
-    if (!interp.state().finished())
-        oc = interp.run();
+    if (!interp.state().finished()) {
+        // Every primary resumed from a rung is the ladder's own
+        // replay, so its tail ends where the ladder's did: adopt
+        // that end (counters, output and monitor included) instead
+        // of running the tail again.
+        if (const replay::CheckpointLadder::End *end =
+                usableEnd(ladder, rung)) {
+            if (obs::Collector *col = obs::collector())
+                col->add(obs::Counter::LadderStepsReused,
+                         end->state.global_step -
+                             interp.state().global_step);
+            interp.setState(end->state);
+            sem.restore(end->semantics);
+            oc = interp.state().outcome;
+        } else {
+            oc = interp.run();
+        }
+    }
     absorbStats(stats, interp.state());
 
     if (!sem.violation().empty()) {

@@ -299,6 +299,18 @@ class RaceAnalyzer
                const std::vector<std::int64_t> &inputs) const;
 
     /**
+     * The ladder's end state for a stage-1 primary resumed from
+     * @p rung, or nullptr when there is no rung (so no proof that
+     * this primary is the ladder's replay), no end, or this
+     * analyzer's own run could end elsewhere: a timed-out end only
+     * under the budget it ran under, any other end only when every
+     * budget check of its run passes under this analyzer's budget.
+     */
+    const replay::CheckpointLadder::End *
+    usableEnd(const replay::CheckpointLadder *ladder,
+              const replay::CheckpointLadder::Rung *rung) const;
+
+    /**
      * Core of Algorithm 1 lines 5-22: enforce the alternate ordering
      * from a pre-race state and observe the consequences.
      *

@@ -5,6 +5,7 @@
 #include "replay/replayer.h"
 #include "rt/policy.h"
 #include "support/logging.h"
+#include "support/observe.h"
 #include "support/trace.h"
 
 namespace portend::replay {
@@ -80,6 +81,19 @@ CheckpointLadder::build(const ir::Program &prog,
     }
 
     ladder.build_steps_ = interp.state().global_step;
+
+    // Every stage-1 primary of the batch runs this same replay to the
+    // end; with two or more of them, run it once here and keep the
+    // end for them to adopt. A one-cluster batch skips the tail: its
+    // primary may stop before the tail and never need it.
+    if (targets.size() >= 2 && !ladder.rungs_.empty()) {
+        if (!interp.state().finished())
+            interp.run();
+        ladder.end_ = End{interp.state(), sem.snapshot(), opts.max_steps};
+        if (obs::Collector *col = obs::collector())
+            col->add(obs::Counter::LadderTailSteps,
+                     interp.state().global_step - ladder.build_steps_);
+    }
     return ladder;
 }
 

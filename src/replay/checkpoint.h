@@ -23,10 +23,21 @@
  * they would a full one. Classification with a ladder is therefore
  * byte-identical to classification without one — only faster.
  *
+ * The end: every stage-1 primary of a batch replays the same trace
+ * on the same inputs under the same policies and predicates, so the
+ * primary's post-race tail is one execution however many clusters
+ * share the trace. For a batch of two or more clusters the build
+ * continues its replay past the last rung to program end and keeps
+ * that end state as one more checkpoint; a primary resumed from its
+ * rung adopts it instead of re-running the tail, once the budget
+ * rule (core::RaceAnalyzer::usableEnd) says its own run would end
+ * there too. A one-cluster batch has nobody to share the end with,
+ * so it skips the tail.
+ *
  * Sharing contract: after build() the ladder is immutable. Scheduler
- * workers read it concurrently and *copy* rung states (cheap COW
- * copies; the copy only touches atomic reference counts). Nobody
- * mutates a rung.
+ * workers read it concurrently and *copy* rung and end states (cheap
+ * COW copies; the copy only touches atomic reference counts). Nobody
+ * mutates a rung or the end.
  */
 
 #ifndef PORTEND_REPLAY_CHECKPOINT_H
@@ -34,6 +45,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -95,6 +107,19 @@ class CheckpointLadder
         rt::SemanticSnapshot semantics;
     };
 
+    /** The replay's final state (see "The end" above). */
+    struct End
+    {
+        /** Interpreter state at program end (outcome set). */
+        rt::VmState state;
+
+        /** Monitor state at program end. */
+        rt::SemanticSnapshot semantics;
+
+        /** Step budget the replay ran under. */
+        std::uint64_t budget = 0;
+    };
+
     CheckpointLadder() = default;
 
     /**
@@ -103,8 +128,9 @@ class CheckpointLadder
      * analyzer runs), stopping at each target in dynamic order and
      * caching a rung there. Targets the replay never reaches (e.g.
      * the execution crashes first) simply get no rung; lookups miss
-     * and callers fall back to their own replay. The build stops as
-     * soon as every target has a rung.
+     * and callers fall back to their own replay. With fewer than two
+     * targets the build stops as soon as every target has a rung;
+     * with two or more it runs on to program end and keeps the end.
      *
      * @param prog    finalized program under test
      * @param trace   recorded schedule trace (its inputs drive the
@@ -135,7 +161,12 @@ class CheckpointLadder
     /** Number of cached rungs. */
     std::size_t size() const { return rungs_.size(); }
 
-    /** Interpreter steps the one shared build replay executed. */
+    /** The replay's end state, or nullptr when the build did not
+     *  run to the end (fewer than two targets, or no rung). */
+    const End *end() const { return end_ ? &*end_ : nullptr; }
+
+    /** Interpreter steps the one shared build replay executed up to
+     *  its last target (the tail to the end is not included). */
     std::uint64_t buildSteps() const { return build_steps_; }
 
     /**
@@ -151,6 +182,7 @@ class CheckpointLadder
 
     std::vector<Rung> rungs_;
     std::map<Key, std::size_t> index_;
+    std::optional<End> end_;
     std::vector<std::int64_t> inputs_;
     std::uint64_t build_steps_ = 0;
     std::uint64_t covered_steps_ = 0;

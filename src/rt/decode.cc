@@ -130,6 +130,46 @@ programFingerprint(const ir::Program &p)
 
 namespace {
 
+/** The pre-first-step state of @p p over its decode @p d. */
+VmState
+buildPristine(const ir::Program &p, const DecodedProgram &d)
+{
+    VmState fresh;
+
+    // Memory image: assemble all cells locally, build pages in bulk.
+    std::vector<Value> cells;
+    cells.reserve(static_cast<std::size_t>(d.num_cells));
+    for (const auto &g : p.globals) {
+        for (int i = 0; i < g.size; ++i) {
+            std::int64_t init =
+                i < static_cast<int>(g.init.size()) ? g.init[i] : 0;
+            cells.push_back(Value::ofConst(init));
+        }
+    }
+    fresh.mem = MemImage(std::move(cells));
+
+    fresh.mutexes.assign(p.mutex_names.size(), MutexState{});
+    fresh.conds.assign(p.cond_names.size(), CondState{});
+    BarrierState empty_barrier;
+    fresh.barriers.assign(p.barrier_names.size(), empty_barrier);
+
+    // Main thread.
+    ThreadState main;
+    main.tid = 0;
+    Frame f;
+    f.func = p.entry;
+    f.ip = 0;
+    f.reg_base = 0;
+    main.stack.rw().push_back(f);
+    main.regs.rw().resize(
+        static_cast<std::size_t>(p.function(p.entry).num_regs));
+    fresh.threads.push_back(std::move(main));
+    fresh.counter_stride = d.num_insts;
+    fresh.access_counts.rw().emplace_back(
+        static_cast<std::size_t>(d.num_insts + d.num_cells), 0);
+    return fresh;
+}
+
 std::shared_ptr<const DecodedProgram>
 buildDecoded(const ir::Program &p)
 {
@@ -190,6 +230,7 @@ buildDecoded(const ir::Program &p)
         }
         dp->funcs.push_back(std::move(df));
     }
+    dp->pristine = buildPristine(p, *dp);
     return dp;
 }
 

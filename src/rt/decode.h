@@ -19,7 +19,9 @@
  * per program). DecodedInst is fully self-contained — it copies the
  * text/loc fields it needs and holds no pointers into the source
  * ir::Program — so a cached entry can outlive the Program object it
- * was decoded from.
+ * was decoded from. The decode also carries the program's pristine
+ * (pre-first-step) VmState, built once with it, so resetting an
+ * interpreter is a copy-on-write copy of that state.
  */
 
 #ifndef PORTEND_RT_DECODE_H
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "ir/program.h"
+#include "rt/vmstate.h"
 
 namespace portend::rt {
 
@@ -113,6 +116,11 @@ struct DecodedProgram
     int num_insts = 0; ///< dense pc space size
     int num_cells = 0; ///< flat memory cell count
     ir::FuncId entry = 0;
+
+    /** State before the first step: globals at their initial
+     *  values, main ready at its entry, default RNG (Interpreter::
+     *  reset seeds it). Shared copy-on-write by every interpreter. */
+    VmState pristine;
 
     const DecodedFunction &
     function(ir::FuncId f) const

@@ -1,8 +1,5 @@
 #include "rt/interpreter.h"
 
-#include <map>
-#include <mutex>
-
 #include "support/logging.h"
 #include "support/observe.h"
 #include "support/trace.h"
@@ -37,97 +34,11 @@ Interpreter::Interpreter(const ir::Program &p, ExecOptions o)
     reset();
 }
 
-namespace {
-
-/**
- * Registry of pristine (pre-first-step) VmStates, one per decoded
- * program. Analyses build thousands of interpreters for the same
- * program; resetting by COW-copying a cached state replaces the
- * per-construction memory/thread/counter build with refcount bumps.
- * Keyed by the DecodedProgram address and validated with a weak_ptr
- * so a recycled address can never resurrect a stale state.
- */
-struct PristineEntry
-{
-    std::weak_ptr<const DecodedProgram> key;
-    std::shared_ptr<const VmState> state;
-};
-
-std::mutex g_pristine_mu;
-std::map<const DecodedProgram *, PristineEntry> g_pristine;
-
-} // namespace
-
-VmState
-Interpreter::buildPristine() const
-{
-    VmState fresh;
-
-    // Memory image: assemble all cells locally, build pages in bulk.
-    std::vector<Value> cells;
-    cells.reserve(static_cast<std::size_t>(dec->num_cells));
-    for (const auto &g : prog.globals) {
-        for (int i = 0; i < g.size; ++i) {
-            std::int64_t init =
-                i < static_cast<int>(g.init.size()) ? g.init[i] : 0;
-            cells.push_back(Value::ofConst(init));
-        }
-    }
-    fresh.mem = MemImage(std::move(cells));
-
-    fresh.mutexes.assign(prog.mutex_names.size(), MutexState{});
-    fresh.conds.assign(prog.cond_names.size(), CondState{});
-    BarrierState empty_barrier;
-    fresh.barriers.assign(prog.barrier_names.size(), empty_barrier);
-
-    // Main thread.
-    ThreadState main;
-    main.tid = 0;
-    Frame f;
-    f.func = prog.entry;
-    f.ip = 0;
-    f.reg_base = 0;
-    main.stack.rw().push_back(f);
-    main.regs.rw().resize(
-        static_cast<std::size_t>(prog.function(prog.entry).num_regs));
-    fresh.threads.push_back(std::move(main));
-    fresh.counter_stride = dec->num_insts;
-    fresh.access_counts.rw().emplace_back(
-        static_cast<std::size_t>(dec->num_insts + dec->num_cells), 0);
-    return fresh;
-}
-
 void
 Interpreter::reset()
 {
-    {
-        std::lock_guard<std::mutex> lock(g_pristine_mu);
-        auto it = g_pristine.find(dec.get());
-        if (it != g_pristine.end() && it->second.key.lock() == dec) {
-            st = *it->second.state;
-            st.rng = Rng(opts.rng_seed);
-            return;
-        }
-    }
-    st = buildPristine();
+    st = dec->pristine;
     st.rng = Rng(opts.rng_seed);
-    {
-        std::lock_guard<std::mutex> lock(g_pristine_mu);
-        // Sweep entries whose program died so the registry stays
-        // bounded under fuzzing's churn of short-lived programs.
-        if (g_pristine.size() >= 64) {
-            for (auto it = g_pristine.begin();
-                 it != g_pristine.end();) {
-                if (it->second.key.expired())
-                    it = g_pristine.erase(it);
-                else
-                    ++it;
-            }
-        }
-        auto pristine = std::make_shared<VmState>(st);
-        pristine->rng = Rng();
-        g_pristine[dec.get()] = {dec, std::move(pristine)};
-    }
 }
 
 void

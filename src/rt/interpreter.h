@@ -385,7 +385,6 @@ class Interpreter
 
     /** Add zeroed counter rows for a newly created thread. */
     void addCounterRows();
-    VmState buildPristine() const;
 
     const ir::Program &prog;
     std::shared_ptr<const DecodedProgram> dec;

@@ -91,6 +91,8 @@ namespace portend::obs {
     X(LadderCoveredSteps, "ladder.covered_steps")                             \
     X(LadderForks, "ladder.forks")                                            \
     X(LadderRungs, "ladder.rungs")                                            \
+    X(LadderStepsReused, "ladder.steps_reused")                               \
+    X(LadderTailSteps, "ladder.tail_steps")                                   \
     X(PipelineWorkloads, "pipeline.workloads")                                \
     X(ServeRequests, "serve.requests")                                        \
     X(ServeSubmissions, "serve.submissions")                                  \

@@ -309,6 +309,49 @@ TEST(LoopIdentityTest, FuzzSeed42ReconcilesAcrossJobs)
 }
 
 // ---------------------------------------------------------------------------
+// Stage 1 adopts the checkpoint ladder's end: the saving reconciles
+// ---------------------------------------------------------------------------
+
+/**
+ * The ladder's tail runs once per batch, and every adopting primary
+ * skips its own tail, so the steps executed before stage 1 adopted
+ * the end are interp.steps + ladder.steps_reused - ladder.tail_steps.
+ * @p parent_steps is interp.steps of the same export at commit
+ * 2d1cc54, the last one whose primaries all ran their own tails.
+ */
+void
+expectLadderIdentity(const obs::MetricsShard &m,
+                     std::uint64_t parent_steps)
+{
+    const std::uint64_t reused =
+        m.counter(obs::Counter::LadderStepsReused);
+    const std::uint64_t tail = m.counter(obs::Counter::LadderTailSteps);
+    EXPECT_GT(reused, 0u);
+    EXPECT_GT(tail, 0u);
+    EXPECT_EQ(m.counter(obs::Counter::InterpSteps) + reused - tail,
+              parent_steps);
+}
+
+TEST(LadderEndIdentityTest, ClassifyAllReconcilesWithParent)
+{
+    const obs::MetricsShard one = classifyAllExport(1);
+    const obs::MetricsShard four = classifyAllExport(4);
+    EXPECT_EQ(obs::metricsJson(one), obs::metricsJson(four));
+    expectLadderIdentity(one, 147620);
+    // The ledger absorbs each state's cumulative counters, so it is
+    // the same whether a primary ran its tail or adopted it.
+    EXPECT_EQ(one.counter(obs::Counter::ClassifySteps), 211272u);
+}
+
+TEST(LadderEndIdentityTest, FuzzSeed42ReconcilesWithParent)
+{
+    const obs::MetricsShard one = fuzzExport(1);
+    const obs::MetricsShard four = fuzzExport(4);
+    EXPECT_EQ(obs::metricsJson(one), obs::metricsJson(four));
+    expectLadderIdentity(one, 2515494);
+}
+
+// ---------------------------------------------------------------------------
 // Trace-event JSON schema
 // ---------------------------------------------------------------------------
 

@@ -1,12 +1,15 @@
 /** @file Copy-on-write checkpoint and checkpoint-ladder tests:
  *  fork-then-mutate isolation (writes in a fork never bleed into the
  *  parent or siblings), ladder-resume equivalence (resuming a cached
- *  rung is byte-identical to replaying from step 0), and the
- *  classify-with-ladder == classify-without contract. The whole
- *  suite runs under the TSan CI job. */
+ *  rung is byte-identical to replaying from step 0, and the ladder's
+ *  end is the state a full replay reaches), the budget rule for
+ *  adopting that end, and the classify-with-ladder ==
+ *  classify-without contract. The whole suite runs under the TSan CI
+ *  job. */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "ir/builder.h"
@@ -17,6 +20,7 @@
 #include "rt/interpreter.h"
 #include "rt/policy.h"
 #include "support/cow.h"
+#include "support/observe.h"
 #include "workloads/registry.h"
 
 namespace portend {
@@ -195,6 +199,107 @@ detectOn(const workloads::Workload &w, core::PortendOptions &opts)
     return tool.detect();
 }
 
+/** The ladder the scheduler builds for @p det's batch. */
+replay::CheckpointLadder
+batchLadder(const ir::Program &prog, const replay::ScheduleTrace &trace,
+            const core::DetectionResult &det,
+            const core::PortendOptions &opts)
+{
+    return replay::CheckpointLadder::build(
+        prog, trace, replay::CheckpointLadder::targetsFor(det.clusters),
+        core::RaceAnalyzer::replayOptions(opts),
+        opts.semantic_predicates);
+}
+
+/** Installs a fresh process collector for one scope. */
+class ScopedCollector
+{
+  public:
+    ScopedCollector() { obs::setCollector(&col_); }
+    ~ScopedCollector() { obs::setCollector(nullptr); }
+
+    obs::MetricsShard
+    shard() const
+    {
+        obs::MetricsShard m;
+        col_.drainInto(m);
+        return m;
+    }
+
+    std::uint64_t
+    counter(obs::Counter c) const
+    {
+        return shard().counter(c);
+    }
+
+  private:
+    obs::Collector col_;
+};
+
+/** Verdict, evidence and every ledger field but the two timings. */
+void
+expectSameClassification(const core::Classification &a,
+                         const core::Classification &b)
+{
+    EXPECT_EQ(a.cls, b.cls);
+    EXPECT_EQ(a.viol, b.viol);
+    EXPECT_EQ(a.k, b.k);
+    EXPECT_EQ(a.states_differ, b.states_differ);
+    EXPECT_EQ(a.detail, b.detail);
+    EXPECT_EQ(a.output_diff, b.output_diff);
+    EXPECT_EQ(a.evidence_inputs, b.evidence_inputs);
+    EXPECT_EQ(a.evidence_witness, b.evidence_witness);
+    EXPECT_EQ(a.evidence_seed, b.evidence_seed);
+    EXPECT_EQ(a.evidence_schedule, b.evidence_schedule);
+    EXPECT_EQ(a.evidence_signature, b.evidence_signature);
+    EXPECT_EQ(a.evidence_alternate, b.evidence_alternate);
+    const core::AnalysisStats &x = a.stats;
+    const core::AnalysisStats &y = b.stats;
+    EXPECT_EQ(x.preemptions, y.preemptions);
+    EXPECT_EQ(x.sym_branches, y.sym_branches);
+    EXPECT_EQ(x.steps, y.steps);
+    EXPECT_EQ(x.paths_explored, y.paths_explored);
+    EXPECT_EQ(x.schedules_explored, y.schedules_explored);
+    EXPECT_EQ(x.distinct_schedules, y.distinct_schedules);
+    EXPECT_EQ(x.states_created, y.states_created);
+    EXPECT_EQ(x.solver_queries, y.solver_queries);
+}
+
+/**
+ * Classify every cluster of @p det under step budget @p max_steps
+ * with and without @p ladder, expecting identical results; returns
+ * what the process collector counted meanwhile (only the laddered
+ * runs fork rungs or reuse the end).
+ */
+obs::MetricsShard
+classifyBothWays(const ir::Program &prog,
+                 const core::DetectionResult &det,
+                 core::PortendOptions opts, std::uint64_t max_steps,
+                 const replay::CheckpointLadder &ladder)
+{
+    SCOPED_TRACE("max_steps " + std::to_string(max_steps));
+    opts.max_steps = max_steps;
+    core::RaceAnalyzer analyzer(prog, opts);
+    ScopedCollector col;
+    for (const auto &c : det.clusters) {
+        SCOPED_TRACE("cell " + std::to_string(c.representative.cell));
+        expectSameClassification(
+            analyzer.classify(c.representative, det.trace),
+            analyzer.classify(c.representative, det.trace, &ladder));
+    }
+    return col.shard();
+}
+
+/** Steps the laddered runs of classifyBothWays() reused. */
+std::uint64_t
+reusedSteps(const ir::Program &prog, const core::DetectionResult &det,
+            const core::PortendOptions &opts, std::uint64_t max_steps,
+            const replay::CheckpointLadder &ladder)
+{
+    return classifyBothWays(prog, det, opts, max_steps, ladder)
+        .counter(obs::Counter::LadderStepsReused);
+}
+
 TEST(CheckpointLadderTest, RungEqualsFromZeroReplay)
 {
     workloads::Workload w = workloads::buildWorkload("pbzip2");
@@ -202,11 +307,8 @@ TEST(CheckpointLadderTest, RungEqualsFromZeroReplay)
     core::DetectionResult det = detectOn(w, opts);
     ASSERT_FALSE(det.clusters.empty());
 
-    replay::CheckpointLadder ladder = replay::CheckpointLadder::build(
-        w.program, det.trace,
-        replay::CheckpointLadder::targetsFor(det.clusters),
-        core::RaceAnalyzer::replayOptions(opts),
-        opts.semantic_predicates);
+    replay::CheckpointLadder ladder =
+        batchLadder(w.program, det.trace, det, opts);
     ASSERT_GT(ladder.size(), 0u);
 
     for (const auto &c : det.clusters) {
@@ -251,54 +353,85 @@ TEST(CheckpointLadderTest, RungEqualsFromZeroReplay)
     }
 }
 
-// The headline contract of the ladder: classification with it is
-// byte-identical to classification without it — verdict, detail,
-// evidence, and the step ledger — across every registry workload.
-TEST(CheckpointLadderTest, ClassifyWithLadderMatchesWithout)
+/** The ladder's end against one from-0 replay of the whole trace
+ *  under the same strict TracePolicy and predicates: the stage-1
+ *  primary every cluster of the batch would otherwise finish. */
+void
+expectEndEqualsFullReplay(const std::string &name)
 {
-    for (const std::string &name : workloads::workloadNames()) {
-        workloads::Workload w = workloads::buildWorkload(name);
-        core::PortendOptions opts;
-        core::DetectionResult det = detectOn(w, opts);
-        if (det.clusters.empty())
-            continue;
+    SCOPED_TRACE(name);
+    workloads::Workload w = workloads::buildWorkload(name);
+    core::PortendOptions opts;
+    core::DetectionResult det = detectOn(w, opts);
+    ASSERT_GE(det.clusters.size(), 2u);
 
-        replay::CheckpointLadder ladder =
-            replay::CheckpointLadder::build(
-                w.program, det.trace,
-                replay::CheckpointLadder::targetsFor(det.clusters),
-                core::RaceAnalyzer::replayOptions(opts),
-                opts.semantic_predicates);
+    ScopedCollector col;
+    replay::CheckpointLadder ladder =
+        batchLadder(w.program, det.trace, det, opts);
+    const replay::CheckpointLadder::End *end = ladder.end();
+    ASSERT_NE(end, nullptr);
+    EXPECT_EQ(end->budget, opts.max_steps);
+    EXPECT_EQ(col.counter(obs::Counter::LadderTailSteps),
+              end->state.global_step - ladder.buildSteps());
 
-        core::RaceAnalyzer analyzer(w.program, opts);
-        for (const auto &c : det.clusters) {
-            core::Classification plain =
-                analyzer.classify(c.representative, det.trace);
-            core::Classification laddered = analyzer.classify(
-                c.representative, det.trace, &ladder);
-            EXPECT_EQ(plain.cls, laddered.cls) << name;
-            EXPECT_EQ(plain.viol, laddered.viol) << name;
-            EXPECT_EQ(plain.k, laddered.k) << name;
-            EXPECT_EQ(plain.detail, laddered.detail) << name;
-            EXPECT_EQ(plain.output_diff, laddered.output_diff) << name;
-            EXPECT_EQ(plain.evidence_inputs, laddered.evidence_inputs)
-                << name;
-            EXPECT_EQ(plain.evidence_seed, laddered.evidence_seed)
-                << name;
-            EXPECT_EQ(plain.states_differ, laddered.states_differ)
-                << name;
-            // The rung carries the prefix's counters, so even the
-            // ledger is identical — the ladder only saves time.
-            EXPECT_EQ(plain.stats.steps, laddered.stats.steps) << name;
-            EXPECT_EQ(plain.stats.schedules_explored,
-                      laddered.stats.schedules_explored)
-                << name;
-        }
+    rt::ExecOptions eo = core::RaceAnalyzer::replayOptions(opts);
+    eo.concrete_inputs = det.trace.concreteInputs();
+    rt::Interpreter interp(w.program, eo);
+    rt::RotatePolicy rotate;
+    replay::TracePolicy tp(det.trace, replay::TracePolicy::Mode::Strict,
+                           &rotate);
+    interp.setPolicy(&tp);
+    rt::SemanticMonitor sem(interp, opts.semantic_predicates);
+    interp.addSink(&sem);
+    interp.run();
+    const rt::VmState &ref = interp.state();
+    const rt::VmState &got = end->state;
+
+    EXPECT_TRUE(got.finished());
+    EXPECT_EQ(got.outcome, ref.outcome);
+    EXPECT_EQ(got.outcome_detail, ref.outcome_detail);
+    EXPECT_EQ(got.outcome_tid, ref.outcome_tid);
+    EXPECT_EQ(got.outcome_pc, ref.outcome_pc);
+    EXPECT_EQ(got.global_step, ref.global_step);
+    // Every VmStats field but pages_unshared, which counts the COW
+    // page clones of this state's own history.
+    EXPECT_EQ(got.stats.steps, ref.stats.steps);
+    EXPECT_EQ(got.stats.preemption_points, ref.stats.preemption_points);
+    EXPECT_EQ(got.stats.symbolic_branches, ref.stats.symbolic_branches);
+    EXPECT_EQ(got.stats.values_boxed, ref.stats.values_boxed);
+    EXPECT_EQ(got.stats.events_batched, ref.stats.events_batched);
+    ASSERT_EQ(got.mem.size(), ref.mem.size());
+    for (std::size_t i = 0; i < ref.mem.size(); ++i)
+        EXPECT_TRUE(got.mem[i].equals(ref.mem[i])) << "cell " << i;
+    EXPECT_EQ(got.output.size(), ref.output.size());
+    EXPECT_EQ(got.output.concrete_chain.digest(),
+              ref.output.concrete_chain.digest());
+    EXPECT_EQ(got.access_counts.ro(), ref.access_counts.ro());
+    ASSERT_EQ(got.threads.size(), ref.threads.size());
+    for (std::size_t t = 0; t < ref.threads.size(); ++t) {
+        EXPECT_EQ(got.threads[t].steps, ref.threads[t].steps)
+            << "thread " << t;
+        EXPECT_EQ(got.threads[t].last_step, ref.threads[t].last_step)
+            << "thread " << t;
+    }
+    EXPECT_EQ(end->semantics.scratch, sem.snapshot().scratch);
+    EXPECT_EQ(end->semantics.violation, sem.snapshot().violation);
+    EXPECT_EQ(end->semantics.violation_cell,
+              sem.snapshot().violation_cell);
+    if (!opts.semantic_predicates.empty()) {
+        EXPECT_FALSE(end->semantics.scratch.empty());
     }
 }
 
-// A ladder built over different inputs must be ignored, not used.
-TEST(CheckpointLadderTest, MismatchedInputsFallBackToReplay)
+TEST(CheckpointLadderTest, PrimaryEndEqualsFromZeroReplay)
+{
+    expectEndEqualsFullReplay("pbzip2");
+    expectEndEqualsFullReplay("fmm"); // semantic predicates installed
+}
+
+// A one-cluster batch has nobody to share the end with: the build
+// stops at its rung.
+TEST(CheckpointLadderTest, OneClusterBatchSkipsTheTail)
 {
     workloads::Workload w = workloads::buildWorkload("pbzip2");
     core::PortendOptions opts;
@@ -306,27 +439,173 @@ TEST(CheckpointLadderTest, MismatchedInputsFallBackToReplay)
     ASSERT_FALSE(det.clusters.empty());
     const race::RaceReport &race = det.clusters[0].representative;
 
+    ScopedCollector col;
+    replay::CheckpointLadder ladder = replay::CheckpointLadder::build(
+        w.program, det.trace,
+        {replay::CheckpointLadder::targetFor(race)},
+        core::RaceAnalyzer::replayOptions(opts),
+        opts.semantic_predicates);
+    ASSERT_EQ(ladder.size(), 1u);
+    EXPECT_EQ(ladder.end(), nullptr);
+    EXPECT_EQ(ladder.buildSteps(),
+              ladder.find(race.first.tid, race.cell,
+                          race.first.cell_occurrence)
+                  ->state.global_step);
+    EXPECT_EQ(col.counter(obs::Counter::InterpSteps), ladder.buildSteps());
+    EXPECT_EQ(col.counter(obs::Counter::LadderTailSteps), 0u);
+}
+
+// The headline contract of the ladder: classification with it is
+// byte-identical to classification without it — verdict, detail,
+// evidence, and the whole ledger — across every registry workload,
+// and the suite does adopt the shared end.
+TEST(CheckpointLadderTest, ClassifyWithLadderMatchesWithout)
+{
+    std::uint64_t reused = 0;
+    for (const std::string &name : workloads::workloadNames()) {
+        SCOPED_TRACE(name);
+        workloads::Workload w = workloads::buildWorkload(name);
+        core::PortendOptions opts;
+        core::DetectionResult det = detectOn(w, opts);
+        if (det.clusters.empty())
+            continue;
+        reused += reusedSteps(w.program, det, opts, opts.max_steps,
+                              batchLadder(w.program, det.trace, det, opts));
+    }
+    EXPECT_GT(reused, 0u);
+}
+
+// Budget edges of a primary whose end is reached inside an
+// instruction (main returns): the last budget check happened one
+// step before the end, so a budget equal to the end's step adopts
+// and one step less must run the tail and time out on its own.
+TEST(CheckpointLadderTest, EndAdoptedOnlyWithinTheAnalyzerBudget)
+{
+    workloads::Workload w = workloads::buildWorkload("pbzip2");
+    core::PortendOptions opts;
+    core::DetectionResult det = detectOn(w, opts);
+    replay::CheckpointLadder ladder =
+        batchLadder(w.program, det.trace, det, opts);
+    const replay::CheckpointLadder::End *end = ladder.end();
+    ASSERT_NE(end, nullptr);
+    ASSERT_EQ(end->state.outcome, rt::RunOutcome::Exited);
+    ASSERT_GE(end->state.outcome_tid, 0);
+    const std::uint64_t at = end->state.global_step;
+
+    EXPECT_EQ(reusedSteps(w.program, det, opts, at - 1, ladder), 0u);
+    EXPECT_GT(reusedSteps(w.program, det, opts, at, ladder), 0u);
+}
+
+/**
+ * Two workers race on x and on y (two clusters); after joining them
+ * main either spins forever on a flag nobody sets, or waits on a
+ * condition nobody signals (a deadlock the scheduler finds).
+ */
+ir::Program
+twoRaceProgram(bool spin)
+{
+    ir::ProgramBuilder pb(spin ? "end_spin" : "end_deadlock");
+    ir::GlobalId x = pb.global("x");
+    ir::GlobalId y = pb.global("y");
+    ir::GlobalId flag = pb.global("flag");
+    ir::SyncId m = pb.mutex("m");
+    ir::SyncId cv = pb.cond("cv");
+
+    auto &wk = pb.function("worker", 1);
+    wk.to(wk.block("entry"));
+    wk.store(x, I(0), R(wk.param(0)));
+    wk.store(y, I(0), R(wk.param(0)));
+    wk.retVoid();
+
+    auto &mn = pb.function("main", 0);
+    mn.to(mn.block("entry"));
+    ir::Reg t1 = mn.threadCreate("worker", I(1));
+    ir::Reg t2 = mn.threadCreate("worker", I(2));
+    mn.threadJoin(R(t1));
+    mn.threadJoin(R(t2));
+    if (spin) {
+        ir::BlockId loop = mn.block("loop");
+        ir::BlockId done = mn.block("done");
+        mn.jmp(loop);
+        mn.to(loop);
+        mn.br(R(mn.load(flag)), done, loop);
+        mn.to(done);
+    } else {
+        mn.lock(m);
+        mn.condWait(cv, m);
+    }
+    mn.halt();
+    return pb.build();
+}
+
+// A timed-out end is where the ladder's budget cut the run: only an
+// analyzer under that same budget may adopt it.
+TEST(CheckpointLadderTest, TimedOutEndAdoptedOnlyAtTheLadderBudget)
+{
+    ir::Program prog = twoRaceProgram(true);
+    core::PortendOptions opts;
+    opts.max_steps = 5000;
+    core::Portend tool(prog, opts);
+    core::DetectionResult det = tool.detect();
+    ASSERT_GE(det.clusters.size(), 2u);
+    replay::CheckpointLadder ladder =
+        batchLadder(prog, det.trace, det, opts);
+    const replay::CheckpointLadder::End *end = ladder.end();
+    ASSERT_NE(end, nullptr);
+    ASSERT_EQ(end->state.outcome, rt::RunOutcome::TimedOut);
+
+    const std::uint64_t b = opts.max_steps;
+    EXPECT_GT(reusedSteps(prog, det, opts, b, ladder), 0u);
+    EXPECT_EQ(reusedSteps(prog, det, opts, b - 1, ladder), 0u);
+    EXPECT_EQ(reusedSteps(prog, det, opts, b + 1, ladder), 0u);
+}
+
+// An end the scheduler found (all live threads blocked) was checked
+// against the budget at its own step: a budget equal to that step
+// times out before finding it, so adoption needs one step more.
+TEST(CheckpointLadderTest, SchedulerFoundEndNeedsOneStepOfHeadroom)
+{
+    ir::Program prog = twoRaceProgram(false);
+    core::PortendOptions opts;
+    core::Portend tool(prog, opts);
+    core::DetectionResult det = tool.detect();
+    ASSERT_GE(det.clusters.size(), 2u);
+    replay::CheckpointLadder ladder =
+        batchLadder(prog, det.trace, det, opts);
+    const replay::CheckpointLadder::End *end = ladder.end();
+    ASSERT_NE(end, nullptr);
+    ASSERT_EQ(end->state.outcome, rt::RunOutcome::Deadlock);
+    ASSERT_LT(end->state.outcome_tid, 0);
+    const std::uint64_t at = end->state.global_step;
+
+    EXPECT_EQ(reusedSteps(prog, det, opts, at, ladder), 0u);
+    EXPECT_GT(reusedSteps(prog, det, opts, at + 1, ladder), 0u);
+}
+
+// A ladder built over different inputs must be ignored, not used:
+// neither its rungs nor its end.
+TEST(CheckpointLadderTest, MismatchedInputsFallBackToReplay)
+{
+    workloads::Workload w = workloads::buildWorkload("pbzip2");
+    core::PortendOptions opts;
+    core::DetectionResult det = detectOn(w, opts);
+    ASSERT_GE(det.clusters.size(), 2u);
+
     replay::ScheduleTrace skewed = det.trace;
     for (auto &in : skewed.inputs) {
         if (!in.symbolic)
             in.value += 1;
     }
-    std::vector<replay::CheckpointLadder::Target> targets{
-        replay::CheckpointLadder::targetFor(race)};
     replay::CheckpointLadder skewed_ladder =
-        replay::CheckpointLadder::build(
-            w.program, skewed, targets,
-            core::RaceAnalyzer::replayOptions(opts),
-            opts.semantic_predicates);
+        batchLadder(w.program, skewed, det, opts);
+    ASSERT_NE(skewed_ladder.end(), nullptr);
 
-    core::RaceAnalyzer analyzer(w.program, opts);
-    core::Classification plain =
-        analyzer.classify(race, det.trace);
-    core::Classification guarded =
-        analyzer.classify(race, det.trace, &skewed_ladder);
-    EXPECT_EQ(plain.cls, guarded.cls);
-    EXPECT_EQ(plain.detail, guarded.detail);
-    EXPECT_EQ(plain.stats.steps, guarded.stats.steps);
+    // Stage 1 replays the trace's own inputs, so no primary may adopt
+    // the skewed end. (A stage-2 path whose concretized inputs happen
+    // to equal the skewed ones may fork a rung: that rung is valid.)
+    EXPECT_EQ(reusedSteps(w.program, det, opts, opts.max_steps,
+                          skewed_ladder),
+              0u);
 }
 
 } // namespace
