@@ -228,6 +228,11 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
         return v;
 
     // -- Determinism: same seed, byte-identical everything -----------
+    // The one deep re-run that records its own detection: it checks
+    // that detection records the same trace twice. Every other re-run
+    // below varies only options detection never reads (it reads
+    // max_steps, detection_seed and detector), so it classifies r1's
+    // detection instead of recording it again.
     {
         core::PortendResult r2 = core::Portend(prog, full).run();
         bool same_trace =
@@ -243,7 +248,8 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
     {
         core::PortendOptions o = full;
         o.jobs = 2;
-        core::PortendResult rj = core::Portend(prog, o).run();
+        core::PortendResult rj =
+            core::Portend(prog, o).runFrom(r1.detection);
         check("jobs-invariance", renderRun(prog, rj) == v.report_text,
               "verdict report bytes differ between --jobs 1 and "
               "--jobs 2");
@@ -291,7 +297,8 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
         o.explore = full.explore == explore::ExploreMode::Dpor
                         ? explore::ExploreMode::Random
                         : explore::ExploreMode::Dpor;
-        core::PortendResult other = core::Portend(prog, o).run();
+        core::PortendResult other =
+            core::Portend(prog, o).runFrom(r1.detection);
         const core::PortendResult &as_random =
             full.explore == explore::ExploreMode::Dpor ? other : r1;
         const core::PortendResult &as_dpor =
@@ -305,22 +312,26 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
         // Ma raise in the primary explorer.
         core::PortendOptions wide = full;
         wide.ma = full.ma * 2;
-        core::PortendResult rw = core::Portend(prog, wide).run();
+        core::PortendResult rw =
+            core::Portend(prog, wide).runFrom(r1.detection);
         const std::string lost_ma = lostViolation(r1, rw);
         check("ma-monotonicity", lost_ma.empty(),
               "doubling --ma lost a spec-violated verdict: " +
                   lost_ma);
     }
 
+    // The single-path single-schedule stage-1 baseline: the low end
+    // of k-monotonicity and the reference of sym-monotonicity.
+    core::PortendOptions lo = full;
+    lo.mp = 1;
+    lo.ma = 1;
+    lo.multi_path = false;
+    lo.multi_schedule = false;
+    const core::PortendResult rl =
+        core::Portend(prog, lo).runFrom(r1.detection);
+
     // -- k-monotonicity ----------------------------------------------
     {
-        core::PortendOptions lo = full;
-        lo.mp = 1;
-        lo.ma = 1;
-        lo.multi_path = false;
-        lo.multi_schedule = false;
-        core::PortendResult rl = core::Portend(prog, lo).run();
-
         // Match clusters by static race identity.
         std::map<std::string, const core::PortendReport *> high;
         for (const core::PortendReport &rep : r1.reports)
@@ -368,18 +379,12 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
     // set. Any decisive symbolic verdict must also carry evidence
     // that replayEvidence reproduces byte-identically.
     if (!prog.inputs.empty()) {
-        core::PortendOptions lo = full;
-        lo.mp = 1;
-        lo.ma = 1;
-        lo.multi_path = false;
-        lo.multi_schedule = false;
-        core::PortendResult rl = core::Portend(prog, lo).run();
-
         core::PortendOptions so = full;
         for (const ir::InputDecl &d : prog.inputs)
             so.sym_inputs.push_back(
                 rt::SymInputSpec{d.name, false, 0, 0});
-        core::PortendResult rs = core::Portend(prog, so).run();
+        core::PortendResult rs =
+            core::Portend(prog, so).runFrom(r1.detection);
 
         const auto rank = [](core::RaceClass c) {
             switch (c) {

@@ -44,6 +44,17 @@
  * e.g. the Record/Replay-Analyzer's conservative "likely harmful"
  * verdicts against Portend's k-witness) are recorded as counters,
  * never flagged.
+ *
+ * Shared work. The primary pipeline run (r1) records the program's
+ * one shared detection. The jobs-invariance, explore- and
+ * ma-monotonicity, k-monotonicity and sym-monotonicity re-runs only
+ * vary options detection never reads, so they classify r1's
+ * detection (Portend::runFrom) instead of recording it again;
+ * witness-replay replays the sym run's copy of that trace.
+ * Determinism records its own detection (that it records the same
+ * trace twice is what it checks), and the two detector-monotonicity
+ * checks detect under their own detectors. k- and sym-monotonicity
+ * share one single-path stage-1 baseline run.
  */
 
 #ifndef PORTEND_FUZZ_ORACLE_H

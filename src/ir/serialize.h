@@ -9,15 +9,40 @@
  * text artifacts next to the schedule traces they pair with
  * (paper §3.6's replayable evidence).
  *
- * Format (line-based, whitespace-separated):
+ * Format: the serializer writes one declaration per line, in this
+ * order (<s> is a quoted string, every other field a decimal
+ * integer unless named below):
  *
- *   pil v1 <name>
- *   global <name> <size> [init values...]
- *   mutex <name> | cond <name> | barrier <name> <count>
- *   func <name> <params> <regs>
- *   block <name>
- *   inst <op> dst=<r> a=<operand> ... ; operands are r<N>, i<V>, _
+ *   pil v1 <s:program name>
+ *   global <s:name> <size> [<init value>...]
+ *   mutex <s:name>
+ *   cond <s:name>
+ *   barrier <s:name> <count>
+ *   input <s:name> <lo> <hi>
+ *   func <s:name> <params> <regs>
+ *   block <s:name>
+ *   inst <op> <dst> <a> <b> <c> <kind> <width> <gid> <sid> <sid2>
+ *        <fid> <then> <else> <lo> <hi> <s:text> <s:file> <line>
  *   end
+ *
+ * (an inst is one line). <op> and <kind> are the opName and
+ * sym::kindName mnemonics, <width> is 1, 8, 16, 32 or 64, and the
+ * operands <a> <b> <c> are r<N>, i<V> or _.
+ * Block and function lines nest by order: a block belongs to the
+ * last func, an inst to the last block.
+ *
+ * Token rules of the parser:
+ *  - Tokens are separated by C-locale whitespace other than the
+ *    newline (space, \t, \v, \f, \r), so tabs and CRLF line ends
+ *    load; empty lines are skipped.
+ *  - A number is one whole token that std::from_chars consumes
+ *    entirely and that fits its field (no '+', no junk after it).
+ *  - A quoted string runs from its opening quote to the first
+ *    unescaped quote, which must end the token; a backslash takes
+ *    the next character literally (the serializer escapes only
+ *    quotes and backslashes), and inner whitespace is kept.
+ *  - A line holds exactly its fields: trailing tokens are rejected.
+ *  - Errors name their line: "... (line N)".
  */
 
 #ifndef PORTEND_IR_SERIALIZE_H

@@ -87,6 +87,10 @@ class Portend
     /**
      * Run the detection phase only: execute the program with the
      * configured detector attached, recording the schedule trace.
+     * Reads only opts.max_steps, opts.detection_seed and
+     * opts.detector: option sets that agree on those three record
+     * the same detection, which the fuzz oracle relies on to
+     * classify one detection under many option sets.
      */
     DetectionResult detect();
 

@@ -1,7 +1,10 @@
 #include "portend/scheduler.h"
 
 #include <algorithm>
+#include <exception>
+#include <functional>
 #include <future>
+#include <memory>
 #include <utility>
 
 #include <cstdio>
@@ -57,6 +60,51 @@ statsFromShard(SchedulerStats &st, const obs::MetricsShard &m)
     st.ladder_rungs = static_cast<int>(m.counter(Counter::LadderRungs));
     st.ladder_steps = m.counter(Counter::LadderBuildSteps);
     st.ladder_covered_steps = m.counter(Counter::LadderCoveredSteps);
+}
+
+/**
+ * Run @p drain on the calling thread and on @p helpers pool threads;
+ * return once every copy has finished, rethrowing the first
+ * exception (the caller's before the helpers', in submission order).
+ *
+ * The helpers come from a pool owned by the calling thread and kept
+ * across batches, built on first use and rebuilt only when a batch
+ * needs more helpers than it has: a thread that classifies many
+ * small batches (the fuzz oracle's --jobs 2 re-run, once per deep
+ * program) starts its helper threads once, not once per batch.
+ * Reuse is safe because classifyAll never runs inside one of its own
+ * drains, so no helper ever waits on the pool it belongs to, and
+ * because forked serve workers only run jobs = 1 pipelines
+ * (campaign::executeUnit), so no process inherits a pool whose
+ * threads it does not have.
+ */
+void
+drainWithHelpers(int helpers, const std::function<void()> &drain)
+{
+    thread_local std::unique_ptr<ThreadPool> pool;
+    if (!pool || pool->size() < helpers) {
+        pool.reset(); // join the old helpers before starting more
+        pool = std::make_unique<ThreadPool>(helpers);
+    }
+    std::vector<std::future<void>> done;
+    done.reserve(static_cast<std::size_t>(helpers));
+    for (int h = 0; h < helpers; ++h)
+        done.push_back(pool->submit(drain));
+    std::exception_ptr error;
+    try {
+        drain();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    // The drains reference the batch's locals (queue, reports,
+    // shards, ladder): wait for every helper before leaving, on the
+    // error path too.
+    for (std::future<void> &f : done)
+        f.wait();
+    if (error)
+        std::rethrow_exception(error);
+    for (std::future<void> &f : done)
+        f.get();
 }
 
 } // namespace
@@ -152,7 +200,8 @@ ClassificationScheduler::classifyAll(
 
     // The batch as work units: one ClusterUnit per cluster, budget
     // slice applied up front, drained from a shared claim-by-cursor
-    // queue by n_workers drain loops. Each claimed unit gets a
+    // queue by n_workers drain loops, one of them on the calling
+    // thread (see drainWithHelpers). Each claimed unit gets a
     // unit-local analyzer (construction is cheap: the expensive
     // StaticInfo is shared read-only). queue_seconds is the per-unit
     // enqueue→claim delta — the time the unit actually waited for a
@@ -184,19 +233,12 @@ ClassificationScheduler::classifyAll(
         while (const ClusterUnit *unit = queue.next())
             runUnit(*unit);
     };
-    if (n_workers == 1) {
+    if (n_workers == 1)
         drain();
-    } else {
-        ThreadPool pool(n_workers);
-        std::vector<std::future<void>> workers;
-        workers.reserve(static_cast<std::size_t>(n_workers));
-        for (int w = 0; w < n_workers; ++w)
-            workers.push_back(pool.submit(drain));
-        for (auto &f : workers)
-            f.get();
-    }
+    else
+        drainWithHelpers(n_workers - 1, drain);
 
-    // Workers have joined: the shard slots are plain memory now.
+    // Every drain has finished: the shard slots are plain memory now.
     // Merge in cluster index order (counters commute, but the fixed
     // order is the documented determinism rule and keeps any future
     // non-commutative metric honest), then read the legacy ledger

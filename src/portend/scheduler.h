@@ -34,7 +34,9 @@
  * drain them from a campaign::Queue (the same claim-by-cursor
  * primitive the campaign engine uses one level up for whole
  * programs). The unit list is fixed before any worker starts, which
- * is exactly why slicing is jobs-invariant.
+ * is exactly why slicing is jobs-invariant. The calling thread is
+ * one of the n workers; the other n − 1 are helper threads it keeps
+ * across batches (see scheduler.cc).
  */
 
 #ifndef PORTEND_PORTEND_SCHEDULER_H

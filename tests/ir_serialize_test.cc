@@ -163,5 +163,31 @@ TEST(SerializeQuoteTest, EscapedStringsSurvive)
               "label with spaces \"and\" quotes");
 }
 
+TEST(SerializeQuoteTest, InnerWhitespaceSurvives)
+{
+    // Quoted strings are scanned to their closing quote, so runs of
+    // spaces and tabs inside them load as written.
+    ProgramBuilder pb("two  spaces\tand a tab");
+    pb.global("g  \t1", 2, {3, -4});
+    pb.mutex("m\t\tm");
+    pb.cond(" c ");
+    pb.barrier("\tb", 2);
+    auto &m = pb.function("main", 0);
+    m.to(m.block("entry\t "));
+    m.file("dir  /x\t.c").line(7);
+    m.outputStr("  label\t\"q\"  \\ ");
+    m.halt();
+    auto &w = pb.function("worker  \t1", 0);
+    w.to(w.block("  "));
+    w.halt();
+    Program p = pb.build();
+    const std::string text = serializeProgram(p);
+    std::string err;
+    auto parsed = deserializeProgram(text, &err);
+    ASSERT_TRUE(parsed.has_value()) << err;
+    expectSamePrograms(p, *parsed);
+    EXPECT_EQ(serializeProgram(*parsed), text);
+}
+
 } // namespace
 } // namespace portend::ir

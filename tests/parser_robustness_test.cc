@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "fuzz/generator.h"
 #include "ir/serialize.h"
 #include "ir/verifier.h"
@@ -133,6 +137,147 @@ TEST(ProgramParserRobustness, RejectsBadInstructions)
     expectReject(pre + "inst Jmp -1 _ _ _ add 64 -1 -1 -1 -1 5 -1 "
                        "0 0 \"\" \"\" 0\nend\n",
                  "verifier: dangling block target");
+}
+
+/** A valid program with one line of every kind. */
+std::vector<std::string>
+everyLineKind()
+{
+    return {"pil v1 \"x\"",
+            "global \"g\" 2 1",
+            "mutex \"m\"",
+            "cond \"c\"",
+            "barrier \"b\" 2",
+            "input \"n\" 0 4",
+            "func \"main\" 0 1",
+            "block \"entry\"",
+            "inst halt -1 _ _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" "
+            "\"\" 0",
+            "end"};
+}
+
+/** Expect a parse failure whose diagnostic contains @p want. */
+void
+expectRejectWith(const std::string &text, const std::string &want)
+{
+    std::string error;
+    EXPECT_FALSE(ir::deserializeProgram(text, &error).has_value())
+        << want;
+    EXPECT_NE(error.find(want), std::string::npos)
+        << "want '" << want << "', got '" << error << "'";
+}
+
+TEST(ProgramParserRobustness, RejectsABadLastGlobalInitValue)
+{
+    std::string error;
+    std::optional<ir::Program> p = ir::deserializeProgram(
+        join(everyLineKind(), "\n") + "\n", &error);
+    ASSERT_TRUE(p.has_value()) << error;
+    EXPECT_EQ(p->globals.at(0).init, std::vector<std::int64_t>{1});
+
+    // An overflowing or sign-only last value is an error, not the
+    // end of the line.
+    for (const char *bad : {"99999999999999999999", "-"}) {
+        std::vector<std::string> lines = everyLineKind();
+        lines[1] += std::string(" ") + bad;
+        expectRejectWith(join(lines, "\n") + "\n",
+                         "bad global init value (line 2)");
+    }
+}
+
+TEST(ProgramParserRobustness, RejectsTrailingTokensOnEveryLine)
+{
+    const std::vector<std::string> base = everyLineKind();
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        std::vector<std::string> lines = base;
+        lines[i] += " junk";
+        const std::string tag = lines[i].substr(0, lines[i].find(' '));
+        // A global line's extra tokens are init values.
+        const std::string want =
+            tag == "global" ? "bad global init value"
+                            : "trailing tokens after " + tag;
+        expectRejectWith(join(lines, "\n") + "\n",
+                         want + " (line " + std::to_string(i + 1) +
+                             ")");
+    }
+}
+
+TEST(ProgramParserRobustness, RejectsNumbersThatAreNotWholeTokens)
+{
+    // A number is one whole token: no leading '+', and nothing run
+    // into it. The serializer writes neither form.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"global \"g\" +2 1", "bad global"},
+        {"global \"g\" 2 +1", "bad global init value"},
+        {"global \"g\" 2 1-2", "bad global init value"},
+        {"barrier \"b\" 2x", "bad barrier"},
+        {"input \"n\" 0 +4", "bad input declaration"},
+        {"func \"main\" 0 1x", "bad func"},
+        {"inst halt -1_ _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" \"\" 0",
+         "bad inst fields"},
+        {"inst halt +1 _ _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" \"\" 0",
+         "bad inst fields"},
+        {"inst halt -1 r0x _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" \"\" 0",
+         "bad operand"},
+        {"inst halt -1 i+5 _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" \"\" 0",
+         "bad operand"},
+        {"inst halt -1 _ _ _ add 64 -1 -1 -1 -1 -1 -1 0 0 \"\" \"\" 0x",
+         "bad inst strings"},
+        // A quoted string must end its token too.
+        {"block \"entry\"x", "bad block"},
+    };
+    const std::vector<std::string> base = everyLineKind();
+    for (const auto &[line, want] : cases) {
+        std::vector<std::string> lines = base;
+        const std::string tag = line.substr(0, line.find(' '));
+        for (std::string &l : lines)
+            if (l.compare(0, tag.size() + 1, tag + " ") == 0)
+                l = line;
+        expectRejectWith(join(lines, "\n") + "\n", want);
+    }
+}
+
+TEST(ProgramParserRobustness, AcceptsTabsAndCrlfLineEnds)
+{
+    std::string text = join(everyLineKind(), "\r\n") + "\r\n";
+    for (char &c : text)
+        if (c == ' ')
+            c = '\t';
+    std::string error;
+    std::optional<ir::Program> p = ir::deserializeProgram(text, &error);
+    ASSERT_TRUE(p.has_value()) << error;
+    EXPECT_EQ(ir::serializeProgram(*p),
+              join(everyLineKind(), "\n") + "\n");
+}
+
+TEST(ProgramParserRobustness, CrlfSeedCorpusParsesToTheSamePrograms)
+{
+    int entries = 0;
+    for (const auto &dir : std::filesystem::directory_iterator(
+             PORTEND_SEED_CORPUS)) {
+        std::ifstream in(dir.path() / "program.pil", std::ios::binary);
+        ASSERT_TRUE(in) << dir.path();
+        std::ostringstream os;
+        os << in.rdbuf();
+        const std::string text = os.str();
+        std::string crlf;
+        for (char c : text) {
+            if (c == '\n')
+                crlf += '\r';
+            crlf += c;
+        }
+        std::string error;
+        std::optional<ir::Program> a =
+            ir::deserializeProgram(text, &error);
+        ASSERT_TRUE(a.has_value()) << dir.path() << ": " << error;
+        std::optional<ir::Program> b =
+            ir::deserializeProgram(crlf, &error);
+        ASSERT_TRUE(b.has_value()) << dir.path() << ": " << error;
+        EXPECT_EQ(ir::serializeProgram(*a), text) << dir.path();
+        EXPECT_EQ(ir::serializeProgram(*b), text) << dir.path();
+        entries += 1;
+    }
+    EXPECT_GT(entries, 0);
 }
 
 TEST(ProgramParserRobustness, AcceptsItsOwnOutput)

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "portend/portend.h"
@@ -304,6 +307,101 @@ TEST(SchedulerReuseTest, ClassifyRaceReusesAnalyzer)
     EXPECT_EQ(first.cls, second.cls);
     EXPECT_EQ(first.k, second.k);
     EXPECT_EQ(first.detail, second.detail);
+}
+
+// ---------------------------------------------------------------------------
+// Helper threads outlive a batch: each calling thread keeps a pool of
+// jobs - 1 helpers and runs one drain loop itself.
+// ---------------------------------------------------------------------------
+
+/** Workloads with at least four clusters, so --jobs 4 uses four
+ *  drain loops. */
+std::vector<workloads::Workload>
+helperWorkloads()
+{
+    std::vector<workloads::Workload> ws;
+    for (const char *name : {"bbuf", "ocean", "ctrace"})
+        ws.push_back(workloads::buildWorkload(name));
+    return ws;
+}
+
+/** Threads of this process, or -1 without /proc/self/task. */
+int
+processThreads()
+{
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    int n = 0;
+    for (; !ec && it != std::filesystem::directory_iterator();
+         it.increment(ec)) {
+        n += 1;
+    }
+    return ec ? -1 : n;
+}
+
+/**
+ * Report bytes of every workload, batch after batch, at each --jobs
+ * value of @p sequence in turn. @p helper_threads, when given, gets
+ * the threads added since the call began, after each value.
+ */
+std::vector<std::string>
+batchSequence(const std::vector<workloads::Workload> &ws,
+              const std::vector<int> &sequence,
+              std::vector<int> *helper_threads = nullptr)
+{
+    const int base = processThreads();
+    std::vector<std::string> out;
+    for (int jobs : sequence) {
+        for (const workloads::Workload &w : ws) {
+            PortendResult res = runWith(w, jobs);
+            EXPECT_EQ(res.scheduling.jobs,
+                      std::min<int>(jobs, res.scheduling.clusters));
+            out.push_back(reportText(w.program, res));
+        }
+        if (helper_threads && base > 0)
+            helper_threads->push_back(processThreads() - base);
+    }
+    return out;
+}
+
+TEST(SchedulerHelperTest, PoolGrowsThenIsReusedWithJobsOneBytes)
+{
+    const std::vector<workloads::Workload> ws = helperWorkloads();
+    for (const workloads::Workload &w : ws)
+        ASSERT_GE(runWith(w, 1).reports.size(), 4u) << w.program.name;
+    const std::vector<std::string> want = batchSequence(ws, {1});
+
+    // A fresh thread has no helpers yet: --jobs 2 starts one, --jobs
+    // 4 needs three and rebuilds the pool, and the next --jobs 2
+    // batch reuses those three.
+    std::vector<std::string> got;
+    std::vector<int> helpers;
+    std::thread t([&] { got = batchSequence(ws, {2, 4, 2}, &helpers); });
+    t.join();
+    ASSERT_EQ(got.size(), 3 * want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i % want.size()]) << "batch " << i;
+    if (!helpers.empty()) {
+        EXPECT_EQ(helpers, (std::vector<int>{1, 3, 3}));
+    }
+}
+
+TEST(SchedulerHelperTest, ConcurrentCallersGetJobsOneBytes)
+{
+    const std::vector<workloads::Workload> ws = helperWorkloads();
+    const std::vector<std::string> want = batchSequence(ws, {1});
+
+    // Two threads, each with its own helpers, classify at once.
+    std::vector<std::string> got[2];
+    std::thread a([&] { got[0] = batchSequence(ws, {2, 4, 2}); });
+    std::thread b([&] { got[1] = batchSequence(ws, {4, 2, 4}); });
+    a.join();
+    b.join();
+    for (const std::vector<std::string> &g : got) {
+        ASSERT_EQ(g.size(), 3 * want.size());
+        for (std::size_t i = 0; i < g.size(); ++i)
+            EXPECT_EQ(g[i], want[i % want.size()]) << "batch " << i;
+    }
 }
 
 } // namespace
