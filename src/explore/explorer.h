@@ -22,7 +22,13 @@
  *    one (or, when it was not yet enabled there, every other
  *    enabled thread — the persistent-set fallback rule), bounded by
  *    a preemption budget and pruned sleep-set style (a decision
- *    prefix is never issued twice).
+ *    prefix is never issued twice);
+ *  - candidates are generated lazily: record() queues each run
+ *    (only the access window expansion reads), and next() expands
+ *    queued runs in record order only when the frontier runs dry.
+ *    Expansion only appends to a FIFO frontier and sees the same
+ *    prefix-dedup set either way, so this issues exactly the
+ *    schedules eager expansion would, in the same order.
  *
  * Mode contract (relied on by the fuzz oracle's monotonicity
  * checks): in Dpor mode the explorer first issues exactly the
@@ -42,6 +48,7 @@
 #ifndef PORTEND_EXPLORE_EXPLORER_H
 #define PORTEND_EXPLORE_EXPLORER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -113,12 +120,15 @@ struct PostSpec
  * behavior). Two executions get equal signatures iff their access
  * sequences are Mazurkiewicz-trace equivalent — reorderings of
  * independent accesses collapse, reorderings of conflicting
- * accesses do not.
+ * accesses do not. Layering is one pass, O(n log n): an event's
+ * depth follows from its thread's previous event and, at its site,
+ * the deepest earlier access (for a write) or write (for a read).
  */
 std::string canonicalSignature(const rt::ScheduleObservation &obs);
 
 /** FNV-1a digest of canonicalSignature, as 16 lowercase hex chars
- *  (the compact form stored in evidence and printed in reports). */
+ *  (the compact form stored in evidence and printed in reports).
+ *  Hashes the signature text piece by piece without building it. */
 std::string signatureHash(const rt::ScheduleObservation &obs);
 
 /** Explorer configuration. */
@@ -187,11 +197,15 @@ class ScheduleExplorer
 
     /**
      * Feed back what the schedule issued by the last next() did.
+     * Takes the observation: in Dpor mode below the preemption
+     * bound it keeps the part expansion reads (the first
+     * kExpandWindow accesses and their decisions) until next()
+     * needs new candidates.
      *
      * @return true when the run realized a class no earlier run of
      *         this explorer had witnessed (a *distinct* schedule)
      */
-    bool record(const rt::ScheduleObservation &obs);
+    bool record(rt::ScheduleObservation obs);
 
     /** Distinct equivalence classes witnessed so far. */
     int distinct() const { return distinct_; }
@@ -209,6 +223,13 @@ class ScheduleExplorer
     /** All signature hashes witnessed (sorted; for tests/benches). */
     const std::set<std::string> &signatures() const { return seen_; }
 
+    /**
+     * Accesses of one run that expansion pairs up: candidate
+     * generation is quadratic in this window, which guards against
+     * pathological runs (spin loops under a random schedule).
+     */
+    static constexpr std::size_t kExpandWindow = 512;
+
   private:
     /** One not-yet-executed systematic schedule. */
     struct Candidate
@@ -217,6 +238,17 @@ class ScheduleExplorer
         int preemptions = 0;
     };
 
+    /** A recorded run not yet expanded into candidates. */
+    struct Pending
+    {
+        rt::ScheduleObservation obs;
+        int preemptions = 0;
+    };
+
+    /** Expand pending runs, oldest first, until the frontier holds a
+     *  candidate or nothing is pending. */
+    void expandPending();
+
     /** Grow the frontier from one observed run. */
     void expand(const rt::ScheduleObservation &obs, int base_preempt);
 
@@ -224,6 +256,7 @@ class ScheduleExplorer
     void push(std::vector<rt::ThreadId> prefix, int preemptions);
 
     ExplorerOptions opts;
+    std::deque<Pending> pending_;
     std::deque<Candidate> frontier;
     std::set<std::vector<rt::ThreadId>> issued_;
     std::set<std::string> seen_;

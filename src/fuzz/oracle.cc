@@ -528,7 +528,7 @@ struct VerdictReader
 {
     const std::string &text;
     std::size_t pos = 0;
-    std::string err;
+    std::string err{};
 
     bool fail(const std::string &what)
     {

@@ -1092,7 +1092,7 @@ RaceAnalyzer::classify(const race::RaceReport &race,
                 // nothing.
                 const bool fresh =
                     a.alternate_enforced &&
-                    sched_ex.record(a.observation);
+                    sched_ex.record(std::move(a.observation));
                 emitScheduleEvent(*spec, path_index, fresh,
                                   sched_ex.distinct(),
                                   c.stats.schedules_explored);
@@ -1182,7 +1182,7 @@ RaceAnalyzer::classify(const race::RaceReport &race,
             SingleResult s = singleClassify(race, trace, inputs0,
                                             *spec, ladder, c.stats);
             const bool fresh = s.alternate_enforced &&
-                               sched_ex.record(s.observation);
+                               sched_ex.record(std::move(s.observation));
             emitScheduleEvent(*spec, 0, fresh, sched_ex.distinct(),
                               c.stats.schedules_explored);
             if (s.kind == SingleResult::Kind::SpecViol) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 namespace portend::race {
 
@@ -35,24 +36,32 @@ RaceReport::describe(const ir::Program &p) const
 std::vector<RaceCluster>
 clusterRaces(const std::vector<RaceReport> &reports)
 {
-    std::vector<RaceCluster> out;
-    std::map<std::string, std::size_t> index;
+    // The static race's identity as integers: the triple key()
+    // prints, without formatting it per dynamic occurrence.
+    using StaticRace = std::tuple<int, int, int>;
+    std::map<StaticRace, std::size_t> index;
+    std::vector<const RaceReport *> latest;
+    std::vector<int> instances;
     for (const auto &r : reports) {
-        auto [it, inserted] = index.emplace(r.key(), out.size());
+        const StaticRace id{r.cell, std::min(r.first.pc, r.second.pc),
+                            std::max(r.first.pc, r.second.pc)};
+        auto [it, inserted] = index.emplace(id, latest.size());
         if (inserted) {
-            RaceCluster c;
-            c.representative = r;
-            c.instances = 1;
-            out.push_back(std::move(c));
+            latest.push_back(&r);
+            instances.push_back(1);
         } else {
             // Keep the *latest* occurrence as representative: for
             // flag-style synchronization the mature pair (write
             // before the consuming read) is the one whose alternate
             // ordering reveals the ad-hoc synchronization.
-            out[it->second].representative = r;
-            out[it->second].instances += 1;
+            latest[it->second] = &r;
+            instances[it->second] += 1;
         }
     }
+    std::vector<RaceCluster> out;
+    out.reserve(latest.size());
+    for (std::size_t i = 0; i < latest.size(); ++i)
+        out.push_back({*latest[i], instances[i]});
     return out;
 }
 

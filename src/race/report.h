@@ -50,7 +50,7 @@ struct RaceReport
 /** A static race with its dynamic occurrence count. */
 struct RaceCluster
 {
-    RaceReport representative; ///< first occurrence observed
+    RaceReport representative; ///< latest occurrence observed
     int instances = 0;         ///< dynamic occurrences
 };
 

@@ -14,8 +14,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <deque>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "explore/explorer.h"
@@ -23,6 +30,8 @@
 #include "portend/portend.h"
 #include "rt/interpreter.h"
 #include "rt/policy.h"
+#include "support/hash.h"
+#include "support/rng.h"
 #include "workloads/registry.h"
 
 namespace portend {
@@ -358,6 +367,404 @@ TEST(ExplorerModeTest, DuplicateSignaturesAreNotDistinct)
     ASSERT_TRUE(ex.next().has_value());
     EXPECT_FALSE(ex.record(obs));
     EXPECT_EQ(ex.distinct(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy expansion and the one-pass signature, against references
+// built the straightforward way
+// ---------------------------------------------------------------------------
+
+using Access = rt::ScheduleObservation::Access;
+
+/** Foata signature by the pairwise definition: an event's level is
+ *  one past the deepest earlier event it depends on. */
+std::string
+pairwiseSignature(const rt::ScheduleObservation &obs)
+{
+    const std::vector<Access> &ev = obs.accesses;
+    std::vector<int> level(ev.size(), 0);
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+            if (rt::ScheduleObservation::dependent(ev[j], ev[i]))
+                level[i] = std::max(level[i], level[j] + 1);
+        }
+    }
+    std::vector<std::tuple<int, rt::ThreadId, int, bool>> keys;
+    for (std::size_t i = 0; i < ev.size(); ++i)
+        keys.emplace_back(level[i], ev[i].tid, ev[i].site, ev[i].write);
+    std::sort(keys.begin(), keys.end());
+    std::string out;
+    int cur = -1;
+    for (const auto &[lv, tid, site, write] : keys) {
+        if (lv != cur) {
+            if (cur >= 0)
+                out += '|';
+            cur = lv;
+        } else {
+            out += ',';
+        }
+        out += 't' + std::to_string(tid) + (write ? "w" : "r") +
+               std::to_string(site);
+    }
+    return out;
+}
+
+/** 16 lowercase hex digits of FNV-1a over @p text. */
+std::string
+fnvHex(const std::string &text)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(fnv1a(text)));
+    return buf;
+}
+
+/**
+ * A Dpor-mode explorer that expands every run inside record(), over
+ * its whole observation, with signatures from the pairwise layering:
+ * the reference ScheduleExplorer must match step for step.
+ */
+class EagerExplorer
+{
+  public:
+    explicit EagerExplorer(explore::ExplorerOptions o) : opts(std::move(o))
+    {
+        if (opts.max_runs <= 0)
+            opts.max_runs = opts.budget * 4 + 4;
+        seen_ = opts.known;
+        push({}, 0);
+    }
+
+    std::optional<explore::PostSpec>
+    next()
+    {
+        if (opts.random_first && random_issued_ < opts.budget) {
+            runs_ += 1;
+            random_issued_ += 1;
+            last_preemptions_ = 0;
+            return explore::PostSpec::random(opts.seed_base +
+                                             random_issued_);
+        }
+        if (distinct_ >= opts.budget || runs_ >= opts.max_runs)
+            return std::nullopt;
+        if (frontier.empty()) {
+            exhausted_ = true;
+            return std::nullopt;
+        }
+        auto [prefix, preemptions] = std::move(frontier.front());
+        frontier.pop_front();
+        runs_ += 1;
+        last_preemptions_ = preemptions;
+        return explore::PostSpec::guided(std::move(prefix));
+    }
+
+    bool
+    record(const rt::ScheduleObservation &obs)
+    {
+        last_sig_ = fnvHex(pairwiseSignature(obs));
+        const bool fresh = seen_.insert(last_sig_).second;
+        if (fresh)
+            distinct_ += 1;
+        if (last_preemptions_ < opts.preemption_bound)
+            expand(obs, last_preemptions_ + 1);
+        return fresh;
+    }
+
+    int distinct() const { return distinct_; }
+    int runs() const { return runs_; }
+    bool exhausted() const { return exhausted_; }
+    const std::string &lastSignature() const { return last_sig_; }
+    const std::set<std::string> &signatures() const { return seen_; }
+
+  private:
+    void
+    push(std::vector<rt::ThreadId> prefix, int preemptions)
+    {
+        if (issued_.insert(prefix).second)
+            frontier.emplace_back(std::move(prefix), preemptions);
+    }
+
+    void
+    expand(const rt::ScheduleObservation &obs, int preemptions)
+    {
+        const std::vector<Access> &ev = obs.accesses;
+        const std::size_t window = std::min(
+            ev.size(), explore::ScheduleExplorer::kExpandWindow);
+        for (std::size_t j = 1; j < window; ++j) {
+            for (std::size_t i = 0; i < j; ++i) {
+                const Access &a = ev[i];
+                const Access &b = ev[j];
+                if (a.tid == b.tid || a.pick < 0 || a.site != b.site ||
+                    !(a.write || b.write))
+                    continue;
+                const auto p = static_cast<std::size_t>(a.pick);
+                if (p >= obs.picks.size() || p >= obs.enabled.size())
+                    continue;
+                const std::vector<rt::ThreadId> base(
+                    obs.picks.begin(),
+                    obs.picks.begin() + static_cast<long>(p));
+                const std::vector<rt::ThreadId> &en = obs.enabled[p];
+                if (std::find(en.begin(), en.end(), b.tid) != en.end()) {
+                    std::vector<rt::ThreadId> child = base;
+                    child.push_back(b.tid);
+                    for (std::size_t k = 0; k < j; ++k) {
+                        if (ev[k].tid == b.tid && ev[k].pick >= a.pick)
+                            child.push_back(b.tid);
+                    }
+                    push(std::move(child), preemptions);
+                } else {
+                    for (rt::ThreadId t : en) {
+                        if (t == obs.picks[p])
+                            continue;
+                        std::vector<rt::ThreadId> child = base;
+                        child.push_back(t);
+                        push(std::move(child), preemptions);
+                    }
+                }
+            }
+        }
+    }
+
+    explore::ExplorerOptions opts;
+    std::deque<std::pair<std::vector<rt::ThreadId>, int>> frontier;
+    std::set<std::vector<rt::ThreadId>> issued_;
+    std::set<std::string> seen_;
+    std::string last_sig_;
+    int random_issued_ = 0;
+    int runs_ = 0;
+    int distinct_ = 0;
+    int last_preemptions_ = 0;
+    bool exhausted_ = false;
+};
+
+/** Replace @p obs's decisions by @p decisions random ones over
+ *  @p threads threads: runnable sets sometimes lack the pick, and
+ *  sometimes the last set is missing. */
+void
+drawDecisions(Rng &rng, rt::ScheduleObservation &obs, int threads,
+              int decisions)
+{
+    obs.picks.clear();
+    obs.enabled.clear();
+    for (int d = 0; d < decisions; ++d) {
+        const auto pick = static_cast<rt::ThreadId>(rng.below(threads));
+        obs.picks.push_back(pick);
+        std::vector<rt::ThreadId> en;
+        for (rt::ThreadId t = 0; t < threads; ++t) {
+            if (t == pick ? !rng.chance(1, 8) : rng.chance(1, 2))
+                en.push_back(t);
+        }
+        obs.enabled.push_back(std::move(en));
+    }
+    if (decisions > 0 && rng.chance(1, 5))
+        obs.enabled.pop_back();
+}
+
+/**
+ * A random run over up to three threads whose accesses reference
+ * its decisions in order. With @p spin, thread 0 spins reading
+ * site 1 past the expansion window while the others touch private
+ * sites, and thread 1 writes site 1 once before the window ends and
+ * again after it.
+ */
+rt::ScheduleObservation
+randomRun(Rng &rng, bool spin)
+{
+    rt::ScheduleObservation obs;
+    const auto threads = static_cast<int>(1 + rng.below(3));
+    const auto decisions = static_cast<int>(
+        spin ? 40 + rng.below(10) : 2 + rng.below(12));
+    drawDecisions(rng, obs, threads, decisions);
+
+    const int n = spin ? 560 + static_cast<int>(rng.below(100))
+                       : 8 + static_cast<int>(rng.below(40));
+    const int flag_write = static_cast<int>(rng.range(100, 500));
+    int pick = -1;
+    for (int i = 0; i < n; ++i) {
+        if (pick + 1 < decisions && rng.chance(1, spin ? 16 : 3))
+            pick += 1;
+        Access a;
+        a.pick = pick;
+        if (!spin) {
+            a.tid = static_cast<rt::ThreadId>(rng.below(threads));
+            a.site = static_cast<int>(rng.range(-2, 3));
+            a.write = rng.chance(1, 2);
+        } else if (threads > 1 && (i == flag_write || i == 540)) {
+            a.tid = 1;
+            a.site = 1;
+            a.write = true;
+        } else if (threads > 1 && rng.chance(1, 8)) {
+            a.tid = static_cast<rt::ThreadId>(1 + rng.below(threads - 1));
+            a.site = 10 + a.tid;
+            a.write = rng.chance(1, 2);
+        } else {
+            a.tid = 0;
+            a.site = 1;
+        }
+        obs.accesses.push_back(a);
+    }
+    return obs;
+}
+
+/** Every observable of the two explorers agrees. */
+void
+expectSameState(const EagerExplorer &want,
+                const explore::ScheduleExplorer &got)
+{
+    EXPECT_EQ(want.runs(), got.runs());
+    EXPECT_EQ(want.distinct(), got.distinct());
+    EXPECT_EQ(want.exhausted(), got.exhausted());
+    EXPECT_EQ(want.lastSignature(), got.lastSignature());
+    EXPECT_EQ(want.signatures(), got.signatures());
+}
+
+/** What the equivalence streams exercised. */
+struct StreamTally
+{
+    int guided = 0;    ///< systematic schedules issued
+    int long_runs = 0; ///< runs longer than the expansion window
+    int exhausted = 0; ///< streams ended by an empty candidate space
+    int capped = 0;    ///< streams ended by the run cap
+};
+
+/**
+ * Drive both explorers through one seeded stream: runs are mostly
+ * drawn from a two-run pool, so classes repeat and the systematic
+ * phase runs, and some records are skipped. Every step must agree.
+ */
+void
+compareStream(const explore::ExplorerOptions &xo, Rng &rng,
+              StreamTally &tally)
+{
+    std::vector<rt::ScheduleObservation> pool;
+    for (int i = 0; i < 2; ++i)
+        pool.push_back(randomRun(rng, rng.chance(1, 10)));
+    // Known classes include a pooled one, which then never counts
+    // as distinct.
+    explore::ExplorerOptions opts = xo;
+    if (!opts.known.empty())
+        opts.known.insert(fnvHex(pairwiseSignature(pool[0])));
+    EagerExplorer want(opts);
+    explore::ScheduleExplorer got(opts);
+    for (;;) {
+        const std::optional<explore::PostSpec> w = want.next();
+        const std::optional<explore::PostSpec> g = got.next();
+        ASSERT_EQ(w.has_value(), g.has_value());
+        expectSameState(want, got);
+        if (!w) {
+            if (want.exhausted())
+                tally.exhausted += 1;
+            else if (want.distinct() < opts.budget)
+                tally.capped += 1;
+            return;
+        }
+        ASSERT_EQ(w->kind, g->kind);
+        EXPECT_EQ(w->seed, g->seed);
+        ASSERT_EQ(w->prefix, g->prefix);
+        if (w->kind == explore::PostSpec::Kind::Guided)
+            tally.guided += 1;
+        if (rng.chance(1, 6))
+            continue; // never reached the race
+        // A new run, or a pooled class reached by the same or by
+        // other decisions.
+        rt::ScheduleObservation run;
+        if (rng.chance(1, 5)) {
+            run = randomRun(rng, rng.chance(1, 16));
+        } else {
+            run = pool[rng.below(pool.size())];
+            if (rng.chance(1, 2))
+                drawDecisions(rng, run, 3,
+                              static_cast<int>(run.picks.size()));
+        }
+        if (run.accesses.size() > explore::ScheduleExplorer::kExpandWindow)
+            tally.long_runs += 1;
+        EXPECT_EQ(want.record(run), got.record(run));
+        expectSameState(want, got);
+    }
+}
+
+// Queueing runs and expanding them only when the frontier runs dry
+// issues exactly the schedules eager expansion issues, in the same
+// order, and stops on the same call for the same reason.
+TEST(ExplorerLazyTest, IssuesWhatEagerExpansionIssues)
+{
+    StreamTally tally;
+    for (int budget = 1; budget <= 6; ++budget) {
+        for (int bound = 0; bound <= 4; ++bound) {
+            for (const bool random_first : {true, false}) {
+                for (const bool known : {false, true}) {
+                    SCOPED_TRACE(
+                        "budget " + std::to_string(budget) + " bound " +
+                        std::to_string(bound) + " random_first " +
+                        std::to_string(random_first) + " known " +
+                        std::to_string(known));
+                    Rng rng(static_cast<std::uint64_t>(
+                        budget * 100 + bound * 10 + random_first * 2 +
+                        known));
+                    explore::ExplorerOptions xo;
+                    xo.mode = explore::ExploreMode::Dpor;
+                    xo.budget = budget;
+                    xo.preemption_bound = bound;
+                    xo.seed_base = static_cast<std::uint64_t>(budget) * 16;
+                    xo.random_first = random_first;
+                    // Some streams get a tight run cap.
+                    xo.max_runs = rng.chance(1, 3) ? budget + 2 : 0;
+                    if (known)
+                        xo.known = {"0123456789abcdef"};
+                    compareStream(xo, rng, tally);
+                }
+            }
+        }
+    }
+    // The streams reach the systematic phase, feed runs longer than
+    // the window, and end both by exhaustion and by the run cap.
+    EXPECT_GE(tally.guided, 200);
+    EXPECT_GE(tally.long_runs, 20);
+    EXPECT_GE(tally.exhausted, 20);
+    EXPECT_GE(tally.capped, 8);
+}
+
+/** A random run with sparse thread ids (the test-built default -1
+ *  among them) and negative pseudo-sites. */
+rt::ScheduleObservation
+sparseRun(Rng &rng)
+{
+    static const rt::ThreadId tids[] = {-1, 0, 1, 3, 17, 100000};
+    static const int sites[] = {-100017, -100000, -7, -2, -1,
+                                0,       1,       5,  4096};
+    const std::size_t threads = 1 + rng.below(std::size(tids));
+    const std::size_t cells = 1 + rng.below(std::size(sites));
+    rt::ScheduleObservation obs;
+    const auto n = rng.below(90);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Access a;
+        a.tid = tids[rng.below(threads)];
+        a.site = sites[rng.below(cells)];
+        a.write = rng.chance(1, 2);
+        obs.accesses.push_back(a);
+    }
+    return obs;
+}
+
+TEST(FoataTest, OnePassLayeringMatchesPairwise)
+{
+    Rng rng(2012);
+    for (int i = 0; i < 1000; ++i) {
+        const rt::ScheduleObservation obs = sparseRun(rng);
+        ASSERT_EQ(explore::canonicalSignature(obs), pairwiseSignature(obs))
+            << "run " << i;
+    }
+}
+
+TEST(FoataTest, HashIsFnv1aOfTheCanonicalText)
+{
+    Rng rng(2014);
+    for (int i = 0; i < 1000; ++i) {
+        const rt::ScheduleObservation obs = sparseRun(rng);
+        ASSERT_EQ(explore::signatureHash(obs),
+                  fnvHex(explore::canonicalSignature(obs)))
+            << "run " << i;
+    }
 }
 
 } // namespace

@@ -333,6 +333,20 @@ expectLadderIdentity(const obs::MetricsShard &m,
               parent_steps);
 }
 
+/**
+ * The explorer's counters: @p recorded and @p distinct say which
+ * schedules ran, @p candidates how many DPOR candidates were
+ * generated to run them.
+ */
+void
+expectExploreCounters(const obs::MetricsShard &m, std::uint64_t recorded,
+                      std::uint64_t distinct, std::uint64_t candidates)
+{
+    EXPECT_EQ(m.counter(obs::Counter::ExploreRecorded), recorded);
+    EXPECT_EQ(m.counter(obs::Counter::ExploreDistinct), distinct);
+    EXPECT_EQ(m.counter(obs::Counter::ExploreCandidates), candidates);
+}
+
 TEST(LadderEndIdentityTest, ClassifyAllReconcilesWithParent)
 {
     const obs::MetricsShard one = classifyAllExport(1);
@@ -342,6 +356,10 @@ TEST(LadderEndIdentityTest, ClassifyAllReconcilesWithParent)
     // The ledger absorbs each state's cumulative counters, so it is
     // the same whether a primary ran its tail or adopted it.
     EXPECT_EQ(one.counter(obs::Counter::ClassifySteps), 211272u);
+    // Lazy DPOR expansion runs the same schedules (recorded and
+    // distinct as at d04c87f) from 50 generated candidates, not
+    // 1,025.
+    expectExploreCounters(one, 87, 42, 50);
 }
 
 /**
@@ -433,6 +451,8 @@ TEST(LadderEndIdentityTest, FuzzSeed42ReconcilesWithParent)
     // The oracle's work at 2d1cc54, less the runs it stopped
     // repeating since.
     expectLadderIdentity(one, 2515494 - removedOracleSteps());
+    // As at d04c87f, from 286 generated candidates, not 1,708.
+    expectExploreCounters(one, 726, 328, 286);
 }
 
 // ---------------------------------------------------------------------------

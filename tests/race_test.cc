@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ir/builder.h"
 #include "portend/portend.h"
 #include "race/hb.h"
@@ -258,6 +263,68 @@ TEST(ClusterTest, GroupsByCellAndPcs)
     // Latest occurrence becomes the representative.
     EXPECT_EQ(clusters[0].representative.first.occurrence, 2u);
     EXPECT_EQ(clusters[1].instances, 1);
+
+    // Swapped pcs name the same static race, and interleaved
+    // occurrences (a, c, then a's race again) keep first-occurrence
+    // order. The representative is the latest occurrence, whole.
+    RaceReport late = a;
+    std::swap(late.first.pc, late.second.pc);
+    late.first.tid = 2;
+    late.first.is_write = true;
+    late.first.atomic = true;
+    late.first.occurrence = 5;
+    late.first.cell_occurrence = 6;
+    late.first.step = 70;
+    late.first.loc = {"late.c", 8};
+    late.second.tid = 1;
+    late.second.step = 90;
+    late.second.loc = {"late.c", 9};
+    clusters = clusterRaces({a, c, late});
+    ASSERT_EQ(clusters.size(), 2u);
+    EXPECT_EQ(clusters[0].instances, 2);
+    EXPECT_EQ(clusters[1].instances, 1);
+    EXPECT_EQ(clusters[1].representative.second.pc, 21);
+    const RaceReport &rep = clusters[0].representative;
+    EXPECT_EQ(rep.cell, late.cell);
+    for (const auto &[got, want] :
+         {std::pair{&rep.first, &late.first},
+          std::pair{&rep.second, &late.second}}) {
+        EXPECT_EQ(got->tid, want->tid);
+        EXPECT_EQ(got->pc, want->pc);
+        EXPECT_EQ(got->is_write, want->is_write);
+        EXPECT_EQ(got->atomic, want->atomic);
+        EXPECT_EQ(got->occurrence, want->occurrence);
+        EXPECT_EQ(got->cell_occurrence, want->cell_occurrence);
+        EXPECT_EQ(got->step, want->step);
+        EXPECT_EQ(got->loc.toString(), want->loc.toString());
+    }
+
+    // Two reports share a cluster exactly when their key() strings
+    // are equal (the fuzz oracle keys its maps by key()).
+    Rng rng(93);
+    std::vector<RaceReport> reports(400);
+    // Expected by key(): first-occurrence order, occurrences, and
+    // the step of each key's latest occurrence.
+    std::vector<std::string> order;
+    std::map<std::string, int> count;
+    std::map<std::string, std::uint64_t> last;
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        RaceReport &r = reports[i];
+        r.cell = static_cast<int>(rng.range(-1, 3));
+        r.first.pc = static_cast<int>(rng.range(-1, 4));
+        r.second.pc = static_cast<int>(rng.range(-1, 4));
+        r.second.step = i;
+        if (count[r.key()]++ == 0)
+            order.push_back(r.key());
+        last[r.key()] = i;
+    }
+    clusters = clusterRaces(reports);
+    ASSERT_EQ(clusters.size(), order.size());
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+        EXPECT_EQ(clusters[i].representative.key(), order[i]);
+        EXPECT_EQ(clusters[i].instances, count[order[i]]);
+        EXPECT_EQ(clusters[i].representative.second.step, last[order[i]]);
+    }
 }
 
 TEST(LocksetTest, ReportsEmptyLocksetAccesses)
