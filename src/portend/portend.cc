@@ -53,11 +53,9 @@ Portend::detect()
     replay::RecordingPolicy recorder(prog, &rotate, &result.trace);
     interp.setPolicy(&recorder);
 
-    race::HbDetector hb(prog,
-                        race::HbOptions{
-                            opts.detector ==
-                                DetectorKind::HappensBeforeNoMutex,
-                            true, 4096});
+    race::HbDetector hb(
+        prog, race::HbOptions{opts.detector ==
+                              DetectorKind::HappensBeforeNoMutex});
     race::LocksetDetector lockset(prog);
     if (opts.detector == DetectorKind::Lockset)
         interp.addSink(&lockset);
@@ -131,7 +129,6 @@ Portend::runFrom(DetectionResult detection)
     ClassificationScheduler scheduler(prog, opts, staticInfo());
     result.reports = scheduler.classifyAll(result.detection.clusters,
                                            result.detection.trace);
-    result.scheduling = scheduler.stats();
 
     // Pipeline shard: detection first, then the batch — a fixed
     // merge order, like everything else feeding --metrics-out.

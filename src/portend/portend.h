@@ -57,9 +57,6 @@ struct PortendResult
     DetectionResult detection;
     std::vector<PortendReport> reports;
 
-    /** Classification-batch accounting (worker count, totals). */
-    SchedulerStats scheduling;
-
     /**
      * The whole pipeline's metrics: detection shard merged with the
      * classification batch shard (in that fixed order). This is what

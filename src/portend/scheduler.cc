@@ -39,29 +39,6 @@ emitClusterEvent(std::size_t index, const PortendReport &r)
     obs::progressLine(buf);
 }
 
-/** The ledger is a view: read every counter back from the shard. */
-void
-statsFromShard(SchedulerStats &st, const obs::MetricsShard &m)
-{
-    using obs::Counter;
-    st.steps = m.counter(Counter::ClassifySteps);
-    st.preemptions = m.counter(Counter::ClassifyPreemptions);
-    st.sym_branches = m.counter(Counter::ClassifySymBranches);
-    st.states_created =
-        static_cast<int>(m.counter(Counter::ClassifyStatesCreated));
-    st.paths_explored =
-        static_cast<int>(m.counter(Counter::ClassifyPaths));
-    st.schedules_explored =
-        static_cast<int>(m.counter(Counter::ClassifySchedules));
-    st.distinct_schedules =
-        static_cast<int>(m.counter(Counter::ClassifyDistinctSchedules));
-    st.solver_queries = m.counter(Counter::ClassifySolverQueries);
-    st.clusters = static_cast<int>(m.counter(Counter::ClassifyClusters));
-    st.ladder_rungs = static_cast<int>(m.counter(Counter::LadderRungs));
-    st.ladder_steps = m.counter(Counter::LadderBuildSteps);
-    st.ladder_covered_steps = m.counter(Counter::LadderCoveredSteps);
-}
-
 /**
  * Run @p drain on the calling thread and on @p helpers pool threads;
  * return once every copy has finished, rethrowing the first
@@ -173,19 +150,14 @@ ClassificationScheduler::classifyAll(
     obs::Span batch_span("scheduler", "classify-batch");
     batch_span.arg("clusters", static_cast<std::int64_t>(clusters.size()));
     Stopwatch sw;
-    stats_ = SchedulerStats{};
     shard_ = obs::MetricsShard{};
 
     std::vector<PortendReport> reports(clusters.size());
-    if (clusters.empty()) {
-        stats_.jobs = 1;
-        stats_.seconds = sw.seconds();
+    if (clusters.empty())
         return reports;
-    }
 
     const int n_workers = std::min(
         jobs(), static_cast<int>(clusters.size()));
-    stats_.jobs = n_workers;
 
     // One shared replay of the recorded trace caches every cluster's
     // pre-race checkpoint; the jobs fork copy-on-write states from
@@ -241,8 +213,7 @@ ClassificationScheduler::classifyAll(
     // Every drain has finished: the shard slots are plain memory now.
     // Merge in cluster index order (counters commute, but the fixed
     // order is the documented determinism rule and keeps any future
-    // non-commutative metric honest), then read the legacy ledger
-    // back from the shard — SchedulerStats is a view since PR 8.
+    // non-commutative metric honest).
     shard_.add(obs::Counter::LadderRungs,
                static_cast<std::uint64_t>(ladder.size()));
     shard_.add(obs::Counter::LadderBuildSteps, ladder.buildSteps());
@@ -250,8 +221,6 @@ ClassificationScheduler::classifyAll(
                ladder.prefixStepsCovered());
     for (std::size_t i = 0; i < shards.size(); ++i)
         shard_.merge(shards[i]);
-    statsFromShard(stats_, shard_);
-    stats_.seconds = sw.seconds();
     return reports;
 }
 

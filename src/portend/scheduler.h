@@ -61,41 +61,6 @@ struct PortendReport
 };
 
 /**
- * Aggregate accounting for one classification batch — since PR 8 a
- * *view* over the metrics registry: every counter below is read back
- * from the batch's merged MetricsShard after the workers joined
- * (only `jobs` and `seconds`, which must stay out of the registry
- * for determinism, are filled directly).
- */
-struct SchedulerStats
-{
-    std::uint64_t steps = 0;        ///< instructions interpreted
-    std::uint64_t preemptions = 0;  ///< scheduling decisions taken
-    std::uint64_t sym_branches = 0; ///< symbolic decisions seen
-    int states_created = 0;         ///< symbolic states forked
-    int paths_explored = 0;         ///< primary paths analyzed
-    int schedules_explored = 0;     ///< alternate schedules run
-
-    /**
-     * Distinct (Mazurkiewicz-inequivalent) post-race interleavings
-     * across all clusters — what the batch's Ma budget actually
-     * bought. The per-cluster Ma dial is a *distinct*-schedule
-     * budget under the dpor explorer, so this ledger entry is the
-     * one to compare across explorers at equal budget.
-     */
-    int distinct_schedules = 0;
-    std::uint64_t solver_queries = 0; ///< checkSat calls issued
-    int clusters = 0;               ///< jobs executed
-    int jobs = 1;                   ///< worker threads used
-    double seconds = 0.0;           ///< batch wall-clock time
-
-    /** Checkpoint-ladder accounting (see replay/checkpoint.h). */
-    int ladder_rungs = 0;           ///< pre-race checkpoints cached
-    std::uint64_t ladder_steps = 0; ///< steps of the one build replay
-    std::uint64_t ladder_covered_steps = 0; ///< prefix steps saved
-};
-
-/**
  * One classification work unit: a cluster index plus everything the
  * worker claiming it needs — the pre-sliced option set (budget
  * ladder moved behind the unit boundary, so a worker never consults
@@ -139,9 +104,6 @@ class ClassificationScheduler
     classifyAll(const std::vector<race::RaceCluster> &clusters,
                 const replay::ScheduleTrace &trace);
 
-    /** Accounting for the most recent classifyAll(). */
-    const SchedulerStats &stats() const { return stats_; }
-
     /**
      * The most recent batch's merged metrics shard: per-cluster
      * worker shards folded in cluster index order, plus the ladder
@@ -172,7 +134,6 @@ class ClassificationScheduler
     const ir::Program &prog;
     PortendOptions opts;
     const rt::StaticInfo &static_info;
-    SchedulerStats stats_;
     obs::MetricsShard shard_;
 };
 

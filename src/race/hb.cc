@@ -52,8 +52,8 @@ HbDetector::handleAccess(const rt::Event &ev, bool is_write)
             continue;
         if (!old.access.is_write && !is_write)
             continue; // read-read never races
-        if (opts.ignore_atomic_pairs && old.access.atomic && ev.atomic)
-            continue;
+        if (old.access.atomic && ev.atomic)
+            continue; // atomic-atomic conflicts are not races
         if (!old.clock.lessOrEqual(me)) {
             RaceReport r;
             r.cell = ev.cell;
@@ -67,7 +67,7 @@ HbDetector::handleAccess(const rt::Event &ev, bool is_write)
     rec.access = acc;
     rec.clock = me;
     hist.push_back(std::move(rec));
-    if (hist.size() > opts.max_history) {
+    if (hist.size() > kMaxHistory) {
         hist.erase(hist.begin());
         evictions_ += 1;
     }

@@ -33,13 +33,6 @@ struct HbOptions
 {
     /** Drop mutex lock/unlock edges (imperfect-detector mode). */
     bool ignore_mutexes = false;
-
-    /** Do not report atomic-atomic conflicts as races. */
-    bool ignore_atomic_pairs = true;
-
-    /** Per-cell access history bound (oldest evicted first; each
-     *  eviction is counted, see HbDetector::evictions()). */
-    std::size_t max_history = 4096;
 };
 
 /**

@@ -42,9 +42,6 @@ class LocksetDetector : public rt::EventSink
     /** Static clusters of races(). */
     std::vector<RaceCluster> clusters() const;
 
-    /** Per-cell bound of the accesses kept for report pairing. */
-    static constexpr std::size_t kMaxHistory = 4096;
-
     /** Accesses dropped from full per-cell histories; a race can
      *  then pair only with a newer conflicting access. */
     std::uint64_t evictions() const { return evictions_; }

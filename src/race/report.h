@@ -11,6 +11,7 @@
 #ifndef PORTEND_RACE_REPORT_H
 #define PORTEND_RACE_REPORT_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,6 +20,13 @@
 #include "rt/events.h"
 
 namespace portend::race {
+
+/**
+ * Per-cell bound of the accesses either detector keeps for report
+ * pairing. The oldest access is evicted first, and each eviction is
+ * counted (see HbDetector::evictions(), LocksetDetector::evictions()).
+ */
+inline constexpr std::size_t kMaxHistory = 4096;
 
 /** One side of a racing pair. */
 struct RaceAccess

@@ -446,9 +446,8 @@ struct VmState
     /**
      * Force-unshare every copy-on-write container (memory pages,
      * thread stacks, access-count maps), materializing a full deep
-     * copy. Only benches and tests call this: it is the deep-copy
-     * baseline that checkpoint_bench compares the structural-sharing
-     * copy against, and the isolation probe of rt_checkpoint_test.
+     * copy. Only tests call this: it is the isolation probe of
+     * rt_checkpoint_test.
      */
     void unshareAll();
 };

@@ -576,10 +576,16 @@ Server::maybeFinishSubmission(Submission &sub)
 void
 Server::dispatchWork()
 {
-    for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
+    // A slot is advanced past only once its worker is busy or gone:
+    // a failed submission leaves it free for the next one, and a
+    // worker respawned after a failed write must get the unit now,
+    // since nothing else would wake poll() for it.
+    for (std::size_t wi = 0; wi < workers_.size();) {
         Worker &w = workers_[wi];
-        if (w.busy || !w.child.running() || w.child.fd < 0)
+        if (w.busy || !w.child.running() || w.child.fd < 0) {
+            ++wi;
             continue;
+        }
         // First submission with pending work, in arrival order.
         Submission *sub = nullptr;
         int si = -1;

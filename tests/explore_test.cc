@@ -776,24 +776,30 @@ namespace {
 using ir::I;
 using ir::R;
 
-/** A benign race anchoring stage 3 on a program whose post-race
- *  schedule space the explorers then have to cover. */
+/**
+ * A "flip gadget": @p workers threads each store to one shared cell
+ * (the benign race that anchors stage 3), run a private preamble of
+ * `index * stride` increments, then append their index to one shared
+ * log cell. The post-race class count grows combinatorially, and
+ * uniform sampling favours short-preamble-first orders: the regime
+ * the dpor explorer exists for.
+ */
 ir::Program
-racyStaggered()
+flipGadget(const std::string &name, int workers, int stride)
 {
-    ir::ProgramBuilder pb("racy_staggered");
+    ir::ProgramBuilder pb(name);
     ir::GlobalId sync = pb.global("sync_cell");
     ir::GlobalId log = pb.global("log_cell");
     using KK = sym::ExprKind;
     std::vector<std::string> names;
-    for (int w = 0; w < 3; ++w) {
-        std::string name = "w" + std::to_string(w);
-        names.push_back(name);
-        ir::GlobalId priv = pb.global(name + "_priv");
-        auto &f = pb.function(name, 1);
+    for (int w = 0; w < workers; ++w) {
+        std::string fn = "w" + std::to_string(w);
+        names.push_back(fn);
+        ir::GlobalId priv = pb.global(fn + "_priv");
+        auto &f = pb.function(fn, 1);
         f.to(f.block("e"));
         f.store(sync, I(0), I(1)); // the anchoring benign race
-        for (int i = 0; i < w * 3; ++i) {
+        for (int i = 0; i < w * stride; ++i) {
             ir::Reg v = f.load(priv);
             f.store(priv, I(0), R(f.bin(KK::Add, R(v), I(1))));
         }
@@ -816,42 +822,97 @@ racyStaggered()
 }
 
 PortendResult
-runExplorer(const ir::Program &p, explore::ExploreMode mode, int ma)
+runExplorer(const ir::Program &p, explore::ExploreMode mode, int ma,
+            const std::vector<SemanticPredicate> &predicates = {})
 {
     PortendOptions o;
     o.jobs = 1;
     o.ma = ma;
     o.explore = mode;
+    o.semantic_predicates = predicates;
     Portend tool(p, o);
     return tool.run();
 }
 
-// The tentpole's budget claim: at equal Ma, dpor witnesses at least
-// as many distinct post-race interleavings as random on every
-// cluster, and strictly more in total on a schedule-rich program.
-TEST(ExplorePipelineTest, DporBuysMoreDistinctSchedules)
+/** Distinct post-race interleavings a batch witnessed, per explorer. */
+struct DistinctTotals
 {
-    ir::Program p = racyStaggered();
-    PortendResult rnd = runExplorer(p, explore::ExploreMode::Random, 6);
-    PortendResult dpo = runExplorer(p, explore::ExploreMode::Dpor, 6);
-    ASSERT_EQ(rnd.reports.size(), dpo.reports.size());
-    ASSERT_FALSE(rnd.reports.empty());
+    std::uint64_t random = 0;
+    std::uint64_t dpor = 0;
+};
 
-    int rnd_total = 0;
-    int dpo_total = 0;
-    for (std::size_t i = 0; i < rnd.reports.size(); ++i) {
+/**
+ * Classify @p p under random and under dpor at budget @p ma, expect
+ * dpor to witness at least as many distinct interleavings as random
+ * on every cluster and the registry to hold the per-cluster sums,
+ * and return the two totals.
+ */
+DistinctTotals
+compareExplorers(const ir::Program &p, int ma,
+                 const std::vector<SemanticPredicate> &predicates = {})
+{
+    PortendResult rnd =
+        runExplorer(p, explore::ExploreMode::Random, ma, predicates);
+    PortendResult dpo =
+        runExplorer(p, explore::ExploreMode::Dpor, ma, predicates);
+    EXPECT_EQ(rnd.reports.size(), dpo.reports.size());
+    EXPECT_FALSE(rnd.reports.empty());
+
+    DistinctTotals t;
+    const std::size_t n = std::min(rnd.reports.size(), dpo.reports.size());
+    for (std::size_t i = 0; i < n; ++i) {
         const AnalysisStats &a = rnd.reports[i].classification.stats;
         const AnalysisStats &b = dpo.reports[i].classification.stats;
         EXPECT_LE(a.distinct_schedules, a.schedules_explored);
         EXPECT_LE(b.distinct_schedules, b.schedules_explored);
         EXPECT_GE(b.distinct_schedules, a.distinct_schedules)
             << "cluster " << i;
-        rnd_total += a.distinct_schedules;
-        dpo_total += b.distinct_schedules;
+        t.random += static_cast<std::uint64_t>(a.distinct_schedules);
+        t.dpor += static_cast<std::uint64_t>(b.distinct_schedules);
     }
-    EXPECT_GT(dpo_total, rnd_total);
-    EXPECT_EQ(rnd.scheduling.distinct_schedules, rnd_total);
-    EXPECT_EQ(dpo.scheduling.distinct_schedules, dpo_total);
+    const auto distinct = [](const PortendResult &res) {
+        return res.metrics.counter(obs::Counter::ClassifyDistinctSchedules);
+    };
+    EXPECT_EQ(distinct(rnd), t.random);
+    EXPECT_EQ(distinct(dpo), t.dpor);
+    return t;
+}
+
+// The explorer's budget claim: at equal Ma, dpor witnesses at least
+// as many distinct post-race interleavings as random on every
+// cluster, strictly more on a schedule-rich program, at least twice
+// as many over three larger gadgets, and never fewer on the micro
+// workloads, whose small post-race spaces both explorers saturate.
+TEST(ExplorePipelineTest, DporBuysMoreDistinctSchedules)
+{
+    {
+        SCOPED_TRACE("racy_staggered");
+        const DistinctTotals t =
+            compareExplorers(flipGadget("racy_staggered", 3, 3), 6);
+        EXPECT_GT(t.dpor, t.random);
+    }
+
+    DistinctTotals gadgets;
+    for (int g = 0; g < 3; ++g) {
+        const int workers = 4 - g;
+        const int stride = 6 + 2 * g;
+        const std::string name = "flip-gadget-w" +
+                                 std::to_string(workers) + "-s" +
+                                 std::to_string(stride);
+        SCOPED_TRACE(name);
+        const DistinctTotals t =
+            compareExplorers(flipGadget(name, workers, stride), 8);
+        gadgets.random += t.random;
+        gadgets.dpor += t.dpor;
+    }
+    EXPECT_GE(gadgets.dpor, 2 * gadgets.random)
+        << "random " << gadgets.random << ", dpor " << gadgets.dpor;
+
+    for (const char *name : {"avv", "dcl", "dbm", "rw", "bbuf"}) {
+        SCOPED_TRACE(name);
+        workloads::Workload w = workloads::buildWorkload(name);
+        compareExplorers(w.program, 8, w.semantic_predicates);
+    }
 }
 
 // Verdict monotonicity, random -> dpor: dpor runs the random phase
@@ -899,7 +960,7 @@ TEST(ExplorePipelineTest, DporNeverLosesDecisiveVerdicts)
 // reproduces the behavior class.
 TEST(ExplorePipelineTest, GuidedEvidenceReplays)
 {
-    ir::Program p = racyStaggered();
+    ir::Program p = flipGadget("racy_staggered", 3, 3);
     PortendOptions o;
     o.jobs = 1;
     o.ma = 6;

@@ -194,25 +194,6 @@ TEST(MetricsDeterminismTest, PipelineShardCountsClustersAndVerdicts)
 // Ledger views stay consistent with the registry
 // ---------------------------------------------------------------------------
 
-TEST(LedgerViewTest, SchedulerStatsMatchTheMergedShard)
-{
-    workloads::Workload w = workloads::buildWorkload("rw");
-    core::PortendOptions opts;
-    opts.jobs = 2;
-    opts.semantic_predicates = w.semantic_predicates;
-    core::Portend tool(w.program, opts);
-    core::PortendResult res = tool.run();
-    const core::SchedulerStats &st = res.scheduling;
-    const obs::MetricsShard &m = res.metrics;
-    EXPECT_EQ(static_cast<std::uint64_t>(st.clusters),
-              m.counter(obs::Counter::ClassifyClusters));
-    EXPECT_EQ(st.steps, m.counter(obs::Counter::ClassifySteps));
-    EXPECT_EQ(static_cast<std::uint64_t>(st.schedules_explored),
-              m.counter(obs::Counter::ClassifySchedules));
-    EXPECT_EQ(static_cast<std::uint64_t>(st.solver_queries),
-              m.counter(obs::Counter::ClassifySolverQueries));
-}
-
 TEST(LedgerViewTest, DetectionShardMirrorsVmStats)
 {
     workloads::Workload w = workloads::buildWorkload("pbzip2");

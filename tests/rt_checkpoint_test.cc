@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/generator.h"
 #include "ir/builder.h"
 #include "ir/program.h"
 #include "portend/portend.h"
@@ -190,13 +191,22 @@ TEST(VmStateForkTest, ForkThenMutateDoesNotBleedIntoParent)
 // Checkpoint-ladder equivalence.
 // ---------------------------------------------------------------
 
+/** Detection result of one program. */
+core::DetectionResult
+detectOn(const ir::Program &prog,
+         const std::vector<core::SemanticPredicate> &predicates,
+         core::PortendOptions &opts)
+{
+    opts.semantic_predicates = predicates;
+    core::Portend tool(prog, opts);
+    return tool.detect();
+}
+
 /** Detection result of one registry workload. */
 core::DetectionResult
 detectOn(const workloads::Workload &w, core::PortendOptions &opts)
 {
-    opts.semantic_predicates = w.semantic_predicates;
-    core::Portend tool(w.program, opts);
-    return tool.detect();
+    return detectOn(w.program, w.semantic_predicates, opts);
 }
 
 /** The ladder the scheduler builds for @p det's batch. */
@@ -457,20 +467,37 @@ TEST(CheckpointLadderTest, OneClusterBatchSkipsTheTail)
 
 // The headline contract of the ladder: classification with it is
 // byte-identical to classification without it — verdict, detail,
-// evidence, and the whole ledger — across every registry workload,
-// and the suite does adopt the shared end.
+// evidence, and the whole ledger — across every registry workload
+// and the first eight generated programs of fuzz seed 42, and the
+// suite does adopt the shared end.
 TEST(CheckpointLadderTest, ClassifyWithLadderMatchesWithout)
 {
-    std::uint64_t reused = 0;
+    struct Subject
+    {
+        ir::Program program;
+        std::vector<core::SemanticPredicate> predicates;
+    };
+    std::vector<Subject> subjects;
     for (const std::string &name : workloads::workloadNames()) {
-        SCOPED_TRACE(name);
         workloads::Workload w = workloads::buildWorkload(name);
+        subjects.push_back({std::move(w.program),
+                            std::move(w.semantic_predicates)});
+    }
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        fuzz::GeneratedProgram gp =
+            fuzz::generateProgram(42, i, fuzz::GeneratorOptions{});
+        ASSERT_TRUE(gp.verify_errors.empty()) << gp.program.name;
+        subjects.push_back({std::move(gp.program), {}});
+    }
+
+    std::uint64_t reused = 0;
+    for (const Subject &s : subjects) {
+        SCOPED_TRACE(s.program.name);
         core::PortendOptions opts;
-        core::DetectionResult det = detectOn(w, opts);
-        if (det.clusters.empty())
-            continue;
-        reused += reusedSteps(w.program, det, opts, opts.max_steps,
-                              batchLadder(w.program, det.trace, det, opts));
+        core::DetectionResult det = detectOn(s.program, s.predicates, opts);
+        EXPECT_FALSE(det.clusters.empty());
+        reused += reusedSteps(s.program, det, opts, opts.max_steps,
+                              batchLadder(s.program, det.trace, det, opts));
     }
     EXPECT_GT(reused, 0u);
 }

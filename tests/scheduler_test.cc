@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -90,13 +89,13 @@ TEST(SchedulerStatsTest, LedgerMatchesPerClusterStats)
         steps += r.classification.stats.steps;
         schedules += r.classification.stats.schedules_explored;
     }
-    EXPECT_EQ(res.scheduling.steps, steps);
-    EXPECT_EQ(res.scheduling.schedules_explored, schedules);
-    EXPECT_EQ(res.scheduling.clusters,
-              static_cast<int>(res.reports.size()));
-    EXPECT_GE(res.scheduling.jobs, 1);
-    EXPECT_GT(res.scheduling.steps, 0u);
-    EXPECT_GE(res.scheduling.seconds, 0.0);
+    const obs::MetricsShard &m = res.metrics;
+    EXPECT_EQ(m.counter(obs::Counter::ClassifySteps), steps);
+    EXPECT_EQ(m.counter(obs::Counter::ClassifySchedules),
+              static_cast<std::uint64_t>(schedules));
+    EXPECT_EQ(m.counter(obs::Counter::ClassifyClusters),
+              res.reports.size());
+    EXPECT_GT(steps, 0u);
 }
 
 TEST(SchedulerStatsTest, PerClusterWallTimeIsRecorded)
@@ -174,12 +173,13 @@ TEST(SchedulerLadderTest, LadderIsBuiltOncePerBatch)
     workloads::Workload w = workloads::buildWorkload("pbzip2");
     PortendResult res = runWith(w, 2);
     ASSERT_FALSE(res.reports.empty());
-    EXPECT_GT(res.scheduling.ladder_rungs, 0);
-    EXPECT_LE(res.scheduling.ladder_rungs, res.scheduling.clusters);
-    EXPECT_GT(res.scheduling.ladder_steps, 0u);
+    const obs::MetricsShard &m = res.metrics;
+    const std::uint64_t rungs = m.counter(obs::Counter::LadderRungs);
+    EXPECT_GT(rungs, 0u);
+    EXPECT_LE(rungs, m.counter(obs::Counter::ClassifyClusters));
+    EXPECT_GT(m.counter(obs::Counter::LadderBuildSteps), 0u);
     // Every covered cluster saves at least its own prefix replay.
-    EXPECT_GE(res.scheduling.ladder_covered_steps,
-              static_cast<std::uint64_t>(res.scheduling.ladder_rungs));
+    EXPECT_GE(m.counter(obs::Counter::LadderCoveredSteps), rungs);
 }
 
 TEST(SchedulerBudgetTest, JobsZeroResolvesToHardware)
@@ -190,6 +190,13 @@ TEST(SchedulerBudgetTest, JobsZeroResolvesToHardware)
     rt::StaticInfo si(w.program);
     ClassificationScheduler sched(w.program, opts, si);
     EXPECT_GE(sched.jobs(), 1);
+}
+
+/** The batch's distinct post-race interleavings, from the registry. */
+std::uint64_t
+distinctSchedules(const PortendResult &res)
+{
+    return res.metrics.counter(obs::Counter::ClassifyDistinctSchedules);
 }
 
 /** Full pipeline under an explicit explorer and worker count. */
@@ -241,8 +248,7 @@ TEST(ExplorerDeterminismTest, DporIdenticalAcrossJobs)
         EXPECT_EQ(reportText(w.program, seq),
                   reportText(w.program, par))
             << name;
-        EXPECT_EQ(seq.scheduling.distinct_schedules,
-                  par.scheduling.distinct_schedules)
+        EXPECT_EQ(distinctSchedules(seq), distinctSchedules(par))
             << name;
     }
 }
@@ -270,8 +276,7 @@ TEST(ExplorerDeterminismTest, DporIsRunToRunStable)
     PortendResult two =
         runWithExplorer(w, explore::ExploreMode::Dpor, 2);
     EXPECT_EQ(reportText(w.program, one), reportText(w.program, two));
-    EXPECT_EQ(one.scheduling.distinct_schedules,
-              two.scheduling.distinct_schedules);
+    EXPECT_EQ(distinctSchedules(one), distinctSchedules(two));
 }
 
 // The batch ledger aggregates the per-cluster distinct-schedule
@@ -286,7 +291,8 @@ TEST(SchedulerStatsTest, DistinctScheduleLedgerSums)
                   r.classification.stats.schedules_explored);
         distinct += r.classification.stats.distinct_schedules;
     }
-    EXPECT_EQ(res.scheduling.distinct_schedules, distinct);
+    EXPECT_EQ(distinctSchedules(res),
+              static_cast<std::uint64_t>(distinct));
 }
 
 // classifyRace now reuses the facade's analyzer (and its hoisted
@@ -353,10 +359,7 @@ batchSequence(const std::vector<workloads::Workload> &ws,
     std::vector<std::string> out;
     for (int jobs : sequence) {
         for (const workloads::Workload &w : ws) {
-            PortendResult res = runWith(w, jobs);
-            EXPECT_EQ(res.scheduling.jobs,
-                      std::min<int>(jobs, res.scheduling.clusters));
-            out.push_back(reportText(w.program, res));
+            out.push_back(reportText(w.program, runWith(w, jobs)));
         }
         if (helper_threads && base > 0)
             helper_threads->push_back(processThreads() - base);

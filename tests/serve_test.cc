@@ -4,16 +4,22 @@
  * robustness (PR 3 style — mutated frames must parse or poison,
  * never crash), subprocess supervision primitives, and the headline
  * end-to-end properties of `portend serve`: a submission's merged
- * verdict bytes are identical to a single-process campaign run,
- * including after a worker is SIGKILLed mid-unit (its claimed-but-
- * unjournaled units are re-dispatched), and a resubmission of the
- * same manifest is answered entirely from the journal + cache.
+ * verdict bytes are identical to a single-process campaign run at
+ * 1, 2 and 4 workers, including after a worker is SIGKILLed mid-unit
+ * (its claimed-but-unjournaled units are re-dispatched) or between
+ * two units (the respawned worker gets the next one), and a
+ * resubmission of the same manifest is answered entirely from the
+ * journal + cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -23,6 +29,7 @@
 #include <unistd.h>
 #endif
 
+#include "campaign/cache.h"
 #include "campaign/campaign.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -256,46 +263,71 @@ waitExit(sub::Child &child)
     return status;
 }
 
+/** SIGKILLs and reaps a forked server at scope exit unless it has
+ *  exited already, so a failed assertion cannot leave it running. */
+class ServerGuard
+{
+  public:
+    explicit ServerGuard(sub::Child &child) : child_(child) {}
+    ServerGuard(const ServerGuard &) = delete;
+    ServerGuard &operator=(const ServerGuard &) = delete;
+    ~ServerGuard()
+    {
+        if (child_.running()) {
+            sub::kill(child_, SIGKILL);
+            waitExit(child_);
+        }
+    }
+
+  private:
+    sub::Child &child_;
+};
+
 TEST(ServeTest, SubmitMatchesSingleProcessCampaignBytes)
 {
     const campaign::CampaignConfig config = microConfig();
     const std::string expected = ephemeralBytes(config);
-    const std::string dir = scratchDir("e2e");
-
-    serve::ServeOptions so;
-    so.dir = dir + "/state";
-    so.socket_path = dir + "/sock";
-    so.workers = 2;
-    std::string err;
-    std::optional<sub::Child> server = startServer(so, &err);
-    ASSERT_TRUE(server.has_value()) << err;
-
-    serve::Endpoint ep;
-    ep.socket_path = so.socket_path;
-    ASSERT_TRUE(serve::ping(ep, &err)) << err;
-
     const std::string manifest = campaign::manifestText(config);
-    std::string out;
-    ASSERT_TRUE(serve::submit(ep, manifest, &out, &err)) << err;
-    EXPECT_EQ(out, expected);
+    for (int workers : {1, 2, 4}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        const std::string dir =
+            scratchDir("e2e" + std::to_string(workers));
 
-    // Resubmission: every unit is journaled now, so the answer comes
-    // from replay without dispatching anything — and is the same
-    // bytes.
-    std::string out2;
-    ASSERT_TRUE(serve::submit(ep, manifest, &out2, &err)) << err;
-    EXPECT_EQ(out2, expected);
+        serve::ServeOptions so;
+        so.dir = dir + "/state";
+        so.socket_path = dir + "/sock";
+        so.workers = workers;
+        std::string err;
+        std::optional<sub::Child> server = startServer(so, &err);
+        ASSERT_TRUE(server.has_value()) << err;
+        ServerGuard guard(*server);
 
-    std::string status;
-    ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
-    EXPECT_NE(status.find("\"units_completed\": 3"),
-              std::string::npos)
-        << status;
-    EXPECT_NE(status.find("\"submissions\": 2"), std::string::npos)
-        << status;
+        serve::Endpoint ep;
+        ep.socket_path = so.socket_path;
+        ASSERT_TRUE(serve::ping(ep, &err)) << err;
 
-    ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
-    EXPECT_EQ(waitExit(*server), 0);
+        std::string out;
+        ASSERT_TRUE(serve::submit(ep, manifest, &out, &err)) << err;
+        EXPECT_EQ(out, expected);
+
+        // Resubmission: every unit is journaled now, so the answer
+        // comes from replay without dispatching anything — and is
+        // the same bytes.
+        std::string out2;
+        ASSERT_TRUE(serve::submit(ep, manifest, &out2, &err)) << err;
+        EXPECT_EQ(out2, expected);
+
+        std::string status;
+        ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
+        EXPECT_NE(status.find("\"units_completed\": 3"),
+                  std::string::npos)
+            << status;
+        EXPECT_NE(status.find("\"submissions\": 2"), std::string::npos)
+            << status;
+
+        ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
+        EXPECT_EQ(waitExit(*server), 0);
+    }
 }
 
 TEST(ServeTest, SigkilledWorkerUnitsAreRedispatched)
@@ -315,6 +347,7 @@ TEST(ServeTest, SigkilledWorkerUnitsAreRedispatched)
     std::string err;
     std::optional<sub::Child> server = startServer(so, &err);
     ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
 
     serve::Endpoint ep;
     ep.socket_path = so.socket_path;
@@ -336,6 +369,146 @@ TEST(ServeTest, SigkilledWorkerUnitsAreRedispatched)
     EXPECT_EQ(waitExit(*server), 0);
 }
 
+/** Scheduler state of @p pid in /proc/<pid>/stat ('R' running, 'S'
+ *  sleeping, 'T' stopped, 'Z' zombie), or 0 once it is gone. */
+char
+procState(long pid)
+{
+    std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+    std::string stat;
+    std::getline(in, stat);
+    const std::size_t end = stat.rfind(") ");
+    return end == std::string::npos ? 0 : stat[end + 2];
+}
+
+/** The first child process of the single-threaded @p pid, or -1. */
+long
+firstChild(long pid)
+{
+    const std::string p = std::to_string(pid);
+    std::ifstream in("/proc/" + p + "/task/" + p + "/children");
+    long child = -1;
+    in >> child;
+    return child;
+}
+
+/** Poll @p done about every 100 us for up to @p seconds. */
+template <class Done>
+bool
+waitFor(double seconds, Done done)
+{
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::duration<double>(seconds);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() >= until)
+            return false;
+        ::usleep(100);
+    }
+    return true;
+}
+
+// A worker that dies after answering and before its next dispatch:
+// the server reads the answer, its write of the next unit fails, and
+// it respawns the worker, which must then get the unit at once —
+// nothing else would wake the server's poll. The window is forced:
+// stop the server while its one worker computes, let the worker
+// answer into the stopped server's channel, SIGKILL it, resume the
+// server. An attempt that stops the server only once no unit is left
+// to dispatch misses the window and is retried.
+TEST(ServeTest, WorkerDeadAtDispatchGetsTheUnitAfterRespawn)
+{
+    campaign::CampaignConfig config;
+    config.render.json = true;
+    config.units = {{"workload", "avv"},
+                    {"workload", "pbzip2"},
+                    {"workload", "dbm"}};
+    const std::string expected = ephemeralBytes(config);
+    const std::string manifest = campaign::manifestText(config);
+
+    bool hit = false;
+    for (int attempt = 0; attempt < 20 && !hit; ++attempt) {
+        SCOPED_TRACE("attempt " + std::to_string(attempt));
+        const std::string dir =
+            scratchDir("stall" + std::to_string(attempt));
+        serve::ServeOptions so;
+        so.dir = dir + "/state";
+        so.socket_path = dir + "/sock";
+        so.workers = 1;
+        std::string err;
+        std::optional<sub::Child> server = startServer(so, &err);
+        ASSERT_TRUE(server.has_value()) << err;
+        ServerGuard guard(*server);
+        serve::Endpoint ep;
+        ep.socket_path = so.socket_path;
+        ASSERT_TRUE(serve::ping(ep, &err)) << err;
+        const long worker = firstChild(server->pid);
+        ASSERT_GT(worker, 0);
+
+        std::string out, submit_err;
+        std::future<bool> reply = std::async(std::launch::async, [&] {
+            return serve::submit(ep, manifest, &out, &submit_err);
+        });
+        const auto answered = [&] {
+            return reply.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready;
+        };
+
+        bool stopped = false;
+        waitFor(10.0, [&] {
+            if (procState(worker) == 'R') {
+                ::kill(static_cast<pid_t>(server->pid), SIGSTOP);
+                stopped = true;
+            }
+            return stopped || answered();
+        });
+        // No assertion may return while the server is stopped: the
+        // pending reply would block the return.
+        if (stopped) {
+            // The worker answers into the stopped server's channel,
+            // then sleeps waiting for its next unit.
+            int idle = 0;
+            EXPECT_TRUE(waitFor(30.0, [&] {
+                idle = procState(worker) == 'S' ? idle + 1 : 0;
+                return idle >= 500;
+            }));
+            // Each answered unit left one cache entry behind.
+            campaign::VerdictCache cache(so.dir + "/cache");
+            hit = cache.sizeOnDisk() < config.units.size();
+            if (hit) {
+                ::kill(static_cast<pid_t>(worker), SIGKILL);
+                EXPECT_TRUE(waitFor(10.0, [&] {
+                    return procState(worker) == 'Z';
+                }));
+            }
+            ::kill(static_cast<pid_t>(server->pid), SIGCONT);
+        }
+
+        if (reply.wait_for(std::chrono::seconds(10)) !=
+            std::future_status::ready) {
+            sub::kill(*server, SIGKILL); // unblocks the client
+            reply.wait();
+            FAIL() << "submission unanswered 10 s after its worker "
+                      "died between two units";
+        }
+        ASSERT_TRUE(reply.get()) << submit_err;
+        EXPECT_EQ(out, expected);
+        if (hit) {
+            std::string status;
+            ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
+            EXPECT_NE(status.find("\"worker_deaths\": 1"),
+                      std::string::npos)
+                << status;
+            EXPECT_NE(status.find("\"worker_restarts\": 1"),
+                      std::string::npos)
+                << status;
+        }
+        ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
+        EXPECT_EQ(waitExit(*server), 0);
+    }
+    EXPECT_TRUE(hit) << "no attempt stopped the server with a unit "
+                        "still to dispatch";
+}
+
 TEST(ServeTest, MalformedManifestGetsErrorFrame)
 {
     const std::string dir = scratchDir("badmanifest");
@@ -346,6 +519,7 @@ TEST(ServeTest, MalformedManifestGetsErrorFrame)
     std::string err;
     std::optional<sub::Child> server = startServer(so, &err);
     ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
 
     serve::Endpoint ep;
     ep.socket_path = so.socket_path;
@@ -372,6 +546,7 @@ TEST(ServeTest, RawGarbageClosesTheConnection)
     std::string err;
     std::optional<sub::Child> server = startServer(so, &err);
     ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
     serve::Endpoint ep;
     ep.socket_path = so.socket_path;
     ASSERT_TRUE(serve::ping(ep, &err)) << err;

@@ -7,7 +7,8 @@
  *    upgrade only under named symbolic inputs, with a
  *    solver-concretized witness value recorded in the evidence and
  *    replayed deterministically by replayEvidence (byte-identical
- *    across repeat replays and --jobs counts).
+ *    across repeat replays and --jobs counts); without symbolic
+ *    inputs, input declarations change no report byte or step.
  *
  *  - SymExhaustiveTest (slow ctest label): for programs small
  *    enough to brute-force every input value x every interleaving,
@@ -175,6 +176,39 @@ TEST(SymPipelineTest, VerdictAndWitnessInvariantAcrossJobs)
             << wname << ":\n"
             << renders[0];
     }
+}
+
+// Input declarations are read only by symbolic runs: without
+// --sym-input, a program classifies to the same Fig. 6 bytes, the
+// same classification steps and the same detection steps whether or
+// not it declares its inputs.
+TEST(SymPipelineTest, InputDeclarationsAloneChangeNothing)
+{
+    int declaring = 0;
+    for (const char *wname :
+         {"avv", "dcl", "dbm", "rw", "bbuf", "ibuf", "iguard"}) {
+        SCOPED_TRACE(wname);
+        workloads::Workload w = workloads::buildWorkload(wname);
+        ir::Program bare = w.program;
+        bare.inputs.clear();
+        declaring += w.program.inputs.empty() ? 0 : 1;
+
+        PortendOptions opts;
+        opts.semantic_predicates = w.semantic_predicates;
+        PortendResult declared = Portend(w.program, opts).run();
+        PortendResult stripped = Portend(bare, opts).run();
+        ASSERT_EQ(declared.reports.size(), stripped.reports.size());
+        ASSERT_FALSE(declared.reports.empty());
+        for (std::size_t i = 0; i < declared.reports.size(); ++i) {
+            EXPECT_EQ(formatReport(w.program, declared.reports[i]),
+                      formatReport(bare, stripped.reports[i]))
+                << "cluster " << i;
+        }
+        EXPECT_EQ(declared.metrics.counter(obs::Counter::ClassifySteps),
+                  stripped.metrics.counter(obs::Counter::ClassifySteps));
+        EXPECT_EQ(declared.detection.steps, stripped.detection.steps);
+    }
+    EXPECT_GE(declaring, 2);
 }
 
 // ---------------------------------------------------------------

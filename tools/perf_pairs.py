@@ -27,9 +27,10 @@ a verdict:
                     change run beats every parent run;
   within bound      anything else.
 
-Exits 1 when any run is incorrect or the change fails a larger share of
-its operations than the parent, 2 on a usage error. It reads
-BENCHMARK.json and perfbench/ and changes neither.
+Exits 1 when any run is incorrect, the change fails a larger share of
+its operations than the parent, or any end-to-end metric reads `worse
+than bound`; 2 on a usage error. An `unresolved` metric does not fail
+the run. It reads BENCHMARK.json and perfbench/ and changes neither.
 """
 
 import argparse
@@ -146,6 +147,8 @@ def main():
             print(f"  {name:22} not reported")
             continue
         what, wins, gain = verdict(parent, change, m["better"], m["bound"])
+        if what == "worse than bound":
+            ok = False
         cols = []
         for vs in (parent, change):
             q1, med, q3 = quartiles(vs)
