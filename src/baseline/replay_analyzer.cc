@@ -69,8 +69,7 @@ ReplayAnalyzer::analyze(const race::RaceReport &race,
         race.second.tid, race.second.pc);
 
     // --- Alternate: enforce the reversed ordering. ---
-    rt::Interpreter alt(prog, eo);
-    alt.setState(pre_ckpt);
+    rt::Interpreter alt(prog, eo, pre_ckpt);
     alt.state().resume_in_segment = false;
     alt.options().max_steps =
         pre_ckpt.global_step + 5 * (primary_extent + 1000);

@@ -159,9 +159,10 @@ keepExpandWindow(rt::ScheduleObservation &obs)
         obs.picks.resize(keep);
         obs.picks.shrink_to_fit();
     }
-    if (obs.enabled.size() > keep) {
-        obs.enabled.resize(keep);
-        obs.enabled.shrink_to_fit();
+    if (obs.enabledCount() > keep) {
+        obs.keepEnabled(keep);
+        obs.enabled_ids.shrink_to_fit();
+        obs.enabled_end.shrink_to_fit();
     }
 }
 
@@ -316,12 +317,12 @@ ScheduleExplorer::expand(const rt::ScheduleObservation &obs,
             // fall back to every other enabled choice — the classic
             // persistent-set widening.
             const std::size_t p = static_cast<std::size_t>(a.pick);
-            if (p >= obs.picks.size() || p >= obs.enabled.size())
+            if (p >= obs.picks.size() || p >= obs.enabledCount())
                 continue;
             std::vector<rt::ThreadId> base(obs.picks.begin(),
                                            obs.picks.begin() +
                                                static_cast<long>(p));
-            const std::vector<rt::ThreadId> &en = obs.enabled[p];
+            const std::span<const rt::ThreadId> en = obs.enabled(p);
             const bool b_enabled =
                 std::find(en.begin(), en.end(), b.tid) != en.end();
             if (b_enabled) {

@@ -95,6 +95,9 @@ struct ReplayOutcome
     std::string name;
     bool ok = false;
     std::string detail; ///< why the replay failed ("" when ok)
+    /** The oracle's pipeline shard (OracleVerdict::metrics); null
+     *  when the entry did not load or parse. */
+    std::shared_ptr<const obs::MetricsShard> metrics;
 };
 
 /**
@@ -111,6 +114,8 @@ struct CorpusRunResult
     int total = 0;
     int passed = 0;
     std::vector<ReplayOutcome> outcomes;
+    /** The entries' pipeline shards, merged in entry order. */
+    obs::MetricsShard metrics;
 
     bool allGreen() const { return passed == total; }
 };

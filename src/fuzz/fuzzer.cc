@@ -90,6 +90,41 @@ hex8(std::uint64_t h)
     return out;
 }
 
+/**
+ * Merges the programs' pipeline shards in index order as they
+ * finish. A shard that finishes ahead of an earlier index waits;
+ * under the pool's claim-by-cursor order that is about one per
+ * worker, so a campaign never holds one shard per program.
+ */
+class ShardFold
+{
+  public:
+    /** Hand over index @p index's shard (null: nothing to merge). */
+    void
+    add(std::size_t index, std::shared_ptr<const obs::MetricsShard> shard)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        waiting_.emplace(index, std::move(shard));
+        for (auto it = waiting_.begin();
+             it != waiting_.end() && it->first == next_;
+             it = waiting_.erase(it)) {
+            if (it->second)
+                total_.merge(*it->second);
+            next_ += 1;
+        }
+    }
+
+    /** The merged shards; read after every index was added. */
+    const obs::MetricsShard &total() const { return total_; }
+
+  private:
+    std::mutex mu_;
+    std::map<std::size_t, std::shared_ptr<const obs::MetricsShard>>
+        waiting_;
+    std::size_t next_ = 0;
+    obs::MetricsShard total_;
+};
+
 /** Generate + judge one campaign index. */
 IndexResult
 runIndex(std::uint64_t index, const FuzzOptions &opts,
@@ -299,6 +334,7 @@ runFuzz(const FuzzOptions &opts)
 
     // -- Generation + oracle, fanned out on the thread pool ----------
     std::vector<IndexResult> results;
+    ShardFold fold;
     if (opts.seconds > 0.0) {
         // Time-boxed mode: sequential-batch until the box is spent.
         // Program count depends on the host (see fuzzer.h).
@@ -312,6 +348,8 @@ runFuzz(const FuzzOptions &opts)
                 return [&, base](std::size_t i) {
                     results[base + i] =
                         runIndex(next + i, opts, camp.get());
+                    fold.add(base + i,
+                             std::move(results[base + i].verdict.metrics));
                 };
             });
             next += batch;
@@ -323,9 +361,11 @@ runFuzz(const FuzzOptions &opts)
         ThreadPool::parallelFor(jobs, n, [&] {
             return [&](std::size_t i) {
                 results[i] = runIndex(i, opts, camp.get());
+                fold.add(i, std::move(results[i].verdict.metrics));
             };
         });
     }
+    res.metrics = fold.total();
 
     // -- Deterministic fold in index order ---------------------------
     std::size_t fold_index = 0;

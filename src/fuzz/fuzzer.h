@@ -116,6 +116,10 @@ struct FuzzResult
 
     std::vector<FuzzFinding> findings;
 
+    /** The programs' pipeline shards (OracleVerdict::metrics),
+     *  merged in index order; cache hits contribute none. */
+    obs::MetricsShard metrics;
+
     double seconds = 0.0; ///< wall clock; never in summaryText()
 
     /** True when every oracle check of every program passed. */

@@ -62,12 +62,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "explore/explorer.h"
 #include "ir/program.h"
+#include "support/observe.h"
 
 namespace portend::fuzz {
 
@@ -123,6 +125,17 @@ struct OracleVerdict
 
     /** Concatenated Fig. 6 reports of the primary run. */
     std::string report_text;
+
+    /**
+     * The primary run's pipeline shard (its classify.*, detect.*,
+     * verdicts.* and ladder.* counters), merged per program into
+     * the fuzz and corpus exports; null when the pipeline did not
+     * run. Held by pointer so that a campaign can free each shard
+     * once folded while it keeps the rest of the verdict. Not
+     * serialized: a verdict read back from the campaign cache
+     * carries none.
+     */
+    std::shared_ptr<const obs::MetricsShard> metrics;
 
     /**
      * Solver-concretized witness inputs of the deep symbolic run

@@ -205,8 +205,8 @@ RaceAnalyzer::diagnoseInfiniteLoop(const rt::VmState &state) const
         if (spinner.last_step + activity_cutoff < state.global_step)
             continue;
         std::set<ir::GlobalId> read_globals;
-        for (int cell : spinner.recent_reads) {
-            ir::GlobalId g = prog.cellGlobal(cell);
+        for (int i = 0; i < spinner.recent_reads.size(); ++i) {
+            ir::GlobalId g = prog.cellGlobal(spinner.recent_reads[i]);
             if (g >= 0)
                 read_globals.insert(g);
         }
@@ -321,8 +321,7 @@ RaceAnalyzer::runAlternateFromState(
 
     rt::ExecOptions eo = baseOptions();
     eo.concrete_inputs = inputs;
-    rt::Interpreter alt(prog, eo);
-    alt.setState(pre);
+    rt::Interpreter alt(prog, std::move(eo), pre);
     // The checkpoint was taken mid-segment of the held thread; the
     // alternate must start with a fresh scheduling decision so the
     // enforcement policy can exclude that thread.
@@ -530,7 +529,7 @@ RaceAnalyzer::runAlternateFromState(
             }
         }
         r.kind = SingleResult::Kind::OutSame;
-        r.alternate_out = alt.state().output;
+        r.alternate_out = std::move(alt.state().output);
         return r;
       }
 
@@ -551,9 +550,17 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
 {
     SingleResult r;
 
+    // With a usable rung, fork from the cached pre-race checkpoint
+    // instead of replaying the prefix; the rung state carries the
+    // prefix's step counters (so the ledger stays identical) and the
+    // monitor adopts the prefix's predicate state.
+    const replay::CheckpointLadder::Rung *rung =
+        usableRung(ladder, race, inputs);
     rt::ExecOptions eo = baseOptions();
     eo.concrete_inputs = inputs;
-    rt::Interpreter interp(prog, eo);
+    rt::Interpreter interp =
+        rung ? rt::Interpreter(prog, std::move(eo), rung->state)
+             : rt::Interpreter(prog, std::move(eo));
     SemanticMonitor sem(interp, opts.semantic_predicates);
     interp.addSink(&sem);
 
@@ -562,17 +569,10 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
                            &rotate);
     interp.setPolicy(&tp);
 
-    const replay::CheckpointLadder::Rung *rung =
-        usableRung(ladder, race, inputs);
     if (rung) {
-        // Fork from the cached pre-race checkpoint instead of
-        // replaying the prefix; the rung state carries the prefix's
-        // step counters (so the ledger stays identical) and the
-        // monitor adopts the prefix's predicate state.
         OBS_SPAN("ladder", "fork");
         if (obs::Collector *col = obs::collector())
             col->add(obs::Counter::LadderForks, 1);
-        interp.setState(rung->state);
         sem.restore(rung->semantics);
     } else {
         rt::Interpreter::StopSpec pre;
@@ -608,25 +608,26 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
     if (have_post_primary)
         post_primary = interp.state();
 
-    if (!interp.state().finished()) {
-        // Every primary resumed from a rung is the ladder's own
-        // replay, so its tail ends where the ladder's did: adopt
-        // that end (counters, output and monitor included) instead
-        // of running the tail again.
+    // The primary's final state: the interpreter's own, or the
+    // ladder's end. Every primary resumed from a rung is the
+    // ladder's own replay, so its tail ends where the ladder's did:
+    // adopt that end (counters, output and monitor included) in
+    // place instead of running the tail again.
+    const rt::VmState *fin = &interp.state();
+    if (!fin->finished()) {
         if (const replay::CheckpointLadder::End *end =
                 usableEnd(ladder, rung)) {
             if (obs::Collector *col = obs::collector())
                 col->add(obs::Counter::LadderStepsReused,
-                         end->state.global_step -
-                             interp.state().global_step);
-            interp.setState(end->state);
+                         end->state.global_step - fin->global_step);
+            fin = &end->state;
             sem.restore(end->semantics);
-            oc = interp.state().outcome;
+            oc = fin->outcome;
         } else {
             oc = interp.run();
         }
     }
-    absorbStats(stats, interp.state());
+    absorbStats(stats, *fin);
 
     if (!sem.violation().empty()) {
         r.kind = SingleResult::Kind::SpecViol;
@@ -637,10 +638,10 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
     if (rt::isSpecViolation(oc)) {
         const bool crash = oc == rt::RunOutcome::CrashOob ||
                            oc == rt::RunOutcome::CrashDivZero;
-        if (!crash || crashInvolvesRaceCell(interp.state(), race)) {
+        if (!crash || crashInvolvesRaceCell(*fin, race)) {
             r.kind = SingleResult::Kind::SpecViol;
             r.viol = violationOf(oc);
-            r.detail = interp.state().outcome_detail;
+            r.detail = fin->outcome_detail;
             return r;
         }
         // The primary replay died of a bug unrelated to this race
@@ -651,8 +652,7 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
         // ad-hoc synchronization or an attributable crash — but the
         // primary's truncated output admits no output comparison.
         std::uint64_t primary_second_count =
-            interp.state().accessCount(race.second.tid,
-                                       race.second.pc);
+            fin->accessCount(race.second.tid, race.second.pc);
         // The crash truncated the primary, so its step count is a
         // useless yardstick for the alternate's timeout budget (an
         // alternate that avoids the crash legitimately runs much
@@ -668,7 +668,7 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
         r.kind = SingleResult::Kind::Skipped;
         r.detail = "unrelated failure during primary replay (queued "
                    "as separate report): " +
-                   interp.state().outcome_detail;
+                   fin->outcome_detail;
         return r;
     }
     if (oc != rt::RunOutcome::Exited) {
@@ -678,9 +678,8 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
         return r;
     }
 
-    r.primary_out = interp.state().output;
-    r.primary_steps = interp.state().global_step;
-    std::uint64_t primary_second_count = interp.state().accessCount(
+    r.primary_steps = fin->global_step;
+    std::uint64_t primary_second_count = fin->accessCount(
         race.second.tid, race.second.pc);
 
     SingleResult a = runAlternateFromState(
@@ -690,17 +689,15 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
     r.states_differ = a.states_differ;
     if (a.kind != SingleResult::Kind::OutSame) {
         a.states_differ = r.states_differ;
-        a.primary_out = r.primary_out;
         a.primary_steps = r.primary_steps;
         return a;
     }
 
     r.alternate_enforced = a.alternate_enforced;
     r.observation = std::move(a.observation);
-    r.alternate_out = a.alternate_out;
+    r.alternate_out = std::move(a.alternate_out);
     OutputComparison cmp = compareConcreteOutputs(
-        r.primary_out, a.alternate_out, race.first.tid,
-        race.second.tid);
+        fin->output, r.alternate_out, race.first.tid, race.second.tid);
     if (!cmp.match) {
         r.kind = SingleResult::Kind::OutDiff;
         r.output_diff = cmp.diff;
@@ -782,7 +779,7 @@ RaceAnalyzer::replayEvidence(const race::RaceReport &race,
         interp.setPolicy(&pol);
         out.outcome = interp.run();
         out.detail = interp.state().outcome_detail;
-        out.output = interp.state().output;
+        out.output = std::move(interp.state().output);
         return out;
     }
 
@@ -823,7 +820,7 @@ RaceAnalyzer::replayEvidence(const race::RaceReport &race,
         break;
     }
     out.detail = r.detail;
-    out.output = r.alternate_out;
+    out.output = std::move(r.alternate_out);
     return out;
 }
 

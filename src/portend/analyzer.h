@@ -251,7 +251,6 @@ class RaceAnalyzer
         std::string output_diff;
         bool states_differ = false;
         std::uint64_t primary_steps = 0;
-        rt::OutputLog primary_out;
         rt::OutputLog alternate_out;
 
         /**

@@ -36,41 +36,28 @@ HbDetector::handleAccess(const rt::Event &ev, bool is_write)
 {
     VectorClock &me = clockOf(ev.tid);
 
-    RaceAccess acc;
-    acc.tid = ev.tid;
-    acc.pc = ev.pc;
-    acc.is_write = is_write;
-    acc.atomic = ev.atomic;
-    acc.occurrence = ev.occurrence;
-    acc.cell_occurrence = ev.cell_occurrence;
-    acc.step = ev.step;
-    acc.loc = ev.loc;
-
     auto &hist = history[ev.cell];
-    for (const auto &old : hist) {
+    for (std::size_t i = 0; i < hist.size(); ++i) {
+        const CellAccess &old = hist[i];
         if (old.access.tid == ev.tid)
             continue;
-        if (!old.access.is_write && !is_write)
+        const bool old_write =
+            old.access.kind == rt::EventKind::MemWrite;
+        if (!old_write && !is_write)
             continue; // read-read never races
         if (old.access.atomic && ev.atomic)
             continue; // atomic-atomic conflicts are not races
         if (!old.clock.lessOrEqual(me)) {
             RaceReport r;
             r.cell = ev.cell;
-            r.first = old.access;
-            r.second = acc;
+            r.first = raceAccessOf(old.access);
+            r.second = raceAccessOf(ev);
             reports.push_back(std::move(r));
         }
     }
 
-    CellAccess rec;
-    rec.access = acc;
-    rec.clock = me;
-    hist.push_back(std::move(rec));
-    if (hist.size() > kMaxHistory) {
-        hist.erase(hist.begin());
+    if (hist.push(CellAccess{ev, me}))
         evictions_ += 1;
-    }
 }
 
 void

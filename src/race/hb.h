@@ -64,9 +64,11 @@ class HbDetector : public rt::EventSink
     void reset();
 
   private:
+    /** A past access: its event (location borrowed from the
+     *  decode, copied only into a report) and the thread's clock. */
     struct CellAccess
     {
-        RaceAccess access;
+        rt::Event access;
         VectorClock clock;
     };
 
@@ -83,7 +85,7 @@ class HbDetector : public rt::EventSink
     std::map<int, VectorClock> cond_clocks;
     std::map<int, VectorClock> exit_clocks;
     std::map<int, std::vector<rt::ThreadId>> barrier_pending;
-    std::map<int, std::vector<CellAccess>> history;
+    std::map<int, HistoryRing<CellAccess>> history;
 
     std::vector<RaceReport> reports;
     std::uint64_t evictions_ = 0;

@@ -38,16 +38,6 @@ LocksetDetector::onEvent(const rt::Event &ev)
     const bool is_write = ev.kind == rt::EventKind::MemWrite;
     CellState &cs = cells[ev.cell];
 
-    RaceAccess acc;
-    acc.tid = ev.tid;
-    acc.pc = ev.pc;
-    acc.is_write = is_write;
-    acc.atomic = ev.atomic;
-    acc.occurrence = ev.occurrence;
-    acc.cell_occurrence = ev.cell_occurrence;
-    acc.step = ev.step;
-    acc.loc = ev.loc;
-
     const std::set<int> &mine = held[ev.tid];
     if (!cs.lockset_valid) {
         cs.candidate = mine;
@@ -66,23 +56,21 @@ LocksetDetector::onEvent(const rt::Event &ev)
         cs.any_write) {
         // Pair the new access with the most recent conflicting one
         // from another thread.
-        for (auto it = cs.accesses.rbegin(); it != cs.accesses.rend();
-             ++it) {
-            if (it->tid != ev.tid && (it->is_write || is_write)) {
+        for (std::size_t i = cs.accesses.size(); i-- > 0;) {
+            const rt::Event &old = cs.accesses[i];
+            if (old.tid != ev.tid &&
+                (old.kind == rt::EventKind::MemWrite || is_write)) {
                 RaceReport r;
                 r.cell = ev.cell;
-                r.first = *it;
-                r.second = acc;
+                r.first = raceAccessOf(old);
+                r.second = raceAccessOf(ev);
                 reports.push_back(std::move(r));
                 break;
             }
         }
     }
-    cs.accesses.push_back(acc);
-    if (cs.accesses.size() > kMaxHistory) {
-        cs.accesses.erase(cs.accesses.begin());
+    if (cs.accesses.push(ev))
         evictions_ += 1;
-    }
 }
 
 std::vector<RaceCluster>

@@ -56,7 +56,7 @@ class LocksetDetector : public rt::EventSink
         std::set<int> candidate;     ///< intersection of held locks
         std::set<rt::ThreadId> accessors;
         bool any_write = false;
-        std::vector<RaceAccess> accesses; ///< for report pairing
+        HistoryRing<rt::Event> accesses; ///< for report pairing
     };
 
     const ir::Program &prog;

@@ -7,6 +7,22 @@
 
 namespace portend::race {
 
+RaceAccess
+raceAccessOf(const rt::Event &ev)
+{
+    RaceAccess acc;
+    acc.tid = ev.tid;
+    acc.pc = ev.pc;
+    acc.is_write = ev.kind == rt::EventKind::MemWrite;
+    acc.atomic = ev.atomic;
+    acc.occurrence = ev.occurrence;
+    acc.cell_occurrence = ev.cell_occurrence;
+    acc.step = ev.step;
+    if (ev.loc)
+        acc.loc = *ev.loc;
+    return acc;
+}
+
 std::string
 RaceReport::key() const
 {

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/program.h"
@@ -28,6 +29,43 @@ namespace portend::race {
  */
 inline constexpr std::size_t kMaxHistory = 4096;
 
+/**
+ * One cell's access history, bounded at kMaxHistory. Past the bound
+ * a push overwrites the oldest entry in place (a ring), so an
+ * eviction costs O(1) and indexing stays oldest-first.
+ */
+template <typename T>
+class HistoryRing
+{
+  public:
+    /** Append @p v; true when that evicted the oldest entry. */
+    bool
+    push(T v)
+    {
+        if (buf.size() < kMaxHistory) {
+            buf.push_back(std::move(v));
+            return false;
+        }
+        buf[oldest] = std::move(v);
+        oldest = oldest + 1 == buf.size() ? 0 : oldest + 1;
+        return true;
+    }
+
+    std::size_t size() const { return buf.size(); }
+
+    /** The @p i-th oldest entry. */
+    const T &
+    operator[](std::size_t i) const
+    {
+        const std::size_t j = oldest + i;
+        return buf[j < buf.size() ? j : j - buf.size()];
+    }
+
+  private:
+    std::vector<T> buf;
+    std::size_t oldest = 0; ///< index of the oldest entry once full
+};
+
 /** One side of a racing pair. */
 struct RaceAccess
 {
@@ -40,6 +78,9 @@ struct RaceAccess
     std::uint64_t step = 0;       ///< global step of the access
     ir::SourceLoc loc;
 };
+
+/** The race side of memory event @p ev (copies its location). */
+RaceAccess raceAccessOf(const rt::Event &ev);
 
 /** A dynamic race occurrence: two unordered conflicting accesses. */
 struct RaceReport

@@ -117,22 +117,20 @@ AlternatePolicy::pick(const rt::VmState &state,
     }
 
     // Hold the original first accessor; drive the second accessor
-    // toward its racing access.
+    // toward its racing access, else run the lowest other thread.
     hold_picks += 1;
-    std::vector<rt::ThreadId> allowed;
+    rt::ThreadId lowest = -1;
     for (rt::ThreadId t : runnable) {
-        if (t != race.first.tid)
-            allowed.push_back(t);
-    }
-    if (allowed.empty()) {
-        starved_ = true;
-        return -1;
-    }
-    for (rt::ThreadId t : allowed) {
-        if (t == race.second.tid)
+        if (t == held)
+            continue;
+        if (t == driven)
             return t;
+        if (lowest < 0)
+            lowest = t;
     }
-    return allowed.front();
+    if (lowest < 0)
+        starved_ = true;
+    return lowest;
 }
 
 void
@@ -149,8 +147,8 @@ AlternatePolicy::onEvent(const rt::Event &ev)
     // already ordered before the held access in the primary.
     if ((ev.kind == rt::EventKind::MemRead ||
          ev.kind == rt::EventKind::MemWrite) &&
-        ev.tid == race.second.tid && ev.cell == race.cell &&
-        ev.cell_occurrence >= awaited()) {
+        ev.tid == driven && ev.cell == cell &&
+        ev.cell_occurrence >= awaited) {
         released = true;
     }
 }
@@ -161,9 +159,8 @@ AlternatePolicy::loopKey(const rt::VmState &state,
 {
     if (!released) {
         key.push_back(0);
-        key.push_back(std::min(
-            state.cellAccessCount(race.second.tid, race.cell),
-            awaited()));
+        key.push_back(
+            std::min(state.cellAccessCount(driven, cell), awaited));
         return true;
     }
     if (post_trace &&

@@ -134,7 +134,12 @@ class AlternatePolicy : public rt::SchedulePolicy
     AlternatePolicy(const race::RaceReport &race,
                     rt::SchedulePolicy *post,
                     const ScheduleTrace *post_trace = nullptr)
-        : race(race), post(post), post_trace(post_trace)
+        : held(race.first.tid), driven(race.second.tid),
+          cell(race.cell),
+          awaited(race.second.cell_occurrence > 0
+                      ? race.second.cell_occurrence
+                      : 1),
+          post(post), post_trace(post_trace)
     {}
 
     rt::ThreadId pick(const rt::VmState &state,
@@ -162,19 +167,15 @@ class AlternatePolicy : public rt::SchedulePolicy
     bool starved() const { return starved_; }
 
   private:
-    /** The second accessor's awaited occurrence on the cell. */
-    std::uint64_t
-    awaited() const
-    {
-        return race.second.cell_occurrence > 0
-                   ? race.second.cell_occurrence
-                   : 1;
-    }
-
     /** Post-trace index of the decision at @p state (post-race). */
     std::uint64_t postTraceIndex(const rt::VmState &state) const;
 
-    race::RaceReport race;
+    rt::ThreadId held;   ///< the original first accessor
+    rt::ThreadId driven; ///< the second accessor
+    int cell;            ///< the racing cell
+    /** The second accessor's occurrence on the cell the hold waits
+     *  for. */
+    std::uint64_t awaited;
     rt::SchedulePolicy *post;
     const ScheduleTrace *post_trace;
     std::uint64_t hold_picks = 0;

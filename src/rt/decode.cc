@@ -163,10 +163,10 @@ buildPristine(const ir::Program &p, const DecodedProgram &d)
     main.stack.rw().push_back(f);
     main.regs.rw().resize(
         static_cast<std::size_t>(p.function(p.entry).num_regs));
+    main.counts.rw().resize(
+        static_cast<std::size_t>(d.num_insts + d.num_cells));
     fresh.threads.push_back(std::move(main));
     fresh.counter_stride = d.num_insts;
-    fresh.access_counts.rw().emplace_back(
-        static_cast<std::size_t>(d.num_insts + d.num_cells), 0);
     return fresh;
 }
 

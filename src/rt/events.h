@@ -42,7 +42,15 @@ enum class EventKind : std::uint8_t {
 /** Printable event-kind name. */
 const char *eventKindName(EventKind k);
 
-/** One observable action. */
+/**
+ * One observable action.
+ *
+ * Events are plain values that allocate nothing: `loc` borrows the
+ * location from the program's shared decode (DecodedInst::loc),
+ * which lives as long as the program or any interpreter running it.
+ * A sink that keeps a location beyond that must copy it (the race
+ * detectors copy one only into a race they report).
+ */
 struct Event
 {
     EventKind kind;
@@ -56,7 +64,8 @@ struct Event
     std::uint64_t cell_occurrence = 0; ///< nth access of (tid, cell)
     ir::SyncId sid = -1;    ///< sync object (sync events)
     ThreadId other = -1;    ///< peer thread (create/join)
-    ir::SourceLoc loc;      ///< pseudo source location
+    const ir::SourceLoc *loc = nullptr; ///< pseudo source location
+                                        ///< (null for thread exit)
 };
 
 /**

@@ -25,6 +25,14 @@ namespace {
 /** Flush threshold of the event staging buffer. */
 constexpr std::size_t kEventBatchCap = 256;
 
+/**
+ * Initial capacity of the event staging buffer. Every scheduling
+ * decision flushes it, so it rarely holds more than a few events;
+ * reserving the full batch cap in every interpreter would cost more
+ * memory than the growth it saves.
+ */
+constexpr std::size_t kEventBufStart = 16;
+
 } // namespace
 
 Interpreter::Interpreter(const ir::Program &p, ExecOptions o)
@@ -34,18 +42,17 @@ Interpreter::Interpreter(const ir::Program &p, ExecOptions o)
     reset();
 }
 
+Interpreter::Interpreter(const ir::Program &p, ExecOptions o,
+                         VmState start)
+    : prog(p), dec(decodeProgram(p)), opts(std::move(o)),
+      st(std::move(start))
+{}
+
 void
 Interpreter::reset()
 {
     st = dec->pristine;
     st.rng = Rng(opts.rng_seed);
-}
-
-void
-Interpreter::addCounterRows()
-{
-    st.access_counts.rw().emplace_back(
-        static_cast<std::size_t>(dec->num_insts + dec->num_cells), 0);
 }
 
 Value
@@ -149,12 +156,12 @@ Interpreter::flushEvents()
 
 void
 Interpreter::finish(RunOutcome o, ThreadId tid, int pc,
-                    const std::string &detail)
+                    std::string detail)
 {
     st.outcome = o;
     st.outcome_tid = tid;
     st.outcome_pc = pc;
-    st.outcome_detail = detail;
+    st.outcome_detail = std::move(detail);
 }
 
 bool
@@ -270,7 +277,7 @@ Interpreter::unlockMutex(ThreadId tid, ir::SyncId m, int pc,
         ev.tid = tid;
         ev.pc = pc;
         ev.sid = m;
-        ev.loc = loc;
+        ev.loc = &loc;
         publish(std::move(ev));
     }
 }
@@ -302,7 +309,7 @@ Interpreter::exitThread(ThreadId tid)
                 je.tid = joiner.tid;
                 je.other = tid;
                 je.pc = ji.pc;
-                je.loc = ji.loc;
+                je.loc = &ji.loc;
                 publish(std::move(je));
             }
         }
@@ -374,9 +381,10 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             static_cast<std::size_t>(di.callee_regs));
         if (di.callee_params > 0)
             child.regs.rw()[0] = std::move(arg);
+        child.counts.rw().resize(
+            static_cast<std::size_t>(dec->num_insts + dec->num_cells));
         ThreadId child_tid = child.tid;
         st.threads.push_back(std::move(child));
-        addCounterRows();
 
         // Reacquire after the push_back (vector may reallocate).
         ThreadState &t2 = st.thread(tid);
@@ -391,7 +399,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             ev.tid = tid;
             ev.pc = di.pc;
             ev.other = child_tid;
-            ev.loc = di.loc;
+            ev.loc = &di.loc;
             publish(std::move(ev));
         }
         break;
@@ -427,7 +435,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 ev.tid = tid;
                 ev.pc = di.pc;
                 ev.other = static_cast<ThreadId>(target);
-                ev.loc = di.loc;
+                ev.loc = &di.loc;
                 publish(std::move(ev));
             }
         } else {
@@ -447,7 +455,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 ev.tid = tid;
                 ev.pc = di.pc;
                 ev.sid = di.sid;
-                ev.loc = di.loc;
+                ev.loc = &di.loc;
                 publish(std::move(ev));
             }
         }
@@ -492,14 +500,14 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                     lk.tid = tid;
                     lk.pc = di.pc;
                     lk.sid = di.sid2;
-                    lk.loc = di.loc;
+                    lk.loc = &di.loc;
                     publish(std::move(lk));
                     Event ev;
                     ev.kind = EventKind::CondWait;
                     ev.tid = tid;
                     ev.pc = di.pc;
                     ev.sid = di.sid;
-                    ev.loc = di.loc;
+                    ev.loc = &di.loc;
                     publish(std::move(ev));
                 }
             }
@@ -529,7 +537,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             ev.tid = tid;
             ev.pc = di.pc;
             ev.sid = di.sid;
-            ev.loc = di.loc;
+            ev.loc = &di.loc;
             publish(std::move(ev));
         }
         break;
@@ -545,11 +553,10 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             t.wait_sync = di.sid;
             bar.waiting.push_back(tid);
         } else {
-            // Release everyone, including the arriving thread.
-            std::vector<ThreadId> all = bar.waiting;
-            bar.waiting.clear();
+            // Release everyone, including the arriving thread (the
+            // list keeps its capacity for the next generation).
             bar.arrived = 0;
-            for (ThreadId w : all) {
+            for (ThreadId w : bar.waiting) {
                 ThreadState &wt = st.thread(w);
                 wt.status = ThreadStatus::Runnable;
                 wt.wait_sync = -1;
@@ -561,10 +568,11 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                     ev.tid = w;
                     ev.pc = wi.pc;
                     ev.sid = di.sid;
-                    ev.loc = wi.loc;
+                    ev.loc = &wi.loc;
                     publish(std::move(ev));
                 }
             }
+            bar.waiting.clear();
             ThreadState &t = st.thread(tid);
             advance(t);
             if (record_events) {
@@ -573,7 +581,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 ev.tid = tid;
                 ev.pc = di.pc;
                 ev.sid = di.sid;
-                ev.loc = di.loc;
+                ev.loc = &di.loc;
                 publish(std::move(ev));
             }
         }
@@ -683,7 +691,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             ev.kind = EventKind::Output;
             ev.tid = tid;
             ev.pc = di.pc;
-            ev.loc = di.loc;
+            ev.loc = &di.loc;
             publish(std::move(ev));
         }
         break;
@@ -760,7 +768,7 @@ sameThread(const ThreadState &a, const ThreadState &b)
  * of an earlier decision — everything that steers future execution
  * — plus the counters the skip advances. Counters only grow, so they
  * stay out of the comparison: global_step, VmStats, per-thread steps
- * and last_step, access_counts and virtual_time. The append-only
+ * and last_step, the counter rows and virtual_time. The append-only
  * logs (path, output, env_log, forced decisions) are compared by
  * size: equal sizes mean nothing was appended in between.
  */
@@ -788,11 +796,11 @@ struct Interpreter::LoopCheck
         std::size_t path = 0, output = 0, env_log = 0, forced = 0,
                     forced_cursor = 0;
         int next_symbol = 0;
-        // Counters.
+        // Counters (the threads' counter rows ride along in
+        // `threads`).
         std::uint64_t global_step = 0;
         VmStats stats;
         std::uint64_t boxed = 0;
-        Cow<std::vector<std::vector<std::uint64_t>>> access_counts;
         std::int64_t virtual_time = 0;
     };
     /** Held only while comparing: it shares pages and tables with
@@ -820,7 +828,6 @@ struct Interpreter::LoopCheck
         s.global_step = st.global_step;
         s.stats = st.stats;
         s.boxed = valuesBoxed();
-        s.access_counts = st.access_counts;
         s.virtual_time = st.virtual_time;
     }
 
@@ -933,20 +940,19 @@ Interpreter::skipCycles(const LoopCheck &lc, std::uint64_t k)
     detail::noteBoxed(k * (valuesBoxed() - s.boxed));
     st.virtual_time += static_cast<std::int64_t>(k) *
                        (st.virtual_time - s.virtual_time);
-    if (!st.access_counts.sharedWith(s.access_counts)) {
-        auto &rows = st.access_counts.rw();
-        const auto &old = s.access_counts.ro();
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-            for (std::size_t i = 0; i < rows[r].size(); ++i)
-                rows[r][i] += k * (rows[r][i] - old[r][i]);
-        }
-    }
     for (std::size_t t = 0; t < st.threads.size(); ++t) {
         ThreadState &th = st.threads[t];
-        const std::uint64_t dsteps = th.steps - s.threads[t].steps;
+        const ThreadState &old = s.threads[t];
+        const std::uint64_t dsteps = th.steps - old.steps;
         th.steps += k * dsteps;
         if (dsteps > 0)
             th.last_step += k * len;
+        if (!th.counts.sharedWith(old.counts)) {
+            std::vector<std::uint64_t> &row = th.counts.rw();
+            const std::vector<std::uint64_t> &was = old.counts.ro();
+            for (std::size_t i = 0; i < row.size(); ++i)
+                row[i] += k * (row[i] - was[i]);
+        }
     }
 }
 
@@ -975,6 +981,8 @@ Interpreter::run(const StopSpec &stop)
     record_events = !sinks.empty() || policy != nullptr ||
                     (active_stop && active_stop->after_pair);
     event_buf.clear();
+    if (record_events)
+        event_buf.reserve(kEventBufStart);
 
     const std::uint64_t boxed0 = valuesBoxed();
     const RunOutcome outcome0 = st.outcome;
@@ -1225,17 +1233,13 @@ Interpreter::segment(ThreadId tid, bool first)
         Value v = st.mem[static_cast<std::size_t>(cell)];
         t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] =
             std::move(v);
-        std::uint64_t *row =
-            st.access_counts.rw()[static_cast<std::size_t>(tid)]
-                .data();
+        std::uint64_t *row = t->counts.rw().data();
         const std::uint64_t occ =
             ++row[static_cast<std::size_t>(di.pc)];
         const std::uint64_t cocc =
             ++row[static_cast<std::size_t>(st.counter_stride) +
                   static_cast<std::size_t>(cell)];
-        t->recent_reads.push_back(cell);
-        if (static_cast<int>(t->recent_reads.size()) > kSpinWindow)
-            t->recent_reads.erase(t->recent_reads.begin());
+        t->recent_reads.push(cell);
         advance(*t);
         if (record_events) {
             Event ev;
@@ -1245,7 +1249,7 @@ Interpreter::segment(ThreadId tid, bool first)
             ev.cell = cell;
             ev.occurrence = occ;
             ev.cell_occurrence = cocc;
-            ev.loc = di.loc;
+            ev.loc = &di.loc;
             publish(std::move(ev));
         }
         goto L_post;
@@ -1260,9 +1264,7 @@ Interpreter::segment(ThreadId tid, bool first)
         t = &st.threads[static_cast<std::size_t>(tid)];
         Value val = readOperand(*t, rb, di.b, di.b_imm);
         st.mem.write(static_cast<std::size_t>(cell), std::move(val));
-        std::uint64_t *row =
-            st.access_counts.rw()[static_cast<std::size_t>(tid)]
-                .data();
+        std::uint64_t *row = t->counts.rw().data();
         const std::uint64_t occ =
             ++row[static_cast<std::size_t>(di.pc)];
         const std::uint64_t cocc =
@@ -1277,7 +1279,7 @@ Interpreter::segment(ThreadId tid, bool first)
             ev.cell = cell;
             ev.occurrence = occ;
             ev.cell_occurrence = cocc;
-            ev.loc = di.loc;
+            ev.loc = &di.loc;
             publish(std::move(ev));
         }
         goto L_post;
@@ -1297,9 +1299,7 @@ Interpreter::segment(ThreadId tid, bool first)
         if (di.dst >= 0) {
             t->regs.rw()[static_cast<std::size_t>(rb + di.dst)] = old;
         }
-        std::uint64_t *row =
-            st.access_counts.rw()[static_cast<std::size_t>(tid)]
-                .data();
+        std::uint64_t *row = t->counts.rw().data();
         const std::uint64_t occ =
             ++row[static_cast<std::size_t>(di.pc)];
         const std::uint64_t cocc =
@@ -1315,7 +1315,7 @@ Interpreter::segment(ThreadId tid, bool first)
             r.atomic = true;
             r.occurrence = occ;
             r.cell_occurrence = cocc;
-            r.loc = di.loc;
+            r.loc = &di.loc;
             Event w = r;
             w.kind = EventKind::MemWrite;
             publish(std::move(r));

@@ -215,6 +215,12 @@ class Interpreter
      */
     Interpreter(const ir::Program &p, ExecOptions opts);
 
+    /**
+     * Start from @p start (a checkpoint or a fork) rather than the
+     * pristine state, so resuming costs one state copy, not two.
+     */
+    Interpreter(const ir::Program &p, ExecOptions opts, VmState start);
+
     /** Rebuild the initial state (main thread ready at entry). */
     void reset();
 
@@ -370,8 +376,7 @@ class Interpreter
                       const Value &idx, int size, std::int64_t &out);
 
     /** Set a final outcome. */
-    void finish(RunOutcome o, ThreadId tid, int pc,
-                const std::string &detail);
+    void finish(RunOutcome o, ThreadId tid, int pc, std::string detail);
 
     /** Mutex acquisition step; true when acquired. */
     bool tryLock(ThreadId tid, ir::SyncId m);
@@ -382,9 +387,6 @@ class Interpreter
 
     /** Thread exit bookkeeping: wake joiners, maybe end program. */
     void exitThread(ThreadId tid);
-
-    /** Add zeroed counter rows for a newly created thread. */
-    void addCounterRows();
 
     const ir::Program &prog;
     std::shared_ptr<const DecodedProgram> dec;

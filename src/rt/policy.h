@@ -12,6 +12,7 @@
 #define PORTEND_RT_POLICY_H
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -167,10 +168,46 @@ struct ScheduleObservation
     /** Chosen thread per decision point, in decision order. */
     std::vector<ThreadId> picks;
 
-    /** Runnable set offered at each decision point. */
-    std::vector<std::vector<ThreadId>> enabled;
+    /**
+     * Runnable sets offered at the decision points, stored flat: set
+     * i is enabled_ids[enabled_end[i - 1], enabled_end[i]), from 0
+     * for i = 0. Recording a decision appends to two vectors and
+     * never allocates a set of its own.
+     */
+    std::vector<ThreadId> enabled_ids;
+    std::vector<std::uint32_t> enabled_end;
 
     bool empty() const { return accesses.empty() && picks.empty(); }
+
+    /** Number of recorded runnable sets. */
+    std::size_t enabledCount() const { return enabled_end.size(); }
+
+    /** Runnable set offered at decision @p i. */
+    std::span<const ThreadId>
+    enabled(std::size_t i) const
+    {
+        const std::uint32_t from = i == 0 ? 0 : enabled_end[i - 1];
+        return {enabled_ids.data() + from, enabled_end[i] - from};
+    }
+
+    /** Record the runnable set of the next decision. */
+    void
+    addEnabled(std::span<const ThreadId> set)
+    {
+        enabled_ids.insert(enabled_ids.end(), set.begin(), set.end());
+        enabled_end.push_back(
+            static_cast<std::uint32_t>(enabled_ids.size()));
+    }
+
+    /** Keep only the first @p n runnable sets. */
+    void
+    keepEnabled(std::size_t n)
+    {
+        if (n >= enabled_end.size())
+            return;
+        enabled_end.resize(n);
+        enabled_ids.resize(n == 0 ? 0 : enabled_end.back());
+    }
 
     /** Dependence footprint of one event (see struct comment). */
     static Access
@@ -266,7 +303,7 @@ class GuidedPolicy : public SchedulePolicy
         }
         if (chosen == -2)
             chosen = fallback->pick(state, runnable);
-        obs.enabled.push_back(runnable);
+        obs.addEnabled(runnable);
         obs.picks.push_back(chosen);
         return chosen;
     }

@@ -109,14 +109,6 @@ OutputLog::append(OutputRecord rec)
     records.push_back(std::move(rec));
 }
 
-std::vector<ThreadId>
-VmState::runnableThreads() const
-{
-    std::vector<ThreadId> out;
-    runnableInto(out);
-    return out;
-}
-
 void
 VmState::runnableInto(std::vector<ThreadId> &out) const
 {
@@ -161,8 +153,8 @@ VmState::unshareAll()
     for (auto &t : threads) {
         t.stack.rw();
         t.regs.rw();
+        t.counts.rw();
     }
-    access_counts.rw();
 }
 
 } // namespace portend::rt

@@ -6,10 +6,10 @@
  * plainly copyable: copying it is Portend's checkpoint primitive
  * (pre-race / post-race checkpoints of Algorithm 1) and the fork
  * primitive of multi-path exploration. The heavy containers — the
- * paged memory image, per-thread frame stacks, and the dynamic
- * access-count maps — are structurally shared between copies
+ * paged memory image, and each thread's frame stack, registers and
+ * access-counter row — are structurally shared between copies
  * (support/cow.h): a checkpoint costs O(pages + threads), and a
- * resumed fork pays per touched page/stack/map, never for the whole
+ * resumed fork pays per touched page/stack/row, never for the whole
  * state. Expression nodes were always immutable and shared.
  */
 
@@ -17,6 +17,7 @@
 #define PORTEND_RT_VMSTATE_H
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -169,6 +170,55 @@ struct Frame
  */
 constexpr int kSpinWindow = 64;
 
+/**
+ * A thread's last kSpinWindow read cells in a fixed ring: a load
+ * overwrites the oldest entry, and copying a thread copies the ring
+ * in place without allocating.
+ */
+class ReadRing
+{
+  public:
+    /** Record a read of @p cell, dropping the oldest when full. */
+    void
+    push(int cell)
+    {
+        cells[static_cast<std::size_t>(next)] = cell;
+        next = next + 1 == kSpinWindow ? 0 : next + 1;
+        if (n < kSpinWindow)
+            n += 1;
+    }
+
+    /** Reads held (at most kSpinWindow). */
+    int size() const { return n; }
+
+    /** The @p i-th oldest read. */
+    int
+    operator[](int i) const
+    {
+        const int j = next - n + i;
+        return cells[static_cast<std::size_t>(j < 0 ? j + kSpinWindow
+                                                    : j)];
+    }
+
+    /** Equal reads oldest-first, wherever each ring starts. */
+    bool
+    operator==(const ReadRing &o) const
+    {
+        if (n != o.n)
+            return false;
+        for (int i = 0; i < n; ++i) {
+            if ((*this)[i] != o[i])
+                return false;
+        }
+        return true;
+    }
+
+  private:
+    std::array<int, kSpinWindow> cells{};
+    int next = 0; ///< slot the next read overwrites
+    int n = 0;
+};
+
 /** One thread of execution. */
 struct ThreadState
 {
@@ -198,9 +248,21 @@ struct ThreadState
     std::uint64_t last_step = 0; ///< global step of last execution
     std::int64_t spawn_arg = 0;  ///< argument passed at creation
 
-    /** The last kSpinWindow read cells, oldest first (spin-loop
-     *  diagnosis). */
-    std::vector<int> recent_reads;
+    /** The last kSpinWindow read cells (spin-loop diagnosis). */
+    ReadRing recent_reads;
+
+    /**
+     * Dynamic access counters of this thread. The first
+     * VmState::counter_stride entries count instruction executions
+     * by pc (pcs are dense decoded-site ids); the rest count
+     * accesses by flat cell id at `counter_stride + cell`. Race
+     * identity is cell-based because a divergent path may perform
+     * the racing access at a different program counter (paper §3.3,
+     * Fig. 4), while replay stop conditions index by pc; one row
+     * serves both. Copy-on-write like the stack: the first counter
+     * write after a fork clones this thread's row only.
+     */
+    Cow<std::vector<std::uint64_t>> counts;
 
     /** True when the thread can be scheduled. */
     bool runnable() const { return status == ThreadStatus::Runnable; }
@@ -329,20 +391,7 @@ struct VmState
     /** Environment reads in consumption order. */
     std::vector<EnvRead> env_log;
 
-    /**
-     * Dynamic access counters, one dense row per thread. The first
-     * `counter_stride` entries count instruction executions by pc
-     * (pcs are dense decoded-site ids); the rest count accesses by
-     * flat cell id at `counter_stride + cell`. Race identity is
-     * cell-based because a divergent path may perform the racing
-     * access at a different program counter (paper §3.3, Fig. 4),
-     * while replay stop conditions index by pc; one row serves both.
-     * Copy-on-write like the memory image: checkpoints share the
-     * table; the first post-fork access clones it once.
-     */
-    Cow<std::vector<std::vector<std::uint64_t>>> access_counts;
-
-    /** Row width of the pc-indexed prefix of access_counts rows. */
+    /** Row width of the pc-indexed prefix of ThreadState::counts. */
     std::int32_t counter_stride = 0;
 
     /** Dynamic count of (thread @p t, pc @p pc) executions (0 when
@@ -350,13 +399,12 @@ struct VmState
     std::uint64_t
     accessCount(ThreadId t, int pc) const
     {
-        const auto &rows = access_counts.ro();
-        if (t < 0 || static_cast<std::size_t>(t) >= rows.size())
+        if (t < 0 || static_cast<std::size_t>(t) >= threads.size())
             return 0;
         if (pc < 0 || pc >= counter_stride)
             return 0;
-        return rows[static_cast<std::size_t>(t)]
-                   [static_cast<std::size_t>(pc)];
+        return threads[static_cast<std::size_t>(t)]
+            .counts.ro()[static_cast<std::size_t>(pc)];
     }
 
     /** Dynamic count of (thread @p t, cell @p cell) accesses (0 when
@@ -364,10 +412,9 @@ struct VmState
     std::uint64_t
     cellAccessCount(ThreadId t, int cell) const
     {
-        const auto &rows = access_counts.ro();
-        if (t < 0 || static_cast<std::size_t>(t) >= rows.size())
+        if (t < 0 || static_cast<std::size_t>(t) >= threads.size())
             return 0;
-        const auto &row = rows[static_cast<std::size_t>(t)];
+        const auto &row = threads[static_cast<std::size_t>(t)].counts.ro();
         const std::size_t i =
             static_cast<std::size_t>(counter_stride) +
             static_cast<std::size_t>(cell);
@@ -430,9 +477,6 @@ struct VmState
     ThreadState &thread(ThreadId t) { return threads.at(t); }
     const ThreadState &thread(ThreadId t) const { return threads.at(t); }
 
-    /** Ids of currently runnable threads, ascending. */
-    std::vector<ThreadId> runnableThreads() const;
-
     /** Fill @p out with runnable thread ids, ascending (reuses the
      *  caller's buffer; the scheduler loop's allocation-free path). */
     void runnableInto(std::vector<ThreadId> &out) const;
@@ -445,8 +489,8 @@ struct VmState
 
     /**
      * Force-unshare every copy-on-write container (memory pages,
-     * thread stacks, access-count maps), materializing a full deep
-     * copy. Only tests call this: it is the isolation probe of
+     * thread stacks, registers, counter rows), materializing a full
+     * deep copy. Only tests call this: it is the isolation probe of
      * rt_checkpoint_test.
      */
     void unshareAll();

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "explore/explorer.h"
+#include "flip_gadget.h"
 #include "ir/builder.h"
 #include "portend/portend.h"
 #include "rt/interpreter.h"
@@ -158,7 +159,7 @@ enumerateAll(const ir::Program &p, std::set<std::string> &classes,
     classes.insert(explore::signatureHash(obs));
     int runs = 1;
     for (std::size_t i = prefix.size(); i < obs.picks.size(); ++i) {
-        for (rt::ThreadId t : obs.enabled[i]) {
+        for (rt::ThreadId t : obs.enabled(i)) {
             if (t == obs.picks[i])
                 continue;
             std::vector<rt::ThreadId> child(obs.picks.begin(),
@@ -498,12 +499,12 @@ class EagerExplorer
                     !(a.write || b.write))
                     continue;
                 const auto p = static_cast<std::size_t>(a.pick);
-                if (p >= obs.picks.size() || p >= obs.enabled.size())
+                if (p >= obs.picks.size() || p >= obs.enabledCount())
                     continue;
                 const std::vector<rt::ThreadId> base(
                     obs.picks.begin(),
                     obs.picks.begin() + static_cast<long>(p));
-                const std::vector<rt::ThreadId> &en = obs.enabled[p];
+                const std::span<const rt::ThreadId> en = obs.enabled(p);
                 if (std::find(en.begin(), en.end(), b.tid) != en.end()) {
                     std::vector<rt::ThreadId> child = base;
                     child.push_back(b.tid);
@@ -545,7 +546,7 @@ drawDecisions(Rng &rng, rt::ScheduleObservation &obs, int threads,
               int decisions)
 {
     obs.picks.clear();
-    obs.enabled.clear();
+    obs.keepEnabled(0);
     for (int d = 0; d < decisions; ++d) {
         const auto pick = static_cast<rt::ThreadId>(rng.below(threads));
         obs.picks.push_back(pick);
@@ -554,10 +555,10 @@ drawDecisions(Rng &rng, rt::ScheduleObservation &obs, int threads,
             if (t == pick ? !rng.chance(1, 8) : rng.chance(1, 2))
                 en.push_back(t);
         }
-        obs.enabled.push_back(std::move(en));
+        obs.addEnabled(en);
     }
     if (decisions > 0 && rng.chance(1, 5))
-        obs.enabled.pop_back();
+        obs.keepEnabled(obs.enabledCount() - 1);
 }
 
 /**
@@ -776,50 +777,7 @@ namespace {
 using ir::I;
 using ir::R;
 
-/**
- * A "flip gadget": @p workers threads each store to one shared cell
- * (the benign race that anchors stage 3), run a private preamble of
- * `index * stride` increments, then append their index to one shared
- * log cell. The post-race class count grows combinatorially, and
- * uniform sampling favours short-preamble-first orders: the regime
- * the dpor explorer exists for.
- */
-ir::Program
-flipGadget(const std::string &name, int workers, int stride)
-{
-    ir::ProgramBuilder pb(name);
-    ir::GlobalId sync = pb.global("sync_cell");
-    ir::GlobalId log = pb.global("log_cell");
-    using KK = sym::ExprKind;
-    std::vector<std::string> names;
-    for (int w = 0; w < workers; ++w) {
-        std::string fn = "w" + std::to_string(w);
-        names.push_back(fn);
-        ir::GlobalId priv = pb.global(fn + "_priv");
-        auto &f = pb.function(fn, 1);
-        f.to(f.block("e"));
-        f.store(sync, I(0), I(1)); // the anchoring benign race
-        for (int i = 0; i < w * stride; ++i) {
-            ir::Reg v = f.load(priv);
-            f.store(priv, I(0), R(f.bin(KK::Add, R(v), I(1))));
-        }
-        ir::Reg lv = f.load(log);
-        f.store(log, I(0),
-                R(f.bin(KK::Add, R(f.bin(KK::Mul, R(lv), I(10))),
-                        I(w + 1))));
-        f.retVoid();
-    }
-    auto &m = pb.function("main", 0);
-    m.to(m.block("e"));
-    std::vector<ir::Reg> tids;
-    for (const auto &n : names)
-        tids.push_back(m.threadCreate(n, I(0)));
-    for (ir::Reg t : tids)
-        m.threadJoin(R(t));
-    m.outputStr("done");
-    m.halt();
-    return pb.build();
-}
+using tests::flipGadget;
 
 PortendResult
 runExplorer(const ir::Program &p, explore::ExploreMode mode, int ma,

@@ -171,6 +171,17 @@ TEST(MetricsDeterminismTest, RunToRunBytesAreIdentical)
     EXPECT_EQ(first, second);
 }
 
+/** Verdict counters of @p m, summed. */
+std::uint64_t
+verdictSum(const obs::MetricsShard &m)
+{
+    return m.counter(obs::Counter::VerdictSpecViolated) +
+           m.counter(obs::Counter::VerdictOutputDiffers) +
+           m.counter(obs::Counter::VerdictKWitnessHarmless) +
+           m.counter(obs::Counter::VerdictSingleOrdering) +
+           m.counter(obs::Counter::VerdictUnclassified);
+}
+
 TEST(MetricsDeterminismTest, PipelineShardCountsClustersAndVerdicts)
 {
     core::PortendResult res = runWorkload("rw", 2);
@@ -178,13 +189,7 @@ TEST(MetricsDeterminismTest, PipelineShardCountsClustersAndVerdicts)
     EXPECT_EQ(m.counter(obs::Counter::PipelineWorkloads), 1u);
     EXPECT_EQ(m.counter(obs::Counter::ClassifyClusters),
               res.reports.size());
-    std::uint64_t verdicts =
-        m.counter(obs::Counter::VerdictSpecViolated) +
-        m.counter(obs::Counter::VerdictOutputDiffers) +
-        m.counter(obs::Counter::VerdictKWitnessHarmless) +
-        m.counter(obs::Counter::VerdictSingleOrdering) +
-        m.counter(obs::Counter::VerdictUnclassified);
-    EXPECT_EQ(verdicts, res.reports.size());
+    EXPECT_EQ(verdictSum(m), res.reports.size());
     EXPECT_EQ(m.counter(obs::Counter::DetectClusters),
               res.detection.clusters.size());
     EXPECT_GT(m.counter(obs::Counter::ClassifySteps), 0u);
@@ -234,7 +239,8 @@ classifyAllExport(int jobs)
 }
 
 /** The `--metrics-out` shard of `fuzz --fuzz-seed 42 --budget 200
- *  --jobs N` (the collector alone). */
+ *  --jobs N`: program shards in index order plus the process
+ *  collector. */
 obs::MetricsShard
 fuzzExport(int jobs)
 {
@@ -245,10 +251,34 @@ fuzzExport(int jobs)
     fo.fuzz_seed = 42;
     fo.budget = 200;
     fo.jobs = jobs;
-    fuzz::runFuzz(fo);
-    obs::MetricsShard m;
+    obs::MetricsShard m = fuzz::runFuzz(fo).metrics;
     col.drainInto(m);
     return m;
+}
+
+// The fuzz export carries every program's pipeline shard: the same
+// bytes at every --jobs value, one verdict per classified cluster,
+// and one detection and ladder per program.
+TEST(MetricsDeterminismTest, FuzzExportCarriesPipelineShards)
+{
+    const obs::MetricsShard one = fuzzExport(1);
+    for (int jobs : {2, 4}) {
+        EXPECT_EQ(obs::metricsJson(one), obs::metricsJson(fuzzExport(jobs)))
+            << "jobs " << jobs;
+    }
+    const std::uint64_t clusters =
+        one.counter(obs::Counter::ClassifyClusters);
+    EXPECT_GT(clusters, 0u);
+    EXPECT_EQ(verdictSum(one), clusters);
+    EXPECT_EQ(one.counter(obs::Counter::DetectClusters), clusters);
+    EXPECT_EQ(one.counter(obs::Counter::DetectRuns),
+              one.counter(obs::Counter::PipelineWorkloads));
+    EXPECT_LE(one.counter(obs::Counter::PipelineWorkloads),
+              one.counter(obs::Counter::FuzzPrograms));
+    EXPECT_GT(one.counter(obs::Counter::ClassifySteps), 0u);
+    EXPECT_GT(one.counter(obs::Counter::LadderRungs), 0u);
+    EXPECT_GT(one.counter(obs::Counter::LadderBuildSteps), 0u);
+    EXPECT_GT(one.counter(obs::Counter::LadderCoveredSteps), 0u);
 }
 
 /** The identities docs/ARCHITECTURE.md states for loop detection. */

@@ -377,7 +377,7 @@ enumerateSchedules(const ir::Program &p,
     else
         outputs.insert(r.output);
     for (std::size_t i = prefix.size(); i < r.obs.picks.size(); ++i) {
-        for (rt::ThreadId t : r.obs.enabled[i]) {
+        for (rt::ThreadId t : r.obs.enabled(i)) {
             if (t == r.obs.picks[i])
                 continue;
             std::vector<rt::ThreadId> child(

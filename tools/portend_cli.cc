@@ -198,7 +198,9 @@ Fuzzing options (portend fuzz):
                        program fingerprint + oracle config and
                        journaled, so an interrupted campaign resumes
                        where it left off and a duplicate generated
-                       program costs one cache probe
+                       program costs one cache probe; a cached
+                       program adds no pipeline counters to
+                       --metrics-out
 
 Race classes (paper Fig. 1):
   spec violated        an ordering crashes, deadlocks, or hangs
@@ -867,8 +869,8 @@ cmdFuzz(int argc, char **argv)
             static_cast<unsigned long long>(
                 m.counter(obs::Counter::SolverQueries)));
     }
-    const int obs_rc = writeObsOutputs(obs.trace_out, obs.metrics_out,
-                                       obs::MetricsShard{});
+    const int obs_rc =
+        writeObsOutputs(obs.trace_out, obs.metrics_out, res.metrics);
     std::fprintf(stderr, "wall-clock: %.2fs (%d jobs)\n", res.seconds,
                  ThreadPool::resolveJobs(fo.jobs));
     if (obs_rc != 0)
@@ -909,6 +911,7 @@ cmdCorpusRun(const std::string &dir, fuzz::OracleOptions opts,
                      static_cast<std::uint64_t>(res.passed));
     corpus_shard.add(obs::Counter::CorpusFailed,
                      static_cast<std::uint64_t>(res.total - res.passed));
+    corpus_shard.merge(res.metrics);
     if (!quiet) {
         obs::MetricsShard m = corpus_shard;
         g_collector.drainInto(m);
