@@ -1,5 +1,6 @@
 #include "ir/program.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/logging.h"
@@ -155,28 +156,32 @@ Program::cellId(GlobalId gid, int idx) const
 GlobalId
 Program::cellGlobal(int cell) const
 {
-    for (std::size_t g = 0; g < globals.size(); ++g) {
-        int base = global_base[g];
-        if (cell >= base && cell < base + globals[g].size)
-            return static_cast<GlobalId>(g);
-    }
-    return -1;
+    // global_base ascends, so the owner is the last global based at
+    // or below the cell. An empty global shares its successor's base
+    // and precedes it, so the search lands past it.
+    auto it =
+        std::upper_bound(global_base.begin(), global_base.end(), cell);
+    if (it == global_base.begin())
+        return -1;
+    const auto g = static_cast<std::size_t>(it - global_base.begin()) - 1;
+    if (cell >= global_base[g] + globals[g].size)
+        return -1;
+    return static_cast<GlobalId>(g);
 }
 
 std::string
 Program::cellName(int cell) const
 {
-    for (std::size_t g = 0; g < globals.size(); ++g) {
-        int base = global_base[g];
-        if (cell >= base && cell < base + globals[g].size) {
-            std::ostringstream os;
-            os << globals[g].name;
-            if (globals[g].size > 1)
-                os << "[" << (cell - base) << "]";
-            return os.str();
-        }
-    }
-    return "<cell " + std::to_string(cell) + ">";
+    const GlobalId g = cellGlobal(cell);
+    if (g < 0)
+        return "<cell " + std::to_string(cell) + ">";
+    const Global &gl = globals[static_cast<std::size_t>(g)];
+    std::ostringstream os;
+    os << gl.name;
+    if (gl.size > 1)
+        os << "[" << (cell - global_base[static_cast<std::size_t>(g)])
+           << "]";
+    return os.str();
 }
 
 } // namespace portend::ir

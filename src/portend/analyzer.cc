@@ -187,6 +187,24 @@ RaceAnalyzer::violationOf(rt::RunOutcome o) const
     }
 }
 
+namespace {
+
+/**
+ * Mark in @p out (one flag per global) every global that a function
+ * on thread @p t's call stack may still write, transitively.
+ */
+void
+markStackWrites(const rt::StaticInfo &si, const rt::ThreadState &t,
+                std::vector<char> &out)
+{
+    for (const rt::Frame &f : t.stack) {
+        for (ir::GlobalId g : si.mayWrite(f.func))
+            out[static_cast<std::size_t>(g)] = 1;
+    }
+}
+
+} // namespace
+
 bool
 RaceAnalyzer::diagnoseInfiniteLoop(const rt::VmState &state) const
 {
@@ -199,33 +217,27 @@ RaceAnalyzer::diagnoseInfiniteLoop(const rt::VmState &state) const
     // enforcement policy held back are runnable but idle, and their
     // (empty) read sets must not be mistaken for invariant loops.
     const std::uint64_t activity_cutoff = 512;
+    std::vector<char> writable;
     for (const auto &spinner : state.threads) {
         if (!spinner.runnable())
             continue;
         if (spinner.last_step + activity_cutoff < state.global_step)
             continue;
-        std::set<ir::GlobalId> read_globals;
-        for (int i = 0; i < spinner.recent_reads.size(); ++i) {
-            ir::GlobalId g = prog.cellGlobal(spinner.recent_reads[i]);
-            if (g >= 0)
-                read_globals.insert(g);
+        writable.assign(prog.globals.size(), 0);
+        for (const auto &other : state.threads) {
+            if (other.tid != spinner.tid &&
+                other.status != rt::ThreadStatus::Exited) {
+                markStackWrites(static_info, other, writable);
+            }
         }
         bool someone_can_write = false;
-        for (const auto &other : state.threads) {
-            if (other.tid == spinner.tid ||
-                other.status == rt::ThreadStatus::Exited) {
-                continue;
-            }
-            std::set<ir::GlobalId> writes =
-                static_info.mayWriteOnStack(state, other.tid);
-            for (ir::GlobalId g : read_globals) {
-                if (writes.count(g)) {
-                    someone_can_write = true;
-                    break;
-                }
-            }
-            if (someone_can_write)
+        for (int i = 0; i < spinner.recent_reads.size(); ++i) {
+            const ir::GlobalId g =
+                prog.cellGlobal(spinner.recent_reads[i]);
+            if (g >= 0 && writable[static_cast<std::size_t>(g)]) {
+                someone_can_write = true;
                 break;
+            }
         }
         if (!someone_can_write)
             return true; // invariant exit condition
@@ -380,27 +392,29 @@ RaceAnalyzer::runAlternateFromState(
             // thread is not alive at the checkpoint.
             const auto nthreads =
                 static_cast<rt::ThreadId>(pre.threads.size());
-            bool scoped = race.first.tid < nthreads &&
-                          race.second.tid < nthreads;
-            std::set<ir::GlobalId> scope;
+            const bool scoped = race.first.tid < nthreads &&
+                                race.second.tid < nthreads;
+            std::vector<char> scope;
             if (scoped) {
-                scope = static_info.mayWriteOnStack(pre,
-                                                    race.first.tid);
-                std::set<ir::GlobalId> more =
-                    static_info.mayWriteOnStack(pre,
-                                                race.second.tid);
-                scope.insert(more.begin(), more.end());
+                scope.assign(prog.globals.size(), 0);
+                markStackWrites(static_info,
+                                pre.thread(race.first.tid), scope);
+                markStackWrites(static_info,
+                                pre.thread(race.second.tid), scope);
             }
+            const rt::MemImage &pm = post_primary->mem;
+            const rt::MemImage &am = alt.state().mem;
             bool differ = false;
-            for (std::size_t i = 0;
-                 i < post_primary->mem.size() && !differ; ++i) {
-                if (scoped &&
-                    !scope.count(
-                        prog.cellGlobal(static_cast<int>(i)))) {
+            for (std::size_t g = 0;
+                 g < prog.globals.size() && !differ; ++g) {
+                if (scoped && !scope[g])
                     continue;
-                }
-                differ = !post_primary->mem[i].equals(
-                    alt.state().mem[i]);
+                const auto base = static_cast<std::size_t>(
+                    prog.cellId(static_cast<ir::GlobalId>(g), 0));
+                const auto end =
+                    base + static_cast<std::size_t>(prog.globals[g].size);
+                for (std::size_t i = base; i < end && !differ; ++i)
+                    differ = !pm[i].equals(am[i]);
             }
             r.states_differ = differ;
         }

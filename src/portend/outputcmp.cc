@@ -13,7 +13,8 @@ std::string
 describeRecord(const rt::OutputRecord &r, std::size_t i)
 {
     std::ostringstream os;
-    os << "output[" << i << "] at " << r.loc.toString() << " (T"
+    os << "output[" << i << "] at "
+       << (r.loc ? r.loc->toString() : ir::SourceLoc{}.toString()) << " (T"
        << r.tid << "): " << r.toString();
     return os.str();
 }

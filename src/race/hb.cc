@@ -28,13 +28,30 @@ HbDetector::clockOf(rt::ThreadId tid)
 {
     if (tid >= static_cast<int>(thread_clocks.size()))
         thread_clocks.resize(tid + 1);
-    return thread_clocks[tid];
+    ThreadClock &tc = thread_clocks[tid];
+    tc.snapshot.reset();
+    return tc.clock;
+}
+
+const std::shared_ptr<const VectorClock> &
+HbDetector::snapshotOf(rt::ThreadId tid)
+{
+    if (tid >= static_cast<int>(thread_clocks.size()))
+        thread_clocks.resize(tid + 1);
+    ThreadClock &tc = thread_clocks[tid];
+    if (!tc.snapshot)
+        tc.snapshot = std::make_shared<const VectorClock>(tc.clock);
+    return tc.snapshot;
 }
 
 void
 HbDetector::handleAccess(const rt::Event &ev, bool is_write)
 {
-    VectorClock &me = clockOf(ev.tid);
+    // Accesses between two synchronization events of a thread share
+    // one copy of its clock: a history entry holds a reference, not
+    // a clock.
+    const std::shared_ptr<const VectorClock> &snap = snapshotOf(ev.tid);
+    const VectorClock &me = *snap;
 
     auto &hist = history[ev.cell];
     for (std::size_t i = 0; i < hist.size(); ++i) {
@@ -47,7 +64,7 @@ HbDetector::handleAccess(const rt::Event &ev, bool is_write)
             continue; // read-read never races
         if (old.access.atomic && ev.atomic)
             continue; // atomic-atomic conflicts are not races
-        if (!old.clock.lessOrEqual(me)) {
+        if (!old.clock->lessOrEqual(me)) {
             RaceReport r;
             r.cell = ev.cell;
             r.first = raceAccessOf(old.access);
@@ -56,7 +73,7 @@ HbDetector::handleAccess(const rt::Event &ev, bool is_write)
         }
     }
 
-    if (hist.push(CellAccess{ev, me}))
+    if (hist.push(CellAccess{ev, snap}))
         evictions_ += 1;
 }
 

@@ -19,6 +19,7 @@
 #define PORTEND_RACE_HB_H
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "ir/program.h"
@@ -65,22 +66,37 @@ class HbDetector : public rt::EventSink
 
   private:
     /** A past access: its event (location borrowed from the
-     *  decode, copied only into a report) and the thread's clock. */
+     *  decode, copied only into a report) and the thread's clock at
+     *  the access, shared with the thread's other accesses under the
+     *  same clock. */
     struct CellAccess
     {
         rt::Event access;
-        VectorClock clock;
+        std::shared_ptr<const VectorClock> clock;
     };
 
-    /** Thread clock, growing on demand. */
+    /** A thread's clock and, once an access has read it, an
+     *  immutable copy that the accesses under this clock share. */
+    struct ThreadClock
+    {
+        VectorClock clock;
+        std::shared_ptr<const VectorClock> snapshot;
+    };
+
+    /** Thread clock for update, growing on demand; drops the
+     *  snapshot, since the caller may change the clock. */
     VectorClock &clockOf(rt::ThreadId tid);
+
+    /** Thread @p tid's snapshot, taken now if its clock changed
+     *  since the last one. */
+    const std::shared_ptr<const VectorClock> &snapshotOf(rt::ThreadId tid);
 
     void handleAccess(const rt::Event &ev, bool is_write);
 
     const ir::Program &prog;
     HbOptions opts;
 
-    std::vector<VectorClock> thread_clocks;
+    std::vector<ThreadClock> thread_clocks;
     std::map<int, VectorClock> mutex_clocks;
     std::map<int, VectorClock> cond_clocks;
     std::map<int, VectorClock> exit_clocks;

@@ -15,9 +15,9 @@ nextPc(const ir::Program &prog, const rt::VmState &state,
        rt::ThreadId tid)
 {
     const rt::ThreadState &t = state.thread(tid);
-    if (t.stack->empty())
+    if (t.stack.empty())
         return -1;
-    const rt::Frame &f = t.stack->back();
+    const rt::Frame &f = t.stack.back();
     return rt::framePc(prog.function(f.func), f.ip);
 }
 

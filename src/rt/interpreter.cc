@@ -61,12 +61,12 @@ Interpreter::evalValue(const ThreadState &t, const ir::Operand &o) const
     if (o.isImm())
         return Value::ofConst(o.imm);
     PORTEND_ASSERT(o.isReg(), "evaluating absent operand");
-    const Frame &f = t.stack->back();
+    const Frame &f = t.stack.back();
     const int idx = f.reg_base + o.reg;
     PORTEND_ASSERT(o.reg >= 0 &&
-                       idx < static_cast<int>(t.regs->size()),
+                       idx < static_cast<int>(t.regs.size()),
                    "register out of range");
-    return (*t.regs)[static_cast<std::size_t>(idx)];
+    return t.regs[static_cast<std::size_t>(idx)];
 }
 
 sym::ExprPtr
@@ -91,7 +91,7 @@ Interpreter::isPreemptionPoint(const ThreadState &t,
             return true;
         if (opts.watched_cells.empty())
             return false;
-        Value idx = readOperand(t, t.stack->back().reg_base, di.a,
+        Value idx = readOperand(t, t.stack.back().reg_base, di.a,
                                 di.a_imm);
         if (!idx.isConcrete()) {
             // Symbolic index: conservatively a preemption point when
@@ -337,7 +337,7 @@ Interpreter::checkStops(ThreadId tid, const DecodedInst &di)
         (di.op == ir::Op::Load || di.op == ir::Op::Store ||
          di.op == ir::Op::AtomicRmW)) {
         const ThreadState &t = st.thread(tid);
-        Value idx = readOperand(t, t.stack->back().reg_base, di.a,
+        Value idx = readOperand(t, t.stack.back().reg_base, di.a,
                                 di.a_imm);
         if (idx.isConcrete()) {
             std::int64_t iv = idx.constValue();
@@ -366,7 +366,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
     switch (di.op) {
       case ir::Op::ThreadCreate: {
         ThreadState &t = st.thread(tid);
-        Value arg = readOperand(t, t.stack->back().reg_base, di.a,
+        Value arg = readOperand(t, t.stack.back().reg_base, di.a,
                                 di.a_imm);
         advance(t);
 
@@ -390,7 +390,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
         ThreadState &t2 = st.thread(tid);
         if (di.dst >= 0) {
             t2.regs.rw()[static_cast<std::size_t>(
-                t2.stack->back().reg_base + di.dst)] =
+                t2.stack.back().reg_base + di.dst)] =
                 Value::ofConst(child_tid);
         }
         if (record_events) {
@@ -407,7 +407,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
 
       case ir::Op::ThreadJoin: {
         ThreadState &t = st.thread(tid);
-        Value targ = readOperand(t, t.stack->back().reg_base, di.a,
+        Value targ = readOperand(t, t.stack.back().reg_base, di.a,
                                  di.a_imm);
         std::int64_t target;
         if (targ.isConcrete()) {
@@ -590,7 +590,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
 
       case ir::Op::Sleep: {
         ThreadState &t = st.thread(tid);
-        Value ticks = readOperand(t, t.stack->back().reg_base, di.a,
+        Value ticks = readOperand(t, t.stack.back().reg_base, di.a,
                                   di.a_imm);
         st.virtual_time +=
             ticks.isConcrete() ? ticks.constValue() : 1;
@@ -600,7 +600,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
 
       case ir::Op::Input: {
         ThreadState &t = st.thread(tid);
-        const int rb = t.stack->back().reg_base;
+        const int rb = t.stack.back().reg_base;
         Value v;
         VmState::EnvRead read;
         read.name = di.text;
@@ -652,7 +652,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
 
       case ir::Op::GetTime: {
         ThreadState &t = st.thread(tid);
-        const int rb = t.stack->back().reg_base;
+        const int rb = t.stack.back().reg_base;
         std::size_t cursor = st.env_log.size();
         std::int64_t cv;
         if (opts.input_mode != InputMode::Symbolic &&
@@ -677,13 +677,13 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
         OutputRecord rec;
         rec.label = di.text;
         if (di.op == ir::Op::Output) {
-            rec.value = readOperand(t, t.stack->back().reg_base,
+            rec.value = readOperand(t, t.stack.back().reg_base,
                                     di.a, di.a_imm)
                             .toExpr();
         }
         rec.tid = tid;
         rec.pc = di.pc;
-        rec.loc = di.loc;
+        rec.loc = &di.loc;
         st.output.append(std::move(rec));
         advance(t);
         if (record_events) {
@@ -699,7 +699,7 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
 
       case ir::Op::Assert: {
         ThreadState &t = st.thread(tid);
-        Value c = readOperand(t, t.stack->back().reg_base, di.a,
+        Value c = readOperand(t, t.stack.back().reg_base, di.a,
                               di.a_imm);
         bool holds;
         if (c.isConcrete()) {
@@ -746,11 +746,11 @@ sameThread(const ThreadState &a, const ThreadState &b)
         a.spawn_arg != b.spawn_arg) {
         return false;
     }
-    if (!a.stack.sharedWith(b.stack) && *a.stack != *b.stack)
+    if (a.stack != b.stack)
         return false;
     if (!a.regs.sharedWith(b.regs)) {
-        const std::vector<Value> &ra = *a.regs;
-        const std::vector<Value> &rb = *b.regs;
+        const CowVec<Value> &ra = a.regs;
+        const CowVec<Value> &rb = b.regs;
         if (ra.size() != rb.size())
             return false;
         for (std::size_t i = 0; i < ra.size(); ++i) {
@@ -948,8 +948,8 @@ Interpreter::skipCycles(const LoopCheck &lc, std::uint64_t k)
         if (dsteps > 0)
             th.last_step += k * len;
         if (!th.counts.sharedWith(old.counts)) {
-            std::vector<std::uint64_t> &row = th.counts.rw();
-            const std::vector<std::uint64_t> &was = old.counts.ro();
+            const auto row = th.counts.rw();
+            const CowVec<std::uint64_t> &was = old.counts;
             for (std::size_t i = 0; i < row.size(); ++i)
                 row[i] += k * (row[i] - was[i]);
         }
@@ -1107,7 +1107,7 @@ Interpreter::segment(ThreadId tid, bool first)
             return SegExit::Blocked;
         }
 
-        const Frame &fr = t->stack->back();
+        const Frame &fr = t->stack.back();
         const DecodedInst &di =
             dec->funcs[static_cast<std::size_t>(fr.func)]
                 .insts[static_cast<std::size_t>(fr.ip)];
@@ -1360,14 +1360,14 @@ Interpreter::segment(ThreadId tid, bool first)
             }
         }
         advance(*t); // return resumes after the call
-        const int base = static_cast<int>(t->regs->size());
+        const int base = static_cast<int>(t->regs.size());
         Frame nf;
         nf.func = di.fid;
         nf.ip = 0;
         nf.ret_dst = di.dst;
         nf.reg_base = base;
         t->stack.rw().push_back(nf);
-        auto &rg = t->regs.rw();
+        auto rg = t->regs.rw();
         rg.resize(static_cast<std::size_t>(base + di.callee_regs));
         for (int p = 0; p < nparams; ++p) {
             if (present[p])
@@ -1382,7 +1382,7 @@ Interpreter::segment(ThreadId tid, bool first)
         Value rv;
         if (has_rv)
             rv = readOperand(*t, rb, di.a, di.a_imm);
-        auto &stk = t->stack.rw();
+        auto stk = t->stack.rw();
         const ir::Reg dst = stk.back().ret_dst;
         const int base = stk.back().reg_base;
         stk.pop_back();

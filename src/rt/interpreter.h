@@ -332,7 +332,7 @@ class Interpreter
     const DecodedInst &
     fetchD(const ThreadState &t) const
     {
-        const Frame &f = t.stack->back();
+        const Frame &f = t.stack.back();
         return dec->funcs[static_cast<std::size_t>(f.func)]
             .insts[static_cast<std::size_t>(f.ip)];
     }
@@ -343,7 +343,7 @@ class Interpreter
                 std::int64_t imm) const
     {
         if (slot >= 0)
-            return (*t.regs)[static_cast<std::size_t>(reg_base + slot)];
+            return t.regs[static_cast<std::size_t>(reg_base + slot)];
         return Value::ofConst(imm);
     }
 

@@ -62,15 +62,4 @@ StaticInfo::mayWrite(ir::FuncId f) const
     return may_write.at(f);
 }
 
-std::set<ir::GlobalId>
-StaticInfo::mayWriteOnStack(const VmState &state, ThreadId tid) const
-{
-    std::set<ir::GlobalId> out;
-    for (const auto &frame : *state.thread(tid).stack) {
-        const auto &mw = mayWrite(frame.func);
-        out.insert(mw.begin(), mw.end());
-    }
-    return out;
-}
-
 } // namespace portend::rt

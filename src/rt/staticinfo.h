@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "ir/program.h"
-#include "rt/vmstate.h"
 
 namespace portend::rt {
 
@@ -33,13 +32,6 @@ class StaticInfo
 
     /** Globals function @p f may write, transitively (gid set). */
     const std::set<ir::GlobalId> &mayWrite(ir::FuncId f) const;
-
-    /**
-     * Globals thread @p tid of @p state may still write, from any
-     * function on its current call stack.
-     */
-    std::set<ir::GlobalId> mayWriteOnStack(const VmState &state,
-                                           ThreadId tid) const;
 
     /** Number of branch instructions in the whole program. */
     int numBranches() const { return num_branches; }

@@ -10,11 +10,11 @@ MemImage::MemImage(std::vector<Value> cells)
     pages.reserve((n + kPageCells - 1) / kPageCells);
     for (std::size_t at = 0; at < n; at += kPageCells) {
         const std::size_t end = std::min(n, at + kPageCells);
-        std::vector<Value> page;
-        page.reserve(end - at);
+        CowVec<Value> &page = pages.emplace_back();
+        auto w = page.rw();
+        w.resize(end - at);
         for (std::size_t i = at; i < end; ++i)
-            page.push_back(std::move(cells[i]));
-        pages.emplace_back(Cow<std::vector<Value>>(std::move(page)));
+            w[i - at] = std::move(cells[i]);
     }
 }
 

@@ -7,10 +7,11 @@
  * (pre-race / post-race checkpoints of Algorithm 1) and the fork
  * primitive of multi-path exploration. The heavy containers — the
  * paged memory image, and each thread's frame stack, registers and
- * access-counter row — are structurally shared between copies
- * (support/cow.h): a checkpoint costs O(pages + threads), and a
- * resumed fork pays per touched page/stack/row, never for the whole
- * state. Expression nodes were always immutable and shared.
+ * access-counter row — are copy-on-write vectors shared between
+ * copies (support/cow.h): a checkpoint costs O(pages + threads), and
+ * a resumed fork pays one allocation per touched page/stack/row,
+ * never for the whole state. Expression nodes were always immutable
+ * and shared.
  */
 
 #ifndef PORTEND_RT_VMSTATE_H
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,10 +51,9 @@ class MemImage
     MemImage() = default;
 
     /**
-     * Bulk-build the image from initial cell values. Pages are
-     * assembled locally and moved in whole, so construction is
-     * O(cells) with no per-cell write barriers (appending cell by
-     * cell paid an rw() share check per cell).
+     * Bulk-build the image from initial cell values: each page is
+     * sized once and filled in place, so construction is O(cells)
+     * with one allocation per page and no per-cell write barriers.
      */
     explicit MemImage(std::vector<Value> cells);
 
@@ -63,7 +64,7 @@ class MemImage
     const Value &
     operator[](std::size_t i) const
     {
-        return pages[i / kPageCells].ro()[i % kPageCells];
+        return pages[i / kPageCells][i % kPageCells];
     }
 
     /** Write cell @p i, cloning its page first when shared. */
@@ -114,7 +115,7 @@ class MemImage
      *  construction and skipped. */
     bool equals(const MemImage &o) const;
 
-    /** Force-unshare every page (deep-copy baseline for benches). */
+    /** Force-unshare every page (VmState::unshareAll, a test probe). */
     void
     unshareAll()
     {
@@ -125,7 +126,7 @@ class MemImage
   private:
     std::size_t n = 0;
     std::uint64_t unshared_ = 0;
-    std::vector<Cow<std::vector<Value>>> pages;
+    std::vector<CowVec<Value>> pages;
 };
 
 /** Scheduling status of one thread. */
@@ -228,17 +229,17 @@ struct ThreadState
     /**
      * Frame stack, copy-on-write: checkpoint copies share it, and a
      * forked thread unshares on its first executed instruction
-     * (threads never scheduled after a fork stay shared). Read via
-     * stack-> / *stack, mutate via stack.rw().
+     * (threads never scheduled after a fork stay shared). Read
+     * directly, mutate via stack.rw().
      */
-    Cow<std::vector<Frame>> stack;
+    CowVec<Frame> stack;
 
     /**
      * Register arena shared by all frames of this thread's stack
      * (copy-on-write like the stack). Frame f's register r lives at
      * regs[f.reg_base + r].
      */
-    Cow<std::vector<Value>> regs;
+    CowVec<Value> regs;
 
     ir::SyncId wait_sync = -1;   ///< sync object blocked on
     ThreadId wait_tid = -1;      ///< thread blocked on (join)
@@ -262,7 +263,7 @@ struct ThreadState
      * serves both. Copy-on-write like the stack: the first counter
      * write after a fork clones this thread's row only.
      */
-    Cow<std::vector<std::uint64_t>> counts;
+    CowVec<std::uint64_t> counts;
 
     /** True when the thread can be scheduled. */
     bool runnable() const { return status == ThreadStatus::Runnable; }
@@ -294,15 +295,20 @@ struct BarrierState
     bool operator==(const BarrierState &) const = default;
 };
 
-/** One output system call. */
+/**
+ * One output system call. The label and the location are borrowed
+ * from the program's shared decode (DecodedInst::text and ::loc)
+ * under the lifetime rule of Event::loc, so copying a state copies
+ * no strings.
+ */
 struct OutputRecord
 {
-    std::string label;          ///< format label ("stats: %d")
+    std::string_view label;     ///< format label ("stats: %d")
     sym::ExprPtr value;         ///< possibly-symbolic payload (may be null
                                 ///< for pure string outputs)
     ThreadId tid = -1;
     int pc = -1;
-    ir::SourceLoc loc;
+    const ir::SourceLoc *loc = nullptr; ///< null outside a decode
 
     /** Render with a concrete payload (diagnostics). */
     std::string toString() const;
@@ -404,7 +410,7 @@ struct VmState
         if (pc < 0 || pc >= counter_stride)
             return 0;
         return threads[static_cast<std::size_t>(t)]
-            .counts.ro()[static_cast<std::size_t>(pc)];
+            .counts[static_cast<std::size_t>(pc)];
     }
 
     /** Dynamic count of (thread @p t, cell @p cell) accesses (0 when
@@ -414,7 +420,7 @@ struct VmState
     {
         if (t < 0 || static_cast<std::size_t>(t) >= threads.size())
             return 0;
-        const auto &row = threads[static_cast<std::size_t>(t)].counts.ro();
+        const auto &row = threads[static_cast<std::size_t>(t)].counts;
         const std::size_t i =
             static_cast<std::size_t>(counter_stride) +
             static_cast<std::size_t>(cell);

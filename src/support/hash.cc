@@ -13,7 +13,7 @@ fnv1a(const void *data, std::size_t len, std::uint64_t seed)
 }
 
 std::uint64_t
-fnv1a(const std::string &s, std::uint64_t seed)
+fnv1a(std::string_view s, std::uint64_t seed)
 {
     return fnv1a(s.data(), s.size(), seed);
 }

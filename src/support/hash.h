@@ -11,7 +11,7 @@
 #define PORTEND_SUPPORT_HASH_H
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace portend {
 
@@ -33,7 +33,7 @@ std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t seed = kFnvOffset);
 
 /** Hash a string with FNV-1a. */
-std::uint64_t fnv1a(const std::string &s, std::uint64_t seed = kFnvOffset);
+std::uint64_t fnv1a(std::string_view s, std::uint64_t seed = kFnvOffset);
 
 /** Mix a 64-bit value into a hash accumulator. */
 std::uint64_t hashCombine(std::uint64_t h, std::uint64_t v);
@@ -51,7 +51,7 @@ class HashChain
 
     /** Fold a string record into the chain. */
     void
-    append(const std::string &rec)
+    append(std::string_view rec)
     {
         acc = fnv1a(rec, acc);
         acc = hashCombine(acc, rec.size());

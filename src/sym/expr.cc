@@ -136,16 +136,16 @@ Expr::applyBinary(ExprKind k, std::int64_t a, std::int64_t b, Width w)
 }
 
 ExprPtr
-Expr::make(ExprKind k, Width w, std::vector<ExprPtr> children)
+Expr::make(ExprKind k, Width w, std::initializer_list<ExprPtr> children)
 {
-    auto node = std::shared_ptr<Expr>(new Expr(k, w));
-    node->kids = std::move(children);
+    auto node = std::make_shared<Expr>(Key{}, k, w);
     bool concrete = k != ExprKind::Symbol;
     std::uint64_t h = hashCombine(static_cast<std::uint64_t>(k),
                                   static_cast<std::uint64_t>(w));
-    for (const auto &c : node->kids) {
+    for (const ExprPtr &c : children) {
         concrete = concrete && c->isConcrete();
         h = hashCombine(h, c->hash());
+        node->kids[node->nkids++] = c;
     }
     node->concrete_ = concrete;
     node->hash_ = h;
@@ -156,8 +156,7 @@ ExprPtr
 Expr::constant(std::int64_t v, Width w)
 {
     const auto make = [](std::int64_t val, Width width) {
-        auto node =
-            std::shared_ptr<Expr>(new Expr(ExprKind::Const, width));
+        auto node = std::make_shared<Expr>(Key{}, ExprKind::Const, width);
         node->cval = truncate(val, width);
         node->concrete_ = true;
         node->hash_ = hashCombine(
@@ -196,7 +195,7 @@ Expr::symbol(const std::string &name, int id, Width w, std::int64_t lo,
              std::int64_t hi)
 {
     PORTEND_ASSERT(lo <= hi, "symbol domain empty for ", name);
-    auto node = std::shared_ptr<Expr>(new Expr(ExprKind::Symbol, w));
+    auto node = std::make_shared<Expr>(Key{}, ExprKind::Symbol, w);
     node->sym_id = id;
     node->sym_name = name;
     node->sym_lo = lo;
@@ -236,9 +235,9 @@ Expr::equals(const Expr &o) const
       case ExprKind::Symbol:
         return sym_id == o.sym_id;
       default:
-        if (kids.size() != o.kids.size())
+        if (nkids != o.nkids)
             return false;
-        for (std::size_t i = 0; i < kids.size(); ++i) {
+        for (int i = 0; i < nkids; ++i) {
             if (!kids[i]->equals(*o.kids[i]))
                 return false;
         }
@@ -274,8 +273,8 @@ Expr::collectSymbols(std::set<int> &out) const
         out.insert(sym_id);
         return;
     }
-    for (const auto &c : kids)
-        c->collectSymbols(out);
+    for (int i = 0; i < nkids; ++i)
+        kids[i]->collectSymbols(out);
 }
 
 void
@@ -285,8 +284,8 @@ Expr::collectSymbolNodes(std::map<int, ExprPtr> &out) const
         out.emplace(sym_id, shared_from_this());
         return;
     }
-    for (const auto &c : kids)
-        c->collectSymbolNodes(out);
+    for (int i = 0; i < nkids; ++i)
+        kids[i]->collectSymbolNodes(out);
 }
 
 std::string
@@ -302,8 +301,8 @@ Expr::toString() const
         break;
       default: {
         os << "(" << kindName(kind_);
-        for (const auto &c : kids)
-            os << " " << c->toString();
+        for (int i = 0; i < nkids; ++i)
+            os << " " << kids[i]->toString();
         os << ")";
         break;
       }

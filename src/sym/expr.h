@@ -16,7 +16,9 @@
 #ifndef PORTEND_SYM_EXPR_H
 #define PORTEND_SYM_EXPR_H
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -83,11 +85,22 @@ struct Model
  *
  * Nodes carry a structural hash (for fast structural-equality
  * rejection) and a concreteness flag. Use the static factory
- * functions; they fold constants and apply light rewrites.
+ * functions; they fold constants and apply light rewrites. A node is
+ * one allocation: the factories build it with std::make_shared, and
+ * its (at most three) operands sit inline.
  */
 class Expr : public std::enable_shared_from_this<Expr>
 {
+    /** Passkey: only Expr's factories can name it, so only they can
+     *  call the (public, for make_shared) constructor. */
+    struct Key
+    {
+        explicit Key() = default;
+    };
+
   public:
+    Expr(Key, ExprKind k, Width w) : kind_(k), width_(w) {}
+
     /** @name Factories
      * @{
      */
@@ -155,7 +168,7 @@ class Expr : public std::enable_shared_from_this<Expr>
     const ExprPtr &child(int i) const { return kids[i]; }
 
     /** Operand count. */
-    int numChildren() const { return static_cast<int>(kids.size()); }
+    int numChildren() const { return nkids; }
 
     /** Structural hash (stable across processes). */
     std::uint64_t hash() const { return hash_; }
@@ -186,26 +199,22 @@ class Expr : public std::enable_shared_from_this<Expr>
     static std::int64_t applyUnary(ExprKind k, std::int64_t a, Width w);
 
   private:
-    friend ExprPtr simplifiedBinary(ExprKind k, const ExprPtr &a,
-                                    const ExprPtr &b);
-
-    Expr(ExprKind k, Width w) : kind_(k), width_(w) {}
-
     static ExprPtr make(ExprKind k, Width w,
-                        std::vector<ExprPtr> children);
+                        std::initializer_list<ExprPtr> children);
 
     ExprKind kind_;
     Width width_;
     bool concrete_ = false;
+    std::uint8_t nkids = 0;
+    int sym_id = -1;
     std::uint64_t hash_ = 0;
     std::int64_t cval = 0;
 
-    int sym_id = -1;
     std::string sym_name;
     std::int64_t sym_lo = INT64_MIN;
     std::int64_t sym_hi = INT64_MAX;
 
-    std::vector<ExprPtr> kids;
+    std::array<ExprPtr, 3> kids;
 };
 
 /** @name Convenience constructors

@@ -5,12 +5,14 @@
  * A run may allocate for copy-on-write clones on the first write
  * after a fork, thread creation, outputs, environment reads and
  * symbolic expressions, but never per event or per scheduling
- * decision (docs/ARCHITECTURE.md, "Interpreter"). This binary
- * replaces the global operator new/delete with versions that count
- * the calling thread's allocations inside allocationsOf(), and
+ * decision (docs/ARCHITECTURE.md, "The interpreter hot path"). This
+ * binary replaces the global operator new/delete with versions that
+ * count the calling thread's allocations inside allocationsOf(), and
  * checks the contract where it is easiest to break: the event
- * stream, the scheduler loop, the per-thread read rings and the
- * start-state constructor.
+ * stream, the scheduler loop, the per-thread read rings, the
+ * start-state constructor, the price of a copy-on-write clone and of
+ * an expression node, output-log copies and the happens-before
+ * detector's clock snapshots.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "ir/builder.h"
+#include "race/hb.h"
 #include "race/report.h"
 #include "replay/replayer.h"
 #include "rt/interpreter.h"
@@ -56,13 +59,15 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void
+// Kept out of line: inlined next to a call of the replaced operator
+// new, GCC would take the free() for a mismatched deallocation.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -244,6 +249,159 @@ TEST(AllocationTest, AlternatePickAllocatesNothing)
     });
     EXPECT_EQ(picked_second, 100);
     EXPECT_EQ(n, 0u);
+}
+
+// Unsharing a shared payload costs one allocation, whatever it
+// holds: the clone's single block carries the count, the size and
+// the elements. Once unshared, writes go in place.
+TEST(AllocationTest, UnsharingAPayloadIsOneAllocation)
+{
+    const ir::Program p = loopProgram(200);
+    const VmState mid = midRun(p);
+    VmState fork = mid;
+    ThreadState &t = fork.threads[1];
+    ASSERT_FALSE(t.stack.empty());
+    ASSERT_FALSE(t.regs.empty());
+    ASSERT_FALSE(t.counts.empty());
+    ASSERT_TRUE(t.stack.sharedWith(mid.threads[1].stack));
+    const std::int64_t x = mid.mem[0].constValue();
+
+    EXPECT_EQ(allocationsOf(
+                  [&] { fork.mem.write(0, Value::ofConst(-1)); }),
+              1u);
+    EXPECT_EQ(allocationsOf([&] { t.stack.rw().back().ip += 0; }), 1u);
+    EXPECT_EQ(allocationsOf([&] { t.regs.rw()[0] = Value::ofConst(3); }),
+              1u);
+    EXPECT_EQ(allocationsOf([&] { t.counts.rw()[0] += 1; }), 1u);
+    EXPECT_EQ(allocationsOf([&] {
+                  fork.mem.write(1, Value::ofConst(-2));
+                  t.stack.rw();
+                  t.regs.rw();
+                  t.counts.rw();
+              }),
+              0u);
+    // The checkpoint kept its own payloads.
+    EXPECT_FALSE(t.stack.sharedWith(mid.threads[1].stack));
+    EXPECT_EQ(mid.mem[0].constValue(), x);
+    EXPECT_EQ(fork.mem[0].constValue(), -1);
+}
+
+// An empty payload holds no block: building, copying, reading and
+// write-accessing empty vectors and threads allocates nothing.
+TEST(AllocationTest, EmptyPayloadsAllocateNothing)
+{
+    const std::uint64_t n = allocationsOf([] {
+        CowVec<Value> a;
+        CowVec<Value> b = a;
+        EXPECT_TRUE(b.empty());
+        EXPECT_EQ(b.begin(), b.end());
+        b.rw();
+        ThreadState t;
+        ThreadState u = t;
+        u.stack.rw();
+        u.regs.rw();
+        u.counts.rw();
+        MemImage m;
+        MemImage copy = m;
+        EXPECT_EQ(copy.size(), 0u);
+    });
+    EXPECT_EQ(n, 0u);
+}
+
+// An expression node is one allocation: make_shared puts the control
+// block beside the node, and the operands sit inline.
+TEST(AllocationTest, ExpressionNodeIsOneAllocation)
+{
+    const sym::ExprPtr x = sym::Expr::symbol("x", 0);
+    const sym::ExprPtr five = sym::mkConst(5); // interned: no node
+    EXPECT_EQ(allocationsOf([&] {
+                  sym::ExprPtr e = sym::Expr::binary(K::Add, x, five);
+                  EXPECT_EQ(e->numChildren(), 2);
+              }),
+              1u);
+    EXPECT_EQ(allocationsOf([] {
+                  sym::ExprPtr c = sym::Expr::constant(1 << 20);
+                  EXPECT_EQ(c->constValue(), 1 << 20);
+              }),
+              1u);
+}
+
+/** Main outputs @p n records whose labels and source file name are
+ *  too long for a string's inline buffer. */
+ir::Program
+outputProgram(int n)
+{
+    ir::ProgramBuilder pb("alloc_output");
+    auto &m = pb.function("main", 0);
+    m.file("a_source_file_with_a_long_name.pil").line(7);
+    m.to(m.block("entry"));
+    for (int i = 0; i < n; ++i)
+        m.output("an output label longer than sixteen bytes", I(5000));
+    m.halt();
+    return pb.build();
+}
+
+// Output records borrow their label and location from the decode:
+// copying a log copies its record array and nothing per record.
+TEST(AllocationTest, OutputLogCopyIsOneAllocation)
+{
+    const ir::Program p = outputProgram(8);
+    Interpreter interp(p, ExecOptions{});
+    ASSERT_EQ(interp.run(), RunOutcome::Exited);
+    const OutputLog &log = interp.state().output;
+    ASSERT_EQ(log.size(), 8u);
+    ASSERT_NE(log.records[0].loc, nullptr);
+    EXPECT_EQ(log.records[0].loc->file,
+              "a_source_file_with_a_long_name.pil");
+    EXPECT_EQ(log.records[0].label,
+              "an output label longer than sixteen bytes");
+    EXPECT_EQ(allocationsOf([&] { OutputLog copy = log; }), 1u);
+}
+
+/** Allocations a happens-before detector makes over @p n writes of
+ *  one cell by thread 1 between its creation and a mutex release. */
+std::uint64_t
+hbAccessAllocations(const ir::Program &p, int n)
+{
+    race::HbDetector hb(p);
+    Event create;
+    create.kind = EventKind::ThreadCreate;
+    create.tid = 0;
+    create.other = 1;
+    hb.onEvent(create);
+    Event lock;
+    lock.kind = EventKind::MutexLock;
+    lock.tid = 1;
+    lock.sid = 0;
+    hb.onEvent(lock);
+    const std::uint64_t count = allocationsOf([&] {
+        for (int i = 0; i < n; ++i) {
+            Event w;
+            w.kind = EventKind::MemWrite;
+            w.tid = 1;
+            w.cell = 0;
+            w.occurrence = static_cast<std::uint64_t>(i + 1);
+            w.cell_occurrence = w.occurrence;
+            hb.onEvent(w);
+        }
+    });
+    Event unlock = lock;
+    unlock.kind = EventKind::MutexUnlock;
+    hb.onEvent(unlock);
+    EXPECT_TRUE(hb.races().empty());
+    return count;
+}
+
+// Accesses between two synchronization events share one snapshot of
+// the thread's clock: N and 2N accesses differ only by the cell
+// history's own geometric regrowth.
+TEST(AllocationTest, HbAccessesShareTheirClockSnapshot)
+{
+    const ir::Program p = loopProgram(1);
+    const std::uint64_t n = hbAccessAllocations(p, 100);
+    const std::uint64_t twice = hbAccessAllocations(p, 200);
+    EXPECT_GE(twice, n);
+    EXPECT_LE(twice - n, 1u) << n << " vs " << twice;
 }
 
 } // namespace

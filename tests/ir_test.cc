@@ -44,6 +44,67 @@ TEST(ProgramTest, CellIdsAndNames)
     EXPECT_EQ(p.cellGlobal(99), -1);
 }
 
+/** The linear scan Program::cellGlobal used before its binary
+ *  search: the first global whose cells hold @p cell. */
+GlobalId
+scanCellGlobal(const Program &p, int cell)
+{
+    for (std::size_t g = 0; g < p.globals.size(); ++g) {
+        const int base = p.cellId(static_cast<GlobalId>(g), 0);
+        if (cell >= base && cell < base + p.globals[g].size)
+            return static_cast<GlobalId>(g);
+    }
+    return -1;
+}
+
+/** The name the linear scan rendered for @p cell. */
+std::string
+scanCellName(const Program &p, int cell)
+{
+    const GlobalId g = scanCellGlobal(p, cell);
+    if (g < 0)
+        return "<cell " + std::to_string(cell) + ">";
+    const Global &gl = p.globals[static_cast<std::size_t>(g)];
+    const int idx = cell - p.cellId(g, 0);
+    return gl.size > 1 ? gl.name + "[" + std::to_string(idx) + "]"
+                       : gl.name;
+}
+
+TEST(ProgramTest, CellLookupMatchesLinearScan)
+{
+    ProgramBuilder pb("cells");
+    pb.global("a", 3);
+    pb.global("b");
+    pb.global("c", 70);
+    pb.global("d", 2);
+    auto &f = pb.function("main", 0);
+    f.to(f.block("entry"));
+    f.halt();
+    Program p = pb.build();
+    // The builder and the parser reject empty globals, but the
+    // verifier does not: put some at the front, between two globals,
+    // and at the end (main touches no memory, so ids may shift).
+    p.globals.insert(p.globals.begin(), Global{"lead", 0, {}});
+    p.globals.insert(p.globals.begin() + 3, Global{"mid0", 0, {}});
+    p.globals.insert(p.globals.begin() + 4, Global{"mid1", 0, {}});
+    p.globals.push_back(Global{"tail", 0, {}});
+    p.finalize();
+    ASSERT_TRUE(verifyProgram(p).empty());
+    ASSERT_EQ(p.numCells(), 76);
+
+    for (int cell = -3; cell < p.numCells() + 3; ++cell) {
+        EXPECT_EQ(p.cellGlobal(cell), scanCellGlobal(p, cell))
+            << "cell " << cell;
+        EXPECT_EQ(p.cellName(cell), scanCellName(p, cell))
+            << "cell " << cell;
+    }
+    EXPECT_EQ(p.cellName(0), "a[0]");
+    EXPECT_EQ(p.cellName(3), "b");
+    EXPECT_EQ(p.cellName(4), "c[0]");
+    EXPECT_EQ(p.cellName(75), "d[1]");
+    EXPECT_EQ(p.cellGlobal(76), -1);
+}
+
 TEST(ProgramTest, FindFunction)
 {
     Program p = tinyProgram();

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -279,6 +281,94 @@ TEST(MetricsDeterminismTest, FuzzExportCarriesPipelineShards)
     EXPECT_GT(one.counter(obs::Counter::LadderRungs), 0u);
     EXPECT_GT(one.counter(obs::Counter::LadderBuildSteps), 0u);
     EXPECT_GT(one.counter(obs::Counter::LadderCoveredSteps), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Metrics that reconcile: verdicts and campaign unit sources
+// ---------------------------------------------------------------------------
+
+/** Every classified cluster gets exactly one verdict. */
+void
+expectVerdictIdentity(const obs::MetricsShard &m)
+{
+    EXPECT_EQ(verdictSum(m), m.counter(obs::Counter::ClassifyClusters));
+}
+
+/** Every campaign unit is a cache hit, a cache miss (executed) or a
+ *  journal resume. */
+void
+expectUnitIdentity(const obs::MetricsShard &m)
+{
+    EXPECT_EQ(m.counter(obs::Counter::CampaignCacheHits) +
+                  m.counter(obs::Counter::CampaignCacheMisses) +
+                  m.counter(obs::Counter::CampaignResumeSkips),
+              m.counter(obs::Counter::CampaignUnits));
+}
+
+/** The `--metrics-out` shard of `campaign run <dir> --jobs 1`, cut
+ *  after @p abort_after journaled units (-1: run to completion). */
+obs::MetricsShard
+campaignRunExport(const std::string &dir, int abort_after)
+{
+    SinkGuard guard;
+    obs::Collector col;
+    obs::setCollector(&col);
+    campaign::CampaignConfig config;
+    config.render.classify_mode = true;
+    config.units = campaign::registryUnits();
+    std::string err;
+    std::optional<campaign::Campaign> c =
+        campaign::Campaign::create(dir, config, &err);
+    EXPECT_TRUE(c.has_value()) << err;
+    if (!c)
+        return {};
+    campaign::CampaignResult res = c->run(abort_after, 1);
+    EXPECT_TRUE(res.error.empty()) << res.error;
+    EXPECT_EQ(res.aborted, abort_after >= 0);
+    obs::MetricsShard m = res.metrics;
+    col.drainInto(m);
+    return m;
+}
+
+TEST(MetricsIdentityTest, ClassifyAllAndCampaignRunsReconcile)
+{
+    const obs::MetricsShard all = classifyAllExport(1);
+    expectVerdictIdentity(all);
+    expectUnitIdentity(all);
+    const std::uint64_t units = campaign::registryUnits().size();
+    const std::uint64_t clusters =
+        all.counter(obs::Counter::ClassifyClusters);
+    EXPECT_GT(clusters, 0u);
+
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::path(::testing::TempDir()) / "observe_identities";
+    fs::remove_all(root);
+
+    // Cold: every unit executes. Warm: the journal covers them all.
+    const std::string dir = (root / "cold").string();
+    const obs::MetricsShard cold = campaignRunExport(dir, -1);
+    expectVerdictIdentity(cold);
+    expectUnitIdentity(cold);
+    EXPECT_EQ(cold.counter(obs::Counter::CampaignCacheMisses), units);
+    EXPECT_EQ(cold.counter(obs::Counter::ClassifyClusters), clusters);
+    const obs::MetricsShard warm = campaignRunExport(dir, -1);
+    expectVerdictIdentity(warm);
+    expectUnitIdentity(warm);
+    EXPECT_EQ(warm.counter(obs::Counter::CampaignResumeSkips), units);
+    EXPECT_EQ(warm.counter(obs::Counter::ClassifyClusters), 0u);
+
+    // Killed after four journaled units, then run again: the resumed
+    // run skips those four and executes the rest.
+    const std::string cut = (root / "killed").string();
+    expectVerdictIdentity(campaignRunExport(cut, 4));
+    const obs::MetricsShard resumed = campaignRunExport(cut, -1);
+    expectVerdictIdentity(resumed);
+    expectUnitIdentity(resumed);
+    EXPECT_EQ(resumed.counter(obs::Counter::CampaignResumeSkips), 4u);
+    EXPECT_EQ(resumed.counter(obs::Counter::CampaignCacheMisses),
+              units - 4);
+    fs::remove_all(root);
 }
 
 /** The identities docs/ARCHITECTURE.md states for loop detection. */

@@ -96,6 +96,102 @@ crashProgram()
     return pb.build();
 }
 
+/**
+ * Two racers store 7 to `x` (the same value in either order) while a
+ * third thread bumps its private `p`. Each racer yields twice first,
+ * so the detection run's rotation creates both racers before the
+ * first racer reaches its store, and both exist at the pre-race
+ * checkpoint. The primary's third thread stores to `p` before the
+ * second racing store; the alternate completes the pair first.
+ */
+ir::Program
+thirdThreadProgram()
+{
+    ir::ProgramBuilder pb("third_thread");
+    ir::GlobalId x = pb.global("x");
+    ir::GlobalId priv = pb.global("p");
+    auto &r = pb.function("racer", 1);
+    r.to(r.block("e"));
+    r.yield();
+    r.yield();
+    r.store(x, I(0), I(7));
+    r.retVoid();
+    auto &b = pb.function("bumper", 1);
+    b.to(b.block("e"));
+    for (int i = 1; i <= 8; ++i)
+        b.store(priv, I(0), I(i));
+    b.retVoid();
+    auto &f = pb.function("main", 0);
+    f.to(f.block("e"));
+    ir::Reg t1 = f.threadCreate("racer", I(0));
+    ir::Reg t2 = f.threadCreate("racer", I(0));
+    ir::Reg t3 = f.threadCreate("bumper", I(0));
+    f.threadJoin(R(t1));
+    f.threadJoin(R(t2));
+    f.threadJoin(R(t3));
+    f.halt();
+    return pb.build();
+}
+
+/**
+ * Two racers store different values to `x` after the same two yields
+ * (both exist at the pre-race checkpoint): the racing global itself
+ * differs after the pair, and it is on both racers' may-write sets.
+ */
+ir::Program
+racerGlobalProgram()
+{
+    ir::ProgramBuilder pb("racer_global");
+    ir::GlobalId x = pb.global("x");
+    auto &r = pb.function("racer", 1);
+    r.to(r.block("e"));
+    r.yield();
+    r.yield();
+    r.store(x, I(0), R(r.param(0)));
+    r.retVoid();
+    auto &f = pb.function("main", 0);
+    f.to(f.block("e"));
+    ir::Reg t1 = f.threadCreate("racer", I(1));
+    ir::Reg t2 = f.threadCreate("racer", I(2));
+    f.threadJoin(R(t1));
+    f.threadJoin(R(t2));
+    f.halt();
+    return pb.build();
+}
+
+/**
+ * The first racer stores 7 to `x` as soon as it runs, before main
+ * creates the second racer, so the second racing thread does not
+ * exist at the pre-race checkpoint. The second racer yields before
+ * its store; in the primary, main writes `q` (which neither racer
+ * writes) in between, while the alternate completes the pair first.
+ */
+ir::Program
+lateRacerProgram()
+{
+    ir::ProgramBuilder pb("late_racer");
+    ir::GlobalId x = pb.global("x");
+    ir::GlobalId q = pb.global("q");
+    auto &r = pb.function("racer", 1);
+    r.to(r.block("e"));
+    r.store(x, I(0), I(7));
+    r.retVoid();
+    auto &l = pb.function("late", 1);
+    l.to(l.block("e"));
+    l.yield();
+    l.store(x, I(0), I(7));
+    l.retVoid();
+    auto &f = pb.function("main", 0);
+    f.to(f.block("e"));
+    ir::Reg t1 = f.threadCreate("racer", I(0));
+    ir::Reg t2 = f.threadCreate("late", I(0));
+    f.store(q, I(0), I(1));
+    f.threadJoin(R(t1));
+    f.threadJoin(R(t2));
+    f.halt();
+    return pb.build();
+}
+
 Classification
 classifyOnly(const ir::Program &p, PortendOptions opts = {})
 {
@@ -121,6 +217,30 @@ TEST(PortendTest, RedundantWriteIsKWitness)
     EXPECT_EQ(c.cls, RaceClass::KWitnessHarmless);
     EXPECT_GE(c.k, 1);
     EXPECT_FALSE(c.states_differ); // same value written both orders
+}
+
+// The post-race memory comparison (`states_differ`) is scoped to the
+// globals the two racing threads can still write: another thread's
+// private progress is scheduling noise, not the race's effect.
+TEST(StatesDifferScopeTest, ThirdThreadPrivateGlobalIsIgnored)
+{
+    Classification c = classifyOnly(thirdThreadProgram());
+    EXPECT_FALSE(c.states_differ);
+}
+
+TEST(StatesDifferScopeTest, RacingThreadGlobalIsCompared)
+{
+    Classification c = classifyOnly(racerGlobalProgram());
+    EXPECT_TRUE(c.states_differ);
+}
+
+// A racing thread created after the checkpoint has no stack to scope
+// by, so the comparison falls back to the whole image and sees main's
+// write to `q`.
+TEST(StatesDifferScopeTest, LateRacerComparesWholeImage)
+{
+    Classification c = classifyOnly(lateRacerProgram());
+    EXPECT_TRUE(c.states_differ);
 }
 
 TEST(PortendTest, SpinFlagIsSingleOrdering)

@@ -35,44 +35,46 @@ counterRows(const VmState &s)
 {
     std::vector<std::vector<std::uint64_t>> rows;
     for (const ThreadState &t : s.threads)
-        rows.push_back(*t.counts);
+        rows.emplace_back(t.counts.begin(), t.counts.end());
     return rows;
 }
 
 // ---------------------------------------------------------------
-// Cow<T> primitive.
+// CowVec<T> primitive.
 // ---------------------------------------------------------------
 
 TEST(CowTest, CopiesShareUntilWritten)
 {
-    Cow<std::vector<int>> a(std::vector<int>{1, 2, 3});
-    Cow<std::vector<int>> b = a;
+    CowVec<int> a{1, 2, 3};
+    CowVec<int> b = a;
     EXPECT_TRUE(a.sharedWith(b));
-    EXPECT_EQ(b.ro(), a.ro());
+    EXPECT_EQ(b, a);
 
     b.rw()[1] = 99; // write barrier: b clones, a untouched
     EXPECT_FALSE(a.sharedWith(b));
-    EXPECT_EQ(a.ro()[1], 2);
-    EXPECT_EQ(b.ro()[1], 99);
+    EXPECT_EQ(a[1], 2);
+    EXPECT_EQ(b[1], 99);
+    EXPECT_EQ(b.size(), 3u);
 }
 
 TEST(CowTest, ReadsNeverUnshare)
 {
-    Cow<std::vector<int>> a(std::vector<int>{7});
-    Cow<std::vector<int>> b = a;
-    EXPECT_EQ(b->size(), 1u);
-    EXPECT_EQ((*b)[0], 7);
-    EXPECT_EQ(b.ro().at(0), 7);
+    CowVec<int> a{7};
+    CowVec<int> b = a;
+    EXPECT_EQ(b.size(), 1u);
+    EXPECT_EQ(b[0], 7);
+    EXPECT_EQ(b.back(), 7);
+    EXPECT_EQ(*b.begin(), 7);
     EXPECT_TRUE(a.sharedWith(b)); // still shared after reads
 }
 
 TEST(CowTest, UniqueWriteMutatesInPlace)
 {
-    Cow<std::vector<int>> a(std::vector<int>{5});
-    const int *payload = a.ro().data();
+    CowVec<int> a{5};
+    const int *payload = a.data();
     a.rw()[0] = 6; // sole owner: no clone
-    EXPECT_EQ(a.ro().data(), payload);
-    EXPECT_EQ(a.ro()[0], 6);
+    EXPECT_EQ(a.data(), payload);
+    EXPECT_EQ(a[0], 6);
 }
 
 // ---------------------------------------------------------------
@@ -181,10 +183,10 @@ TEST(VmStateForkTest, ForkThenMutateDoesNotBleedIntoParent)
         const auto &pt = parent.threads[t];
         const auto &dt = deep.threads[t];
         EXPECT_EQ(pt.status, dt.status) << "thread " << t;
-        ASSERT_EQ(pt.stack->size(), dt.stack->size()) << "thread " << t;
-        for (std::size_t f = 0; f < pt.stack->size(); ++f) {
-            EXPECT_EQ((*pt.stack)[f].func, (*dt.stack)[f].func);
-            EXPECT_EQ((*pt.stack)[f].ip, (*dt.stack)[f].ip);
+        ASSERT_EQ(pt.stack.size(), dt.stack.size()) << "thread " << t;
+        for (std::size_t f = 0; f < pt.stack.size(); ++f) {
+            EXPECT_EQ(pt.stack[f].func, dt.stack[f].func);
+            EXPECT_EQ(pt.stack[f].ip, dt.stack[f].ip);
         }
     }
     EXPECT_EQ(counterRows(parent), counterRows(deep));

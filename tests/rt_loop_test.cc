@@ -102,8 +102,8 @@ expectSameState(const Interpreter &got, const Interpreter &ref)
         EXPECT_EQ(x.steps, y.steps) << "thread " << t;
         EXPECT_EQ(x.last_step, y.last_step) << "thread " << t;
         EXPECT_TRUE(x.recent_reads == y.recent_reads) << "thread " << t;
-        EXPECT_EQ(*x.stack, *y.stack) << "thread " << t;
-        EXPECT_EQ(*x.counts, *y.counts) << "thread " << t;
+        EXPECT_EQ(x.stack, y.stack) << "thread " << t;
+        EXPECT_EQ(x.counts, y.counts) << "thread " << t;
     }
     ASSERT_EQ(a.mem.size(), b.mem.size());
     for (std::size_t i = 0; i < a.mem.size(); ++i)
