@@ -30,8 +30,7 @@ ReplayAnalyzer::analyze(const race::RaceReport &race,
     // --- Primary: replay to just before the first racing access. ---
     rt::Interpreter primary(prog, eo);
     rt::RotatePolicy rotate;
-    replay::TracePolicy follow(trace, replay::TracePolicy::Mode::Strict,
-                               &rotate);
+    replay::TracePolicy follow(trace, &rotate);
     primary.setPolicy(&follow);
 
     rt::Interpreter::StopSpec pre;

@@ -180,13 +180,6 @@ VerdictCache::store(const CacheEntry &e, std::string *error)
 }
 
 std::size_t
-VerdictCache::sizeInMemory() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return mem_.size();
-}
-
-std::size_t
 VerdictCache::sizeOnDisk() const
 {
     if (dir_.empty())

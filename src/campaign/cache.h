@@ -83,9 +83,6 @@ class VerdictCache
      */
     bool store(const CacheEntry &e, std::string *error = nullptr);
 
-    /** Number of distinct signatures seen by this process. */
-    std::size_t sizeInMemory() const;
-
     /** Number of `.entry` files under the backing dir (0 if none). */
     std::size_t sizeOnDisk() const;
 

@@ -76,16 +76,6 @@ Program::findFunction(const std::string &fname) const
     return -1;
 }
 
-const InputDecl *
-Program::findInput(const std::string &iname) const
-{
-    for (const auto &d : inputs) {
-        if (d.name == iname)
-            return &d;
-    }
-    return nullptr;
-}
-
 void
 Program::finalize()
 {

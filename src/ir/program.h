@@ -80,9 +80,6 @@ class Program
     /** Function id by name; -1 when absent. */
     FuncId findFunction(const std::string &fname) const;
 
-    /** Input declaration by name; nullptr when absent. */
-    const InputDecl *findInput(const std::string &iname) const;
-
     /** Function by id (checked). */
     const Function &function(FuncId f) const { return functions.at(f); }
 

@@ -1,9 +1,9 @@
 #include "portend/analyzer.h"
 
 #include <cstdio>
+#include <set>
 
 #include "portend/outputcmp.h"
-#include "support/logging.h"
 #include "support/observe.h"
 #include "support/stats.h"
 #include "support/trace.h"
@@ -310,7 +310,7 @@ RaceAnalyzer::absorbStats(AnalysisStats &stats, const rt::VmState &s)
 {
     stats.preemptions += s.stats.preemption_points;
     stats.sym_branches += s.stats.symbolic_branches;
-    stats.steps += s.stats.steps;
+    stats.steps += s.global_step;
 }
 
 /**
@@ -579,8 +579,7 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
     interp.addSink(&sem);
 
     rt::RotatePolicy rotate;
-    replay::TracePolicy tp(trace, replay::TracePolicy::Mode::Strict,
-                           &rotate);
+    replay::TracePolicy tp(trace, &rotate);
     interp.setPolicy(&tp);
 
     if (rung) {
@@ -882,55 +881,99 @@ RaceAnalyzer::classify(const race::RaceReport &race,
     cls_span.arg("cell", race.cell);
     Stopwatch sw;
     Classification c;
-    const std::vector<std::int64_t> inputs0 = trace.concreteInputs();
+    std::optional<exec::Executor> ex;
+    analyze(race, trace, ladder, c, ex);
+    if (ex)
+        c.stats.solver_queries = ex->solver().stats().queries;
+    c.stats.seconds = sw.seconds();
+    return c;
+}
+
+void
+RaceAnalyzer::analyze(const race::RaceReport &race,
+                      const replay::ScheduleTrace &trace,
+                      const replay::CheckpointLadder *ladder,
+                      Classification &c,
+                      std::optional<exec::Executor> &ex) const
+{
+    /** A primary execution stage 3 pairs with post-race schedules. */
+    struct Primary
+    {
+        std::vector<std::int64_t> inputs;
+        std::vector<WitnessInput> witness; ///< named symbolic inputs
+        const exec::PathResult *path = nullptr; ///< null: stage 1's
+        int index = 0; ///< 1-based over every explored path, else 0
+    };
+    // Write a decisive result's verdict and the evidence replaying
+    // it: the alternate's post-race schedule @p post (null when the
+    // primary itself is the evidence) and, under an explorer @p sx,
+    // the signature of the interleaving it realized.
+    const auto verdict = [&c](const SingleResult &r, const Primary &p,
+                              const explore::PostSpec *post,
+                              const explore::ScheduleExplorer *sx) {
+        c.detail = r.detail;
+        switch (r.kind) {
+          case SingleResult::Kind::SpecViol:
+            c.cls = RaceClass::SpecViolated;
+            c.viol = r.viol;
+            break;
+          case SingleResult::Kind::OutDiff:
+            c.cls = RaceClass::OutputDiffers;
+            c.output_diff = r.output_diff;
+            break;
+          case SingleResult::Kind::SingleOrd:
+            c.cls = RaceClass::SingleOrdering;
+            return;
+          default:
+            c.cls = RaceClass::Unclassified;
+            return;
+        }
+        c.evidence_inputs = p.inputs;
+        c.evidence_witness = p.witness;
+        c.evidence_alternate = post != nullptr;
+        if (!post)
+            return;
+        c.evidence_seed = post->seed;
+        c.evidence_schedule.assign(post->prefix.begin(),
+                                   post->prefix.end());
+        if (sx && r.alternate_enforced)
+            c.evidence_signature = sx->lastSignature();
+    };
+    // A violation the primary execution itself shows.
+    const auto primaryViolation = [](ViolationKind viol,
+                                     std::string detail) {
+        SingleResult r;
+        r.kind = SingleResult::Kind::SpecViol;
+        r.viol = viol;
+        r.detail = std::move(detail);
+        return r;
+    };
+    const Primary recorded{trace.concreteInputs(), {}, nullptr, 0};
+    const explore::PostSpec follow_trace = explore::PostSpec::trace();
 
     // ---- Stage 1: single-pre/single-post (Algorithm 1). ----
     SingleResult s1;
     {
         OBS_SPAN("classify", "stage1");
-        s1 = singleClassify(race, trace, inputs0,
-                            explore::PostSpec::trace(), ladder, c.stats);
+        s1 = singleClassify(race, trace, recorded.inputs, follow_trace,
+                            ladder, c.stats);
     }
     c.states_differ = s1.states_differ;
-
-    bool done = true;
-    switch (s1.kind) {
-      case SingleResult::Kind::SpecViol:
-        c.cls = RaceClass::SpecViolated;
-        c.viol = s1.viol;
-        c.detail = s1.detail;
-        c.evidence_inputs = inputs0;
-        c.evidence_alternate = true;
-        break;
-      case SingleResult::Kind::SingleOrd:
-        c.cls = RaceClass::SingleOrdering;
-        c.detail = s1.detail;
-        break;
-      case SingleResult::Kind::OutDiff:
-        c.cls = RaceClass::OutputDiffers;
-        c.detail = s1.detail;
-        c.output_diff = s1.output_diff;
-        c.evidence_inputs = inputs0;
-        c.evidence_alternate = true;
-        break;
-      case SingleResult::Kind::NotReached:
-      case SingleResult::Kind::Skipped:
-        c.cls = RaceClass::Unclassified;
-        c.detail = s1.detail;
-        break;
-      case SingleResult::Kind::OutSame:
-        done = false;
-        break;
+    if (s1.kind != SingleResult::Kind::OutSame) {
+        verdict(s1, recorded, &follow_trace, nullptr);
+        return;
     }
-    if (done) {
-        c.stats.seconds = sw.seconds();
-        return c;
-    }
-
     int witnesses = 1; // stage 1 matched
     c.stats.schedules_explored = 1;
 
-    // ---- Stage 2+3: multi-path, multi-schedule. ----
+    // Whether decisive verdicts carry a named input witness.
+    const bool named = !opts.sym_inputs.empty();
+
+    // ---- Stage 2: the primaries. Multi-path explores up to Mp
+    // symbolic paths that follow the trace to the race; without it,
+    // multi-schedule reruns stage 1's concrete primary. ----
+    std::vector<exec::PathResult> paths;
+    std::vector<Primary> primaries;
     if (opts.multi_path) {
         rt::ExecOptions eo = baseOptions();
         eo.input_mode = rt::InputMode::Symbolic;
@@ -942,17 +985,13 @@ RaceAnalyzer::classify(const race::RaceReport &race,
         xo.max_paths = opts.mp;
         xo.max_states = opts.executor_max_states;
         xo.solver = opts.solver;
-        exec::Executor ex(xo);
-        // Whether decisive verdicts carry a named input witness.
-        const bool named = !opts.sym_inputs.empty();
+        ex.emplace(xo);
 
         SemanticMonitor sem(sym_interp, opts.semantic_predicates);
         sym_interp.addSink(&sem);
-
-        std::vector<exec::PathResult> paths;
         {
             OBS_SPAN("sym", "explore-paths");
-            paths = ex.explore(
+            paths = ex->explore(
                 sym_interp,
                 [&] {
                     return std::make_unique<PrimarySearchPolicy>(trace,
@@ -963,274 +1002,123 @@ RaceAnalyzer::classify(const race::RaceReport &race,
                 });
         }
         c.stats.paths_explored = static_cast<int>(paths.size());
-        c.stats.states_created = ex.statesCreated();
+        c.stats.states_created = ex->statesCreated();
         absorbStats(c.stats, sym_interp.state());
-        // Keep the solver ledger current at every exit point: output
-        // comparison below issues further queries.
-        auto noteSolver = [&] {
-            c.stats.solver_queries = ex.solver().stats().queries;
-        };
-        noteSolver();
 
-        // A primary path itself violating the specification is
-        // direct evidence of harm (when attributable to this race).
-        for (const auto &p : paths) {
-            if (rt::isSpecViolation(p.state.outcome)) {
-                if ((p.state.outcome == rt::RunOutcome::CrashOob ||
-                     p.state.outcome ==
-                         rt::RunOutcome::CrashDivZero) &&
-                    !crashInvolvesRaceCell(p.state, race)) {
-                    continue;
-                }
-                c.cls = RaceClass::SpecViolated;
-                c.viol = violationOf(p.state.outcome);
-                c.detail = p.state.outcome_detail;
-                c.evidence_inputs =
-                    concretizeEnvLog(p.state.env_log, p.model);
-                if (named)
-                    c.evidence_witness =
-                        witnessOf(p.state.env_log, p.model);
-                c.evidence_alternate = false;
-                noteSolver();
-                c.stats.seconds = sw.seconds();
-                return c;
+        for (const exec::PathResult &p : paths) {
+            Primary primary{concretizeEnvLog(p.state.env_log, p.model),
+                            named ? witnessOf(p.state.env_log, p.model)
+                                  : std::vector<WitnessInput>{},
+                            &p, static_cast<int>(&p - paths.data()) + 1};
+            // A primary path itself violating the specification is
+            // direct evidence of harm (when attributable to this
+            // race).
+            const rt::RunOutcome oc = p.state.outcome;
+            if (rt::isSpecViolation(oc) &&
+                ((oc != rt::RunOutcome::CrashOob &&
+                  oc != rt::RunOutcome::CrashDivZero) ||
+                 crashInvolvesRaceCell(p.state, race))) {
+                verdict(primaryViolation(violationOf(oc),
+                                         p.state.outcome_detail),
+                        primary, nullptr, nullptr);
+                return;
             }
+            // Only cleanly-completed primaries have comparable
+            // output streams.
+            if (oc == rt::RunOutcome::Exited)
+                primaries.push_back(std::move(primary));
         }
         if (!sem.violation().empty()) {
-            c.cls = RaceClass::SpecViolated;
-            c.viol = ViolationKind::SemanticAssert;
-            c.detail = sem.violation();
-            noteSolver();
-            c.stats.seconds = sw.seconds();
-            return c;
+            verdict(primaryViolation(ViolationKind::SemanticAssert,
+                                     sem.violation()),
+                    {}, nullptr, nullptr);
+            return;
         }
+    } else if (opts.multi_schedule) {
+        primaries.push_back(recorded);
+    }
 
-        const std::uint64_t budget =
-            trace.decisions.empty() ? opts.max_steps
-                                    : trace.decisions.back().step + 1;
-
-        // Under named symbolic inputs the distinct-schedule budget
-        // is shared: each path's explorer inherits the interleaving
-        // classes earlier paths witnessed (per-path budgeting).
-        std::set<std::string> known_sigs;
-
-        int path_index = 0;
-        for (const auto &p : paths) {
-            path_index += 1;
-            // Only cleanly-completed primaries have comparable
-            // output streams (crashed ones were handled above).
-            if (p.state.outcome != rt::RunOutcome::Exited)
-                continue;
-            std::vector<std::int64_t> inputs_p =
-                concretizeEnvLog(p.state.env_log, p.model);
-
-            if (!opts.multi_schedule) {
-                // Single deterministic alternate per path. Evidence
-                // seed stays 0: the verdict came from the
-                // trace-following schedule, and replayEvidence must
-                // rebuild exactly that (a nonzero seed would replay
-                // a random post-race schedule instead).
-                c.stats.schedules_explored += 1;
-                SingleResult a = runAlternate(
-                    race, trace, inputs_p, explore::PostSpec::trace(),
-                    budget, ladder, c.stats);
-                switch (a.kind) {
-                  case SingleResult::Kind::SpecViol:
-                    c.cls = RaceClass::SpecViolated;
-                    c.viol = a.viol;
-                    c.detail = a.detail;
-                    c.evidence_inputs = inputs_p;
-                    if (named)
-                        c.evidence_witness =
-                            witnessOf(p.state.env_log, p.model);
-                    c.evidence_alternate = true;
-                    noteSolver();
-                    c.stats.seconds = sw.seconds();
-                    return c;
-                  case SingleResult::Kind::OutSame: {
-                    OutputComparison cmp = compareSymbolicOutputs(
-                        p.state.output, p.state.path.constraints(),
-                        a.alternate_out, ex.solver(),
-                        race.first.tid, race.second.tid);
-                    if (!cmp.match) {
-                        c.cls = RaceClass::OutputDiffers;
-                        c.output_diff = cmp.diff;
-                        c.detail = "outputs diverge on an explored "
-                                   "path/schedule";
-                        c.evidence_inputs = inputs_p;
-                        if (named)
-                            c.evidence_witness =
-                                witnessOf(p.state.env_log, p.model);
-                        c.evidence_alternate = true;
-                        noteSolver();
-                        c.stats.seconds = sw.seconds();
-                        return c;
-                    }
-                    witnesses += 1;
-                    break;
-                  }
-                  default:
-                    break; // no witness from this combination
-                }
-                continue;
-            }
-
-            // Multi-schedule: the explorer issues this path's
-            // post-race schedules — Ma seeded samples under
-            // `random`, the same samples plus systematic
-            // bounded-preemption backtracking until Ma *distinct*
-            // interleaving classes under `dpor`.
+    // ---- Stage 3: Algorithm 1 for every primary x post-race
+    // schedule. The explorer issues each primary's schedules: Ma
+    // seeded samples under `random`, the same samples plus
+    // systematic bounded-preemption backtracking until Ma *distinct*
+    // interleaving classes under `dpor`. Without multi-schedule each
+    // primary gets the one trace-following alternate. ----
+    const std::uint64_t budget =
+        trace.decisions.empty() ? opts.max_steps
+                                : trace.decisions.back().step + 1;
+    // Under named symbolic inputs the distinct-schedule budget is
+    // shared: each path's explorer inherits the interleaving classes
+    // earlier paths witnessed (per-path budgeting).
+    std::set<std::string> known_sigs;
+    for (const Primary &p : primaries) {
+        std::optional<explore::ScheduleExplorer> sx;
+        if (opts.multi_schedule) {
             explore::ExplorerOptions xopts;
             xopts.mode = opts.explore;
             xopts.budget = opts.ma;
             xopts.preemption_bound = opts.preemption_bound;
             // Legacy seed layout: seed j of path p is p * 16 + j.
-            xopts.seed_base =
-                static_cast<std::uint64_t>(path_index) * 16;
+            xopts.seed_base = static_cast<std::uint64_t>(p.index) * 16;
             if (named)
                 xopts.known = known_sigs;
-            explore::ScheduleExplorer sched_ex(xopts);
-            while (std::optional<explore::PostSpec> spec =
-                       sched_ex.next()) {
-                obs::Span cand_span("explore", "dpor-candidate");
-                cand_span.arg("path", path_index);
-                c.stats.schedules_explored += 1;
-                SingleResult a =
-                    runAlternate(race, trace, inputs_p, *spec, budget,
+            sx.emplace(std::move(xopts));
+        }
+        std::optional<explore::PostSpec> post =
+            sx ? sx->next() : follow_trace;
+        for (; post; post = sx ? sx->next() : std::nullopt) {
+            obs::Span cand_span("explore", "dpor-candidate");
+            cand_span.arg("path", p.index);
+            c.stats.schedules_explored += 1;
+            SingleResult a;
+            if (p.path) {
+                a = runAlternate(race, trace, p.inputs, *post, budget,
                                  ladder, c.stats);
-                // Only an enforced alternate witnessed a post-race
-                // schedule; everything else teaches the explorer
-                // nothing.
-                const bool fresh =
-                    a.alternate_enforced &&
-                    sched_ex.record(std::move(a.observation));
-                emitScheduleEvent(*spec, path_index, fresh,
-                                  sched_ex.distinct(),
+            } else {
+                a = singleClassify(race, trace, p.inputs, *post, ladder,
+                                   c.stats);
+            }
+            // Only an enforced alternate witnessed a post-race
+            // schedule; everything else teaches the explorer nothing.
+            const bool fresh = sx && a.alternate_enforced &&
+                               sx->record(std::move(a.observation));
+            if (sx) {
+                emitScheduleEvent(*post, p.index, fresh, sx->distinct(),
                                   c.stats.schedules_explored);
-                switch (a.kind) {
-                  case SingleResult::Kind::SpecViol:
-                    c.cls = RaceClass::SpecViolated;
-                    c.viol = a.viol;
-                    c.detail = a.detail;
-                    c.evidence_inputs = inputs_p;
-                    if (named)
-                        c.evidence_witness =
-                            witnessOf(p.state.env_log, p.model);
-                    c.evidence_seed = spec->seed;
-                    c.evidence_schedule.assign(spec->prefix.begin(),
-                                               spec->prefix.end());
-                    if (a.alternate_enforced)
-                        c.evidence_signature =
-                            sched_ex.lastSignature();
-                    c.evidence_alternate = true;
-                    c.stats.distinct_schedules += sched_ex.distinct();
-                    noteSolver();
-                    c.stats.seconds = sw.seconds();
-                    return c;
-                  case SingleResult::Kind::OutSame: {
-                    OutputComparison cmp = compareSymbolicOutputs(
-                        p.state.output, p.state.path.constraints(),
-                        a.alternate_out, ex.solver(),
-                        race.first.tid, race.second.tid);
-                    if (!cmp.match) {
-                        c.cls = RaceClass::OutputDiffers;
-                        c.output_diff = cmp.diff;
-                        c.detail = "outputs diverge on an explored "
-                                   "path/schedule";
-                        c.evidence_inputs = inputs_p;
-                        if (named)
-                            c.evidence_witness = witnessOf(
-                                p.state.env_log, p.model);
-                        c.evidence_seed = spec->seed;
-                        c.evidence_schedule.assign(
-                            spec->prefix.begin(), spec->prefix.end());
-                        c.evidence_signature =
-                            sched_ex.lastSignature();
-                        c.evidence_alternate = true;
-                        c.stats.distinct_schedules +=
-                            sched_ex.distinct();
-                        noteSolver();
-                        c.stats.seconds = sw.seconds();
-                        return c;
-                    }
-                    // Under dpor a witness is a *distinct*
-                    // interleaving class; the random sampler keeps
-                    // its legacy run counting.
-                    if (opts.explore == explore::ExploreMode::Random ||
-                        fresh) {
-                        witnesses += 1;
-                    }
-                    break;
-                  }
-                  case SingleResult::Kind::SingleOrd:
-                  case SingleResult::Kind::Skipped:
-                  case SingleResult::Kind::NotReached:
-                    break; // no witness from this combination
-                  case SingleResult::Kind::OutDiff:
-                    PORTEND_PANIC("alternate runner cannot produce "
-                                  "OutDiff directly");
+            }
+            if (p.path && a.kind == SingleResult::Kind::OutSame) {
+                OutputComparison cmp = compareSymbolicOutputs(
+                    p.path->state.output, p.path->state.path.constraints(),
+                    a.alternate_out, ex->solver(), race.first.tid,
+                    race.second.tid);
+                if (!cmp.match) {
+                    a.kind = SingleResult::Kind::OutDiff;
+                    a.output_diff = std::move(cmp.diff);
+                    a.detail = "outputs diverge on an explored "
+                               "path/schedule";
                 }
             }
-            c.stats.distinct_schedules += sched_ex.distinct();
-            if (named)
-                known_sigs = sched_ex.signatures();
-        }
-        noteSolver();
-    } else if (opts.multi_schedule) {
-        // Multi-schedule without multi-path: rerun Algorithm 1 on
-        // the original inputs with explorer-issued post-race
-        // schedules (legacy seeds 1..Ma under `random`).
-        explore::ExplorerOptions xopts;
-        xopts.mode = opts.explore;
-        xopts.budget = opts.ma;
-        xopts.preemption_bound = opts.preemption_bound;
-        xopts.seed_base = 0;
-        explore::ScheduleExplorer sched_ex(xopts);
-        while (std::optional<explore::PostSpec> spec =
-                   sched_ex.next()) {
-            obs::Span cand_span("explore", "dpor-candidate");
-            c.stats.schedules_explored += 1;
-            SingleResult s = singleClassify(race, trace, inputs0,
-                                            *spec, ladder, c.stats);
-            const bool fresh = s.alternate_enforced &&
-                               sched_ex.record(std::move(s.observation));
-            emitScheduleEvent(*spec, 0, fresh, sched_ex.distinct(),
-                              c.stats.schedules_explored);
-            if (s.kind == SingleResult::Kind::SpecViol) {
-                c.cls = RaceClass::SpecViolated;
-                c.viol = s.viol;
-                c.detail = s.detail;
-                c.evidence_inputs = inputs0;
-                c.evidence_seed = spec->seed;
-                c.evidence_schedule.assign(spec->prefix.begin(),
-                                           spec->prefix.end());
-                if (s.alternate_enforced)
-                    c.evidence_signature = sched_ex.lastSignature();
-                c.evidence_alternate = true;
-                c.stats.distinct_schedules += sched_ex.distinct();
-                c.stats.seconds = sw.seconds();
-                return c;
+            if (a.kind == SingleResult::Kind::SpecViol ||
+                a.kind == SingleResult::Kind::OutDiff) {
+                verdict(a, p, &*post, sx ? &*sx : nullptr);
+                if (sx)
+                    c.stats.distinct_schedules += sx->distinct();
+                return;
             }
-            if (s.kind == SingleResult::Kind::OutDiff) {
-                c.cls = RaceClass::OutputDiffers;
-                c.output_diff = s.output_diff;
-                c.evidence_inputs = inputs0;
-                c.evidence_seed = spec->seed;
-                c.evidence_schedule.assign(spec->prefix.begin(),
-                                           spec->prefix.end());
-                c.evidence_signature = sched_ex.lastSignature();
-                c.evidence_alternate = true;
-                c.stats.distinct_schedules += sched_ex.distinct();
-                c.stats.seconds = sw.seconds();
-                return c;
-            }
-            if (s.kind == SingleResult::Kind::OutSame &&
-                (opts.explore == explore::ExploreMode::Random ||
+            // Under dpor a witness is a *distinct* interleaving
+            // class; the random sampler keeps its legacy run
+            // counting, and a lone alternate is always one.
+            if (a.kind == SingleResult::Kind::OutSame &&
+                (!sx || opts.explore == explore::ExploreMode::Random ||
                  fresh)) {
                 witnesses += 1;
             }
         }
-        c.stats.distinct_schedules += sched_ex.distinct();
+        if (sx) {
+            c.stats.distinct_schedules += sx->distinct();
+            if (named)
+                known_sigs = sx->signatures();
+        }
     }
 
     c.cls = RaceClass::KWitnessHarmless;
@@ -1238,8 +1126,6 @@ RaceAnalyzer::classify(const race::RaceReport &race,
     c.detail = "outputs equivalent across " +
                std::to_string(witnesses) +
                " path-schedule combinations";
-    c.stats.seconds = sw.seconds();
-    return c;
 }
 
 } // namespace portend::core

@@ -14,13 +14,22 @@
  *     paths that still satisfy the schedule trace but take different
  *     input-dependent branches (symbolic inputs), recording
  *     symbolic outputs.
- *  3. Multi-schedule analysis: for each primary, run Ma alternate
- *     executions with randomized post-race schedules and compare
- *     their concrete outputs against the primary's symbolic outputs.
+ *  3. Multi-schedule analysis: for each primary, run the post-race
+ *     schedules the explorer issues (Ma of them) and compare their
+ *     concrete outputs against the primary's symbolic outputs.
+ *
+ * Stages 2 and 3 run as one loop over primary x schedule pairs. The
+ * primaries are the cleanly exited symbolic paths, or stage 1's
+ * concrete primary when only multi-schedule is on; the schedules are
+ * the explorer's, or the one trace-following alternate without
+ * multi-schedule. Every pair runs Algorithm 1: the first decisive
+ * pair (spec violated, output differs) sets the verdict, and
+ * otherwise each matching pair counts a witness (under the dpor
+ * explorer, only a pair that realized a new interleaving class).
  *
  * The verdict is one of the four taxonomy categories; "k-witness
  * harmless" verdicts carry k, the number of successful path x
- * schedule witnesses.
+ * schedule witnesses (stage 1's pair included).
  */
 
 #ifndef PORTEND_PORTEND_ANALYZER_H
@@ -30,6 +39,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -233,6 +243,17 @@ class RaceAnalyzer
                                   const Classification &verdict) const;
 
   private:
+    /**
+     * classify() without its whole-run ledgers: runs the stages and
+     * writes the verdict into @p c. Stage 2 leaves its executor in
+     * @p ex, whose solver also answers stage 3's output comparisons.
+     */
+    void analyze(const race::RaceReport &race,
+                 const replay::ScheduleTrace &trace,
+                 const replay::CheckpointLadder *ladder,
+                 Classification &c,
+                 std::optional<exec::Executor> &ex) const;
+
     /** Outcome of one primary/alternate pair (Algorithm 1). */
     struct SingleResult
     {

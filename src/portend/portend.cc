@@ -102,17 +102,6 @@ Portend::detect()
     return result;
 }
 
-Classification
-Portend::classifyRace(const race::RaceReport &race,
-                      const replay::ScheduleTrace &trace)
-{
-    if (!analyzer) {
-        analyzer = std::make_unique<RaceAnalyzer>(prog, opts,
-                                                  staticInfo());
-    }
-    return analyzer->classify(race, trace);
-}
-
 PortendResult
 Portend::run()
 {

@@ -92,14 +92,6 @@ class Portend
     DetectionResult detect();
 
     /**
-     * Classify one race against a recorded trace. Repeated calls
-     * reuse the facade's analyzer, so the static may-write analysis
-     * is computed once per Portend instance, not once per race.
-     */
-    Classification classifyRace(const race::RaceReport &race,
-                                const replay::ScheduleTrace &trace);
-
-    /**
      * Full pipeline: detect, then classify every cluster through
      * the ClassificationScheduler (opts.jobs workers; verdicts are
      * byte-identical for every worker count).
@@ -130,9 +122,6 @@ class Portend
 
     /** Lazily computed; shared read-only once it exists. */
     std::unique_ptr<rt::StaticInfo> static_info;
-
-    /** Reused by classifyRace (worker analyzers are per-thread). */
-    std::unique_ptr<RaceAnalyzer> analyzer;
 };
 
 /**

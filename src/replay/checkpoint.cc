@@ -45,7 +45,7 @@ CheckpointLadder::build(const ir::Program &prog,
     // The exact pre-race replay every analyzer runs (strict trace
     // following, rotate fallback past the end).
     rt::RotatePolicy rotate;
-    TracePolicy follow(trace, TracePolicy::Mode::Strict, &rotate);
+    TracePolicy follow(trace, &rotate);
     interp.setPolicy(&follow);
 
     rt::SemanticMonitor sem(interp, preds);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "rt/decode.h"
-#include "support/logging.h"
 
 namespace portend::replay {
 
@@ -60,17 +59,10 @@ TracePolicy::pick(const rt::VmState &state,
         }
         // Recorded thread not runnable: divergence.
         diverged += 1;
-        if (mode == Mode::Strict)
-            return -1;
-        PORTEND_ASSERT(fallback, "tolerant TracePolicy needs fallback");
-        return fallback->pick(state, runnable);
+        return -1;
     }
     // Past the end of the trace.
-    if (mode == Mode::Strict && !fallback)
-        return -1;
-    if (fallback)
-        return fallback->pick(state, runnable);
-    return runnable.front();
+    return fallback ? fallback->pick(state, runnable) : -1;
 }
 
 bool

@@ -9,9 +9,8 @@
  *  - TracePolicy replays a recorded trace. Its cursor is derived
  *    from the VM state's preemption-point counter, so a forked or
  *    checkpointed state resumes replay at exactly the right
- *    decision. Strict mode aborts on divergence (used pre-race);
- *    Tolerant mode falls back to an inner policy (used post-race,
- *    paper §3.3's partial trace matching).
+ *    decision. It aborts on divergence and hands decisions past the
+ *    trace end to a fallback policy.
  *  - AlternatePolicy enforces the *alternate* ordering of a racing
  *    access pair (Algorithm 1 line 6): it holds the original first
  *    accessor until the second accessor touches the racing cell,
@@ -64,27 +63,19 @@ class RecordingPolicy : public rt::SchedulePolicy
 };
 
 /**
- * Replays a schedule trace.
+ * Replays a schedule trace, aborting the execution on any divergence.
  */
 class TracePolicy : public rt::SchedulePolicy
 {
   public:
-    /** Divergence handling. */
-    enum class Mode {
-        Strict,   ///< abort the execution on any divergence
-        Tolerant, ///< fall back to the inner policy and continue
-    };
-
     /**
      * @param trace    decisions to follow
-     * @param mode     divergence handling
-     * @param fallback policy used past the trace end or (in
-     *                 Tolerant mode) on divergence; non-owning;
-     *                 may be null only in Strict mode
+     * @param fallback policy used past the trace end (non-owning;
+     *                 null aborts there too)
      */
-    TracePolicy(const ScheduleTrace &trace, Mode mode,
-                rt::SchedulePolicy *fallback = nullptr)
-        : trace(trace), mode(mode), fallback(fallback)
+    explicit TracePolicy(const ScheduleTrace &trace,
+                         rt::SchedulePolicy *fallback = nullptr)
+        : trace(trace), fallback(fallback)
     {}
 
     rt::ThreadId pick(const rt::VmState &state,
@@ -105,7 +96,6 @@ class TracePolicy : public rt::SchedulePolicy
 
   private:
     const ScheduleTrace &trace;
-    Mode mode;
     rt::SchedulePolicy *fallback;
     int diverged = 0;
 };

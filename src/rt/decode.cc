@@ -25,9 +25,6 @@ preemptClassOf(ir::Op op)
       case ir::Op::Yield:
       case ir::Op::Sleep:
         return PreemptClass::Always;
-      case ir::Op::Output:
-      case ir::Op::OutputStr:
-        return PreemptClass::Output;
       case ir::Op::Load:
       case ir::Op::Store:
       case ir::Op::AtomicRmW:

@@ -42,8 +42,7 @@ namespace portend::rt {
 enum class PreemptClass : std::uint8_t {
     Never,  ///< plain computation
     Always, ///< sync / thread ops, yield, sleep
-    Output, ///< preemption point iff preempt_on_output
-    Memory, ///< depends on preempt_on_memory / watched cells
+    Memory, ///< preemption point iff preempt_on_memory
 };
 
 /** Operand encoding in a DecodedInst: a register index is >= 0. */

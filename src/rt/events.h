@@ -39,9 +39,6 @@ enum class EventKind : std::uint8_t {
     Output,        ///< output system call performed
 };
 
-/** Printable event-kind name. */
-const char *eventKindName(EventKind k);
-
 /**
  * One observable action.
  *

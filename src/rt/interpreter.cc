@@ -55,61 +55,11 @@ Interpreter::reset()
     st.rng = Rng(opts.rng_seed);
 }
 
-Value
-Interpreter::evalValue(const ThreadState &t, const ir::Operand &o) const
-{
-    if (o.isImm())
-        return Value::ofConst(o.imm);
-    PORTEND_ASSERT(o.isReg(), "evaluating absent operand");
-    const Frame &f = t.stack.back();
-    const int idx = f.reg_base + o.reg;
-    PORTEND_ASSERT(o.reg >= 0 &&
-                       idx < static_cast<int>(t.regs.size()),
-                   "register out of range");
-    return t.regs[static_cast<std::size_t>(idx)];
-}
-
-sym::ExprPtr
-Interpreter::evalOperand(const ThreadState &t, const ir::Operand &o) const
-{
-    return evalValue(t, o).toExpr();
-}
-
 bool
-Interpreter::isPreemptionPoint(const ThreadState &t,
-                               const DecodedInst &di) const
+Interpreter::isPreemptionPoint(const DecodedInst &di) const
 {
-    switch (di.preempt) {
-      case PreemptClass::Never:
-        return false;
-      case PreemptClass::Always:
-        return true;
-      case PreemptClass::Output:
-        return opts.preempt_on_output;
-      case PreemptClass::Memory: {
-        if (opts.preempt_on_memory)
-            return true;
-        if (opts.watched_cells.empty())
-            return false;
-        Value idx = readOperand(t, t.stack.back().reg_base, di.a,
-                                di.a_imm);
-        if (!idx.isConcrete()) {
-            // Symbolic index: conservatively a preemption point when
-            // any cell of this global is watched.
-            for (int i = 0; i < di.gsize; ++i) {
-                if (opts.watched_cells.count(di.cell_base + i))
-                    return true;
-            }
-            return false;
-        }
-        std::int64_t v = idx.constValue();
-        if (v < 0 || v >= di.gsize)
-            return false; // the crash is reported at execution
-        return opts.watched_cells.count(
-                   di.cell_base + static_cast<int>(v)) > 0;
-      }
-    }
-    return false;
+    return di.preempt == PreemptClass::Always ||
+           (di.preempt == PreemptClass::Memory && opts.preempt_on_memory);
 }
 
 void
@@ -328,11 +278,6 @@ Interpreter::checkStops(ThreadId tid, const DecodedInst &di)
     // pre-race points and must learn which of them this stop
     // satisfies.
     bool hit = false;
-    for (const auto &p : active_stop->before) {
-        if (p.tid == tid && p.pc == di.pc &&
-            st.accessCount(tid, di.pc) + 1 == p.occurrence)
-            hit = true;
-    }
     if (!active_stop->before_cell.empty() &&
         (di.op == ir::Op::Load || di.op == ir::Op::Store ||
          di.op == ir::Op::AtomicRmW)) {
@@ -871,10 +816,6 @@ Interpreter::loopKey(const SchedulePolicy &pol,
     // A stop point can fire only while its count is below its
     // target occurrence, and counts only grow: an equal capped
     // count at both ends of a cycle means the cycle never moves it.
-    for (const auto &p : active_stop->before) {
-        key.push_back(
-            std::min(st.accessCount(p.tid, p.pc), p.occurrence));
-    }
     for (const auto &p : active_stop->before_cell) {
         key.push_back(
             std::min(st.cellAccessCount(p.tid, p.cell), p.occurrence));
@@ -930,7 +871,6 @@ Interpreter::skipCycles(const LoopCheck &lc, std::uint64_t k)
     const LoopCheck::Snapshot &s = *lc.snap;
     const std::uint64_t len = st.global_step - s.global_step;
     st.global_step += k * len;
-    st.stats.steps += k * (st.stats.steps - s.stats.steps);
     st.stats.preemption_points +=
         k * (st.stats.preemption_points - s.stats.preemption_points);
     st.stats.symbolic_branches +=
@@ -998,8 +938,9 @@ Interpreter::run(const StopSpec &stop)
     // pointer loads per run() call.
     obs::Span run_span("interp", "run");
     const VmStats entry_stats = st.stats;
+    const std::uint64_t entry_step = st.global_step;
     const auto flush_observability = [&] {
-        const std::uint64_t dsteps = st.stats.steps - entry_stats.steps;
+        const std::uint64_t dsteps = st.global_step - entry_step;
         run_span.arg("steps", static_cast<std::int64_t>(dsteps));
         if (obs::Collector *c = obs::collector()) {
             c->add(obs::Counter::InterpRuns, 1);
@@ -1127,11 +1068,10 @@ Interpreter::segment(ThreadId tid, bool first)
         // keep executing; policies must still observe every decision
         // point, both to steer and to keep trace cursors (which
         // index by decision count) aligned between record and replay.
-        if (!first && policy != nullptr && isPreemptionPoint(*t, di))
+        if (!first && policy != nullptr && isPreemptionPoint(di))
             return SegExit::Preempt;
 
         st.global_step += 1;
-        st.stats.steps += 1;
         t->steps += 1;
         t->last_step = st.global_step;
 

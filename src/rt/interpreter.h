@@ -4,11 +4,12 @@
  *
  * A deterministic single-processor cooperative interpreter for
  * multi-threaded PIL programs. Preemption points are synchronization
- * operations, thread operations, yields, and memory accesses to
- * watched (racy) cells; at each one the schedule policy picks the
- * next runnable thread (paper §3.1). Values are symbolic expressions;
- * a ForkHook (implemented by exec::Executor) resolves symbolic
- * control decisions, enabling KLEE-style state forking.
+ * operations, thread operations, yields, and (with
+ * ExecOptions::preempt_on_memory) global-memory accesses; at each one
+ * the schedule policy picks the next runnable thread (paper §3.1).
+ * Values are symbolic expressions; a ForkHook (implemented by
+ * exec::Executor) resolves symbolic control decisions, enabling
+ * KLEE-style state forking.
  *
  * The interpreter detects the paper's "basic" specification
  * violations natively: out-of-bounds accesses, division by zero,
@@ -23,7 +24,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "ir/program.h"
@@ -106,9 +106,6 @@ struct ExecOptions
     /** Step budget; exceeding it sets RunOutcome::TimedOut. */
     std::uint64_t max_steps = 2000000;
 
-    /** Cells whose accesses become preemption points. */
-    std::set<int> watched_cells;
-
     /**
      * Make every global-memory access a preemption point. Portend
      * uses this for detection and analysis runs so that recorded
@@ -135,9 +132,6 @@ struct ExecOptions
      */
     std::vector<SymInputSpec> sym_inputs;
 
-    /** Make every Output instruction a preemption point. */
-    bool preempt_on_output = false;
-
     /** Seed for the state-carried RNG. */
     std::uint64_t rng_seed = 1;
 };
@@ -155,16 +149,6 @@ class Interpreter
     /** Stop conditions for partial runs (checkpoint placement). */
     struct StopSpec
     {
-        /** Stop *before* the given dynamic instruction execution. */
-        struct Point
-        {
-            ThreadId tid;
-            int pc;
-            std::uint64_t occurrence; ///< 1-based per (tid, pc)
-        };
-
-        std::vector<Point> before;
-
         /**
          * Stop *before* the given (thread, cell) access. Cell-based
          * stops are robust against path divergence moving the racing
@@ -204,8 +188,7 @@ class Interpreter
         bool
         empty() const
         {
-            return before.empty() && before_cell.empty() &&
-                   !after_pair;
+            return before_cell.empty() && !after_pair;
         }
     };
 
@@ -239,9 +222,6 @@ class Interpreter
 
     /** Attach an event sink (non-owning). */
     void addSink(EventSink *s) { sinks.push_back(s); }
-
-    /** Detach all event sinks. */
-    void clearSinks() { sinks.clear(); }
 
     /** Run to completion (or budget/abort). */
     RunOutcome run();
@@ -292,22 +272,12 @@ class Interpreter
     const ExecOptions &options() const { return opts; }
     ExecOptions &options() { return opts; }
 
-    /**
-     * Evaluate an operand in a thread's top frame (pure; boxes
-     * concrete values — analysis-side convenience, not the hot path).
-     */
-    sym::ExprPtr evalOperand(const ThreadState &t,
-                             const ir::Operand &o) const;
-
-    /** Evaluate an operand in a thread's top frame as a Value. */
-    Value evalValue(const ThreadState &t, const ir::Operand &o) const;
-
   private:
     /** How one scheduling segment ended. */
     enum class SegExit : std::uint8_t {
         Blocked,    ///< thread blocked/exited/finished/budget
         Preempt,    ///< hit a preemption point (scheduler's turn)
-        StopBefore, ///< a before/before_cell stop point matched
+        StopBefore, ///< a before_cell stop point matched
         StopPair,   ///< the after_pair stop completed
     };
 
@@ -347,9 +317,8 @@ class Interpreter
         return Value::ofConst(imm);
     }
 
-    /** True when @p di is a preemption point for @p t. */
-    bool isPreemptionPoint(const ThreadState &t,
-                           const DecodedInst &di) const;
+    /** True when @p di is a preemption point. */
+    bool isPreemptionPoint(const DecodedInst &di) const;
 
     /** Stop-spec check before executing @p di; true when a point
      *  matched (resume state must then be saved). */

@@ -2,7 +2,7 @@
 
 namespace portend::rt {
 
-StaticInfo::StaticInfo(const ir::Program &p) : prog(p)
+StaticInfo::StaticInfo(const ir::Program &p)
 {
     const std::size_t n = p.functions.size();
     may_write.assign(n, {});
@@ -19,19 +19,6 @@ StaticInfo::StaticInfo(const ir::Program &p) : prog(p)
                   case ir::Op::Call:
                   case ir::Op::ThreadCreate:
                     callees[f].insert(inst.fid);
-                    break;
-                  case ir::Op::Br:
-                    num_branches += 1;
-                    break;
-                  case ir::Op::MutexLock:
-                  case ir::Op::MutexUnlock:
-                  case ir::Op::CondWait:
-                  case ir::Op::CondSignal:
-                  case ir::Op::CondBroadcast:
-                  case ir::Op::BarrierWait:
-                  case ir::Op::ThreadJoin:
-                  case ir::Op::Yield:
-                    num_preemption_points += 1;
                     break;
                   default:
                     break;

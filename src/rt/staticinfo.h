@@ -33,17 +33,8 @@ class StaticInfo
     /** Globals function @p f may write, transitively (gid set). */
     const std::set<ir::GlobalId> &mayWrite(ir::FuncId f) const;
 
-    /** Number of branch instructions in the whole program. */
-    int numBranches() const { return num_branches; }
-
-    /** Number of potential preemption-point instructions. */
-    int numPreemptionPoints() const { return num_preemption_points; }
-
   private:
-    const ir::Program &prog;
     std::vector<std::set<ir::GlobalId>> may_write;
-    int num_branches = 0;
-    int num_preemption_points = 0;
 };
 
 } // namespace portend::rt

@@ -19,40 +19,6 @@ MemImage::MemImage(std::vector<Value> cells)
 }
 
 const char *
-eventKindName(EventKind k)
-{
-    switch (k) {
-      case EventKind::MemRead: return "mem_read";
-      case EventKind::MemWrite: return "mem_write";
-      case EventKind::MutexLock: return "mutex_lock";
-      case EventKind::MutexUnlock: return "mutex_unlock";
-      case EventKind::CondWait: return "cond_wait";
-      case EventKind::CondSignal: return "cond_signal";
-      case EventKind::BarrierWait: return "barrier_wait";
-      case EventKind::ThreadCreate: return "thread_create";
-      case EventKind::ThreadJoin: return "thread_join";
-      case EventKind::ThreadStart: return "thread_start";
-      case EventKind::ThreadExit: return "thread_exit";
-      case EventKind::Output: return "output";
-    }
-    return "?";
-}
-
-const char *
-threadStatusName(ThreadStatus s)
-{
-    switch (s) {
-      case ThreadStatus::Runnable: return "runnable";
-      case ThreadStatus::BlockedMutex: return "blocked-mutex";
-      case ThreadStatus::BlockedCond: return "blocked-cond";
-      case ThreadStatus::BlockedJoin: return "blocked-join";
-      case ThreadStatus::BlockedBarrier: return "blocked-barrier";
-      case ThreadStatus::Exited: return "exited";
-    }
-    return "?";
-}
-
-const char *
 runOutcomeName(RunOutcome o)
 {
     switch (o) {

@@ -139,9 +139,6 @@ enum class ThreadStatus : std::uint8_t {
     Exited,
 };
 
-/** Printable status name. */
-const char *threadStatusName(ThreadStatus s);
-
 /**
  * One stack frame of a thread.
  *
@@ -347,7 +344,6 @@ bool isSpecViolation(RunOutcome o);
 /** Execution statistics used by the evaluation harnesses. */
 struct VmStats
 {
-    std::uint64_t steps = 0;             ///< instructions executed
     std::uint64_t preemption_points = 0; ///< scheduling decisions taken
     std::uint64_t symbolic_branches = 0; ///< forks offered to the hook
     std::uint64_t values_boxed = 0;      ///< Value→ExprPtr conversions

@@ -1,28 +1,9 @@
 #include "support/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace portend {
-
-namespace {
-// Atomic so that classification workers can log while the driver
-// thread adjusts verbosity.
-std::atomic<LogLevel> global_level{LogLevel::Warn};
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    global_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return global_level.load(std::memory_order_relaxed);
-}
 
 void
 panicImpl(const std::string &msg, const char *file, int line)
@@ -41,22 +22,7 @@ fatalImpl(const std::string &msg, const char *file, int line)
 void
 warnImpl(const std::string &msg)
 {
-    if (logLevel() >= LogLevel::Warn)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Info)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Debug)
-        std::fprintf(stderr, "debug: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 } // namespace portend

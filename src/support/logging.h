@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (a bug in this library), fatal() is for user errors
- * (bad configuration, malformed programs). warn()/inform() report
- * conditions without stopping execution.
+ * (bad configuration, malformed programs). warn() reports a
+ * condition on stderr without stopping execution.
  */
 
 #ifndef PORTEND_SUPPORT_LOGGING_H
@@ -15,15 +15,6 @@
 #include <string>
 
 namespace portend {
-
-/** Verbosity levels for the global logger. */
-enum class LogLevel { Silent, Error, Warn, Info, Debug };
-
-/** Set the global log threshold; messages above it are suppressed. */
-void setLogLevel(LogLevel level);
-
-/** Current global log threshold. */
-LogLevel logLevel();
 
 /**
  * Report an internal invariant violation and abort.
@@ -45,12 +36,6 @@ LogLevel logLevel();
 
 /** Emit a warning; execution continues. */
 void warnImpl(const std::string &msg);
-
-/** Emit an informational message; execution continues. */
-void informImpl(const std::string &msg);
-
-/** Emit a debug-level message; execution continues. */
-void debugImpl(const std::string &msg);
 
 namespace detail {
 
@@ -78,12 +63,6 @@ concat(Args &&...args)
 
 #define PORTEND_WARN(...)                                                   \
     ::portend::warnImpl(::portend::detail::concat(__VA_ARGS__))
-
-#define PORTEND_INFORM(...)                                                 \
-    ::portend::informImpl(::portend::detail::concat(__VA_ARGS__))
-
-#define PORTEND_DEBUG(...)                                                  \
-    ::portend::debugImpl(::portend::detail::concat(__VA_ARGS__))
 
 /** Internal invariant check: panics with the condition text on failure. */
 #define PORTEND_ASSERT(cond, ...)                                           \

@@ -224,8 +224,6 @@ inline ExprPtr mkConst(std::int64_t v, Width w = Width::I64)
 { return Expr::constant(v, w); }
 inline ExprPtr mkAdd(const ExprPtr &a, const ExprPtr &b)
 { return Expr::binary(ExprKind::Add, a, b); }
-inline ExprPtr mkSub(const ExprPtr &a, const ExprPtr &b)
-{ return Expr::binary(ExprKind::Sub, a, b); }
 inline ExprPtr mkMul(const ExprPtr &a, const ExprPtr &b)
 { return Expr::binary(ExprKind::Mul, a, b); }
 inline ExprPtr mkEq(const ExprPtr &a, const ExprPtr &b)
@@ -236,8 +234,6 @@ inline ExprPtr mkSlt(const ExprPtr &a, const ExprPtr &b)
 { return Expr::binary(ExprKind::Slt, a, b); }
 inline ExprPtr mkSle(const ExprPtr &a, const ExprPtr &b)
 { return Expr::binary(ExprKind::Sle, a, b); }
-inline ExprPtr mkNot(const ExprPtr &a)
-{ return Expr::unary(ExprKind::LNot, a); }
 /** @} */
 
 } // namespace portend::sym

@@ -10,17 +10,6 @@
 
 namespace portend::sym {
 
-const char *
-satResultName(SatResult r)
-{
-    switch (r) {
-      case SatResult::Sat: return "sat";
-      case SatResult::Unsat: return "unsat";
-      case SatResult::Unknown: return "unknown";
-    }
-    return "?";
-}
-
 void
 PathCondition::add(const ExprPtr &c)
 {
@@ -306,16 +295,13 @@ Solver::checkSat(const std::vector<ExprPtr> &constraints, Model *model)
         ExprPtr s = simplify(c);
         if (isTrue(s))
             continue;
-        if (isFalse(s)) {
-            stats_.unsat += 1;
+        if (isFalse(s))
             return SatResult::Unsat;
-        }
         cs.push_back(std::move(s));
     }
     if (cs.empty()) {
         if (model)
             *model = Model{};
-        stats_.sat += 1;
         return SatResult::Sat;
     }
 
@@ -328,11 +314,8 @@ Solver::checkSat(const std::vector<ExprPtr> &constraints, Model *model)
     narrowIntervals(cs, env);
     for (const auto &c : cs) {
         Interval r = evalInterval(c, env);
-        if (r.singleton() && r.lo == 0) {
-            stats_.unsat += 1;
-            stats_.interval_rejects += 1;
+        if (r.singleton() && r.lo == 0)
             return SatResult::Unsat;
-        }
     }
 
     std::vector<SymbolDomain> domains = buildDomains(cs, env, symbols);
@@ -341,7 +324,6 @@ Solver::checkSat(const std::vector<ExprPtr> &constraints, Model *model)
         if (d.candidates.empty()) {
             // A symbol with an empty narrowed domain: no model exists
             // (the narrowing is sound).
-            stats_.unsat += 1;
             return SatResult::Unsat;
         }
         exhaustive = exhaustive && d.complete;
@@ -359,7 +341,6 @@ Solver::checkSat(const std::vector<ExprPtr> &constraints, Model *model)
             return false;
         }
         if (idx == domains.size()) {
-            stats_.assignments += 1;
             budget -= 1;
             for (const auto &c : cs) {
                 if (c->evaluate(attempt) == 0)
@@ -391,14 +372,10 @@ Solver::checkSat(const std::vector<ExprPtr> &constraints, Model *model)
     if (dfs(0)) {
         if (model)
             *model = attempt;
-        stats_.sat += 1;
         return SatResult::Sat;
     }
-    if (budget_hit || !exhaustive) {
-        stats_.unknown += 1;
+    if (budget_hit || !exhaustive)
         return SatResult::Unknown;
-    }
-    stats_.unsat += 1;
     return SatResult::Unsat;
 }
 

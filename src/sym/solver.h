@@ -33,18 +33,10 @@ namespace portend::sym {
 /** Tri-state satisfiability verdict. */
 enum class SatResult { Sat, Unsat, Unknown };
 
-/** Printable name of a SatResult. */
-const char *satResultName(SatResult r);
-
-/** Counters describing solver work (exposed for bench/fig9). */
+/** Solver work; classification copies the query count into its ledger. */
 struct SolverStats
 {
-    std::uint64_t queries = 0;        ///< checkSat calls
-    std::uint64_t sat = 0;            ///< Sat answers
-    std::uint64_t unsat = 0;          ///< Unsat answers
-    std::uint64_t unknown = 0;        ///< Unknown answers
-    std::uint64_t assignments = 0;    ///< candidate assignments tested
-    std::uint64_t interval_rejects = 0; ///< queries killed by intervals
+    std::uint64_t queries = 0; ///< checkSat calls
 };
 
 /** Tunable limits for the search. */

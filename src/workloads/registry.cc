@@ -52,24 +52,4 @@ buildWorkload(const std::string &name)
     PORTEND_FATAL("unknown workload '", name, "'");
 }
 
-std::vector<Workload>
-buildAllWorkloads()
-{
-    std::vector<Workload> out;
-    for (const auto &n : workloadNames())
-        out.push_back(buildWorkload(n));
-    return out;
-}
-
-std::vector<Workload>
-buildRealApplications()
-{
-    std::vector<Workload> out;
-    for (const auto &n : {"sqlite", "ocean", "fmm", "memcached",
-                          "pbzip2", "ctrace", "bbuf"}) {
-        out.push_back(buildWorkload(n));
-    }
-    return out;
-}
-
 } // namespace portend::workloads

@@ -31,12 +31,6 @@ std::vector<std::string> extensionWorkloadNames();
  */
 Workload buildWorkload(const std::string &name);
 
-/** Build the full 11-program suite (Table 1 order). */
-std::vector<Workload> buildAllWorkloads();
-
-/** The seven real applications only. */
-std::vector<Workload> buildRealApplications();
-
 } // namespace portend::workloads
 
 #endif // PORTEND_WORKLOADS_REGISTRY_H

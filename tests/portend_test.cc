@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <tuple>
+
 #include "ir/builder.h"
 #include "portend/outputcmp.h"
 #include "portend/portend.h"
@@ -419,6 +422,122 @@ TEST(OutputCmpTest, PerThreadInterleavingIgnored)
     b.append(t1);
     b.append(t0);
     EXPECT_TRUE(compareConcreteOutputs(a, b).match);
+}
+
+rt::OutputLog
+outputLog(std::initializer_list<
+          std::tuple<int, std::string_view, sym::ExprPtr>>
+              recs)
+{
+    rt::OutputLog log;
+    for (const auto &[tid, label, value] : recs) {
+        rt::OutputRecord r;
+        r.tid = tid;
+        r.label = label;
+        r.value = value;
+        log.append(std::move(r));
+    }
+    return log;
+}
+
+// Every first difference either comparison can report, with its
+// exact text. An empty expectation means the comparison does not
+// apply to the case; the symbolic comparison runs with an empty path
+// condition unless the case names one.
+TEST(OutputCmpTest, FirstDifferenceMessages)
+{
+    using sym::mkConst;
+    const sym::ExprPtr x =
+        sym::Expr::symbol("x", 0, sym::Width::I64, 0, 9);
+    const sym::ExprPtr x1 = sym::mkAdd(x, mkConst(1));
+    const sym::ExprPtr x2 = sym::mkAdd(x, mkConst(2));
+    struct Case
+    {
+        const char *name;
+        rt::OutputLog a, b; ///< primary, alternate
+        std::string concrete, symbolic;
+        int tid1 = -1, tid2 = -1;
+        std::vector<sym::ExprPtr> path_condition = {};
+        sym::SolverOptions solver = {};
+    };
+    const Case cases[] = {
+        {"racing-pair order",
+         outputLog({{1, "x", mkConst(1)}, {2, "y", mkConst(2)}}),
+         outputLog({{2, "y", mkConst(2)}, {1, "x", mkConst(1)}}),
+         "racing threads' output records interleave differently",
+         "racing threads' output records interleave differently", 1, 2},
+        {"total count", outputLog({{0, "x", mkConst(1)}}),
+         outputLog({{0, "x", mkConst(1)}, {0, "x", mkConst(1)}}),
+         "output operation counts differ: 1 vs 2",
+         "output operation counts differ: 1 vs 2"},
+        {"thread set",
+         outputLog({{0, "x", mkConst(1)}, {1, "y", mkConst(2)}}),
+         outputLog({{0, "x", mkConst(1)}, {0, "y", mkConst(3)}}),
+         "sets of output-producing threads differ",
+         "sets of output-producing threads differ"},
+        {"thread in one log only",
+         outputLog({{0, "x", mkConst(1)}, {1, "y", mkConst(2)}}),
+         outputLog({{0, "x", mkConst(1)}, {2, "y", mkConst(3)}}),
+         "thread 1 produced output in only one execution",
+         "thread 1 produced output in only one execution"},
+        {"per-thread count",
+         outputLog({{0, "x", mkConst(1)},
+                    {0, "x", mkConst(2)},
+                    {1, "y", mkConst(1)}}),
+         outputLog({{0, "x", mkConst(1)},
+                    {1, "y", mkConst(1)},
+                    {1, "y", mkConst(2)}}),
+         "thread 0 output counts differ: 2 vs 1",
+         "thread 0 output counts differ: 2 vs 1"},
+        {"label", outputLog({{0, "x", mkConst(1)}}),
+         outputLog({{0, "z", mkConst(1)}}),
+         "labels differ: output[0] at <unknown>:0 (T0): x=1 vs "
+         "output[0] at <unknown>:0 (T0): z=1",
+         "labels differ: output[0] at <unknown>:0 (T0): x=1 vs "
+         "output[0] at <unknown>:0 (T0): z=1"},
+        {"payload presence", outputLog({{0, "x", nullptr}}),
+         outputLog({{0, "x", mkConst(1)}}),
+         "payload presence differs at output[0] at <unknown>:0 (T0): x",
+         "payload presence differs at output[0] at <unknown>:0 (T0): x"},
+        {"concrete values", outputLog({{0, "x", mkConst(1)}}),
+         outputLog({{0, "x", mkConst(2)}}),
+         "values differ: output[0] at <unknown>:0 (T0): x=1 vs "
+         "output[0] at <unknown>:0 (T0): x=2",
+         "values differ: output[0] at <unknown>:0 (T0): x=1 vs "
+         "output[0] at <unknown>:0 (T0): x=2"},
+        {"symbolic structure", outputLog({{0, "x", x1}}),
+         outputLog({{0, "x", x2}}),
+         "symbolic values differ structurally at output[0] at "
+         "<unknown>:0 (T0): x=(add x#0 1)",
+         ""},
+        {"non-concrete alternate", outputLog({{0, "x", mkConst(1)}}),
+         outputLog({{0, "x", x1}}), "",
+         "alternate output not concrete at output[0] at <unknown>:0 "
+         "(T0): x=(add x#0 1)"},
+        {"unsat", outputLog({{0, "v", x1}}),
+         outputLog({{0, "v", mkConst(5)}}), "",
+         "alternate outputs violate primary constraints", -1, -1,
+         {sym::mkSlt(mkConst(7), x)}},
+        {"unknown", outputLog({{0, "v", x1}}),
+         outputLog({{0, "v", mkConst(5)}}), "",
+         "solver could not validate output equivalence", -1, -1, {},
+         sym::SolverOptions{.max_assignments = 0}},
+    };
+    for (const Case &c : cases) {
+        if (!c.concrete.empty()) {
+            OutputComparison cmp =
+                compareConcreteOutputs(c.a, c.b, c.tid1, c.tid2);
+            EXPECT_FALSE(cmp.match) << c.name;
+            EXPECT_EQ(cmp.diff, c.concrete) << c.name;
+        }
+        if (!c.symbolic.empty()) {
+            sym::Solver solver(c.solver);
+            OutputComparison cmp = compareSymbolicOutputs(
+                c.a, c.path_condition, c.b, solver, c.tid1, c.tid2);
+            EXPECT_FALSE(cmp.match) << c.name;
+            EXPECT_EQ(cmp.diff, c.symbolic) << c.name;
+        }
+    }
 }
 
 } // namespace

