@@ -15,6 +15,7 @@
 #include "rt/decode.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
+#include "sym/solver.h"
 #include "workloads/registry.h"
 
 namespace fs = std::filesystem;
@@ -27,6 +28,40 @@ const char kManifestMagic[] = "portend-campaign-v1";
 const char kManifestFile[] = "manifest";
 const char kJournalFile[] = "journal.jsonl";
 const char kCacheDir[] = "cache";
+
+/**
+ * Analysis dials that are constants now. Manifests keep naming them
+ * at these values, in their old places, so campaign directories
+ * written when they were options still reopen; any other value is
+ * refused.
+ */
+struct FixedDial
+{
+    const char *key;
+    std::uint64_t value;
+};
+
+const FixedDial kFixedDials[] = {
+    {"max_symbolic_inputs", core::kMaxSymbolicInputs},
+    {"timeout_factor", core::kTimeoutFactor},
+    {"preemption_bound",
+     static_cast<std::uint64_t>(explore::ExplorerOptions{}.preemption_bound)},
+    {"solver.max_assignments", sym::SolverOptions{}.max_assignments},
+    {"solver.max_candidates", sym::kMaxCandidates},
+    {"total_state_budget", 0},
+    {"total_step_budget", 0},
+};
+
+/** The value retired dial @p key is fixed at, or null for any other
+ *  key. */
+const std::uint64_t *
+fixedDial(const std::string &key)
+{
+    for (const FixedDial &d : kFixedDials)
+        if (key == d.key)
+            return &d.value;
+    return nullptr;
+}
 
 const char *
 detectorName(core::DetectorKind d)
@@ -170,6 +205,9 @@ manifestText(const CampaignConfig &config)
 {
     const core::PortendOptions &o = config.analysis;
     std::ostringstream os;
+    const auto fixed = [&os](const char *key) {
+        os << key << " " << *fixedDial(key) << "\n";
+    };
     os << kManifestMagic << "\n";
     os << "render.json " << (config.render.json ? 1 : 0) << "\n";
     os << "render.stats " << (config.render.stats ? 1 : 0) << "\n";
@@ -184,23 +222,22 @@ manifestText(const CampaignConfig &config)
     os << "adhoc " << (o.adhoc_detection ? 1 : 0) << "\n";
     os << "multi_path " << (o.multi_path ? 1 : 0) << "\n";
     os << "multi_schedule " << (o.multi_schedule ? 1 : 0) << "\n";
-    os << "max_symbolic_inputs " << o.max_symbolic_inputs << "\n";
+    fixed("max_symbolic_inputs");
     for (const rt::SymInputSpec &s : o.sym_inputs) {
         os << "sym_input " << (s.has_range ? 1 : 0) << " " << s.lo
            << " " << s.hi << " " << s.name << "\n";
     }
-    os << "timeout_factor " << o.timeout_factor << "\n";
+    fixed("timeout_factor");
     os << "max_steps " << o.max_steps << "\n";
     os << "detection_seed " << o.detection_seed << "\n";
     os << "detector " << detectorName(o.detector) << "\n";
     os << "explore " << explore::exploreModeName(o.explore) << "\n";
-    os << "preemption_bound " << o.preemption_bound << "\n";
-    os << "solver.max_assignments " << o.solver.max_assignments
-       << "\n";
-    os << "solver.max_candidates " << o.solver.max_candidates << "\n";
+    fixed("preemption_bound");
+    fixed("solver.max_assignments");
+    fixed("solver.max_candidates");
     os << "executor_max_states " << o.executor_max_states << "\n";
-    os << "total_state_budget " << o.total_state_budget << "\n";
-    os << "total_step_budget " << o.total_step_budget << "\n";
+    fixed("total_state_budget");
+    fixed("total_step_budget");
     for (const UnitSpec &u : config.units)
         os << "unit " << u.kind << " " << u.name << "\n";
     return os.str();
@@ -255,8 +292,6 @@ parseManifest(const std::string &text, std::string *error)
             int v = 0; ok = bool(ls >> v); o.multi_path = v != 0;
         } else if (key == "multi_schedule") {
             int v = 0; ok = bool(ls >> v); o.multi_schedule = v != 0;
-        } else if (key == "max_symbolic_inputs") {
-            ok = bool(ls >> o.max_symbolic_inputs);
         } else if (key == "sym_input") {
             rt::SymInputSpec s;
             int has_range = 0;
@@ -266,8 +301,6 @@ parseManifest(const std::string &text, std::string *error)
             ok = ok && !s.name.empty();
             if (ok)
                 o.sym_inputs.push_back(std::move(s));
-        } else if (key == "timeout_factor") {
-            ok = bool(ls >> o.timeout_factor);
         } else if (key == "max_steps") {
             ok = bool(ls >> o.max_steps);
         } else if (key == "detection_seed") {
@@ -278,18 +311,11 @@ parseManifest(const std::string &text, std::string *error)
         } else if (key == "explore") {
             std::string v;
             ok = bool(ls >> v) && parseExplore(v, &o.explore);
-        } else if (key == "preemption_bound") {
-            ok = bool(ls >> o.preemption_bound);
-        } else if (key == "solver.max_assignments") {
-            ok = bool(ls >> o.solver.max_assignments);
-        } else if (key == "solver.max_candidates") {
-            ok = bool(ls >> o.solver.max_candidates);
         } else if (key == "executor_max_states") {
             ok = bool(ls >> o.executor_max_states);
-        } else if (key == "total_state_budget") {
-            ok = bool(ls >> o.total_state_budget);
-        } else if (key == "total_step_budget") {
-            ok = bool(ls >> o.total_step_budget);
+        } else if (const std::uint64_t *value = fixedDial(key)) {
+            std::uint64_t v = 0;
+            ok = bool(ls >> v) && v == *value;
         } else if (key == "unit") {
             UnitSpec u;
             ok = bool(ls >> u.kind);

@@ -5,11 +5,11 @@
  * The campaign engine and the classification scheduler both fan a
  * fixed, fully materialized list of work units out to workers. The
  * queue codifies the determinism rule those layers share: the unit
- * list (and every per-unit budget slice riding on it) is built
- * *before* any worker runs, units are dispensed by an atomic cursor
- * in index order, and results are always merged back by unit index,
- * never by completion order. Workers race only on the cursor; the
- * units themselves are immutable once the queue is armed.
+ * list is built *before* any worker runs, units are dispensed by an
+ * atomic cursor in index order, and results are always merged back
+ * by unit index, never by completion order. Workers race only on the
+ * cursor; the units themselves are immutable once the queue is
+ * armed.
  *
  * Header-only and dependency-free on purpose: the queue is the
  * work-unit boundary between the campaign layer and the layers below

@@ -2,6 +2,7 @@
 
 #include "explore/explorer.h"
 #include "support/hash.h"
+#include "sym/solver.h"
 
 namespace portend::campaign {
 
@@ -15,36 +16,36 @@ std::uint64_t
 configHash(const core::PortendOptions &opts, const std::string &salt)
 {
     // Order is part of the hash: append-only, never reorder, so
-    // signatures stay stable across builds of the same source.
+    // signatures stay stable across builds of the same source. Dials
+    // that are constants now keep their slots, at their fixed values.
     std::uint64_t h = fnv1a(std::string("portend-campaign-config-v1"));
     h = hashCombine(h, static_cast<std::uint64_t>(opts.mp));
     h = hashCombine(h, static_cast<std::uint64_t>(opts.ma));
     h = hashCombine(h, opts.adhoc_detection ? 1 : 0);
     h = hashCombine(h, opts.multi_path ? 1 : 0);
     h = hashCombine(h, opts.multi_schedule ? 1 : 0);
-    h = hashCombine(h,
-                    static_cast<std::uint64_t>(opts.max_symbolic_inputs));
+    h = hashCombine(h, static_cast<std::uint64_t>(core::kMaxSymbolicInputs));
     for (const rt::SymInputSpec &s : opts.sym_inputs) {
         h = fnv1a(s.name, h);
         h = hashCombine(h, s.has_range ? 1 : 0);
         h = hashCombine(h, static_cast<std::uint64_t>(s.lo));
         h = hashCombine(h, static_cast<std::uint64_t>(s.hi));
     }
-    h = hashCombine(h, opts.timeout_factor);
+    h = hashCombine(h, core::kTimeoutFactor);
     h = hashCombine(h, opts.max_steps);
     h = hashCombine(h, opts.detection_seed);
     h = hashCombine(h, static_cast<std::uint64_t>(opts.detector));
     h = fnv1a(std::string(explore::exploreModeName(opts.explore)), h);
-    h = hashCombine(h, static_cast<std::uint64_t>(opts.preemption_bound));
+    h = hashCombine(h, static_cast<std::uint64_t>(
+                           explore::ExplorerOptions{}.preemption_bound));
     h = hashCombine(h,
                     static_cast<std::uint64_t>(opts.semantic_predicates.size()));
-    h = hashCombine(h, opts.solver.max_assignments);
-    h = hashCombine(h, opts.solver.max_candidates);
+    h = hashCombine(h, sym::SolverOptions{}.max_assignments);
+    h = hashCombine(h, sym::kMaxCandidates);
     h = hashCombine(h,
                     static_cast<std::uint64_t>(opts.executor_max_states));
-    h = hashCombine(h,
-                    static_cast<std::uint64_t>(opts.total_state_budget));
-    h = hashCombine(h, opts.total_step_budget);
+    h = hashCombine(h, 0); // total_state_budget
+    h = hashCombine(h, 0); // total_step_budget
     if (!salt.empty())
         h = fnv1a(salt, h);
     return h;

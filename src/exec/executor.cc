@@ -7,9 +7,7 @@
 
 namespace portend::exec {
 
-Executor::Executor(ExecutorOptions opts)
-    : opts(opts), solver_(opts.solver)
-{}
+Executor::Executor(ExecutorOptions opts) : opts(opts) {}
 
 void
 completeModel(const sym::ExprPtr &e, sym::Model &m)
@@ -54,7 +52,7 @@ Executor::decide(rt::Interpreter &interp, const sym::ExprPtr &cond,
         // The clone is a COW checkpoint: cheap to take, and immutable
         // on the worklist until adopted.
         if (states_created < opts.max_states &&
-            static_cast<int>(pc.size()) < opts.max_fork_depth) {
+            static_cast<int>(pc.size()) < kMaxForkDepth) {
             OBS_SPAN("sym", "path-fork");
             if (obs::Collector *c = obs::collector())
                 c->add(obs::Counter::SymPathForks, 1);

@@ -31,6 +31,15 @@
 
 namespace portend::exec {
 
+/**
+ * Fork-depth budget: stop forking once a path has accumulated this
+ * many constraints. Deep forks correspond to branches far from the
+ * race window (each feasible fork appends one constraint), so the
+ * bound keeps exploration near the race the way Portend's analysis
+ * window does.
+ */
+constexpr int kMaxForkDepth = 32;
+
 /** Exploration limits. */
 struct ExecutorOptions
 {
@@ -39,18 +48,6 @@ struct ExecutorOptions
 
     /** Safety bound on total states ever enqueued. */
     int max_states = 512;
-
-    /**
-     * Fork-depth budget: stop forking once a path has accumulated
-     * this many constraints. Deep forks correspond to branches far
-     * from the race window (each feasible fork appends one
-     * constraint), so the bound keeps exploration near the race the
-     * way Portend's analysis window does.
-     */
-    int max_fork_depth = 32;
-
-    /** Solver limits. */
-    sym::SolverOptions solver;
 };
 
 /** One completed execution path. */

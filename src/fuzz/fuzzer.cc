@@ -59,17 +59,20 @@ struct CampaignState
  * analogue of campaign::configHash. `deep` is a dial: a deep verdict
  * carries extra checks, so deep and shallow runs of the same program
  * must cache under different signatures. detection_seed is the whole
- * schedule; jobs never appears (the oracle is single-index).
+ * schedule; jobs never appears (the oracle is single-index). The
+ * pipeline budgets are constants now; they keep their fields in the
+ * hashed text, so cache entries written when they were options still
+ * hit.
  */
 std::uint64_t
 oracleConfigHash(const OracleOptions &o)
 {
     std::string s = "portend-fuzz-oracle-v1";
     s += ";seed=" + std::to_string(o.detection_seed);
-    s += ";mp=" + std::to_string(o.mp);
-    s += ";ma=" + std::to_string(o.ma);
-    s += ";max_steps=" + std::to_string(o.max_steps);
-    s += ";states=" + std::to_string(o.executor_max_states);
+    s += ";mp=" + std::to_string(kOracleMp);
+    s += ";ma=" + std::to_string(kOracleMa);
+    s += ";max_steps=" + std::to_string(kOracleMaxSteps);
+    s += ";states=" + std::to_string(kOracleMaxStates);
     s += ";explore=";
     s += explore::exploreModeName(o.explore);
     s += ";deep=";
@@ -132,8 +135,7 @@ runIndex(std::uint64_t index, const FuzzOptions &opts,
 {
     IndexResult r;
     r.gen = generateProgram(opts.fuzz_seed, index, opts.gen);
-    r.deep = opts.deep_every > 0 &&
-             index % static_cast<std::uint64_t>(opts.deep_every) == 0;
+    r.deep = index % kDeepEvery == 0;
 
     if (!r.gen.verify_errors.empty()) {
         // The generator itself emitted an invalid program: that is a

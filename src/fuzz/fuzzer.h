@@ -35,6 +35,9 @@
 
 namespace portend::fuzz {
 
+/** Deep (metamorphic re-execution) oracle on every Nth index. */
+constexpr int kDeepEvery = 4;
+
 /** Campaign configuration. */
 struct FuzzOptions
 {
@@ -57,9 +60,6 @@ struct FuzzOptions
      * already-cached signature, which is where all the time goes.
      */
     std::string campaign_dir;
-
-    /** Deep (metamorphic re-execution) oracle on every Nth index. */
-    int deep_every = 4;
 
     /** Cap on new regression exemplars minimized per campaign. */
     int max_new_entries = 16;

@@ -54,10 +54,10 @@ core::PortendOptions
 fullOptions(const OracleOptions &o)
 {
     core::PortendOptions p;
-    p.mp = o.mp;
-    p.ma = o.ma;
-    p.max_steps = o.max_steps;
-    p.executor_max_states = o.executor_max_states;
+    p.mp = kOracleMp;
+    p.ma = kOracleMa;
+    p.max_steps = kOracleMaxSteps;
+    p.executor_max_states = kOracleMaxStates;
     p.detection_seed = o.detection_seed;
     p.explore = o.explore;
     p.jobs = 1;
@@ -174,7 +174,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
     {
         baseline::AdhocDetector adhoc(prog);
         baseline::HeuristicClassifier heuristic(prog);
-        baseline::ReplayAnalyzer rra(prog, opts.max_steps);
+        baseline::ReplayAnalyzer rra(prog, kOracleMaxSteps);
         for (const core::PortendReport &rep : r1.reports) {
             const race::RaceReport &race = rep.cluster.representative;
             if (adhoc.classify(race) ==

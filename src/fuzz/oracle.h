@@ -73,14 +73,18 @@
 
 namespace portend::fuzz {
 
-/** Oracle configuration (kept small: fuzzing wants throughput). */
+/** @name The oracle's pipeline budgets (small: fuzzing wants
+ *  throughput). @{ */
+constexpr int kOracleMp = 3;  ///< primary paths at full budget
+constexpr int kOracleMa = 2;  ///< alternate schedules per primary
+constexpr std::uint64_t kOracleMaxSteps = 200000; ///< per-run budget
+constexpr int kOracleMaxStates = 64;              ///< symbolic fork cap
+/** @} */
+
+/** Oracle configuration. */
 struct OracleOptions
 {
     std::uint64_t detection_seed = 1; ///< schedule seed (CLI --seed)
-    int mp = 3;                       ///< primary paths at full budget
-    int ma = 2;                       ///< alternate schedules per primary
-    std::uint64_t max_steps = 200000; ///< per-run interpreter budget
-    int executor_max_states = 64;     ///< symbolic fork cap
 
     /** Stage-3 explorer of the primary pipeline run (CLI --explore);
      *  deep mode cross-checks it against the other explorer. */

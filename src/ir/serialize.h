@@ -2,11 +2,10 @@
  * @file
  * Self-contained textual serialization of PIL programs.
  *
- * Unlike the diagnostic printer (ir/printer.h), this format round-
- * trips: serialize() then deserialize() reproduces the program
- * exactly (verified by property tests). It lets workload models,
- * regression programs, and bug-report reproducers live as plain
- * text artifacts next to the schedule traces they pair with
+ * The format round-trips: serialize() then deserialize() reproduces
+ * the program exactly (verified by property tests). It lets workload
+ * models, regression programs, and bug-report reproducers live as
+ * plain text artifacts next to the schedule traces they pair with
  * (paper §3.6's replayable evidence).
  *
  * Format: the serializer writes one declaration per line, in this

@@ -138,7 +138,7 @@ RaceAnalyzer::usableRung(const replay::CheckpointLadder *ladder,
     const replay::CheckpointLadder::Rung *rung = ladder->find(
         race.first.tid, race.cell, race.first.cell_occurrence);
     // A rung past this analyzer's budget is unusable: a from-0
-    // replay under the (possibly tighter, sliced) budget would have
+    // replay under a tighter budget than the ladder's would have
     // timed out before reaching it, and the ladder must never change
     // verdicts.
     if (rung && rung->state.global_step >= opts.max_steps)
@@ -347,7 +347,7 @@ RaceAnalyzer::runAlternateFromState(
             ? primary_total_steps - pre_steps
             : 1000;
     alt.options().max_steps =
-        pre_steps + opts.timeout_factor * body + 2000;
+        pre_steps + kTimeoutFactor * body + 2000;
 
     SemanticMonitor sem(alt, opts.semantic_predicates);
     alt.addSink(&sem);
@@ -977,14 +977,13 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
     if (opts.multi_path) {
         rt::ExecOptions eo = baseOptions();
         eo.input_mode = rt::InputMode::Symbolic;
-        eo.max_symbolic_inputs = opts.max_symbolic_inputs;
+        eo.max_symbolic_inputs = kMaxSymbolicInputs;
         eo.sym_inputs = opts.sym_inputs;
         rt::Interpreter sym_interp(prog, eo);
 
         exec::ExecutorOptions xo;
         xo.max_paths = opts.mp;
         xo.max_states = opts.executor_max_states;
-        xo.solver = opts.solver;
         ex.emplace(xo);
 
         SemanticMonitor sem(sym_interp, opts.semantic_predicates);
@@ -1057,7 +1056,6 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
             explore::ExplorerOptions xopts;
             xopts.mode = opts.explore;
             xopts.budget = opts.ma;
-            xopts.preemption_bound = opts.preemption_bound;
             // Legacy seed layout: seed j of path p is p * 16 + j.
             xopts.seed_base = static_cast<std::uint64_t>(p.index) * 16;
             if (named)

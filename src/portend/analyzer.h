@@ -30,6 +30,13 @@
  * The verdict is one of the four taxonomy categories; "k-witness
  * harmless" verdicts carry k, the number of successful path x
  * schedule witnesses (stage 1's pair included).
+ *
+ * The settable dials are the paper's Mp and Ma plus the stage
+ * switches, explorer, detector and budgets of PortendOptions. The
+ * count of positional symbolic inputs and the alternate's timeout
+ * factor are constants (kMaxSymbolicInputs, kTimeoutFactor), as are
+ * the explorer's preemption bound, the executor's fork depth and
+ * the solver's per-symbol candidate cap.
  */
 
 #ifndef PORTEND_PORTEND_ANALYZER_H
@@ -74,6 +81,19 @@ enum class DetectorKind : std::uint8_t {
     Lockset,              ///< Eraser-style lockset detector
 };
 
+/**
+ * Inputs made symbolic in stage 2 when PortendOptions::sym_inputs
+ * names none: the first this many Input reads of a run.
+ */
+constexpr int kMaxSymbolicInputs = 2;
+
+/**
+ * Alternate step budget multiplier: an alternate may run this many
+ * times the primary's post-race steps (plus 2,000) before it counts
+ * as timed out.
+ */
+constexpr std::uint64_t kTimeoutFactor = 5;
+
 /** Portend configuration (the paper's dials). */
 struct PortendOptions
 {
@@ -91,35 +111,29 @@ struct PortendOptions
     bool adhoc_detection = true;   ///< classify hangs as single ordering
     bool multi_path = true;        ///< enable stage 2
     bool multi_schedule = true;    ///< enable stage 3
-    int max_symbolic_inputs = 2;   ///< inputs made symbolic in stage 2
 
     /**
      * Named symbolic-input selection for stage 2 (CLI --sym-input).
      * When non-empty, only Input instructions whose label matches an
-     * entry become symbolic (max_symbolic_inputs is ignored), stage
-     * 3's distinct-schedule budget is shared across primary paths,
-     * and decisive verdicts record a named witness
+     * entry become symbolic (kMaxSymbolicInputs does not apply),
+     * stage 3's distinct-schedule budget is shared across primary
+     * paths, and decisive verdicts record a named witness
      * (Classification::evidence_witness). Empty = legacy positional
      * selection.
      */
     std::vector<rt::SymInputSpec> sym_inputs;
-    std::uint64_t timeout_factor = 5; ///< alternate budget multiplier
     std::uint64_t max_steps = 2000000; ///< absolute step budget
     std::uint64_t detection_seed = 1;  ///< seed for detection run
     DetectorKind detector = DetectorKind::HappensBefore;
 
-    /** Stage-3 post-race schedule explorer (CLI --explore). */
+    /**
+     * Stage-3 post-race schedule explorer (CLI --explore). The dpor
+     * explorer bounds its systematic candidates by the explorer's
+     * default preemption bound.
+     */
     explore::ExploreMode explore = explore::ExploreMode::Dpor;
 
-    /**
-     * Preemption bound of the dpor explorer: systematic candidates
-     * carrying more injected preemptions than this are not generated
-     * (CHESS-style bounding; the random phase is unbounded).
-     */
-    int preemption_bound = 4;
-
     std::vector<SemanticPredicate> semantic_predicates;
-    sym::SolverOptions solver;
     int executor_max_states = 512;
 
     /**
@@ -128,26 +142,6 @@ struct PortendOptions
      * verdicts are byte-identical for every value.
      */
     int jobs = 1;
-
-    /**
-     * Run-global symbolic-state budget shared by every cluster of
-     * one classification batch. The scheduler slices it into fixed
-     * per-cluster caps (cluster count known up front, so slices are
-     * independent of worker interleaving and results stay
-     * deterministic); a slice never exceeds executor_max_states but
-     * also never drops below 1, so with more clusters than budget
-     * the aggregate may exceed the nominal total (every cluster is
-     * always allowed to make progress). 0 = no global cap: each
-     * cluster gets executor_max_states.
-     */
-    int total_state_budget = 0;
-
-    /**
-     * Run-global interpreter-step budget across all clusters of one
-     * batch, sliced per cluster like total_state_budget (against
-     * max_steps, same floor of 1). 0 = no global cap.
-     */
-    std::uint64_t total_step_budget = 0;
 };
 
 /** Event sink evaluating semantic predicates (see rt/semantics.h). */

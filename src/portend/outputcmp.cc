@@ -57,17 +57,14 @@ pairOrder(const rt::OutputLog &log, int tid1, int tid2)
  * threads, each thread's record count, and per aligned record pair
  * the label and payload presence. @p payload(ra, rb, i) judges two
  * aligned records that both carry a payload and returns their
- * difference, or "" when it accepts them. With @p chain_shortcut,
- * fully-concrete logs whose hash chains agree match once the counts
- * do.
+ * difference, or "" when it accepts them.
  *
  * @return the first difference, or "" when every check passed
  */
 template <typename PayloadRule>
 std::string
 firstDifference(const rt::OutputLog &a, const rt::OutputLog &b,
-                int tid1, int tid2, bool chain_shortcut,
-                PayloadRule &&payload)
+                int tid1, int tid2, PayloadRule &&payload)
 {
     if (tid1 >= 0 && tid2 >= 0 && tid1 != tid2 &&
         pairOrder(a, tid1, tid2) != pairOrder(b, tid1, tid2)) {
@@ -77,10 +74,6 @@ firstDifference(const rt::OutputLog &a, const rt::OutputLog &b,
         return "output operation counts differ: " +
                std::to_string(a.size()) + " vs " +
                std::to_string(b.size());
-    }
-    if (chain_shortcut && a.concrete_chain == b.concrete_chain &&
-        a.concrete_chain.count() == a.size()) {
-        return "";
     }
 
     auto ta = byThread(a);
@@ -140,7 +133,7 @@ compareConcreteOutputs(const rt::OutputLog &a, const rt::OutputLog &b,
 {
     OutputComparison cmp;
     cmp.diff = firstDifference(
-        a, b, tid1, tid2, true,
+        a, b, tid1, tid2,
         [](const rt::OutputRecord &ra, const rt::OutputRecord &rb,
            std::size_t i) -> std::string {
             if (ra.value->isConcrete())
@@ -164,7 +157,7 @@ compareSymbolicOutputs(const rt::OutputLog &primary,
     OutputComparison cmp;
     std::vector<sym::ExprPtr> query = path_condition;
     cmp.diff = firstDifference(
-        primary, alternate, tid1, tid2, false,
+        primary, alternate, tid1, tid2,
         [&query](const rt::OutputRecord &rp, const rt::OutputRecord &ra,
                  std::size_t i) -> std::string {
             if (!ra.value->isConcrete()) {

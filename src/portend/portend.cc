@@ -72,30 +72,26 @@ Portend::detect()
                                                : hb.races();
     result.dynamic_races = found.size();
     result.clusters = race::clusterRaces(found);
-    result.vm = interp.state().stats;
-    result.decoded_sites = interp.decodedSites();
 
     // The detection run's registry view (the --stats block reads
-    // these instead of the raw VmStats fields). Pure function of the
-    // deterministic detection run, so shard-safe.
+    // it). Pure function of the deterministic detection run, so
+    // shard-safe.
+    const rt::VmStats &vm = interp.state().stats;
     using obs::Counter;
     result.metrics.add(Counter::DetectRuns, 1);
     result.metrics.add(Counter::DetectSteps, result.steps);
     result.metrics.add(Counter::DetectDynamicRaces,
                        result.dynamic_races);
     result.metrics.add(Counter::DetectClusters, result.clusters.size());
-    result.metrics.add(Counter::DetectEventsBatched,
-                       result.vm.events_batched);
+    result.metrics.add(Counter::DetectEventsBatched, vm.events_batched);
     result.metrics.add(Counter::DetectHistoryEvictions,
                        opts.detector == DetectorKind::Lockset
                            ? lockset.evictions()
                            : hb.evictions());
-    result.metrics.add(Counter::DetectPagesUnshared,
-                       result.vm.pages_unshared);
-    result.metrics.add(Counter::DetectValuesBoxed,
-                       result.vm.values_boxed);
+    result.metrics.add(Counter::DetectPagesUnshared, vm.pages_unshared);
+    result.metrics.add(Counter::DetectValuesBoxed, vm.values_boxed);
     result.metrics.level(obs::Gauge::DecodedSites,
-                         static_cast<std::uint64_t>(result.decoded_sites));
+                         static_cast<std::uint64_t>(interp.decodedSites()));
 
     span.arg("clusters", static_cast<std::int64_t>(result.clusters.size()));
     result.seconds = sw.seconds();

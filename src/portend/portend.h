@@ -41,13 +41,10 @@ struct DetectionResult
     std::uint64_t steps = 0;                 ///< instructions run
     double seconds = 0.0;
 
-    /** Interpreter hot-path ledger for the detection run (the CLI
-     *  renders it under --stats, reading the registry view below). */
-    rt::VmStats vm;
-    int decoded_sites = 0;       ///< dense decoded pc space size
-
-    /** Registry view of this detection run: the counters above plus
-     *  cluster/race tallies, as one deterministic shard. */
+    /** Registry view of this detection run: its step, race and
+     *  cluster tallies and the interpreter's hot-path ledger (the CLI
+     *  renders the latter under --stats), as one deterministic
+     *  shard. */
     obs::MetricsShard metrics;
 };
 

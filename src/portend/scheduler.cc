@@ -98,47 +98,13 @@ ClassificationScheduler::jobs() const
     return ThreadPool::resolveJobs(opts.jobs);
 }
 
-PortendOptions
-ClassificationScheduler::taskOptions(std::size_t n_clusters,
-                                     std::size_t index) const
-{
-    PortendOptions task = opts;
-    const std::size_t n = std::max<std::size_t>(1, n_clusters);
-    index = std::min(index, n - 1);
-
-    // Fixed per-cluster slices of the global budgets, computed from
-    // (cluster count, cluster index) alone: identical regardless of
-    // worker count or interleaving, so budget-capped verdicts stay
-    // deterministic. The first `total % n` clusters carry the
-    // division remainder, so the slices sum back to the total
-    // (except in the documented total < n regime, where the
-    // never-below-1 floor lets every cluster make progress).
-    if (opts.total_state_budget > 0) {
-        const int base =
-            opts.total_state_budget / static_cast<int>(n);
-        const int rem = opts.total_state_budget % static_cast<int>(n);
-        const int slice = std::max(
-            1, base + (index < static_cast<std::size_t>(rem) ? 1 : 0));
-        task.executor_max_states =
-            std::min(opts.executor_max_states, slice);
-    }
-    if (opts.total_step_budget > 0) {
-        const std::uint64_t base = opts.total_step_budget / n;
-        const std::uint64_t rem = opts.total_step_budget % n;
-        const std::uint64_t slice = std::max<std::uint64_t>(
-            1, base + (index < rem ? 1 : 0));
-        task.max_steps = std::min(opts.max_steps, slice);
-    }
-    return task;
-}
-
 std::vector<ClusterUnit>
 ClassificationScheduler::makeUnits(std::size_t n_clusters) const
 {
     std::vector<ClusterUnit> units;
     units.reserve(n_clusters);
     for (std::size_t i = 0; i < n_clusters; ++i)
-        units.push_back({i, taskOptions(n_clusters, i)});
+        units.push_back({i, opts});
     return units;
 }
 
@@ -170,15 +136,14 @@ ClassificationScheduler::classifyAll(
             RaceAnalyzer::replayOptions(opts),
             opts.semantic_predicates);
 
-    // The batch as work units: one ClusterUnit per cluster, budget
-    // slice applied up front, drained from a shared claim-by-cursor
-    // queue by n_workers drain loops, one of them on the calling
-    // thread (see drainWithHelpers). Each claimed unit gets a
-    // unit-local analyzer (construction is cheap: the expensive
-    // StaticInfo is shared read-only). queue_seconds is the per-unit
-    // enqueue→claim delta — the time the unit actually waited for a
-    // free worker — not elapsed-since-batch-start, which would
-    // charge ladder construction and a worker's earlier cluster
+    // The batch as work units: one ClusterUnit per cluster, drained
+    // from a shared claim-by-cursor queue by n_workers drain loops,
+    // one of them on the calling thread (see drainWithHelpers). Each
+    // claimed unit gets a unit-local analyzer (construction is cheap:
+    // the expensive StaticInfo is shared read-only). queue_seconds is
+    // the per-unit enqueue→claim delta — the time the unit actually
+    // waited for a free worker — not elapsed-since-batch-start, which
+    // would charge ladder construction and a worker's earlier cluster
     // compute time as queue wait. Every unit is enqueued the moment
     // the queue exists, so the enqueue stamp is one shared value.
     campaign::Queue<ClusterUnit> queue(makeUnits(clusters.size()));

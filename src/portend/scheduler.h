@@ -15,12 +15,11 @@
  * rungs instead of replaying the prefix from step 0).
  *
  * Determinism contract: verdicts are merged by cluster index, never
- * by completion order, and per-cluster budgets are sliced from the
- * global budget *before* any job runs (the cluster count is known up
- * front), so a run with `--jobs N` is byte-identical to `--jobs 1`.
+ * by completion order, and every cluster runs under the batch's own
+ * options, so a run with `--jobs N` is byte-identical to `--jobs 1`.
  * The stage-3 schedule explorer (see explore/) is job-local state
  * driven purely by its own cluster's runs, so its schedules — and
- * the distinct-interleaving ledger sliced per cluster from the Ma
+ * the distinct-interleaving ledger each cluster fills up to its Ma
  * budget — are jobs-invariant too.
  * The ladder preserves this: rungs are exact replay prefixes, so
  * verdicts and ledger stats match a ladder-less run byte for byte.
@@ -29,14 +28,13 @@
  * after the join.
  *
  * Since the campaign refactor the batch is expressed as *work
- * units*: classifyAll() materializes one ClusterUnit per cluster —
- * budget slice applied, ladder reference attached — and n workers
- * drain them from a campaign::Queue (the same claim-by-cursor
- * primitive the campaign engine uses one level up for whole
- * programs). The unit list is fixed before any worker starts, which
- * is exactly why slicing is jobs-invariant. The calling thread is
- * one of the n workers; the other n − 1 are helper threads it keeps
- * across batches (see scheduler.cc).
+ * units*: classifyAll() materializes one ClusterUnit per cluster and
+ * n workers drain them from a campaign::Queue (the same
+ * claim-by-cursor primitive the campaign engine uses one level up
+ * for whole programs). The unit list is fixed before any worker
+ * starts. The calling thread is one of the n workers; the other
+ * n − 1 are helper threads it keeps across batches (see
+ * scheduler.cc).
  */
 
 #ifndef PORTEND_PORTEND_SCHEDULER_H
@@ -61,16 +59,14 @@ struct PortendReport
 };
 
 /**
- * One classification work unit: a cluster index plus everything the
- * worker claiming it needs — the pre-sliced option set (budget
- * ladder moved behind the unit boundary, so a worker never consults
- * global budgets). Units are immutable once the batch queue is
- * built.
+ * One classification work unit: a cluster index plus the option set
+ * the worker claiming it classifies under. Units are immutable once
+ * the batch queue is built.
  */
 struct ClusterUnit
 {
     std::size_t index = 0; ///< cluster (and verdict slot) index
-    PortendOptions opts;   ///< global budgets already sliced in
+    PortendOptions opts;   ///< the batch's options
 };
 
 /**
@@ -112,21 +108,9 @@ class ClassificationScheduler
     const obs::MetricsShard &metrics() const { return shard_; }
 
     /**
-     * The option set classifyAll() hands the job for cluster
-     * @p index of @p n_clusters: the global step/state budgets
-     * sliced into fixed per-cluster shares. Division remainders are
-     * distributed deterministically — the first `total % n` clusters
-     * receive one extra unit — so the slices sum back to the exact
-     * global budget instead of silently dropping up to n-1 units
-     * (exposed for tests).
-     */
-    PortendOptions taskOptions(std::size_t n_clusters,
-                               std::size_t index) const;
-
-    /**
      * The batch's work-unit list: one ClusterUnit per cluster, in
-     * cluster order, each carrying its taskOptions() slice. Built
-     * before any worker starts (exposed for tests).
+     * cluster order, each carrying the batch's options. Built before
+     * any worker starts.
      */
     std::vector<ClusterUnit> makeUnits(std::size_t n_clusters) const;
 

@@ -78,7 +78,6 @@ class ForkHook
 /** How Input instructions produce values. */
 enum class InputMode : std::uint8_t {
     Concrete, ///< fixed values (explicit list, else the domain lo)
-    Replay,   ///< replay the recorded input log
     Symbolic, ///< fresh symbols with the declared domains
 };
 

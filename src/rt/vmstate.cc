@@ -64,18 +64,6 @@ OutputRecord::toString() const
 }
 
 void
-OutputLog::append(OutputRecord rec)
-{
-    if (!rec.value || rec.value->isConcrete()) {
-        concrete_chain.append(rec.label);
-        if (rec.value)
-            concrete_chain.append(
-                static_cast<std::uint64_t>(rec.value->constValue()));
-    }
-    records.push_back(std::move(rec));
-}
-
-void
 VmState::runnableInto(std::vector<ThreadId> &out) const
 {
     out.clear();

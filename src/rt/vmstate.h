@@ -30,7 +30,6 @@
 #include "rt/events.h"
 #include "rt/value.h"
 #include "support/cow.h"
-#include "support/hash.h"
 #include "support/rng.h"
 #include "sym/solver.h"
 
@@ -311,14 +310,12 @@ struct OutputRecord
     std::string toString() const;
 };
 
-/** Aggregated program output: records plus a concrete hash chain. */
+/** Aggregated program output. */
 struct OutputLog
 {
     std::vector<OutputRecord> records;
-    HashChain concrete_chain; ///< folded over fully-concrete records
 
-    /** Append a record, folding concrete payloads into the chain. */
-    void append(OutputRecord rec);
+    void append(OutputRecord rec) { records.push_back(std::move(rec)); }
 
     std::size_t size() const { return records.size(); }
 };

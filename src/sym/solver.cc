@@ -226,7 +226,7 @@ Solver::buildDomains(const std::vector<ExprPtr> &cs,
             continue;
         }
 
-        if (dom.size() <= opts.max_candidates) {
+        if (dom.size() <= kMaxCandidates) {
             for (std::int64_t v = dom.lo;; ++v) {
                 sd.candidates.push_back(v);
                 if (v == dom.hi)
@@ -255,10 +255,8 @@ Solver::buildDomains(const std::vector<ExprPtr> &cs,
                         cands.insert(v);
                 }
             }
-            std::uint64_t want = opts.max_candidates;
-            std::uint64_t span = dom.size();
-            std::uint64_t stride = span / (want ? want : 1) + 1;
-            for (std::uint64_t i = 0; cands.size() < want; ++i) {
+            const std::uint64_t stride = dom.size() / kMaxCandidates + 1;
+            for (std::uint64_t i = 0; cands.size() < kMaxCandidates; ++i) {
                 std::int64_t v = dom.lo +
                                  static_cast<std::int64_t>(i * stride);
                 if (!dom.contains(v))

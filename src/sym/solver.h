@@ -39,13 +39,17 @@ struct SolverStats
     std::uint64_t queries = 0; ///< checkSat calls
 };
 
+/**
+ * Cap on candidate values enumerated per symbol: a wider domain is
+ * sampled, and then Unsat can no longer be proved from that symbol.
+ */
+constexpr std::uint64_t kMaxCandidates = 128;
+
 /** Tunable limits for the search. */
 struct SolverOptions
 {
     /** Hard cap on assignments examined per query. */
     std::uint64_t max_assignments = 200000;
-    /** Cap on candidate values enumerated per symbol. */
-    std::uint64_t max_candidates = 128;
 };
 
 /**

@@ -6,11 +6,11 @@
  * input `n` that the default pipeline never varies: the detection
  * run and stage 1 execute with every input at its domain lower
  * bound, and legacy stage-2 symbolic selection (the first
- * max_symbolic_inputs env reads) is exhausted by two decoy tunables
- * read before `n`. Single-path analysis therefore reports "k-witness
- * harmless"; only `--sym-input n` makes the gate symbolic, forks the
- * guarded path, and upgrades the verdict with a solver-concretized
- * witness value for `n`:
+ * core::kMaxSymbolicInputs env reads) is exhausted by two decoy
+ * tunables read before `n`. Single-path analysis therefore reports
+ * "k-witness harmless"; only `--sym-input n` makes the gate
+ * symbolic, forks the guarded path, and upgrades the verdict with a
+ * solver-concretized witness value for `n`:
  *
  *  - ibuf:   a racy message cell reaches the output only when
  *            n > 4 ("output differs", paper Fig. 4 structure);

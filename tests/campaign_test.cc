@@ -142,12 +142,111 @@ TEST(SignatureTest, EveryAnalysisDialMovesTheKey)
     EXPECT_NE(configHash(sym2), configHash(sym));
 
     core::PortendOptions budget = base;
-    budget.total_step_budget = 5000;
+    budget.max_steps = 5000;
     EXPECT_NE(configHash(budget), h);
 
     // The salt carries per-unit state (unit name, render mode).
     EXPECT_NE(configHash(base, "unit=workload:avv"),
               configHash(base, "unit=workload:dcl"));
+}
+
+// -- Format pins -----------------------------------------------------
+//
+// Literal manifest bytes, config hashes and a fuzz cache entry name.
+// Campaign directories written by earlier builds must keep
+// reopening, so none of these may move when the option structs are
+// refactored.
+
+TEST(FormatPinTest, DefaultRegistryManifestText)
+{
+    CampaignConfig config;
+    config.units = registryUnits();
+    EXPECT_EQ(manifestText(config),
+              "portend-campaign-v1\n"
+              "render.json 0\n"
+              "render.stats 0\n"
+              "render.classify 0\n"
+              "mp 5\n"
+              "ma 2\n"
+              "adhoc 1\n"
+              "multi_path 1\n"
+              "multi_schedule 1\n"
+              "max_symbolic_inputs 2\n"
+              "timeout_factor 5\n"
+              "max_steps 2000000\n"
+              "detection_seed 1\n"
+              "detector hb\n"
+              "explore dpor\n"
+              "preemption_bound 4\n"
+              "solver.max_assignments 200000\n"
+              "solver.max_candidates 128\n"
+              "executor_max_states 512\n"
+              "total_state_budget 0\n"
+              "total_step_budget 0\n"
+              "unit workload sqlite\n"
+              "unit workload ocean\n"
+              "unit workload fmm\n"
+              "unit workload memcached\n"
+              "unit workload pbzip2\n"
+              "unit workload ctrace\n"
+              "unit workload bbuf\n"
+              "unit workload avv\n"
+              "unit workload dcl\n"
+              "unit workload dbm\n"
+              "unit workload rw\n");
+}
+
+TEST(FormatPinTest, DefaultConfigHashes)
+{
+    const core::PortendOptions opts;
+    EXPECT_EQ(hex16(configHash(opts)), "f591666096db4d19");
+    EXPECT_EQ(hex16(configHash(opts, "unit=workload:avv;render=j-c;-")),
+              "5944cef3ce0cd508");
+}
+
+TEST(FormatPinTest, FuzzCampaignCacheEntryName)
+{
+    // What `portend fuzz --fuzz-seed 42 --budget 1 --campaign <dir>`
+    // stores (the worker count is not part of the signature).
+    const std::string dir = scratchDir("fuzz_pin");
+    fuzz::FuzzOptions opts;
+    opts.budget = 1;
+    opts.fuzz_seed = 42;
+    opts.jobs = 1;
+    opts.campaign_dir = dir;
+    fuzz::runFuzz(opts);
+    std::vector<std::string> names;
+    for (const fs::directory_entry &e :
+         fs::directory_iterator(dir + "/cache"))
+        names.push_back(e.path().filename().string());
+    EXPECT_EQ(names,
+              std::vector<std::string>{"e670e03422df9efa.entry"});
+}
+
+TEST(FormatPinTest, RetiredDialsParseOnlyAtTheirFixedValues)
+{
+    CampaignConfig config;
+    config.units = {{"workload", "avv"}};
+    const std::string text = manifestText(config);
+    for (const char *line :
+         {"max_symbolic_inputs 2\n", "timeout_factor 5\n",
+          "preemption_bound 4\n", "solver.max_assignments 200000\n",
+          "solver.max_candidates 128\n", "total_state_budget 0\n",
+          "total_step_budget 0\n"})
+        EXPECT_NE(text.find(line), std::string::npos) << line;
+    std::string error;
+    ASSERT_TRUE(parseManifest(text, &error).has_value()) << error;
+
+    const std::pair<std::string, std::string> edits[] = {
+        {"timeout_factor 5", "timeout_factor 7"},
+        {"total_step_budget 0", "total_step_budget 5000"},
+    };
+    for (const auto &[from, to] : edits) {
+        std::string edited = text;
+        edited.replace(edited.find(from + "\n"), from.size(), to);
+        EXPECT_FALSE(parseManifest(edited, &error).has_value()) << to;
+        EXPECT_EQ(error, "manifest: bad line: " + to);
+    }
 }
 
 TEST(SignatureTest, HexRoundTrip)

@@ -4,6 +4,7 @@
 
 #include "ir/builder.h"
 #include "ir/serialize.h"
+#include "output_text.h"
 #include "portend/portend.h"
 #include "rt/interpreter.h"
 #include "workloads/registry.h"
@@ -107,7 +108,7 @@ TEST_P(SerializeRoundTrip, ParsedProgramExecutesIdentically)
         interp.run();
         return std::make_pair(
             interp.state().global_step,
-            interp.state().output.concrete_chain.digest());
+            tests::outputText(interp.state().output));
     };
     EXPECT_EQ(digest(w.program), digest(*parsed));
 }

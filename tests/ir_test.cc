@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
-#include "ir/printer.h"
 #include "ir/verifier.h"
 
 namespace portend::ir {
@@ -217,17 +216,6 @@ TEST(VerifierTest, RejectsEmptyInputDomain)
     for (const auto &e : errs)
         found = found || e.find("domain") != std::string::npos;
     EXPECT_TRUE(found);
-}
-
-TEST(PrinterTest, RendersEveryInstruction)
-{
-    Program p = tinyProgram();
-    std::string text = programToString(p);
-    EXPECT_NE(text.find("program tiny"), std::string::npos);
-    EXPECT_NE(text.find("global g[2]"), std::string::npos);
-    EXPECT_NE(text.find("load"), std::string::npos);
-    EXPECT_NE(text.find("halt"), std::string::npos);
-    EXPECT_GT(programLineCount(p), 5);
 }
 
 } // namespace

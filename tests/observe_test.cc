@@ -201,7 +201,7 @@ TEST(MetricsDeterminismTest, PipelineShardCountsClustersAndVerdicts)
 // Ledger views stay consistent with the registry
 // ---------------------------------------------------------------------------
 
-TEST(LedgerViewTest, DetectionShardMirrorsVmStats)
+TEST(LedgerViewTest, DetectionShardRecordsTheRun)
 {
     workloads::Workload w = workloads::buildWorkload("pbzip2");
     core::Portend tool(w.program, core::PortendOptions{});
@@ -209,14 +209,17 @@ TEST(LedgerViewTest, DetectionShardMirrorsVmStats)
     const obs::MetricsShard &m = d.metrics;
     EXPECT_EQ(m.counter(obs::Counter::DetectRuns), 1u);
     EXPECT_EQ(m.counter(obs::Counter::DetectSteps), d.steps);
-    EXPECT_EQ(m.counter(obs::Counter::DetectEventsBatched),
-              d.vm.events_batched);
-    EXPECT_EQ(m.counter(obs::Counter::DetectPagesUnshared),
-              d.vm.pages_unshared);
-    EXPECT_EQ(m.counter(obs::Counter::DetectValuesBoxed),
-              d.vm.values_boxed);
+    EXPECT_EQ(m.counter(obs::Counter::DetectDynamicRaces),
+              d.dynamic_races);
+    EXPECT_EQ(m.counter(obs::Counter::DetectClusters), d.clusters.size());
+    EXPECT_GT(m.counter(obs::Counter::DetectEventsBatched), 0u);
+    // The decode is a property of the program, not of the run.
+    const rt::Interpreter fresh(w.program, rt::ExecOptions{});
     EXPECT_EQ(m.gauge(obs::Gauge::DecodedSites),
-              static_cast<std::uint64_t>(d.decoded_sites));
+              static_cast<std::uint64_t>(fresh.decodedSites()));
+    // The run is deterministic, so its record is too.
+    EXPECT_EQ(obs::metricsJson(m),
+              obs::metricsJson(tool.detect().metrics));
 }
 
 // ---------------------------------------------------------------------------
@@ -490,14 +493,13 @@ removedOracleSteps()
     };
 
     const fuzz::FuzzOptions fo;
-    const fuzz::OracleOptions &oo = fo.oracle;
     core::PortendOptions full;
-    full.mp = oo.mp;
-    full.ma = oo.ma;
-    full.max_steps = oo.max_steps;
-    full.executor_max_states = oo.executor_max_states;
+    full.mp = fuzz::kOracleMp;
+    full.ma = fuzz::kOracleMa;
+    full.max_steps = fuzz::kOracleMaxSteps;
+    full.executor_max_states = fuzz::kOracleMaxStates;
     full.detection_seed = fo.detection_seed;
-    full.explore = oo.explore;
+    full.explore = fo.oracle.explore;
     full.jobs = 1;
 
     core::PortendOptions jobs2 = full;
@@ -515,7 +517,7 @@ removedOracleSteps()
     std::uint64_t removed = 0;
     int deep = 0;
     int with_inputs = 0;
-    for (int i = 0; i < 200; i += fo.deep_every) {
+    for (int i = 0; i < 200; i += fuzz::kDeepEvery) {
         const fuzz::GeneratedProgram gen =
             fuzz::generateProgram(42, i, fo.gen);
         EXPECT_TRUE(gen.verify_errors.empty()) << "index " << i;

@@ -510,6 +510,12 @@ TEST(OutputCmpTest, FirstDifferenceMessages)
          "symbolic values differ structurally at output[0] at "
          "<unknown>:0 (T0): x=(add x#0 1)",
          ""},
+        {"symbolic structure beside a concrete payload",
+         outputLog({{0, "s", x1}, {0, "v", mkConst(3)}}),
+         outputLog({{0, "s", x2}, {0, "v", mkConst(3)}}),
+         "symbolic values differ structurally at output[0] at "
+         "<unknown>:0 (T0): s=(add x#0 1)",
+         ""},
         {"non-concrete alternate", outputLog({{0, "x", mkConst(1)}}),
          outputLog({{0, "x", x1}}), "",
          "alternate output not concrete at output[0] at <unknown>:0 "

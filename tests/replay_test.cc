@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
+#include "output_text.h"
 #include "replay/replayer.h"
 #include "replay/trace.h"
 #include "rt/interpreter.h"
@@ -78,7 +79,7 @@ TEST(ReplayTest, RecordThenReplayReproducesOutputs)
     eo.rng_seed = 77;
 
     ScheduleTrace trace;
-    std::uint64_t recorded_digest;
+    std::vector<std::string> recorded_output;
     {
         rt::Interpreter interp(p, eo);
         rt::RandomPolicy rnd;
@@ -86,8 +87,7 @@ TEST(ReplayTest, RecordThenReplayReproducesOutputs)
         interp.setPolicy(&rec);
         EXPECT_EQ(interp.run(), rt::RunOutcome::Exited);
         RecordingPolicy::captureInputs(interp.state(), &trace);
-        recorded_digest =
-            interp.state().output.concrete_chain.digest();
+        recorded_output = tests::outputText(interp.state().output);
     }
     EXPECT_FALSE(trace.decisions.empty());
 
@@ -101,8 +101,8 @@ TEST(ReplayTest, RecordThenReplayReproducesOutputs)
         interp.setPolicy(&tp);
         EXPECT_EQ(interp.run(), rt::RunOutcome::Exited);
         EXPECT_EQ(tp.divergences(), 0);
-        EXPECT_EQ(interp.state().output.concrete_chain.digest(),
-                  recorded_digest);
+        EXPECT_EQ(tests::outputText(interp.state().output),
+                  recorded_output);
     }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
+#include "output_text.h"
 #include "rt/interpreter.h"
 #include "rt/staticinfo.h"
 
@@ -299,8 +300,7 @@ TEST_P(DeterminismTest, SameSeedSameRun)
         interp.setPolicy(&rnd);
         EXPECT_EQ(interp.run(), RunOutcome::Exited);
         return std::make_pair(interp.state().global_step,
-                              interp.state()
-                                  .output.concrete_chain.digest());
+                              tests::outputText(interp.state().output));
     };
     std::uint64_t seed = GetParam() * 1234567 + 1;
     auto first = run(seed);

@@ -110,61 +110,22 @@ TEST(SchedulerStatsTest, PerClusterWallTimeIsRecorded)
     }
 }
 
-TEST(SchedulerBudgetTest, GlobalBudgetsSliceDeterministically)
+TEST(SchedulerUnitsTest, EveryUnitCarriesTheBatchOptions)
 {
     workloads::Workload w = workloads::buildWorkload("bbuf");
     PortendOptions opts;
-    opts.total_state_budget = 64;
-    opts.total_step_budget = 4000000;
-    rt::StaticInfo si(w.program);
-
-    ClassificationScheduler sched(w.program, opts, si);
-    for (std::size_t i = 0; i < 4; ++i) {
-        PortendOptions sliced = sched.taskOptions(4, i);
-        EXPECT_EQ(sliced.executor_max_states, 16) << "cluster " << i;
-        EXPECT_EQ(sliced.max_steps, 1000000u) << "cluster " << i;
-    }
-
-    // Slices never exceed the per-task caps.
-    PortendOptions one = sched.taskOptions(1, 0);
-    EXPECT_EQ(one.executor_max_states, 64);
-    EXPECT_EQ(one.max_steps, opts.max_steps);
-
-    // Without global budgets the per-task caps pass through.
-    PortendOptions unbudgeted;
-    ClassificationScheduler plain(w.program, unbudgeted, si);
-    PortendOptions same = plain.taskOptions(8, 3);
-    EXPECT_EQ(same.executor_max_states,
-              unbudgeted.executor_max_states);
-    EXPECT_EQ(same.max_steps, unbudgeted.max_steps);
-}
-
-// Budgets that do not divide evenly must not lose their remainder:
-// the first `total % n` clusters carry one extra unit and the slices
-// sum back to the exact global budget.
-TEST(SchedulerBudgetTest, SliceRemainderIsDistributed)
-{
-    workloads::Workload w = workloads::buildWorkload("bbuf");
-    PortendOptions opts;
-    opts.total_state_budget = 65;      // 65 = 4*16 + 1
-    opts.total_step_budget = 4000003;  // 4000003 = 4*1000000 + 3
+    opts.max_steps = 4000000;
+    opts.executor_max_states = 64;
     rt::StaticInfo si(w.program);
     ClassificationScheduler sched(w.program, opts, si);
 
-    int state_sum = 0;
-    std::uint64_t step_sum = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        PortendOptions sliced = sched.taskOptions(4, i);
-        state_sum += sliced.executor_max_states;
-        step_sum += sliced.max_steps;
-        // The remainder lands on the lowest indices, one unit each.
-        EXPECT_EQ(sliced.executor_max_states, i == 0 ? 17 : 16)
-            << "cluster " << i;
-        EXPECT_EQ(sliced.max_steps, i < 3 ? 1000001u : 1000000u)
-            << "cluster " << i;
+    const std::vector<ClusterUnit> units = sched.makeUnits(4);
+    ASSERT_EQ(units.size(), 4u);
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        EXPECT_EQ(units[i].index, i);
+        EXPECT_EQ(units[i].opts.max_steps, opts.max_steps);
+        EXPECT_EQ(units[i].opts.executor_max_states, 64);
     }
-    EXPECT_EQ(state_sum, opts.total_state_budget);
-    EXPECT_EQ(step_sum, opts.total_step_budget);
 }
 
 // The scheduler's ladder accounting: one build replay per batch, and

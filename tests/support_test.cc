@@ -57,27 +57,6 @@ TEST(HashTest, Fnv1aMatchesKnownVector)
     EXPECT_NE(fnv1a(std::string("a")), fnv1a(std::string("b")));
 }
 
-TEST(HashTest, ChainOrderSensitive)
-{
-    HashChain a, b;
-    a.append("x");
-    a.append("y");
-    b.append("y");
-    b.append("x");
-    EXPECT_NE(a.digest(), b.digest());
-    EXPECT_EQ(a.count(), 2u);
-}
-
-TEST(HashTest, ChainEquality)
-{
-    HashChain a, b;
-    for (std::uint64_t v : {1ull, 2ull, 3ull}) {
-        a.append(v);
-        b.append(v);
-    }
-    EXPECT_TRUE(a == b);
-}
-
 TEST(StatsTest, AccumulatorMinMaxMean)
 {
     Accumulator acc;
