@@ -9,11 +9,10 @@
 #include <sstream>
 #include <utility>
 
-#include "campaign/queue.h"
 #include "explore/explorer.h"
 #include "ir/serialize.h"
 #include "rt/decode.h"
-#include "support/threadpool.h"
+#include "support/parallel.h"
 #include "support/trace.h"
 #include "sym/solver.h"
 #include "workloads/registry.h"
@@ -328,6 +327,9 @@ parseManifest(const std::string &text, std::string *error)
             // dial it does not know, so refuse instead of mis-running.
             ok = false;
         }
+        // Anything after the value(s) makes the line bad too: `mp 1
+        // 9` or `timeout_factor 5x` must not run as Mp 1 or factor 5.
+        ok = ok && (ls >> std::ws).eof();
         if (!ok) {
             fail(error, "manifest: bad line: " + line);
             return std::nullopt;
@@ -646,12 +648,11 @@ Campaign::run(int abort_after_units, int jobs_override)
     // Phase 1: journal replay.
     CampaignResult result = replayJournal();
 
-    // Phase 2: execute what remains, workers pulling from the queue.
+    // Phase 2: execute what remains.
     std::vector<std::size_t> pending;
     for (const UnitResult &u : result.units)
         if (u.source == UnitSource::Pending)
             pending.push_back(u.index);
-    Queue<std::size_t> queue(std::move(pending));
 
     std::mutex journal_mu;
     std::string first_error;
@@ -696,30 +697,25 @@ Campaign::run(int abort_after_units, int jobs_override)
         emitUnitEvent(u);
     };
 
-    int jobs = ThreadPool::resolveJobs(
+    const int jobs = resolveJobs(
         jobs_override > 0 ? jobs_override : config_.analysis.jobs);
-    ThreadPool::parallelFor(
-        jobs, queue.size(), [&]() -> std::function<void(std::size_t)> {
-            return [&](std::size_t) {
-                // Ignore parallelFor's index: the abort hook must be
-                // checked between *claims*, so workers pull from the
-                // campaign queue themselves and the cursor stops
-                // advancing the moment the limit is reached.
-                if (failed.load())
-                    return;
-                if (abort_after_units >= 0 &&
-                    journaled.load() >= abort_after_units)
-                    return;
-                const std::size_t *index = queue.next();
-                if (index)
-                    runUnit(*index);
-            };
-        });
+    parallelFor(jobs, pending.size(), [&](std::size_t i) {
+        // The abort hook is checked before each unit: units start in
+        // ascending order, so once the limit is reached no later
+        // unit starts (with one worker the cut is exact).
+        if (failed.load())
+            return;
+        if (abort_after_units >= 0 &&
+            journaled.load() >= abort_after_units)
+            return;
+        runUnit(pending[i]);
+    });
     closeJournal();
 
-    result.aborted =
-        abort_after_units >= 0 && !queue.drained() &&
-        result.error.empty();
+    result.aborted = abort_after_units >= 0 &&
+                     journaled.load() <
+                         static_cast<int>(pending.size()) &&
+                     result.error.empty();
 
     finalize(result);
 

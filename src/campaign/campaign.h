@@ -6,8 +6,8 @@
  * A Campaign is a manifest of work units (program × analysis config),
  * a content-addressed verdict cache keyed by the deterministic
  * campaign signature (signature.h), and an append-only fsync'd
- * journal (journal.h). The engine drives the remaining units through
- * a campaign::Queue on the support/ thread pool; each unit runs the
+ * journal (journal.h). The engine runs the remaining units with
+ * support/parallel.h's parallelFor; each unit runs the
  * standard detect→classify pipeline with a cache probe in between
  * (the recorded trace's hash completes the key), journals its
  * completion durably, and streams a JSON-lines event through the

@@ -18,8 +18,8 @@
 #include "rt/decode.h"
 #include "support/hash.h"
 #include "support/observe.h"
+#include "support/parallel.h"
 #include "support/stats.h"
-#include "support/threadpool.h"
 #include "support/trace.h"
 
 namespace portend::fuzz {
@@ -96,7 +96,7 @@ hex8(std::uint64_t h)
 /**
  * Merges the programs' pipeline shards in index order as they
  * finish. A shard that finishes ahead of an earlier index waits;
- * under the pool's claim-by-cursor order that is about one per
+ * under parallelFor's claim-by-cursor order that is about one per
  * worker, so a campaign never holds one shard per program.
  */
 class ShardFold
@@ -316,7 +316,7 @@ runFuzz(const FuzzOptions &opts)
     res.corpus_dir = opts.corpus_dir;
     res.campaign_dir = opts.campaign_dir;
 
-    const int jobs = ThreadPool::resolveJobs(opts.jobs);
+    const int jobs = resolveJobs(opts.jobs);
 
     // -- Campaign persistence (opt-in) -------------------------------
     std::unique_ptr<CampaignState> camp;
@@ -334,7 +334,7 @@ runFuzz(const FuzzOptions &opts)
                    static_cast<std::uint64_t>(camp->journal_replays));
     }
 
-    // -- Generation + oracle, fanned out on the thread pool ----------
+    // -- Generation + oracle, fanned out with parallelFor -----------
     std::vector<IndexResult> results;
     ShardFold fold;
     if (opts.seconds > 0.0) {
@@ -346,13 +346,10 @@ runFuzz(const FuzzOptions &opts)
                 static_cast<std::size_t>(std::max(1, jobs)) * 4;
             const std::size_t base = results.size();
             results.resize(base + batch);
-            ThreadPool::parallelFor(jobs, batch, [&] {
-                return [&, base](std::size_t i) {
-                    results[base + i] =
-                        runIndex(next + i, opts, camp.get());
-                    fold.add(base + i,
-                             std::move(results[base + i].verdict.metrics));
-                };
+            parallelFor(jobs, batch, [&](std::size_t i) {
+                results[base + i] = runIndex(next + i, opts, camp.get());
+                fold.add(base + i,
+                         std::move(results[base + i].verdict.metrics));
             });
             next += batch;
         }
@@ -360,11 +357,9 @@ runFuzz(const FuzzOptions &opts)
         const std::size_t n =
             static_cast<std::size_t>(std::max(0, opts.budget));
         results.resize(n);
-        ThreadPool::parallelFor(jobs, n, [&] {
-            return [&](std::size_t i) {
-                results[i] = runIndex(i, opts, camp.get());
-                fold.add(i, std::move(results[i].verdict.metrics));
-            };
+        parallelFor(jobs, n, [&](std::size_t i) {
+            results[i] = runIndex(i, opts, camp.get());
+            fold.add(i, std::move(results[i].verdict.metrics));
         });
     }
     res.metrics = fold.total();
@@ -460,7 +455,7 @@ runFuzz(const FuzzOptions &opts)
         }
 
         if (opts.corpus_dir.empty() ||
-            new_entries >= opts.max_new_entries) {
+            new_entries >= kMaxNewEntries) {
             continue;
         }
         const std::string sig = r.verdict.signature();

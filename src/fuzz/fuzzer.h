@@ -2,8 +2,8 @@
  * @file
  * Fuzzing campaign driver.
  *
- * Fans program generation + oracle evaluation out across the
- * support/ thread pool (one index = one job, results merged in index
+ * Fans program generation + oracle evaluation out with support/'s
+ * parallelFor (one index per program, results merged in index
  * order), then sequentially minimizes and persists reproducers:
  *
  *  - every flagged program (an oracle disagreement) is shrunk with
@@ -38,6 +38,9 @@ namespace portend::fuzz {
 /** Deep (metamorphic re-execution) oracle on every Nth index. */
 constexpr int kDeepEvery = 4;
 
+/** Cap on new regression exemplars minimized per campaign. */
+constexpr int kMaxNewEntries = 16;
+
 /** Campaign configuration. */
 struct FuzzOptions
 {
@@ -60,9 +63,6 @@ struct FuzzOptions
      * already-cached signature, which is where all the time goes.
      */
     std::string campaign_dir;
-
-    /** Cap on new regression exemplars minimized per campaign. */
-    int max_new_entries = 16;
 
     GeneratorOptions gen;
     OracleOptions oracle; ///< seed/deep overridden per program

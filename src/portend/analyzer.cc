@@ -884,7 +884,7 @@ RaceAnalyzer::classify(const race::RaceReport &race,
     std::optional<exec::Executor> ex;
     analyze(race, trace, ladder, c, ex);
     if (ex)
-        c.stats.solver_queries = ex->solver().stats().queries;
+        c.stats.solver_queries = ex->solver().queries();
     c.stats.seconds = sw.seconds();
     return c;
 }

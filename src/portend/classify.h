@@ -68,10 +68,9 @@ const char *violationKindName(ViolationKind v);
 /**
  * Work performed during one race's classification (Fig. 9 data).
  *
- * `seconds` is the cluster's own wall-clock analysis time and
- * `queue_seconds` the time the cluster's job waited for a scheduler
- * worker; both vary run to run and are therefore never printed in
- * verdict reports (which must be byte-identical across --jobs).
+ * `seconds` is the cluster's own wall-clock analysis time; it varies
+ * run to run and is therefore never printed in verdict reports
+ * (which must be byte-identical across --jobs).
  */
 struct AnalysisStats
 {
@@ -92,12 +91,11 @@ struct AnalysisStats
     int states_created = 0;            ///< symbolic states forked
     std::uint64_t solver_queries = 0;  ///< checkSat calls issued
     double seconds = 0.0;              ///< monotonic analysis time
-    double queue_seconds = 0.0;        ///< wait for a free worker
 
     /**
      * Fold the deterministic counters into a metrics shard (the
-     * registry view of this ledger). The two duration fields stay
-     * out on purpose: shards feed `--metrics-out`, which must be
+     * registry view of this ledger). The duration field stays out
+     * on purpose: shards feed `--metrics-out`, which must be
      * byte-identical across --jobs values and runs.
      */
     void foldInto(obs::MetricsShard &shard) const;

@@ -6,13 +6,13 @@
  * analysis, and race clusters are classified independently — the
  * same independence the paper exploits with Cloud9-style parallel
  * exploration. The scheduler fans the clusters of one detection run
- * out to a support/ thread pool: each job owns a private
- * RaceAnalyzer (interpreters, solver, RNG state) while all workers
- * share the program, one read-only rt::StaticInfo computed up
- * front, and one read-only replay::CheckpointLadder built per batch
- * (a single replay of the recorded trace caches every cluster's
- * pre-race checkpoint; workers fork copy-on-write states from the
- * rungs instead of replaying the prefix from step 0).
+ * out with support/parallel.h's parallelFor: each cluster gets a
+ * private RaceAnalyzer (interpreters, solver, RNG state) while all
+ * workers share the program, one read-only rt::StaticInfo computed
+ * up front, and one read-only replay::CheckpointLadder built per
+ * batch (a single replay of the recorded trace caches every
+ * cluster's pre-race checkpoint; workers fork copy-on-write states
+ * from the rungs instead of replaying the prefix from step 0).
  *
  * Determinism contract: verdicts are merged by cluster index, never
  * by completion order, and every cluster runs under the batch's own
@@ -27,14 +27,11 @@
  * which are disjoint by index; batch accounting is summed from them
  * after the join.
  *
- * Since the campaign refactor the batch is expressed as *work
- * units*: classifyAll() materializes one ClusterUnit per cluster and
- * n workers drain them from a campaign::Queue (the same
- * claim-by-cursor primitive the campaign engine uses one level up
- * for whole programs). The unit list is fixed before any worker
- * starts. The calling thread is one of the n workers; the other
- * n − 1 are helper threads it keeps across batches (see
- * scheduler.cc).
+ * The batch is a list of *work units*: classifyAll() materializes
+ * one ClusterUnit per cluster before any worker starts, and
+ * parallelFor's workers claim them by index. The calling thread is
+ * one of the n workers; the other n − 1 are helper threads it keeps
+ * across batches.
  */
 
 #ifndef PORTEND_PORTEND_SCHEDULER_H
@@ -61,7 +58,7 @@ struct PortendReport
 /**
  * One classification work unit: a cluster index plus the option set
  * the worker claiming it classifies under. Units are immutable once
- * the batch queue is built.
+ * the batch's unit list is built.
  */
 struct ClusterUnit
 {

@@ -35,14 +35,6 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
-/** Bump a serve.* counter on the process collector, if installed. */
-void
-bump(obs::Counter c, std::uint64_t delta = 1)
-{
-    if (obs::Collector *col = obs::collector())
-        col->add(c, delta);
-}
-
 void
 workerEvent(long pid, const char *what)
 {
@@ -340,7 +332,6 @@ Server::handleClientFrame(ClientConn &c, const wire::Frame &f)
 {
     if (c.fd < 0)
         return;
-    stats_.requests += 1;
     bump(obs::Counter::ServeRequests);
     if (f.type == "ping") {
         respond(c.fd, {"pong", ""});
@@ -363,7 +354,6 @@ Server::handleClientFrame(ClientConn &c, const wire::Frame &f)
 void
 Server::handleSubmit(ClientConn &c, const std::string &manifest)
 {
-    stats_.submissions += 1;
     bump(obs::Counter::ServeSubmissions);
     std::string err;
     std::optional<campaign::CampaignConfig> config =
@@ -453,12 +443,9 @@ Server::handleWorkerFrame(std::size_t wi, const wire::Frame &f)
     std::string sig, cached_s;
     is >> sig >> cached_s;
     const bool cached = cached_s == "1";
-    stats_.units_completed += 1;
     bump(obs::Counter::ServeUnitsCompleted);
-    if (cached) {
-        stats_.units_cached += 1;
+    if (cached)
         bump(obs::Counter::ServeUnitsCached);
-    }
     unitEvent(sub.id, w.unit, w.child.pid,
               cached ? "done_cached" : "done");
     std::string err;
@@ -477,7 +464,6 @@ void
 Server::handleWorkerDeath(std::size_t wi, const char *why)
 {
     Worker &w = workers_[wi];
-    stats_.worker_deaths += 1;
     bump(obs::Counter::ServeWorkerDeaths);
     workerEvent(w.child.pid, why);
     sub::closeChannel(w.child);
@@ -500,11 +486,10 @@ Server::handleWorkerDeath(std::size_t wi, const char *why)
             requeueUnit(sub, w.unit);
         }
     }
-    if (stats_.worker_restarts <
+    if (counts_.counter(obs::Counter::ServeWorkerRestarts) <
         static_cast<std::uint64_t>(opts_.max_worker_restarts)) {
         std::string err;
         if (spawnWorker(w, &err)) {
-            stats_.worker_restarts += 1;
             bump(obs::Counter::ServeWorkerRestarts);
             workerEvent(w.child.pid, "restart");
             return;
@@ -634,7 +619,6 @@ Server::dispatchWork()
                 static_cast<std::uint64_t>(
                     opts_.unit_timeout_seconds * 1e9);
         sub->in_flight += 1;
-        stats_.units_dispatched += 1;
         bump(obs::Counter::ServeUnitsDispatched);
         unitEvent(sub->id, unit, w.child.pid, "dispatch");
     }
@@ -646,7 +630,7 @@ Server::maybeInjectKill()
 {
     if (opts_.kill_worker_after < 0 || kill_injected_)
         return;
-    if (stats_.units_completed <
+    if (counts_.counter(obs::Counter::ServeUnitsCompleted) <
         static_cast<std::uint64_t>(opts_.kill_worker_after))
         return;
     for (Worker &w : workers_) {
@@ -665,6 +649,14 @@ Server::maybeInjectKill()
 // Event loop
 // ---------------------------------------------------------------------------
 
+void
+Server::bump(obs::Counter c)
+{
+    counts_.add(c, 1);
+    if (obs::Collector *col = obs::collector())
+        col->add(c, 1);
+}
+
 std::string
 Server::statusJson() const
 {
@@ -678,17 +670,19 @@ Server::statusJson() const
     for (const Submission &s : submissions_)
         if (!s.done)
             active += 1;
+    using obs::Counter;
+    const auto n = [this](Counter c) { return counts_.counter(c); };
     std::ostringstream os;
     os << "{\"workers\": " << opts_.workers
        << ", \"alive\": " << alive << ", \"busy\": " << busy
-       << ", \"requests\": " << stats_.requests
-       << ", \"submissions\": " << stats_.submissions
+       << ", \"requests\": " << n(Counter::ServeRequests)
+       << ", \"submissions\": " << n(Counter::ServeSubmissions)
        << ", \"active\": " << active
-       << ", \"units_dispatched\": " << stats_.units_dispatched
-       << ", \"units_completed\": " << stats_.units_completed
-       << ", \"units_cached\": " << stats_.units_cached
-       << ", \"worker_deaths\": " << stats_.worker_deaths
-       << ", \"worker_restarts\": " << stats_.worker_restarts
+       << ", \"units_dispatched\": " << n(Counter::ServeUnitsDispatched)
+       << ", \"units_completed\": " << n(Counter::ServeUnitsCompleted)
+       << ", \"units_cached\": " << n(Counter::ServeUnitsCached)
+       << ", \"worker_deaths\": " << n(Counter::ServeWorkerDeaths)
+       << ", \"worker_restarts\": " << n(Counter::ServeWorkerRestarts)
        << "}";
     return os.str();
 }
@@ -868,6 +862,7 @@ void Server::maybeFinishSubmission(Submission &) {}
 void Server::dispatchWork() {}
 void Server::maybeInjectKill() {}
 std::string Server::statusJson() const { return "{}"; }
+void Server::bump(obs::Counter) {}
 
 } // namespace portend::serve
 

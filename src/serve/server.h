@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "campaign/campaign.h"
+#include "support/observe.h"
 #include "support/subproc.h"
 #include "support/wire.h"
 
@@ -70,18 +71,6 @@ struct ServeOptions
     int max_submissions = -1;
 };
 
-/** Live counters surfaced by `status` requests (and tests). */
-struct ServeStats
-{
-    std::uint64_t requests = 0;
-    std::uint64_t submissions = 0;
-    std::uint64_t units_dispatched = 0;
-    std::uint64_t units_completed = 0;
-    std::uint64_t units_cached = 0; ///< completions served by cache
-    std::uint64_t worker_deaths = 0;
-    std::uint64_t worker_restarts = 0;
-};
-
 /**
  * The server: bind, pre-fork, serve. Single-threaded by design —
  * fork safety of the worker pool depends on it.
@@ -107,8 +96,6 @@ class Server
 
     /** The TCP port actually bound (ephemeral-port tests). */
     int boundPort() const { return bound_port_; }
-
-    const ServeStats &stats() const { return stats_; }
 
     /** Worker-process entry point over its server channel fd. */
     static int workerMain(int fd);
@@ -160,6 +147,9 @@ class Server
     void maybeInjectKill();
     std::string statusJson() const;
 
+    /** Count one @p c event here and on the process collector. */
+    void bump(obs::Counter c);
+
     ServeOptions opts_;
     std::string cache_dir_;
     int listen_fd_ = -1;
@@ -167,7 +157,7 @@ class Server
     std::vector<Worker> workers_;
     std::vector<ClientConn> clients_;
     std::vector<Submission> submissions_;
-    ServeStats stats_;
+    obs::MetricsShard counts_; ///< the serve.* counters `status` reports
     bool shutdown_ = false;
     volatile std::sig_atomic_t stop_requested_ = 0;
     bool kill_injected_ = false;

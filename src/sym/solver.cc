@@ -284,7 +284,7 @@ Solver::checkSat(const std::vector<ExprPtr> &constraints, Model *model)
     span.arg("constraints", static_cast<std::int64_t>(constraints.size()));
     if (obs::Collector *c = obs::collector())
         c->add(obs::Counter::SolverQueries, 1);
-    stats_.queries += 1;
+    queries_ += 1;
 
     // Normalize: fold literals, bail on literal falsity.
     std::vector<ExprPtr> cs;

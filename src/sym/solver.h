@@ -33,12 +33,6 @@ namespace portend::sym {
 /** Tri-state satisfiability verdict. */
 enum class SatResult { Sat, Unsat, Unknown };
 
-/** Solver work; classification copies the query count into its ledger. */
-struct SolverStats
-{
-    std::uint64_t queries = 0; ///< checkSat calls
-};
-
 /**
  * Cap on candidate values enumerated per symbol: a wider domain is
  * sampled, and then Unsat can no longer be proved from that symbol.
@@ -123,8 +117,9 @@ class Solver
     std::optional<Model>
     witness(const std::vector<ExprPtr> &constraints);
 
-    /** Work counters. */
-    const SolverStats &stats() const { return stats_; }
+    /** checkSat calls so far; classification copies it into its
+     *  ledger. */
+    std::uint64_t queries() const { return queries_; }
 
   private:
     struct SymbolDomain
@@ -145,7 +140,7 @@ class Solver
                  const std::map<int, ExprPtr> &symbols) const;
 
     SolverOptions opts;
-    SolverStats stats_;
+    std::uint64_t queries_ = 0;
 };
 
 /** All distinct symbol nodes referenced by @p constraints. */

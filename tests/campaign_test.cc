@@ -17,7 +17,6 @@
 #include "campaign/cache.h"
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
-#include "campaign/queue.h"
 #include "campaign/signature.h"
 #include "support/subproc.h"
 #include "fuzz/fuzzer.h"
@@ -249,6 +248,43 @@ TEST(FormatPinTest, RetiredDialsParseOnlyAtTheirFixedValues)
     }
 }
 
+TEST(FormatPinTest, ManifestLinesRefuseTrailingTokens)
+{
+    // Every line kind manifestText writes parses back to itself.
+    CampaignConfig config = microConfig();
+    config.render.stats = true;
+    config.render.only_class = core::RaceClass::OutputDiffers;
+    config.analysis.explore = explore::ExploreMode::Random;
+    config.analysis.detector = core::DetectorKind::Lockset;
+    config.analysis.sym_inputs.push_back({"flag", true, 0, 1});
+    config.analysis.sym_inputs.push_back({"a name", false, 0, 0});
+    config.units.push_back({"file", "dir with space/p.pil"});
+    std::string error;
+    for (const CampaignConfig &c : {microConfig(), config}) {
+        const std::string text = manifestText(c);
+        std::optional<CampaignConfig> back = parseManifest(text, &error);
+        ASSERT_TRUE(back.has_value()) << error;
+        EXPECT_EQ(manifestText(*back), text);
+    }
+
+    // A value followed by anything else is a bad line, not a value.
+    const std::string text = manifestText(microConfig());
+    const std::pair<std::string, std::string> edits[] = {
+        {"mp 5", "mp 1 9"},
+        {"timeout_factor 5", "timeout_factor 5x"},
+        {"detector hb", "detector hb lockset"},
+        {"render.json 1", "render.json 1 0"},
+    };
+    for (const auto &[from, to] : edits) {
+        std::string edited = text;
+        const std::size_t at = edited.find("\n" + from + "\n");
+        ASSERT_NE(at, std::string::npos) << from;
+        edited.replace(at + 1, from.size(), to);
+        EXPECT_FALSE(parseManifest(edited, &error).has_value()) << to;
+        EXPECT_EQ(error, "manifest: bad line: " + to);
+    }
+}
+
 TEST(SignatureTest, HexRoundTrip)
 {
     const std::uint64_t v = 0x0123456789abcdefULL;
@@ -258,21 +294,6 @@ TEST(SignatureTest, HexRoundTrip)
     EXPECT_EQ(back, v);
     EXPECT_FALSE(parseHex16("0123", &back));
     EXPECT_FALSE(parseHex16("012345678 abcdef", &back));
-}
-
-// -- Queue -----------------------------------------------------------
-
-TEST(QueueTest, ClaimsEveryUnitExactlyOnce)
-{
-    Queue<int> q({10, 11, 12, 13});
-    EXPECT_EQ(q.size(), 4u);
-    std::vector<int> got;
-    std::size_t idx = 0;
-    while (const int *u = q.next(&idx))
-        got.push_back(*u);
-    EXPECT_EQ(got, (std::vector<int>{10, 11, 12, 13}));
-    EXPECT_TRUE(q.drained());
-    EXPECT_EQ(q.next(), nullptr);
 }
 
 // -- Cache persistence -----------------------------------------------
@@ -607,6 +628,40 @@ TEST(CampaignTest, AbortAndResumeMergeToUninterruptedBytes)
     EXPECT_EQ(all.mergedOutput(true), want);
     EXPECT_GE(all.metrics.counter(obs::Counter::CampaignResumeSkips),
               3u);
+}
+
+TEST(CampaignTest, AbortFlagIsSetOnlyWhileUnitsRemain)
+{
+    Campaign baseline(microConfig());
+    const std::string want = baseline.run(-1, 1).mergedOutput(true);
+
+    // Three pending units, one worker: the cut is exact.
+    Campaign cut(microConfig());
+    CampaignResult partial = cut.run(2, 1);
+    EXPECT_TRUE(partial.aborted);
+    EXPECT_EQ(partial.executed, 2);
+    EXPECT_FALSE(partial.complete());
+    for (int limit : {3, 4}) {
+        Campaign c(microConfig());
+        CampaignResult all = c.run(limit, 1);
+        EXPECT_FALSE(all.aborted) << limit;
+        ASSERT_TRUE(all.complete()) << limit;
+        EXPECT_EQ(all.mergedOutput(true), want) << limit;
+    }
+
+    // With four workers in-flight units still finish, so only the
+    // resumed bytes are pinned.
+    const std::string dir = scratchDir("abort_jobs4");
+    std::string error;
+    std::optional<Campaign> c =
+        Campaign::create(dir, microConfig(), &error);
+    ASSERT_TRUE(c.has_value()) << error;
+    c->run(1, 4);
+    std::optional<Campaign> resumed = Campaign::open(dir, &error);
+    ASSERT_TRUE(resumed.has_value()) << error;
+    CampaignResult rest = resumed->run(-1, 4);
+    ASSERT_TRUE(rest.complete());
+    EXPECT_EQ(rest.mergedOutput(true), want);
 }
 
 TEST(CampaignTest, TornJournalLineIsToleratedOnResume)

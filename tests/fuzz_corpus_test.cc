@@ -150,7 +150,6 @@ TEST(FuzzCorpus, CampaignWritesReplayableCorpus)
     opts.fuzz_seed = 42;
     opts.jobs = 2;
     opts.corpus_dir = dir;
-    opts.max_new_entries = 6;
     FuzzResult res = runFuzz(opts);
     EXPECT_TRUE(res.clean());
     EXPECT_EQ(res.programs, 24);
@@ -168,7 +167,6 @@ TEST(FuzzCorpus, CampaignIsDeterministicAcrossJobsAndRuns)
     FuzzOptions opts;
     opts.budget = 16;
     opts.fuzz_seed = 9;
-    opts.max_new_entries = 4;
 
     opts.jobs = 1;
     opts.corpus_dir = d1;

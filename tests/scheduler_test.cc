@@ -104,10 +104,8 @@ TEST(SchedulerStatsTest, PerClusterWallTimeIsRecorded)
     workloads::Workload w = workloads::buildWorkload("bbuf");
     PortendResult res = runWith(w, 2);
     ASSERT_FALSE(res.reports.empty());
-    for (const PortendReport &r : res.reports) {
+    for (const PortendReport &r : res.reports)
         EXPECT_GT(r.classification.stats.seconds, 0.0);
-        EXPECT_GE(r.classification.stats.queue_seconds, 0.0);
-    }
 }
 
 TEST(SchedulerUnitsTest, EveryUnitCarriesTheBatchOptions)
@@ -266,12 +264,12 @@ TEST(SchedulerStatsTest, DistinctScheduleLedgerSums)
 }
 
 // ---------------------------------------------------------------------------
-// Helper threads outlive a batch: each calling thread keeps a pool of
-// jobs - 1 helpers and runs one drain loop itself.
+// Helper threads outlive a batch: each calling thread keeps jobs - 1
+// helpers and works as the batch's remaining worker itself.
 // ---------------------------------------------------------------------------
 
 /** Workloads with at least four clusters, so --jobs 4 uses four
- *  drain loops. */
+ *  workers. */
 std::vector<workloads::Workload>
 helperWorkloads()
 {
@@ -325,8 +323,8 @@ TEST(SchedulerHelperTest, PoolGrowsThenIsReusedWithJobsOneBytes)
     const std::vector<std::string> want = batchSequence(ws, {1});
 
     // A fresh thread has no helpers yet: --jobs 2 starts one, --jobs
-    // 4 needs three and rebuilds the pool, and the next --jobs 2
-    // batch reuses those three.
+    // 4 needs three and starts two more, and the next --jobs 2 batch
+    // keeps all three.
     std::vector<std::string> got;
     std::vector<int> helpers;
     std::thread t([&] { got = batchSequence(ws, {2, 4, 2}, &helpers); });

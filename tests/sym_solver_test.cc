@@ -71,7 +71,7 @@ TEST(SolverTest, StatsCount)
     Solver s;
     ExprPtr x = sym01(0, 0, 3);
     EXPECT_EQ(s.checkSat({mkEq(x, mkConst(2))}, nullptr), SatResult::Sat);
-    EXPECT_EQ(s.stats().queries, 1u);
+    EXPECT_EQ(s.queries(), 1u);
 }
 
 TEST(SolverTest, LargeDomainSamplingFindsLiteralSolutions)

@@ -35,8 +35,8 @@
 #include "rt/interpreter.h"
 #include "rt/vmstate.h"
 #include "support/observe.h"
+#include "support/parallel.h"
 #include "support/str.h"
-#include "support/threadpool.h"
 #include "support/trace.h"
 #include "workloads/registry.h"
 
@@ -872,7 +872,7 @@ cmdFuzz(int argc, char **argv)
     const int obs_rc =
         writeObsOutputs(obs.trace_out, obs.metrics_out, res.metrics);
     std::fprintf(stderr, "wall-clock: %.2fs (%d jobs)\n", res.seconds,
-                 ThreadPool::resolveJobs(fo.jobs));
+                 resolveJobs(fo.jobs));
     if (obs_rc != 0)
         return obs_rc;
     return res.clean() ? 0 : 1;
