@@ -62,6 +62,14 @@ fixedDial(const std::string &key)
     return nullptr;
 }
 
+/** Read an unsigned dial. `>>` would wrap a leading '-' around to a
+ *  huge value (`-5` reads as 2^64 - 5), so a '-' is refused. */
+bool
+readUnsigned(std::istream &is, std::uint64_t *v)
+{
+    return (is >> std::ws).peek() != '-' && bool(is >> *v);
+}
+
 const char *
 detectorName(core::DetectorKind d)
 {
@@ -282,9 +290,9 @@ parseManifest(const std::string &text, std::string *error)
             ok = c.has_value();
             config.render.only_class = c;
         } else if (key == "mp") {
-            ok = bool(ls >> o.mp);
+            ok = bool(ls >> o.mp) && o.mp >= 1;
         } else if (key == "ma") {
-            ok = bool(ls >> o.ma);
+            ok = bool(ls >> o.ma) && o.ma >= 1;
         } else if (key == "adhoc") {
             int v = 0; ok = bool(ls >> v); o.adhoc_detection = v != 0;
         } else if (key == "multi_path") {
@@ -301,9 +309,9 @@ parseManifest(const std::string &text, std::string *error)
             if (ok)
                 o.sym_inputs.push_back(std::move(s));
         } else if (key == "max_steps") {
-            ok = bool(ls >> o.max_steps);
+            ok = readUnsigned(ls, &o.max_steps) && o.max_steps >= 1;
         } else if (key == "detection_seed") {
-            ok = bool(ls >> o.detection_seed);
+            ok = readUnsigned(ls, &o.detection_seed);
         } else if (key == "detector") {
             std::string v;
             ok = bool(ls >> v) && parseDetector(v, &o.detector);
@@ -311,10 +319,11 @@ parseManifest(const std::string &text, std::string *error)
             std::string v;
             ok = bool(ls >> v) && parseExplore(v, &o.explore);
         } else if (key == "executor_max_states") {
-            ok = bool(ls >> o.executor_max_states);
+            ok = bool(ls >> o.executor_max_states) &&
+                 o.executor_max_states >= 1;
         } else if (const std::uint64_t *value = fixedDial(key)) {
             std::uint64_t v = 0;
-            ok = bool(ls >> v) && v == *value;
+            ok = readUnsigned(ls, &v) && v == *value;
         } else if (key == "unit") {
             UnitSpec u;
             ok = bool(ls >> u.kind);

@@ -67,7 +67,9 @@ std::vector<UnitSpec> registryUnits();
 /** Serialize @p config as the manifest text (`portend-campaign-v1`). */
 std::string manifestText(const CampaignConfig &config);
 
-/** Parse manifest text; nullopt with @p error on malformed input. */
+/** Parse manifest text; nullopt with @p error on malformed input,
+ *  including a dial the CLI would refuse (`mp`, `ma`,
+ *  `executor_max_states` or `max_steps` below 1, a negative seed). */
 std::optional<CampaignConfig>
 parseManifest(const std::string &text, std::string *error = nullptr);
 

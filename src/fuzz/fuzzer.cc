@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "campaign/cache.h"
-#include "campaign/journal.h"
 #include "campaign/signature.h"
 #include "fuzz/corpus.h"
 #include "fuzz/minimize.h"
@@ -37,17 +36,13 @@ struct IndexResult
 
 /**
  * Shared persistence state of one --campaign fuzz run: the verdict
- * cache (probed by the workers), the completion journal (appended
- * under a mutex — the fsync'd write must not interleave), and the
- * hit counter the summary reports.
+ * cache (probed and filled by the workers) and the hit counter the
+ * summary reports.
  */
 struct CampaignState
 {
     campaign::VerdictCache cache;
-    campaign::JournalWriter journal;
-    std::mutex journal_mu;
     std::atomic<int> cache_hits{0};
-    int journal_replays = 0;
 
     explicit CampaignState(const std::string &dir)
         : cache(dir + "/cache")
@@ -186,16 +181,6 @@ runIndex(std::uint64_t index, const FuzzOptions &opts,
         e.name = "fuzz:" + std::to_string(index);
         e.payload = serializeVerdict(r.verdict);
         camp->cache.store(e);
-        if (camp->journal.isOpen()) {
-            campaign::JournalRecord rec;
-            rec.unit = static_cast<std::size_t>(index);
-            rec.kind = "fuzz";
-            rec.name = std::to_string(index);
-            rec.sig = sig;
-            rec.key = key;
-            std::lock_guard<std::mutex> lock(camp->journal_mu);
-            camp->journal.append(rec);
-        }
         if (obs::Collector *c = obs::collector())
             c->add(obs::Counter::CampaignCacheMisses, 1);
     }
@@ -292,8 +277,7 @@ FuzzResult::summaryText() const
            << corpus_dir << "\n";
     }
     if (!campaign_dir.empty()) {
-        os << "  campaign: " << cache_hits << " cache hit(s), "
-           << journal_replays << " journal record(s) replayed in "
+        os << "  campaign: " << cache_hits << " cache hit(s) in "
            << campaign_dir << "\n";
     }
     for (const FuzzFinding &f : findings) {
@@ -324,14 +308,6 @@ runFuzz(const FuzzOptions &opts)
         std::error_code ec;
         std::filesystem::create_directories(opts.campaign_dir, ec);
         camp = std::make_unique<CampaignState>(opts.campaign_dir);
-        const std::string journal_path =
-            opts.campaign_dir + "/journal.jsonl";
-        camp->journal_replays = static_cast<int>(
-            campaign::loadJournal(journal_path).size());
-        camp->journal.open(journal_path);
-        if (obs::Collector *c = obs::collector())
-            c->add(obs::Counter::CampaignJournalReplays,
-                   static_cast<std::uint64_t>(camp->journal_replays));
     }
 
     // -- Generation + oracle, fanned out with parallelFor -----------
@@ -484,8 +460,6 @@ runFuzz(const FuzzOptions &opts)
     if (camp) {
         res.cache_hits =
             camp->cache_hits.load(std::memory_order_relaxed);
-        res.journal_replays = camp->journal_replays;
-        camp->journal.close();
     }
 
     if (obs::Collector *c = obs::collector()) {

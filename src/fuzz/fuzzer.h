@@ -54,13 +54,14 @@ struct FuzzOptions
     /**
      * Campaign directory ("" = ephemeral run, nothing persisted).
      * When set, every index's oracle verdict is stored in a
-     * campaign::VerdictCache under its signature — program
+     * campaign::VerdictCache under its signature: program
      * fingerprint + oracle-config hash (seed, budgets, explorer,
      * deep flag); the trace-hash slot is 0 because the oracle owns
-     * its own detection run — and journaled on completion. A re-run
-     * or resumed campaign regenerates each program (generation is
-     * cheap and deterministic) but skips the oracle for every
-     * already-cached signature, which is where all the time goes.
+     * its own detection run. A re-run or resumed campaign
+     * regenerates each program (generation is cheap and
+     * deterministic) but skips the oracle for every already-cached
+     * signature, which is where all the time goes. The cache is the
+     * whole record: no journal is kept.
      */
     std::string campaign_dir;
 
@@ -108,11 +109,9 @@ struct FuzzResult
     std::map<std::string, int> check_failures; ///< check -> failures
     std::map<std::string, int> baseline_counts;
 
-    /** Campaign persistence accounting (0 when campaign_dir unset).
-     *  cache_hits = indices whose oracle run was skipped entirely;
-     *  journal_replays = completed-unit records found at open. */
+    /** Indices whose oracle run was skipped entirely because their
+     *  verdict was cached (0 when campaign_dir is unset). */
     int cache_hits = 0;
-    int journal_replays = 0;
 
     std::vector<FuzzFinding> findings;
 

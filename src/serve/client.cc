@@ -5,8 +5,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -30,49 +28,29 @@ fail(std::string *error, const std::string &msg)
 int
 connectWithRetry(const Endpoint &ep, std::string *error)
 {
+    sockaddr_un addr{};
+    if (ep.socket_path.size() >= sizeof(addr.sun_path)) {
+        fail(error, "socket path too long: " + ep.socket_path);
+        return -1;
+    }
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, ep.socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
     const std::uint64_t start = steadyNanos();
     for (;;) {
-        int fd = -1;
-        int rc = -1;
-        if (!ep.socket_path.empty()) {
-            sockaddr_un addr{};
-            if (ep.socket_path.size() >= sizeof(addr.sun_path)) {
-                fail(error,
-                     "socket path too long: " + ep.socket_path);
-                return -1;
-            }
-            fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            addr.sun_family = AF_UNIX;
-            std::strncpy(addr.sun_path, ep.socket_path.c_str(),
-                         sizeof(addr.sun_path) - 1);
-            if (fd >= 0)
-                rc = ::connect(
-                    fd, reinterpret_cast<const sockaddr *>(&addr),
-                    sizeof addr);
-        } else {
-            fd = ::socket(AF_INET, SOCK_STREAM, 0);
-            sockaddr_in addr{};
-            addr.sin_family = AF_INET;
-            addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            addr.sin_port =
-                htons(static_cast<std::uint16_t>(ep.port));
-            if (fd >= 0)
-                rc = ::connect(
-                    fd, reinterpret_cast<const sockaddr *>(&addr),
-                    sizeof addr);
-        }
-        if (fd >= 0 && rc == 0)
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (fd >= 0 &&
+            ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                      sizeof addr) == 0)
             return fd;
         const int err = errno;
         if (fd >= 0)
             ::close(fd);
         const bool retryable = err == ECONNREFUSED ||
                                err == ENOENT || err == EAGAIN;
-        if (!retryable ||
-            steadySeconds(start, steadyNanos()) >
-                ep.connect_timeout_seconds) {
-            fail(error, std::string("connect: ") +
-                            std::strerror(err));
+        if (!retryable || steadySeconds(start, steadyNanos()) >
+                              kConnectTimeoutSeconds) {
+            fail(error, std::string("connect: ") + std::strerror(err));
             return -1;
         }
         ::usleep(50 * 1000);

@@ -1,9 +1,11 @@
 /**
  * @file
- * Client side of the serve protocol: connect, send one request
- * frame, read one response frame. Used by `portend submit` (and the
- * serve tests/benches); deliberately synchronous — a submission
- * blocks until the server streams back the merged verdict bytes.
+ * Client side of the serve protocol: connect to the server's Unix
+ * socket (retrying for kConnectTimeoutSeconds while it binds), send
+ * one request frame, read one response frame. Used by `portend
+ * submit` (and the serve tests/benches); deliberately synchronous — a
+ * submission blocks until the server streams back the merged verdict
+ * bytes.
  */
 
 #ifndef PORTEND_SERVE_CLIENT_H
@@ -15,15 +17,14 @@
 
 namespace portend::serve {
 
-/** Where the server listens (socket path wins over port). */
+/** Connect retry budget in seconds: a just-started server may not be
+ *  listening yet (the CI smoke starts it in the background). */
+constexpr double kConnectTimeoutSeconds = 10.0;
+
+/** Where the server listens. */
 struct Endpoint
 {
-    std::string socket_path; ///< Unix socket ("" = TCP)
-    int port = 0;            ///< loopback TCP port
-
-    /** Connect retry budget: a just-started server may not be
-     *  listening yet (the CI smoke starts it in the background). */
-    double connect_timeout_seconds = 10.0;
+    std::string socket_path; ///< the server's Unix socket
 };
 
 /**

@@ -10,8 +10,6 @@
 #include <filesystem>
 #include <sstream>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -176,10 +174,10 @@ Server::~Server()
     for (ClientConn &c : clients_)
         if (c.fd >= 0)
             ::close(c.fd);
-    if (listen_fd_ >= 0)
+    if (listen_fd_ >= 0) {
         ::close(listen_fd_);
-    if (!opts_.socket_path.empty())
         ::unlink(opts_.socket_path.c_str());
+    }
 }
 
 bool
@@ -189,6 +187,8 @@ Server::start(std::string *error)
         return fail(error, "serve needs at least one worker");
     if (opts_.dir.empty())
         return fail(error, "serve needs a state directory");
+    if (opts_.socket_path.empty())
+        return fail(error, "serve needs a socket path");
     std::error_code ec;
     cache_dir_ = (fs::path(opts_.dir) / "cache").string();
     fs::create_directories(cache_dir_, ec);
@@ -215,49 +215,20 @@ Server::start(std::string *error)
 bool
 Server::bindSocket(std::string *error)
 {
-    if (!opts_.socket_path.empty()) {
-        sockaddr_un addr{};
-        if (opts_.socket_path.size() >= sizeof(addr.sun_path))
-            return fail(error, "socket path too long: " +
-                                   opts_.socket_path);
-        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listen_fd_ < 0)
-            return fail(error, std::string("socket: ") +
-                                   std::strerror(errno));
-        ::unlink(opts_.socket_path.c_str());
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::bind(listen_fd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof addr) != 0)
-            return fail(error, "bind " + opts_.socket_path + ": " +
-                                   std::strerror(errno));
-    } else {
-        listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listen_fd_ < 0)
-            return fail(error, std::string("socket: ") +
-                                   std::strerror(errno));
-        int one = 1;
-        ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port =
-            htons(static_cast<std::uint16_t>(opts_.port));
-        if (::bind(listen_fd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof addr) != 0)
-            return fail(error, "bind port " +
-                                   std::to_string(opts_.port) + ": " +
-                                   std::strerror(errno));
-        socklen_t len = sizeof addr;
-        if (::getsockname(listen_fd_,
-                          reinterpret_cast<sockaddr *>(&addr),
-                          &len) == 0)
-            bound_port_ = ntohs(addr.sin_port);
-    }
+    sockaddr_un addr{};
+    if (opts_.socket_path.size() >= sizeof(addr.sun_path))
+        return fail(error, "socket path too long: " + opts_.socket_path);
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (listen_fd_ < 0)
+        return fail(error, std::string("socket: ") + std::strerror(errno));
+    ::unlink(opts_.socket_path.c_str());
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    if (::bind(listen_fd_, reinterpret_cast<const sockaddr *>(&addr),
+               sizeof addr) != 0)
+        return fail(error, "bind " + opts_.socket_path + ": " +
+                               std::strerror(errno));
     if (::listen(listen_fd_, 16) != 0)
         return fail(error, std::string("listen: ") +
                                std::strerror(errno));
@@ -487,7 +458,7 @@ Server::handleWorkerDeath(std::size_t wi, const char *why)
         }
     }
     if (counts_.counter(obs::Counter::ServeWorkerRestarts) <
-        static_cast<std::uint64_t>(opts_.max_worker_restarts)) {
+        static_cast<std::uint64_t>(kMaxWorkerRestarts)) {
         std::string err;
         if (spawnWorker(w, &err)) {
             bump(obs::Counter::ServeWorkerRestarts);
@@ -528,7 +499,6 @@ Server::failSubmission(Submission &sub, const std::string &why)
         respond(fd, {"error", why});
         closeClient(fd);
     }
-    answered_ += 1;
 }
 
 void
@@ -551,7 +521,6 @@ Server::maybeFinishSubmission(Submission &sub)
                          sub.campaign->config().render.json)});
         closeClient(fd);
     }
-    answered_ += 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -587,11 +556,10 @@ Server::dispatchWork()
         const std::size_t unit = sub->pending.front();
         sub->pending.pop_front();
         const int attempt = ++sub->attempts[unit];
-        if (attempt > opts_.max_unit_attempts) {
+        if (attempt > kMaxUnitAttempts) {
             std::string why = "unit " + std::to_string(unit) +
                               " failed after " +
-                              std::to_string(
-                                  opts_.max_unit_attempts) +
+                              std::to_string(kMaxUnitAttempts) +
                               " attempts";
             if (!sub->last_error.empty())
                 why += ": " + sub->last_error;
@@ -693,10 +661,6 @@ Server::loop()
     if (listen_fd_ < 0)
         return 1;
     while (!shutdown_ && !stop_requested_) {
-        if (opts_.max_submissions >= 0 &&
-            answered_ >= opts_.max_submissions)
-            break;
-
         std::vector<pollfd> fds;
         std::vector<int> client_of(1, -1), worker_of(1, -1);
         std::vector<std::uint64_t> gen_of(1, 0);

@@ -2,13 +2,19 @@
  * @file
  * `portend serve`: the multi-process sharded triage server.
  *
- * A long-running daemon that accepts campaign submissions over a
- * Unix-domain (or loopback TCP) socket and shards their units across
- * a pool of forked worker *processes*. Each worker runs the PR 9
- * campaign engine as its per-process tier (campaign::executeUnit
- * against the server's shared on-disk VerdictCache); the server owns
- * the event loop, the per-campaign journal (single writer), and
- * worker supervision.
+ * A long-running daemon that accepts campaign submissions over one
+ * Unix-domain socket and shards their units across a pool of forked
+ * worker *processes*. The socket file's permissions are the access
+ * check: a client needs write permission on it to connect. Each
+ * worker runs the campaign engine as its per-process tier
+ * (campaign::executeUnit against the server's shared on-disk
+ * VerdictCache); the server owns the event loop, the per-campaign
+ * journal (single writer), and worker supervision.
+ *
+ * Supervision budgets are fixed: at most kMaxWorkerRestarts worker
+ * respawns per server run and kMaxUnitAttempts dispatches per unit,
+ * after which the submission fails with the last worker error. The
+ * one settable recovery dial is the stuck-unit timeout.
  *
  * Crash-safety contract (the resume contract, lifted to processes):
  *
@@ -48,27 +54,25 @@
 
 namespace portend::serve {
 
+/** Worker respawns the server allows across its whole run. */
+constexpr int kMaxWorkerRestarts = 16;
+
+/** Dispatch attempts per unit before its submission fails. */
+constexpr int kMaxUnitAttempts = 3;
+
 /** Everything `portend serve` is parameterized by. */
 struct ServeOptions
 {
     std::string dir;         ///< state root: `<dir>/cache`, `<dir>/campaigns/<id>`
-    std::string socket_path; ///< Unix socket path ("" = TCP instead)
-    int port = 0;            ///< loopback TCP port (0 = ephemeral)
+    std::string socket_path; ///< Unix socket to listen on
     int workers = 2;         ///< worker processes to pre-fork
 
-    int max_worker_restarts = 16; ///< respawn budget across the run
-    int max_unit_attempts = 3;    ///< dispatch attempts per unit
     double unit_timeout_seconds = 0.0; ///< kill a worker stuck on one
                                        ///< unit this long (0 = off)
 
     /** Fault injection for the crash-recovery tests: after this many
      *  unit completions, SIGKILL one busy worker (once). -1 = off. */
     int kill_worker_after = -1;
-
-    /** Return from loop() after answering this many submissions
-     *  (bounds server lifetime in tests/benches). -1 = serve until a
-     *  shutdown request. */
-    int max_submissions = -1;
 };
 
 /**
@@ -87,15 +91,12 @@ class Server
     /** Bind the socket and pre-fork the worker pool. */
     bool start(std::string *error = nullptr);
 
-    /** Event loop; returns 0 on clean shutdown (shutdown request,
-     *  max_submissions reached, or stop()), 1 on a fatal error. */
+    /** Event loop; returns 0 on clean shutdown (shutdown request or
+     *  stop()), 1 on a fatal error. */
     int loop();
 
     /** Request loop() exit from a signal handler (async-safe). */
     void stop() { stop_requested_ = 1; }
-
-    /** The TCP port actually bound (ephemeral-port tests). */
-    int boundPort() const { return bound_port_; }
 
     /** Worker-process entry point over its server channel fd. */
     static int workerMain(int fd);
@@ -153,7 +154,6 @@ class Server
     ServeOptions opts_;
     std::string cache_dir_;
     int listen_fd_ = -1;
-    int bound_port_ = 0;
     std::vector<Worker> workers_;
     std::vector<ClientConn> clients_;
     std::vector<Submission> submissions_;
@@ -161,7 +161,6 @@ class Server
     bool shutdown_ = false;
     volatile std::sig_atomic_t stop_requested_ = 0;
     bool kill_injected_ = false;
-    int answered_ = 0;
 };
 
 } // namespace portend::serve

@@ -285,6 +285,45 @@ TEST(FormatPinTest, ManifestLinesRefuseTrailingTokens)
     }
 }
 
+TEST(FormatPinTest, ManifestDialsRefuseValuesTheCliRefuses)
+{
+    // The lowest values the CLI accepts parse and write back as is.
+    CampaignConfig low = microConfig();
+    low.analysis.mp = 1;
+    low.analysis.ma = 1;
+    low.analysis.max_steps = 1;
+    low.analysis.executor_max_states = 1;
+    low.analysis.detection_seed = 0;
+    std::string error;
+    const std::string low_text = manifestText(low);
+    std::optional<CampaignConfig> back = parseManifest(low_text, &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_EQ(manifestText(*back), low_text);
+
+    // Below them, or negative where `>>` into an unsigned would wrap
+    // around, is a bad line.
+    const std::string text = manifestText(microConfig());
+    const std::pair<std::string, std::string> edits[] = {
+        {"mp 5", "mp 0"},
+        {"ma 2", "ma 0"},
+        {"ma 2", "ma -3"},
+        {"executor_max_states 512", "executor_max_states 0"},
+        {"executor_max_states 512", "executor_max_states -5"},
+        {"max_steps 2000000", "max_steps 0"},
+        {"max_steps 2000000", "max_steps -5"},
+        {"detection_seed 1", "detection_seed -1"},
+        {"total_step_budget 0", "total_step_budget -0"},
+    };
+    for (const auto &[from, to] : edits) {
+        std::string edited = text;
+        const std::size_t at = edited.find("\n" + from + "\n");
+        ASSERT_NE(at, std::string::npos) << from;
+        edited.replace(at + 1, from.size(), to);
+        EXPECT_FALSE(parseManifest(edited, &error).has_value()) << to;
+        EXPECT_EQ(error, "manifest: bad line: " + to);
+    }
+}
+
 TEST(SignatureTest, HexRoundTrip)
 {
     const std::uint64_t v = 0x0123456789abcdefULL;
@@ -760,11 +799,9 @@ TEST(FuzzCampaignTest, WarmRerunHitsCacheForEveryProgram)
 
     fuzz::FuzzResult cold = fuzz::runFuzz(opts);
     EXPECT_EQ(cold.cache_hits, 0);
-    EXPECT_EQ(cold.journal_replays, 0);
 
     fuzz::FuzzResult warm = fuzz::runFuzz(opts);
     EXPECT_EQ(warm.cache_hits, cold.verifier_clean);
-    EXPECT_EQ(warm.journal_replays, cold.verifier_clean);
     EXPECT_EQ(warm.programs, cold.programs);
     EXPECT_EQ(warm.flagged, cold.flagged);
     EXPECT_EQ(warm.outcome_counts, cold.outcome_counts);

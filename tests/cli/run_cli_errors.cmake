@@ -8,8 +8,16 @@
 # budget silently became INT64_MAX (then truncated through an int
 # cast) instead of being rejected.
 #
-# The last row pins the retired dispatch-loop flag: a script that
-# still passes it must fail loudly, never run silently.
+# Retired flags stay pinned: a script that still passes the old
+# dispatch-loop flag, the loopback TCP endpoint (`--port`), the
+# connect budget (`--timeout`) or a serve budget that is now a
+# constant (`--max-submissions`, `--attempts`, `--max-restarts`) must
+# fail loudly, never run silently. The serve rows name a socket, so
+# only the flag under test can be what fails.
+#
+# `submit` with an action (`--status`, `--ping`, `--shutdown`) sends
+# no manifest: a second action or any other flag beside it is refused
+# rather than dropped without a word.
 
 if(NOT DEFINED PORTEND)
     message(FATAL_ERROR "run_cli_errors.cmake needs -DPORTEND=...")
@@ -30,20 +38,29 @@ set(bad_cases
     "campaign run ignored --abort-after -1"
     "fuzz --budget -5"
     "fuzz --fuzz-seed -2"
-    "serve state --workers 0 --port 1"
+    "serve state --workers 0 --socket s"
     "serve state --port 65536"
+    "serve d --socket s --max-submissions 1"
+    "serve d --socket s --attempts 3"
+    "serve d --socket s --max-restarts 1"
     "submit --port 0"
     "submit --socket x --timeout 0 --status"
+    "submit --socket missing.sock --bogus --status"
+    "submit --socket missing.sock --mp 0 --ping"
+    "submit --socket missing.sock --status --shutdown"
     "--dispatch switch classify avv"
     )
 
 foreach(case IN LISTS bad_cases)
     separate_arguments(args UNIX_COMMAND "${case}")
+    # A serve row whose flag were accepted would start a server that
+    # never exits; the timeout turns that into a failure, not a hang.
     execute_process(
         COMMAND ${PORTEND} ${args}
         OUTPUT_VARIABLE out
         ERROR_VARIABLE err
-        RESULT_VARIABLE rc)
+        RESULT_VARIABLE rc
+        TIMEOUT 60)
     if(NOT rc EQUAL 2)
         message(FATAL_ERROR
             "expected usage error (exit 2) for `portend ${case}`, "

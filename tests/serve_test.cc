@@ -6,10 +6,11 @@
  * end-to-end properties of `portend serve`: a submission's merged
  * verdict bytes are identical to a single-process campaign run at
  * 1, 2 and 4 workers, including after a worker is SIGKILLed mid-unit
- * (its claimed-but-unjournaled units are re-dispatched) or between
- * two units (the respawned worker gets the next one), and a
- * resubmission of the same manifest is answered entirely from the
- * journal + cache.
+ * (its claimed-but-unjournaled units are re-dispatched), between two
+ * units (the respawned worker gets the next one) or by the stuck-unit
+ * timeout, and a resubmission of the same manifest is answered
+ * entirely from the journal + cache. A unit that fails on every
+ * attempt fails its submission once the attempts budget is spent.
  */
 
 #include <gtest/gtest.h>
@@ -507,6 +508,89 @@ TEST(ServeTest, WorkerDeadAtDispatchGetsTheUnitAfterRespawn)
     }
     EXPECT_TRUE(hit) << "no attempt stopped the server with a unit "
                         "still to dispatch";
+}
+
+TEST(ServeTest, StuckWorkerIsKilledAtTheUnitTimeout)
+{
+    const campaign::CampaignConfig config = microConfig();
+    const std::string expected = ephemeralBytes(config);
+    const std::string dir = scratchDir("timeout");
+
+    serve::ServeOptions so;
+    so.dir = dir + "/state";
+    so.socket_path = dir + "/sock";
+    so.workers = 1;
+    so.unit_timeout_seconds = 1;
+    std::string err;
+    std::optional<sub::Child> server = startServer(so, &err);
+    ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
+    serve::Endpoint ep;
+    ep.socket_path = so.socket_path;
+    ASSERT_TRUE(serve::ping(ep, &err)) << err;
+
+    // A stopped worker takes its first unit and never answers: only
+    // the timeout can get the submission answered.
+    const long worker = firstChild(server->pid);
+    ASSERT_GT(worker, 0);
+    ASSERT_EQ(::kill(static_cast<pid_t>(worker), SIGSTOP), 0);
+
+    std::string out;
+    ASSERT_TRUE(serve::submit(ep, campaign::manifestText(config), &out,
+                              &err))
+        << err;
+    EXPECT_EQ(out, expected);
+
+    std::string status;
+    ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
+    EXPECT_NE(status.find("\"worker_deaths\": 1"), std::string::npos)
+        << status;
+    EXPECT_NE(status.find("\"worker_restarts\": 1"),
+              std::string::npos)
+        << status;
+
+    ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
+    EXPECT_EQ(waitExit(*server), 0);
+}
+
+TEST(ServeTest, UnitFailingEveryAttemptFailsItsSubmission)
+{
+    const std::string dir = scratchDir("attempts");
+    campaign::CampaignConfig config;
+    config.units = {{"file", dir + "/missing.pil"}};
+
+    serve::ServeOptions so;
+    so.dir = dir + "/state";
+    so.socket_path = dir + "/sock";
+    so.workers = 1;
+    std::string err;
+    std::optional<sub::Child> server = startServer(so, &err);
+    ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
+    serve::Endpoint ep;
+    ep.socket_path = so.socket_path;
+
+    wire::Frame resp;
+    ASSERT_TRUE(serve::request(
+        ep, {"submit", campaign::manifestText(config)}, &resp, &err))
+        << err;
+    EXPECT_EQ(resp.type, "error");
+    EXPECT_EQ(resp.payload.rfind("unit 0 failed after 3 attempts", 0),
+              0u)
+        << resp.payload;
+
+    std::string status;
+    ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
+    EXPECT_NE(status.find("\"units_dispatched\": 3,"),
+              std::string::npos)
+        << status;
+    EXPECT_NE(status.find("\"worker_deaths\": 0,"), std::string::npos)
+        << status;
+
+    // The failed submission leaves the server serving.
+    ASSERT_TRUE(serve::ping(ep, &err)) << err;
+    ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
+    EXPECT_EQ(waitExit(*server), 0);
 }
 
 TEST(ServeTest, MalformedManifestGetsErrorFrame)

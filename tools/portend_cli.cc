@@ -133,7 +133,7 @@ Options:
                        run: decoded sites, events batched, COW pages
                        unshared, values boxed
 
-Observability options (run, classify, campaign, fuzz, corpus run):
+Observability options (run, classify, campaign, fuzz, corpus run, serve):
   --trace-out <file>   write a Chrome trace-event JSON timeline of
                        the run: replay, ladder-fork, DPOR-candidate,
                        sym-path-fork, and solver spans with nested
@@ -159,27 +159,20 @@ Campaign options (portend campaign run/resume):
                        remains
 
 Serve options (portend serve):
+  --socket <path>      listen on this Unix-domain socket (required)
   --workers <N>        worker processes to pre-fork (default 2)
-  --socket <path>      listen on this Unix-domain socket
-  --port <N>           listen on loopback TCP instead (0 picks an
-                       ephemeral port; the chosen one is printed)
-  --max-restarts <N>   worker respawn budget (default 16)
-  --attempts <N>       dispatch attempts per unit before the whole
-                       submission fails (default 3)
   --unit-timeout <S>   SIGKILL a worker stuck on one unit for S
                        seconds (default: no timeout)
   --kill-after <N>     fault injection: SIGKILL one busy worker once
                        N units have completed (crash-recovery tests)
-  --max-submissions <N>  exit after answering N submissions
-                       (bounds server lifetime in tests)
 
 Submit options (portend submit):
-  --socket <path> | --port <N>   the server endpoint (required)
-  --status | --ping | --shutdown query or stop the server instead of
-                       submitting a campaign
-  --timeout <S>        connect retry budget in seconds (default 10);
+  --socket <path>      the server's Unix-domain socket (required);
                        all analysis options above are accepted and
                        travel in the submitted manifest
+  --status | --ping | --shutdown query or stop the server instead of
+                       submitting a campaign; an action takes no
+                       other option
 
 Fuzzing options (portend fuzz):
   --budget <N>         programs to generate (default 200); with a
@@ -195,12 +188,11 @@ Fuzzing options (portend fuzz):
                        with `portend corpus run <dir>`)
   --campaign <dir>     persist the fuzz campaign under <dir>: every
                        generated program's verdict is cached by
-                       program fingerprint + oracle config and
-                       journaled, so an interrupted campaign resumes
-                       where it left off and a duplicate generated
-                       program costs one cache probe; a cached
-                       program adds no pipeline counters to
-                       --metrics-out
+                       program fingerprint + oracle config, so an
+                       interrupted campaign resumes where it left
+                       off and a duplicate generated program costs
+                       one cache probe; a cached program adds no
+                       pipeline counters to --metrics-out
 
 Race classes (paper Fig. 1):
   spec violated        an ordering crashes, deadlocks, or hangs
@@ -957,7 +949,6 @@ cmdServe(int argc, char **argv)
         usageError("serve needs a state directory");
     serve::ServeOptions so;
     so.dir = argv[2];
-    bool endpoint_given = false;
     ObsFlags obs_flags;
     for (int i = 3; i < argc; ++i) {
         if (parseObsFlag(argc, argv, i, &obs_flags, false))
@@ -971,20 +962,6 @@ cmdServe(int argc, char **argv)
             if (!next)
                 usageError("--socket needs a path");
             so.socket_path = next;
-            endpoint_given = true;
-            ++i;
-        } else if (a == "--port") {
-            so.port = parseCount("--port", next, 0);
-            if (so.port > 65535)
-                usageError("--port must be <= 65535");
-            endpoint_given = true;
-            ++i;
-        } else if (a == "--max-restarts") {
-            so.max_worker_restarts =
-                parseCount("--max-restarts", next, 0);
-            ++i;
-        } else if (a == "--attempts") {
-            so.max_unit_attempts = parseCount("--attempts", next, 1);
             ++i;
         } else if (a == "--unit-timeout") {
             so.unit_timeout_seconds = static_cast<double>(
@@ -994,18 +971,12 @@ cmdServe(int argc, char **argv)
             so.kill_worker_after =
                 parseCount("--kill-after", next, 0);
             ++i;
-        } else if (a == "--max-submissions") {
-            so.max_submissions =
-                parseCount("--max-submissions", next, 1);
-            ++i;
         } else {
             usageError("unknown serve option: " + a);
         }
     }
-    if (!endpoint_given)
-        usageError("serve needs --socket <path> or --port <N>");
-    if (!so.socket_path.empty() && so.port != 0)
-        usageError("--socket and --port are mutually exclusive");
+    if (so.socket_path.empty())
+        usageError("serve needs --socket <path>");
 
     installObsSinks(obs_flags.trace_out, obs_flags.metrics_out,
                     obs_flags.progress_jsonl, false);
@@ -1017,10 +988,7 @@ cmdServe(int argc, char **argv)
     }
     // Announce the endpoint on stdout so scripts (and the CI smoke)
     // can scrape it, then serve until a shutdown request or signal.
-    if (!so.socket_path.empty())
-        std::printf("serving on %s\n", so.socket_path.c_str());
-    else
-        std::printf("serving on port %d\n", server.boundPort());
+    std::printf("serving on %s\n", so.socket_path.c_str());
     std::fflush(stdout);
     g_serve_server = &server;
     std::signal(SIGINT, serveSignalHandler);
@@ -1039,10 +1007,9 @@ int
 cmdSubmit(int argc, char **argv)
 {
     serve::Endpoint ep;
-    enum class Action { Submit, Status, Shutdown, Ping };
-    Action action = Action::Submit;
-    // Peel endpoint/action flags; everything else is a standard
-    // analysis flag and goes into the submitted manifest.
+    std::string action; ///< --status, --shutdown, --ping; "" = submit
+    // Peel the endpoint and action flags; everything else is a
+    // standard analysis flag and goes into the submitted manifest.
     std::vector<char *> rest;
     rest.push_back(argv[0]);
     for (int i = 2; i < argc; ++i) {
@@ -1053,30 +1020,26 @@ cmdSubmit(int argc, char **argv)
                 usageError("--socket needs a path");
             ep.socket_path = next;
             ++i;
-        } else if (a == "--port") {
-            ep.port = parseCount("--port", next, 1);
-            if (ep.port > 65535)
-                usageError("--port must be <= 65535");
-            ++i;
-        } else if (a == "--timeout") {
-            ep.connect_timeout_seconds = static_cast<double>(
-                parseCount("--timeout", next, 1));
-            ++i;
-        } else if (a == "--status") {
-            action = Action::Status;
-        } else if (a == "--shutdown") {
-            action = Action::Shutdown;
-        } else if (a == "--ping") {
-            action = Action::Ping;
+        } else if (a == "--status" || a == "--shutdown" ||
+                   a == "--ping") {
+            if (!action.empty())
+                usageError(action + " and " + a +
+                           " are mutually exclusive");
+            action = a;
         } else {
             rest.push_back(argv[i]);
         }
     }
-    if (ep.socket_path.empty() && ep.port == 0)
-        usageError("submit needs --socket <path> or --port <N>");
+    // An action sends no manifest, so an analysis flag beside it
+    // would be dropped without a word.
+    if (!action.empty() && rest.size() > 1)
+        usageError(action + " takes no other option: " +
+                   std::string(rest[1]));
+    if (ep.socket_path.empty())
+        usageError("submit needs --socket <path>");
 
     std::string err;
-    if (action == Action::Status) {
+    if (action == "--status") {
         std::string json;
         if (!serve::requestStatus(ep, &json, &err)) {
             std::fprintf(stderr, "portend: %s\n", err.c_str());
@@ -1085,14 +1048,14 @@ cmdSubmit(int argc, char **argv)
         std::printf("%s\n", json.c_str());
         return 0;
     }
-    if (action == Action::Shutdown) {
+    if (action == "--shutdown") {
         if (!serve::requestShutdown(ep, &err)) {
             std::fprintf(stderr, "portend: %s\n", err.c_str());
             return 1;
         }
         return 0;
     }
-    if (action == Action::Ping) {
+    if (action == "--ping") {
         if (!serve::ping(ep, &err)) {
             std::fprintf(stderr, "portend: %s\n", err.c_str());
             return 1;
