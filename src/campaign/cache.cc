@@ -17,7 +17,7 @@ serializeCacheEntry(const CacheEntry &e)
     os << "portend-campaign-entry-v1\n";
     os << "sig " << e.sig << "\n";
     os << "fp " << hex16(e.key.fingerprint) << "\n";
-    os << "trace " << hex16(e.key.trace_hash) << "\n";
+    os << "trace " << hex16(0) << "\n"; // the retired trace hash
     os << "cfg " << hex16(e.key.config_hash) << "\n";
     os << "name " << e.name << "\n";
     os << "bytes " << e.payload.size() << "\n";
@@ -50,7 +50,7 @@ deserializeCacheEntry(const std::string &text)
             if (!parseHex16(val, &e.key.fingerprint))
                 return std::nullopt;
         } else if (key == "trace") {
-            if (!parseHex16(val, &e.key.trace_hash))
+            if (!parseHex16(val, nullptr))
                 return std::nullopt;
         } else if (key == "cfg") {
             if (!parseHex16(val, &e.key.config_hash))

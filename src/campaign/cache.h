@@ -3,25 +3,29 @@
  * Content-addressed verdict cache (`portend-campaign-v1` cache spec).
  *
  * One entry per campaign signature: the key components (program
- * fingerprint, trace hash, config hash — see signature.h) plus the
- * unit's rendered verdict payload, stored verbatim. Because the
- * signature names everything the payload is a function of, a probe
- * hit replaces the entire classification of a unit with one file
- * read — that is the whole warm-rerun / duplicate-dedup story.
+ * fingerprint, config hash — see signature.h) plus the unit's
+ * rendered verdict payload, stored verbatim. Because the signature
+ * names everything the payload is a function of, a probe hit
+ * replaces the entire detection and classification of a unit with
+ * one file read — that is the whole warm-rerun, resume and
+ * duplicate-dedup story: an entry that is present is a unit that
+ * is done.
  *
  * Entries live as `<dir>/<sig>.entry` in a plain text-header format:
  *
  *   portend-campaign-entry-v1
  *   sig <16 hex>
  *   fp <16 hex>
- *   trace <16 hex>
+ *   trace 0000000000000000
  *   cfg <16 hex>
  *   name <unit name>
  *   bytes <payload byte count>
  *   <raw payload bytes>
  *
- * Writes go through a temp file + rename so a kill mid-store never
- * leaves a torn entry under the content address. A memory map
+ * The `trace` line is the retired trace-hash slot, always written as
+ * zeros so entry bytes never moved. Writes go through a temp file +
+ * rename so a kill mid-store never leaves a torn entry under the
+ * content address. A memory map
  * layered in front makes within-run duplicate probes free and lets
  * an ephemeral campaign (no directory) still dedup by signature.
  */

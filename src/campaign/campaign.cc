@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -25,7 +23,6 @@ namespace {
 
 const char kManifestMagic[] = "portend-campaign-v1";
 const char kManifestFile[] = "manifest";
-const char kJournalFile[] = "journal.jsonl";
 const char kCacheDir[] = "cache";
 
 /**
@@ -146,11 +143,8 @@ emitUnitEvent(const UnitResult &u)
 {
     if (!obs::progress())
         return;
-    const char *source = "executed";
-    if (u.source == UnitSource::CacheHit)
-        source = "cache";
-    else if (u.source == UnitSource::Journal)
-        source = "journal";
+    const char *source =
+        u.source == UnitSource::CacheHit ? "cache" : "executed";
     char buf[256];
     std::snprintf(buf, sizeof buf,
                   "{\"event\": \"campaign_unit\", \"unit\": %zu, "
@@ -194,6 +188,26 @@ loadUnit(const UnitSpec &spec, workloads::Workload *out,
         return true;
     }
     return fail(error, "unknown unit kind: " + spec.kind);
+}
+
+/** The options a loaded unit runs under: units fan out, so inner
+ *  pipelines stay serial, and the workload's predicates apply. */
+core::PortendOptions
+unitOptions(const CampaignConfig &config, const workloads::Workload &w)
+{
+    core::PortendOptions opts = config.analysis;
+    opts.jobs = 1;
+    opts.semantic_predicates = w.semantic_predicates;
+    return opts;
+}
+
+/** A loaded unit's cache key: known before anything runs. */
+UnitKey
+unitKey(const CampaignConfig &config, const UnitSpec &spec,
+        const workloads::Workload &w, const core::PortendOptions &opts)
+{
+    return {rt::programFingerprint(w.program),
+            configHash(opts, unitSalt(spec, config.render))};
 }
 
 } // namespace
@@ -402,43 +416,22 @@ executeUnit(const CampaignConfig &config, std::size_t index,
     workloads::Workload w;
     if (!loadUnit(out->spec, &w, error))
         return false;
-
-    core::PortendOptions opts = config.analysis;
-    opts.jobs = 1; // units fan out; inner pipelines stay serial
-    opts.semantic_predicates = w.semantic_predicates;
-
-    core::Portend tool(w.program, opts);
-    core::DetectionResult det = tool.detect();
-
-    UnitKey key;
-    key.fingerprint = rt::programFingerprint(w.program);
-    key.trace_hash = traceHash(det.trace);
-    key.config_hash =
-        configHash(opts, unitSalt(out->spec, config.render));
-    out->key = key;
+    const core::PortendOptions opts = unitOptions(config, w);
+    const UnitKey key = unitKey(config, out->spec, w, opts);
     out->sig = signatureHex(key);
-
-    std::optional<CacheEntry> hit = cache.probe(out->sig);
-    if (hit) {
-        out->rendered = hit->payload;
+    if (std::optional<CacheEntry> hit = cache.probe(out->sig)) {
+        out->rendered = std::move(hit->payload);
         out->source = UnitSource::CacheHit;
-        out->metrics.add(obs::Counter::PipelineWorkloads, 1);
-        out->metrics.merge(det.metrics);
         return true;
     }
 
-    core::PortendResult res = tool.runFrom(std::move(det));
+    core::PortendResult res = core::Portend(w.program, opts).run();
     out->rendered = core::renderPipelineReport(
         w.name, w.program, res, opts.mp, opts.ma, config.render);
     out->metrics = res.metrics;
     out->source = UnitSource::Executed;
-
-    CacheEntry entry;
-    entry.sig = out->sig;
-    entry.key = key;
-    entry.name = out->spec.name;
-    entry.payload = out->rendered;
-    cache.store(entry, store_error);
+    cache.store({out->sig, key, out->spec.name, out->rendered},
+                store_error);
     return true;
 }
 
@@ -455,14 +448,6 @@ Campaign::Campaign(CampaignConfig config, std::string dir,
                             : cache_dir))
 {}
 
-std::string
-Campaign::journalPath() const
-{
-    return dir_.empty()
-               ? std::string()
-               : (fs::path(dir_) / kJournalFile).string();
-}
-
 std::optional<Campaign>
 Campaign::create(const std::string &dir, CampaignConfig config,
                  std::string *error, const std::string &cache_dir)
@@ -478,8 +463,8 @@ Campaign::create(const std::string &dir, CampaignConfig config,
     fs::path manifest = fs::path(dir) / kManifestFile;
     std::string text = manifestText(config);
     if (fs::exists(manifest)) {
-        // Re-entry: the stored manifest must match exactly. Silently
-        // adopting a new config would poison the journal/cache pair.
+        // Re-entry: the stored manifest must match exactly, since a
+        // resume takes every parameter from it.
         std::ifstream is(manifest, std::ios::binary);
         std::ostringstream os;
         os << is.rdbuf();
@@ -530,61 +515,28 @@ Campaign::open(const std::string &dir, std::string *error,
 }
 
 CampaignResult
-Campaign::replayJournal()
+Campaign::probeCache()
 {
     CampaignResult result;
     result.units.resize(config_.units.size());
     for (std::size_t i = 0; i < config_.units.size(); ++i) {
-        result.units[i].index = i;
-        result.units[i].spec = config_.units[i];
-    }
-
-    // Every journaled unit whose cache entry is present is done — no
-    // execution at all. A journaled unit with a lost cache entry
-    // simply re-runs (always sound).
-    const std::string journal_path = journalPath();
-    if (journal_path.empty())
-        return result;
-    std::vector<JournalRecord> records =
-        loadJournal(journal_path, &result.journal_torn);
-    result.journal_replays = static_cast<int>(records.size());
-    for (const JournalRecord &rec : records) {
-        if (rec.unit >= result.units.size())
-            continue;
-        UnitResult &u = result.units[rec.unit];
-        if (u.source != UnitSource::Pending)
-            continue; // duplicate record (re-run overlap)
-        if (u.spec.kind != rec.kind || u.spec.name != rec.name)
-            continue; // journal from another manifest shape
-        std::optional<CacheEntry> hit = cache_->probe(rec.sig);
+        UnitResult &u = result.units[i];
+        u.index = i;
+        u.spec = config_.units[i];
+        workloads::Workload w;
+        if (!loadUnit(u.spec, &w, nullptr))
+            continue; // a miss: executing it reports why
+        const std::string sig = signatureHex(
+            unitKey(config_, u.spec, w, unitOptions(config_, w)));
+        std::optional<CacheEntry> hit = cache_->probe(sig);
         if (!hit)
             continue;
-        u.sig = rec.sig;
-        u.key = rec.key;
-        u.rendered = hit->payload;
-        u.source = UnitSource::Journal;
-        result.resume_skips += 1;
+        u.sig = sig;
+        u.rendered = std::move(hit->payload);
+        u.source = UnitSource::CacheHit;
         emitUnitEvent(u);
     }
     return result;
-}
-
-bool
-Campaign::openJournal(std::string *error)
-{
-    const std::string path = journalPath();
-    if (path.empty())
-        return true; // ephemeral: nothing to journal
-    if (!journal_)
-        journal_ = std::make_unique<JournalWriter>();
-    return journal_->isOpen() || journal_->open(path, error);
-}
-
-void
-Campaign::closeJournal()
-{
-    if (journal_)
-        journal_->close();
 }
 
 bool
@@ -602,21 +554,8 @@ Campaign::recordCompletion(CampaignResult &result, std::size_t index,
         return fail(error,
                     "no cache entry for reported signature " + sig);
     u.sig = sig;
-    u.key = hit->key;
-    u.rendered = hit->payload;
+    u.rendered = std::move(hit->payload);
     u.source = cached ? UnitSource::CacheHit : UnitSource::Executed;
-
-    if (journal_ && journal_->isOpen()) {
-        JournalRecord rec;
-        rec.unit = index;
-        rec.kind = u.spec.kind;
-        rec.name = u.spec.name;
-        rec.sig = sig;
-        rec.key = hit->key;
-        std::string jerr;
-        if (!journal_->append(rec, &jerr) && result.error.empty())
-            result.error = jerr;
-    }
     emitUnitEvent(u);
     return true;
 }
@@ -641,12 +580,6 @@ Campaign::finalize(CampaignResult &result) const
                        static_cast<std::uint64_t>(result.cache_hits));
     result.metrics.add(Counter::CampaignCacheMisses,
                        static_cast<std::uint64_t>(result.executed));
-    result.metrics.add(
-        Counter::CampaignJournalReplays,
-        static_cast<std::uint64_t>(result.journal_replays));
-    result.metrics.add(
-        Counter::CampaignResumeSkips,
-        static_cast<std::uint64_t>(result.resume_skips));
 }
 
 CampaignResult
@@ -654,57 +587,18 @@ Campaign::run(int abort_after_units, int jobs_override)
 {
     obs::Span span("campaign", "run");
 
-    // Phase 1: journal replay.
-    CampaignResult result = replayJournal();
+    // Phase 1: every unit the cache holds is done.
+    CampaignResult result = probeCache();
 
-    // Phase 2: execute what remains.
+    // Phase 2: execute what remains. Each body writes only its own
+    // unit and error slot; the first error in manifest order wins.
     std::vector<std::size_t> pending;
     for (const UnitResult &u : result.units)
         if (u.source == UnitSource::Pending)
             pending.push_back(u.index);
-
-    std::mutex journal_mu;
-    std::string first_error;
-    if (!openJournal(&first_error)) {
-        result.error = first_error;
-        return result;
-    }
-
-    std::atomic<int> journaled{0};
+    std::vector<std::string> errors(pending.size());
+    std::atomic<int> executed{0};
     std::atomic<bool> failed{false};
-
-    auto runUnit = [&](std::size_t index) {
-        UnitResult &u = result.units[index];
-        std::string err, store_err;
-        if (!executeUnit(config_, index, *cache_, &u, &err,
-                         &store_err)) {
-            std::lock_guard<std::mutex> lock(journal_mu);
-            if (result.error.empty())
-                result.error = err;
-            failed.store(true);
-            return;
-        }
-        if (!store_err.empty()) {
-            std::lock_guard<std::mutex> lock(journal_mu);
-            if (result.error.empty())
-                result.error = store_err;
-        }
-
-        if (journal_ && journal_->isOpen()) {
-            JournalRecord rec;
-            rec.unit = index;
-            rec.kind = u.spec.kind;
-            rec.name = u.spec.name;
-            rec.sig = u.sig;
-            rec.key = u.key;
-            std::string jerr;
-            std::lock_guard<std::mutex> lock(journal_mu);
-            if (!journal_->append(rec, &jerr) && result.error.empty())
-                result.error = jerr;
-        }
-        journaled.fetch_add(1);
-        emitUnitEvent(u);
-    };
 
     const int jobs = resolveJobs(
         jobs_override > 0 ? jobs_override : config_.analysis.jobs);
@@ -715,15 +609,28 @@ Campaign::run(int abort_after_units, int jobs_override)
         if (failed.load())
             return;
         if (abort_after_units >= 0 &&
-            journaled.load() >= abort_after_units)
+            executed.load() >= abort_after_units)
             return;
-        runUnit(pending[i]);
+        UnitResult &u = result.units[pending[i]];
+        std::string store_err;
+        if (!executeUnit(config_, u.index, *cache_, &u, &errors[i],
+                         &store_err)) {
+            failed.store(true);
+            return;
+        }
+        errors[i] = store_err;
+        if (u.source == UnitSource::Executed)
+            executed.fetch_add(1);
+        emitUnitEvent(u);
     });
-    closeJournal();
+    for (const std::string &e : errors) {
+        if (!e.empty()) {
+            result.error = e;
+            break;
+        }
+    }
 
-    result.aborted = abort_after_units >= 0 &&
-                     journaled.load() <
-                         static_cast<int>(pending.size()) &&
+    result.aborted = abort_after_units >= 0 && !result.complete() &&
                      result.error.empty();
 
     finalize(result);
@@ -740,22 +647,9 @@ Campaign::status()
     Status st;
     st.total_units = config_.units.size();
     st.cache_entries = cache_->sizeOnDisk();
-    if (dir_.empty())
-        return st;
-    std::vector<JournalRecord> records = loadJournal(
-        (fs::path(dir_) / kJournalFile).string(), &st.journal_torn);
-    std::vector<bool> done(config_.units.size(), false);
-    for (const JournalRecord &rec : records) {
-        if (rec.unit >= done.size() || done[rec.unit])
-            continue;
-        if (config_.units[rec.unit].kind != rec.kind ||
-            config_.units[rec.unit].name != rec.name)
-            continue;
-        if (!cache_->probe(rec.sig))
-            continue;
-        done[rec.unit] = true;
-        st.completed_units += 1;
-    }
+    for (const UnitResult &u : probeCache().units)
+        if (u.source != UnitSource::Pending)
+            st.completed_units += 1;
     return st;
 }
 

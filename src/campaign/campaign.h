@@ -3,14 +3,14 @@
  * The campaign engine: batch classification as a first-class,
  * persistent object (`portend-campaign-v1`).
  *
- * A Campaign is a manifest of work units (program × analysis config),
- * a content-addressed verdict cache keyed by the deterministic
- * campaign signature (signature.h), and an append-only fsync'd
- * journal (journal.h). The engine runs the remaining units with
- * support/parallel.h's parallelFor; each unit runs the
- * standard detect→classify pipeline with a cache probe in between
- * (the recorded trace's hash completes the key), journals its
- * completion durably, and streams a JSON-lines event through the
+ * A Campaign is a manifest of work units (program × analysis config)
+ * plus a content-addressed verdict cache keyed by the deterministic
+ * campaign signature (signature.h). The key is taken before
+ * detection, so the cache alone says which units are done: the
+ * probe phase fills every unit whose entry is present, and the
+ * engine runs the rest with support/parallel.h's parallelFor, each
+ * through the standard detect→classify pipeline, storing its
+ * rendered verdict and streaming a JSON-lines event through the
  * obs::Progress sink. Rendered verdict bytes merge in manifest
  * order, so campaign output is byte-identical to the one-shot batch
  * loops it replaces — and byte-identical across kills and resumes.
@@ -19,12 +19,14 @@
  *  - *cold identity*: an ephemeral campaign (no directory) renders
  *    exactly the bytes `classify --all`/`run --all` always produced;
  *  - *cache soundness*: equal signature implies equal verdict bytes
- *    (the determinism contracts of PRs 2/5/7/8), so replaying a
- *    cached payload is indistinguishable from re-running the unit;
- *  - *resume exactness*: a journal record is written only after its
- *    cache entry, so every journaled unit is replayable; killed
- *    campaigns resume with the remaining units and merge to the
- *    same bytes as an uninterrupted run.
+ *    (the pipeline is deterministic at every --jobs value), so
+ *    replaying a cached payload is indistinguishable from re-running
+ *    the unit;
+ *  - *resume exactness*: an entry is published by temp + rename
+ *    only once its verdict is complete, so a unit counts as done
+ *    exactly when its entry is there; killed campaigns resume with
+ *    the remaining units and merge to the same bytes as an
+ *    uninterrupted run, and a lost entry re-runs only its own unit.
  */
 
 #ifndef PORTEND_CAMPAIGN_CAMPAIGN_H
@@ -37,7 +39,6 @@
 #include <vector>
 
 #include "campaign/cache.h"
-#include "campaign/journal.h"
 #include "campaign/signature.h"
 #include "portend/render.h"
 #include "support/observe.h"
@@ -77,8 +78,7 @@ parseManifest(const std::string &text, std::string *error = nullptr);
 enum class UnitSource : std::uint8_t {
     Pending,  ///< not reached (campaign aborted first)
     Executed, ///< full detect + classify ran
-    CacheHit, ///< detection ran; classification came from the cache
-    Journal,  ///< no execution at all: replayed from journal + cache
+    CacheHit, ///< no execution at all: the payload came from the cache
 };
 
 /** One unit's outcome. */
@@ -87,12 +87,11 @@ struct UnitResult
     std::size_t index = 0;
     UnitSpec spec;
     std::string sig;      ///< 16-hex campaign signature ("" if Pending)
-    UnitKey key;          ///< the signature's components (journaling)
     std::string rendered; ///< verdict bytes ("" if Pending)
     UnitSource source = UnitSource::Pending;
 
-    /** Pipeline metrics of an executed/cache-hit unit (a journal
-     *  replay executes nothing and contributes an empty shard). */
+    /** Pipeline metrics of an executed unit (a cache hit executes
+     *  nothing and contributes an empty shard). */
     obs::MetricsShard metrics;
 };
 
@@ -105,13 +104,10 @@ struct CampaignResult
      *  campaign.* counters. */
     obs::MetricsShard metrics;
 
-    int executed = 0;        ///< units that ran the full pipeline
-    int cache_hits = 0;      ///< post-detection signature probes that hit
-    int journal_replays = 0; ///< journal records parsed at open
-    int resume_skips = 0;    ///< units skipped entirely via the journal
-    int journal_torn = 0;    ///< unparseable journal lines tolerated
-    bool aborted = false;    ///< stopped by the unit-count abort hook
-    std::string error;       ///< first persistence error ("" = none)
+    int executed = 0;     ///< units that ran the full pipeline
+    int cache_hits = 0;   ///< units whose payload came from the cache
+    bool aborted = false; ///< stopped by the unit-count abort hook
+    std::string error;    ///< first load or store error, in manifest order
 
     /** True when every unit has verdict bytes. */
     bool complete() const;
@@ -123,13 +119,12 @@ struct CampaignResult
 };
 
 /**
- * Execute one manifest unit against @p cache, with no journaling:
- * load the program, run detection, compute the campaign signature,
- * probe the cache, classify on a miss, and store the rendered
- * verdict back. The completion record is the caller's job — the
- * in-process engine journals it itself, while the serve layer's
- * worker processes report the signature back to the server, which
- * owns the journal (single writer). False with @p error on a load
+ * Execute one manifest unit against @p cache: load the program,
+ * compute the campaign signature, probe the cache, run detection and
+ * classification on a miss, and store the rendered verdict back. The
+ * in-process engine calls it on its threads; the serve layer's
+ * worker processes call it and report the signature to the server,
+ * which re-probes the shared cache. False with @p error on a load
  * or pipeline failure; cache-store I/O errors degrade to
  * memory-only and surface through @p store_error without failing
  * the unit.
@@ -144,10 +139,10 @@ bool executeUnit(const CampaignConfig &config, std::size_t index,
  * via create()/open().
  *
  * run() is the one-process driver; the serve layer drives the same
- * phases across worker processes instead: replayJournal() to skip
- * journaled units, campaign::executeUnit() inside each worker
- * against the shared on-disk cache, recordCompletion() on the
- * server for every unit a worker reports done, and finalize() to
+ * phases across worker processes instead: probeCache() to fill the
+ * units that are already done, campaign::executeUnit() inside each
+ * worker against the shared on-disk cache, recordCompletion() on
+ * the server for every unit a worker reports done, and finalize() to
  * merge metrics — the resume and byte-identity contracts hold for
  * both drivers because they are properties of the phases, not of
  * the threading.
@@ -155,8 +150,8 @@ bool executeUnit(const CampaignConfig &config, std::size_t index,
 class Campaign
 {
   public:
-    /** Ephemeral campaign: no directory, no journal; the in-memory
-     *  verdict cache still dedups within the run. */
+    /** Ephemeral campaign: no directory; the in-memory verdict cache
+     *  still dedups within the run. */
     explicit Campaign(CampaignConfig config);
 
     /**
@@ -181,14 +176,14 @@ class Campaign
                                         const std::string &cache_dir = "");
 
     /**
-     * Execute every unit the journal does not already cover and
-     * merge all results in manifest order.
+     * Execute every unit the cache does not already hold and merge
+     * all results in manifest order.
      *
      * @param abort_after_units when >= 0, stop claiming new units
-     *        once that many have been executed *and journaled* by
-     *        this call — the crash simulation behind the
-     *        kill-and-resume tests (with --jobs 1 the cut is exact;
-     *        with more workers, in-flight units still finish).
+     *        once that many have been executed *and stored* by this
+     *        call — the crash simulation behind the kill-and-resume
+     *        tests (with --jobs 1 the cut is exact; with more
+     *        workers, in-flight units still finish).
      * @param jobs_override when > 0, overrides config.analysis.jobs.
      */
     CampaignResult run(int abort_after_units = -1,
@@ -196,23 +191,19 @@ class Campaign
 
     /**
      * Phase 1 of run(), exposed for external drivers: a fresh
-     * result skeleton (every manifest unit Pending) with all
-     * journal-covered units replayed from the cache.
+     * result skeleton with every unit whose signature the cache
+     * holds filled from it, and every other unit Pending. Nothing
+     * runs: each unit's program is loaded only to key it, and a
+     * unit that cannot be loaded stays Pending, so its error
+     * surfaces when it executes.
      */
-    CampaignResult replayJournal();
-
-    /** Open the journal for appending (no-op for ephemeral
-     *  campaigns). External drivers call this once before their
-     *  first recordCompletion(). */
-    bool openJournal(std::string *error = nullptr);
-    void closeJournal();
+    CampaignResult probeCache();
 
     /**
      * Record one externally executed unit: probe the cache for
      * @p sig (the worker stored the entry before reporting, so a
      * miss means the worker lied or its store was lost — false,
-     * re-dispatch), fill the unit's payload in @p result, append
-     * the journal record, and bump the result's source counter.
+     * re-dispatch) and fill the unit's payload in @p result.
      * @p cached distinguishes a worker-side cache hit from a full
      * execution (bookkeeping only; the bytes are identical).
      */
@@ -235,9 +226,8 @@ class Campaign
     struct Status
     {
         std::size_t total_units = 0;
-        std::size_t completed_units = 0; ///< journaled ∧ cache-backed
+        std::size_t completed_units = 0; ///< units the cache holds
         std::size_t cache_entries = 0;   ///< .entry files on disk
-        int journal_torn = 0;            ///< tolerated bad lines
     };
     Status status();
 
@@ -245,12 +235,9 @@ class Campaign
     Campaign(CampaignConfig config, std::string dir,
              std::string cache_dir = "");
 
-    std::string journalPath() const;
-
     CampaignConfig config_;
     std::string dir_; ///< "" = ephemeral
     std::unique_ptr<VerdictCache> cache_;
-    std::unique_ptr<JournalWriter> journal_;
 };
 
 } // namespace portend::campaign

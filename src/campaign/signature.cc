@@ -7,12 +7,6 @@
 namespace portend::campaign {
 
 std::uint64_t
-traceHash(const replay::ScheduleTrace &trace)
-{
-    return fnv1a(trace.serialize());
-}
-
-std::uint64_t
 configHash(const core::PortendOptions &opts, const std::string &salt)
 {
     // Order is part of the hash: append-only, never reorder, so
@@ -56,7 +50,7 @@ signatureHex(const UnitKey &key)
 {
     std::uint64_t h = fnv1a(std::string("portend-campaign-sig-v1"));
     h = hashCombine(h, key.fingerprint);
-    h = hashCombine(h, key.trace_hash);
+    h = hashCombine(h, 0); // the retired trace hash
     h = hashCombine(h, key.config_hash);
     return hex16(h);
 }

@@ -4,20 +4,23 @@
  *
  * A campaign caches verdicts by content, so the cache key must name
  * everything a verdict is a function of — and nothing it is not. The
- * key has three components:
+ * key has two components, both known before anything runs:
  *
  *  - the program fingerprint (rt::programFingerprint, the decode
  *    cache's key from the interpreter rebuild): stable across
  *    processes, changes with any semantic program edit;
- *  - the trace hash: FNV-1a over ScheduleTrace::serialize(), i.e.
- *    the exact recorded schedule + input log the classification
- *    consumed;
  *  - the config hash: every PortendOptions dial that can change a
  *    verdict or the rendered report bytes (explorer, Mp/Ma,
  *    detector, symbolic-input selection, budgets, seeds), plus a
  *    caller-supplied salt for per-unit state the options struct
  *    cannot see (semantic predicates travel by workload name; the
  *    render mode travels with the caller).
+ *
+ * The recorded detection trace needs no slot of its own: a program
+ * run under the same `max_steps`, `detection_seed` and `detector`
+ * always records the same trace (deterministic record and replay),
+ * and those three dials are in the config hash. So the cache can be
+ * probed before detection runs, and a hit skips the whole pipeline.
  *
  * Deliberately excluded: `jobs` (verdicts are byte-identical for
  * every worker count) and wall-clock. The same
@@ -32,22 +35,17 @@
 #include <string>
 
 #include "portend/analyzer.h"
-#include "replay/trace.h"
 
 namespace portend::campaign {
 
-/** The three key components of one cached verdict. */
+/** The two key components of one cached verdict. */
 struct UnitKey
 {
     std::uint64_t fingerprint = 0; ///< rt::programFingerprint
-    std::uint64_t trace_hash = 0;  ///< traceHash (0 = trace unknown)
     std::uint64_t config_hash = 0; ///< configHash
 
     bool operator==(const UnitKey &o) const = default;
 };
-
-/** Hash the recorded schedule + input log a classification consumed. */
-std::uint64_t traceHash(const replay::ScheduleTrace &trace);
 
 /**
  * Hash every verdict-relevant analysis dial of @p opts, folding in
@@ -57,7 +55,9 @@ std::uint64_t traceHash(const replay::ScheduleTrace &trace);
 std::uint64_t configHash(const core::PortendOptions &opts,
                          const std::string &salt = "");
 
-/** Collapse a key into the 16-hex-digit campaign signature. */
+/** Collapse a key into the 16-hex-digit campaign signature. The
+ *  retired trace-hash slot is hashed as 0, so the names of entries
+ *  keyed without a trace (every fuzz campaign's) never moved. */
 std::string signatureHex(const UnitKey &key);
 
 /** Render a raw 64-bit hash as 16 hex digits (cache file names). */

@@ -150,7 +150,6 @@ runIndex(std::uint64_t index, const FuzzOptions &opts,
     std::string sig;
     if (camp) {
         key.fingerprint = rt::programFingerprint(r.gen.program);
-        key.trace_hash = 0; // the oracle runs its own detection
         key.config_hash = oracleConfigHash(o);
         sig = campaign::signatureHex(key);
         if (std::optional<campaign::CacheEntry> hit =

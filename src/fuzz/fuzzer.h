@@ -56,12 +56,11 @@ struct FuzzOptions
      * When set, every index's oracle verdict is stored in a
      * campaign::VerdictCache under its signature: program
      * fingerprint + oracle-config hash (seed, budgets, explorer,
-     * deep flag); the trace-hash slot is 0 because the oracle owns
-     * its own detection run. A re-run or resumed campaign
-     * regenerates each program (generation is cheap and
-     * deterministic) but skips the oracle for every already-cached
-     * signature, which is where all the time goes. The cache is the
-     * whole record: no journal is kept.
+     * deep flag), the same key classification campaigns use. A
+     * re-run or resumed campaign regenerates each program
+     * (generation is cheap and deterministic) but skips the oracle
+     * for every already-cached signature, which is where all the
+     * time goes. The cache is the whole record.
      */
     std::string campaign_dir;
 

@@ -97,10 +97,9 @@ class Portend
 
     /**
      * Classification half of run(): consume an already-finished
-     * detection phase. The campaign engine splits the pipeline here —
-     * the recorded trace's hash completes the verdict-cache key, so
-     * a cache probe sits between detect() and runFrom() and a hit
-     * skips classification entirely. run() == runFrom(detect()).
+     * detection phase. The fuzz oracle splits the pipeline here to
+     * classify one detection under several option sets.
+     * run() == runFrom(detect()).
      */
     PortendResult runFrom(DetectionResult detection);
 

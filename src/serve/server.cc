@@ -76,12 +76,29 @@ submissionEvent(const std::string &id, std::size_t units,
 }
 
 /** Campaign id: content hash of the manifest text, so the same
- *  submission always lands in the same campaign directory (and a
- *  resubmission resumes instead of re-running). */
+ *  submission always lands in the same campaign directory. */
 std::string
 campaignId(const std::string &manifest)
 {
     return campaign::hex16(fnv1a(manifest));
+}
+
+/** True when a server accepts connections at @p path. A refused
+ *  connect means a stale file left by a killed server. */
+bool
+serverAnswersAt(const std::string &path)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return false;
+    const bool live =
+        ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof addr) == 0;
+    ::close(fd);
+    return live;
 }
 
 } // namespace
@@ -94,10 +111,10 @@ int
 Server::workerMain(int fd)
 {
     wire::FrameReader reader;
-    // Campaigns stay open across units: the manifest parse and the
-    // cache's in-memory layer amortize over every unit this worker
-    // runs for the same campaign.
-    std::map<std::string, campaign::Campaign> campaigns;
+    // The most recent campaign stays open across its units: the
+    // manifest parse and the cache's in-memory layer amortize over
+    // every unit this worker runs for it in a row.
+    std::optional<campaign::Campaign> camp;
     char buf[4096];
     for (;;) {
         std::optional<wire::Frame> f;
@@ -126,21 +143,18 @@ Server::workerMain(int fd)
 
         wire::Frame out;
         std::string err;
-        auto it = campaigns.find(dir);
-        if (it == campaigns.end()) {
-            std::optional<campaign::Campaign> camp =
-                campaign::Campaign::open(dir, &err, cache_dir);
-            if (camp)
-                it = campaigns.emplace(dir, std::move(*camp)).first;
+        if (!camp || camp->dir() != dir) {
+            camp.reset();
+            camp = campaign::Campaign::open(dir, &err, cache_dir);
         }
-        if (it == campaigns.end()) {
+        if (!camp) {
             out = {"fail", index_s + " " + err};
         } else {
             campaign::UnitResult u;
             std::string store_err;
-            if (!campaign::executeUnit(it->second.config(),
+            if (!campaign::executeUnit(camp->config(),
                                        static_cast<std::size_t>(index),
-                                       it->second.cache(), &u, &err,
+                                       camp->cache(), &u, &err,
                                        &store_err)) {
                 out = {"fail", index_s + " " + err};
             } else if (!store_err.empty()) {
@@ -189,6 +203,9 @@ Server::start(std::string *error)
         return fail(error, "serve needs a state directory");
     if (opts_.socket_path.empty())
         return fail(error, "serve needs a socket path");
+    if (serverAnswersAt(opts_.socket_path))
+        return fail(error,
+                    "socket " + opts_.socket_path + " is in use");
     std::error_code ec;
     cache_dir_ = (fs::path(opts_.dir) / "cache").string();
     fs::create_directories(cache_dir_, ec);
@@ -218,20 +235,26 @@ Server::bindSocket(std::string *error)
     sockaddr_un addr{};
     if (opts_.socket_path.size() >= sizeof(addr.sun_path))
         return fail(error, "socket path too long: " + opts_.socket_path);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
         return fail(error, std::string("socket: ") + std::strerror(errno));
+    // start() found no live server here: whatever sits at the path
+    // is stale.
     ::unlink(opts_.socket_path.c_str());
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, opts_.socket_path.c_str(),
                  sizeof(addr.sun_path) - 1);
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr *>(&addr),
+    std::string why;
+    if (::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
                sizeof addr) != 0)
-        return fail(error, "bind " + opts_.socket_path + ": " +
-                               std::strerror(errno));
-    if (::listen(listen_fd_, 16) != 0)
-        return fail(error, std::string("listen: ") +
-                               std::strerror(errno));
+        why = "bind " + opts_.socket_path + ": " + std::strerror(errno);
+    else if (::listen(fd, 16) != 0)
+        why = std::string("listen: ") + std::strerror(errno);
+    if (!why.empty()) {
+        ::close(fd);
+        return fail(error, why);
+    }
+    listen_fd_ = fd; // from here on the path is ours to unlink
     return true;
 }
 
@@ -287,9 +310,9 @@ Server::closeClient(int fd)
     if (fd < 0)
         return;
     // Any submission still pointing at this fd loses its reply
-    // channel (the work itself continues: the journal + cache keep
-    // the result for a resubmission).
-    for (Submission &s : submissions_)
+    // channel (the work itself continues: the cache keeps the
+    // result for a resubmission).
+    for (auto &[key, s] : submissions_)
         if (s.client_fd == fd)
             s.client_fd = -1;
     for (ClientConn &c : clients_)
@@ -345,17 +368,12 @@ Server::handleSubmit(ClientConn &c, const std::string &manifest)
         closeClient(c.fd);
         return;
     }
-    Submission sub;
+    Submission &sub = submissions_[next_submission_++];
     sub.id = id;
     sub.dir = dir;
     sub.campaign =
         std::make_unique<campaign::Campaign>(std::move(*camp));
-    if (!sub.campaign->openJournal(&err)) {
-        respond(c.fd, {"error", "cannot open journal: " + err});
-        closeClient(c.fd);
-        return;
-    }
-    sub.result = sub.campaign->replayJournal();
+    sub.result = sub.campaign->probeCache();
     for (std::size_t i = 0; i < sub.result.units.size(); ++i)
         if (sub.result.units[i].source ==
             campaign::UnitSource::Pending)
@@ -363,8 +381,7 @@ Server::handleSubmit(ClientConn &c, const std::string &manifest)
     sub.client_fd = c.fd;
     submissionEvent(id, sub.result.units.size(), sub.pending.size(),
                     "accepted");
-    submissions_.push_back(std::move(sub));
-    maybeFinishSubmission(submissions_.back());
+    maybeFinishSubmission(sub);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,8 +409,7 @@ Server::handleWorkerFrame(std::size_t wi, const wire::Frame &f)
         handleWorkerDeath(wi, "protocol");
         return;
     }
-    Submission &sub = submissions_[static_cast<std::size_t>(
-        w.submission)];
+    Submission &sub = submissions_.at(w.submission);
     w.busy = false;
     w.deadline_ns = 0;
     sub.in_flight -= 1;
@@ -443,15 +459,13 @@ Server::handleWorkerDeath(std::size_t wi, const char *why)
         ::usleep(1000); // prompt post-SIGKILL
     w.reader = wire::FrameReader();
     if (w.busy) {
-        Submission &sub = submissions_[static_cast<std::size_t>(
-            w.submission)];
+        Submission &sub = submissions_.at(w.submission);
         w.busy = false;
         w.deadline_ns = 0;
         sub.in_flight -= 1;
         if (!sub.done) {
-            // The claimed-but-unjournaled unit: nothing durable was
-            // written for it (journal records follow cache entries,
-            // and the server never journaled it), so a plain
+            // The claimed but unreported unit: its entry either never
+            // landed or is complete (temp + rename), so a plain
             // re-dispatch is exact recovery.
             unitEvent(sub.id, w.unit, -1, "redispatch");
             requeueUnit(sub, w.unit);
@@ -471,7 +485,7 @@ Server::handleWorkerDeath(std::size_t wi, const char *why)
         workers_.begin(), workers_.end(),
         [](const Worker &x) { return x.child.running(); });
     if (!any_alive)
-        for (Submission &s : submissions_)
+        for (auto &[key, s] : submissions_)
             if (!s.done)
                 failSubmission(s, "no workers left (restart budget "
                                   "exhausted)");
@@ -492,7 +506,6 @@ Server::failSubmission(Submission &sub, const std::string &why)
         return;
     sub.done = true;
     sub.pending.clear();
-    sub.campaign->closeJournal();
     submissionEvent(sub.id, sub.result.units.size(), 0, "failed");
     if (sub.client_fd >= 0) {
         const int fd = sub.client_fd;
@@ -511,7 +524,6 @@ Server::maybeFinishSubmission(Submission &sub)
         return;
     }
     sub.campaign->finalize(sub.result);
-    sub.campaign->closeJournal();
     sub.done = true;
     submissionEvent(sub.id, sub.result.units.size(), 0, "complete");
     if (sub.client_fd >= 0) {
@@ -542,12 +554,11 @@ Server::dispatchWork()
         }
         // First submission with pending work, in arrival order.
         Submission *sub = nullptr;
-        int si = -1;
-        for (std::size_t s = 0; s < submissions_.size(); ++s) {
-            if (!submissions_[s].done &&
-                !submissions_[s].pending.empty()) {
-                sub = &submissions_[s];
-                si = static_cast<int>(s);
+        std::uint64_t si = 0;
+        for (auto &[key, s] : submissions_) {
+            if (!s.done && !s.pending.empty()) {
+                sub = &s;
+                si = key;
                 break;
             }
         }
@@ -635,7 +646,7 @@ Server::statusJson() const
         if (w.busy)
             busy += 1;
     }
-    for (const Submission &s : submissions_)
+    for (const auto &[key, s] : submissions_)
         if (!s.done)
             active += 1;
     using obs::Counter;
@@ -779,13 +790,18 @@ Server::loop()
             }
         }
 
-        // Sweep closed client slots.
+        // Sweep closed client slots, and submissions that are done
+        // with no unit still out at a worker (late worker frames
+        // stop at `done`, so nothing reads the rest again).
         clients_.erase(
             std::remove_if(clients_.begin(), clients_.end(),
                            [](const ClientConn &c) {
                                return c.fd < 0;
                            }),
             clients_.end());
+        std::erase_if(submissions_, [](const auto &entry) {
+            return entry.second.done && entry.second.in_flight == 0;
+        });
 
         dispatchWork();
     }

@@ -5,11 +5,12 @@
  * A long-running daemon that accepts campaign submissions over one
  * Unix-domain socket and shards their units across a pool of forked
  * worker *processes*. The socket file's permissions are the access
- * check: a client needs write permission on it to connect. Each
+ * check: a client needs write permission on it to connect, and a
+ * server refuses a socket path another live server answers on. Each
  * worker runs the campaign engine as its per-process tier
  * (campaign::executeUnit against the server's shared on-disk
- * VerdictCache); the server owns the event loop, the per-campaign
- * journal (single writer), and worker supervision.
+ * VerdictCache); the server owns the event loop, each submission's
+ * cache-probe phase, and worker supervision.
  *
  * Supervision budgets are fixed: at most kMaxWorkerRestarts worker
  * respawns per server run and kMaxUnitAttempts dispatches per unit,
@@ -18,17 +19,22 @@
  *
  * Crash-safety contract (the resume contract, lifted to processes):
  *
- *  - a worker stores a unit's verdict in the shared cache *before*
- *    reporting `done`; the server journals the unit only after
- *    re-probing that entry. A worker SIGKILLed mid-unit therefore
- *    left nothing half-trusted — its claimed-but-unjournaled units
- *    are simply re-dispatched to another worker;
- *  - equal campaign signature implies equal verdict bytes (PR 9), so
+ *  - a worker publishes a unit's verdict in the shared cache (temp +
+ *    rename) *before* reporting `done`; the server counts the unit
+ *    done only after re-probing that entry. A worker SIGKILLed
+ *    mid-unit therefore left nothing half-trusted — its claimed but
+ *    unreported units are simply re-dispatched to another worker;
+ *  - equal campaign signature implies equal verdict bytes, so
  *    re-dispatch, cross-campaign dedup, and server restarts all
  *    merge to bytes identical to a single-process `campaign run`;
- *  - the journal is written by the server alone, one fsync'd line
- *    per completion, so a killed *server* resumes the same way a
- *    killed campaign always has.
+ *  - the cache is the only state: a submission's probe phase fills
+ *    every unit whose entry is present, so a *server* killed and
+ *    restarted on the same directory answers a resubmission by
+ *    dispatching only the units whose entries never landed.
+ *
+ * A submission holds its campaign and result only while it runs:
+ * once answered or failed, and no worker still runs one of its
+ * units, it is dropped, so memory does not grow with submissions.
  *
  * Layering: serve sits above campaign (it is another driver of the
  * campaign phases) and uses support/wire + support/subproc for the
@@ -107,8 +113,8 @@ class Server
         sub::Child child;
         wire::FrameReader reader;
         bool busy = false;
-        int submission = -1;     ///< index into submissions_
-        std::size_t unit = 0;    ///< in-flight unit index
+        std::uint64_t submission = 0; ///< key in submissions_ (busy)
+        std::size_t unit = 0;         ///< in-flight unit index
         std::uint64_t deadline_ns = 0; ///< 0 = no timeout armed
         std::uint64_t gen = 0; ///< respawn count (fd-reuse guard)
     };
@@ -156,7 +162,10 @@ class Server
     int listen_fd_ = -1;
     std::vector<Worker> workers_;
     std::vector<ClientConn> clients_;
-    std::vector<Submission> submissions_;
+    /** Submissions by arrival number; a done one is swept once no
+     *  worker still runs one of its units. */
+    std::map<std::uint64_t, Submission> submissions_;
+    std::uint64_t next_submission_ = 0;
     obs::MetricsShard counts_; ///< the serve.* counters `status` reports
     bool shutdown_ = false;
     volatile std::sig_atomic_t stop_requested_ = 0;

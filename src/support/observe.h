@@ -49,8 +49,6 @@ namespace portend::obs {
 #define PORTEND_OBS_COUNTERS(X)                                               \
     X(CampaignCacheHits, "campaign.cache_hits")                               \
     X(CampaignCacheMisses, "campaign.cache_misses")                           \
-    X(CampaignJournalReplays, "campaign.journal_replays")                     \
-    X(CampaignResumeSkips, "campaign.resume_skips")                           \
     X(CampaignUnits, "campaign.units")                                        \
     X(ClassifyClusters, "classify.clusters")                                  \
     X(ClassifyDistinctSchedules, "classify.distinct_schedules")               \

@@ -1,12 +1,14 @@
 /**
  * @file
  * Campaign engine tests: cache-key stability (the signature is a
- * pure function of program + trace + analysis config, never of
- * worker count or run count), change detection (every verdict-
- * relevant dial moves the signature), cache/journal persistence
- * round-trips with torn-write tolerance, and the headline resume
- * property — a campaign killed after N units and resumed merges to
- * bytes identical to an uninterrupted run.
+ * pure function of program + analysis config, never of worker count
+ * or run count, and the detection trace, which it does not name, is
+ * a function of the same dials), change detection (every
+ * verdict-relevant dial and every program edit moves the
+ * signature), cache persistence round-trips with torn-write
+ * tolerance, and the headline resume property — a campaign killed
+ * after N units and resumed merges to bytes identical to an
+ * uninterrupted run.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +18,11 @@
 
 #include "campaign/cache.h"
 #include "campaign/campaign.h"
-#include "campaign/journal.h"
 #include "campaign/signature.h"
 #include "support/subproc.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/oracle.h"
+#include "ir/serialize.h"
 #include "portend/portend.h"
 #include "rt/decode.h"
 #include "workloads/registry.h"
@@ -40,16 +42,13 @@ scratchDir(const std::string &name)
     return dir.string();
 }
 
-/** Detection run of one registry workload (trace source for keys). */
-replay::ScheduleTrace
-detectTrace(const std::string &workload, std::uint64_t seed = 1)
+/** The serialized trace a detection run of @p w records. */
+std::string
+detectedTrace(const workloads::Workload &w, const core::PortendOptions &o)
 {
-    workloads::Workload w = workloads::buildWorkload(workload);
-    core::PortendOptions opts;
-    opts.detection_seed = seed;
+    core::PortendOptions opts = o;
     opts.semantic_predicates = w.semantic_predicates;
-    core::Portend tool(w.program, opts);
-    return tool.detect().trace;
+    return core::Portend(w.program, opts).detect().trace.serialize();
 }
 
 /** A small 3-unit manifest that keeps engine tests fast. */
@@ -83,18 +82,25 @@ TEST(SignatureTest, StableAcrossRepeatsAndRuntimeDials)
     EXPECT_EQ(configHash(j4, "salt"), h1);
 }
 
-TEST(SignatureTest, TraceHashIsStableAndScheduleSensitive)
+TEST(SignatureTest, SameDialsRecordTheSameTrace)
 {
-    const replay::ScheduleTrace t1 = detectTrace("avv", 1);
-    const replay::ScheduleTrace t2 = detectTrace("avv", 1);
-    EXPECT_EQ(traceHash(t1), traceHash(t2));
-
-    // A different recorded schedule must move the key, because
-    // classification consumes the trace verbatim. (A tiny workload's
-    // schedule can be seed-insensitive, so compare across programs —
-    // the guaranteed way to get a different recording.)
-    const replay::ScheduleTrace t3 = detectTrace("dcl", 1);
-    EXPECT_NE(traceHash(t1), traceHash(t3));
+    // The key's premise: classification consumes the recorded trace
+    // verbatim, yet the key does not name it, because a program run
+    // under the same max_steps, detection_seed and detector (all in
+    // the config hash) always records the same trace.
+    core::PortendOptions seeded;
+    seeded.detection_seed = 7;
+    core::PortendOptions lockset;
+    lockset.detector = core::DetectorKind::Lockset;
+    for (const std::string &name : workloads::workloadNames()) {
+        const workloads::Workload w = workloads::buildWorkload(name);
+        for (const core::PortendOptions &o :
+             {core::PortendOptions{}, seeded, lockset}) {
+            const std::string first = detectedTrace(w, o);
+            EXPECT_FALSE(first.empty()) << name;
+            EXPECT_EQ(detectedTrace(w, o), first) << name;
+        }
+    }
 }
 
 TEST(SignatureTest, ProgramEditMovesTheFingerprint)
@@ -151,10 +157,10 @@ TEST(SignatureTest, EveryAnalysisDialMovesTheKey)
 
 // -- Format pins -----------------------------------------------------
 //
-// Literal manifest bytes, config hashes and a fuzz cache entry name.
-// Campaign directories written by earlier builds must keep
-// reopening, so none of these may move when the option structs are
-// refactored.
+// Literal manifest bytes, config hashes, a campaign-unit signature
+// and a fuzz cache entry name. Campaign directories written by
+// earlier builds must keep reopening, so none of these may move when
+// the option structs are refactored.
 
 TEST(FormatPinTest, DefaultRegistryManifestText)
 {
@@ -201,6 +207,20 @@ TEST(FormatPinTest, DefaultConfigHashes)
     EXPECT_EQ(hex16(configHash(opts)), "f591666096db4d19");
     EXPECT_EQ(hex16(configHash(opts, "unit=workload:avv;render=j-c;-")),
               "5944cef3ce0cd508");
+}
+
+TEST(FormatPinTest, CampaignUnitSignature)
+{
+    // The name `campaign run --json` stores unit avv's verdict under
+    // at default dials: program fingerprint and config hash, with the
+    // retired trace-hash slot at 0.
+    CampaignConfig config;
+    config.render.json = true;
+    config.units = {{"workload", "avv"}};
+    Campaign c(config);
+    CampaignResult r = c.run(-1, 1);
+    ASSERT_TRUE(r.complete()) << r.error;
+    EXPECT_EQ(r.units[0].sig, "f750c861ffd0b7f8");
 }
 
 TEST(FormatPinTest, FuzzCampaignCacheEntryName)
@@ -340,7 +360,7 @@ TEST(SignatureTest, HexRoundTrip)
 TEST(CacheTest, EntryRoundTripAndTornWriteRejected)
 {
     CacheEntry e;
-    e.key = {0x1111, 0x2222, 0x3333};
+    e.key = {0x1111, 0x3333};
     e.sig = signatureHex(e.key);
     e.name = "avv";
     e.payload = "line one\nline two\n";
@@ -364,7 +384,7 @@ TEST(CacheTest, CorruptDiskEntryIsRepairedByStore)
 {
     const std::string dir = scratchDir("cache_repair");
     CacheEntry e;
-    e.key = {0xa1, 0xb2, 0xc3};
+    e.key = {0xa1, 0xc3};
     e.sig = signatureHex(e.key);
     e.name = "unit";
     e.payload = "the verdict bytes";
@@ -399,12 +419,12 @@ TEST(CacheTest, WrongSignatureEntryIsReplacedByStore)
     // file name (e.g. a botched copy) is also repaired on store.
     const std::string dir = scratchDir("cache_wrongsig");
     CacheEntry right;
-    right.key = {1, 2, 3};
+    right.key = {1, 3};
     right.sig = signatureHex(right.key);
     right.name = "unit";
     right.payload = "right";
     CacheEntry wrong = right;
-    wrong.key = {4, 5, 6};
+    wrong.key = {4, 6};
     wrong.sig = signatureHex(wrong.key);
     wrong.payload = "wrong";
     {
@@ -430,7 +450,7 @@ TEST(CacheTest, CrossProcessStoreRaceLeavesOneValidEntry)
     // never interleave bytes from both writers.
     const std::string dir = scratchDir("cache_race");
     CacheEntry e;
-    e.key = {0x77, 0x88, 0x99};
+    e.key = {0x77, 0x99};
     e.sig = signatureHex(e.key);
     e.name = "unit";
     e.payload = std::string(8192, 'p'); // big enough to tear
@@ -467,7 +487,7 @@ TEST(CacheTest, DiskEntriesSurviveAcrossInstances)
 {
     const std::string dir = scratchDir("cache_disk");
     CacheEntry e;
-    e.key = {7, 8, 9};
+    e.key = {7, 9};
     e.sig = signatureHex(e.key);
     e.name = "unit";
     e.payload = "verdict";
@@ -480,113 +500,7 @@ TEST(CacheTest, DiskEntriesSurviveAcrossInstances)
     std::optional<CacheEntry> hit = fresh.probe(e.sig);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->payload, "verdict");
-    EXPECT_FALSE(fresh.probe(signatureHex({1, 2, 3})).has_value());
-}
-
-// -- Journal ---------------------------------------------------------
-
-TEST(JournalTest, RecordRoundTrip)
-{
-    JournalRecord rec;
-    rec.unit = 5;
-    rec.kind = "workload";
-    rec.name = "avv";
-    rec.key = {0xaaaa, 0xbbbb, 0xcccc};
-    rec.sig = signatureHex(rec.key);
-
-    JournalRecord back;
-    ASSERT_TRUE(parseJournalLine(journalLine(rec), &back));
-    EXPECT_EQ(back.unit, rec.unit);
-    EXPECT_EQ(back.kind, rec.kind);
-    EXPECT_EQ(back.name, rec.name);
-    EXPECT_EQ(back.sig, rec.sig);
-    EXPECT_TRUE(back.key == rec.key);
-}
-
-TEST(JournalTest, AdversarialEscapesRoundTrip)
-{
-    // Names with every character class the writer escapes: quotes,
-    // backslashes, the named escapes, and raw control bytes (which
-    // the writer emits as \u00XX).
-    const std::vector<std::string> names = {
-        "quo\"te",
-        "back\\slash",
-        "nl\ntab\tcr\r",
-        std::string("ctl\x01\x1f\x07end"),
-        "\\u0041 stays literal after a backslash escape",
-        "mixed\"\\\n\t\r\x02\x1e",
-    };
-    for (const std::string &name : names) {
-        JournalRecord rec;
-        rec.unit = 3;
-        rec.kind = "workload";
-        rec.name = name;
-        rec.key = {10, 20, 30};
-        rec.sig = signatureHex(rec.key);
-        JournalRecord back;
-        ASSERT_TRUE(parseJournalLine(journalLine(rec), &back))
-            << journalLine(rec);
-        EXPECT_EQ(back.name, name);
-    }
-}
-
-TEST(JournalTest, WideUnicodeEscapeIsRejectedNotTruncated)
-{
-    // The writer only ever emits \u00XX, so a wider value in a
-    // journal line is not ours. The old reader truncated \u0100 to
-    // its low byte, silently corrupting the unit name on load; the
-    // record must be rejected instead (the unit then re-runs).
-    JournalRecord rec;
-    rec.unit = 1;
-    rec.kind = "workload";
-    rec.name = "XYZ";
-    rec.key = {1, 2, 3};
-    rec.sig = signatureHex(rec.key);
-    const std::string line = journalLine(rec);
-    const std::string needle = "\"name\": \"XYZ\"";
-    const std::size_t at = line.find(needle);
-    ASSERT_NE(at, std::string::npos);
-
-    JournalRecord out;
-    for (const char *esc : {"\\u0100", "\\u0041\\uffff", "\\uBEEF"}) {
-        std::string mutated = line;
-        mutated.replace(at, needle.size(),
-                        "\"name\": \"" + std::string(esc) + "\"");
-        EXPECT_FALSE(parseJournalLine(mutated, &out)) << mutated;
-    }
-    // \u00XX (the writer's own range) still parses.
-    std::string ok = line;
-    ok.replace(at, needle.size(), "\"name\": \"\\u00e9\"");
-    ASSERT_TRUE(parseJournalLine(ok, &out));
-    EXPECT_EQ(out.name, "\xe9");
-}
-
-TEST(JournalTest, TornFinalLineIsSkippedNotFatal)
-{
-    const std::string dir = scratchDir("journal_torn");
-    const std::string path = dir + "/journal.jsonl";
-
-    JournalRecord rec;
-    rec.unit = 0;
-    rec.kind = "workload";
-    rec.name = "avv";
-    rec.key = {1, 2, 3};
-    rec.sig = signatureHex(rec.key);
-    {
-        JournalWriter w;
-        ASSERT_TRUE(w.open(path));
-        ASSERT_TRUE(w.append(rec));
-    }
-    // Simulate a kill mid-append: half a record, no newline.
-    {
-        std::ofstream f(path, std::ios::app | std::ios::binary);
-        f << "{\"v\": 1, \"unit\": 1, \"ki";
-    }
-    int skipped = 0;
-    std::vector<JournalRecord> recs = loadJournal(path, &skipped);
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(recs[0].name, "avv");
-    EXPECT_EQ(skipped, 1);
+    EXPECT_FALSE(fresh.probe(signatureHex({1, 3})).has_value());
 }
 
 // -- Campaign engine -------------------------------------------------
@@ -643,7 +557,7 @@ TEST(CampaignTest, AbortAndResumeMergeToUninterruptedBytes)
         Campaign::create(dir, microConfig(), &error);
     ASSERT_TRUE(c.has_value()) << error;
 
-    // "Crash" after one journaled unit (exact with one worker).
+    // "Crash" after one stored unit (exact with one worker).
     CampaignResult partial = c->run(1, 1);
     EXPECT_TRUE(partial.aborted);
     EXPECT_FALSE(partial.complete());
@@ -653,20 +567,33 @@ TEST(CampaignTest, AbortAndResumeMergeToUninterruptedBytes)
     ASSERT_TRUE(resumed.has_value()) << error;
     CampaignResult rest = resumed->run(-1, 1);
     ASSERT_TRUE(rest.complete());
-    EXPECT_EQ(rest.resume_skips, 1);
+    EXPECT_EQ(rest.cache_hits, 1);
     EXPECT_EQ(rest.executed, 2);
     EXPECT_EQ(rest.mergedOutput(true), want);
 
-    // Warm re-run: the journal covers everything, nothing executes.
+    // Warm re-run: the cache holds everything, nothing executes.
     std::optional<Campaign> warm = Campaign::open(dir, &error);
     ASSERT_TRUE(warm.has_value()) << error;
     CampaignResult all = warm->run(-1, 1);
     ASSERT_TRUE(all.complete());
     EXPECT_EQ(all.executed, 0);
-    EXPECT_EQ(all.resume_skips, 3);
+    EXPECT_EQ(all.cache_hits, 3);
     EXPECT_EQ(all.mergedOutput(true), want);
-    EXPECT_GE(all.metrics.counter(obs::Counter::CampaignResumeSkips),
-              3u);
+    EXPECT_EQ(all.metrics.counter(obs::Counter::CampaignCacheHits), 3u);
+    EXPECT_EQ(all.metrics.counter(obs::Counter::DetectRuns), 0u);
+
+    // A lost entry re-runs only its own unit.
+    fs::directory_iterator entries(dir + "/cache");
+    ASSERT_NE(entries, fs::directory_iterator());
+    fs::remove(entries->path());
+    std::optional<Campaign> lost = Campaign::open(dir, &error);
+    ASSERT_TRUE(lost.has_value()) << error;
+    EXPECT_EQ(lost->status().completed_units, 2u);
+    CampaignResult again = lost->run(-1, 1);
+    ASSERT_TRUE(again.complete());
+    EXPECT_EQ(again.executed, 1);
+    EXPECT_EQ(again.cache_hits, 2);
+    EXPECT_EQ(again.mergedOutput(true), want);
 }
 
 TEST(CampaignTest, AbortFlagIsSetOnlyWhileUnitsRemain)
@@ -703,29 +630,40 @@ TEST(CampaignTest, AbortFlagIsSetOnlyWhileUnitsRemain)
     EXPECT_EQ(rest.mergedOutput(true), want);
 }
 
-TEST(CampaignTest, TornJournalLineIsToleratedOnResume)
+TEST(CampaignTest, EditedFileUnitIsReclassifiedOnResume)
 {
-    Campaign baseline(microConfig());
-    const std::string want = baseline.run(-1, 1).mergedOutput(true);
+    // A `file` unit is keyed by the program it loads, so editing the
+    // file after its verdict was stored makes the resumed run
+    // classify the new program, never serve the old verdict.
+    const std::string dir = scratchDir("edited_file");
+    const std::string path = dir + "/prog.pil";
+    const auto write = [&path](const std::string &workload) {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << ir::serializeProgram(
+            workloads::buildWorkload(workload).program);
+    };
+    CampaignConfig config;
+    config.render.json = true;
+    config.units = {{"file", path}};
 
-    const std::string dir = scratchDir("torn");
-    fs::remove_all(dir);
+    write("avv");
     std::string error;
     std::optional<Campaign> c =
-        Campaign::create(dir, microConfig(), &error);
+        Campaign::create(dir + "/camp", config, &error);
     ASSERT_TRUE(c.has_value()) << error;
-    c->run(2, 1);
+    const std::string before = c->run(-1, 1).mergedOutput(true);
 
-    {
-        std::ofstream f(dir + "/journal.jsonl",
-                        std::ios::app | std::ios::binary);
-        f << "{\"v\": 1, \"unit\": 2, \"kind\": \"work";
-    }
-    std::optional<Campaign> resumed = Campaign::open(dir, &error);
+    write("dcl");
+    const std::string want = Campaign(config).run(-1, 1).mergedOutput(true);
+    ASSERT_NE(want, before);
+    std::optional<Campaign> resumed =
+        Campaign::open(dir + "/camp", &error);
     ASSERT_TRUE(resumed.has_value()) << error;
+    EXPECT_EQ(resumed->status().completed_units, 0u);
     CampaignResult rest = resumed->run(-1, 1);
-    ASSERT_TRUE(rest.complete());
-    EXPECT_GE(rest.journal_torn, 1);
+    ASSERT_TRUE(rest.complete()) << rest.error;
+    EXPECT_EQ(rest.executed, 1);
+    EXPECT_EQ(rest.cache_hits, 0);
     EXPECT_EQ(rest.mergedOutput(true), want);
 }
 

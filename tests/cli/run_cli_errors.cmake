@@ -17,7 +17,11 @@
 #
 # `submit` with an action (`--status`, `--ping`, `--shutdown`) sends
 # no manifest: a second action or any other flag beside it is refused
-# rather than dropped without a word.
+# rather than dropped without a word. `submit` never takes `--jobs`
+# or an observability flag either: the server runs the units, so
+# those would be dropped too. These rows name a socket nothing
+# listens on, so a flag that were accepted would fail with exit 1
+# after the client's connect retry instead.
 
 if(NOT DEFINED PORTEND)
     message(FATAL_ERROR "run_cli_errors.cmake needs -DPORTEND=...")
@@ -48,6 +52,10 @@ set(bad_cases
     "submit --socket missing.sock --bogus --status"
     "submit --socket missing.sock --mp 0 --ping"
     "submit --socket missing.sock --status --shutdown"
+    "submit --socket missing.sock --json --metrics-out m.json"
+    "submit --socket missing.sock --trace-out t.json"
+    "submit --socket missing.sock --progress jsonl"
+    "submit --socket missing.sock --jobs 2"
     "--dispatch switch classify avv"
     )
 

@@ -297,19 +297,18 @@ expectVerdictIdentity(const obs::MetricsShard &m)
     EXPECT_EQ(verdictSum(m), m.counter(obs::Counter::ClassifyClusters));
 }
 
-/** Every campaign unit is a cache hit, a cache miss (executed) or a
- *  journal resume. */
+/** Every unit of a complete campaign run is a cache hit or a cache
+ *  miss (executed). */
 void
 expectUnitIdentity(const obs::MetricsShard &m)
 {
     EXPECT_EQ(m.counter(obs::Counter::CampaignCacheHits) +
-                  m.counter(obs::Counter::CampaignCacheMisses) +
-                  m.counter(obs::Counter::CampaignResumeSkips),
+                  m.counter(obs::Counter::CampaignCacheMisses),
               m.counter(obs::Counter::CampaignUnits));
 }
 
 /** The `--metrics-out` shard of `campaign run <dir> --jobs 1`, cut
- *  after @p abort_after journaled units (-1: run to completion). */
+ *  after @p abort_after stored units (-1: run to completion). */
 obs::MetricsShard
 campaignRunExport(const std::string &dir, int abort_after)
 {
@@ -348,29 +347,33 @@ TEST(MetricsIdentityTest, ClassifyAllAndCampaignRunsReconcile)
         fs::path(::testing::TempDir()) / "observe_identities";
     fs::remove_all(root);
 
-    // Cold: every unit executes. Warm: the journal covers them all.
+    // Cold: every unit executes. Warm: the cache holds them all, and
+    // the key is taken before detection, so nothing runs at all.
     const std::string dir = (root / "cold").string();
     const obs::MetricsShard cold = campaignRunExport(dir, -1);
     expectVerdictIdentity(cold);
     expectUnitIdentity(cold);
     EXPECT_EQ(cold.counter(obs::Counter::CampaignCacheMisses), units);
+    EXPECT_EQ(cold.counter(obs::Counter::DetectRuns), units);
     EXPECT_EQ(cold.counter(obs::Counter::ClassifyClusters), clusters);
     const obs::MetricsShard warm = campaignRunExport(dir, -1);
     expectVerdictIdentity(warm);
     expectUnitIdentity(warm);
-    EXPECT_EQ(warm.counter(obs::Counter::CampaignResumeSkips), units);
+    EXPECT_EQ(warm.counter(obs::Counter::CampaignCacheHits), units);
+    EXPECT_EQ(warm.counter(obs::Counter::DetectRuns), 0u);
     EXPECT_EQ(warm.counter(obs::Counter::ClassifyClusters), 0u);
 
-    // Killed after four journaled units, then run again: the resumed
-    // run skips those four and executes the rest.
+    // Killed after four stored units, then run again: the resumed
+    // run finds those four in the cache and executes the rest.
     const std::string cut = (root / "killed").string();
     expectVerdictIdentity(campaignRunExport(cut, 4));
     const obs::MetricsShard resumed = campaignRunExport(cut, -1);
     expectVerdictIdentity(resumed);
     expectUnitIdentity(resumed);
-    EXPECT_EQ(resumed.counter(obs::Counter::CampaignResumeSkips), 4u);
+    EXPECT_EQ(resumed.counter(obs::Counter::CampaignCacheHits), 4u);
     EXPECT_EQ(resumed.counter(obs::Counter::CampaignCacheMisses),
               units - 4);
+    EXPECT_EQ(resumed.counter(obs::Counter::DetectRuns), units - 4);
     fs::remove_all(root);
 }
 

@@ -6,17 +6,22 @@
  * end-to-end properties of `portend serve`: a submission's merged
  * verdict bytes are identical to a single-process campaign run at
  * 1, 2 and 4 workers, including after a worker is SIGKILLed mid-unit
- * (its claimed-but-unjournaled units are re-dispatched), between two
+ * (its claimed but unreported units are re-dispatched), between two
  * units (the respawned worker gets the next one) or by the stuck-unit
- * timeout, and a resubmission of the same manifest is answered
- * entirely from the journal + cache. A unit that fails on every
- * attempt fails its submission once the attempts budget is spent.
+ * timeout, and after the server itself is SIGKILLed and restarted (a
+ * resubmission dispatches only the units whose cache entries are
+ * missing); a resubmission of the same manifest is answered entirely
+ * from the cache. A unit that fails on every attempt fails its
+ * submission once the attempts budget is spent, a second server may
+ * not take over a live server's socket, and finished submissions
+ * give their memory back.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -311,15 +316,18 @@ TEST(ServeTest, SubmitMatchesSingleProcessCampaignBytes)
         ASSERT_TRUE(serve::submit(ep, manifest, &out, &err)) << err;
         EXPECT_EQ(out, expected);
 
-        // Resubmission: every unit is journaled now, so the answer
-        // comes from replay without dispatching anything — and is
-        // the same bytes.
+        // Resubmission: every unit is in the cache now, so the answer
+        // comes from the probe phase without dispatching anything —
+        // and is the same bytes.
         std::string out2;
         ASSERT_TRUE(serve::submit(ep, manifest, &out2, &err)) << err;
         EXPECT_EQ(out2, expected);
 
         std::string status;
         ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
+        EXPECT_NE(status.find("\"units_dispatched\": 3,"),
+                  std::string::npos)
+            << status;
         EXPECT_NE(status.find("\"units_completed\": 3"),
                   std::string::npos)
             << status;
@@ -589,6 +597,150 @@ TEST(ServeTest, UnitFailingEveryAttemptFailsItsSubmission)
 
     // The failed submission leaves the server serving.
     ASSERT_TRUE(serve::ping(ep, &err)) << err;
+    ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
+    EXPECT_EQ(waitExit(*server), 0);
+}
+
+TEST(ServeTest, SecondServerOnALiveSocketIsRefused)
+{
+    const std::string dir = scratchDir("live_socket");
+    serve::ServeOptions so;
+    so.dir = dir + "/state";
+    so.socket_path = dir + "/sock";
+    so.workers = 1;
+    std::string err;
+    std::optional<sub::Child> server = startServer(so, &err);
+    ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
+    serve::Endpoint ep;
+    ep.socket_path = so.socket_path;
+    ASSERT_TRUE(serve::ping(ep, &err)) << err;
+
+    // Taking the path over would leave the first server unreachable.
+    {
+        serve::ServeOptions second = so;
+        second.dir = dir + "/state2";
+        serve::Server intruder(second);
+        std::string why;
+        EXPECT_FALSE(intruder.start(&why));
+        EXPECT_EQ(why, "socket " + so.socket_path + " is in use");
+    }
+
+    ASSERT_TRUE(serve::ping(ep, &err)) << err;
+    ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
+    EXPECT_EQ(waitExit(*server), 0);
+}
+
+TEST(ServeTest, RestartedServerRecomputesOnlyMissingUnits)
+{
+    const campaign::CampaignConfig config = microConfig();
+    const std::string expected = ephemeralBytes(config);
+    const std::string manifest = campaign::manifestText(config);
+    const std::string dir = scratchDir("restart");
+    serve::ServeOptions so;
+    so.dir = dir + "/state";
+    so.socket_path = dir + "/sock";
+    so.workers = 2;
+    serve::Endpoint ep;
+    ep.socket_path = so.socket_path;
+    std::string err;
+    {
+        std::optional<sub::Child> first = startServer(so, &err);
+        ASSERT_TRUE(first.has_value()) << err;
+        ServerGuard guard(*first);
+        std::string out;
+        ASSERT_TRUE(serve::submit(ep, manifest, &out, &err)) << err;
+        EXPECT_EQ(out, expected);
+        // A crash, not a shutdown: the socket file stays behind.
+        sub::kill(*first, SIGKILL);
+        waitExit(*first);
+    }
+    ASSERT_TRUE(fs::exists(so.socket_path));
+
+    // One store never landed.
+    std::vector<fs::path> entries;
+    for (const fs::directory_entry &e :
+         fs::directory_iterator(so.dir + "/cache"))
+        entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), config.units.size());
+    fs::remove(entries.front());
+
+    std::optional<sub::Child> server = startServer(so, &err);
+    ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
+    std::string out;
+    ASSERT_TRUE(serve::submit(ep, manifest, &out, &err)) << err;
+    EXPECT_EQ(out, expected);
+    std::string status;
+    ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
+    EXPECT_NE(status.find("\"units_dispatched\": 1,"),
+              std::string::npos)
+        << status;
+    ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
+    EXPECT_EQ(waitExit(*server), 0);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/** Resident set of @p pid in kB (VmRSS), or -1 if unreadable. */
+long
+residentKb(long pid)
+{
+    std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::strtol(line.c_str() + 6, nullptr, 10);
+    return -1;
+}
+
+TEST(ServeTest, FinishedSubmissionsReleaseTheirMemory)
+{
+    if (kSanitized)
+        GTEST_SKIP() << "sanitizer allocators hold freed memory";
+    const std::string dir = scratchDir("memory");
+    serve::ServeOptions so;
+    so.dir = dir + "/state";
+    so.socket_path = dir + "/sock";
+    so.workers = 2;
+    std::string err;
+    std::optional<sub::Child> server = startServer(so, &err);
+    ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
+    serve::Endpoint ep;
+    ep.socket_path = so.socket_path;
+
+    // Distinct registry manifests, as `submit --json --seed S` sends.
+    campaign::CampaignConfig config;
+    config.render.json = true;
+    config.render.classify_mode = true;
+    config.units = campaign::registryUnits();
+    const auto submitSeeds = [&](std::uint64_t from, std::uint64_t to) {
+        for (std::uint64_t seed = from; seed < to; ++seed) {
+            config.analysis.detection_seed = seed;
+            std::string out;
+            ASSERT_TRUE(serve::submit(ep, campaign::manifestText(config),
+                                      &out, &err))
+                << err;
+        }
+    };
+    submitSeeds(1, 11); // warm-up: allocator pools, decode caches
+    const long before = residentKb(server->pid);
+    submitSeeds(11, 71);
+    const long after = residentKb(server->pid);
+    ASSERT_GT(before, 0);
+    EXPECT_LT(after - before, 2048)
+        << "server VmRSS " << before << " -> " << after << " kB";
+
     ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
     EXPECT_EQ(waitExit(*server), 0);
 }

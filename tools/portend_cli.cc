@@ -59,10 +59,10 @@ Usage:
   portend classify --file <prog.pil> [options]   compact table for a file
   portend campaign run <dir> [options]  persistent classification campaign
                                         over the whole registry: verdicts
-                                        are cached by content signature
-                                        and journaled under <dir>, so a
-                                        killed campaign resumes where it
-                                        left off and a warm re-run costs
+                                        are cached under <dir> by a content
+                                        signature taken before detection,
+                                        so a killed campaign resumes where
+                                        it left off and a warm re-run costs
                                         one cache probe per unit
   portend campaign resume <dir>         continue a campaign exactly as
                                         configured (all analysis flags
@@ -153,7 +153,7 @@ Observability options (run, classify, campaign, fuzz, corpus run, serve):
 
 Campaign options (portend campaign run/resume):
   --abort-after <N>    stop claiming new units once N have been
-                       executed and journaled by this invocation
+                       executed and stored by this invocation
                        (crash simulation for kill-and-resume
                        testing); exits with code 3 while work
                        remains
@@ -168,8 +168,10 @@ Serve options (portend serve):
 
 Submit options (portend submit):
   --socket <path>      the server's Unix-domain socket (required);
-                       all analysis options above are accepted and
-                       travel in the submitted manifest
+                       the analysis options above travel in the
+                       submitted manifest; --jobs and the
+                       observability options are refused, since
+                       the server runs the units
   --status | --ping | --shutdown query or stop the server instead of
                        submitting a campaign; an action takes no
                        other option
@@ -653,7 +655,7 @@ campaignConfigOf(const CliOptions &cli, bool classify_mode)
 /**
  * Batch mode over the full registry — a thin wrapper over the
  * campaign engine since the campaign refactor: an *ephemeral*
- * campaign (no directory, so no journal and no persistent cache)
+ * campaign (no directory, so no persistent cache)
  * whose unit fan-out, in-order merge, and rendered bytes are exactly
  * the engine's. `portend campaign run <dir>` is the same call with a
  * directory attached.
@@ -699,9 +701,6 @@ cmdCampaign(int argc, char **argv)
         std::printf("  units: %zu/%zu complete\n", st.completed_units,
                     st.total_units);
         std::printf("  cache entries: %zu\n", st.cache_entries);
-        if (st.journal_torn)
-            std::printf("  journal: %d torn record(s) tolerated\n",
-                        st.journal_torn);
         return st.completed_units == st.total_units ? 0 : 3;
     }
     if (sub != "run" && sub != "resume")
@@ -768,9 +767,8 @@ cmdCampaign(int argc, char **argv)
     }
     std::fprintf(stderr,
                  "campaign: %zu unit(s): %d executed, %d cache "
-                 "hit(s), %d resumed from journal\n",
-                 res.units.size(), res.executed, res.cache_hits,
-                 res.resume_skips);
+                 "hit(s)\n",
+                 res.units.size(), res.executed, res.cache_hits);
     if (res.aborted) {
         std::fprintf(stderr,
                      "campaign: aborted by --abort-after; resume "
@@ -1020,6 +1018,12 @@ cmdSubmit(int argc, char **argv)
                 usageError("--socket needs a path");
             ep.socket_path = next;
             ++i;
+        } else if (a == "--jobs" || a == "--metrics-out" ||
+                   a == "--trace-out" || a == "--progress") {
+            // The server runs the units: its own --workers and
+            // observability flags apply, so these would be dropped.
+            usageError("submit does not take " + a +
+                       " (the server's flags apply)");
         } else if (a == "--status" || a == "--shutdown" ||
                    a == "--ping") {
             if (!action.empty())
