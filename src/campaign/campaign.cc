@@ -1,7 +1,6 @@
 #include "campaign/campaign.h"
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -26,10 +25,10 @@ const char kManifestFile[] = "manifest";
 const char kCacheDir[] = "cache";
 
 /**
- * Analysis dials that are constants now. Manifests keep naming them
- * at these values, in their old places, so campaign directories
- * written when they were options still reopen; any other value is
- * refused.
+ * Dials that are constants now: retired analysis budgets and the
+ * `render.stats` ledger switch. Manifests keep naming them at these
+ * values, in their old places, so campaign directories written when
+ * they were options still reopen; any other value is refused.
  */
 struct FixedDial
 {
@@ -46,6 +45,7 @@ const FixedDial kFixedDials[] = {
     {"solver.max_candidates", sym::kMaxCandidates},
     {"total_state_budget", 0},
     {"total_step_budget", 0},
+    {"render.stats", 0},
 };
 
 /** The value retired dial @p key is fixed at, or null for any other
@@ -119,7 +119,7 @@ renderSalt(const core::RenderMode &m)
 {
     std::string s = "render=";
     s += m.json ? 'j' : '-';
-    s += m.stats ? 's' : '-';
+    s += '-'; // the retired `render.stats` slot
     s += m.classify_mode ? 'c' : '-';
     s += ';';
     s += m.only_class ? core::raceClassName(*m.only_class) : "-";
@@ -136,23 +136,6 @@ unitSalt(const UnitSpec &spec, const core::RenderMode &render)
 {
     return "unit=" + spec.kind + ":" + spec.name + ";" +
            renderSalt(render);
-}
-
-void
-emitUnitEvent(const UnitResult &u)
-{
-    if (!obs::progress())
-        return;
-    const char *source =
-        u.source == UnitSource::CacheHit ? "cache" : "executed";
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"event\": \"campaign_unit\", \"unit\": %zu, "
-                  "\"kind\": \"%s\", \"name\": \"%s\", "
-                  "\"sig\": \"%s\", \"source\": \"%s\"}",
-                  u.index, u.spec.kind.c_str(), u.spec.name.c_str(),
-                  u.sig.c_str(), source);
-    obs::progressLine(buf);
 }
 
 /** Load a unit's program as a workload (registry name or PIL file). */
@@ -190,24 +173,89 @@ loadUnit(const UnitSpec &spec, workloads::Workload *out,
     return fail(error, "unknown unit kind: " + spec.kind);
 }
 
-/** The options a loaded unit runs under: units fan out, so inner
- *  pipelines stay serial, and the workload's predicates apply. */
-core::PortendOptions
-unitOptions(const CampaignConfig &config, const workloads::Workload &w)
+/** A unit loaded and keyed: everything a cache miss needs to run. */
+struct LoadedUnit
 {
-    core::PortendOptions opts = config.analysis;
-    opts.jobs = 1;
-    opts.semantic_predicates = w.semantic_predicates;
-    return opts;
+    workloads::Workload workload;
+    core::PortendOptions opts;
+    UnitKey key;
+    std::string sig;
+};
+
+/**
+ * Load @p spec and take its cache key, which is known before
+ * anything runs. Units fan out, so inner pipelines stay serial, and
+ * the workload's predicates apply.
+ */
+bool
+loadAndKey(const CampaignConfig &config, const UnitSpec &spec,
+           LoadedUnit *out, std::string *error)
+{
+    if (!loadUnit(spec, &out->workload, error))
+        return false;
+    out->opts = config.analysis;
+    out->opts.jobs = 1;
+    out->opts.semantic_predicates = out->workload.semantic_predicates;
+    out->key = {rt::programFingerprint(out->workload.program),
+                configHash(out->opts, unitSalt(spec, config.render))};
+    out->sig = signatureHex(out->key);
+    return true;
 }
 
-/** A loaded unit's cache key: known before anything runs. */
-UnitKey
-unitKey(const CampaignConfig &config, const UnitSpec &spec,
-        const workloads::Workload &w, const core::PortendOptions &opts)
+/** Fill @p out from the cache, or on a miss run the loaded unit and
+ *  store its rendered verdict. */
+void
+runLoaded(const CampaignConfig &config, const LoadedUnit &l,
+          VerdictCache &cache, UnitResult *out, std::string *store_error)
 {
-    return {rt::programFingerprint(w.program),
-            configHash(opts, unitSalt(spec, config.render))};
+    out->sig = l.sig;
+    if (std::optional<CacheEntry> hit = cache.probe(l.sig)) {
+        out->rendered = std::move(hit->payload);
+        out->source = UnitSource::CacheHit;
+        return;
+    }
+    const workloads::Workload &w = l.workload;
+    core::PortendResult res = core::Portend(w.program, l.opts).run();
+    out->rendered = core::renderPipelineReport(
+        w.name, w.program, res, l.opts.mp, l.opts.ma, config.render);
+    out->metrics = res.metrics;
+    out->source = UnitSource::Executed;
+    cache.store({l.sig, l.key, out->spec.name, out->rendered},
+                store_error);
+}
+
+/**
+ * The probe phase: a result skeleton with every unit the cache holds
+ * filled from it. When @p misses is given, it receives each other
+ * unit loaded and keyed (nullopt where loading failed), so executing
+ * it builds nothing twice.
+ */
+CampaignResult
+probeUnits(const CampaignConfig &config, VerdictCache &cache,
+           std::vector<std::optional<LoadedUnit>> *misses)
+{
+    CampaignResult result;
+    result.units.resize(config.units.size());
+    if (misses)
+        misses->resize(config.units.size());
+    for (std::size_t i = 0; i < config.units.size(); ++i) {
+        UnitResult &u = result.units[i];
+        u.index = i;
+        u.spec = config.units[i];
+        LoadedUnit l;
+        if (!loadAndKey(config, u.spec, &l, nullptr))
+            continue; // a miss: executing it reports why
+        std::optional<CacheEntry> hit = cache.probe(l.sig);
+        if (!hit) {
+            if (misses)
+                (*misses)[i] = std::move(l);
+            continue;
+        }
+        u.sig = l.sig;
+        u.rendered = std::move(hit->payload);
+        u.source = UnitSource::CacheHit;
+    }
+    return result;
 }
 
 } // namespace
@@ -231,7 +279,7 @@ manifestText(const CampaignConfig &config)
     };
     os << kManifestMagic << "\n";
     os << "render.json " << (config.render.json ? 1 : 0) << "\n";
-    os << "render.stats " << (config.render.stats ? 1 : 0) << "\n";
+    fixed("render.stats");
     os << "render.classify " << (config.render.classify_mode ? 1 : 0)
        << "\n";
     if (config.render.only_class) {
@@ -293,8 +341,6 @@ parseManifest(const std::string &text, std::string *error)
         bool ok = true;
         if (key == "render.json") {
             int v = 0; ok = bool(ls >> v); config.render.json = v != 0;
-        } else if (key == "render.stats") {
-            int v = 0; ok = bool(ls >> v); config.render.stats = v != 0;
         } else if (key == "render.classify") {
             int v = 0; ok = bool(ls >> v);
             config.render.classify_mode = v != 0;
@@ -413,25 +459,10 @@ executeUnit(const CampaignConfig &config, std::size_t index,
     out->index = index;
     out->spec = config.units[index];
 
-    workloads::Workload w;
-    if (!loadUnit(out->spec, &w, error))
+    LoadedUnit l;
+    if (!loadAndKey(config, out->spec, &l, error))
         return false;
-    const core::PortendOptions opts = unitOptions(config, w);
-    const UnitKey key = unitKey(config, out->spec, w, opts);
-    out->sig = signatureHex(key);
-    if (std::optional<CacheEntry> hit = cache.probe(out->sig)) {
-        out->rendered = std::move(hit->payload);
-        out->source = UnitSource::CacheHit;
-        return true;
-    }
-
-    core::PortendResult res = core::Portend(w.program, opts).run();
-    out->rendered = core::renderPipelineReport(
-        w.name, w.program, res, opts.mp, opts.ma, config.render);
-    out->metrics = res.metrics;
-    out->source = UnitSource::Executed;
-    cache.store({out->sig, key, out->spec.name, out->rendered},
-                store_error);
+    runLoaded(config, l, cache, out, store_error);
     return true;
 }
 
@@ -517,26 +548,7 @@ Campaign::open(const std::string &dir, std::string *error,
 CampaignResult
 Campaign::probeCache()
 {
-    CampaignResult result;
-    result.units.resize(config_.units.size());
-    for (std::size_t i = 0; i < config_.units.size(); ++i) {
-        UnitResult &u = result.units[i];
-        u.index = i;
-        u.spec = config_.units[i];
-        workloads::Workload w;
-        if (!loadUnit(u.spec, &w, nullptr))
-            continue; // a miss: executing it reports why
-        const std::string sig = signatureHex(
-            unitKey(config_, u.spec, w, unitOptions(config_, w)));
-        std::optional<CacheEntry> hit = cache_->probe(sig);
-        if (!hit)
-            continue;
-        u.sig = sig;
-        u.rendered = std::move(hit->payload);
-        u.source = UnitSource::CacheHit;
-        emitUnitEvent(u);
-    }
-    return result;
+    return probeUnits(config_, *cache_, nullptr);
 }
 
 bool
@@ -556,7 +568,6 @@ Campaign::recordCompletion(CampaignResult &result, std::size_t index,
     u.sig = sig;
     u.rendered = std::move(hit->payload);
     u.source = cached ? UnitSource::CacheHit : UnitSource::Executed;
-    emitUnitEvent(u);
     return true;
 }
 
@@ -587,8 +598,10 @@ Campaign::run(int abort_after_units, int jobs_override)
 {
     obs::Span span("campaign", "run");
 
-    // Phase 1: every unit the cache holds is done.
-    CampaignResult result = probeCache();
+    // Phase 1: every unit the cache holds is done; the others stay
+    // loaded and keyed for phase 2.
+    std::vector<std::optional<LoadedUnit>> loaded;
+    CampaignResult result = probeUnits(config_, *cache_, &loaded);
 
     // Phase 2: execute what remains. Each body writes only its own
     // unit and error slot; the first error in manifest order wins.
@@ -613,15 +626,18 @@ Campaign::run(int abort_after_units, int jobs_override)
             return;
         UnitResult &u = result.units[pending[i]];
         std::string store_err;
-        if (!executeUnit(config_, u.index, *cache_, &u, &errors[i],
-                         &store_err)) {
+        if (std::optional<LoadedUnit> &l = loaded[u.index]) {
+            runLoaded(config_, *l, *cache_, &u, &store_err);
+            l.reset();
+        } else if (!executeUnit(config_, u.index, *cache_, &u,
+                                &errors[i], &store_err)) {
+            // The unit did not load in phase 1; this reports why.
             failed.store(true);
             return;
         }
         errors[i] = store_err;
         if (u.source == UnitSource::Executed)
             executed.fetch_add(1);
-        emitUnitEvent(u);
     });
     for (const std::string &e : errors) {
         if (!e.empty()) {

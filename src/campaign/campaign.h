@@ -9,11 +9,11 @@
  * detection, so the cache alone says which units are done: the
  * probe phase fills every unit whose entry is present, and the
  * engine runs the rest with support/parallel.h's parallelFor, each
- * through the standard detect→classify pipeline, storing its
- * rendered verdict and streaming a JSON-lines event through the
- * obs::Progress sink. Rendered verdict bytes merge in manifest
- * order, so campaign output is byte-identical to the one-shot batch
- * loops it replaces — and byte-identical across kills and resumes.
+ * through the standard detect→classify pipeline from the program and
+ * key the probe phase built, storing its rendered verdict. Rendered
+ * verdict bytes merge in manifest order, so campaign output is
+ * byte-identical to the one-shot batch loops it replaces — and
+ * byte-identical across kills and resumes.
  *
  * Three properties carry the whole design:
  *  - *cold identity*: an ephemeral campaign (no directory) renders
@@ -122,9 +122,10 @@ struct CampaignResult
  * Execute one manifest unit against @p cache: load the program,
  * compute the campaign signature, probe the cache, run detection and
  * classification on a miss, and store the rendered verdict back. The
- * in-process engine calls it on its threads; the serve layer's
- * worker processes call it and report the signature to the server,
- * which re-probes the shared cache. False with @p error on a load
+ * serve layer's worker processes call it and report the signature to
+ * the server, which re-probes the shared cache; run() executes its
+ * misses from what its probe phase built and calls it only for a
+ * unit that did not load there. False with @p error on a load
  * or pipeline failure; cache-store I/O errors degrade to
  * memory-only and surface through @p store_error without failing
  * the unit.

@@ -193,7 +193,7 @@ listEntries(const std::string &dir)
 }
 
 ReplayOutcome
-replayEntry(const CorpusEntry &entry, const OracleOptions &opts)
+replayEntry(const CorpusEntry &entry)
 {
     ReplayOutcome out;
     out.name = entry.name;
@@ -210,19 +210,16 @@ replayEntry(const CorpusEntry &entry, const OracleOptions &opts)
         return out;
     }
 
-    OracleOptions o = opts;
+    // The deep battery (OracleOptions' default) under the recorded
+    // detection seed and the pinned explorer, dpor when none is
+    // pinned: a recorded signature names the behavior of one exact
+    // explorer, and explorers legitimately differ where dpor's
+    // superset upgrades a k-witness verdict. The deep checks still
+    // cross-validate the other explorer.
+    OracleOptions o;
     o.detection_seed = entry.detection_seed;
-    // A recorded signature names the behavior of one exact explorer
-    // (explorers legitimately differ where dpor's superset upgrades
-    // a k-witness verdict); replay under the pinned one. The deep
-    // checks still cross-validate the other explorer.
     if (entry.explore == "random")
         o.explore = explore::ExploreMode::Random;
-    else if (entry.explore == "dpor")
-        o.explore = explore::ExploreMode::Dpor;
-    // Disagreement reproducers falsified a specific check; re-run
-    // the full battery so deep checks can be re-evaluated.
-    o.deep = o.deep || entry.kind == "disagreement";
     OracleVerdict v = runOracle(*prog, o);
     out.metrics = v.metrics;
 
@@ -260,7 +257,7 @@ replayEntry(const CorpusEntry &entry, const OracleOptions &opts)
 }
 
 CorpusRunResult
-runCorpus(const std::string &dir, const OracleOptions &opts)
+runCorpus(const std::string &dir)
 {
     CorpusRunResult res;
     for (const std::string &name : listEntries(dir)) {
@@ -272,7 +269,7 @@ runCorpus(const std::string &dir, const OracleOptions &opts)
         if (!entry) {
             out.detail = error;
         } else {
-            out = replayEntry(*entry, opts);
+            out = replayEntry(*entry);
         }
         res.total += 1;
         if (out.ok)

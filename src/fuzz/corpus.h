@@ -53,13 +53,12 @@ struct CorpusEntry
 
     /**
      * Stage-3 explorer the signature was recorded under ("random" |
-     * "dpor"; "" = whatever the replay requests). Pinned like
-     * detection_seed: a signature names the behavior of one exact
-     * configuration, and explorers legitimately differ on races the
-     * dpor superset upgrades from "k-witness harmless" to a
-     * decisive class. The oracle battery (including the
-     * cross-explorer monotonicity checks) still runs under the
-     * replay's requested explorer.
+     * "dpor"; "" = dpor). Pinned like detection_seed: a signature
+     * names the behavior of one exact configuration, and explorers
+     * legitimately differ on races the dpor superset upgrades from
+     * "k-witness harmless" to a decisive class. The replay runs the
+     * whole oracle battery under this explorer; its deep
+     * cross-explorer monotonicity check still runs the other one.
      */
     std::string explore;
 
@@ -101,12 +100,12 @@ struct ReplayOutcome
 };
 
 /**
- * Re-run one reproducer: deserialize the program, run the oracle
- * with the recorded detection seed, and compare against the entry's
- * expectations (see the file comment for per-kind semantics).
+ * Re-run one reproducer: deserialize the program, run the deep
+ * oracle with the recorded detection seed and explorer, and compare
+ * against the entry's expectations (see the file comment for
+ * per-kind semantics).
  */
-ReplayOutcome replayEntry(const CorpusEntry &entry,
-                          const OracleOptions &opts);
+ReplayOutcome replayEntry(const CorpusEntry &entry);
 
 /** Whole-corpus replay result. */
 struct CorpusRunResult
@@ -121,8 +120,7 @@ struct CorpusRunResult
 };
 
 /** Replay every entry under @p dir in sorted name order. */
-CorpusRunResult runCorpus(const std::string &dir,
-                          const OracleOptions &opts);
+CorpusRunResult runCorpus(const std::string &dir);
 
 } // namespace portend::fuzz
 

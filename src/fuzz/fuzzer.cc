@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -123,13 +122,24 @@ class ShardFold
     obs::MetricsShard total_;
 };
 
+/** What a campaign judges every program under: the detection seed,
+ *  the dpor explorer, and @p deep. */
+OracleOptions
+oracleOptions(const FuzzOptions &opts, bool deep)
+{
+    OracleOptions o;
+    o.detection_seed = opts.detection_seed;
+    o.deep = deep;
+    return o;
+}
+
 /** Generate + judge one campaign index. */
 IndexResult
 runIndex(std::uint64_t index, const FuzzOptions &opts,
          CampaignState *camp)
 {
     IndexResult r;
-    r.gen = generateProgram(opts.fuzz_seed, index, opts.gen);
+    r.gen = generateProgram(opts.fuzz_seed, index, GeneratorOptions{});
     r.deep = index % kDeepEvery == 0;
 
     if (!r.gen.verify_errors.empty()) {
@@ -142,9 +152,7 @@ runIndex(std::uint64_t index, const FuzzOptions &opts,
         return r;
     }
 
-    OracleOptions o = opts.oracle;
-    o.detection_seed = opts.detection_seed;
-    o.deep = r.deep;
+    const OracleOptions o = oracleOptions(opts, r.deep);
 
     campaign::UnitKey key;
     std::string sig;
@@ -200,9 +208,7 @@ judgeRecipe(const ProgramRecipe &recipe, const FuzzOptions &opts,
         v.checks.push_back({"verify", false, all});
         return v;
     }
-    OracleOptions o = opts.oracle;
-    o.detection_seed = opts.detection_seed;
-    o.deep = deep;
+    const OracleOptions o = oracleOptions(opts, deep);
     return opts.judge ? opts.judge(gen.program, o)
                       : runOracle(gen.program, o);
 }
@@ -221,7 +227,7 @@ persistEntry(const ProgramRecipe &recipe, const OracleVerdict &v,
     entry.fuzz_seed = opts.fuzz_seed;
     entry.index = index;
     entry.detection_seed = opts.detection_seed;
-    entry.explore = explore::exploreModeName(opts.oracle.explore);
+    entry.explore = explore::exploreModeName(OracleOptions{}.explore);
     entry.signature = v.signature();
     entry.witness = v.witness_text;
     entry.recipe_text = recipe.serialize();
@@ -340,22 +346,7 @@ runFuzz(const FuzzOptions &opts)
     res.metrics = fold.total();
 
     // -- Deterministic fold in index order ---------------------------
-    std::size_t fold_index = 0;
     for (const IndexResult &r : results) {
-        // `--progress jsonl`: one line per fuzz iteration, emitted
-        // here (sequentially, in index order) rather than from the
-        // workers, so the stream order is deterministic too.
-        if (obs::progress()) {
-            char buf[192];
-            std::snprintf(buf, sizeof buf,
-                          "{\"event\": \"fuzz_iteration\", "
-                          "\"index\": %zu, \"outcome\": \"%s\", "
-                          "\"flagged\": %s}",
-                          fold_index, r.verdict.outcome.c_str(),
-                          r.verdict.flagged() ? "true" : "false");
-            obs::progressLine(buf);
-        }
-        fold_index += 1;
         if (obs::Collector *c = obs::collector()) {
             c->add(obs::Counter::FuzzPrograms, 1);
             c->add(obs::Counter::FuzzFlagged,

@@ -15,10 +15,12 @@
  *
  * Determinism contract: with a program budget (--budget), the
  * campaign's summary bytes and every corpus file are a pure function
- * of (fuzz seed, detection seed, budget, generator knobs) — worker
- * count and wall-clock never leak in. Wall-clock mode (--seconds)
- * trades that for a time box: the program count then depends on the
- * host, which is why the acceptance workflow pins --budget.
+ * of (fuzz seed, detection seed, budget) — worker count and
+ * wall-clock never leak in. Programs are generated under the default
+ * GeneratorOptions and judged under the dpor explorer. Wall-clock
+ * mode (--seconds) trades that for a time box: the program count
+ * then depends on the host, which is why the acceptance workflow
+ * pins --budget.
  */
 
 #ifndef PORTEND_FUZZ_FUZZER_H
@@ -63,9 +65,6 @@ struct FuzzOptions
      * time goes. The cache is the whole record.
      */
     std::string campaign_dir;
-
-    GeneratorOptions gen;
-    OracleOptions oracle; ///< seed/deep overridden per program
 
     /**
      * Test seam: replaces runOracle as the campaign's judge (null =

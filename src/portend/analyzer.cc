@@ -1,6 +1,5 @@
 #include "portend/analyzer.h"
 
-#include <cstdio>
 #include <set>
 
 #include "portend/outputcmp.h"
@@ -837,41 +836,6 @@ RaceAnalyzer::replayEvidence(const race::RaceReport &race,
     return out;
 }
 
-namespace {
-
-const char *
-postSpecKind(const explore::PostSpec &s)
-{
-    switch (s.kind) {
-      case explore::PostSpec::Kind::Trace:
-        return "trace";
-      case explore::PostSpec::Kind::Random:
-        return "random";
-      case explore::PostSpec::Kind::Guided:
-        return "guided";
-    }
-    return "?";
-}
-
-/** `--progress jsonl`: one line per explored post-race schedule. */
-void
-emitScheduleEvent(const explore::PostSpec &spec, int path, bool fresh,
-                  int distinct, int schedules)
-{
-    if (!obs::progress())
-        return;
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "{\"event\": \"schedule\", \"kind\": \"%s\", "
-                  "\"path\": %d, \"fresh\": %s, \"distinct\": %d, "
-                  "\"schedules_explored\": %d}",
-                  postSpecKind(spec), path, fresh ? "true" : "false",
-                  distinct, schedules);
-    obs::progressLine(buf);
-}
-
-} // namespace
-
 Classification
 RaceAnalyzer::classify(const race::RaceReport &race,
                        const replay::ScheduleTrace &trace,
@@ -1080,10 +1044,6 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
             // schedule; everything else teaches the explorer nothing.
             const bool fresh = sx && a.alternate_enforced &&
                                sx->record(std::move(a.observation));
-            if (sx) {
-                emitScheduleEvent(*post, p.index, fresh, sx->distinct(),
-                                  c.stats.schedules_explored);
-            }
             if (p.path && a.kind == SingleResult::Kind::OutSame) {
                 OutputComparison cmp = compareSymbolicOutputs(
                     p.path->state.output, p.path->state.path.constraints(),

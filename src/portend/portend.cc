@@ -73,9 +73,8 @@ Portend::detect()
     result.dynamic_races = found.size();
     result.clusters = race::clusterRaces(found);
 
-    // The detection run's registry view (the --stats block reads
-    // it). Pure function of the deterministic detection run, so
-    // shard-safe.
+    // The detection run's registry view. Pure function of the
+    // deterministic detection run, so shard-safe.
     const rt::VmStats &vm = interp.state().stats;
     using obs::Counter;
     result.metrics.add(Counter::DetectRuns, 1);

@@ -42,9 +42,8 @@ struct DetectionResult
     double seconds = 0.0;
 
     /** Registry view of this detection run: its step, race and
-     *  cluster tallies and the interpreter's hot-path ledger (the CLI
-     *  renders the latter under --stats), as one deterministic
-     *  shard. */
+     *  cluster tallies and the interpreter's hot-path ledger, as one
+     *  deterministic shard (`--metrics-out` exports it). */
     obs::MetricsShard metrics;
 };
 

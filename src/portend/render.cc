@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "rt/interpreter.h"
-#include "support/observe.h"
 
 namespace portend::core {
 
@@ -52,26 +51,9 @@ summaryText(const PortendResult &res)
 }
 
 std::string
-statsText(const DetectionResult &d)
-{
-    const obs::MetricsShard &m = d.metrics;
-    std::ostringstream os;
-    os << "interpreter: decoded_sites="
-       << m.gauge(obs::Gauge::DecodedSites)
-       << " events_batched="
-       << m.counter(obs::Counter::DetectEventsBatched)
-       << " pages_unshared="
-       << m.counter(obs::Counter::DetectPagesUnshared)
-       << " values_boxed="
-       << m.counter(obs::Counter::DetectValuesBoxed) << "\n";
-    return os.str();
-}
-
-std::string
 jsonReport(const std::string &name, const ir::Program &prog,
            const PortendResult &res,
-           const std::vector<const PortendReport *> &reports,
-           bool stats)
+           const std::vector<const PortendReport *> &reports)
 {
     std::ostringstream os;
     os << "{\n  \"workload\": \"" << jsonEscape(name) << "\",\n";
@@ -82,22 +64,8 @@ jsonReport(const std::string &name, const ir::Program &prog,
        << ",\n";
     os << "    \"distinct_races\": " << res.detection.clusters.size()
        << ",\n";
-    os << "    \"steps\": " << res.detection.steps;
-    // Opt-in so the golden classify --json bytes stay stable. Since
-    // PR 8 the numbers are the detection run's registry view, not the
-    // raw VmStats fields — same values, one source of truth.
-    if (stats) {
-        const obs::MetricsShard &m = res.detection.metrics;
-        os << ",\n    \"interp\": {\"decoded_sites\": "
-           << m.gauge(obs::Gauge::DecodedSites)
-           << ", \"events_batched\": "
-           << m.counter(obs::Counter::DetectEventsBatched)
-           << ", \"pages_unshared\": "
-           << m.counter(obs::Counter::DetectPagesUnshared)
-           << ", \"values_boxed\": "
-           << m.counter(obs::Counter::DetectValuesBoxed) << "}";
-    }
-    os << "\n  },\n  \"reports\": [\n";
+    os << "    \"steps\": " << res.detection.steps << "\n  },\n";
+    os << "  \"reports\": [\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
         const PortendReport &r = *reports[i];
         const Classification &c = r.classification;
@@ -183,15 +151,10 @@ renderPipelineReport(const std::string &name, const ir::Program &prog,
             selected.push_back(&r);
 
     if (mode.json)
-        return jsonReport(name, prog, res, selected, mode.stats) +
-               "\n";
-    std::string out = mode.classify_mode
-                          ? classifyText(name, prog, res, selected,
-                                         mp, ma)
-                          : runText(name, prog, res, selected);
-    if (mode.stats)
-        out += statsText(res.detection);
-    return out;
+        return jsonReport(name, prog, res, selected) + "\n";
+    return mode.classify_mode
+               ? classifyText(name, prog, res, selected, mp, ma)
+               : runText(name, prog, res, selected);
 }
 
 } // namespace portend::core

@@ -26,7 +26,6 @@ namespace portend::core {
 struct RenderMode
 {
     bool json = false;          ///< JSON object instead of text
-    bool stats = false;         ///< append the interpreter ledger
     bool classify_mode = false; ///< compact table instead of Fig. 6
     std::optional<RaceClass> only_class; ///< --class filter
 };
@@ -37,10 +36,6 @@ std::string jsonEscape(const std::string &s);
 /** The `summary:` block shared by run and classify text modes. */
 std::string summaryText(const PortendResult &res);
 
-/** The --stats interpreter ledger of the detection run (a view over
- *  the registry shard). */
-std::string statsText(const DetectionResult &d);
-
 /**
  * One pipeline's JSON object (no trailing newline, so batch mode
  * can join objects into an array). @p reports is the post---class
@@ -49,8 +44,7 @@ std::string statsText(const DetectionResult &d);
 std::string
 jsonReport(const std::string &name, const ir::Program &prog,
            const PortendResult &res,
-           const std::vector<const PortendReport *> &reports,
-           bool stats);
+           const std::vector<const PortendReport *> &reports);
 
 /** The Fig. 6 text rendering of one `portend run` pipeline. */
 std::string
@@ -67,10 +61,10 @@ classifyText(const std::string &name, const ir::Program &prog,
 
 /**
  * The full rendering of one pipeline under @p mode: applies the
- * --class filter, picks the JSON/run/classify shape, and appends the
- * --stats ledger in text mode. Returns exactly the bytes the CLI
- * prints for one workload (JSON output carries its trailing
- * newline). @p mp/@p ma feed the classify-table header.
+ * --class filter and picks the JSON/run/classify shape. Returns
+ * exactly the bytes the CLI prints for one workload (JSON output
+ * carries its trailing newline). @p mp/@p ma feed the
+ * classify-table header.
  */
 std::string renderPipelineReport(const std::string &name,
                                  const ir::Program &prog,

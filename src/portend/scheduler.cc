@@ -1,6 +1,5 @@
 #include "portend/scheduler.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "replay/checkpoint.h"
@@ -8,30 +7,6 @@
 #include "support/trace.h"
 
 namespace portend::core {
-
-namespace {
-
-/** `--progress jsonl`: one line per classified cluster. */
-void
-emitClusterEvent(std::size_t index, const PortendReport &r)
-{
-    if (!obs::progress())
-        return;
-    const AnalysisStats &s = r.classification.stats;
-    char buf[256];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"event\": \"cluster\", \"index\": %zu, \"cell\": %d, "
-        "\"class\": \"%s\", \"k\": %d, \"distinct_schedules\": %d, "
-        "\"schedules_explored\": %d, \"steps\": %llu}",
-        index, r.cluster.representative.cell,
-        raceClassName(r.classification.cls), r.classification.k,
-        s.distinct_schedules, s.schedules_explored,
-        static_cast<unsigned long long>(s.steps));
-    obs::progressLine(buf);
-}
-
-} // namespace
 
 ClassificationScheduler::ClassificationScheduler(
     const ir::Program &prog, PortendOptions opts,
@@ -97,7 +72,6 @@ ClassificationScheduler::classifyAll(
         // Worker-local shard: folded into the batch shard in cluster
         // index order after the join, never by completion order.
         foldVerdict(out.classification, shards[unit.index]);
-        emitClusterEvent(unit.index, out);
     });
 
     // Every body has finished: the shard slots are plain memory now.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -31,48 +30,6 @@ fail(std::string *error, const std::string &msg)
     if (error)
         *error = msg;
     return false;
-}
-
-void
-workerEvent(long pid, const char *what)
-{
-    if (!obs::progress())
-        return;
-    char buf[128];
-    std::snprintf(buf, sizeof buf,
-                  "{\"event\": \"serve_worker\", \"pid\": %ld, "
-                  "\"what\": \"%s\"}",
-                  pid, what);
-    obs::progressLine(buf);
-}
-
-void
-unitEvent(const std::string &id, std::size_t unit, long pid,
-          const char *what)
-{
-    if (!obs::progress())
-        return;
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "{\"event\": \"serve_unit\", \"campaign\": \"%s\", "
-                  "\"unit\": %zu, \"pid\": %ld, \"what\": \"%s\"}",
-                  id.c_str(), unit, pid, what);
-    obs::progressLine(buf);
-}
-
-void
-submissionEvent(const std::string &id, std::size_t units,
-                std::size_t pending, const char *what)
-{
-    if (!obs::progress())
-        return;
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "{\"event\": \"serve_submission\", "
-                  "\"campaign\": \"%s\", \"units\": %zu, "
-                  "\"pending\": %zu, \"what\": \"%s\"}",
-                  id.c_str(), units, pending, what);
-    obs::progressLine(buf);
 }
 
 /** Campaign id: content hash of the manifest text, so the same
@@ -287,7 +244,6 @@ Server::spawnWorker(Worker &w, std::string *error)
     w.unit = 0;
     w.deadline_ns = 0;
     w.gen += 1;
-    workerEvent(w.child.pid, "spawn");
     return true;
 }
 
@@ -379,8 +335,6 @@ Server::handleSubmit(ClientConn &c, const std::string &manifest)
             campaign::UnitSource::Pending)
             sub.pending.push_back(i);
     sub.client_fd = c.fd;
-    submissionEvent(id, sub.result.units.size(), sub.pending.size(),
-                    "accepted");
     maybeFinishSubmission(sub);
 }
 
@@ -396,7 +350,7 @@ Server::handleWorkerFrame(std::size_t wi, const wire::Frame &f)
         // A frame we did not ask for: the worker is off-protocol and
         // cannot be trusted with further units.
         sub::kill(w.child, SIGKILL);
-        handleWorkerDeath(wi, "protocol");
+        handleWorkerDeath(wi);
         return;
     }
     std::istringstream is(f.payload);
@@ -406,7 +360,7 @@ Server::handleWorkerFrame(std::size_t wi, const wire::Frame &f)
     if (!parseI64(index_s, &index) ||
         static_cast<std::size_t>(index) != w.unit) {
         sub::kill(w.child, SIGKILL);
-        handleWorkerDeath(wi, "protocol");
+        handleWorkerDeath(wi);
         return;
     }
     Submission &sub = submissions_.at(w.submission);
@@ -422,7 +376,6 @@ Server::handleWorkerFrame(std::size_t wi, const wire::Frame &f)
         if (!msg.empty() && msg.front() == ' ')
             msg.erase(0, 1);
         sub.last_error = msg;
-        unitEvent(sub.id, w.unit, w.child.pid, "fail");
         requeueUnit(sub, w.unit);
         return;
     }
@@ -433,8 +386,6 @@ Server::handleWorkerFrame(std::size_t wi, const wire::Frame &f)
     bump(obs::Counter::ServeUnitsCompleted);
     if (cached)
         bump(obs::Counter::ServeUnitsCached);
-    unitEvent(sub.id, w.unit, w.child.pid,
-              cached ? "done_cached" : "done");
     std::string err;
     if (!sub.campaign->recordCompletion(sub.result, w.unit, sig,
                                         cached, &err)) {
@@ -448,11 +399,10 @@ Server::handleWorkerFrame(std::size_t wi, const wire::Frame &f)
 }
 
 void
-Server::handleWorkerDeath(std::size_t wi, const char *why)
+Server::handleWorkerDeath(std::size_t wi)
 {
     Worker &w = workers_[wi];
     bump(obs::Counter::ServeWorkerDeaths);
-    workerEvent(w.child.pid, why);
     sub::closeChannel(w.child);
     sub::kill(w.child, SIGKILL); // no-op if already gone
     while (!sub::reap(w.child))
@@ -467,7 +417,6 @@ Server::handleWorkerDeath(std::size_t wi, const char *why)
             // The claimed but unreported unit: its entry either never
             // landed or is complete (temp + rename), so a plain
             // re-dispatch is exact recovery.
-            unitEvent(sub.id, w.unit, -1, "redispatch");
             requeueUnit(sub, w.unit);
         }
     }
@@ -476,7 +425,6 @@ Server::handleWorkerDeath(std::size_t wi, const char *why)
         std::string err;
         if (spawnWorker(w, &err)) {
             bump(obs::Counter::ServeWorkerRestarts);
-            workerEvent(w.child.pid, "restart");
             return;
         }
     }
@@ -506,7 +454,6 @@ Server::failSubmission(Submission &sub, const std::string &why)
         return;
     sub.done = true;
     sub.pending.clear();
-    submissionEvent(sub.id, sub.result.units.size(), 0, "failed");
     if (sub.client_fd >= 0) {
         const int fd = sub.client_fd;
         respond(fd, {"error", why});
@@ -525,7 +472,6 @@ Server::maybeFinishSubmission(Submission &sub)
     }
     sub.campaign->finalize(sub.result);
     sub.done = true;
-    submissionEvent(sub.id, sub.result.units.size(), 0, "complete");
     if (sub.client_fd >= 0) {
         const int fd = sub.client_fd;
         respond(fd, {"result",
@@ -586,7 +532,7 @@ Server::dispatchWork()
             // Dead at dispatch: undo the claim, recycle the worker.
             sub->pending.push_front(unit);
             sub->attempts[unit] -= 1;
-            handleWorkerDeath(wi, "write");
+            handleWorkerDeath(wi);
             continue;
         }
         w.busy = true;
@@ -599,7 +545,6 @@ Server::dispatchWork()
                     opts_.unit_timeout_seconds * 1e9);
         sub->in_flight += 1;
         bump(obs::Counter::ServeUnitsDispatched);
-        unitEvent(sub->id, unit, w.child.pid, "dispatch");
     }
     maybeInjectKill();
 }
@@ -615,7 +560,6 @@ Server::maybeInjectKill()
     for (Worker &w : workers_) {
         if (w.busy && w.child.running()) {
             kill_injected_ = true;
-            workerEvent(w.child.pid, "kill_injected");
             sub::kill(w.child, SIGKILL);
             // Death (and the unit's re-dispatch) surfaces through
             // the event loop as channel EOF.
@@ -726,7 +670,7 @@ Server::loop()
                 if (w.busy && w.deadline_ns != 0 &&
                     now >= w.deadline_ns) {
                     sub::kill(w.child, SIGKILL);
-                    handleWorkerDeath(wi, "timeout");
+                    handleWorkerDeath(wi);
                 }
             }
         }
@@ -776,7 +720,7 @@ Server::loop()
             char buf[4096];
             const long r = sub::readSome(w.child.fd, buf, sizeof buf);
             if (r <= 0) {
-                handleWorkerDeath(wi, "death");
+                handleWorkerDeath(wi);
                 continue;
             }
             w.reader.feed(buf, static_cast<std::size_t>(r));
@@ -786,7 +730,7 @@ Server::loop()
                 handleWorkerFrame(wi, *f);
             if (w.child.fd >= 0 && w.reader.failed()) {
                 sub::kill(w.child, SIGKILL);
-                handleWorkerDeath(wi, "protocol");
+                handleWorkerDeath(wi);
             }
         }
 
@@ -835,7 +779,7 @@ void Server::closeClient(int) {}
 void Server::handleClientFrame(ClientConn &, const wire::Frame &) {}
 void Server::handleSubmit(ClientConn &, const std::string &) {}
 void Server::handleWorkerFrame(std::size_t, const wire::Frame &) {}
-void Server::handleWorkerDeath(std::size_t, const char *) {}
+void Server::handleWorkerDeath(std::size_t) {}
 void Server::requeueUnit(Submission &, std::size_t) {}
 void Server::failSubmission(Submission &, const std::string &) {}
 void Server::maybeFinishSubmission(Submission &) {}

@@ -146,7 +146,7 @@ class Server
     void handleClientFrame(ClientConn &c, const wire::Frame &f);
     void handleSubmit(ClientConn &c, const std::string &manifest);
     void handleWorkerFrame(std::size_t wi, const wire::Frame &f);
-    void handleWorkerDeath(std::size_t wi, const char *why);
+    void handleWorkerDeath(std::size_t wi);
     void requeueUnit(Submission &sub, std::size_t unit);
     void failSubmission(Submission &sub, const std::string &why);
     void maybeFinishSubmission(Submission &sub);

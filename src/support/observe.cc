@@ -43,7 +43,6 @@ appendU64(std::string &out, std::uint64_t v)
 }
 
 std::atomic<Collector *> g_collector{nullptr};
-std::atomic<Progress *> g_progress{nullptr};
 
 } // namespace
 
@@ -188,33 +187,6 @@ void
 setCollector(Collector *c)
 {
     g_collector.store(c, std::memory_order_release);
-}
-
-Progress *
-progress()
-{
-    return g_progress.load(std::memory_order_relaxed);
-}
-
-void
-setProgress(Progress *p)
-{
-    g_progress.store(p, std::memory_order_release);
-}
-
-void
-Progress::emit(const std::string &line)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    os_ << line << '\n';
-    os_.flush();
-}
-
-void
-progressLine(const std::string &line)
-{
-    if (Progress *p = progress())
-        p->emit(line);
 }
 
 } // namespace portend::obs

@@ -1,8 +1,10 @@
 /**
  * @file
  * The unified observability layer: metrics registry, worker-local
- * shards, a process-wide collector for layers with no result struct
- * to thread through, and the JSON-lines progress sink.
+ * shards, and a process-wide collector for layers with no result
+ * struct to thread through. With the span tracer (support/trace.h)
+ * it backs the only two observability exports, `--metrics-out` and
+ * `--trace-out`.
  *
  * Design contract (see docs/ARCHITECTURE.md "Observability"):
  *
@@ -21,10 +23,10 @@
  *    live in trace files (support/trace.h) and in the ledgers'
  *    never-printed `seconds` fields.
  *
- *  - **Zero-cost when off.** The global collector/progress/tracer
- *    sinks are plain atomic pointers, null by default; every
- *    instrumentation site is one relaxed load and a branch.
- *    perfbench measures with the sinks null (`--trace 0`).
+ *  - **Zero-cost when off.** The two process-wide sinks, the
+ *    collector and the tracer, are plain atomic pointers, null by
+ *    default; every instrumentation site is one relaxed load and a
+ *    branch. perfbench measures with the sinks null (`--trace 0`).
  */
 
 #ifndef PORTEND_SUPPORT_OBSERVE_H
@@ -34,8 +36,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <ostream>
 #include <string>
 
 namespace portend::obs {
@@ -274,35 +274,6 @@ Collector *collector();
 /** Install (or clear, with nullptr) the process-wide collector.
  *  Install before spawning workers; not synchronized with bumps. */
 void setCollector(Collector *c);
-
-// ---------------------------------------------------------------------------
-// Progress: `--progress jsonl` sink. One JSON object per line, one
-// line per emit(), mutex-serialized so concurrent workers never
-// interleave bytes.
-// ---------------------------------------------------------------------------
-
-class Progress
-{
-  public:
-    explicit Progress(std::ostream &os) : os_(os) {}
-
-    /** Write one complete JSON-lines record (no trailing newline in
-     *  `line`; emit appends it and flushes). */
-    void emit(const std::string &line);
-
-  private:
-    std::ostream &os_;
-    std::mutex mu_;
-};
-
-/** The installed progress sink, or nullptr. */
-Progress *progress();
-
-/** Install (or clear) the process-wide progress sink. */
-void setProgress(Progress *p);
-
-/** Convenience: emit `line` iff a progress sink is installed. */
-void progressLine(const std::string &line);
 
 } // namespace portend::obs
 

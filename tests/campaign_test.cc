@@ -248,8 +248,9 @@ TEST(FormatPinTest, RetiredDialsParseOnlyAtTheirFixedValues)
     config.units = {{"workload", "avv"}};
     const std::string text = manifestText(config);
     for (const char *line :
-         {"max_symbolic_inputs 2\n", "timeout_factor 5\n",
-          "preemption_bound 4\n", "solver.max_assignments 200000\n",
+         {"render.stats 0\n", "max_symbolic_inputs 2\n",
+          "timeout_factor 5\n", "preemption_bound 4\n",
+          "solver.max_assignments 200000\n",
           "solver.max_candidates 128\n", "total_state_budget 0\n",
           "total_step_budget 0\n"})
         EXPECT_NE(text.find(line), std::string::npos) << line;
@@ -257,6 +258,7 @@ TEST(FormatPinTest, RetiredDialsParseOnlyAtTheirFixedValues)
     ASSERT_TRUE(parseManifest(text, &error).has_value()) << error;
 
     const std::pair<std::string, std::string> edits[] = {
+        {"render.stats 0", "render.stats 1"},
         {"timeout_factor 5", "timeout_factor 7"},
         {"total_step_budget 0", "total_step_budget 5000"},
     };
@@ -272,7 +274,6 @@ TEST(FormatPinTest, ManifestLinesRefuseTrailingTokens)
 {
     // Every line kind manifestText writes parses back to itself.
     CampaignConfig config = microConfig();
-    config.render.stats = true;
     config.render.only_class = core::RaceClass::OutputDiffers;
     config.analysis.explore = explore::ExploreMode::Random;
     config.analysis.detector = core::DetectorKind::Lockset;
@@ -512,7 +513,6 @@ TEST(CampaignTest, ManifestRoundTrip)
     config.analysis.detection_seed = 17;
     config.analysis.explore = explore::ExploreMode::Random;
     config.analysis.sym_inputs.push_back({"flag", true, 0, 1});
-    config.render.stats = true;
 
     std::string error;
     std::optional<CampaignConfig> back =

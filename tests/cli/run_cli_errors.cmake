@@ -10,10 +10,16 @@
 #
 # Retired flags stay pinned: a script that still passes the old
 # dispatch-loop flag, the loopback TCP endpoint (`--port`), the
-# connect budget (`--timeout`) or a serve budget that is now a
-# constant (`--max-submissions`, `--attempts`, `--max-restarts`) must
-# fail loudly, never run silently. The serve rows name a socket, so
-# only the flag under test can be what fails.
+# connect budget (`--timeout`), a serve budget that is now a
+# constant (`--max-submissions`, `--attempts`, `--max-restarts`), or
+# an observability surface that `--metrics-out` and `--trace-out`
+# replace (`--stats`, `--progress`, `--quiet`) must fail loudly,
+# never run silently. The serve rows name a socket, so only the flag
+# under test can be what fails.
+#
+# `campaign run|resume|status <dir>` refuses a flag where the
+# directory belongs, so a forgotten `<dir>` never creates a campaign
+# named after the flag.
 #
 # `submit` with an action (`--status`, `--ping`, `--shutdown`) sends
 # no manifest: a second action or any other flag beside it is refused
@@ -40,6 +46,10 @@ set(bad_cases
     "classify avv --seed 1x"
     "classify avv --k banana"
     "campaign run ignored --abort-after -1"
+    "campaign run --json"
+    "classify avv --stats"
+    "classify avv --progress jsonl"
+    "fuzz --budget 1 --quiet"
     "fuzz --budget -5"
     "fuzz --fuzz-seed -2"
     "serve state --workers 0 --socket s"

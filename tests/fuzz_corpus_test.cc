@@ -75,7 +75,7 @@ TEST(FuzzCorpus, SaveLoadRoundTrip)
 TEST(FuzzCorpus, RegressionEntryReplaysGreen)
 {
     CorpusEntry e = makeRegressionEntry(1);
-    ReplayOutcome out = replayEntry(e, OracleOptions{});
+    ReplayOutcome out = replayEntry(e);
     EXPECT_TRUE(out.ok) << out.detail;
 }
 
@@ -83,7 +83,7 @@ TEST(FuzzCorpus, ReplayDetectsSignatureDrift)
 {
     CorpusEntry e = makeRegressionEntry(2);
     e.signature = "out=exited;races=999;classes=";
-    ReplayOutcome out = replayEntry(e, OracleOptions{});
+    ReplayOutcome out = replayEntry(e);
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.detail.find("signature"), std::string::npos);
 }
@@ -93,13 +93,13 @@ TEST(FuzzCorpus, ReplayRejectsCorruptProgramWithoutCrashing)
     CorpusEntry e = makeRegressionEntry(3);
     e.program_text =
         e.program_text.substr(0, e.program_text.size() / 2);
-    ReplayOutcome out = replayEntry(e, OracleOptions{});
+    ReplayOutcome out = replayEntry(e);
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.detail.find("parse"), std::string::npos);
 
     e = makeRegressionEntry(3);
     e.trace_text = "trace v1\nd notanumber";
-    out = replayEntry(e, OracleOptions{});
+    out = replayEntry(e);
     EXPECT_FALSE(out.ok);
 }
 
@@ -110,7 +110,7 @@ TEST(FuzzCorpus, DisagreementEntryIsGreenOnceFixed)
     CorpusEntry e = makeRegressionEntry(4);
     e.kind = "disagreement";
     e.check = "determinism"; // passes on today's pipeline
-    ReplayOutcome out = replayEntry(e, OracleOptions{});
+    ReplayOutcome out = replayEntry(e);
     EXPECT_TRUE(out.ok) << out.detail;
 }
 
@@ -121,7 +121,7 @@ TEST(FuzzCorpus, RunCorpusAggregatesAndSorts)
     ASSERT_TRUE(saveEntry(dir, makeRegressionEntry(5), &error));
     ASSERT_TRUE(saveEntry(dir, makeRegressionEntry(6), &error));
 
-    CorpusRunResult res = runCorpus(dir, OracleOptions{});
+    CorpusRunResult res = runCorpus(dir);
     EXPECT_EQ(res.total, 2);
     EXPECT_EQ(res.passed, 2);
     EXPECT_TRUE(res.allGreen());
@@ -137,7 +137,7 @@ TEST(FuzzCorpus, RunCorpusReportsBrokenEntryDirectories)
         std::ofstream os(fs::path(dir) / "half-entry" / "meta.txt");
         os << "kind=regression\n";
     } // program.pil and trace.txt missing
-    CorpusRunResult res = runCorpus(dir, OracleOptions{});
+    CorpusRunResult res = runCorpus(dir);
     EXPECT_EQ(res.total, 1);
     EXPECT_EQ(res.passed, 0);
 }
@@ -155,7 +155,7 @@ TEST(FuzzCorpus, CampaignWritesReplayableCorpus)
     EXPECT_EQ(res.programs, 24);
     EXPECT_GT(res.regression_entries, 0);
 
-    CorpusRunResult replay = runCorpus(dir, OracleOptions{});
+    CorpusRunResult replay = runCorpus(dir);
     EXPECT_EQ(replay.total, res.regression_entries);
     EXPECT_TRUE(replay.allGreen());
 }

@@ -14,8 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
-#include <iostream>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -88,8 +86,7 @@ Usage:
   portend fuzz [options]                generate racy PIL programs, cross-
                                         check detectors and classifier,
                                         minimize and store reproducers
-  portend corpus run <dir> [--explore <name>] [--quiet]
-                                        replay a reproducer corpus
+  portend corpus run <dir>              replay a reproducer corpus
   portend --help                        print this help
 
 Workloads:
@@ -129,9 +126,6 @@ Options:
   --no-multi-schedule  disable multi-schedule analysis (stage 3)
   --no-adhoc           disable ad-hoc synchronization detection
   --json               emit a JSON report instead of the Fig. 6 text
-  --stats              append the interpreter ledger of the detection
-                       run: decoded sites, events batched, COW pages
-                       unshared, values boxed
 
 Observability options (run, classify, campaign, fuzz, corpus run, serve):
   --trace-out <file>   write a Chrome trace-event JSON timeline of
@@ -144,12 +138,6 @@ Observability options (run, classify, campaign, fuzz, corpus run, serve):
                        histograms only — no timing, no worker
                        counts — so the bytes are identical across
                        --jobs values and across runs
-  --progress <mode>    stream JSON-lines telemetry to stderr while
-                       the pipeline runs; the only mode is "jsonl"
-                       (one event per classified cluster, explored
-                       schedule, and fuzz iteration)
-  --quiet              suppress the end-of-run metrics summary line
-                       of `fuzz` and `corpus run`
 
 Campaign options (portend campaign run/resume):
   --abort-after <N>    stop claiming new units once N have been
@@ -204,24 +192,20 @@ Race classes (paper Fig. 1):
 )";
 
 /**
- * The shared observability/verbosity flags. Every subcommand parser
- * (run/classify, campaign, fuzz, corpus) consumes these through the
- * one parseObsFlag helper below instead of hand-rolling the same
- * four branches.
+ * The two observability exports. Every subcommand parser
+ * (run/classify, campaign, fuzz, corpus, serve) consumes these
+ * through the one parseObsFlag helper below.
  */
 struct ObsFlags
 {
     std::string trace_out;   ///< --trace-out file ("" = off)
     std::string metrics_out; ///< --metrics-out file ("" = off)
-    bool progress_jsonl = false; ///< --progress jsonl
-    bool quiet = false;          ///< --quiet (fuzz, corpus run)
 };
 
 struct CliOptions
 {
     core::PortendOptions opts;
     bool json = false;
-    bool stats = false; ///< append the interpreter ledger
     int k = 0; ///< 0 = not given
     std::optional<core::RaceClass> only_class; ///< --class filter
     ObsFlags obs; ///< shared observability flags
@@ -234,24 +218,17 @@ struct CliOptions
 
 obs::Collector g_collector;
 std::optional<obs::Tracer> g_tracer;
-std::optional<obs::Progress> g_progress;
 
 /** Install the process-wide sinks requested by the flags. */
 void
-installObsSinks(const std::string &trace_out,
-                const std::string &metrics_out, bool progress_jsonl,
-                bool force_collector)
+installObsSinks(const ObsFlags &flags)
 {
-    if (!trace_out.empty()) {
+    if (!flags.trace_out.empty()) {
         g_tracer.emplace();
         obs::setTracer(&*g_tracer);
     }
-    if (force_collector || !metrics_out.empty())
+    if (!flags.metrics_out.empty())
         obs::setCollector(&g_collector);
-    if (progress_jsonl) {
-        g_progress.emplace(std::cerr);
-        obs::setProgress(&*g_progress);
-    }
 }
 
 /**
@@ -262,26 +239,24 @@ installObsSinks(const std::string &trace_out,
  * Returns 0, or 1 if a file could not be written.
  */
 int
-writeObsOutputs(const std::string &trace_out,
-                const std::string &metrics_out,
-                const obs::MetricsShard &pipeline)
+writeObsOutputs(const ObsFlags &flags, const obs::MetricsShard &pipeline)
 {
     int rc = 0;
-    if (!metrics_out.empty()) {
+    if (!flags.metrics_out.empty()) {
         obs::MetricsShard total = pipeline;
         g_collector.drainInto(total);
-        std::ofstream f(metrics_out, std::ios::binary);
+        std::ofstream f(flags.metrics_out, std::ios::binary);
         if (f)
             f << obs::metricsJson(total);
         if (!f) {
             std::fprintf(stderr, "portend: cannot write %s\n",
-                         metrics_out.c_str());
+                         flags.metrics_out.c_str());
             rc = 1;
         }
     }
-    if (!trace_out.empty()) {
+    if (!flags.trace_out.empty()) {
         std::string err;
-        if (!g_tracer->writeFile(trace_out, &err)) {
+        if (!g_tracer->writeFile(flags.trace_out, &err)) {
             std::fprintf(stderr, "portend: %s\n", err.c_str());
             rc = 1;
         }
@@ -352,15 +327,13 @@ parseSeed(const char *flag, const char *value)
 
 /**
  * Consume the shared observability flag at argv[i], if it is one:
- * --trace-out <file>, --metrics-out <file>, --progress <mode>, and —
- * for the commands with a stderr summary line — --quiet. Returns
- * true (with @p i advanced past any value) when the flag was
- * consumed; false means "not ours", so the caller's parser keeps
- * going and unknown-option errors stay per-command.
+ * --trace-out <file> or --metrics-out <file>. Returns true (with
+ * @p i advanced past the value) when the flag was consumed; false
+ * means "not ours", so the caller's parser keeps going and
+ * unknown-option errors stay per-command.
  */
 bool
-parseObsFlag(int argc, char **argv, int &i, ObsFlags *out,
-             bool allow_quiet)
+parseObsFlag(int argc, char **argv, int &i, ObsFlags *out)
 {
     const std::string a = argv[i];
     const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -376,20 +349,6 @@ parseObsFlag(int argc, char **argv, int &i, ObsFlags *out,
             usageError("--metrics-out needs a file path");
         out->metrics_out = next;
         ++i;
-        return true;
-    }
-    if (a == "--progress") {
-        if (!next)
-            usageError("--progress needs a mode (jsonl)");
-        if (std::string(next) != "jsonl")
-            usageError("unknown progress mode: " + std::string(next) +
-                       " (expected jsonl)");
-        out->progress_jsonl = true;
-        ++i;
-        return true;
-    }
-    if (allow_quiet && a == "--quiet") {
-        out->quiet = true;
         return true;
     }
     return false;
@@ -434,14 +393,12 @@ parseOptions(int argc, char **argv, int start)
     // thread (the library default stays sequential for embedders).
     cli.opts.jobs = 0;
     for (int i = start; i < argc; ++i) {
-        if (parseObsFlag(argc, argv, i, &cli.obs, false))
+        if (parseObsFlag(argc, argv, i, &cli.obs))
             continue;
         std::string a = argv[i];
         const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
         if (a == "--json") {
             cli.json = true;
-        } else if (a == "--stats") {
-            cli.stats = true;
         } else if (a == "--no-multi-path") {
             cli.opts.multi_path = false;
         } else if (a == "--no-multi-schedule") {
@@ -584,7 +541,6 @@ renderModeOf(const CliOptions &cli, bool classify_mode)
 {
     core::RenderMode m;
     m.json = cli.json;
-    m.stats = cli.stats;
     m.classify_mode = classify_mode;
     m.only_class = cli.only_class;
     return m;
@@ -610,8 +566,7 @@ cmdList()
 int
 cmdRun(const std::string &name, bool classify_mode, CliOptions cli)
 {
-    installObsSinks(cli.obs.trace_out, cli.obs.metrics_out,
-                    cli.obs.progress_jsonl, false);
+    installObsSinks(cli.obs);
     PipelineRun p = runPipeline(name, cli);
     std::fputs(core::renderPipelineReport(
                    p.workload.name, p.workload.program, p.result,
@@ -619,8 +574,7 @@ cmdRun(const std::string &name, bool classify_mode, CliOptions cli)
                    renderModeOf(cli, classify_mode))
                    .c_str(),
                stdout);
-    return writeObsOutputs(cli.obs.trace_out, cli.obs.metrics_out,
-                           p.result.metrics);
+    return writeObsOutputs(cli.obs, p.result.metrics);
 }
 
 /** `run --file` / `classify --file`: the pipeline over a PIL file. */
@@ -628,8 +582,7 @@ int
 cmdRunFile(const std::string &path, bool classify_mode,
            CliOptions cli)
 {
-    installObsSinks(cli.obs.trace_out, cli.obs.metrics_out,
-                    cli.obs.progress_jsonl, false);
+    installObsSinks(cli.obs);
     PipelineRun p = runPipelineOn(loadProgramFile(path), cli);
     std::fputs(core::renderPipelineReport(
                    p.workload.name, p.workload.program, p.result,
@@ -637,8 +590,7 @@ cmdRunFile(const std::string &path, bool classify_mode,
                    renderModeOf(cli, classify_mode))
                    .c_str(),
                stdout);
-    return writeObsOutputs(cli.obs.trace_out, cli.obs.metrics_out,
-                           p.result.metrics);
+    return writeObsOutputs(cli.obs, p.result.metrics);
 }
 
 /** The campaign configuration the parsed flags describe. */
@@ -663,12 +615,10 @@ campaignConfigOf(const CliOptions &cli, bool classify_mode)
 int
 cmdBatch(bool classify_mode, CliOptions cli)
 {
-    installObsSinks(cli.obs.trace_out, cli.obs.metrics_out,
-                    cli.obs.progress_jsonl, false);
+    installObsSinks(cli.obs);
     campaign::Campaign engine(campaignConfigOf(cli, classify_mode));
     campaign::CampaignResult res = engine.run(-1, cli.opts.jobs);
-    const int obs_rc = writeObsOutputs(
-        cli.obs.trace_out, cli.obs.metrics_out, res.metrics);
+    const int obs_rc = writeObsOutputs(cli.obs, res.metrics);
     if (!res.error.empty()) {
         std::fprintf(stderr, "portend: %s\n", res.error.c_str());
         return 1;
@@ -681,7 +631,7 @@ cmdBatch(bool classify_mode, CliOptions cli)
 int
 cmdCampaign(int argc, char **argv)
 {
-    if (argc < 4)
+    if (argc < 4 || argv[3][0] == '-')
         usageError("usage: portend campaign run|resume|status <dir>");
     const std::string sub = argv[2];
     const std::string dir = argv[3];
@@ -736,8 +686,7 @@ cmdCampaign(int argc, char **argv)
         // drift from the run that started it.
         cli.opts.jobs = 0;
         for (int i = 1; i < rest_argc; ++i) {
-            if (parseObsFlag(rest_argc, rest.data(), i, &cli.obs,
-                             false))
+            if (parseObsFlag(rest_argc, rest.data(), i, &cli.obs))
                 continue;
             if (std::strcmp(rest[i], "--jobs") == 0) {
                 cli.opts.jobs = parseCount(
@@ -756,11 +705,9 @@ cmdCampaign(int argc, char **argv)
         return 2;
     }
 
-    installObsSinks(cli.obs.trace_out, cli.obs.metrics_out,
-                    cli.obs.progress_jsonl, false);
+    installObsSinks(cli.obs);
     campaign::CampaignResult res = c->run(abort_after, cli.opts.jobs);
-    const int obs_rc = writeObsOutputs(
-        cli.obs.trace_out, cli.obs.metrics_out, res.metrics);
+    const int obs_rc = writeObsOutputs(cli.obs, res.metrics);
     if (!res.error.empty()) {
         std::fprintf(stderr, "portend: %s\n", res.error.c_str());
         return 1;
@@ -794,7 +741,7 @@ cmdFuzz(int argc, char **argv)
     bool budget_given = false;
     ObsFlags obs;
     for (int i = 2; i < argc; ++i) {
-        if (parseObsFlag(argc, argv, i, &obs, true))
+        if (parseObsFlag(argc, argv, i, &obs))
             continue;
         std::string a = argv[i];
         const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -832,35 +779,10 @@ cmdFuzz(int argc, char **argv)
     if (budget_given && fo.seconds > 0)
         usageError("--budget and --seconds are mutually exclusive");
 
-    // The collector is always on for fuzz (the end-of-run summary
-    // reads it); the campaign summary on stdout stays byte-stable, so
-    // the metrics line joins the wall-clock line on stderr.
-    installObsSinks(obs.trace_out, obs.metrics_out,
-                    obs.progress_jsonl, true);
+    installObsSinks(obs);
     fuzz::FuzzResult res = fuzz::runFuzz(fo);
     std::fputs(res.summaryText().c_str(), stdout);
-
-    obs::MetricsShard m;
-    g_collector.drainInto(m);
-    if (!obs.quiet) {
-        std::fprintf(
-            stderr,
-            "metrics: fuzz.programs=%llu fuzz.flagged=%llu "
-            "interp.runs=%llu interp.steps=%llu "
-            "sym.solver_queries=%llu\n",
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::FuzzPrograms)),
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::FuzzFlagged)),
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::InterpRuns)),
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::InterpSteps)),
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::SolverQueries)));
-    }
-    const int obs_rc =
-        writeObsOutputs(obs.trace_out, obs.metrics_out, res.metrics);
+    const int obs_rc = writeObsOutputs(obs, res.metrics);
     std::fprintf(stderr, "wall-clock: %.2fs (%d jobs)\n", res.seconds,
                  resolveJobs(fo.jobs));
     if (obs_rc != 0)
@@ -870,16 +792,10 @@ cmdFuzz(int argc, char **argv)
 
 /** `portend corpus run <dir>`: replay a reproducer corpus. */
 int
-cmdCorpusRun(const std::string &dir, fuzz::OracleOptions opts,
-             const ObsFlags &obs_flags)
+cmdCorpusRun(const std::string &dir, const ObsFlags &obs_flags)
 {
-    const bool quiet = obs_flags.quiet;
-    // Collector on by default: the one-line summary below is the
-    // corpus counterpart of the fuzz metrics line (stderr, so the
-    // PASS/FAIL stdout stays byte-stable).
-    installObsSinks(obs_flags.trace_out, obs_flags.metrics_out,
-                    obs_flags.progress_jsonl, true);
-    fuzz::CorpusRunResult res = fuzz::runCorpus(dir, opts);
+    installObsSinks(obs_flags);
+    fuzz::CorpusRunResult res = fuzz::runCorpus(dir);
     if (res.total == 0) {
         std::fprintf(stderr,
                      "portend: no corpus entries under %s\n",
@@ -902,26 +818,7 @@ cmdCorpusRun(const std::string &dir, fuzz::OracleOptions opts,
     corpus_shard.add(obs::Counter::CorpusFailed,
                      static_cast<std::uint64_t>(res.total - res.passed));
     corpus_shard.merge(res.metrics);
-    if (!quiet) {
-        obs::MetricsShard m = corpus_shard;
-        g_collector.drainInto(m);
-        std::fprintf(
-            stderr,
-            "metrics: corpus.entries=%llu corpus.passed=%llu "
-            "corpus.failed=%llu interp.runs=%llu interp.steps=%llu\n",
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::CorpusEntries)),
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::CorpusPassed)),
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::CorpusFailed)),
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::InterpRuns)),
-            static_cast<unsigned long long>(
-                m.counter(obs::Counter::InterpSteps)));
-    }
-    const int obs_rc = writeObsOutputs(
-        obs_flags.trace_out, obs_flags.metrics_out, corpus_shard);
+    const int obs_rc = writeObsOutputs(obs_flags, corpus_shard);
     if (obs_rc != 0)
         return obs_rc;
     return res.allGreen() ? 0 : 1;
@@ -949,7 +846,7 @@ cmdServe(int argc, char **argv)
     so.dir = argv[2];
     ObsFlags obs_flags;
     for (int i = 3; i < argc; ++i) {
-        if (parseObsFlag(argc, argv, i, &obs_flags, false))
+        if (parseObsFlag(argc, argv, i, &obs_flags))
             continue;
         std::string a = argv[i];
         const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -976,8 +873,7 @@ cmdServe(int argc, char **argv)
     if (so.socket_path.empty())
         usageError("serve needs --socket <path>");
 
-    installObsSinks(obs_flags.trace_out, obs_flags.metrics_out,
-                    obs_flags.progress_jsonl, false);
+    installObsSinks(obs_flags);
     serve::Server server(so);
     std::string err;
     if (!server.start(&err)) {
@@ -996,8 +892,7 @@ cmdServe(int argc, char **argv)
     std::signal(SIGTERM, SIG_DFL);
     g_serve_server = nullptr;
     const int obs_rc =
-        writeObsOutputs(obs_flags.trace_out, obs_flags.metrics_out,
-                        obs::MetricsShard{});
+        writeObsOutputs(obs_flags, obs::MetricsShard{});
     return rc != 0 ? rc : obs_rc;
 }
 
@@ -1019,7 +914,7 @@ cmdSubmit(int argc, char **argv)
             ep.socket_path = next;
             ++i;
         } else if (a == "--jobs" || a == "--metrics-out" ||
-                   a == "--trace-out" || a == "--progress") {
+                   a == "--trace-out") {
             // The server runs the units: its own --workers and
             // observability flags apply, so these would be dropped.
             usageError("submit does not take " + a +
@@ -1129,21 +1024,12 @@ main(int argc, char **argv)
     if (cmd == "corpus") {
         if (argc < 4 || std::strcmp(argv[2], "run") != 0)
             usageError("usage: portend corpus run <dir>");
-        fuzz::OracleOptions opts;
         ObsFlags obs_flags;
-        for (int i = 4; i < argc; ++i) {
-            if (parseObsFlag(argc, argv, i, &obs_flags, true))
-                continue;
-            std::string a = argv[i];
-            if (a == "--explore") {
-                opts.explore = parseExploreMode(
-                    i + 1 < argc ? argv[i + 1] : nullptr);
-                ++i;
-            } else {
-                usageError("unknown corpus option: " + a);
-            }
-        }
-        return cmdCorpusRun(argv[3], opts, obs_flags);
+        for (int i = 4; i < argc; ++i)
+            if (!parseObsFlag(argc, argv, i, &obs_flags))
+                usageError("unknown corpus option: " +
+                           std::string(argv[i]));
+        return cmdCorpusRun(argv[3], obs_flags);
     }
     usageError("unknown command: " + cmd);
 }
