@@ -67,43 +67,6 @@ readUnsigned(std::istream &is, std::uint64_t *v)
     return (is >> std::ws).peek() != '-' && bool(is >> *v);
 }
 
-const char *
-detectorName(core::DetectorKind d)
-{
-    switch (d) {
-    case core::DetectorKind::HappensBefore: return "hb";
-    case core::DetectorKind::HappensBeforeNoMutex: return "hb-nomutex";
-    case core::DetectorKind::Lockset: return "lockset";
-    }
-    return "hb";
-}
-
-bool
-parseDetector(const std::string &s, core::DetectorKind *out)
-{
-    if (s == "hb")
-        *out = core::DetectorKind::HappensBefore;
-    else if (s == "hb-nomutex")
-        *out = core::DetectorKind::HappensBeforeNoMutex;
-    else if (s == "lockset")
-        *out = core::DetectorKind::Lockset;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseExplore(const std::string &s, explore::ExploreMode *out)
-{
-    if (s == "dpor")
-        *out = explore::ExploreMode::Dpor;
-    else if (s == "random")
-        *out = explore::ExploreMode::Random;
-    else
-        return false;
-    return true;
-}
-
 bool
 fail(std::string *error, const std::string &msg)
 {
@@ -136,41 +99,6 @@ unitSalt(const UnitSpec &spec, const core::RenderMode &render)
 {
     return "unit=" + spec.kind + ":" + spec.name + ";" +
            renderSalt(render);
-}
-
-/** Load a unit's program as a workload (registry name or PIL file). */
-bool
-loadUnit(const UnitSpec &spec, workloads::Workload *out,
-         std::string *error)
-{
-    if (spec.kind == "workload") {
-        bool known = false;
-        for (const auto &n : workloads::workloadNames())
-            known = known || n == spec.name;
-        for (const auto &n : workloads::extensionWorkloadNames())
-            known = known || n == spec.name;
-        if (!known)
-            return fail(error, "unknown workload: " + spec.name);
-        *out = workloads::buildWorkload(spec.name);
-        return true;
-    }
-    if (spec.kind == "file") {
-        std::ifstream is(spec.name, std::ios::binary);
-        if (!is)
-            return fail(error, "cannot open file: " + spec.name);
-        std::ostringstream os;
-        os << is.rdbuf();
-        std::string err;
-        std::optional<ir::Program> prog =
-            ir::deserializeProgram(os.str(), &err);
-        if (!prog)
-            return fail(error, spec.name + ": " + err);
-        out->name = prog->name.empty() ? spec.name : prog->name;
-        out->language = "PIL";
-        out->program = std::move(*prog);
-        return true;
-    }
-    return fail(error, "unknown unit kind: " + spec.kind);
 }
 
 /** A unit loaded and keyed: everything a cache miss needs to run. */
@@ -260,6 +188,40 @@ probeUnits(const CampaignConfig &config, VerdictCache &cache,
 
 } // namespace
 
+bool
+loadUnit(const UnitSpec &spec, workloads::Workload *out,
+         std::string *error)
+{
+    if (spec.kind == "workload") {
+        bool known = false;
+        for (const auto &n : workloads::workloadNames())
+            known = known || n == spec.name;
+        for (const auto &n : workloads::extensionWorkloadNames())
+            known = known || n == spec.name;
+        if (!known)
+            return fail(error, "unknown workload: " + spec.name);
+        *out = workloads::buildWorkload(spec.name);
+        return true;
+    }
+    if (spec.kind == "file") {
+        std::ifstream is(spec.name, std::ios::binary);
+        if (!is)
+            return fail(error, "cannot open file: " + spec.name);
+        std::ostringstream os;
+        os << is.rdbuf();
+        std::string err;
+        std::optional<ir::Program> prog =
+            ir::deserializeProgram(os.str(), &err);
+        if (!prog)
+            return fail(error, spec.name + ": " + err);
+        out->name = prog->name.empty() ? spec.name : prog->name;
+        out->language = "PIL";
+        out->program = std::move(*prog);
+        return true;
+    }
+    return fail(error, "unknown unit kind: " + spec.kind);
+}
+
 std::vector<UnitSpec>
 registryUnits()
 {
@@ -299,7 +261,7 @@ manifestText(const CampaignConfig &config)
     fixed("timeout_factor");
     os << "max_steps " << o.max_steps << "\n";
     os << "detection_seed " << o.detection_seed << "\n";
-    os << "detector " << detectorName(o.detector) << "\n";
+    os << "detector " << core::detectorName(o.detector) << "\n";
     os << "explore " << explore::exploreModeName(o.explore) << "\n";
     fixed("preemption_bound");
     fixed("solver.max_assignments");
@@ -374,10 +336,18 @@ parseManifest(const std::string &text, std::string *error)
             ok = readUnsigned(ls, &o.detection_seed);
         } else if (key == "detector") {
             std::string v;
-            ok = bool(ls >> v) && parseDetector(v, &o.detector);
+            ls >> v;
+            std::optional<core::DetectorKind> d =
+                core::detectorFromName(v);
+            ok = d.has_value();
+            o.detector = d.value_or(o.detector);
         } else if (key == "explore") {
             std::string v;
-            ok = bool(ls >> v) && parseExplore(v, &o.explore);
+            ls >> v;
+            std::optional<explore::ExploreMode> m =
+                explore::exploreModeFromName(v);
+            ok = m.has_value();
+            o.explore = m.value_or(o.explore);
         } else if (key == "executor_max_states") {
             ok = bool(ls >> o.executor_max_states) &&
                  o.executor_max_states >= 1;

@@ -42,6 +42,7 @@
 #include "campaign/signature.h"
 #include "portend/render.h"
 #include "support/observe.h"
+#include "workloads/workload.h"
 
 namespace portend::campaign {
 
@@ -61,6 +62,16 @@ struct CampaignConfig
     core::RenderMode render;       ///< output shape of cached payloads
     std::vector<UnitSpec> units;   ///< the manifest, in output order
 };
+
+/**
+ * Load @p spec's program as a workload: a registry name (Table 1 or
+ * extension workload) or a serialized PIL file, named after its
+ * program (the path when the program has no name). False with
+ * @p error set ("unknown workload: X", "cannot open file: P" or
+ * "P: <parse error>") when it cannot be loaded.
+ */
+bool loadUnit(const UnitSpec &spec, workloads::Workload *out,
+              std::string *error);
 
 /** The standard batch manifest: every Table 1 registry workload. */
 std::vector<UnitSpec> registryUnits();

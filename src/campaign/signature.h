@@ -6,9 +6,8 @@
  * everything a verdict is a function of — and nothing it is not. The
  * key has two components, both known before anything runs:
  *
- *  - the program fingerprint (rt::programFingerprint, the decode
- *    cache's key from the interpreter rebuild): stable across
- *    processes, changes with any semantic program edit;
+ *  - the program fingerprint (rt::programFingerprint): stable
+ *    across processes, changes with any semantic program edit;
  *  - the config hash: every PortendOptions dial that can change a
  *    verdict or the rendered report bytes (explorer, Mp/Ma,
  *    detector, symbolic-input selection, budgets, seeds), plus a

@@ -23,6 +23,16 @@ exploreModeName(ExploreMode m)
     return "?";
 }
 
+std::optional<ExploreMode>
+exploreModeFromName(const std::string &name)
+{
+    for (ExploreMode m : {ExploreMode::Random, ExploreMode::Dpor}) {
+        if (name == exploreModeName(m))
+            return m;
+    }
+    return std::nullopt;
+}
+
 namespace {
 
 using Access = rt::ScheduleObservation::Access;

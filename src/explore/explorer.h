@@ -71,6 +71,12 @@ enum class ExploreMode : std::uint8_t {
 const char *exploreModeName(ExploreMode m);
 
 /**
+ * Inverse of exploreModeName: parse a mode name. Returns
+ * std::nullopt for unknown names.
+ */
+std::optional<ExploreMode> exploreModeFromName(const std::string &name);
+
+/**
  * One post-race schedule to execute.
  *
  * Exactly one shape per kind:

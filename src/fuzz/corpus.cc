@@ -218,8 +218,8 @@ replayEntry(const CorpusEntry &entry)
     // cross-validate the other explorer.
     OracleOptions o;
     o.detection_seed = entry.detection_seed;
-    if (entry.explore == "random")
-        o.explore = explore::ExploreMode::Random;
+    o.explore = explore::exploreModeFromName(entry.explore)
+                    .value_or(explore::ExploreMode::Dpor);
     OracleVerdict v = runOracle(*prog, o);
     out.metrics = v.metrics;
 

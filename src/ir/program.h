@@ -125,12 +125,13 @@ class Program
     GlobalId cellGlobal(int cell) const;
 
     /**
-     * Opaque per-instance slot for the runtime's decoded form
-     * (rt::decodeProgram). Populated lazily after finalize() and
-     * cleared by it; copies share the cached decode, which is sound
-     * because it depends only on the (immutable-once-finalized)
-     * program content. All access is synchronized inside decode.cc —
-     * never touch this slot elsewhere.
+     * Opaque slot for the runtime's decoded form, the one decode of
+     * this object (rt::decodeProgram). Populated lazily after
+     * finalize() and cleared by it; copies share the decode, which
+     * is sound because it depends only on the
+     * (immutable-once-finalized) program content, and so do all the
+     * interpreters that run the object. All access is synchronized
+     * inside decode.cc — never touch this slot elsewhere.
      */
     mutable std::shared_ptr<const void> runtime_cache;
 

@@ -81,6 +81,15 @@ enum class DetectorKind : std::uint8_t {
     Lockset,              ///< Eraser-style lockset detector
 };
 
+/** Printable detector name (CLI and manifest spelling). */
+const char *detectorName(DetectorKind d);
+
+/**
+ * Inverse of detectorName: parse a detector name. Returns
+ * std::nullopt for unknown names.
+ */
+std::optional<DetectorKind> detectorFromName(const std::string &name);
+
 /**
  * Inputs made symbolic in stage 2 when PortendOptions::sym_inputs
  * names none: the first this many Input reads of a run.

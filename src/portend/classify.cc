@@ -1,5 +1,7 @@
 #include "portend/classify.h"
 
+#include "portend/analyzer.h"
+
 namespace portend::core {
 
 const char *
@@ -21,6 +23,29 @@ raceClassFromName(const std::string &name)
     for (RaceClass c : kAllRaceClasses)
         if (name == raceClassName(c))
             return c;
+    return std::nullopt;
+}
+
+const char *
+detectorName(DetectorKind d)
+{
+    switch (d) {
+      case DetectorKind::HappensBefore: return "hb";
+      case DetectorKind::HappensBeforeNoMutex: return "hb-nomutex";
+      case DetectorKind::Lockset: return "lockset";
+    }
+    return "?";
+}
+
+std::optional<DetectorKind>
+detectorFromName(const std::string &name)
+{
+    for (DetectorKind d :
+         {DetectorKind::HappensBefore, DetectorKind::HappensBeforeNoMutex,
+          DetectorKind::Lockset}) {
+        if (name == detectorName(d))
+            return d;
+    }
     return std::nullopt;
 }
 

@@ -82,7 +82,6 @@ Portend::detect()
     result.metrics.add(Counter::DetectDynamicRaces,
                        result.dynamic_races);
     result.metrics.add(Counter::DetectClusters, result.clusters.size());
-    result.metrics.add(Counter::DetectEventsBatched, vm.events_batched);
     result.metrics.add(Counter::DetectHistoryEvictions,
                        opts.detector == DetectorKind::Lockset
                            ? lockset.evictions()

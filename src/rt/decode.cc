@@ -1,6 +1,5 @@
 #include "rt/decode.h"
 
-#include <map>
 #include <mutex>
 
 #include "support/hash.h"
@@ -231,16 +230,6 @@ buildDecoded(const ir::Program &p)
     return dp;
 }
 
-/** True when a cached decode plausibly belongs to @p p (guards the
- *  astronomically unlikely fingerprint collision with cheap shape
- *  checks). */
-bool
-matchesShape(const DecodedProgram &d, const ir::Program &p)
-{
-    return d.num_insts == p.numInsts() && d.num_cells == p.numCells() &&
-           d.entry == p.entry && d.funcs.size() == p.functions.size();
-}
-
 } // namespace
 
 std::shared_ptr<const DecodedProgram>
@@ -248,55 +237,22 @@ decodeProgram(const ir::Program &p)
 {
     PORTEND_ASSERT(p.finalized(), "decoding a non-finalized program");
 
+    // Guards every program's slot. The decode is built outside it;
+    // when two threads miss on one program at once, both build and
+    // the first store wins, so every interpreter shares one decode.
     static std::mutex mu;
-    static std::map<std::uint64_t,
-                    std::weak_ptr<const DecodedProgram>>
-        cache;
-
-    // Per-instance fast path: the program object carries its own
-    // decode after the first call, skipping the fingerprint hash
-    // entirely (interpreters are built per analysis run, thousands
-    // of times per program).
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (p.runtime_cache) {
-            auto sp = std::static_pointer_cast<const DecodedProgram>(
+        if (p.runtime_cache)
+            return std::static_pointer_cast<const DecodedProgram>(
                 p.runtime_cache);
-            if (matchesShape(*sp, p))
-                return sp;
-        }
     }
-
-    const std::uint64_t fp = programFingerprint(p);
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto it = cache.find(fp);
-        if (it != cache.end()) {
-            if (auto sp = it->second.lock();
-                sp && matchesShape(*sp, p)) {
-                p.runtime_cache = sp;
-                return sp;
-            }
-        }
-    }
-
-    auto fresh = buildDecoded(p);
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        // The fuzzer decodes thousands of short-lived programs; sweep
-        // expired entries so the cache stays bounded.
-        if (cache.size() >= 1024) {
-            for (auto it = cache.begin(); it != cache.end();) {
-                if (it->second.expired())
-                    it = cache.erase(it);
-                else
-                    ++it;
-            }
-        }
-        cache[fp] = fresh;
+    std::shared_ptr<const DecodedProgram> fresh = buildDecoded(p);
+    std::lock_guard<std::mutex> lock(mu);
+    if (!p.runtime_cache)
         p.runtime_cache = fresh;
-    }
-    return fresh;
+    return std::static_pointer_cast<const DecodedProgram>(
+        p.runtime_cache);
 }
 
 int

@@ -13,15 +13,17 @@
  * branch targets resolved to flat ips, call linkage (callee register
  * and parameter counts) cached, and the preemption class precomputed.
  *
- * Decoded programs are immutable and shared: a fingerprint-keyed
- * registry hands the same DecodedProgram to every interpreter running
- * the same program (the parallel classifier builds many interpreters
- * per program). DecodedInst is fully self-contained — it copies the
- * text/loc fields it needs and holds no pointers into the source
- * ir::Program — so a cached entry can outlive the Program object it
- * was decoded from. The decode also carries the program's pristine
- * (pre-first-step) VmState, built once with it, so resetting an
- * interpreter is a copy-on-write copy of that state.
+ * Decoded programs are immutable and shared: a program is decoded
+ * once per ir::Program object, into its runtime_cache slot, and
+ * every interpreter running that object or a copy of it shares the
+ * one DecodedProgram (the parallel classifier builds many
+ * interpreters per program). DecodedInst is fully self-contained —
+ * it copies the text/loc fields it needs and holds no pointers into
+ * the source ir::Program — so a decode an interpreter holds can
+ * outlive the Program object it was decoded from. The decode also
+ * carries the program's pristine (pre-first-step) VmState, built
+ * once with it, so resetting an interpreter is a copy-on-write copy
+ * of that state.
  */
 
 #ifndef PORTEND_RT_DECODE_H
@@ -129,14 +131,15 @@ struct DecodedProgram
 };
 
 /**
- * Decode @p p, or return the cached decode of a fingerprint-equal
- * program. @p p must be finalized. Thread-safe.
+ * The decode of @p p, built on first use and kept in its
+ * runtime_cache slot (a copy of a program shares the decode already
+ * in the slot). @p p must be finalized. Thread-safe.
  */
 std::shared_ptr<const DecodedProgram> decodeProgram(const ir::Program &p);
 
 /**
  * Semantic fingerprint of a finalized program (stable across
- * processes); the decode-cache key.
+ * processes); the program half of the campaign and fuzz cache keys.
  */
 std::uint64_t programFingerprint(const ir::Program &p);
 

@@ -76,18 +76,13 @@ class EventSink
   public:
     virtual ~EventSink() = default;
 
-    /** Called for every event, in program order. */
-    virtual void onEvent(const Event &ev) = 0;
-
     /**
-     * True when the sink must observe each event at the instruction
-     * that produced it, before the interpreter executes anything
-     * else. The interpreter batches events for ordinary sinks
-     * (delivering at segment boundaries, still in program order);
-     * sinks whose onEvent reads live interpreter state — e.g. a
-     * semantic monitor sampling memory cells — override this.
+     * Called for every event, in program order, at the instruction
+     * that produced it: the interpreter has executed nothing since,
+     * so a sink may read live interpreter state (a semantic monitor
+     * samples memory cells).
      */
-    virtual bool immediate() const { return false; }
+    virtual void onEvent(const Event &ev) = 0;
 
     /**
      * Exact loop detection hook (see Interpreter::run): append the

@@ -20,21 +20,6 @@ namespace portend::rt {
 static_assert(static_cast<int>(ir::Op::Assert) == 28,
               "PORTEND_OP_LIST is out of sync with ir::Op");
 
-namespace {
-
-/** Flush threshold of the event staging buffer. */
-constexpr std::size_t kEventBatchCap = 256;
-
-/**
- * Initial capacity of the event staging buffer. Every scheduling
- * decision flushes it, so it rarely holds more than a few events;
- * reserving the full batch cap in every interpreter would cost more
- * memory than the growth it saves.
- */
-constexpr std::size_t kEventBufStart = 16;
-
-} // namespace
-
 Interpreter::Interpreter(const ir::Program &p, ExecOptions o)
     : prog(p), dec(decodeProgram(p)), opts(std::move(o))
 {
@@ -66,8 +51,10 @@ void
 Interpreter::publish(Event ev)
 {
     ev.step = st.global_step;
-    for (EventSink *s : immediate_sinks)
+    for (EventSink *s : sinks)
         s->onEvent(ev);
+    if (policy)
+        policy->onEvent(ev);
     if (active_stop && active_stop->after_pair &&
         (ev.kind == EventKind::MemRead ||
          ev.kind == EventKind::MemWrite)) {
@@ -82,26 +69,6 @@ Interpreter::publish(Event ev)
                 stop_pair_fired = true;
         }
     }
-    if (!batched_sinks.empty() || policy) {
-        st.stats.events_batched += 1;
-        event_buf.push_back(std::move(ev));
-        if (event_buf.size() >= kEventBatchCap)
-            flushEvents();
-    }
-}
-
-void
-Interpreter::flushEvents()
-{
-    if (event_buf.empty())
-        return;
-    for (const Event &ev : event_buf) {
-        for (EventSink *s : batched_sinks)
-            s->onEvent(ev);
-        if (policy)
-            policy->onEvent(ev);
-    }
-    event_buf.clear();
 }
 
 void
@@ -221,15 +188,13 @@ Interpreter::unlockMutex(ThreadId tid, ir::SyncId m, int pc,
         wt.status = ThreadStatus::Runnable;
         wt.wait_sync = -1;
     }
-    if (record_events) {
-        Event ev;
-        ev.kind = EventKind::MutexUnlock;
-        ev.tid = tid;
-        ev.pc = pc;
-        ev.sid = m;
-        ev.loc = &loc;
-        publish(std::move(ev));
-    }
+    Event ev;
+    ev.kind = EventKind::MutexUnlock;
+    ev.tid = tid;
+    ev.pc = pc;
+    ev.sid = m;
+    ev.loc = &loc;
+    publish(std::move(ev));
 }
 
 void
@@ -238,12 +203,10 @@ Interpreter::exitThread(ThreadId tid)
     ThreadState &t = st.thread(tid);
     t.status = ThreadStatus::Exited;
 
-    if (record_events) {
-        Event ev;
-        ev.kind = EventKind::ThreadExit;
-        ev.tid = tid;
-        publish(std::move(ev));
-    }
+    Event ev;
+    ev.kind = EventKind::ThreadExit;
+    ev.tid = tid;
+    publish(std::move(ev));
 
     // Wake joiners; their pending ThreadJoin completes now.
     for (auto &joiner : st.threads) {
@@ -253,15 +216,13 @@ Interpreter::exitThread(ThreadId tid)
             joiner.wait_tid = -1;
             const DecodedInst &ji = fetchD(joiner);
             advance(joiner);
-            if (record_events) {
-                Event je;
-                je.kind = EventKind::ThreadJoin;
-                je.tid = joiner.tid;
-                je.other = tid;
-                je.pc = ji.pc;
-                je.loc = &ji.loc;
-                publish(std::move(je));
-            }
+            Event je;
+            je.kind = EventKind::ThreadJoin;
+            je.tid = joiner.tid;
+            je.other = tid;
+            je.pc = ji.pc;
+            je.loc = &ji.loc;
+            publish(std::move(je));
         }
     }
 
@@ -338,15 +299,13 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 t2.stack.back().reg_base + di.dst)] =
                 Value::ofConst(child_tid);
         }
-        if (record_events) {
-            Event ev;
-            ev.kind = EventKind::ThreadCreate;
-            ev.tid = tid;
-            ev.pc = di.pc;
-            ev.other = child_tid;
-            ev.loc = &di.loc;
-            publish(std::move(ev));
-        }
+        Event ev;
+        ev.kind = EventKind::ThreadCreate;
+        ev.tid = tid;
+        ev.pc = di.pc;
+        ev.other = child_tid;
+        ev.loc = &di.loc;
+        publish(std::move(ev));
         break;
       }
 
@@ -374,15 +333,13 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
         if (st.thread(static_cast<ThreadId>(target)).status ==
             ThreadStatus::Exited) {
             advance(t2);
-            if (record_events) {
-                Event ev;
-                ev.kind = EventKind::ThreadJoin;
-                ev.tid = tid;
-                ev.pc = di.pc;
-                ev.other = static_cast<ThreadId>(target);
-                ev.loc = &di.loc;
-                publish(std::move(ev));
-            }
+            Event ev;
+            ev.kind = EventKind::ThreadJoin;
+            ev.tid = tid;
+            ev.pc = di.pc;
+            ev.other = static_cast<ThreadId>(target);
+            ev.loc = &di.loc;
+            publish(std::move(ev));
         } else {
             t2.status = ThreadStatus::BlockedJoin;
             t2.wait_tid = static_cast<ThreadId>(target);
@@ -394,15 +351,13 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
         if (tryLock(tid, di.sid)) {
             ThreadState &t = st.thread(tid);
             advance(t);
-            if (record_events) {
-                Event ev;
-                ev.kind = EventKind::MutexLock;
-                ev.tid = tid;
-                ev.pc = di.pc;
-                ev.sid = di.sid;
-                ev.loc = &di.loc;
-                publish(std::move(ev));
-            }
+            Event ev;
+            ev.kind = EventKind::MutexLock;
+            ev.tid = tid;
+            ev.pc = di.pc;
+            ev.sid = di.sid;
+            ev.loc = &di.loc;
+            publish(std::move(ev));
         }
         break;
       }
@@ -439,22 +394,20 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 advance(t2);
                 // The re-acquisition is a real lock operation: emit
                 // it so happens-before edges through the mutex hold.
-                if (record_events) {
-                    Event lk;
-                    lk.kind = EventKind::MutexLock;
-                    lk.tid = tid;
-                    lk.pc = di.pc;
-                    lk.sid = di.sid2;
-                    lk.loc = &di.loc;
-                    publish(std::move(lk));
-                    Event ev;
-                    ev.kind = EventKind::CondWait;
-                    ev.tid = tid;
-                    ev.pc = di.pc;
-                    ev.sid = di.sid;
-                    ev.loc = &di.loc;
-                    publish(std::move(ev));
-                }
+                Event lk;
+                lk.kind = EventKind::MutexLock;
+                lk.tid = tid;
+                lk.pc = di.pc;
+                lk.sid = di.sid2;
+                lk.loc = &di.loc;
+                publish(std::move(lk));
+                Event ev;
+                ev.kind = EventKind::CondWait;
+                ev.tid = tid;
+                ev.pc = di.pc;
+                ev.sid = di.sid;
+                ev.loc = &di.loc;
+                publish(std::move(ev));
             }
         }
         break;
@@ -476,15 +429,13 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
             wt.cond_relock = true;
         }
         advance(st.thread(tid));
-        if (record_events) {
-            Event ev;
-            ev.kind = EventKind::CondSignal;
-            ev.tid = tid;
-            ev.pc = di.pc;
-            ev.sid = di.sid;
-            ev.loc = &di.loc;
-            publish(std::move(ev));
-        }
+        Event ev;
+        ev.kind = EventKind::CondSignal;
+        ev.tid = tid;
+        ev.pc = di.pc;
+        ev.sid = di.sid;
+        ev.loc = &di.loc;
+        publish(std::move(ev));
         break;
       }
 
@@ -507,28 +458,24 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
                 wt.wait_sync = -1;
                 const DecodedInst &wi = fetchD(wt);
                 advance(wt);
-                if (record_events) {
-                    Event ev;
-                    ev.kind = EventKind::BarrierWait;
-                    ev.tid = w;
-                    ev.pc = wi.pc;
-                    ev.sid = di.sid;
-                    ev.loc = &wi.loc;
-                    publish(std::move(ev));
-                }
+                Event ev;
+                ev.kind = EventKind::BarrierWait;
+                ev.tid = w;
+                ev.pc = wi.pc;
+                ev.sid = di.sid;
+                ev.loc = &wi.loc;
+                publish(std::move(ev));
             }
             bar.waiting.clear();
             ThreadState &t = st.thread(tid);
             advance(t);
-            if (record_events) {
-                Event ev;
-                ev.kind = EventKind::BarrierWait;
-                ev.tid = tid;
-                ev.pc = di.pc;
-                ev.sid = di.sid;
-                ev.loc = &di.loc;
-                publish(std::move(ev));
-            }
+            Event ev;
+            ev.kind = EventKind::BarrierWait;
+            ev.tid = tid;
+            ev.pc = di.pc;
+            ev.sid = di.sid;
+            ev.loc = &di.loc;
+            publish(std::move(ev));
         }
         break;
       }
@@ -631,14 +578,12 @@ Interpreter::executeSlow(ThreadId tid, const DecodedInst &di)
         rec.loc = &di.loc;
         st.output.append(std::move(rec));
         advance(t);
-        if (record_events) {
-            Event ev;
-            ev.kind = EventKind::Output;
-            ev.tid = tid;
-            ev.pc = di.pc;
-            ev.loc = &di.loc;
-            publish(std::move(ev));
-        }
+        Event ev;
+        ev.kind = EventKind::Output;
+        ev.tid = tid;
+        ev.pc = di.pc;
+        ev.loc = &di.loc;
+        publish(std::move(ev));
         break;
       }
 
@@ -875,8 +820,6 @@ Interpreter::skipCycles(const LoopCheck &lc, std::uint64_t k)
         k * (st.stats.preemption_points - s.stats.preemption_points);
     st.stats.symbolic_branches +=
         k * (st.stats.symbolic_branches - s.stats.symbolic_branches);
-    st.stats.events_batched +=
-        k * (st.stats.events_batched - s.stats.events_batched);
     detail::noteBoxed(k * (valuesBoxed() - s.boxed));
     st.virtual_time += static_cast<std::int64_t>(k) *
                        (st.virtual_time - s.virtual_time);
@@ -912,18 +855,6 @@ Interpreter::run(const StopSpec &stop)
     fired_before_cell.clear();
     SchedulePolicy *pol = policy ? policy : &default_policy;
 
-    // Partition sinks once per run; when nothing consumes events the
-    // hot loop skips Event construction entirely.
-    immediate_sinks.clear();
-    batched_sinks.clear();
-    for (EventSink *s : sinks)
-        (s->immediate() ? immediate_sinks : batched_sinks).push_back(s);
-    record_events = !sinks.empty() || policy != nullptr ||
-                    (active_stop && active_stop->after_pair);
-    event_buf.clear();
-    if (record_events)
-        event_buf.reserve(kEventBufStart);
-
     const std::uint64_t boxed0 = valuesBoxed();
     const RunOutcome outcome0 = st.outcome;
     // A fork hook decides symbolic branches outside the state, so
@@ -951,8 +882,6 @@ Interpreter::run(const StopSpec &stop)
             c->add(obs::Counter::InterpSymBranches,
                    st.stats.symbolic_branches -
                        entry_stats.symbolic_branches);
-            c->add(obs::Counter::InterpEventsBatched,
-                   st.stats.events_batched - entry_stats.events_batched);
             c->add(obs::Counter::InterpValuesBoxed,
                    st.stats.values_boxed - entry_stats.values_boxed);
             c->add(obs::Counter::InterpCyclesDetected, loop.detected);
@@ -994,10 +923,6 @@ Interpreter::run(const StopSpec &stop)
             st.resume_in_segment = false;
         } else {
             st.resume_in_segment = false;
-            // Batched consumers catch up before every scheduling
-            // decision, so policies observe the same prefix they saw
-            // under per-event delivery.
-            flushEvents();
             if (loop.armed)
                 checkLoop(loop, *pol);
             tid = pol->pick(st, runnable_scratch);
@@ -1017,7 +942,6 @@ Interpreter::run(const StopSpec &stop)
         if (ex == SegExit::StopBefore || ex == SegExit::StopPair) {
             stopped_at_spec = true;
             active_stop = nullptr;
-            flushEvents();
             st.stats.values_boxed += valuesBoxed() - boxed0;
             st.stats.pages_unshared = st.mem.unsharedCount();
             flush_observability();
@@ -1026,7 +950,6 @@ Interpreter::run(const StopSpec &stop)
     }
 
     active_stop = nullptr;
-    flushEvents();
     st.stats.values_boxed += valuesBoxed() - boxed0;
     st.stats.pages_unshared = st.mem.unsharedCount();
     flush_observability();
@@ -1181,17 +1104,15 @@ Interpreter::segment(ThreadId tid, bool first)
                   static_cast<std::size_t>(cell)];
         t->recent_reads.push(cell);
         advance(*t);
-        if (record_events) {
-            Event ev;
-            ev.kind = EventKind::MemRead;
-            ev.tid = tid;
-            ev.pc = di.pc;
-            ev.cell = cell;
-            ev.occurrence = occ;
-            ev.cell_occurrence = cocc;
-            ev.loc = &di.loc;
-            publish(std::move(ev));
-        }
+        Event ev;
+        ev.kind = EventKind::MemRead;
+        ev.tid = tid;
+        ev.pc = di.pc;
+        ev.cell = cell;
+        ev.occurrence = occ;
+        ev.cell_occurrence = cocc;
+        ev.loc = &di.loc;
+        publish(std::move(ev));
         goto L_post;
     }
 
@@ -1211,17 +1132,15 @@ Interpreter::segment(ThreadId tid, bool first)
             ++row[static_cast<std::size_t>(st.counter_stride) +
                   static_cast<std::size_t>(cell)];
         advance(*t);
-        if (record_events) {
-            Event ev;
-            ev.kind = EventKind::MemWrite;
-            ev.tid = tid;
-            ev.pc = di.pc;
-            ev.cell = cell;
-            ev.occurrence = occ;
-            ev.cell_occurrence = cocc;
-            ev.loc = &di.loc;
-            publish(std::move(ev));
-        }
+        Event ev;
+        ev.kind = EventKind::MemWrite;
+        ev.tid = tid;
+        ev.pc = di.pc;
+        ev.cell = cell;
+        ev.occurrence = occ;
+        ev.cell_occurrence = cocc;
+        ev.loc = &di.loc;
+        publish(std::move(ev));
         goto L_post;
     }
 
@@ -1246,21 +1165,19 @@ Interpreter::segment(ThreadId tid, bool first)
             ++row[static_cast<std::size_t>(st.counter_stride) +
                   static_cast<std::size_t>(cell)];
         advance(*t);
-        if (record_events) {
-            Event r;
-            r.kind = EventKind::MemRead;
-            r.tid = tid;
-            r.pc = di.pc;
-            r.cell = cell;
-            r.atomic = true;
-            r.occurrence = occ;
-            r.cell_occurrence = cocc;
-            r.loc = &di.loc;
-            Event w = r;
-            w.kind = EventKind::MemWrite;
-            publish(std::move(r));
-            publish(std::move(w));
-        }
+        Event r;
+        r.kind = EventKind::MemRead;
+        r.tid = tid;
+        r.pc = di.pc;
+        r.cell = cell;
+        r.atomic = true;
+        r.occurrence = occ;
+        r.cell_occurrence = cocc;
+        r.loc = &di.loc;
+        Event w = r;
+        w.kind = EventKind::MemWrite;
+        publish(std::move(r));
+        publish(std::move(w));
         goto L_post;
     }
 

@@ -329,12 +329,9 @@ class Interpreter
     /** Advance past the current instruction of @p t. */
     void advance(ThreadState &t);
 
-    /** Stage @p ev: deliver to immediate sinks and the after_pair
-     *  stop now, buffer for batched sinks and the policy. */
+    /** Hand @p ev to every sink, the policy and the after_pair
+     *  stop. */
     void publish(Event ev);
-
-    /** Drain the event buffer to batched sinks and the policy. */
-    void flushEvents();
 
     /** Resolve a symbolic I1 decision (hook / forced queue). */
     bool decideCondition(const sym::ExprPtr &cond, DecisionKind kind);
@@ -373,14 +370,6 @@ class Interpreter
     int pair_stage = 0;
     std::vector<std::size_t> fired_before_cell;
 
-    /** True while any consumer wants events this run (sinks, an
-     *  installed policy, or an after_pair stop); when false the hot
-     *  loop skips Event construction entirely. */
-    bool record_events = false;
-    std::vector<EventSink *> immediate_sinks;
-    std::vector<EventSink *> batched_sinks;
-    /** Reusable staging buffer for batched event delivery. */
-    std::vector<Event> event_buf;
     /** Reusable runnable-thread scratch for the scheduler loop. */
     std::vector<ThreadId> runnable_scratch;
 };

@@ -63,10 +63,6 @@ class SemanticMonitor : public EventSink
         : interp(interp), preds(preds)
     {}
 
-    /** Predicates sample live interpreter state (memory cells), so
-     *  batching would show them post-segment values; opt out. */
-    bool immediate() const override { return true; }
-
     void
     onEvent(const Event &ev) override
     {

@@ -344,7 +344,6 @@ struct VmStats
     std::uint64_t preemption_points = 0; ///< scheduling decisions taken
     std::uint64_t symbolic_branches = 0; ///< forks offered to the hook
     std::uint64_t values_boxed = 0;      ///< Value→ExprPtr conversions
-    std::uint64_t events_batched = 0;    ///< events staged in the buffer
     std::uint64_t pages_unshared = 0;    ///< COW page clones in mem
 };
 

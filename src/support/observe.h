@@ -65,7 +65,6 @@ namespace portend::obs {
     X(CorpusPassed, "corpus.passed")                                          \
     X(DetectClusters, "detect.clusters")                                      \
     X(DetectDynamicRaces, "detect.dynamic_races")                             \
-    X(DetectEventsBatched, "detect.events_batched")                           \
     X(DetectHistoryEvictions, "detect.history_evictions")                     \
     X(DetectPagesUnshared, "detect.pages_unshared")                           \
     X(DetectRuns, "detect.runs")                                              \
@@ -77,7 +76,6 @@ namespace portend::obs {
     X(FuzzFlagged, "fuzz.flagged")                                            \
     X(FuzzPrograms, "fuzz.programs")                                          \
     X(InterpCyclesDetected, "interp.cycles_detected")                         \
-    X(InterpEventsBatched, "interp.events_batched")                           \
     X(InterpPreemptions, "interp.preemptions")                                \
     X(InterpRuns, "interp.runs")                                              \
     X(InterpSteps, "interp.steps")                                            \

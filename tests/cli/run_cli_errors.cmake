@@ -19,7 +19,11 @@
 #
 # `campaign run|resume|status <dir>` refuses a flag where the
 # directory belongs, so a forgotten `<dir>` never creates a campaign
-# named after the flag.
+# named after the flag. The path flags (`--metrics-out`,
+# `--trace-out`, `--corpus`, `--campaign`, `--socket`) follow the
+# same rule: a forgotten path never writes a file, or creates a
+# directory, named after the next flag, and `submit` never dials a
+# socket named after one.
 #
 # `submit` with an action (`--status`, `--ping`, `--shutdown`) sends
 # no manifest: a second action or any other flag beside it is refused
@@ -47,6 +51,12 @@ set(bad_cases
     "classify avv --k banana"
     "campaign run ignored --abort-after -1"
     "campaign run --json"
+    "classify avv --metrics-out --json"
+    "classify avv --trace-out --json"
+    "fuzz --budget 2 --jobs 1 --campaign --json"
+    "fuzz --budget 2 --jobs 1 --corpus --json"
+    "submit --socket --json --status"
+    "serve d --socket --json"
     "classify avv --stats"
     "classify avv --progress jsonl"
     "fuzz --budget 1 --quiet"

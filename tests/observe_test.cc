@@ -212,7 +212,6 @@ TEST(LedgerViewTest, DetectionShardRecordsTheRun)
     EXPECT_EQ(m.counter(obs::Counter::DetectDynamicRaces),
               d.dynamic_races);
     EXPECT_EQ(m.counter(obs::Counter::DetectClusters), d.clusters.size());
-    EXPECT_GT(m.counter(obs::Counter::DetectEventsBatched), 0u);
     // The decode is a property of the program, not of the run.
     const rt::Interpreter fresh(w.program, rt::ExecOptions{});
     EXPECT_EQ(m.gauge(obs::Gauge::DecodedSites),

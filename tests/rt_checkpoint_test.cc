@@ -418,7 +418,6 @@ expectEndEqualsFullReplay(const std::string &name)
     EXPECT_EQ(got.stats.preemption_points, ref.stats.preemption_points);
     EXPECT_EQ(got.stats.symbolic_branches, ref.stats.symbolic_branches);
     EXPECT_EQ(got.stats.values_boxed, ref.stats.values_boxed);
-    EXPECT_EQ(got.stats.events_batched, ref.stats.events_batched);
     ASSERT_EQ(got.mem.size(), ref.mem.size());
     for (std::size_t i = 0; i < ref.mem.size(); ++i)
         EXPECT_TRUE(got.mem[i].equals(ref.mem[i])) << "cell " << i;

@@ -88,7 +88,6 @@ expectSameState(const Interpreter &got, const Interpreter &ref)
     EXPECT_EQ(a.stats.preemption_points, b.stats.preemption_points);
     EXPECT_EQ(a.stats.symbolic_branches, b.stats.symbolic_branches);
     EXPECT_EQ(a.stats.values_boxed, b.stats.values_boxed);
-    EXPECT_EQ(a.stats.events_batched, b.stats.events_batched);
     // The only documented exception: the snapshots share pages with
     // the live image, so its writes may clone more of them.
     EXPECT_GE(a.stats.pages_unshared, b.stats.pages_unshared);

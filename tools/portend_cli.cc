@@ -16,7 +16,6 @@
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "explore/explorer.h"
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
-#include "ir/serialize.h"
 #include "portend/classify.h"
 #include "portend/portend.h"
 #include "portend/render.h"
@@ -278,13 +276,12 @@ parseExploreMode(const char *value)
 {
     if (!value)
         usageError("--explore needs a value");
-    std::string e = value;
-    if (e == "dpor")
-        return explore::ExploreMode::Dpor;
-    if (e == "random")
-        return explore::ExploreMode::Random;
-    usageError("unknown explorer: " + e +
-               " (expected dpor or random)");
+    std::optional<explore::ExploreMode> m =
+        explore::exploreModeFromName(value);
+    if (!m)
+        usageError("unknown explorer: " + std::string(value) +
+                   " (expected dpor or random)");
+    return *m;
 }
 
 std::int64_t
@@ -326,6 +323,20 @@ parseSeed(const char *flag, const char *value)
 }
 
 /**
+ * The value of path flag @p flag (a file, directory or socket path;
+ * @p what names which in the message). A missing value, or one that
+ * starts with `-`, is a usage error: a forgotten path must never
+ * take the next flag as its name.
+ */
+const char *
+pathValue(const char *flag, const char *value, const char *what)
+{
+    if (!value || value[0] == '-')
+        usageError(std::string(flag) + " needs " + what);
+    return value;
+}
+
+/**
  * Consume the shared observability flag at argv[i], if it is one:
  * --trace-out <file> or --metrics-out <file>. Returns true (with
  * @p i advanced past the value) when the flag was consumed; false
@@ -338,16 +349,13 @@ parseObsFlag(int argc, char **argv, int &i, ObsFlags *out)
     const std::string a = argv[i];
     const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (a == "--trace-out") {
-        if (!next)
-            usageError("--trace-out needs a file path");
-        out->trace_out = next;
+        out->trace_out = pathValue("--trace-out", next, "a file path");
         ++i;
         return true;
     }
     if (a == "--metrics-out") {
-        if (!next)
-            usageError("--metrics-out needs a file path");
-        out->metrics_out = next;
+        out->metrics_out =
+            pathValue("--metrics-out", next, "a file path");
         ++i;
         return true;
     }
@@ -437,16 +445,11 @@ parseOptions(int argc, char **argv, int start)
         } else if (a == "--detector") {
             if (!next)
                 usageError("--detector needs a value");
-            std::string d = next;
-            if (d == "hb")
-                cli.opts.detector = core::DetectorKind::HappensBefore;
-            else if (d == "hb-nomutex")
-                cli.opts.detector =
-                    core::DetectorKind::HappensBeforeNoMutex;
-            else if (d == "lockset")
-                cli.opts.detector = core::DetectorKind::Lockset;
-            else
-                usageError("unknown detector: " + d);
+            std::optional<core::DetectorKind> d =
+                core::detectorFromName(next);
+            if (!d)
+                usageError("unknown detector: " + std::string(next));
+            cli.opts.detector = *d;
             ++i;
         } else {
             usageError("unknown option: " + a);
@@ -460,79 +463,6 @@ parseOptions(int argc, char **argv, int start)
         cli.opts.multi_schedule = cli.k >= 5;
     }
     return cli;
-}
-
-workloads::Workload
-loadWorkload(const std::string &name)
-{
-    std::vector<std::string> names = workloads::workloadNames();
-    for (const auto &n : workloads::extensionWorkloadNames())
-        names.push_back(n);
-    bool known = false;
-    for (const auto &n : names)
-        known = known || n == name;
-    if (!known)
-        usageError("unknown workload: " + name);
-    return workloads::buildWorkload(name);
-}
-
-/**
- * Wrap a serialized PIL file (a corpus entry's program.pil, a user
- * program) as an ad-hoc workload so it runs through the standard
- * pipeline. Deserialization verifies the program structurally; a
- * malformed file is a usage error, never a crash.
- */
-workloads::Workload
-loadProgramFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        usageError("cannot open file: " + path);
-    std::ostringstream os;
-    os << is.rdbuf();
-    std::string error;
-    std::optional<ir::Program> prog =
-        ir::deserializeProgram(os.str(), &error);
-    if (!prog)
-        usageError(path + ": " + error);
-    workloads::Workload w;
-    w.name = prog->name.empty() ? path : prog->name;
-    w.language = "PIL";
-    w.program = std::move(*prog);
-    return w;
-}
-
-/** Install a workload's semantic predicates (e.g. fmm timestamps). */
-void
-applyWorkloadConfig(const workloads::Workload &w, core::PortendOptions &o)
-{
-    o.semantic_predicates = w.semantic_predicates;
-}
-
-/** Workload + pipeline result (rendering selects --class itself). */
-struct PipelineRun
-{
-    workloads::Workload workload;
-    core::PortendResult result;
-};
-
-/** The shared run/classify tail: configure and run. */
-PipelineRun
-runPipelineOn(workloads::Workload workload, CliOptions &cli)
-{
-    PipelineRun p;
-    p.workload = std::move(workload);
-    applyWorkloadConfig(p.workload, cli.opts);
-    core::Portend tool(p.workload.program, cli.opts);
-    p.result = tool.run();
-    return p;
-}
-
-/** The shared run/classify preamble: load, configure, run. */
-PipelineRun
-runPipeline(const std::string &name, CliOptions &cli)
-{
-    return runPipelineOn(loadWorkload(name), cli);
 }
 
 /** The library RenderMode equivalent of the parsed flags. */
@@ -563,34 +493,28 @@ cmdList()
     return 0;
 }
 
+/**
+ * `run|classify <w>` and `--file <path>`: the pipeline over one
+ * unit. A unit that cannot be loaded is a usage error.
+ */
 int
-cmdRun(const std::string &name, bool classify_mode, CliOptions cli)
+cmdRun(const campaign::UnitSpec &unit, bool classify_mode,
+       CliOptions cli)
 {
     installObsSinks(cli.obs);
-    PipelineRun p = runPipeline(name, cli);
+    workloads::Workload w;
+    std::string err;
+    if (!campaign::loadUnit(unit, &w, &err))
+        usageError(err);
+    // The workload's semantic predicates (e.g. fmm timestamps).
+    cli.opts.semantic_predicates = w.semantic_predicates;
+    core::PortendResult res = core::Portend(w.program, cli.opts).run();
     std::fputs(core::renderPipelineReport(
-                   p.workload.name, p.workload.program, p.result,
-                   cli.opts.mp, cli.opts.ma,
+                   w.name, w.program, res, cli.opts.mp, cli.opts.ma,
                    renderModeOf(cli, classify_mode))
                    .c_str(),
                stdout);
-    return writeObsOutputs(cli.obs, p.result.metrics);
-}
-
-/** `run --file` / `classify --file`: the pipeline over a PIL file. */
-int
-cmdRunFile(const std::string &path, bool classify_mode,
-           CliOptions cli)
-{
-    installObsSinks(cli.obs);
-    PipelineRun p = runPipelineOn(loadProgramFile(path), cli);
-    std::fputs(core::renderPipelineReport(
-                   p.workload.name, p.workload.program, p.result,
-                   cli.opts.mp, cli.opts.ma,
-                   renderModeOf(cli, classify_mode))
-                   .c_str(),
-               stdout);
-    return writeObsOutputs(cli.obs, p.result.metrics);
+    return writeObsOutputs(cli.obs, res.metrics);
 }
 
 /** The campaign configuration the parsed flags describe. */
@@ -763,14 +687,11 @@ cmdFuzz(int argc, char **argv)
             fo.jobs = parseCount("--jobs", next, 1);
             ++i;
         } else if (a == "--corpus") {
-            if (!next)
-                usageError("--corpus needs a directory");
-            fo.corpus_dir = next;
+            fo.corpus_dir = pathValue("--corpus", next, "a directory");
             ++i;
         } else if (a == "--campaign") {
-            if (!next)
-                usageError("--campaign needs a directory");
-            fo.campaign_dir = next;
+            fo.campaign_dir =
+                pathValue("--campaign", next, "a directory");
             ++i;
         } else {
             usageError("unknown fuzz option: " + a);
@@ -854,9 +775,7 @@ cmdServe(int argc, char **argv)
             so.workers = parseCount("--workers", next, 1);
             ++i;
         } else if (a == "--socket") {
-            if (!next)
-                usageError("--socket needs a path");
-            so.socket_path = next;
+            so.socket_path = pathValue("--socket", next, "a path");
             ++i;
         } else if (a == "--unit-timeout") {
             so.unit_timeout_seconds = static_cast<double>(
@@ -909,9 +828,7 @@ cmdSubmit(int argc, char **argv)
         std::string a = argv[i];
         const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
         if (a == "--socket") {
-            if (!next)
-                usageError("--socket needs a path");
-            ep.socket_path = next;
+            ep.socket_path = pathValue("--socket", next, "a path");
             ++i;
         } else if (a == "--jobs" || a == "--metrics-out" ||
                    a == "--trace-out") {
@@ -1005,13 +922,13 @@ main(int argc, char **argv)
             if (argc < 4 || argv[3][0] == '-')
                 usageError("--file needs a path to a .pil program");
             CliOptions cli = parseOptions(argc, argv, 4);
-            return cmdRunFile(argv[3], classify_mode, cli);
+            return cmdRun({"file", argv[3]}, classify_mode, cli);
         }
         if (argc < 3 || argv[2][0] == '-')
             usageError(cmd +
                        " needs a workload name (or --all, --file)");
         CliOptions cli = parseOptions(argc, argv, 3);
-        return cmdRun(argv[2], classify_mode, cli);
+        return cmdRun({"workload", argv[2]}, classify_mode, cli);
     }
     if (cmd == "campaign")
         return cmdCampaign(argc, argv);
@@ -1022,7 +939,8 @@ main(int argc, char **argv)
     if (cmd == "fuzz")
         return cmdFuzz(argc, argv);
     if (cmd == "corpus") {
-        if (argc < 4 || std::strcmp(argv[2], "run") != 0)
+        if (argc < 4 || std::strcmp(argv[2], "run") != 0 ||
+            argv[3][0] == '-')
             usageError("usage: portend corpus run <dir>");
         ObsFlags obs_flags;
         for (int i = 4; i < argc; ++i)
