@@ -24,7 +24,6 @@ struct WorkloadRun
 {
     workloads::Workload workload;
     core::PortendResult result;
-    double detection_seconds = 0.0;
 };
 
 /** Run the full Portend pipeline over @p name. */
@@ -35,7 +34,6 @@ runWorkload(const std::string &name, core::PortendOptions opts = {})
     run.workload = workloads::buildWorkload(name);
     core::Portend tool(run.workload.program, opts);
     run.result = tool.run();
-    run.detection_seconds = run.result.detection.seconds;
     return run;
 }
 

@@ -49,12 +49,15 @@ main()
             std::printf("%-11s%-3d %14llu %18llu %12.3f %12llu\n",
                         pick.app, done + 1,
                         static_cast<unsigned long long>(
-                            cls.stats.preemptions),
+                            cls.metrics.counter(
+                                obs::Counter::ClassifyPreemptions)),
                         static_cast<unsigned long long>(
-                            cls.stats.sym_branches),
+                            cls.metrics.counter(
+                                obs::Counter::ClassifySymBranches)),
                         ms,
                         static_cast<unsigned long long>(
-                            cls.stats.steps));
+                            cls.metrics.counter(
+                                obs::Counter::ClassifySteps)));
             done += 1;
         }
     }

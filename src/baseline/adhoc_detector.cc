@@ -2,16 +2,6 @@
 
 namespace portend::baseline {
 
-const char *
-adhocVerdictName(AdhocVerdict v)
-{
-    switch (v) {
-      case AdhocVerdict::SingleOrdering: return "single ordering";
-      case AdhocVerdict::NotClassified: return "not classified";
-    }
-    return "?";
-}
-
 namespace {
 
 /**

@@ -31,9 +31,6 @@ enum class AdhocVerdict : std::uint8_t {
     NotClassified,  ///< tool has nothing to say about this race
 };
 
-/** Printable verdict name. */
-const char *adhocVerdictName(AdhocVerdict v);
-
 /**
  * Static spin-loop recognizer.
  */

@@ -4,28 +4,6 @@
 
 namespace portend::baseline {
 
-const char *
-heuristicVerdictName(HeuristicVerdict v)
-{
-    switch (v) {
-      case HeuristicVerdict::LikelyHarmless: return "likely harmless";
-      case HeuristicVerdict::NotClassified: return "not classified";
-    }
-    return "?";
-}
-
-const char *
-benignPatternName(BenignPattern p)
-{
-    switch (p) {
-      case BenignPattern::None: return "none";
-      case BenignPattern::StatisticsCounter: return "stats-counter";
-      case BenignPattern::RedundantWrite: return "redundant-write";
-      case BenignPattern::DisjointBits: return "disjoint-bits";
-    }
-    return "?";
-}
-
 namespace {
 
 /** Locate the instruction at linear pc, or null. */

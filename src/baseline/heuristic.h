@@ -24,9 +24,6 @@ enum class HeuristicVerdict : std::uint8_t {
     NotClassified,  ///< no pattern matched
 };
 
-/** Printable verdict name. */
-const char *heuristicVerdictName(HeuristicVerdict v);
-
 /** Which pattern matched (for reporting). */
 enum class BenignPattern : std::uint8_t {
     None,
@@ -34,9 +31,6 @@ enum class BenignPattern : std::uint8_t {
     RedundantWrite,    ///< both sides store the same constant
     DisjointBits,      ///< bitwise OR/AND of non-overlapping masks
 };
-
-/** Printable pattern name. */
-const char *benignPatternName(BenignPattern p);
 
 /** Result with matched pattern. */
 struct HeuristicResult

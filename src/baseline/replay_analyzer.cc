@@ -5,17 +5,6 @@
 
 namespace portend::baseline {
 
-const char *
-replayVerdictName(ReplayVerdict v)
-{
-    switch (v) {
-      case ReplayVerdict::LikelyHarmful: return "likely harmful";
-      case ReplayVerdict::LikelyHarmless: return "likely harmless";
-      case ReplayVerdict::NotApplicable: return "not applicable";
-    }
-    return "?";
-}
-
 ReplayAnalysis
 ReplayAnalyzer::analyze(const race::RaceReport &race,
                         const replay::ScheduleTrace &trace)

@@ -37,9 +37,6 @@ enum class ReplayVerdict : std::uint8_t {
     NotApplicable,  ///< race not reproducible in replay at all
 };
 
-/** Printable verdict name. */
-const char *replayVerdictName(ReplayVerdict v);
-
 /** Detailed result. */
 struct ReplayAnalysis
 {

@@ -327,7 +327,8 @@ parseManifest(const std::string &text, std::string *error)
             ok = bool(ls >> has_range >> s.lo >> s.hi);
             s.has_range = has_range != 0;
             s.name = rest();
-            ok = ok && !s.name.empty();
+            // An empty range is refused like the CLI's --sym-input.
+            ok = ok && !s.name.empty() && (!s.has_range || s.lo <= s.hi);
             if (ok)
                 o.sym_inputs.push_back(std::move(s));
         } else if (key == "max_steps") {
@@ -544,23 +545,18 @@ Campaign::recordCompletion(CampaignResult &result, std::size_t index,
 void
 Campaign::finalize(CampaignResult &result) const
 {
-    // Merge: unit shards in manifest order, then the engine's own
-    // counters — one fixed order, so --metrics-out bytes stay
-    // deterministic across --jobs values.
+    // Merge the unit shards and count each unit's verdict source: a
+    // miss ran the full pipeline, a hit took its payload from the
+    // cache.
+    using obs::Counter;
+    result.metrics.add(Counter::CampaignUnits, result.units.size());
     for (const UnitResult &u : result.units) {
         result.metrics.merge(u.metrics);
         if (u.source == UnitSource::Executed)
-            result.executed += 1;
+            result.metrics.add(Counter::CampaignCacheMisses, 1);
         else if (u.source == UnitSource::CacheHit)
-            result.cache_hits += 1;
+            result.metrics.add(Counter::CampaignCacheHits, 1);
     }
-    using obs::Counter;
-    result.metrics.add(Counter::CampaignUnits,
-                       result.units.size());
-    result.metrics.add(Counter::CampaignCacheHits,
-                       static_cast<std::uint64_t>(result.cache_hits));
-    result.metrics.add(Counter::CampaignCacheMisses,
-                       static_cast<std::uint64_t>(result.executed));
 }
 
 CampaignResult
@@ -623,7 +619,9 @@ Campaign::run(int abort_after_units, int jobs_override)
 
     span.arg("units",
              static_cast<std::int64_t>(result.units.size()));
-    span.arg("executed", static_cast<std::int64_t>(result.executed));
+    span.arg("executed",
+             static_cast<std::int64_t>(result.metrics.counter(
+                 obs::Counter::CampaignCacheMisses)));
     return result;
 }
 

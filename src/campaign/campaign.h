@@ -111,12 +111,12 @@ struct CampaignResult
 {
     std::vector<UnitResult> units; ///< manifest order, all units
 
-    /** Unit shards merged in manifest order, then the engine's own
-     *  campaign.* counters. */
+    /** The unit shards and the engine's own campaign.* counters:
+     *  `campaign.cache_misses` counts the units that ran the full
+     *  pipeline, `campaign.cache_hits` those whose payload came from
+     *  the cache. */
     obs::MetricsShard metrics;
 
-    int executed = 0;     ///< units that ran the full pipeline
-    int cache_hits = 0;   ///< units whose payload came from the cache
     bool aborted = false; ///< stopped by the unit-count abort hook
     std::string error;    ///< first load or store error, in manifest order
 

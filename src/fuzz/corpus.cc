@@ -1,6 +1,7 @@
 #include "fuzz/corpus.h"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -64,6 +65,16 @@ renderMeta(const CorpusEntry &e)
     return os.str();
 }
 
+/** A meta.txt number: decimal digits only (no sign, no blanks, nothing
+ *  after them) whose value fits 64 bits. */
+bool
+parseU64(const std::string &s, std::uint64_t *out)
+{
+    const char *end = s.data() + s.size();
+    const auto [at, ec] = std::from_chars(s.data(), end, *out);
+    return ec == std::errc() && at == end;
+}
+
 bool
 parseMeta(const std::string &text, CorpusEntry &e, std::string *error)
 {
@@ -84,27 +95,27 @@ parseMeta(const std::string &text, CorpusEntry &e, std::string *error)
         }
         std::string key = line.substr(0, eq);
         std::string val = line.substr(eq + 1);
-        try {
-            if (key == "kind")
-                e.kind = val;
-            else if (key == "check")
-                e.check = val;
-            else if (key == "fuzz_seed")
-                e.fuzz_seed = std::stoull(val);
-            else if (key == "index")
-                e.index = std::stoull(val);
-            else if (key == "detection_seed")
-                e.detection_seed = std::stoull(val);
-            else if (key == "explore")
-                e.explore = val;
-            else if (key == "signature")
-                e.signature = val;
-            else if (key == "witness")
-                e.witness = val;
-            else if (key == "recipe")
-                e.recipe_text = val;
-            // Unknown keys are ignored (forward compatibility).
-        } catch (const std::exception &) {
+        bool ok = true;
+        if (key == "kind")
+            e.kind = val;
+        else if (key == "check")
+            e.check = val;
+        else if (key == "fuzz_seed")
+            ok = parseU64(val, &e.fuzz_seed);
+        else if (key == "index")
+            ok = parseU64(val, &e.index);
+        else if (key == "detection_seed")
+            ok = parseU64(val, &e.detection_seed);
+        else if (key == "explore")
+            e.explore = val;
+        else if (key == "signature")
+            e.signature = val;
+        else if (key == "witness")
+            e.witness = val;
+        else if (key == "recipe")
+            e.recipe_text = val;
+        // Unknown keys are ignored (forward compatibility).
+        if (!ok) {
             if (error) {
                 *error = "meta.txt line " + std::to_string(lineno) +
                          ": bad number for " + key;

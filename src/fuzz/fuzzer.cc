@@ -87,41 +87,6 @@ hex8(std::uint64_t h)
     return out;
 }
 
-/**
- * Merges the programs' pipeline shards in index order as they
- * finish. A shard that finishes ahead of an earlier index waits;
- * under parallelFor's claim-by-cursor order that is about one per
- * worker, so a campaign never holds one shard per program.
- */
-class ShardFold
-{
-  public:
-    /** Hand over index @p index's shard (null: nothing to merge). */
-    void
-    add(std::size_t index, std::shared_ptr<const obs::MetricsShard> shard)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        waiting_.emplace(index, std::move(shard));
-        for (auto it = waiting_.begin();
-             it != waiting_.end() && it->first == next_;
-             it = waiting_.erase(it)) {
-            if (it->second)
-                total_.merge(*it->second);
-            next_ += 1;
-        }
-    }
-
-    /** The merged shards; read after every index was added. */
-    const obs::MetricsShard &total() const { return total_; }
-
-  private:
-    std::mutex mu_;
-    std::map<std::size_t, std::shared_ptr<const obs::MetricsShard>>
-        waiting_;
-    std::size_t next_ = 0;
-    obs::MetricsShard total_;
-};
-
 /** What a campaign judges every program under: the detection seed,
  *  the dpor explorer, and @p deep. */
 OracleOptions
@@ -316,8 +281,19 @@ runFuzz(const FuzzOptions &opts)
     }
 
     // -- Generation + oracle, fanned out with parallelFor -----------
+    // Each program's pipeline shard is merged as it finishes and
+    // freed: every merge commutes, so the order is free.
     std::vector<IndexResult> results;
-    ShardFold fold;
+    std::mutex metrics_mu;
+    const auto runAndFold = [&](std::size_t slot, std::uint64_t index) {
+        IndexResult &r = results[slot];
+        r = runIndex(index, opts, camp.get());
+        if (const std::shared_ptr<const obs::MetricsShard> m =
+                std::move(r.verdict.metrics)) {
+            std::lock_guard<std::mutex> lock(metrics_mu);
+            res.metrics.merge(*m);
+        }
+    };
     if (opts.seconds > 0.0) {
         // Time-boxed mode: sequential-batch until the box is spent.
         // Program count depends on the host (see fuzzer.h).
@@ -328,9 +304,7 @@ runFuzz(const FuzzOptions &opts)
             const std::size_t base = results.size();
             results.resize(base + batch);
             parallelFor(jobs, batch, [&](std::size_t i) {
-                results[base + i] = runIndex(next + i, opts, camp.get());
-                fold.add(base + i,
-                         std::move(results[base + i].verdict.metrics));
+                runAndFold(base + i, next + i);
             });
             next += batch;
         }
@@ -338,12 +312,9 @@ runFuzz(const FuzzOptions &opts)
         const std::size_t n =
             static_cast<std::size_t>(std::max(0, opts.budget));
         results.resize(n);
-        parallelFor(jobs, n, [&](std::size_t i) {
-            results[i] = runIndex(i, opts, camp.get());
-            fold.add(i, std::move(results[i].verdict.metrics));
-        });
+        parallelFor(jobs, n,
+                    [&](std::size_t i) { runAndFold(i, i); });
     }
-    res.metrics = fold.total();
 
     // -- Deterministic fold in index order ---------------------------
     for (const IndexResult &r : results) {

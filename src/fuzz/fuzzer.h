@@ -114,7 +114,8 @@ struct FuzzResult
     std::vector<FuzzFinding> findings;
 
     /** The programs' pipeline shards (OracleVerdict::metrics),
-     *  merged in index order; cache hits contribute none. */
+     *  merged as each program finishes (every merge commutes);
+     *  cache hits contribute none. */
     obs::MetricsShard metrics;
 
     double seconds = 0.0; ///< wall clock; never in summaryText()

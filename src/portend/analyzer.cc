@@ -4,7 +4,6 @@
 
 #include "portend/outputcmp.h"
 #include "support/observe.h"
-#include "support/stats.h"
 #include "support/trace.h"
 
 namespace portend::core {
@@ -74,7 +73,7 @@ rt::ThreadId
 PrimarySearchPolicy::pick(const rt::VmState &state,
                           const std::vector<rt::ThreadId> &runnable)
 {
-    const std::uint64_t idx = state.stats.preemption_points;
+    const std::uint64_t idx = state.preemption_points;
     const bool passed = racePassed(state, race);
 
     if (idx < trace.decisions.size()) {
@@ -305,11 +304,11 @@ RaceAnalyzer::crashInvolvesRaceCell(const rt::VmState &final_state,
 }
 
 void
-RaceAnalyzer::absorbStats(AnalysisStats &stats, const rt::VmState &s)
+RaceAnalyzer::absorbRun(obs::MetricsShard &metrics, const rt::VmState &s)
 {
-    stats.preemptions += s.stats.preemption_points;
-    stats.sym_branches += s.stats.symbolic_branches;
-    stats.steps += s.global_step;
+    metrics.add(obs::Counter::ClassifyPreemptions, s.preemption_points);
+    metrics.add(obs::Counter::ClassifySymBranches, s.symbolic_branches);
+    metrics.add(obs::Counter::ClassifySteps, s.global_step);
 }
 
 /**
@@ -326,7 +325,7 @@ RaceAnalyzer::runAlternateFromState(
     std::uint64_t primary_total_steps,
     const rt::VmState *post_primary,
     const replay::ScheduleTrace *post_trace,
-    std::uint64_t primary_second_count, AnalysisStats &stats) const
+    std::uint64_t primary_second_count, obs::MetricsShard &metrics) const
 {
     SingleResult r;
 
@@ -419,7 +418,7 @@ RaceAnalyzer::runAlternateFromState(
         }
         oc = alt.run();
     }
-    absorbStats(stats, alt.state());
+    absorbRun(metrics, alt.state());
     // Every return below carries the explorer feedback: the schedule
     // this run realized (post-race only; the enforcement phase is
     // not a scheduling choice) and whether enforcement succeeded at
@@ -559,14 +558,14 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
                              const std::vector<std::int64_t> &inputs,
                              const explore::PostSpec &post,
                              const replay::CheckpointLadder *ladder,
-                             AnalysisStats &stats) const
+                             obs::MetricsShard &metrics) const
 {
     SingleResult r;
 
     // With a usable rung, fork from the cached pre-race checkpoint
     // instead of replaying the prefix; the rung state carries the
-    // prefix's step counters (so the ledger stays identical) and the
-    // monitor adopts the prefix's predicate state.
+    // prefix's step counters (so the verdict's counters stay
+    // identical) and the monitor adopts the prefix's predicate state.
     const replay::CheckpointLadder::Rung *rung =
         usableRung(ladder, race, inputs);
     rt::ExecOptions eo = baseOptions();
@@ -593,7 +592,7 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
         rt::RunOutcome pre_oc = interp.run(pre);
 
         if (!interp.stopped()) {
-            absorbStats(stats, interp.state());
+            absorbRun(metrics, interp.state());
             if (rt::isSpecViolation(pre_oc)) {
                 r.kind = SingleResult::Kind::SpecViol;
                 r.viol = violationOf(pre_oc);
@@ -639,7 +638,7 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
             oc = interp.run();
         }
     }
-    absorbStats(stats, *fin);
+    absorbRun(metrics, *fin);
 
     if (!sem.violation().empty()) {
         r.kind = SingleResult::Kind::SpecViol;
@@ -672,7 +671,7 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
         // so only a genuine busy-wait can time out.
         SingleResult a = runAlternateFromState(
             pre_ckpt, race, inputs, post, opts.max_steps, nullptr,
-            &trace, primary_second_count, stats);
+            &trace, primary_second_count, metrics);
         if (a.kind == SingleResult::Kind::SpecViol ||
             a.kind == SingleResult::Kind::SingleOrd) {
             return a;
@@ -697,7 +696,7 @@ RaceAnalyzer::singleClassify(const race::RaceReport &race,
     SingleResult a = runAlternateFromState(
         pre_ckpt, race, inputs, post, r.primary_steps,
         have_post_primary ? &post_primary : nullptr, &trace,
-        primary_second_count, stats);
+        primary_second_count, metrics);
     r.states_differ = a.states_differ;
     if (a.kind != SingleResult::Kind::OutSame) {
         a.states_differ = r.states_differ;
@@ -726,7 +725,7 @@ RaceAnalyzer::runAlternate(const race::RaceReport &race,
                            const explore::PostSpec &post,
                            std::uint64_t budget_steps,
                            const replay::CheckpointLadder *ladder,
-                           AnalysisStats &stats) const
+                           obs::MetricsShard &metrics) const
 {
     // The rung is valid here too: on the faithful pre-race prefix
     // the PrimarySearchPolicy follows the trace decision-for-
@@ -736,10 +735,10 @@ RaceAnalyzer::runAlternate(const race::RaceReport &race,
         OBS_SPAN("ladder", "fork");
         if (obs::Collector *col = obs::collector())
             col->add(obs::Counter::LadderForks, 1);
-        absorbStats(stats, rung->state);
+        absorbRun(metrics, rung->state);
         return runAlternateFromState(rung->state, race, inputs, post,
                                      budget_steps, nullptr, &trace, 0,
-                                     stats);
+                                     metrics);
     }
 
     rt::ExecOptions eo = baseOptions();
@@ -752,7 +751,7 @@ RaceAnalyzer::runAlternate(const race::RaceReport &race,
     pre.before_cell.push_back(
         {race.first.tid, race.cell, race.first.cell_occurrence});
     rt::RunOutcome oc = interp.run(pre);
-    absorbStats(stats, interp.state());
+    absorbRun(metrics, interp.state());
 
     SingleResult r;
     if (!interp.stopped()) {
@@ -768,7 +767,7 @@ RaceAnalyzer::runAlternate(const race::RaceReport &race,
     }
     return runAlternateFromState(interp.state(), race, inputs, post,
                                  budget_steps, nullptr, &trace, 0,
-                                 stats);
+                                 metrics);
 }
 
 RaceAnalyzer::EvidenceReplay
@@ -777,7 +776,7 @@ RaceAnalyzer::replayEvidence(const race::RaceReport &race,
                              const Classification &verdict) const
 {
     EvidenceReplay out;
-    AnalysisStats scratch;
+    obs::MetricsShard scratch;
     const std::vector<std::int64_t> inputs =
         verdict.evidence_inputs.empty() ? trace.concreteInputs()
                                         : verdict.evidence_inputs;
@@ -843,13 +842,12 @@ RaceAnalyzer::classify(const race::RaceReport &race,
 {
     obs::Span cls_span("classify", "classify-race");
     cls_span.arg("cell", race.cell);
-    Stopwatch sw;
     Classification c;
     std::optional<exec::Executor> ex;
     analyze(race, trace, ladder, c, ex);
     if (ex)
-        c.stats.solver_queries = ex->solver().queries();
-    c.stats.seconds = sw.seconds();
+        c.metrics.add(obs::Counter::ClassifySolverQueries,
+                      ex->solver().queries());
     return c;
 }
 
@@ -920,7 +918,7 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
     {
         OBS_SPAN("classify", "stage1");
         s1 = singleClassify(race, trace, recorded.inputs, follow_trace,
-                            ladder, c.stats);
+                            ladder, c.metrics);
     }
     c.states_differ = s1.states_differ;
     if (s1.kind != SingleResult::Kind::OutSame) {
@@ -928,7 +926,7 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
         return;
     }
     int witnesses = 1; // stage 1 matched
-    c.stats.schedules_explored = 1;
+    c.metrics.add(obs::Counter::ClassifySchedules, 1);
 
     // Whether decisive verdicts carry a named input witness.
     const bool named = !opts.sym_inputs.empty();
@@ -964,9 +962,10 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
                     return PrimarySearchPolicy::racePassed(s, race);
                 });
         }
-        c.stats.paths_explored = static_cast<int>(paths.size());
-        c.stats.states_created = ex->statesCreated();
-        absorbStats(c.stats, sym_interp.state());
+        c.metrics.add(obs::Counter::ClassifyPaths, paths.size());
+        c.metrics.add(obs::Counter::ClassifyStatesCreated,
+                      static_cast<std::uint64_t>(ex->statesCreated()));
+        absorbRun(c.metrics, sym_interp.state());
 
         for (const exec::PathResult &p : paths) {
             Primary primary{concretizeEnvLog(p.state.env_log, p.model),
@@ -1031,14 +1030,14 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
         for (; post; post = sx ? sx->next() : std::nullopt) {
             obs::Span cand_span("explore", "dpor-candidate");
             cand_span.arg("path", p.index);
-            c.stats.schedules_explored += 1;
+            c.metrics.add(obs::Counter::ClassifySchedules, 1);
             SingleResult a;
             if (p.path) {
                 a = runAlternate(race, trace, p.inputs, *post, budget,
-                                 ladder, c.stats);
+                                 ladder, c.metrics);
             } else {
                 a = singleClassify(race, trace, p.inputs, *post, ladder,
-                                   c.stats);
+                                   c.metrics);
             }
             // Only an enforced alternate witnessed a post-race
             // schedule; everything else teaches the explorer nothing.
@@ -1060,7 +1059,8 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
                 a.kind == SingleResult::Kind::OutDiff) {
                 verdict(a, p, &*post, sx ? &*sx : nullptr);
                 if (sx)
-                    c.stats.distinct_schedules += sx->distinct();
+                    c.metrics.add(obs::Counter::ClassifyDistinctSchedules,
+                                  static_cast<std::uint64_t>(sx->distinct()));
                 return;
             }
             // Under dpor a witness is a *distinct* interleaving
@@ -1073,7 +1073,8 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
             }
         }
         if (sx) {
-            c.stats.distinct_schedules += sx->distinct();
+            c.metrics.add(obs::Counter::ClassifyDistinctSchedules,
+                          static_cast<std::uint64_t>(sx->distinct()));
             if (named)
                 known_sigs = sx->signatures();
         }

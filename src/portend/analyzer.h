@@ -210,8 +210,8 @@ class RaceAnalyzer
      * @param ladder optional shared replay-prefix checkpoint ladder
      *        built over the same (program, trace, options); the
      *        analyzer forks pre-race states from its rung instead of
-     *        replaying the prefix from step 0. Verdicts and ledger
-     *        stats are byte-identical with or without a ladder —
+     *        replaying the prefix from step 0. Verdicts and their
+     *        counters are byte-identical with or without a ladder —
      *        only wall-clock time changes.
      */
     Classification
@@ -247,8 +247,8 @@ class RaceAnalyzer
 
   private:
     /**
-     * classify() without its whole-run ledgers: runs the stages and
-     * writes the verdict into @p c. Stage 2 leaves its executor in
+     * classify() without its solver-query count: runs the stages and
+     * writes the verdict and its counters into @p c. Stage 2 leaves its executor in
      * @p ex, whose solver also answers stage 3's output comparisons.
      */
     void analyze(const race::RaceReport &race,
@@ -293,7 +293,7 @@ class RaceAnalyzer
                                 const std::vector<std::int64_t> &inputs,
                                 const explore::PostSpec &post,
                                 const replay::CheckpointLadder *ladder,
-                                AnalysisStats &stats) const;
+                                obs::MetricsShard &metrics) const;
 
     /**
      * Alternate-only analysis for a multi-path primary: replays
@@ -308,7 +308,7 @@ class RaceAnalyzer
                               const explore::PostSpec &post,
                               std::uint64_t budget_steps,
                               const replay::CheckpointLadder *ladder,
-                              AnalysisStats &stats) const;
+                              obs::MetricsShard &metrics) const;
 
     /**
      * The ladder rung for @p race's pre-race point, or nullptr when
@@ -358,7 +358,7 @@ class RaceAnalyzer
         std::uint64_t primary_total_steps,
         const rt::VmState *post_primary,
         const replay::ScheduleTrace *post_trace,
-        std::uint64_t primary_second_count, AnalysisStats &stats) const;
+        std::uint64_t primary_second_count, obs::MetricsShard &metrics) const;
 
     /** Base interpreter options for analysis runs. */
     rt::ExecOptions baseOptions() const;
@@ -385,8 +385,10 @@ class RaceAnalyzer
     bool crashInvolvesRaceCell(const rt::VmState &final_state,
                                const race::RaceReport &race) const;
 
-    /** Fold a run's counters into @p stats. */
-    static void absorbStats(AnalysisStats &stats, const rt::VmState &s);
+    /** Count a run's steps, preemptions and symbolic branches into
+     *  @p metrics. */
+    static void absorbRun(obs::MetricsShard &metrics,
+                          const rt::VmState &s);
 
     const ir::Program &prog;
     PortendOptions opts;

@@ -50,32 +50,14 @@ detectorFromName(const std::string &name)
 }
 
 void
-AnalysisStats::foldInto(obs::MetricsShard &shard) const
-{
-    using obs::Counter;
-    using obs::Hist;
-    shard.add(Counter::ClassifySteps, steps);
-    shard.add(Counter::ClassifyPreemptions, preemptions);
-    shard.add(Counter::ClassifySymBranches, sym_branches);
-    shard.add(Counter::ClassifyPaths,
-              static_cast<std::uint64_t>(paths_explored));
-    shard.add(Counter::ClassifySchedules,
-              static_cast<std::uint64_t>(schedules_explored));
-    shard.add(Counter::ClassifyDistinctSchedules,
-              static_cast<std::uint64_t>(distinct_schedules));
-    shard.add(Counter::ClassifyStatesCreated,
-              static_cast<std::uint64_t>(states_created));
-    shard.add(Counter::ClassifySolverQueries, solver_queries);
-    shard.observe(Hist::ClusterSteps, steps);
-    shard.observe(Hist::ClusterDistinct,
-                  static_cast<std::uint64_t>(distinct_schedules));
-}
-
-void
 foldVerdict(const Classification &c, obs::MetricsShard &shard)
 {
     using obs::Counter;
-    c.stats.foldInto(shard);
+    shard.merge(c.metrics);
+    shard.observe(obs::Hist::ClusterSteps,
+                  c.metrics.counter(Counter::ClassifySteps));
+    shard.observe(obs::Hist::ClusterDistinct,
+                  c.metrics.counter(Counter::ClassifyDistinctSchedules));
     shard.add(Counter::ClassifyClusters, 1);
     shard.add(Counter::ClassifyKWitnesses,
               static_cast<std::uint64_t>(c.k));

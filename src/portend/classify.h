@@ -65,42 +65,6 @@ enum class ViolationKind : std::uint8_t {
 /** Printable violation-kind name. */
 const char *violationKindName(ViolationKind v);
 
-/**
- * Work performed during one race's classification (Fig. 9 data).
- *
- * `seconds` is the cluster's own wall-clock analysis time; it varies
- * run to run and is therefore never printed in verdict reports
- * (which must be byte-identical across --jobs).
- */
-struct AnalysisStats
-{
-    std::uint64_t preemptions = 0;     ///< scheduling decisions taken
-    std::uint64_t sym_branches = 0;    ///< symbolic decisions seen
-    std::uint64_t steps = 0;           ///< instructions interpreted
-    int paths_explored = 0;            ///< primary paths analyzed
-    int schedules_explored = 0;        ///< alternate schedules run
-
-    /**
-     * Mazurkiewicz-inequivalent post-race interleavings witnessed
-     * during stage 3 (canonical-signature distinct; see explore/).
-     * Always <= schedules_explored; the gap is budget the random
-     * explorer burned on equivalent schedules.
-     */
-    int distinct_schedules = 0;
-
-    int states_created = 0;            ///< symbolic states forked
-    std::uint64_t solver_queries = 0;  ///< checkSat calls issued
-    double seconds = 0.0;              ///< monotonic analysis time
-
-    /**
-     * Fold the deterministic counters into a metrics shard (the
-     * registry view of this ledger). The duration field stays out
-     * on purpose: shards feed `--metrics-out`, which must be
-     * byte-identical across --jobs values and runs.
-     */
-    void foldInto(obs::MetricsShard &shard) const;
-};
-
 /** One named input binding of an evidence witness. */
 struct WitnessInput
 {
@@ -171,7 +135,14 @@ struct Classification
     /** True when the harmful ordering is the alternate one. */
     bool evidence_alternate = false;
 
-    AnalysisStats stats;
+    /**
+     * The work this race's classification performed (Fig. 9 data):
+     * the `classify.*` counters for steps, preemptions, symbolic
+     * branches, paths, schedules, distinct schedules, forked states
+     * and solver queries. Its duration is the `classify/classify-race`
+     * span's.
+     */
+    obs::MetricsShard metrics;
 
     /** True for verdicts the paper counts as harmful. */
     bool
@@ -182,9 +153,9 @@ struct Classification
 };
 
 /**
- * Registry view of one finished verdict: the AnalysisStats ledger
- * plus the verdict-class tally and k-witness count, folded into a
- * per-cluster shard (merged in cluster order by the scheduler).
+ * Registry view of one finished verdict: merges its `metrics`, adds
+ * the cluster, verdict-class and k-witness tallies and observes the
+ * per-cluster step and distinct-schedule histograms.
  */
 void foldVerdict(const Classification &c, obs::MetricsShard &shard);
 

@@ -6,7 +6,6 @@
 #include "race/lockset.h"
 #include "replay/replayer.h"
 #include "rt/interpreter.h"
-#include "support/stats.h"
 #include "support/trace.h"
 
 namespace portend::core {
@@ -38,7 +37,6 @@ DetectionResult
 Portend::detect()
 {
     obs::Span span("pipeline", "detect");
-    Stopwatch sw;
     DetectionResult result;
 
     rt::ExecOptions eo;
@@ -62,7 +60,9 @@ Portend::detect()
     else
         interp.addSink(&hb);
 
+    const std::uint64_t boxed0 = rt::valuesBoxed();
     result.outcome = interp.run();
+    const std::uint64_t boxed = rt::valuesBoxed() - boxed0;
     replay::RecordingPolicy::captureInputs(interp.state(),
                                            &result.trace);
     result.steps = interp.state().global_step;
@@ -75,7 +75,6 @@ Portend::detect()
 
     // The detection run's registry view. Pure function of the
     // deterministic detection run, so shard-safe.
-    const rt::VmStats &vm = interp.state().stats;
     using obs::Counter;
     result.metrics.add(Counter::DetectRuns, 1);
     result.metrics.add(Counter::DetectSteps, result.steps);
@@ -86,13 +85,13 @@ Portend::detect()
                        opts.detector == DetectorKind::Lockset
                            ? lockset.evictions()
                            : hb.evictions());
-    result.metrics.add(Counter::DetectPagesUnshared, vm.pages_unshared);
-    result.metrics.add(Counter::DetectValuesBoxed, vm.values_boxed);
+    result.metrics.add(Counter::DetectPagesUnshared,
+                       interp.state().mem.unsharedCount());
+    result.metrics.add(Counter::DetectValuesBoxed, boxed);
     result.metrics.level(obs::Gauge::DecodedSites,
                          static_cast<std::uint64_t>(interp.decodedSites()));
 
     span.arg("clusters", static_cast<std::int64_t>(result.clusters.size()));
-    result.seconds = sw.seconds();
     return result;
 }
 
@@ -113,8 +112,8 @@ Portend::runFrom(DetectionResult detection)
     result.reports = scheduler.classifyAll(result.detection.clusters,
                                            result.detection.trace);
 
-    // Pipeline shard: detection first, then the batch — a fixed
-    // merge order, like everything else feeding --metrics-out.
+    // Pipeline shard: the detection run and the batch (every merge
+    // commutes, like everything else feeding --metrics-out).
     result.metrics.add(obs::Counter::PipelineWorkloads, 1);
     result.metrics.merge(result.detection.metrics);
     result.metrics.merge(scheduler.metrics());

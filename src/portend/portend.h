@@ -39,11 +39,11 @@ struct DetectionResult
     replay::ScheduleTrace trace;             ///< recorded schedule
     rt::RunOutcome outcome = rt::RunOutcome::Running;
     std::uint64_t steps = 0;                 ///< instructions run
-    double seconds = 0.0;
 
     /** Registry view of this detection run: its step, race and
-     *  cluster tallies and the interpreter's hot-path ledger, as one
-     *  deterministic shard (`--metrics-out` exports it). */
+     *  cluster tallies, boxed values and unshared pages, as one
+     *  deterministic shard (`--metrics-out` exports it). Its duration
+     *  is the `pipeline/detect` span's. */
     obs::MetricsShard metrics;
 };
 
@@ -55,7 +55,7 @@ struct PortendResult
 
     /**
      * The whole pipeline's metrics: detection shard merged with the
-     * classification batch shard (in that fixed order). This is what
+     * classification batch shard. This is what
      * the CLI's `--metrics-out` renders — byte-identical across
      * --jobs values and runs by construction.
      */

@@ -91,7 +91,8 @@ jsonReport(const std::string &name, const ir::Program &prog,
         }
         os << "],\n";
         os << "      \"distinct_schedules\": "
-           << c.stats.distinct_schedules << ",\n";
+           << c.metrics.counter(obs::Counter::ClassifyDistinctSchedules)
+           << ",\n";
         os << "      \"signature\": \""
            << jsonEscape(c.evidence_signature) << "\",\n";
         os << "      \"detail\": \"" << jsonEscape(c.detail)

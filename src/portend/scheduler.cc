@@ -58,7 +58,6 @@ ClassificationScheduler::classifyAll(
     // a unit-local analyzer (construction is cheap: the expensive
     // StaticInfo is shared read-only).
     const std::vector<ClusterUnit> units = makeUnits(clusters.size());
-    std::vector<obs::MetricsShard> shards(clusters.size());
     parallelFor(jobs(), units.size(), [&](std::size_t i) {
         const ClusterUnit &unit = units[i];
         obs::Span cluster_span("scheduler", "cluster");
@@ -69,22 +68,17 @@ ClassificationScheduler::classifyAll(
         out.cluster = clusters[unit.index];
         out.classification = analyzer.classify(
             clusters[unit.index].representative, trace, &ladder);
-        // Worker-local shard: folded into the batch shard in cluster
-        // index order after the join, never by completion order.
-        foldVerdict(out.classification, shards[unit.index]);
     });
 
-    // Every body has finished: the shard slots are plain memory now.
-    // Merge in cluster index order (counters commute, but the fixed
-    // order is the documented determinism rule and keeps any future
-    // non-commutative metric honest).
+    // Every body has finished: the verdicts are plain memory now,
+    // and every merge commutes, so the fold order is free.
     shard_.add(obs::Counter::LadderRungs,
                static_cast<std::uint64_t>(ladder.size()));
     shard_.add(obs::Counter::LadderBuildSteps, ladder.buildSteps());
     shard_.add(obs::Counter::LadderCoveredSteps,
                ladder.prefixStepsCovered());
-    for (std::size_t i = 0; i < shards.size(); ++i)
-        shard_.merge(shards[i]);
+    for (const PortendReport &r : reports)
+        foldVerdict(r.classification, shard_);
     return reports;
 }
 

@@ -19,13 +19,13 @@
  * options, so a run with `--jobs N` is byte-identical to `--jobs 1`.
  * The stage-3 schedule explorer (see explore/) is job-local state
  * driven purely by its own cluster's runs, so its schedules — and
- * the distinct-interleaving ledger each cluster fills up to its Ma
+ * the distinct-interleaving count each cluster fills up to its Ma
  * budget — are jobs-invariant too.
  * The ladder preserves this: rungs are exact replay prefixes, so
- * verdicts and ledger stats match a ladder-less run byte for byte.
+ * verdicts and their counters match a ladder-less run byte for byte.
  * The only cross-thread writes are the per-cluster verdict slots,
- * which are disjoint by index; batch accounting is summed from them
- * after the join.
+ * which are disjoint by index; after the join each verdict's
+ * counters are folded into the batch shard (every merge commutes).
  *
  * The batch is a list of *work units*: classifyAll() materializes
  * one ClusterUnit per cluster before any worker starts, and
@@ -98,9 +98,9 @@ class ClassificationScheduler
                 const replay::ScheduleTrace &trace);
 
     /**
-     * The most recent batch's merged metrics shard: per-cluster
-     * worker shards folded in cluster index order, plus the ladder
-     * accounting. Deterministic across --jobs values and runs.
+     * The most recent batch's merged metrics shard: every verdict's
+     * counters (foldVerdict) plus the ladder accounting.
+     * Deterministic across --jobs values and runs.
      */
     const obs::MetricsShard &metrics() const { return shard_; }
 

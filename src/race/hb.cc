@@ -157,10 +157,4 @@ HbDetector::onEvent(const rt::Event &ev)
     }
 }
 
-std::vector<RaceCluster>
-HbDetector::clusters() const
-{
-    return clusterRaces(reports);
-}
-
 } // namespace portend::race

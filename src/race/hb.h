@@ -38,7 +38,8 @@ struct HbOptions
 
 /**
  * Happens-before detector; attach as an event sink to an
- * Interpreter, run, then read races()/clusters().
+ * Interpreter, run, then read races() (race::clusterRaces groups
+ * them).
  */
 class HbDetector : public rt::EventSink
 {
@@ -53,9 +54,6 @@ class HbDetector : public rt::EventSink
 
     /** All dynamic race occurrences, in detection order. */
     const std::vector<RaceReport> &races() const { return reports; }
-
-    /** Static clusters of races() (paper §4 clustering). */
-    std::vector<RaceCluster> clusters() const;
 
     /** Accesses dropped from full per-cell histories; a race
      *  against a dropped access goes unreported. */

@@ -73,10 +73,4 @@ LocksetDetector::onEvent(const rt::Event &ev)
         evictions_ += 1;
 }
 
-std::vector<RaceCluster>
-LocksetDetector::clusters() const
-{
-    return clusterRaces(reports);
-}
-
 } // namespace portend::race

@@ -39,9 +39,6 @@ class LocksetDetector : public rt::EventSink
     /** Reported races (one per offending access pair). */
     const std::vector<RaceReport> &races() const { return reports; }
 
-    /** Static clusters of races(). */
-    std::vector<RaceCluster> clusters() const;
-
     /** Accesses dropped from full per-cell histories; a race can
      *  then pair only with a newer conflicting access. */
     std::uint64_t evictions() const { return evictions_; }

@@ -50,7 +50,7 @@ TracePolicy::pick(const rt::VmState &state,
 {
     // Cursor derives from the state so forked/restored states resume
     // replay at the correct decision without policy-side bookkeeping.
-    std::uint64_t idx = state.stats.preemption_points;
+    std::uint64_t idx = state.preemption_points;
     if (idx < trace.decisions.size()) {
         const SchedDecision &d = trace.decisions[idx];
         for (rt::ThreadId t : runnable) {
@@ -69,7 +69,7 @@ bool
 TracePolicy::loopKey(const rt::VmState &state,
                      std::vector<std::uint64_t> &key) const
 {
-    if (state.stats.preemption_points < trace.decisions.size() ||
+    if (state.preemption_points < trace.decisions.size() ||
         !fallback) {
         return false;
     }
@@ -82,8 +82,8 @@ AlternatePolicy::postTraceIndex(const rt::VmState &state) const
     // One extra slot is re-issued: the pre-race stop consumed the
     // held thread's scheduling slot without executing its segment.
     const std::uint64_t skip = hold_picks + 1;
-    return state.stats.preemption_points >= skip
-               ? state.stats.preemption_points - skip
+    return state.preemption_points >= skip
+               ? state.preemption_points - skip
                : 0;
 }
 

@@ -84,7 +84,7 @@ Interpreter::finish(RunOutcome o, ThreadId tid, int pc,
 bool
 Interpreter::decideCondition(const sym::ExprPtr &cond, DecisionKind kind)
 {
-    st.stats.symbolic_branches += 1;
+    st.symbolic_branches += 1;
     bool take;
     if (st.hasForcedDecision()) {
         take = st.takeForcedDecision();
@@ -657,10 +657,11 @@ sameThread(const ThreadState &a, const ThreadState &b)
  * One run()'s cycle check. The snapshot holds the *projected state*
  * of an earlier decision — everything that steers future execution
  * — plus the counters the skip advances. Counters only grow, so they
- * stay out of the comparison: global_step, VmStats, per-thread steps
- * and last_step, the counter rows and virtual_time. The append-only
- * logs (path, output, env_log, forced decisions) are compared by
- * size: equal sizes mean nothing was appended in between.
+ * stay out of the comparison: global_step, preemption_points,
+ * symbolic_branches, per-thread steps and last_step, the counter
+ * rows and virtual_time. The append-only logs (path, output,
+ * env_log, forced decisions) are compared by size: equal sizes mean
+ * nothing was appended in between.
  */
 struct Interpreter::LoopCheck
 {
@@ -689,7 +690,8 @@ struct Interpreter::LoopCheck
         // Counters (the threads' counter rows ride along in
         // `threads`).
         std::uint64_t global_step = 0;
-        VmStats stats;
+        std::uint64_t preemption_points = 0;
+        std::uint64_t symbolic_branches = 0;
         std::uint64_t boxed = 0;
         std::int64_t virtual_time = 0;
     };
@@ -716,7 +718,8 @@ struct Interpreter::LoopCheck
         s.forced_cursor = st.forced_cursor;
         s.next_symbol = st.next_symbol;
         s.global_step = st.global_step;
-        s.stats = st.stats;
+        s.preemption_points = st.preemption_points;
+        s.symbolic_branches = st.symbolic_branches;
         s.boxed = valuesBoxed();
         s.virtual_time = st.virtual_time;
     }
@@ -816,10 +819,8 @@ Interpreter::skipCycles(const LoopCheck &lc, std::uint64_t k)
     const LoopCheck::Snapshot &s = *lc.snap;
     const std::uint64_t len = st.global_step - s.global_step;
     st.global_step += k * len;
-    st.stats.preemption_points +=
-        k * (st.stats.preemption_points - s.stats.preemption_points);
-    st.stats.symbolic_branches +=
-        k * (st.stats.symbolic_branches - s.stats.symbolic_branches);
+    st.preemption_points += k * (st.preemption_points - s.preemption_points);
+    st.symbolic_branches += k * (st.symbolic_branches - s.symbolic_branches);
     detail::noteBoxed(k * (valuesBoxed() - s.boxed));
     st.virtual_time += static_cast<std::int64_t>(k) *
                        (st.virtual_time - s.virtual_time);
@@ -863,13 +864,14 @@ Interpreter::run(const StopSpec &stop)
     loop.armed = hook == nullptr;
 
     // Observability: one span per run plus a delta flush of the
-    // VmStats ledger into the process collector at run exit. The hot
-    // segment loop is untouched — it keeps bumping plain VmStats
+    // state's counters into the process collector at run exit. The
+    // hot segment loop is untouched — it keeps bumping plain state
     // counters — so with no sinks installed this is two relaxed
     // pointer loads per run() call.
     obs::Span run_span("interp", "run");
-    const VmStats entry_stats = st.stats;
     const std::uint64_t entry_step = st.global_step;
+    const std::uint64_t entry_preemptions = st.preemption_points;
+    const std::uint64_t entry_sym_branches = st.symbolic_branches;
     const auto flush_observability = [&] {
         const std::uint64_t dsteps = st.global_step - entry_step;
         run_span.arg("steps", static_cast<std::int64_t>(dsteps));
@@ -877,13 +879,11 @@ Interpreter::run(const StopSpec &stop)
             c->add(obs::Counter::InterpRuns, 1);
             c->add(obs::Counter::InterpSteps, dsteps);
             c->add(obs::Counter::InterpPreemptions,
-                   st.stats.preemption_points -
-                       entry_stats.preemption_points);
+                   st.preemption_points - entry_preemptions);
             c->add(obs::Counter::InterpSymBranches,
-                   st.stats.symbolic_branches -
-                       entry_stats.symbolic_branches);
+                   st.symbolic_branches - entry_sym_branches);
             c->add(obs::Counter::InterpValuesBoxed,
-                   st.stats.values_boxed - entry_stats.values_boxed);
+                   valuesBoxed() - boxed0);
             c->add(obs::Counter::InterpCyclesDetected, loop.detected);
             c->add(obs::Counter::InterpStepsSkipped, loop.skipped);
             if (outcome0 != RunOutcome::TimedOut &&
@@ -934,7 +934,7 @@ Interpreter::run(const StopSpec &stop)
             PORTEND_ASSERT(st.thread(tid).runnable(),
                            "policy picked non-runnable thread ", tid);
             st.current = tid;
-            st.stats.preemption_points += 1;
+            st.preemption_points += 1;
             first = true;
         }
 
@@ -942,16 +942,12 @@ Interpreter::run(const StopSpec &stop)
         if (ex == SegExit::StopBefore || ex == SegExit::StopPair) {
             stopped_at_spec = true;
             active_stop = nullptr;
-            st.stats.values_boxed += valuesBoxed() - boxed0;
-            st.stats.pages_unshared = st.mem.unsharedCount();
             flush_observability();
             return RunOutcome::Running;
         }
     }
 
     active_stop = nullptr;
-    st.stats.values_boxed += valuesBoxed() - boxed0;
-    st.stats.pages_unshared = st.mem.unsharedCount();
     flush_observability();
     return st.outcome;
 }

@@ -264,7 +264,7 @@ class Interpreter
     /** The decoded form of the program (shared across interpreters). */
     const DecodedProgram &decoded() const { return *dec; }
 
-    /** Number of decoded instruction sites (stats ledger). */
+    /** Number of decoded instruction sites (`interp.decoded_sites`). */
     int decodedSites() const { return dec->num_insts; }
 
     /** The execution options. */

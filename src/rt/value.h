@@ -35,7 +35,7 @@
 namespace portend::rt {
 
 /** Count of Value→ExprPtr boxing conversions on this thread since
- *  process start (interpreter stats ledger). */
+ *  process start (`detect.values_boxed`, `interp.values_boxed`). */
 std::uint64_t valuesBoxed();
 
 namespace detail {
@@ -114,7 +114,7 @@ class Value
     /**
      * Expression view of the value, boxing a Const node for concrete
      * values. This is the only allocation point in the Value API; it
-     * feeds the values-boxed ledger entry.
+     * feeds the values-boxed counters.
      */
     sym::ExprPtr
     toExpr() const

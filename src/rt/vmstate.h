@@ -87,7 +87,8 @@ class MemImage
     }
 
     /** Pages cloned by the write barrier over this image's lifetime
-     *  (stats ledger; copies inherit the parent's count). */
+     *  (`detect.pages_unshared`; copies inherit the parent's
+     *  count). */
     std::uint64_t unsharedCount() const { return unshared_; }
 
     /**
@@ -338,15 +339,6 @@ const char *runOutcomeName(RunOutcome o);
 /** True for outcomes the paper calls "basic" spec violations. */
 bool isSpecViolation(RunOutcome o);
 
-/** Execution statistics used by the evaluation harnesses. */
-struct VmStats
-{
-    std::uint64_t preemption_points = 0; ///< scheduling decisions taken
-    std::uint64_t symbolic_branches = 0; ///< forks offered to the hook
-    std::uint64_t values_boxed = 0;      ///< Value→ExprPtr conversions
-    std::uint64_t pages_unshared = 0;    ///< COW page clones in mem
-};
-
 /**
  * Complete interpreter state; copy to checkpoint or fork.
  */
@@ -461,12 +453,21 @@ struct VmState
     std::uint64_t global_step = 0;
     std::int64_t virtual_time = 0;
 
+    /**
+     * Scheduling decisions taken. Replay policies read it as their
+     * trace cursor (replay::TracePolicy, AlternatePolicy and
+     * PrimarySearchPolicy), so a forked or restored state resumes at
+     * the right decision.
+     */
+    std::uint64_t preemption_points = 0;
+
+    /** Symbolic decisions taken (forced, or offered to the hook). */
+    std::uint64_t symbolic_branches = 0;
+
     RunOutcome outcome = RunOutcome::Running;
     std::string outcome_detail;
     int outcome_pc = -1;
     ThreadId outcome_tid = -1;
-
-    VmStats stats;
 
     /** Deterministic RNG carried with the state (schedule decisions). */
     Rng rng;

@@ -9,8 +9,8 @@
  * log prefixes) and must never be subtracted to form a duration.
  *
  * This split is a determinism guardrail as much as a correctness
- * one: duration fields are the only nondeterministic values in the
- * pipeline's ledgers, so keeping them behind one named helper makes
+ * one: durations live only in spans and stopwatches, never in the
+ * metrics registry, so keeping them behind one named helper makes
  * it greppable that nothing else sneaks a clock read into exported
  * (byte-compared) output.
  */

@@ -14,14 +14,19 @@
  *    registration, so exports always cover the full table in fixed
  *    order — a prerequisite for byte-comparing metrics files.
  *
+ *  - **One home per number.** Counts live here and nowhere else: a
+ *    verdict carries its counters as a shard
+ *    (core::Classification::metrics), a detection run and a
+ *    pipeline carry theirs (DetectionResult, PortendResult), and
+ *    layers with no result struct bump the collector. Durations live
+ *    in spans (support/trace.h) and nowhere else.
+ *
  *  - **Deterministic by construction.** Counters merge by addition,
  *    gauges by max, histograms bucket-wise — all commutative and
- *    associative — and the pipeline merges worker shards in cluster
- *    index order, so `--metrics-out` bytes are identical across
+ *    associative — so shards may be merged in any order (as workers
+ *    finish) and `--metrics-out` bytes are still identical across
  *    `--jobs N` and across runs. That forces one hard rule: *no
- *    timing and no worker-count values in the registry.* Durations
- *    live in trace files (support/trace.h) and in the ledgers'
- *    never-printed `seconds` fields.
+ *    timing and no worker-count values in the registry.*
  *
  *  - **Zero-cost when off.** The two process-wide sinks, the
  *    collector and the tracer, are plain atomic pointers, null by
@@ -150,9 +155,9 @@ const char *gaugeName(Gauge g);
 const char *histName(Hist h);
 
 // ---------------------------------------------------------------------------
-// MetricsShard: one worker's (or one pipeline stage's) plain,
-// unsynchronized accumulation. Shards are folded into each other in
-// a deterministic order by the owner.
+// MetricsShard: one verdict's, worker's or pipeline stage's plain,
+// unsynchronized accumulation. Every merge commutes, so owners fold
+// shards in whatever order they finish.
 // ---------------------------------------------------------------------------
 
 class MetricsShard

@@ -1,7 +1,6 @@
 #include "support/str.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 
 namespace portend {
@@ -33,37 +32,6 @@ split(const std::string &s, char sep)
     }
     out.push_back(cur);
     return out;
-}
-
-std::string
-padLeft(const std::string &s, std::size_t width)
-{
-    if (s.size() >= width)
-        return s;
-    return std::string(width - s.size(), ' ') + s;
-}
-
-std::string
-padRight(const std::string &s, std::size_t width)
-{
-    if (s.size() >= width)
-        return s;
-    return s + std::string(width - s.size(), ' ');
-}
-
-std::string
-fmtDouble(double v, int decimals)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-    return buf;
-}
-
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
 }
 
 bool

@@ -19,18 +19,6 @@ std::string join(const std::vector<std::string> &parts,
 /** Split @p s on character @p sep (no empty-token suppression). */
 std::vector<std::string> split(const std::string &s, char sep);
 
-/** Left-pad @p s with spaces to at least @p width characters. */
-std::string padLeft(const std::string &s, std::size_t width);
-
-/** Right-pad @p s with spaces to at least @p width characters. */
-std::string padRight(const std::string &s, std::size_t width);
-
-/** Render a double with @p decimals fractional digits. */
-std::string fmtDouble(double v, int decimals = 2);
-
-/** True if @p s starts with @p prefix. */
-bool startsWith(const std::string &s, const std::string &prefix);
-
 /**
  * Parse a signed decimal 64-bit integer with full range checking:
  * rejects empty input, trailing junk, and — unlike a bare strtoll —

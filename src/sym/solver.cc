@@ -28,14 +28,6 @@ PathCondition::add(const ExprPtr &c)
     cs.push_back(std::move(s));
 }
 
-std::vector<ExprPtr>
-PathCondition::with(const ExprPtr &extra) const
-{
-    std::vector<ExprPtr> out = cs;
-    out.push_back(extra);
-    return out;
-}
-
 std::optional<std::int64_t>
 evalPartial(const ExprPtr &e, const Model &partial)
 {
@@ -392,28 +384,6 @@ Solver::mayBeTrue(const std::vector<ExprPtr> &pc, const ExprPtr &e,
     std::vector<ExprPtr> q = pc;
     q.push_back(e);
     return checkSat(q, model) == SatResult::Sat;
-}
-
-std::optional<Model>
-Solver::witness(const std::vector<ExprPtr> &constraints)
-{
-    Model m;
-    if (checkSat(constraints, &m) == SatResult::Unsat)
-        return std::nullopt;
-    for (const auto &[id, node] : collectSymbols(constraints)) {
-        if (!m.values.count(id))
-            m.values[id] = node->symbolLo();
-    }
-    return m;
-}
-
-std::map<int, ExprPtr>
-collectSymbols(const std::vector<ExprPtr> &constraints)
-{
-    std::map<int, ExprPtr> symbols;
-    for (const auto &c : constraints)
-        c->collectSymbolNodes(symbols);
-    return symbols;
 }
 
 } // namespace portend::sym

@@ -68,9 +68,6 @@ class PathCondition
     /** Number of retained constraints. */
     std::size_t size() const { return cs.size(); }
 
-    /** Conjunction of constraints extended with @p extra. */
-    std::vector<ExprPtr> with(const ExprPtr &extra) const;
-
   private:
     std::vector<ExprPtr> cs;
     bool trivially_false = false;
@@ -104,21 +101,7 @@ class Solver
     bool mayBeTrue(const std::vector<ExprPtr> &pc, const ExprPtr &e,
                    Model *model = nullptr);
 
-    /**
-     * Concretize a complete witness for @p constraints.
-     *
-     * Like checkSat, but the returned model binds *every* symbol
-     * referenced by the constraints: symbols the search left free
-     * are pinned to their domain lower bound, so the witness can be
-     * replayed deterministically. Returns nullopt on Unsat; an
-     * Unknown answer still yields the (possibly partial-search)
-     * model so callers degrade gracefully.
-     */
-    std::optional<Model>
-    witness(const std::vector<ExprPtr> &constraints);
-
-    /** checkSat calls so far; classification copies it into its
-     *  ledger. */
+    /** checkSat calls so far (`classify.solver_queries`). */
     std::uint64_t queries() const { return queries_; }
 
   private:
@@ -142,10 +125,6 @@ class Solver
     SolverOptions opts;
     std::uint64_t queries_ = 0;
 };
-
-/** All distinct symbol nodes referenced by @p constraints. */
-std::map<int, ExprPtr>
-collectSymbols(const std::vector<ExprPtr> &constraints);
 
 /**
  * Evaluate @p e under a partial model.

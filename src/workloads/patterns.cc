@@ -6,24 +6,6 @@ using K = portend::sym::ExprKind;
 
 namespace portend::workloads {
 
-void
-emitInstancePadding(ir::FunctionBuilder *fb, ir::GlobalId cell_global,
-                    int reads)
-{
-    if (reads <= 0)
-        return;
-    ir::Reg i = fb->iconst(reads);
-    ir::BlockId loop = fb->block("pad_loop");
-    ir::BlockId next = fb->block("pad_next");
-    fb->jmp(loop);
-    fb->to(loop);
-    fb->load(cell_global); // same pc every iteration
-    fb->binInto(i, K::Sub, R(i), I(1));
-    ir::Reg c = fb->bin(K::Sgt, R(i), I(0));
-    fb->br(R(c), loop, next);
-    fb->to(next);
-}
-
 namespace {
 
 /**

@@ -112,10 +112,6 @@ ExpectedRace emitOverflowCrashRace(PatternCtx ctx,
                                    const std::string &tag,
                                    int table_size);
 
-/** Extra reads of @p cell_global to inflate instance counts. */
-void emitInstancePadding(ir::FunctionBuilder *fb,
-                         ir::GlobalId cell_global, int reads);
-
 } // namespace portend::workloads
 
 #endif // PORTEND_WORKLOADS_PATTERNS_H

@@ -177,7 +177,7 @@ TEST(AllocationTest, RunAllocationsDoNotGrowWithLength)
             interp.addSink(&sink);
             EXPECT_EQ(interp.run(), RunOutcome::Exited);
             events[i] = sink.events;
-            decisions[i] = interp.state().stats.preemption_points;
+            decisions[i] = interp.state().preemption_points;
         });
     }
     // The longer run really is longer, by every access.

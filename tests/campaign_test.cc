@@ -63,6 +63,20 @@ microConfig(bool json = true)
     return config;
 }
 
+/** Units of @p r that ran the full pipeline. */
+std::uint64_t
+misses(const CampaignResult &r)
+{
+    return r.metrics.counter(obs::Counter::CampaignCacheMisses);
+}
+
+/** Units of @p r whose payload came from the cache. */
+std::uint64_t
+hits(const CampaignResult &r)
+{
+    return r.metrics.counter(obs::Counter::CampaignCacheHits);
+}
+
 // -- Signature stability ---------------------------------------------
 
 TEST(SignatureTest, StableAcrossRepeatsAndRuntimeDials)
@@ -308,22 +322,33 @@ TEST(FormatPinTest, ManifestLinesRefuseTrailingTokens)
 
 TEST(FormatPinTest, ManifestDialsRefuseValuesTheCliRefuses)
 {
-    // The lowest values the CLI accepts parse and write back as is.
+    // The lowest values the CLI accepts parse and write back as is,
+    // a one-value symbolic-input range (`--sym-input n=5..5`) among
+    // them.
+    rt::SymInputSpec one;
+    one.name = "n";
+    one.has_range = true;
+    one.lo = 5;
+    one.hi = 5;
     CampaignConfig low = microConfig();
     low.analysis.mp = 1;
     low.analysis.ma = 1;
     low.analysis.max_steps = 1;
     low.analysis.executor_max_states = 1;
     low.analysis.detection_seed = 0;
+    low.analysis.sym_inputs.push_back(one);
     std::string error;
     const std::string low_text = manifestText(low);
+    ASSERT_NE(low_text.find("\nsym_input 1 5 5 n\n"), std::string::npos);
     std::optional<CampaignConfig> back = parseManifest(low_text, &error);
     ASSERT_TRUE(back.has_value()) << error;
     EXPECT_EQ(manifestText(*back), low_text);
 
     // Below them, or negative where `>>` into an unsigned would wrap
-    // around, is a bad line.
-    const std::string text = manifestText(microConfig());
+    // around, or an empty range, is a bad line.
+    CampaignConfig base = microConfig();
+    base.analysis.sym_inputs.push_back(one);
+    const std::string text = manifestText(base);
     const std::pair<std::string, std::string> edits[] = {
         {"mp 5", "mp 0"},
         {"ma 2", "ma 0"},
@@ -334,6 +359,7 @@ TEST(FormatPinTest, ManifestDialsRefuseValuesTheCliRefuses)
         {"max_steps 2000000", "max_steps -5"},
         {"detection_seed 1", "detection_seed -1"},
         {"total_step_budget 0", "total_step_budget -0"},
+        {"sym_input 1 5 5 n", "sym_input 1 9 0 n"},
     };
     for (const auto &[from, to] : edits) {
         std::string edited = text;
@@ -532,7 +558,7 @@ TEST(CampaignTest, EphemeralRunsAreByteIdenticalAcrossJobs)
     CampaignResult r1 = one.run(-1, 1);
     ASSERT_TRUE(r1.error.empty()) << r1.error;
     ASSERT_TRUE(r1.complete());
-    EXPECT_EQ(r1.executed, 3);
+    EXPECT_EQ(misses(r1), 3u);
 
     Campaign four(microConfig());
     CampaignResult r4 = four.run(-1, 4);
@@ -561,14 +587,14 @@ TEST(CampaignTest, AbortAndResumeMergeToUninterruptedBytes)
     CampaignResult partial = c->run(1, 1);
     EXPECT_TRUE(partial.aborted);
     EXPECT_FALSE(partial.complete());
-    EXPECT_EQ(partial.executed, 1);
+    EXPECT_EQ(misses(partial), 1u);
 
     std::optional<Campaign> resumed = Campaign::open(dir, &error);
     ASSERT_TRUE(resumed.has_value()) << error;
     CampaignResult rest = resumed->run(-1, 1);
     ASSERT_TRUE(rest.complete());
-    EXPECT_EQ(rest.cache_hits, 1);
-    EXPECT_EQ(rest.executed, 2);
+    EXPECT_EQ(hits(rest), 1u);
+    EXPECT_EQ(misses(rest), 2u);
     EXPECT_EQ(rest.mergedOutput(true), want);
 
     // Warm re-run: the cache holds everything, nothing executes.
@@ -576,10 +602,9 @@ TEST(CampaignTest, AbortAndResumeMergeToUninterruptedBytes)
     ASSERT_TRUE(warm.has_value()) << error;
     CampaignResult all = warm->run(-1, 1);
     ASSERT_TRUE(all.complete());
-    EXPECT_EQ(all.executed, 0);
-    EXPECT_EQ(all.cache_hits, 3);
+    EXPECT_EQ(misses(all), 0u);
+    EXPECT_EQ(hits(all), 3u);
     EXPECT_EQ(all.mergedOutput(true), want);
-    EXPECT_EQ(all.metrics.counter(obs::Counter::CampaignCacheHits), 3u);
     EXPECT_EQ(all.metrics.counter(obs::Counter::DetectRuns), 0u);
 
     // A lost entry re-runs only its own unit.
@@ -591,8 +616,8 @@ TEST(CampaignTest, AbortAndResumeMergeToUninterruptedBytes)
     EXPECT_EQ(lost->status().completed_units, 2u);
     CampaignResult again = lost->run(-1, 1);
     ASSERT_TRUE(again.complete());
-    EXPECT_EQ(again.executed, 1);
-    EXPECT_EQ(again.cache_hits, 2);
+    EXPECT_EQ(misses(again), 1u);
+    EXPECT_EQ(hits(again), 2u);
     EXPECT_EQ(again.mergedOutput(true), want);
 }
 
@@ -605,7 +630,7 @@ TEST(CampaignTest, AbortFlagIsSetOnlyWhileUnitsRemain)
     Campaign cut(microConfig());
     CampaignResult partial = cut.run(2, 1);
     EXPECT_TRUE(partial.aborted);
-    EXPECT_EQ(partial.executed, 2);
+    EXPECT_EQ(misses(partial), 2u);
     EXPECT_FALSE(partial.complete());
     for (int limit : {3, 4}) {
         Campaign c(microConfig());
@@ -662,8 +687,8 @@ TEST(CampaignTest, EditedFileUnitIsReclassifiedOnResume)
     EXPECT_EQ(resumed->status().completed_units, 0u);
     CampaignResult rest = resumed->run(-1, 1);
     ASSERT_TRUE(rest.complete()) << rest.error;
-    EXPECT_EQ(rest.executed, 1);
-    EXPECT_EQ(rest.cache_hits, 0);
+    EXPECT_EQ(misses(rest), 1u);
+    EXPECT_EQ(hits(rest), 0u);
     EXPECT_EQ(rest.mergedOutput(true), want);
 }
 

@@ -819,14 +819,16 @@ compareExplorers(const ir::Program &p, int ma,
     DistinctTotals t;
     const std::size_t n = std::min(rnd.reports.size(), dpo.reports.size());
     for (std::size_t i = 0; i < n; ++i) {
-        const AnalysisStats &a = rnd.reports[i].classification.stats;
-        const AnalysisStats &b = dpo.reports[i].classification.stats;
-        EXPECT_LE(a.distinct_schedules, a.schedules_explored);
-        EXPECT_LE(b.distinct_schedules, b.schedules_explored);
-        EXPECT_GE(b.distinct_schedules, a.distinct_schedules)
+        const obs::MetricsShard &a = rnd.reports[i].classification.metrics;
+        const obs::MetricsShard &b = dpo.reports[i].classification.metrics;
+        const auto distinct = obs::Counter::ClassifyDistinctSchedules;
+        const auto schedules = obs::Counter::ClassifySchedules;
+        EXPECT_LE(a.counter(distinct), a.counter(schedules));
+        EXPECT_LE(b.counter(distinct), b.counter(schedules));
+        EXPECT_GE(b.counter(distinct), a.counter(distinct))
             << "cluster " << i;
-        t.random += static_cast<std::uint64_t>(a.distinct_schedules);
-        t.dpor += static_cast<std::uint64_t>(b.distinct_schedules);
+        t.random += a.counter(distinct);
+        t.dpor += b.counter(distinct);
     }
     const auto distinct = [](const PortendResult &res) {
         return res.metrics.counter(obs::Counter::ClassifyDistinctSchedules);

@@ -142,6 +142,52 @@ TEST(FuzzCorpus, RunCorpusReportsBrokenEntryDirectories)
     EXPECT_EQ(res.passed, 0);
 }
 
+TEST(FuzzCorpus, MetaNumbersAreDigitsThatFit)
+{
+    std::string dir = scratchDir("meta_numbers");
+    CorpusEntry e;
+    e.name = "sig-meta";
+    e.kind = "regression";
+    e.fuzz_seed = 42;
+    e.index = 7;
+    e.detection_seed = 1;
+    std::string error;
+    ASSERT_TRUE(saveEntry(dir, e, &error)) << error;
+    const fs::path entry = fs::path(dir) / e.name;
+    std::string text;
+    {
+        std::ifstream is(entry / "meta.txt");
+        text.assign(std::istreambuf_iterator<char>(is), {});
+    }
+    const auto loadWith = [&](const std::string &from,
+                              const std::string &to) {
+        std::string edited = text;
+        const std::size_t at = edited.find("\n" + from + "\n");
+        EXPECT_NE(at, std::string::npos) << from;
+        if (at != std::string::npos)
+            edited.replace(at + 1, from.size(), to);
+        std::ofstream(entry / "meta.txt", std::ios::trunc) << edited;
+        return loadEntry(entry.string(), &error);
+    };
+    for (const std::string from :
+         {"fuzz_seed=42", "index=7", "detection_seed=1"}) {
+        const std::string key = from.substr(0, from.find('='));
+        for (const char *bad : {"1junk", " 1", "-1", "+1", "",
+                                "18446744073709551616"}) {
+            EXPECT_FALSE(loadWith(from, key + "=" + bad).has_value())
+                << key << "=" << bad;
+            EXPECT_NE(error.find("bad number for " + key),
+                      std::string::npos)
+                << error;
+        }
+    }
+    // The largest value that fits still loads.
+    std::optional<CorpusEntry> max =
+        loadWith("detection_seed=1", "detection_seed=18446744073709551615");
+    ASSERT_TRUE(max.has_value()) << error;
+    EXPECT_EQ(max->detection_seed, UINT64_MAX);
+}
+
 TEST(FuzzCorpus, CampaignWritesReplayableCorpus)
 {
     std::string dir = scratchDir("campaign");

@@ -4,6 +4,9 @@
 #   -DPORTEND=<path to the portend binary>
 #   -DGOLDEN=<path to the golden file under tests/golden/>
 #   -DARGS="<portend arguments>"  runs `portend <arguments>`
+#   -DOUTPUT=<file>  (optional) compare the file the command writes
+#                    there instead of its stdout; it is removed
+#                    first, and <file> in ARGS stands for its path
 #
 # The comparison is byte-exact on purpose: verdict classes, k
 # counts, distinct-schedule ledgers, evidence signatures and fuzz
@@ -20,6 +23,10 @@ endforeach()
 
 separate_arguments(cmd UNIX_COMMAND "${ARGS}")
 string(JOIN " " what ${cmd})
+if(DEFINED OUTPUT)
+    file(REMOVE ${OUTPUT})
+    list(TRANSFORM cmd REPLACE "^<file>$" "${OUTPUT}")
+endif()
 
 execute_process(
     COMMAND ${PORTEND} ${cmd}
@@ -27,6 +34,12 @@ execute_process(
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "portend ${what} exited with ${rc}")
+endif()
+if(DEFINED OUTPUT)
+    if(NOT EXISTS ${OUTPUT})
+        message(FATAL_ERROR "portend ${what} wrote no ${OUTPUT}")
+    endif()
+    file(READ ${OUTPUT} got)
 endif()
 
 if(NOT EXISTS ${GOLDEN})

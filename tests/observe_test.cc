@@ -459,7 +459,7 @@ TEST(LadderEndIdentityTest, ClassifyAllReconcilesWithParent)
     const obs::MetricsShard four = classifyAllExport(4);
     EXPECT_EQ(obs::metricsJson(one), obs::metricsJson(four));
     expectLadderIdentity(one, 147620);
-    // The ledger absorbs each state's cumulative counters, so it is
+    // A verdict absorbs each state's cumulative counters, so this is
     // the same whether a primary ran its tail or adopted it.
     EXPECT_EQ(one.counter(obs::Counter::ClassifySteps), 211272u);
     // Lazy DPOR expansion runs the same schedules (recorded and

@@ -85,27 +85,18 @@ TEST(SchedulerStatsTest, LedgerMatchesPerClusterStats)
     ASSERT_FALSE(res.reports.empty());
 
     std::uint64_t steps = 0;
-    int schedules = 0;
+    std::uint64_t schedules = 0;
     for (const PortendReport &r : res.reports) {
-        steps += r.classification.stats.steps;
-        schedules += r.classification.stats.schedules_explored;
+        const obs::MetricsShard &c = r.classification.metrics;
+        steps += c.counter(obs::Counter::ClassifySteps);
+        schedules += c.counter(obs::Counter::ClassifySchedules);
     }
     const obs::MetricsShard &m = res.metrics;
     EXPECT_EQ(m.counter(obs::Counter::ClassifySteps), steps);
-    EXPECT_EQ(m.counter(obs::Counter::ClassifySchedules),
-              static_cast<std::uint64_t>(schedules));
+    EXPECT_EQ(m.counter(obs::Counter::ClassifySchedules), schedules);
     EXPECT_EQ(m.counter(obs::Counter::ClassifyClusters),
               res.reports.size());
     EXPECT_GT(steps, 0u);
-}
-
-TEST(SchedulerStatsTest, PerClusterWallTimeIsRecorded)
-{
-    workloads::Workload w = workloads::buildWorkload("bbuf");
-    PortendResult res = runWith(w, 2);
-    ASSERT_FALSE(res.reports.empty());
-    for (const PortendReport &r : res.reports)
-        EXPECT_GT(r.classification.stats.seconds, 0.0);
 }
 
 TEST(SchedulerUnitsTest, EveryUnitCarriesTheBatchOptions)
@@ -174,7 +165,7 @@ runWithExplorer(const workloads::Workload &w, explore::ExploreMode m,
 }
 
 // The explorer is job-local state driven only by its own cluster's
-// runs: dpor verdicts, k counts, distinct-schedule ledgers, and the
+// runs: dpor verdicts, k counts, distinct-schedule counters, and the
 // Fig. 6 report bytes are identical across --jobs values. (The same
 // byte streams are pinned by the golden suite, which CI runs under
 // both the regular and TSan builds — cross-build identity rides on
@@ -194,11 +185,12 @@ TEST(ExplorerDeterminismTest, DporIdenticalAcrossJobs)
             const Classification &b = par.reports[i].classification;
             EXPECT_EQ(a.cls, b.cls) << name << " cluster " << i;
             EXPECT_EQ(a.k, b.k) << name << " cluster " << i;
-            EXPECT_EQ(a.stats.distinct_schedules,
-                      b.stats.distinct_schedules)
+            EXPECT_EQ(
+                a.metrics.counter(obs::Counter::ClassifyDistinctSchedules),
+                b.metrics.counter(obs::Counter::ClassifyDistinctSchedules))
                 << name << " cluster " << i;
-            EXPECT_EQ(a.stats.schedules_explored,
-                      b.stats.schedules_explored)
+            EXPECT_EQ(a.metrics.counter(obs::Counter::ClassifySchedules),
+                      b.metrics.counter(obs::Counter::ClassifySchedules))
                 << name << " cluster " << i;
             EXPECT_EQ(a.evidence_signature, b.evidence_signature)
                 << name << " cluster " << i;
@@ -239,11 +231,10 @@ TEST(ExplorerDeterminismTest, DporIsRunToRunStable)
     EXPECT_EQ(distinctSchedules(one), distinctSchedules(two));
 }
 
-// The batch ledger aggregates the per-cluster distinct-schedule
-// counts exactly (scheduler accounting for the new stat). Every
-// cluster of the subject records at least one distinct schedule, so
-// a ledger that drops any cluster's shard, the last one included,
-// comes up short.
+// The batch shard sums the verdicts' distinct-schedule counters
+// exactly. Every cluster of the subject records at least one
+// distinct schedule, so a batch that drops any cluster's verdict,
+// the last one included, comes up short.
 TEST(SchedulerStatsTest, DistinctScheduleLedgerSums)
 {
     const ir::Program p = tests::flipGadget("racy_staggered", 3, 3);
@@ -251,16 +242,17 @@ TEST(SchedulerStatsTest, DistinctScheduleLedgerSums)
     opts.jobs = 2;
     PortendResult res = Portend(p, opts).run();
     ASSERT_GE(res.reports.size(), 2u);
-    int distinct = 0;
+    std::uint64_t distinct = 0;
     for (std::size_t i = 0; i < res.reports.size(); ++i) {
-        const AnalysisStats &s = res.reports[i].classification.stats;
-        EXPECT_GE(s.distinct_schedules, 1) << "cluster " << i;
-        EXPECT_LE(s.distinct_schedules, s.schedules_explored)
+        const obs::MetricsShard &s = res.reports[i].classification.metrics;
+        const std::uint64_t d =
+            s.counter(obs::Counter::ClassifyDistinctSchedules);
+        EXPECT_GE(d, 1u) << "cluster " << i;
+        EXPECT_LE(d, s.counter(obs::Counter::ClassifySchedules))
             << "cluster " << i;
-        distinct += s.distinct_schedules;
+        distinct += d;
     }
-    EXPECT_EQ(distinctSchedules(res),
-              static_cast<std::uint64_t>(distinct));
+    EXPECT_EQ(distinctSchedules(res), distinct);
 }
 
 // ---------------------------------------------------------------------------

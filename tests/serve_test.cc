@@ -763,6 +763,28 @@ TEST(ServeTest, MalformedManifestGetsErrorFrame)
     EXPECT_FALSE(serve::submit(ep, "not a manifest\n", &out, &err));
     EXPECT_NE(err.find("bad manifest"), std::string::npos) << err;
 
+    // The CLI refuses `--sym-input n=9..0`; a manifest naming that
+    // range is refused before any unit is dispatched, so no worker
+    // dies on the empty domain of ibuf's input `n`.
+    campaign::CampaignConfig config;
+    config.units = {{"workload", "ibuf"}};
+    rt::SymInputSpec empty;
+    empty.name = "n";
+    empty.has_range = true;
+    empty.lo = 9;
+    empty.hi = 0;
+    config.analysis.sym_inputs.push_back(empty);
+    const std::string manifest = campaign::manifestText(config);
+    ASSERT_NE(manifest.find("\nsym_input 1 9 0 n\n"), std::string::npos);
+    EXPECT_FALSE(serve::submit(ep, manifest, &out, &err));
+    EXPECT_EQ(err.rfind("bad manifest", 0), 0u) << err;
+    std::string status;
+    ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
+    EXPECT_NE(status.find("\"units_dispatched\": 0,"), std::string::npos)
+        << status;
+    EXPECT_NE(status.find("\"worker_deaths\": 0,"), std::string::npos)
+        << status;
+
     wire::Frame resp;
     ASSERT_TRUE(serve::request(ep, {"bogus", ""}, &resp, &err))
         << err;

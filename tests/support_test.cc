@@ -77,19 +77,6 @@ TEST(StrTest, JoinSplitRoundTrip)
     EXPECT_EQ(split("a,bb,,c", ','), parts);
 }
 
-TEST(StrTest, Padding)
-{
-    EXPECT_EQ(padLeft("x", 3), "  x");
-    EXPECT_EQ(padRight("x", 3), "x  ");
-    EXPECT_EQ(padLeft("xyz", 2), "xyz");
-}
-
-TEST(StrTest, FmtDouble)
-{
-    EXPECT_EQ(fmtDouble(3.14159, 2), "3.14");
-    EXPECT_EQ(fmtDouble(2.0, 0), "2");
-}
-
 TEST(StrTest, ParseI64AcceptsTheFullRange)
 {
     std::int64_t v = 0;
@@ -122,12 +109,6 @@ TEST(StrTest, ParseI64RejectsMalformedInput)
     EXPECT_FALSE(parseI64("12x", &v));
     EXPECT_FALSE(parseI64("1.5", &v));
     EXPECT_FALSE(parseI64("-", &v));
-}
-
-TEST(StrTest, StartsWith)
-{
-    EXPECT_TRUE(startsWith("block_ready[3]", "block_ready"));
-    EXPECT_FALSE(startsWith("blo", "block"));
 }
 
 } // namespace

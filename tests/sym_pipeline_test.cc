@@ -83,7 +83,9 @@ TEST(SymPipelineTest, IbufSymInputUpgradesToOutputDiffers)
     std::int64_t n = witnessValue(r.classification, "n");
     EXPECT_GT(n, 4);
     EXPECT_LE(n, 8);
-    EXPECT_GT(r.classification.stats.solver_queries, 0u);
+    EXPECT_GT(r.classification.metrics.counter(
+                  obs::Counter::ClassifySolverQueries),
+              0u);
 }
 
 TEST(SymPipelineTest, IguardDefaultPipelineMissesTheGate)

@@ -636,10 +636,13 @@ cmdCampaign(int argc, char **argv)
         std::fprintf(stderr, "portend: %s\n", res.error.c_str());
         return 1;
     }
-    std::fprintf(stderr,
-                 "campaign: %zu unit(s): %d executed, %d cache "
-                 "hit(s)\n",
-                 res.units.size(), res.executed, res.cache_hits);
+    std::fprintf(
+        stderr, "campaign: %zu unit(s): %llu executed, %llu cache hit(s)\n",
+        res.units.size(),
+        static_cast<unsigned long long>(
+            res.metrics.counter(obs::Counter::CampaignCacheMisses)),
+        static_cast<unsigned long long>(
+            res.metrics.counter(obs::Counter::CampaignCacheHits)));
     if (res.aborted) {
         std::fprintf(stderr,
                      "campaign: aborted by --abort-after; resume "

@@ -12,9 +12,14 @@
 # for bbuf, ctrace and sqlite, whose verdict bytes those flags change
 # (ctest golden_<w>_no_<stage>). fuzz_s42_b200.txt is the stdout of
 #   portend fuzz --fuzz-seed 42 --budget 200 --jobs 1
-# and golden_fuzz_s42 diffs against it. Regenerating therefore always
-# produces a reviewable git diff: goldens only change when verdict
-# behavior changes, and that diff is the re-review surface.
+# and golden_fuzz_s42 diffs against it. metrics_classify_all.json and
+# metrics_fuzz_s42.json are the --metrics-out files of
+#   portend classify --all --jobs 1
+#   portend fuzz --fuzz-seed 42 --budget 200 --jobs 1
+# (ctest golden_metrics_classify_all, golden_metrics_fuzz_s42).
+# Regenerating therefore always produces a reviewable git diff:
+# goldens only change when verdict behavior or a counter changes, and
+# that diff is the re-review surface.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,6 +47,12 @@ done
 "$PORTEND" fuzz --fuzz-seed 42 --budget 200 --jobs 1 \
     > tests/golden/fuzz_s42_b200.txt
 echo "regenerated tests/golden/fuzz_s42_b200.txt"
+"$PORTEND" classify --all --jobs 1 \
+    --metrics-out tests/golden/metrics_classify_all.json > /dev/null
+echo "regenerated tests/golden/metrics_classify_all.json"
+"$PORTEND" fuzz --fuzz-seed 42 --budget 200 --jobs 1 \
+    --metrics-out tests/golden/metrics_fuzz_s42.json > /dev/null
+echo "regenerated tests/golden/metrics_fuzz_s42.json"
 
 echo
 echo "Goldens regenerated. Review the diff before committing:"
