@@ -48,6 +48,10 @@ const FixedDial kFixedDials[] = {
     {"render.stats", 0},
 };
 
+/** The stage-3 explorer, a fixed dial whose value is a name: `random`
+ *  is refused like any other value. */
+const char kExplorer[] = "dpor";
+
 /** The value retired dial @p key is fixed at, or null for any other
  *  key. */
 const std::uint64_t *
@@ -262,7 +266,7 @@ manifestText(const CampaignConfig &config)
     os << "max_steps " << o.max_steps << "\n";
     os << "detection_seed " << o.detection_seed << "\n";
     os << "detector " << core::detectorName(o.detector) << "\n";
-    os << "explore " << explore::exploreModeName(o.explore) << "\n";
+    os << "explore " << kExplorer << "\n";
     fixed("preemption_bound");
     fixed("solver.max_assignments");
     fixed("solver.max_candidates");
@@ -344,11 +348,7 @@ parseManifest(const std::string &text, std::string *error)
             o.detector = d.value_or(o.detector);
         } else if (key == "explore") {
             std::string v;
-            ls >> v;
-            std::optional<explore::ExploreMode> m =
-                explore::exploreModeFromName(v);
-            ok = m.has_value();
-            o.explore = m.value_or(o.explore);
+            ok = bool(ls >> v) && v == kExplorer;
         } else if (key == "executor_max_states") {
             ok = bool(ls >> o.executor_max_states) &&
                  o.executor_max_states >= 1;

@@ -11,28 +11,6 @@
 
 namespace portend::explore {
 
-const char *
-exploreModeName(ExploreMode m)
-{
-    switch (m) {
-      case ExploreMode::Random:
-        return "random";
-      case ExploreMode::Dpor:
-        return "dpor";
-    }
-    return "?";
-}
-
-std::optional<ExploreMode>
-exploreModeFromName(const std::string &name)
-{
-    for (ExploreMode m : {ExploreMode::Random, ExploreMode::Dpor}) {
-        if (name == exploreModeName(m))
-            return m;
-    }
-    return std::nullopt;
-}
-
 namespace {
 
 using Access = rt::ScheduleObservation::Access;
@@ -208,29 +186,16 @@ ScheduleExplorer::ScheduleExplorer(ExplorerOptions o) : opts(o)
     // Pre-seed classes witnessed by earlier explorers so distinct_
     // only counts globally-new ones (per-path budget sharing).
     seen_ = opts.known;
-    if (opts.mode == ExploreMode::Dpor) {
-        // The systematic baseline: no injected preemptions, pure
-        // deterministic fallback. Runs after the random phase.
-        push({}, 0);
-    }
+    // The systematic baseline: no injected preemptions, pure
+    // deterministic fallback. Runs after the seeded phase.
+    push({}, 0);
 }
 
 std::optional<PostSpec>
 ScheduleExplorer::next()
 {
-    if (opts.mode == ExploreMode::Random) {
-        // Legacy sampling: exactly `budget` runs, duplicates and all.
-        if (runs_ >= opts.budget)
-            return std::nullopt;
-        runs_ += 1;
-        random_issued_ += 1;
-        last_preemptions_ = 0;
-        return PostSpec::random(opts.seed_base + random_issued_);
-    }
-
-    // Dpor: the full random phase always runs (the superset
-    // contract), so a verdict decided there is decided identically
-    // in both modes; only then do budget and cap apply.
+    // The seeded phase always runs whole; only then do budget and
+    // cap apply.
     if (opts.random_first && random_issued_ < opts.budget) {
         runs_ += 1;
         random_issued_ += 1;
@@ -261,8 +226,7 @@ ScheduleExplorer::record(rt::ScheduleObservation obs)
     const bool fresh = seen_.insert(last_sig_).second;
     if (fresh)
         distinct_ += 1;
-    if (opts.mode == ExploreMode::Dpor &&
-        last_preemptions_ < opts.preemption_bound) {
+    if (last_preemptions_ < opts.preemption_bound) {
         keepExpandWindow(obs);
         pending_.push_back({std::move(obs), last_preemptions_});
     }

@@ -4,10 +4,10 @@
  *
  * Portend's stage 3 multiplies witnesses by running Ma alternate
  * executions per primary path. Sampling those schedules from a
- * seeded RNG silently burns budget on duplicate and
- * Mazurkiewicz-equivalent interleavings; the ScheduleExplorer
- * replaces sampling with a systematic enumerator in the spirit of
- * dynamic partial-order reduction:
+ * seeded RNG alone silently burns budget on duplicate and
+ * Mazurkiewicz-equivalent interleavings; the ScheduleExplorer runs
+ * the samples, then continues with a systematic enumerator in the
+ * spirit of dynamic partial-order reduction:
  *
  *  - every issued schedule is replayable: an explicit decision
  *    prefix applied by rt::GuidedPolicy, completed by a
@@ -30,14 +30,12 @@
  *    prefix-dedup set either way, so this issues exactly the
  *    schedules eager expansion would, in the same order.
  *
- * Mode contract (relied on by the fuzz oracle's monotonicity
- * checks): in Dpor mode the explorer first issues exactly the
- * schedules Random mode would issue, with the same seeds and in the
- * same order, and only then its systematic candidates. A Dpor run
- * therefore explores a superset of the Random run's behaviors at
- * equal budget: switching random -> dpor can move a verdict from
- * "k-witness harmless" toward "output differs"/"spec violated",
- * never the reverse.
+ * Opening phase: the explorer first issues the paper's Ma seeded
+ * post-race samples (§3.4), seeds seed_base + 1 .. seed_base + Ma
+ * in that order, and only then its systematic candidates. The
+ * seeded phase always runs whole, so every schedule the sampler
+ * would try is tried, and the systematic phase can only add
+ * behaviors on top of it.
  *
  * The explorer is pure bookkeeping — it never executes anything and
  * is deterministic given the observations fed back to it, which is
@@ -59,22 +57,6 @@
 #include "rt/policy.h"
 
 namespace portend::explore {
-
-/** How stage 3 chooses post-race schedules. */
-enum class ExploreMode : std::uint8_t {
-    Random, ///< legacy seeded sampling (Ma runs, duplicates allowed)
-    Dpor,   ///< the Random schedules, then systematic backtracking
-            ///< until Ma *distinct* interleavings were witnessed
-};
-
-/** Printable mode name (CLI spelling). */
-const char *exploreModeName(ExploreMode m);
-
-/**
- * Inverse of exploreModeName: parse a mode name. Returns
- * std::nullopt for unknown names.
- */
-std::optional<ExploreMode> exploreModeFromName(const std::string &name);
 
 /**
  * One post-race schedule to execute.
@@ -140,18 +122,16 @@ std::string signatureHash(const rt::ScheduleObservation &obs);
 /** Explorer configuration. */
 struct ExplorerOptions
 {
-    ExploreMode mode = ExploreMode::Dpor;
-
     /**
-     * Schedule budget (the CLI's Ma): in Random mode the number of
-     * runs; in Dpor mode the number of *distinct* interleavings to
-     * collect before stopping.
+     * Schedule budget (the CLI's Ma): the number of *distinct*
+     * interleavings to collect before stopping, and the number of
+     * seeded runs of the opening phase.
      */
     int budget = 2;
 
     /**
-     * Hard cap on executed runs in Dpor mode, so a space with fewer
-     * classes than the budget terminates. 0 = 4 * budget + 4.
+     * Hard cap on executed runs, so a space with fewer classes than
+     * the budget terminates. 0 = 4 * budget + 4.
      */
     int max_runs = 0;
 
@@ -162,13 +142,13 @@ struct ExplorerOptions
      */
     int preemption_bound = 4;
 
-    /** Random-phase seeds are seed_base + 1, seed_base + 2, ... */
+    /** Seeded-phase seeds are seed_base + 1, seed_base + 2, ... */
     std::uint64_t seed_base = 0;
 
     /**
-     * Issue the Random-mode schedules before systematic candidates
-     * (the Dpor superset contract above). Tests disable this to
-     * measure pure systematic coverage.
+     * Issue the seeded opening phase before systematic candidates
+     * (see the file comment). Tests disable this to measure pure
+     * systematic coverage.
      */
     bool random_first = true;
 
@@ -203,10 +183,9 @@ class ScheduleExplorer
 
     /**
      * Feed back what the schedule issued by the last next() did.
-     * Takes the observation: in Dpor mode below the preemption
-     * bound it keeps the part expansion reads (the first
-     * kExpandWindow accesses and their decisions) until next()
-     * needs new candidates.
+     * Takes the observation: below the preemption bound it keeps
+     * the part expansion reads (the first kExpandWindow accesses
+     * and their decisions) until next() needs new candidates.
      *
      * @return true when the run realized a class no earlier run of
      *         this explorer had witnessed (a *distinct* schedule)

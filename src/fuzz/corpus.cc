@@ -57,7 +57,6 @@ renderMeta(const CorpusEntry &e)
     os << "fuzz_seed=" << e.fuzz_seed << "\n";
     os << "index=" << e.index << "\n";
     os << "detection_seed=" << e.detection_seed << "\n";
-    os << "explore=" << e.explore << "\n";
     os << "signature=" << e.signature << "\n";
     if (!e.witness.empty())
         os << "witness=" << e.witness << "\n";
@@ -106,15 +105,14 @@ parseMeta(const std::string &text, CorpusEntry &e, std::string *error)
             ok = parseU64(val, &e.index);
         else if (key == "detection_seed")
             ok = parseU64(val, &e.detection_seed);
-        else if (key == "explore")
-            e.explore = val;
         else if (key == "signature")
             e.signature = val;
         else if (key == "witness")
             e.witness = val;
         else if (key == "recipe")
             e.recipe_text = val;
-        // Unknown keys are ignored (forward compatibility).
+        // Unknown keys are ignored: forward compatibility, and the
+        // retired `explore=` pin of older entries.
         if (!ok) {
             if (error) {
                 *error = "meta.txt line " + std::to_string(lineno) +
@@ -222,15 +220,9 @@ replayEntry(const CorpusEntry &entry)
     }
 
     // The deep battery (OracleOptions' default) under the recorded
-    // detection seed and the pinned explorer, dpor when none is
-    // pinned: a recorded signature names the behavior of one exact
-    // explorer, and explorers legitimately differ where dpor's
-    // superset upgrades a k-witness verdict. The deep checks still
-    // cross-validate the other explorer.
+    // detection seed.
     OracleOptions o;
     o.detection_seed = entry.detection_seed;
-    o.explore = explore::exploreModeFromName(entry.explore)
-                    .value_or(explore::ExploreMode::Dpor);
     OracleVerdict v = runOracle(*prog, o);
     out.metrics = v.metrics;
 

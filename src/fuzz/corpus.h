@@ -50,18 +50,6 @@ struct CorpusEntry
     std::uint64_t fuzz_seed = 0;   ///< campaign seed that found it
     std::uint64_t index = 0;       ///< program index in the campaign
     std::uint64_t detection_seed = 1; ///< schedule seed to replay with
-
-    /**
-     * Stage-3 explorer the signature was recorded under ("random" |
-     * "dpor"; "" = dpor). Pinned like detection_seed: a signature
-     * names the behavior of one exact configuration, and explorers
-     * legitimately differ on races the dpor superset upgrades from
-     * "k-witness harmless" to a decisive class. The replay runs the
-     * whole oracle battery under this explorer; its deep
-     * cross-explorer monotonicity check still runs the other one.
-     */
-    std::string explore;
-
     std::string signature;         ///< expected oracle signature
 
     /** Solver-concretized witness inputs of the deep symbolic run
@@ -101,7 +89,7 @@ struct ReplayOutcome
 
 /**
  * Re-run one reproducer: deserialize the program, run the deep
- * oracle with the recorded detection seed and explorer, and compare
+ * oracle with the recorded detection seed, and compare
  * against the entry's expectations (see the file comment for
  * per-kind semantics).
  */

@@ -1,7 +1,6 @@
 #include "fuzz/fuzzer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -34,29 +33,14 @@ struct IndexResult
 };
 
 /**
- * Shared persistence state of one --campaign fuzz run: the verdict
- * cache (probed and filled by the workers) and the hit counter the
- * summary reports.
- */
-struct CampaignState
-{
-    campaign::VerdictCache cache;
-    std::atomic<int> cache_hits{0};
-
-    explicit CampaignState(const std::string &dir)
-        : cache(dir + "/cache")
-    {}
-};
-
-/**
  * Hash every oracle dial a verdict is a function of — the fuzz
  * analogue of campaign::configHash. `deep` is a dial: a deep verdict
  * carries extra checks, so deep and shallow runs of the same program
  * must cache under different signatures. detection_seed is the whole
  * schedule; jobs never appears (the oracle is single-index). The
- * pipeline budgets are constants now; they keep their fields in the
- * hashed text, so cache entries written when they were options still
- * hit.
+ * pipeline budgets and the stage-3 explorer are constants now; they
+ * keep their fields in the hashed text, so cache entries written when
+ * they were options still hit.
  */
 std::uint64_t
 oracleConfigHash(const OracleOptions &o)
@@ -67,8 +51,7 @@ oracleConfigHash(const OracleOptions &o)
     s += ";ma=" + std::to_string(kOracleMa);
     s += ";max_steps=" + std::to_string(kOracleMaxSteps);
     s += ";states=" + std::to_string(kOracleMaxStates);
-    s += ";explore=";
-    s += explore::exploreModeName(o.explore);
+    s += ";explore=dpor";
     s += ";deep=";
     s += o.deep ? "1" : "0";
     return fnv1a(s);
@@ -87,8 +70,8 @@ hex8(std::uint64_t h)
     return out;
 }
 
-/** What a campaign judges every program under: the detection seed,
- *  the dpor explorer, and @p deep. */
+/** What a campaign judges every program under: the detection seed
+ *  and @p deep. */
 OracleOptions
 oracleOptions(const FuzzOptions &opts, bool deep)
 {
@@ -101,7 +84,7 @@ oracleOptions(const FuzzOptions &opts, bool deep)
 /** Generate + judge one campaign index. */
 IndexResult
 runIndex(std::uint64_t index, const FuzzOptions &opts,
-         CampaignState *camp)
+         campaign::VerdictCache *cache)
 {
     IndexResult r;
     r.gen = generateProgram(opts.fuzz_seed, index, GeneratorOptions{});
@@ -121,12 +104,11 @@ runIndex(std::uint64_t index, const FuzzOptions &opts,
 
     campaign::UnitKey key;
     std::string sig;
-    if (camp) {
+    if (cache) {
         key.fingerprint = rt::programFingerprint(r.gen.program);
         key.config_hash = oracleConfigHash(o);
         sig = campaign::signatureHex(key);
-        if (std::optional<campaign::CacheEntry> hit =
-                camp->cache.probe(sig)) {
+        if (std::optional<campaign::CacheEntry> hit = cache->probe(sig)) {
             // An undeserializable payload (version skew, torn bytes
             // the byte-count check somehow missed) falls through to
             // a re-run — always sound, never fatal.
@@ -134,10 +116,6 @@ runIndex(std::uint64_t index, const FuzzOptions &opts,
                     deserializeVerdict(hit->payload)) {
                 r.verdict = std::move(*v);
                 r.cached = true;
-                camp->cache_hits.fetch_add(
-                    1, std::memory_order_relaxed);
-                if (obs::Collector *c = obs::collector())
-                    c->add(obs::Counter::CampaignCacheHits, 1);
                 return r;
             }
         }
@@ -146,15 +124,13 @@ runIndex(std::uint64_t index, const FuzzOptions &opts,
     r.verdict = opts.judge ? opts.judge(r.gen.program, o)
                            : runOracle(r.gen.program, o);
 
-    if (camp) {
+    if (cache) {
         campaign::CacheEntry e;
         e.sig = sig;
         e.key = key;
         e.name = "fuzz:" + std::to_string(index);
         e.payload = serializeVerdict(r.verdict);
-        camp->cache.store(e);
-        if (obs::Collector *c = obs::collector())
-            c->add(obs::Counter::CampaignCacheMisses, 1);
+        cache->store(e);
     }
     return r;
 }
@@ -192,7 +168,6 @@ persistEntry(const ProgramRecipe &recipe, const OracleVerdict &v,
     entry.fuzz_seed = opts.fuzz_seed;
     entry.index = index;
     entry.detection_seed = opts.detection_seed;
-    entry.explore = explore::exploreModeName(OracleOptions{}.explore);
     entry.signature = v.signature();
     entry.witness = v.witness_text;
     entry.recipe_text = recipe.serialize();
@@ -273,11 +248,11 @@ runFuzz(const FuzzOptions &opts)
     const int jobs = resolveJobs(opts.jobs);
 
     // -- Campaign persistence (opt-in) -------------------------------
-    std::unique_ptr<CampaignState> camp;
+    std::optional<campaign::VerdictCache> cache;
     if (!opts.campaign_dir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(opts.campaign_dir, ec);
-        camp = std::make_unique<CampaignState>(opts.campaign_dir);
+        cache.emplace(opts.campaign_dir + "/cache");
     }
 
     // -- Generation + oracle, fanned out with parallelFor -----------
@@ -287,7 +262,7 @@ runFuzz(const FuzzOptions &opts)
     std::mutex metrics_mu;
     const auto runAndFold = [&](std::size_t slot, std::uint64_t index) {
         IndexResult &r = results[slot];
-        r = runIndex(index, opts, camp.get());
+        r = runIndex(index, opts, cache ? &*cache : nullptr);
         if (const std::shared_ptr<const obs::MetricsShard> m =
                 std::move(r.verdict.metrics)) {
             std::lock_guard<std::mutex> lock(metrics_mu);
@@ -322,10 +297,19 @@ runFuzz(const FuzzOptions &opts)
             c->add(obs::Counter::FuzzPrograms, 1);
             c->add(obs::Counter::FuzzFlagged,
                    r.verdict.flagged() ? 1 : 0);
-            if (camp)
+            if (cache) {
+                // A cache hit, or a miss the oracle judged and
+                // stored; a program the generator emitted invalid
+                // is neither.
                 c->add(obs::Counter::CampaignUnits, 1);
+                c->add(obs::Counter::CampaignCacheHits, r.cached ? 1 : 0);
+                c->add(obs::Counter::CampaignCacheMisses,
+                       !r.cached && r.gen.verify_errors.empty() ? 1 : 0);
+            }
         }
         res.programs += 1;
+        if (r.cached)
+            res.cache_hits += 1;
         if (r.gen.verify_errors.empty())
             res.verifier_clean += 1;
         for (const std::string &idiom : r.gen.idioms)
@@ -416,11 +400,6 @@ runFuzz(const FuzzOptions &opts)
         res.findings.push_back(
             FuzzFinding{0, "corpus-io", e, ProgramRecipe{}, ""});
         res.flagged += 1;
-    }
-
-    if (camp) {
-        res.cache_hits =
-            camp->cache_hits.load(std::memory_order_relaxed);
     }
 
     if (obs::Collector *c = obs::collector()) {

@@ -1,6 +1,7 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -12,6 +13,7 @@
 #include "portend/portend.h"
 #include "replay/trace.h"
 #include "rt/vmstate.h"
+#include "support/str.h"
 
 namespace portend::fuzz {
 
@@ -59,7 +61,6 @@ fullOptions(const OracleOptions &o)
     p.max_steps = kOracleMaxSteps;
     p.executor_max_states = kOracleMaxStates;
     p.detection_seed = o.detection_seed;
-    p.explore = o.explore;
     p.jobs = 1;
     return p;
 }
@@ -257,68 +258,34 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
     }
 
     // -- Schedule-coverage monotonicity ------------------------------
-    // Raising the Ma budget, or switching the stage-3 explorer from
-    // random to dpor, may only *add* witnessed behaviors: a "spec
-    // violated" verdict must never be lost. The explorer guarantees
-    // this structurally — dpor runs the random schedules first, with
-    // the same seeds and in the same order — so a failure here means
-    // the exploration superset contract broke.
+    // Raising the Ma budget may only *add* witnessed behaviors: a
+    // "spec violated" verdict must never be lost. The wider explorer
+    // issues the narrower one's seeded samples first, so a failure
+    // here names a violation its systematic phase no longer reaches.
     {
-        const auto lostViolation =
-            [&](const core::PortendResult &lo,
-                const core::PortendResult &hi) {
-                std::map<std::string, const core::PortendReport *> h;
-                for (const core::PortendReport &rep : hi.reports)
-                    h[rep.cluster.representative.key()] = &rep;
-                std::string bad;
-                for (const core::PortendReport &rep : lo.reports) {
-                    if (rep.classification.cls !=
-                        core::RaceClass::SpecViolated) {
-                        continue;
-                    }
-                    auto it = h.find(rep.cluster.representative.key());
-                    if (it == h.end())
-                        continue;
-                    if (it->second->classification.cls !=
-                        core::RaceClass::SpecViolated) {
-                        bad += (bad.empty() ? "" : "; ") +
-                               std::string("race on ") +
-                               prog.cellName(
-                                   rep.cluster.representative.cell) +
-                               " degraded to " +
-                               core::raceClassName(
-                                   it->second->classification.cls);
-                    }
-                }
-                return bad;
-            };
-
-        // random -> dpor at equal budget.
-        core::PortendOptions o = full;
-        o.explore = full.explore == explore::ExploreMode::Dpor
-                        ? explore::ExploreMode::Random
-                        : explore::ExploreMode::Dpor;
-        core::PortendResult other =
-            core::Portend(prog, o).runFrom(r1.detection);
-        const core::PortendResult &as_random =
-            full.explore == explore::ExploreMode::Dpor ? other : r1;
-        const core::PortendResult &as_dpor =
-            full.explore == explore::ExploreMode::Dpor ? r1 : other;
-        const std::string lost_explore =
-            lostViolation(as_random, as_dpor);
-        check("explore-monotonicity", lost_explore.empty(),
-              "random->dpor lost a spec-violated verdict: " +
-                  lost_explore);
-
-        // Ma raise in the primary explorer.
         core::PortendOptions wide = full;
         wide.ma = full.ma * 2;
         core::PortendResult rw =
             core::Portend(prog, wide).runFrom(r1.detection);
-        const std::string lost_ma = lostViolation(r1, rw);
-        check("ma-monotonicity", lost_ma.empty(),
-              "doubling --ma lost a spec-violated verdict: " +
-                  lost_ma);
+        std::map<std::string, const core::PortendReport *> hi;
+        for (const core::PortendReport &rep : rw.reports)
+            hi[rep.cluster.representative.key()] = &rep;
+        std::string lost;
+        for (const core::PortendReport &rep : r1.reports) {
+            if (rep.classification.cls != core::RaceClass::SpecViolated)
+                continue;
+            auto it = hi.find(rep.cluster.representative.key());
+            if (it == hi.end() || it->second->classification.cls ==
+                                      core::RaceClass::SpecViolated) {
+                continue;
+            }
+            lost += (lost.empty() ? "" : "; ") + std::string("race on ") +
+                    prog.cellName(rep.cluster.representative.cell) +
+                    " degraded to " +
+                    core::raceClassName(it->second->classification.cls);
+        }
+        check("ma-monotonicity", lost.empty(),
+              "doubling --ma lost a spec-violated verdict: " + lost);
     }
 
     // The single-path single-schedule stage-1 baseline: the low end
@@ -501,29 +468,6 @@ putBlock(std::string &out, const char *tag, const std::string &bytes)
     out += '\n';
 }
 
-/** Strict non-negative-leading-digits integer parse (no stoll: a
- *  malformed payload must yield nullopt, never a throw). */
-bool
-parseNum(const std::string &s, long long *out)
-{
-    std::size_t i = 0;
-    bool neg = false;
-    if (!s.empty() && s[0] == '-') {
-        neg = true;
-        i = 1;
-    }
-    if (i >= s.size())
-        return false;
-    long long v = 0;
-    for (; i < s.size(); ++i) {
-        if (s[i] < '0' || s[i] > '9')
-            return false;
-        v = v * 10 + (s[i] - '0');
-    }
-    *out = neg ? -v : v;
-    return true;
-}
-
 /** Sequential field reader over one serialized verdict. */
 struct VerdictReader
 {
@@ -548,7 +492,7 @@ struct VerdictReader
         return true;
     }
 
-    bool num(const char *tag, long long *out)
+    bool num(const char *tag, std::int64_t *out)
     {
         std::string l;
         if (!line(&l))
@@ -556,14 +500,26 @@ struct VerdictReader
         const std::string prefix = std::string(tag) + " ";
         if (l.compare(0, prefix.size(), prefix) != 0)
             return fail(std::string("expected '") + tag + "' field");
-        if (!parseNum(l.substr(prefix.size()), out))
+        if (!parseI64(l.substr(prefix.size()), out))
             return fail(std::string("bad '") + tag + "' number");
+        return true;
+    }
+
+    /** A tally field: a number in [0, INT_MAX]. */
+    bool count(const char *tag, int *out)
+    {
+        std::int64_t v = 0;
+        if (!num(tag, &v))
+            return false;
+        if (v < 0 || v > std::numeric_limits<int>::max())
+            return fail(std::string("'") + tag + "' out of range");
+        *out = static_cast<int>(v);
         return true;
     }
 
     bool block(const char *tag, std::string *out)
     {
-        long long n = 0;
+        std::int64_t n = 0;
         if (!num(tag, &n))
             return false;
         if (n < 0 || pos + static_cast<std::size_t>(n) + 1 > text.size())
@@ -630,39 +586,35 @@ deserializeVerdict(const std::string &text, std::string *error)
         return bail();
     }
     OracleVerdict v;
-    long long n = 0;
+    int n = 0;
     if (!r.block("outcome", &v.outcome))
         return bail();
-    if (!r.num("distinct_races", &n))
+    if (!r.count("distinct_races", &v.distinct_races))
         return bail();
-    v.distinct_races = static_cast<int>(n);
-    if (!r.num("dynamic_races", &n))
+    if (!r.count("dynamic_races", &v.dynamic_races))
         return bail();
-    v.dynamic_races = static_cast<int>(n);
 
-    if (!r.num("class_counts", &n) || n < 0)
+    if (!r.count("class_counts", &n))
         return bail();
-    for (long long i = 0; i < n; ++i) {
+    for (int i = 0; i < n; ++i) {
         std::string cls;
-        long long count = 0;
-        if (!r.block("class", &cls) || !r.num("count", &count))
+        if (!r.block("class", &cls) ||
+            !r.count("count", &v.class_counts[cls]))
             return bail();
-        v.class_counts[cls] = static_cast<int>(count);
     }
-    if (!r.num("baseline_counts", &n) || n < 0)
+    if (!r.count("baseline_counts", &n))
         return bail();
-    for (long long i = 0; i < n; ++i) {
+    for (int i = 0; i < n; ++i) {
         std::string name;
-        long long count = 0;
-        if (!r.block("baseline", &name) || !r.num("count", &count))
+        if (!r.block("baseline", &name) ||
+            !r.count("count", &v.baseline_counts[name]))
             return bail();
-        v.baseline_counts[name] = static_cast<int>(count);
     }
-    if (!r.num("checks", &n) || n < 0)
+    if (!r.count("checks", &n))
         return bail();
-    for (long long i = 0; i < n; ++i) {
+    for (int i = 0; i < n; ++i) {
         CheckResult c;
-        long long ok = 0;
+        std::int64_t ok = 0;
         if (!r.block("check", &c.name) || !r.num("ok", &ok) ||
             !r.block("detail", &c.detail))
             return bail();

@@ -22,12 +22,8 @@
  *  - k-monotonicity: a "spec violated" verdict found by single-path
  *    single-schedule analysis is still found at a larger budget, and
  *    kWitnessHarmless k never shrinks as the budget grows;
- *  - schedule-coverage monotonicity: raising the Ma budget, or
- *    switching the stage-3 explorer from `random` to `dpor`, never
- *    loses a "spec violated" verdict — the dpor explorer runs the
- *    random explorer's schedules first (same seeds, same order)
- *    before its systematic candidates, so it witnesses a superset
- *    of behaviors at equal budget;
+ *  - schedule-coverage monotonicity: raising the Ma budget never
+ *    loses a "spec violated" verdict;
  *  - sym-monotonicity: making declared program inputs symbolic may
  *    only upgrade verdicts — a decisive single-path stage-1 verdict
  *    (spec violated / output differs) never becomes harmless when
@@ -46,8 +42,8 @@
  * never flagged.
  *
  * Shared work. The primary pipeline run (r1) records the program's
- * one shared detection. The jobs-invariance, explore- and
- * ma-monotonicity, k-monotonicity and sym-monotonicity re-runs only
+ * one shared detection. The jobs-invariance, ma-monotonicity,
+ * k-monotonicity and sym-monotonicity re-runs only
  * vary options detection never reads, so they classify r1's
  * detection (Portend::runFrom) instead of recording it again;
  * witness-replay replays the sym run's copy of that trace.
@@ -67,7 +63,6 @@
 #include <string>
 #include <vector>
 
-#include "explore/explorer.h"
 #include "ir/program.h"
 #include "support/observe.h"
 
@@ -85,10 +80,6 @@ constexpr int kOracleMaxStates = 64;              ///< symbolic fork cap
 struct OracleOptions
 {
     std::uint64_t detection_seed = 1; ///< schedule seed (CLI --seed)
-
-    /** Stage-3 explorer of the primary pipeline run (CLI --explore);
-     *  deep mode cross-checks it against the other explorer. */
-    explore::ExploreMode explore = explore::ExploreMode::Dpor;
 
     /**
      * Run the expensive metamorphic re-executions (determinism,

@@ -799,8 +799,8 @@ RaceAnalyzer::replayEvidence(const race::RaceReport &race,
                                 : trace.decisions.back().step + 1;
     // Rebuild the post-race schedule the evidence names: an
     // explorer-issued decision prefix replays exactly (guided runs
-    // are prefix + deterministic fallback), a seed replays the
-    // random sampler, and neither means the stage-1 trace-following
+    // are prefix + deterministic fallback), a seed replays one of
+    // the explorer's seeded samples, and neither means the stage-1 trace-following
     // alternate.
     explore::PostSpec spec;
     if (!verdict.evidence_schedule.empty()) {
@@ -1002,10 +1002,10 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
 
     // ---- Stage 3: Algorithm 1 for every primary x post-race
     // schedule. The explorer issues each primary's schedules: Ma
-    // seeded samples under `random`, the same samples plus
-    // systematic bounded-preemption backtracking until Ma *distinct*
-    // interleaving classes under `dpor`. Without multi-schedule each
-    // primary gets the one trace-following alternate. ----
+    // seeded samples, then systematic bounded-preemption
+    // backtracking until Ma *distinct* interleaving classes. Without
+    // multi-schedule each primary gets the one trace-following
+    // alternate. ----
     const std::uint64_t budget =
         trace.decisions.empty() ? opts.max_steps
                                 : trace.decisions.back().step + 1;
@@ -1017,7 +1017,6 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
         std::optional<explore::ScheduleExplorer> sx;
         if (opts.multi_schedule) {
             explore::ExplorerOptions xopts;
-            xopts.mode = opts.explore;
             xopts.budget = opts.ma;
             // Legacy seed layout: seed j of path p is p * 16 + j.
             xopts.seed_base = static_cast<std::uint64_t>(p.index) * 16;
@@ -1063,14 +1062,10 @@ RaceAnalyzer::analyze(const race::RaceReport &race,
                                   static_cast<std::uint64_t>(sx->distinct()));
                 return;
             }
-            // Under dpor a witness is a *distinct* interleaving
-            // class; the random sampler keeps its legacy run
-            // counting, and a lone alternate is always one.
-            if (a.kind == SingleResult::Kind::OutSame &&
-                (!sx || opts.explore == explore::ExploreMode::Random ||
-                 fresh)) {
+            // A witness is a *distinct* interleaving class; a lone
+            // alternate is always one.
+            if (a.kind == SingleResult::Kind::OutSame && (!sx || fresh))
                 witnesses += 1;
-            }
         }
         if (sx) {
             c.metrics.add(obs::Counter::ClassifyDistinctSchedules,

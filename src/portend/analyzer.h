@@ -24,7 +24,7 @@
  * the explorer's, or the one trace-following alternate without
  * multi-schedule. Every pair runs Algorithm 1: the first decisive
  * pair (spec violated, output differs) sets the verdict, and
- * otherwise each matching pair counts a witness (under the dpor
+ * otherwise each matching pair counts a witness (under the
  * explorer, only a pair that realized a new interleaving class).
  *
  * The verdict is one of the four taxonomy categories; "k-witness
@@ -32,7 +32,7 @@
  * schedule witnesses (stage 1's pair included).
  *
  * The settable dials are the paper's Mp and Ma plus the stage
- * switches, explorer, detector and budgets of PortendOptions. The
+ * switches, detector and budgets of PortendOptions. The
  * count of positional symbolic inputs and the alternate's timeout
  * factor are constants (kMaxSymbolicInputs, kTimeoutFactor), as are
  * the explorer's preemption bound, the executor's fork depth and
@@ -109,12 +109,11 @@ struct PortendOptions
     int mp = 5;                 ///< primary paths (Mp)
 
     /**
-     * Alternate schedules per primary (Ma). Under the dpor explorer
-     * this is a *distinct-schedule* budget: stage 3 keeps issuing
-     * schedules until Ma Mazurkiewicz-inequivalent post-race
+     * Alternate schedules per primary (Ma), a *distinct-schedule*
+     * budget: stage 3 runs Ma seeded post-race samples, then keeps
+     * issuing systematic schedules until Ma Mazurkiewicz-inequivalent
      * interleavings were witnessed (or the space/run cap is
-     * exhausted); under the random explorer it is the legacy run
-     * count, duplicates and all.
+     * exhausted).
      */
     int ma = 2;
     bool adhoc_detection = true;   ///< classify hangs as single ordering
@@ -134,14 +133,6 @@ struct PortendOptions
     std::uint64_t max_steps = 2000000; ///< absolute step budget
     std::uint64_t detection_seed = 1;  ///< seed for detection run
     DetectorKind detector = DetectorKind::HappensBefore;
-
-    /**
-     * Stage-3 post-race schedule explorer (CLI --explore). The dpor
-     * explorer bounds its systematic candidates by the explorer's
-     * default preemption bound.
-     */
-    explore::ExploreMode explore = explore::ExploreMode::Dpor;
-
     std::vector<SemanticPredicate> semantic_predicates;
     int executor_max_states = 512;
 

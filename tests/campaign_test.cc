@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -138,10 +139,6 @@ TEST(SignatureTest, EveryAnalysisDialMovesTheKey)
     mp.mp = base.mp + 1;
     EXPECT_NE(configHash(mp), h);
 
-    core::PortendOptions expl = base;
-    expl.explore = explore::ExploreMode::Random;
-    EXPECT_NE(configHash(expl), h);
-
     core::PortendOptions det = base;
     det.detector = core::DetectorKind::Lockset;
     EXPECT_NE(configHash(det), h);
@@ -263,8 +260,8 @@ TEST(FormatPinTest, RetiredDialsParseOnlyAtTheirFixedValues)
     const std::string text = manifestText(config);
     for (const char *line :
          {"render.stats 0\n", "max_symbolic_inputs 2\n",
-          "timeout_factor 5\n", "preemption_bound 4\n",
-          "solver.max_assignments 200000\n",
+          "timeout_factor 5\n", "explore dpor\n",
+          "preemption_bound 4\n", "solver.max_assignments 200000\n",
           "solver.max_candidates 128\n", "total_state_budget 0\n",
           "total_step_budget 0\n"})
         EXPECT_NE(text.find(line), std::string::npos) << line;
@@ -274,6 +271,7 @@ TEST(FormatPinTest, RetiredDialsParseOnlyAtTheirFixedValues)
     const std::pair<std::string, std::string> edits[] = {
         {"render.stats 0", "render.stats 1"},
         {"timeout_factor 5", "timeout_factor 7"},
+        {"explore dpor", "explore random"},
         {"total_step_budget 0", "total_step_budget 5000"},
     };
     for (const auto &[from, to] : edits) {
@@ -289,7 +287,7 @@ TEST(FormatPinTest, ManifestLinesRefuseTrailingTokens)
     // Every line kind manifestText writes parses back to itself.
     CampaignConfig config = microConfig();
     config.render.only_class = core::RaceClass::OutputDiffers;
-    config.analysis.explore = explore::ExploreMode::Random;
+    config.analysis.multi_path = false;
     config.analysis.detector = core::DetectorKind::Lockset;
     config.analysis.sym_inputs.push_back({"flag", true, 0, 1});
     config.analysis.sym_inputs.push_back({"a name", false, 0, 0});
@@ -537,7 +535,7 @@ TEST(CampaignTest, ManifestRoundTrip)
     CampaignConfig config = microConfig();
     config.analysis.ma = 5;
     config.analysis.detection_seed = 17;
-    config.analysis.explore = explore::ExploreMode::Random;
+    config.analysis.detector = core::DetectorKind::HappensBeforeNoMutex;
     config.analysis.sym_inputs.push_back({"flag", true, 0, 1});
 
     std::string error;
@@ -547,6 +545,8 @@ TEST(CampaignTest, ManifestRoundTrip)
     EXPECT_EQ(manifestText(*back), manifestText(config));
     EXPECT_EQ(back->units, config.units);
     EXPECT_EQ(back->analysis.ma, 5);
+    EXPECT_EQ(back->analysis.detector,
+              core::DetectorKind::HappensBeforeNoMutex);
     EXPECT_EQ(back->analysis.sym_inputs.size(), 1u);
 
     EXPECT_FALSE(parseManifest("not-a-manifest\n", &error).has_value());
@@ -775,6 +775,45 @@ TEST(FuzzCampaignTest, WarmRerunHitsCacheForEveryProgram)
     fuzz::FuzzOptions other = opts;
     other.detection_seed = 77;
     EXPECT_EQ(fuzz::runFuzz(other).cache_hits, 0);
+}
+
+// The summary's `campaign: N cache hit(s)` line and the exported
+// campaign.cache_hits counter are one tally, and every program is a
+// hit or a miss.
+TEST(FuzzCampaignTest, SummaryAndExportCountTheSameHits)
+{
+    const std::string dir = scratchDir("fuzz_tally");
+    fuzz::FuzzOptions opts;
+    opts.budget = 6;
+    opts.jobs = 2;
+    opts.campaign_dir = dir;
+    ASSERT_EQ(fuzz::runFuzz(opts).cache_hits, 0);
+
+    // Two deleted entries make the warm run re-judge two programs.
+    std::vector<fs::path> entries;
+    for (const fs::directory_entry &e :
+         fs::directory_iterator(dir + "/cache"))
+        entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), 6u);
+    std::sort(entries.begin(), entries.end());
+    fs::remove(entries[0]);
+    fs::remove(entries[3]);
+
+    obs::Collector col;
+    obs::setCollector(&col);
+    fuzz::FuzzResult warm = fuzz::runFuzz(opts);
+    obs::setCollector(nullptr);
+    obs::MetricsShard m = warm.metrics;
+    col.drainInto(m);
+
+    EXPECT_EQ(warm.cache_hits, 4);
+    EXPECT_NE(warm.summaryText().find("  campaign: 4 cache hit(s) in " +
+                                      dir + "\n"),
+              std::string::npos)
+        << warm.summaryText();
+    EXPECT_EQ(m.counter(obs::Counter::CampaignCacheHits), 4u);
+    EXPECT_EQ(m.counter(obs::Counter::CampaignCacheMisses), 2u);
+    EXPECT_EQ(m.counter(obs::Counter::CampaignUnits), 6u);
 }
 
 } // namespace

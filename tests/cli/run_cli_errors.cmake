@@ -11,7 +11,8 @@
 # Retired flags stay pinned: a script that still passes the old
 # dispatch-loop flag, the loopback TCP endpoint (`--port`), the
 # connect budget (`--timeout`), a serve budget that is now a
-# constant (`--max-submissions`, `--attempts`, `--max-restarts`), or
+# constant (`--max-submissions`, `--attempts`, `--max-restarts`), the
+# stage-3 explorer switch (`--explore`; dpor is the one explorer), or
 # an observability surface that `--metrics-out` and `--trace-out`
 # replace (`--stats`, `--progress`, `--quiet`) must fail loudly,
 # never run silently. The serve rows name a socket, so only the flag
@@ -32,6 +33,10 @@
 # those would be dropped too. These rows name a socket nothing
 # listens on, so a flag that were accepted would fail with exit 1
 # after the client's connect retry instead.
+#
+# `run|classify <w>` and `--file` refuse a `--sym-input` name that no
+# Input instruction of the program carries: it would select nothing,
+# so a misspelt name would run the plain analysis without a word.
 
 if(NOT DEFINED PORTEND)
     message(FATAL_ERROR "run_cli_errors.cmake needs -DPORTEND=...")
@@ -49,6 +54,11 @@ set(bad_cases
     "classify avv --seed -1"
     "classify avv --seed 1x"
     "classify avv --k banana"
+    "classify avv --explore random"
+    "classify avv --explore dpor"
+    "classify ibuf --sym-input nosuch=0..9"
+    "run ibuf --sym-input n --sym-input nosuch"
+    "classify avv --sym-input n"
     "campaign run ignored --abort-after -1"
     "campaign run --json"
     "classify avv --metrics-out --json"
@@ -111,4 +121,33 @@ execute_process(
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR
         "boundary values rejected: exit ${rc}\n${err}")
+endif()
+
+# The refusal names the inputs the program does read, `--file` refuses
+# the same way, and a name the program reads keeps working.
+execute_process(
+    COMMAND ${PORTEND} classify ibuf --sym-input nosuch=0..9
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT err MATCHES "ibuf reads no input named nosuch \\(it reads: n, tune0, tune1\\)")
+    message(FATAL_ERROR "--sym-input refusal does not name ibuf's input:\n${err}")
+endif()
+execute_process(
+    COMMAND ${PORTEND} classify --file
+        ${CMAKE_CURRENT_LIST_DIR}/../../corpus/seed/sig-047448d5/program.pil
+        --sym-input nosuch
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "reads no input named nosuch")
+    message(FATAL_ERROR
+        "--file with an unread --sym-input: exit ${rc}\n${err}")
+endif()
+execute_process(
+    COMMAND ${PORTEND} classify ibuf --sym-input n
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+        "classify ibuf --sym-input n rejected: exit ${rc}\n${err}")
 endif()

@@ -20,6 +20,7 @@
 #include <iterator>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -33,6 +34,7 @@
 #include "rt/policy.h"
 #include "support/hash.h"
 #include "support/rng.h"
+#include "support/trace.h"
 #include "workloads/registry.h"
 
 namespace portend {
@@ -172,7 +174,7 @@ enumerateAll(const ir::Program &p, std::set<std::string> &classes,
     return runs;
 }
 
-/** Drive a pure-systematic (no random phase) dpor exploration of
+/** Drive a pure-systematic (no seeded phase) exploration of
  *  the whole program; returns runs executed. */
 int
 exploreAll(const ir::Program &p, explore::ScheduleExplorer &ex)
@@ -190,7 +192,6 @@ explore::ExplorerOptions
 exhaustiveOptions()
 {
     explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Dpor;
     xo.budget = 1 << 20;       // never the stopping condition
     xo.max_runs = 1 << 20;
     xo.preemption_bound = 64;  // effectively unbounded here
@@ -298,35 +299,12 @@ TEST(SignatureTest, HashIsStable16Hex)
     EXPECT_EQ(h, explore::signatureHash(a));
 }
 
-// Random mode is a pure sampler: exactly `budget` seeded runs, with
-// the legacy seed layout, and no systematic candidates.
-TEST(ExplorerModeTest, RandomModeIssuesExactlyBudgetSeeds)
-{
-    explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Random;
-    xo.budget = 3;
-    xo.seed_base = 16;
-    explore::ScheduleExplorer ex(xo);
-    for (int j = 1; j <= 3; ++j) {
-        std::optional<explore::PostSpec> s = ex.next();
-        ASSERT_TRUE(s.has_value());
-        EXPECT_EQ(s->kind, explore::PostSpec::Kind::Random);
-        EXPECT_EQ(s->seed, 16u + static_cast<std::uint64_t>(j));
-        rt::ScheduleObservation obs;
-        obs.accesses = {{j, 1, true, 0}}; // all distinct classes
-        EXPECT_TRUE(ex.record(obs));
-    }
-    EXPECT_FALSE(ex.next().has_value());
-    EXPECT_EQ(ex.distinct(), 3);
-}
-
-// The dpor superset contract: the random phase comes first, with
-// the same seeds random mode would use, and stopping conditions do
-// not truncate it.
+// The seeded opening phase comes first, with the legacy seed layout
+// (seed_base + 1, + 2, ...), and stopping conditions do not truncate
+// it.
 TEST(ExplorerModeTest, DporRunsTheRandomPhaseFirstAndWhole)
 {
     explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Dpor;
     xo.budget = 2;
     xo.seed_base = 48;
     explore::ScheduleExplorer ex(xo);
@@ -343,7 +321,7 @@ TEST(ExplorerModeTest, DporRunsTheRandomPhaseFirstAndWhole)
     EXPECT_TRUE(ex.record(one));
 
     // Distinct budget is already met after the next record, yet the
-    // second random seed must still be issued before stopping.
+    // second seed must still be issued before stopping.
     std::optional<explore::PostSpec> s2 = ex.next();
     ASSERT_TRUE(s2.has_value());
     EXPECT_EQ(s2->kind, explore::PostSpec::Kind::Random);
@@ -358,7 +336,6 @@ TEST(ExplorerModeTest, DporRunsTheRandomPhaseFirstAndWhole)
 TEST(ExplorerModeTest, DuplicateSignaturesAreNotDistinct)
 {
     explore::ExplorerOptions xo;
-    xo.mode = explore::ExploreMode::Random;
     xo.budget = 2;
     explore::ScheduleExplorer ex(xo);
     rt::ScheduleObservation obs;
@@ -421,7 +398,7 @@ fnvHex(const std::string &text)
 }
 
 /**
- * A Dpor-mode explorer that expands every run inside record(), over
+ * An explorer that expands every run inside record(), over
  * its whole observation, with signatures from the pairwise layering:
  * the reference ScheduleExplorer must match step for step.
  */
@@ -703,7 +680,6 @@ TEST(ExplorerLazyTest, IssuesWhatEagerExpansionIssues)
                         budget * 100 + bound * 10 + random_first * 2 +
                         known));
                     explore::ExplorerOptions xo;
-                    xo.mode = explore::ExploreMode::Dpor;
                     xo.budget = budget;
                     xo.preemption_bound = bound;
                     xo.seed_base = static_cast<std::uint64_t>(budget) * 16;
@@ -779,77 +755,114 @@ using ir::R;
 
 using tests::flipGadget;
 
-PortendResult
-runExplorer(const ir::Program &p, explore::ExploreMode mode, int ma,
-            const std::vector<SemanticPredicate> &predicates = {})
+/**
+ * The classes each cluster's explorers realized in their seeded
+ * opening phase (the paper's Ma samples), in cluster order, read off
+ * the trace of a `--jobs 1` pipeline run: the `explore/record` spans
+ * with fresh = 1 inside the first @p ma `explore/dpor-candidate`
+ * spans of each primary path. Spans are listed by start time, so a
+ * candidate precedes the record it contains.
+ */
+std::vector<std::uint64_t>
+seededClasses(const std::string &trace_json, int ma)
 {
-    PortendOptions o;
-    o.jobs = 1;
-    o.ma = ma;
-    o.explore = mode;
-    o.semantic_predicates = predicates;
-    Portend tool(p, o);
-    return tool.run();
+    std::vector<std::uint64_t> per_cluster;
+    std::istringstream is(trace_json);
+    std::string line;
+    const auto has = [&line](const char *text) {
+        return line.find(text) != std::string::npos;
+    };
+    const auto arg = [&line](const std::string &key) {
+        const std::size_t at = line.find("\"" + key + "\": ");
+        EXPECT_NE(at, std::string::npos) << key << " in " << line;
+        return at == std::string::npos
+                   ? -1L
+                   : std::stol(line.substr(at + key.size() + 4));
+    };
+    long path = -1;
+    int issued = 0;
+    while (std::getline(is, line)) {
+        if (has("\"cat\": \"classify\", \"name\": \"classify-race\"")) {
+            per_cluster.push_back(0);
+            path = -1;
+        } else if (has("\"cat\": \"explore\", \"name\": \"dpor-candidate\"")) {
+            const long p = arg("path");
+            if (p != path) {
+                path = p;
+                issued = 0;
+            }
+            issued += 1;
+        } else if (has("\"cat\": \"explore\", \"name\": \"record\"")) {
+            EXPECT_FALSE(per_cluster.empty());
+            if (issued <= ma && arg("fresh") == 1 && !per_cluster.empty())
+                per_cluster.back() += 1;
+        }
+    }
+    return per_cluster;
 }
 
-/** Distinct post-race interleavings a batch witnessed, per explorer. */
+/** Distinct post-race interleavings a batch witnessed: in all, and
+ *  in the explorers' seeded opening phases. */
 struct DistinctTotals
 {
-    std::uint64_t random = 0;
+    std::uint64_t seeded = 0;
     std::uint64_t dpor = 0;
 };
 
 /**
- * Classify @p p under random and under dpor at budget @p ma, expect
- * dpor to witness at least as many distinct interleavings as random
- * on every cluster and the registry to hold the per-cluster sums,
- * and return the two totals.
+ * Classify @p p at budget @p ma under a tracer, expect every cluster
+ * to witness at least the classes its seeded samples realized and no
+ * more than the schedules it ran, and the registry to hold the
+ * per-cluster sums; return the two totals.
  */
 DistinctTotals
-compareExplorers(const ir::Program &p, int ma,
-                 const std::vector<SemanticPredicate> &predicates = {})
+measureExplorer(const ir::Program &p, int ma,
+                const std::vector<SemanticPredicate> &predicates = {})
 {
-    PortendResult rnd =
-        runExplorer(p, explore::ExploreMode::Random, ma, predicates);
-    PortendResult dpo =
-        runExplorer(p, explore::ExploreMode::Dpor, ma, predicates);
-    EXPECT_EQ(rnd.reports.size(), dpo.reports.size());
-    EXPECT_FALSE(rnd.reports.empty());
+    PortendOptions o;
+    o.jobs = 1;
+    o.ma = ma;
+    o.semantic_predicates = predicates;
+    obs::Tracer tracer;
+    obs::setTracer(&tracer);
+    const PortendResult res = Portend(p, o).run();
+    obs::setTracer(nullptr);
+    EXPECT_EQ(tracer.dropped(), 0u);
+    const std::vector<std::uint64_t> seeded =
+        seededClasses(tracer.toJson(), ma);
+    EXPECT_FALSE(res.reports.empty());
+    EXPECT_EQ(seeded.size(), res.reports.size());
 
     DistinctTotals t;
-    const std::size_t n = std::min(rnd.reports.size(), dpo.reports.size());
+    const std::size_t n = std::min(seeded.size(), res.reports.size());
     for (std::size_t i = 0; i < n; ++i) {
-        const obs::MetricsShard &a = rnd.reports[i].classification.metrics;
-        const obs::MetricsShard &b = dpo.reports[i].classification.metrics;
-        const auto distinct = obs::Counter::ClassifyDistinctSchedules;
-        const auto schedules = obs::Counter::ClassifySchedules;
-        EXPECT_LE(a.counter(distinct), a.counter(schedules));
-        EXPECT_LE(b.counter(distinct), b.counter(schedules));
-        EXPECT_GE(b.counter(distinct), a.counter(distinct))
+        const obs::MetricsShard &m = res.reports[i].classification.metrics;
+        const std::uint64_t d =
+            m.counter(obs::Counter::ClassifyDistinctSchedules);
+        EXPECT_LE(d, m.counter(obs::Counter::ClassifySchedules))
             << "cluster " << i;
-        t.random += a.counter(distinct);
-        t.dpor += b.counter(distinct);
+        EXPECT_GE(d, seeded[i]) << "cluster " << i;
+        t.seeded += seeded[i];
+        t.dpor += d;
     }
-    const auto distinct = [](const PortendResult &res) {
-        return res.metrics.counter(obs::Counter::ClassifyDistinctSchedules);
-    };
-    EXPECT_EQ(distinct(rnd), t.random);
-    EXPECT_EQ(distinct(dpo), t.dpor);
+    EXPECT_EQ(res.metrics.counter(obs::Counter::ClassifyDistinctSchedules),
+              t.dpor);
     return t;
 }
 
-// The explorer's budget claim: at equal Ma, dpor witnesses at least
-// as many distinct post-race interleavings as random on every
-// cluster, strictly more on a schedule-rich program, at least twice
-// as many over three larger gadgets, and never fewer on the micro
-// workloads, whose small post-race spaces both explorers saturate.
+// The explorer's budget claim: at Ma, its systematic phase buys
+// distinct post-race interleavings beyond the classes its own Ma
+// seeded samples realize — on every cluster at least as many,
+// strictly more on a schedule-rich program, at least twice as many
+// over three larger gadgets, and never fewer on the micro workloads,
+// whose small post-race spaces the samples already saturate.
 TEST(ExplorePipelineTest, DporBuysMoreDistinctSchedules)
 {
     {
         SCOPED_TRACE("racy_staggered");
         const DistinctTotals t =
-            compareExplorers(flipGadget("racy_staggered", 3, 3), 6);
-        EXPECT_GT(t.dpor, t.random);
+            measureExplorer(flipGadget("racy_staggered", 3, 3), 6);
+        EXPECT_GT(t.dpor, t.seeded);
     }
 
     DistinctTotals gadgets;
@@ -861,57 +874,17 @@ TEST(ExplorePipelineTest, DporBuysMoreDistinctSchedules)
                                  std::to_string(stride);
         SCOPED_TRACE(name);
         const DistinctTotals t =
-            compareExplorers(flipGadget(name, workers, stride), 8);
-        gadgets.random += t.random;
+            measureExplorer(flipGadget(name, workers, stride), 8);
+        gadgets.seeded += t.seeded;
         gadgets.dpor += t.dpor;
     }
-    EXPECT_GE(gadgets.dpor, 2 * gadgets.random)
-        << "random " << gadgets.random << ", dpor " << gadgets.dpor;
+    EXPECT_GE(gadgets.dpor, 2 * gadgets.seeded)
+        << "seeded " << gadgets.seeded << ", dpor " << gadgets.dpor;
 
     for (const char *name : {"avv", "dcl", "dbm", "rw", "bbuf"}) {
         SCOPED_TRACE(name);
         workloads::Workload w = workloads::buildWorkload(name);
-        compareExplorers(w.program, 8, w.semantic_predicates);
-    }
-}
-
-// Verdict monotonicity, random -> dpor: dpor runs the random phase
-// first, so a decisive random verdict is reproduced identically and
-// a k-witness verdict may only upgrade toward a decisive class.
-TEST(ExplorePipelineTest, DporNeverLosesDecisiveVerdicts)
-{
-    for (const std::string &name :
-         {std::string("pbzip2"), std::string("bbuf"),
-          std::string("ctrace")}) {
-        workloads::Workload w = workloads::buildWorkload(name);
-        PortendOptions o;
-        o.jobs = 1;
-        o.semantic_predicates = w.semantic_predicates;
-        o.explore = explore::ExploreMode::Random;
-        PortendResult rnd = Portend(w.program, o).run();
-        o.explore = explore::ExploreMode::Dpor;
-        PortendResult dpo = Portend(w.program, o).run();
-
-        ASSERT_EQ(rnd.reports.size(), dpo.reports.size()) << name;
-        for (std::size_t i = 0; i < rnd.reports.size(); ++i) {
-            const Classification &a = rnd.reports[i].classification;
-            const Classification &b = dpo.reports[i].classification;
-            if (a.cls == RaceClass::SpecViolated) {
-                EXPECT_EQ(b.cls, RaceClass::SpecViolated)
-                    << name << " cluster " << i;
-                EXPECT_EQ(b.viol, a.viol) << name << " cluster " << i;
-            }
-            if (a.cls == RaceClass::OutputDiffers) {
-                EXPECT_TRUE(b.cls == RaceClass::OutputDiffers ||
-                            b.cls == RaceClass::SpecViolated)
-                    << name << " cluster " << i;
-            }
-            // Single-ordering and unclassified verdicts come from
-            // stage 1 and never depend on the explorer.
-            if (a.cls == RaceClass::SingleOrdering) {
-                EXPECT_EQ(b.cls, a.cls) << name << " cluster " << i;
-            }
-        }
+        measureExplorer(w.program, 8, w.semantic_predicates);
     }
 }
 
@@ -924,7 +897,6 @@ TEST(ExplorePipelineTest, GuidedEvidenceReplays)
     PortendOptions o;
     o.jobs = 1;
     o.ma = 6;
-    o.explore = explore::ExploreMode::Dpor;
     Portend tool(p, o);
     PortendResult res = tool.run();
 

@@ -57,10 +57,11 @@ TEST(FuzzOracle, DeepBatteryRunsAllChecks)
     for (const char *want :
          {"verify", "roundtrip", "hb-subset-nomutex",
           "hb-subset-lockset", "determinism", "jobs-invariance",
-          "k-monotonicity", "explore-monotonicity",
-          "ma-monotonicity"}) {
+          "k-monotonicity", "ma-monotonicity"}) {
         EXPECT_TRUE(names.count(want)) << "check missing: " << want;
     }
+    // Retired with the random explorer it cross-checked.
+    EXPECT_FALSE(names.count("explore-monotonicity"));
 }
 
 // The symbolic battery (sym-monotonicity + witness-replay) runs
@@ -102,28 +103,20 @@ TEST(FuzzOracle, SymbolicBatterySkippedWithoutInputDecls)
 }
 
 // The schedule-coverage monotonicity property: across a generated
-// batch, switching random -> dpor and doubling Ma never loses a
-// "spec violated" verdict. Runs under both primary explorers so
-// both directions of the cross-check exercise.
+// batch, doubling Ma never loses a "spec violated" verdict.
 TEST(FuzzOracle, ScheduleCoverageMonotonicityHolds)
 {
     GeneratorOptions gopts;
-    for (explore::ExploreMode mode :
-         {explore::ExploreMode::Dpor, explore::ExploreMode::Random}) {
-        OracleOptions oopts;
-        oopts.deep = true;
-        oopts.explore = mode;
-        for (std::uint64_t i = 0; i < 6; ++i) {
-            GeneratedProgram g = generateProgram(1337, i, gopts);
-            ASSERT_TRUE(g.verify_errors.empty());
-            OracleVerdict v = runOracle(g.program, oopts);
-            for (const CheckResult &c : v.checks) {
-                if (c.name == "explore-monotonicity" ||
-                    c.name == "ma-monotonicity") {
-                    EXPECT_TRUE(c.ok)
-                        << exploreModeName(mode) << " index " << i
-                        << ": " << c.name << ": " << c.detail;
-                }
+    OracleOptions oopts;
+    oopts.deep = true;
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        GeneratedProgram g = generateProgram(1337, i, gopts);
+        ASSERT_TRUE(g.verify_errors.empty());
+        OracleVerdict v = runOracle(g.program, oopts);
+        for (const CheckResult &c : v.checks) {
+            if (c.name == "ma-monotonicity") {
+                EXPECT_TRUE(c.ok)
+                    << "index " << i << ": " << c.name << ": " << c.detail;
             }
         }
     }
@@ -139,8 +132,7 @@ TEST(FuzzOracle, ScheduleCoverageMonotonicityOnWorkloads)
         workloads::Workload w = workloads::buildWorkload(name);
         OracleVerdict v = runOracle(w.program, opts);
         for (const CheckResult &c : v.checks) {
-            if (c.name == "explore-monotonicity" ||
-                c.name == "ma-monotonicity") {
+            if (c.name == "ma-monotonicity") {
                 EXPECT_TRUE(c.ok)
                     << name << ": " << c.name << ": " << c.detail;
             }
@@ -183,6 +175,32 @@ TEST(FuzzOracle, SignatureReflectsDetectionSeed)
         opts.detection_seed = seed;
         EXPECT_EQ(runOracle(g.program, opts).signature(),
                   runOracle(g.program, opts).signature());
+    }
+}
+
+// The cache payload's numbers are range-checked: a digit string past
+// the 64-bit range, or a tally past int, is a malformed payload, not
+// a wrapped count.
+TEST(FuzzOracle, VerdictPayloadRefusesOutOfRangeNumbers)
+{
+    OracleVerdict v;
+    v.outcome = "exited";
+    v.distinct_races = 3;
+    v.class_counts["spec violated"] = 2;
+    v.checks.push_back({"verify", true, ""});
+    const std::string bytes = serializeVerdict(v);
+    ASSERT_TRUE(deserializeVerdict(bytes).has_value());
+
+    const std::string from = "\ndistinct_races 3\n";
+    ASSERT_NE(bytes.find(from), std::string::npos);
+    for (const char *to :
+         {"\ndistinct_races 99999999999999999999\n",
+          "\ndistinct_races 2147483648\n", "\ndistinct_races -1\n"}) {
+        std::string edited = bytes;
+        edited.replace(edited.find(from), from.size(), to);
+        std::string error;
+        EXPECT_FALSE(deserializeVerdict(edited, &error).has_value()) << to;
+        EXPECT_NE(error.find("distinct_races"), std::string::npos) << error;
     }
 }
 

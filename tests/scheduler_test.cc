@@ -150,15 +150,13 @@ distinctSchedules(const PortendResult &res)
     return res.metrics.counter(obs::Counter::ClassifyDistinctSchedules);
 }
 
-/** Full pipeline under an explicit explorer and worker count. */
+/** Full pipeline at Ma 4 under an explicit worker count. */
 PortendResult
-runWithExplorer(const workloads::Workload &w, explore::ExploreMode m,
-                int jobs, int ma = 4)
+runPipeline(const workloads::Workload &w, int jobs)
 {
     PortendOptions opts;
     opts.jobs = jobs;
-    opts.ma = ma;
-    opts.explore = m;
+    opts.ma = 4;
     opts.semantic_predicates = w.semantic_predicates;
     Portend tool(w.program, opts);
     return tool.run();
@@ -174,10 +172,8 @@ TEST(ExplorerDeterminismTest, DporIdenticalAcrossJobs)
 {
     for (const std::string &name : workloads::workloadNames()) {
         workloads::Workload w = workloads::buildWorkload(name);
-        PortendResult seq =
-            runWithExplorer(w, explore::ExploreMode::Dpor, 1);
-        PortendResult par =
-            runWithExplorer(w, explore::ExploreMode::Dpor, 4);
+        PortendResult seq = runPipeline(w, 1);
+        PortendResult par = runPipeline(w, 4);
 
         ASSERT_EQ(seq.reports.size(), par.reports.size()) << name;
         for (std::size_t i = 0; i < seq.reports.size(); ++i) {
@@ -205,28 +201,14 @@ TEST(ExplorerDeterminismTest, DporIdenticalAcrossJobs)
     }
 }
 
-// Same contract for the legacy random explorer (whose runs the dpor
-// random phase must reproduce seed-for-seed).
-TEST(ExplorerDeterminismTest, RandomIdenticalAcrossJobs)
-{
-    workloads::Workload w = workloads::buildWorkload("pbzip2");
-    PortendResult seq =
-        runWithExplorer(w, explore::ExploreMode::Random, 1);
-    PortendResult par =
-        runWithExplorer(w, explore::ExploreMode::Random, 4);
-    EXPECT_EQ(reportText(w.program, seq), reportText(w.program, par));
-}
-
 // Rerunning the identical dpor configuration twice is byte-stable —
 // the explorer has no hidden wall-clock or address-order state
 // (this is what makes the TSan build's golden runs meaningful).
 TEST(ExplorerDeterminismTest, DporIsRunToRunStable)
 {
     workloads::Workload w = workloads::buildWorkload("ctrace");
-    PortendResult one =
-        runWithExplorer(w, explore::ExploreMode::Dpor, 2);
-    PortendResult two =
-        runWithExplorer(w, explore::ExploreMode::Dpor, 2);
+    PortendResult one = runPipeline(w, 2);
+    PortendResult two = runPipeline(w, 2);
     EXPECT_EQ(reportText(w.program, one), reportText(w.program, two));
     EXPECT_EQ(distinctSchedules(one), distinctSchedules(two));
 }

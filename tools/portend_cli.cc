@@ -16,13 +16,13 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "explore/explorer.h"
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
 #include "portend/classify.h"
@@ -98,14 +98,11 @@ Options:
                        multi-path at N > 1, multi-schedule at N >= 5
   --mp <N>             primary paths explored (Mp, default 5)
   --ma <N>             alternate-schedule budget per primary (Ma,
-                       default 2): distinct post-race interleavings
-                       under the dpor explorer, plain run count
-                       under random
-  --explore <name>     stage-3 schedule explorer: "dpor" enumerates
-                       bounded-preemption interleavings, prunes
-                       Mazurkiewicz-equivalent ones, and spends Ma
-                       on provably distinct schedules; "random" is
-                       the legacy seeded sampler (default dpor)
+                       default 2): distinct post-race interleavings.
+                       Stage 3 runs Ma seeded samples, then
+                       enumerates bounded-preemption interleavings,
+                       pruning Mazurkiewicz-equivalent ones, until
+                       Ma distinct schedules were witnessed
   --jobs <N>           worker threads for classification, batch mode,
                        and fuzzing (default: one per hardware
                        thread); results are identical for every N
@@ -270,20 +267,6 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-/** Parse an --explore value; usage error on anything unknown. */
-explore::ExploreMode
-parseExploreMode(const char *value)
-{
-    if (!value)
-        usageError("--explore needs a value");
-    std::optional<explore::ExploreMode> m =
-        explore::exploreModeFromName(value);
-    if (!m)
-        usageError("unknown explorer: " + std::string(value) +
-                   " (expected dpor or random)");
-    return *m;
-}
-
 std::int64_t
 parseInt(const char *flag, const char *value)
 {
@@ -425,9 +408,6 @@ parseOptions(int argc, char **argv, int start)
         } else if (a == "--sym-input") {
             cli.opts.sym_inputs.push_back(parseSymInput(next));
             ++i;
-        } else if (a == "--explore") {
-            cli.opts.explore = parseExploreMode(next);
-            ++i;
         } else if (a == "--jobs") {
             cli.opts.jobs = parseCount("--jobs", next, 1);
             ++i;
@@ -494,8 +474,36 @@ cmdList()
 }
 
 /**
+ * Usage error for a --sym-input name that no Input instruction of
+ * @p prog carries: it would select nothing, so the run would be the
+ * plain analysis. The message names the inputs @p prog does read.
+ */
+void
+refuseUnreadInputs(const ir::Program &prog,
+                   const std::vector<rt::SymInputSpec> &specs)
+{
+    std::set<std::string> read;
+    for (const ir::Function &f : prog.functions)
+        for (const ir::BasicBlock &b : f.blocks)
+            for (const ir::Inst &in : b.insts)
+                if (in.op == ir::Op::Input)
+                    read.insert(in.text);
+    for (const rt::SymInputSpec &s : specs) {
+        if (read.count(s.name))
+            continue;
+        std::string names;
+        for (const std::string &n : read)
+            names += (names.empty() ? "" : ", ") + n;
+        usageError("--sym-input: " + prog.name + " reads no input named " +
+                   s.name + " (it reads: " +
+                   (names.empty() ? "none" : names) + ")");
+    }
+}
+
+/**
  * `run|classify <w>` and `--file <path>`: the pipeline over one
- * unit. A unit that cannot be loaded is a usage error.
+ * unit. A unit that cannot be loaded, or a --sym-input name it never
+ * reads, is a usage error.
  */
 int
 cmdRun(const campaign::UnitSpec &unit, bool classify_mode,
@@ -506,6 +514,7 @@ cmdRun(const campaign::UnitSpec &unit, bool classify_mode,
     std::string err;
     if (!campaign::loadUnit(unit, &w, &err))
         usageError(err);
+    refuseUnreadInputs(w.program, cli.opts.sym_inputs);
     // The workload's semantic predicates (e.g. fmm timestamps).
     cli.opts.semantic_predicates = w.semantic_predicates;
     core::PortendResult res = core::Portend(w.program, cli.opts).run();

@@ -17,6 +17,9 @@
 #   portend classify --all --jobs 1
 #   portend fuzz --fuzz-seed 42 --budget 200 --jobs 1
 # (ctest golden_metrics_classify_all, golden_metrics_fuzz_s42).
+# corpus/seed is the reproducer corpus its documented command writes,
+#   portend fuzz --fuzz-seed 42 --budget 200 --corpus <dir>
+# (CI's fuzz-smoke job diffs that output against it).
 # Regenerating therefore always produces a reviewable git diff:
 # goldens only change when verdict behavior or a counter changes, and
 # that diff is the re-review surface.
@@ -53,7 +56,16 @@ echo "regenerated tests/golden/metrics_classify_all.json"
 "$PORTEND" fuzz --fuzz-seed 42 --budget 200 --jobs 1 \
     --metrics-out tests/golden/metrics_fuzz_s42.json > /dev/null
 echo "regenerated tests/golden/metrics_fuzz_s42.json"
+# fuzz adds entries to an existing corpus, so write a fresh one and
+# swap it in: an entry the command no longer writes must go.
+tmp=$(mktemp -d)
+"$PORTEND" fuzz --fuzz-seed 42 --budget 200 --corpus "$tmp/seed" > /dev/null
+rm -rf corpus/seed
+mv "$tmp/seed" corpus/seed
+rmdir "$tmp"
+echo "regenerated corpus/seed"
 
 echo
 echo "Goldens regenerated. Review the diff before committing:"
-git --no-pager diff --stat -- tests/golden || true
+git --no-pager diff --stat -- tests/golden corpus/seed || true
+git status --short -- tests/golden corpus/seed || true
