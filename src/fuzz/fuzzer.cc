@@ -342,9 +342,7 @@ runFuzz(const FuzzOptions &opts)
             // Deep (metamorphic re-execution) probes are only needed
             // when the falsified check is itself a deep one; cheap
             // checks are decided before the deep section runs.
-            const bool deep_check = check == "determinism" ||
-                                    check == "jobs-invariance" ||
-                                    check == "k-monotonicity";
+            const bool deep_check = isDeepCheck(check);
             MinimizeResult min = minimizeRecipe(
                 r.gen.recipe,
                 [&](const ProgramRecipe &cand) {

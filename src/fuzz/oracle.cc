@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <set>
-#include <sstream>
 
 #include "baseline/adhoc_detector.h"
 #include "baseline/heuristic.h"
@@ -11,6 +10,8 @@
 #include "ir/serialize.h"
 #include "ir/verifier.h"
 #include "portend/portend.h"
+#include "race/hb.h"
+#include "race/lockset.h"
 #include "replay/trace.h"
 #include "rt/vmstate.h"
 #include "support/str.h"
@@ -36,17 +37,29 @@ OracleVerdict::firstFailure() const
 std::string
 OracleVerdict::signature() const
 {
-    std::ostringstream os;
-    os << "out=" << outcome << ";races=" << distinct_races
-       << ";classes=";
+    std::string out = "out=" + outcome + ";races=";
+    appendNum(out, distinct_races);
+    out += ";classes=";
     bool first = true;
     for (const auto &[cls, n] : class_counts) {
         if (!first)
-            os << ",";
-        os << cls << ":" << n;
+            out += ',';
+        out += cls;
+        out += ':';
+        appendNum(out, n);
         first = false;
     }
-    return os.str();
+    return out;
+}
+
+bool
+isDeepCheck(std::string_view name)
+{
+    static constexpr std::string_view kDeep[] = {
+        "determinism",    "jobs-invariance",  "ma-monotonicity",
+        "k-monotonicity", "sym-monotonicity", "witness-replay"};
+    return std::find(std::begin(kDeep), std::end(kDeep), name) !=
+           std::end(kDeep);
 }
 
 namespace {
@@ -69,18 +82,18 @@ fullOptions(const OracleOptions &o)
 std::string
 renderRun(const ir::Program &prog, const core::PortendResult &res)
 {
-    std::ostringstream os;
+    std::string out;
     for (const core::PortendReport &r : res.reports)
-        os << core::formatReport(prog, r);
-    return os.str();
+        out += core::formatReport(prog, r);
+    return out;
 }
 
-/** Distinct raced cell ids of a detection result. */
+/** Distinct raced cell ids of a detector's clusters. */
 std::set<int>
-racedCells(const core::DetectionResult &det)
+racedCells(const std::vector<race::RaceCluster> &clusters)
 {
     std::set<int> cells;
-    for (const race::RaceCluster &c : det.clusters)
+    for (const race::RaceCluster &c : clusters)
         cells.insert(c.representative.cell);
     return cells;
 }
@@ -97,11 +110,9 @@ subsetCheck(const std::string &name, const ir::Program &prog,
             missing.push_back(prog.cellName(cell));
     if (!missing.empty()) {
         r.ok = false;
-        std::ostringstream os;
-        os << "cells raced by hb but not by the weaker detector:";
+        r.detail = "cells raced by hb but not by the weaker detector:";
         for (const std::string &m : missing)
-            os << " " << m;
-        r.detail = os.str();
+            r.detail += " " + m;
     }
     return r;
 }
@@ -141,9 +152,20 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
     }
 
     // -- Primary pipeline run ----------------------------------------
+    // The weaker detectors of detector monotonicity observe r1's own
+    // detection run and are dropped before classification.
     const core::PortendOptions full = fullOptions(opts);
     core::Portend tool(prog, full);
-    core::PortendResult r1 = tool.run();
+    core::DetectionResult detection;
+    std::set<int> nomutex_cells, lockset_cells;
+    {
+        race::HbDetector nomutex(prog, race::HbOptions{true});
+        race::LocksetDetector lockset(prog);
+        detection = tool.detect({&nomutex, &lockset});
+        nomutex_cells = racedCells(race::clusterRaces(nomutex.races()));
+        lockset_cells = racedCells(race::clusterRaces(lockset.races()));
+    }
+    core::PortendResult r1 = tool.runFrom(std::move(detection));
 
     v.outcome = rt::runOutcomeName(r1.detection.outcome);
     v.distinct_races = static_cast<int>(r1.detection.clusters.size());
@@ -156,19 +178,11 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
 
     // -- Detector monotonicity ---------------------------------------
     {
-        core::PortendOptions o = full;
-        o.detector = core::DetectorKind::HappensBeforeNoMutex;
-        core::DetectionResult nomutex = core::Portend(prog, o).detect();
-        o.detector = core::DetectorKind::Lockset;
-        core::DetectionResult lockset = core::Portend(prog, o).detect();
-
-        std::set<int> hb_cells = racedCells(r1.detection);
+        const std::set<int> hb_cells = racedCells(r1.detection.clusters);
         v.checks.push_back(subsetCheck("hb-subset-nomutex", prog,
-                                       hb_cells,
-                                       racedCells(nomutex)));
+                                       hb_cells, nomutex_cells));
         v.checks.push_back(subsetCheck("hb-subset-lockset", prog,
-                                       hb_cells,
-                                       racedCells(lockset)));
+                                       hb_cells, lockset_cells));
     }
 
     // -- Classifier vs. baselines ------------------------------------

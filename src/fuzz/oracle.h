@@ -42,14 +42,17 @@
  * never flagged.
  *
  * Shared work. The primary pipeline run (r1) records the program's
- * one shared detection. The jobs-invariance, ma-monotonicity,
- * k-monotonicity and sym-monotonicity re-runs only
- * vary options detection never reads, so they classify r1's
- * detection (Portend::runFrom) instead of recording it again;
- * witness-replay replays the sym run's copy of that trace.
- * Determinism records its own detection (that it records the same
- * trace twice is what it checks), and the two detector-monotonicity
- * checks detect under their own detectors. k- and sym-monotonicity
+ * one shared detection, and the mutex-blind and lockset detectors of
+ * the two detector-monotonicity checks observe that same run
+ * (Portend::detect's observers) and are dropped before
+ * classification. The jobs-invariance, ma-monotonicity,
+ * k-monotonicity and sym-monotonicity re-runs only vary options
+ * detection never reads, so they classify r1's detection
+ * (Portend::runFrom) instead of recording it again; witness-replay
+ * replays the sym run's copy of that trace. Determinism records its
+ * own detection with the primary detector alone: that it records the
+ * same trace twice is what it checks, and it also shows that r1's
+ * observers did not steer r1's schedule. k- and sym-monotonicity
  * share one single-path stage-1 baseline run.
  */
 
@@ -61,6 +64,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/program.h"
@@ -82,11 +86,20 @@ struct OracleOptions
     std::uint64_t detection_seed = 1; ///< schedule seed (CLI --seed)
 
     /**
-     * Run the expensive metamorphic re-executions (determinism,
-     * jobs invariance, k-monotonicity). The cheap checks always run.
+     * Run the expensive metamorphic re-executions: determinism,
+     * jobs-invariance, ma-monotonicity, k-monotonicity and, for a
+     * program that declares inputs, sym-monotonicity and
+     * witness-replay (the checks isDeepCheck names). The cheap
+     * checks always run.
      */
     bool deep = true;
 };
+
+/**
+ * True when check @p name runs only in a deep runOracle: a shallow
+ * run never runs it, so only a deep probe can reproduce its failure.
+ */
+bool isDeepCheck(std::string_view name);
 
 /** One oracle check's outcome. */
 struct CheckResult

@@ -1,9 +1,9 @@
 #include "ir/program.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/logging.h"
+#include "support/str.h"
 
 namespace portend::ir {
 
@@ -61,9 +61,10 @@ isTerminator(Op op)
 std::string
 SourceLoc::toString() const
 {
-    std::ostringstream os;
-    os << (file.empty() ? "<unknown>" : file) << ":" << line;
-    return os.str();
+    std::string out = file.empty() ? "<unknown>" : file;
+    out += ':';
+    appendNum(out, line);
+    return out;
 }
 
 FuncId
@@ -166,12 +167,13 @@ Program::cellName(int cell) const
     if (g < 0)
         return "<cell " + std::to_string(cell) + ">";
     const Global &gl = globals[static_cast<std::size_t>(g)];
-    std::ostringstream os;
-    os << gl.name;
-    if (gl.size > 1)
-        os << "[" << (cell - global_base[static_cast<std::size_t>(g)])
-           << "]";
-    return os.str();
+    std::string out = gl.name;
+    if (gl.size > 1) {
+        out += '[';
+        appendNum(out, cell - global_base[static_cast<std::size_t>(g)]);
+        out += ']';
+    }
+    return out;
 }
 
 } // namespace portend::ir

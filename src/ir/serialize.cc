@@ -1,8 +1,8 @@
 #include "ir/serialize.h"
 
+#include <array>
 #include <charconv>
-#include <functional>
-#include <map>
+#include <cstring>
 #include <set>
 #include <string_view>
 
@@ -12,67 +12,129 @@ namespace portend::ir {
 
 namespace {
 
-/** Mnemonic lookup; std::less<> lets a string_view token find a key. */
+/**
+ * Mnemonic -> enumerator by open addressing: the token's length and
+ * first and last characters pick a slot, and a probe compares whole
+ * names. kSlots exceeds every enumeration's size, so a probe always
+ * reaches an empty slot.
+ */
 template <typename E>
-using NameTable = std::map<std::string, E, std::less<>>;
-
-/** Opcode <-> mnemonic table (mnemonics from opName). */
-NameTable<Op>
-opTable()
+class NameTable
 {
-    NameTable<Op> t;
-    for (int i = 0; i <= static_cast<int>(Op::Assert); ++i) {
-        Op op = static_cast<Op>(i);
-        t[opName(op)] = op;
+  public:
+    /** Enumerators 0 .. @p last, named by @p name. */
+    NameTable(E last, const char *(*name)(E))
+    {
+        for (int i = 0; i <= static_cast<int>(last); ++i) {
+            const E e = static_cast<E>(i);
+            std::size_t s = slot(name(e));
+            while (!names[s].empty())
+                s = (s + 1) % kSlots;
+            names[s] = name(e);
+            values[s] = e;
+        }
     }
-    return t;
-}
 
-NameTable<sym::ExprKind>
-kindTable()
-{
-    NameTable<sym::ExprKind> t;
-    for (int i = 0; i <= static_cast<int>(sym::ExprKind::Ite); ++i) {
-        sym::ExprKind k = static_cast<sym::ExprKind>(i);
-        t[sym::kindName(k)] = k;
+    /** The enumerator named @p tok, or null. */
+    const E *
+    find(std::string_view tok) const
+    {
+        if (tok.empty())
+            return nullptr;
+        for (std::size_t s = slot(tok); !names[s].empty();
+             s = (s + 1) % kSlots) {
+            if (names[s] == tok)
+                return &values[s];
+        }
+        return nullptr;
     }
-    return t;
-}
 
-/** Append " <prefix><v>" with @p v in decimal (prefix 0: none). */
-void
-putNum(std::string &out, std::int64_t v, char prefix = 0)
+  private:
+    static constexpr std::size_t kSlots = 64;
+
+    static std::size_t
+    slot(std::string_view n)
+    {
+        return (n.size() * 37 + static_cast<unsigned char>(n.front()) * 7 +
+                static_cast<unsigned char>(n.back())) %
+               kSlots;
+    }
+
+    std::array<std::string_view, kSlots> names{};
+    std::array<E, kSlots> values{};
+};
+
+/**
+ * One line's unquoted fields, written into a fixed buffer and
+ * appended to the output at once. The widest line, an inst, needs
+ * under 400 bytes: 14 numbers of at most 22 characters, with their
+ * separators, and two mnemonics.
+ */
+struct LineBuf
 {
-    char buf[32];
+    char buf[512];
     char *p = buf;
-    *p++ = ' ';
-    if (prefix)
-        *p++ = prefix;
-    const std::to_chars_result r = std::to_chars(p, buf + sizeof buf, v);
-    out.append(buf, r.ptr);
-}
 
-/** Append " <operand>": r<N>, i<V> or _. */
+    void
+    put(std::string_view s)
+    {
+        std::memcpy(p, s.data(), s.size());
+        p += s.size();
+    }
+
+    /** " <prefix><v>" with @p v in decimal (prefix 0: none). */
+    void
+    num(std::int64_t v, char prefix = 0)
+    {
+        *p++ = ' ';
+        if (prefix)
+            *p++ = prefix;
+        p = std::to_chars(p, buf + sizeof buf, v).ptr;
+    }
+
+    /** " <operand>": r<N>, i<V> or _. */
+    void
+    operand(const Operand &o)
+    {
+        if (o.isReg())
+            num(o.reg, 'r');
+        else if (o.isImm())
+            num(o.imm, 'i');
+        else
+            put(" _");
+    }
+
+    void
+    flush(std::string &out)
+    {
+        out.append(buf, p);
+        p = buf;
+    }
+};
+
+/** Append " <v>" in decimal. */
 void
-putOperand(std::string &out, const Operand &o)
+putNum(std::string &out, std::int64_t v)
 {
-    if (o.isReg())
-        putNum(out, o.reg, 'r');
-    else if (o.isImm())
-        putNum(out, o.imm, 'i');
-    else
-        out += " _";
+    LineBuf l;
+    l.num(v);
+    l.flush(out);
 }
 
-/** Append " \"<s>\"" with quotes and backslashes escaped. */
+/** Append " \"<s>\"" with quotes and backslashes escaped; the runs
+ *  between them are appended whole. */
 void
-putStr(std::string &out, const std::string &s)
+putStr(std::string &out, std::string_view s)
 {
     out += " \"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
+    for (;;) {
+        const std::size_t at = s.find_first_of("\"\\");
+        out.append(s.substr(0, at));
+        if (at == std::string_view::npos)
+            break;
+        out += '\\';
+        out += s[at];
+        s.remove_prefix(at + 1);
     }
     out += '"';
 }
@@ -156,11 +218,20 @@ struct Tokens
         return !out.empty();
     }
 
+    /** A number token, read in one pass: std::from_chars must stop
+     *  where the token ends (the rule parseNum states). */
     template <typename T>
     bool
     num(T &out)
     {
-        return parseNum(next(), out);
+        skipSpace();
+        const char *end = rest.data() + rest.size();
+        const std::from_chars_result r =
+            std::from_chars(rest.data(), end, out);
+        if (r.ec != std::errc() || (r.ptr != end && !isSpace(*r.ptr)))
+            return false;
+        rest.remove_prefix(static_cast<std::size_t>(r.ptr - rest.data()));
+        return true;
     }
 
     /**
@@ -176,15 +247,22 @@ struct Tokens
             return false;
         out.clear();
         std::size_t i = 1;
-        for (;; ++i) {
-            if (i >= rest.size())
+        for (;;) {
+            const std::size_t at = rest.find_first_of("\"\\", i);
+            if (at == std::string_view::npos)
                 return false;
-            char c = rest[i];
-            if (c == '"')
+            out.append(rest.substr(i, at - i));
+            if (rest[at] == '"') {
+                i = at;
                 break;
-            if (c == '\\' && i + 1 < rest.size())
-                c = rest[++i];
-            out += c;
+            }
+            if (at + 1 >= rest.size()) {
+                // A trailing backslash is taken as itself; the
+                // string still lacks its closing quote.
+                return false;
+            }
+            out += rest[at + 1];
+            i = at + 2;
         }
         rest.remove_prefix(i + 1);
         return rest.empty() || isSpace(rest[0]);
@@ -217,6 +295,23 @@ struct Lines
         pos = nl + 1;
         return true;
     }
+
+    /** How many of the next lines start with @p prefix, up to the
+     *  first that does not (a capacity hint; nothing is consumed). */
+    std::size_t
+    countAhead(std::string_view prefix) const
+    {
+        std::size_t n = 0;
+        for (std::size_t at = pos;
+             at < text.size() && text.compare(at, prefix.size(), prefix) == 0;
+             n += 1) {
+            at = text.find('\n', at);
+            if (at == std::string_view::npos)
+                return n + 1;
+            at += 1;
+        }
+        return n;
+    }
 };
 
 } // namespace
@@ -224,7 +319,15 @@ struct Lines
 std::string
 serializeProgram(const Program &p)
 {
-    std::string out = "pil v1";
+    std::size_t insts = 0;
+    for (const auto &f : p.functions)
+        for (const auto &b : f.blocks)
+            insts += b.insts.size();
+    // An inst line is ~110 bytes (lo and hi are mostly INT64_MIN and
+    // INT64_MAX); the other lines are few.
+    std::string out;
+    out.reserve(256 + 120 * insts);
+    out += "pil v1";
     putStr(out, p.name);
     out += '\n';
     for (const auto &g : p.globals) {
@@ -261,6 +364,7 @@ serializeProgram(const Program &p)
         putNum(out, d.hi);
         out += '\n';
     }
+    LineBuf l;
     for (const auto &f : p.functions) {
         out += "func";
         putStr(out, f.name);
@@ -272,27 +376,29 @@ serializeProgram(const Program &p)
             putStr(out, b.name);
             out += '\n';
             for (const auto &inst : b.insts) {
-                out += "inst ";
-                out += opName(inst.op);
-                putNum(out, inst.dst);
-                putOperand(out, inst.a);
-                putOperand(out, inst.b);
-                putOperand(out, inst.c);
-                out += ' ';
-                out += sym::kindName(inst.kind);
-                putNum(out, widthBits(inst.width));
-                putNum(out, inst.gid);
-                putNum(out, inst.sid);
-                putNum(out, inst.sid2);
-                putNum(out, inst.fid);
-                putNum(out, inst.then_block);
-                putNum(out, inst.else_block);
-                putNum(out, inst.lo);
-                putNum(out, inst.hi);
+                l.put("inst ");
+                l.put(opName(inst.op));
+                l.num(inst.dst);
+                l.operand(inst.a);
+                l.operand(inst.b);
+                l.operand(inst.c);
+                l.put(" ");
+                l.put(sym::kindName(inst.kind));
+                l.num(widthBits(inst.width));
+                l.num(inst.gid);
+                l.num(inst.sid);
+                l.num(inst.sid2);
+                l.num(inst.fid);
+                l.num(inst.then_block);
+                l.num(inst.else_block);
+                l.num(inst.lo);
+                l.num(inst.hi);
+                l.flush(out);
                 putStr(out, inst.text);
                 putStr(out, inst.loc.file);
-                putNum(out, inst.loc.line);
-                out += '\n';
+                l.num(inst.loc.line);
+                l.put("\n");
+                l.flush(out);
             }
         }
     }
@@ -309,8 +415,9 @@ deserializeProgram(const std::string &text, std::string *error)
         return std::nullopt;
     };
 
-    static const NameTable<Op> ops = opTable();
-    static const NameTable<sym::ExprKind> kinds = kindTable();
+    static const NameTable<Op> ops(Op::Assert, opName);
+    static const NameTable<sym::ExprKind> kinds(sym::ExprKind::Ite,
+                                                sym::kindName);
 
     // Hard bounds on declared sizes: malformed or adversarial input
     // (fuzzer-found cases) must fail cleanly, never OOM or crash.
@@ -336,17 +443,63 @@ deserializeProgram(const std::string &text, std::string *error)
         if (line.empty())
             continue;
         Tokens ls{line};
-        const std::string tag(ls.next());
+        const std::string_view tag = ls.next();
 
         auto where = [&] {
             return " (line " + std::to_string(lineno) + ")";
         };
 
-        if (!saw_header && tag != "pil")
-            return fail("'" + tag + "' before 'pil v1' header" +
-                        where());
-
-        if (tag == "pil") {
+        // Inst lines are nearly all of a program's text, so they are
+        // tested for first. One without a block fails below: before
+        // the header as any line before it, after it as an inst
+        // outside a block.
+        if (tag == "inst" && cur_block) {
+            Inst &inst = cur_block->insts.emplace_back();
+            std::string_view opname, ta, tb, tc, kindname;
+            int width_bits = 64;
+            if (!(ls.word(opname) && ls.num(inst.dst) && ls.word(ta) &&
+                  ls.word(tb) && ls.word(tc) && ls.word(kindname) &&
+                  ls.num(width_bits) && ls.num(inst.gid) &&
+                  ls.num(inst.sid) && ls.num(inst.sid2) &&
+                  ls.num(inst.fid) && ls.num(inst.then_block) &&
+                  ls.num(inst.else_block) && ls.num(inst.lo) &&
+                  ls.num(inst.hi))) {
+                return fail("bad inst fields" + where());
+            }
+            const Op *op = ops.find(opname);
+            if (!op)
+                return fail("unknown op '" + std::string(opname) + "'" +
+                            where());
+            inst.op = *op;
+            if (!parseOperand(ta, inst.a) ||
+                !parseOperand(tb, inst.b) ||
+                !parseOperand(tc, inst.c)) {
+                return fail("bad operand" + where());
+            }
+            const sym::ExprKind *kind = kinds.find(kindname);
+            if (!kind)
+                return fail("unknown kind" + where());
+            inst.kind = *kind;
+            switch (width_bits) {
+              case 1: inst.width = sym::Width::I1; break;
+              case 8: inst.width = sym::Width::I8; break;
+              case 16: inst.width = sym::Width::I16; break;
+              case 32: inst.width = sym::Width::I32; break;
+              case 64: inst.width = sym::Width::I64; break;
+              default: return fail("bad width" + where());
+            }
+            if (inst.dst < -1)
+                return fail("bad dst register" + where());
+            if (!ls.quoted(inst.text) || !ls.quoted(inst.loc.file) ||
+                !ls.num(inst.loc.line)) {
+                return fail("bad inst strings" + where());
+            }
+        } else if (!saw_header && tag != "pil") {
+            return fail("'" + std::string(tag) +
+                        "' before 'pil v1' header" + where());
+        } else if (tag == "inst") {
+            return fail("inst outside block" + where());
+        } else if (tag == "pil") {
             if (saw_header)
                 return fail("duplicate 'pil' header" + where());
             if (ls.next() != "v1")
@@ -433,59 +586,18 @@ deserializeProgram(const std::string &text, std::string *error)
                 return fail("bad block" + where());
             cur_func->blocks.push_back(std::move(b));
             cur_block = &cur_func->blocks.back();
-        } else if (tag == "inst") {
-            if (!cur_block)
-                return fail("inst outside block" + where());
-            Inst inst;
-            std::string_view opname, ta, tb, tc, kindname;
-            int width_bits = 64;
-            if (!(ls.word(opname) && ls.num(inst.dst) && ls.word(ta) &&
-                  ls.word(tb) && ls.word(tc) && ls.word(kindname) &&
-                  ls.num(width_bits) && ls.num(inst.gid) &&
-                  ls.num(inst.sid) && ls.num(inst.sid2) &&
-                  ls.num(inst.fid) && ls.num(inst.then_block) &&
-                  ls.num(inst.else_block) && ls.num(inst.lo) &&
-                  ls.num(inst.hi))) {
-                return fail("bad inst fields" + where());
-            }
-            auto oit = ops.find(opname);
-            if (oit == ops.end())
-                return fail("unknown op '" + std::string(opname) + "'" +
-                            where());
-            inst.op = oit->second;
-            if (!parseOperand(ta, inst.a) ||
-                !parseOperand(tb, inst.b) ||
-                !parseOperand(tc, inst.c)) {
-                return fail("bad operand" + where());
-            }
-            auto kit = kinds.find(kindname);
-            if (kit == kinds.end())
-                return fail("unknown kind" + where());
-            inst.kind = kit->second;
-            switch (width_bits) {
-              case 1: inst.width = sym::Width::I1; break;
-              case 8: inst.width = sym::Width::I8; break;
-              case 16: inst.width = sym::Width::I16; break;
-              case 32: inst.width = sym::Width::I32; break;
-              case 64: inst.width = sym::Width::I64; break;
-              default: return fail("bad width" + where());
-            }
-            if (inst.dst < -1)
-                return fail("bad dst register" + where());
-            if (!ls.quoted(inst.text) || !ls.quoted(inst.loc.file) ||
-                !ls.num(inst.loc.line)) {
-                return fail("bad inst strings" + where());
-            }
-            cur_block->insts.push_back(std::move(inst));
+            cur_block->insts.reserve(lines.countAhead("inst "));
         } else if (tag == "end") {
             saw_end = true;
         } else {
-            return fail("unknown tag '" + tag + "'" + where());
+            return fail("unknown tag '" + std::string(tag) + "'" +
+                        where());
         }
         // A line holds exactly its fields: anything the serializer
         // never writes after them is an error, never skipped.
         if (!ls.done())
-            return fail("trailing tokens after " + tag + where());
+            return fail("trailing tokens after " + std::string(tag) +
+                        where());
     }
 
     if (!saw_header)

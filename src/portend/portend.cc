@@ -1,11 +1,10 @@
 #include "portend/portend.h"
 
-#include <sstream>
-
 #include "race/hb.h"
 #include "race/lockset.h"
 #include "replay/replayer.h"
 #include "rt/interpreter.h"
+#include "support/str.h"
 #include "support/trace.h"
 
 namespace portend::core {
@@ -34,7 +33,7 @@ Portend::staticInfo()
 }
 
 DetectionResult
-Portend::detect()
+Portend::detect(const std::vector<rt::EventSink *> &observers)
 {
     obs::Span span("pipeline", "detect");
     DetectionResult result;
@@ -59,6 +58,8 @@ Portend::detect()
         interp.addSink(&lockset);
     else
         interp.addSink(&hb);
+    for (rt::EventSink *s : observers)
+        interp.addSink(s);
 
     const std::uint64_t boxed0 = rt::valuesBoxed();
     result.outcome = interp.run();
@@ -126,53 +127,74 @@ formatReport(const ir::Program &prog, const PortendReport &report)
     const race::RaceReport &race = report.cluster.representative;
     const Classification &c = report.classification;
 
-    std::ostringstream os;
-    os << race.describe(prog);
-    os << "  instances observed: " << report.cluster.instances << "\n";
-    os << "  classification: " << raceClassName(c.cls);
-    if (c.cls == RaceClass::SpecViolated)
-        os << " (" << violationKindName(c.viol) << ")";
-    if (c.cls == RaceClass::KWitnessHarmless)
-        os << " (k = " << c.k << ")";
-    os << "\n";
-    if (!c.detail.empty())
-        os << "  detail: " << c.detail << "\n";
-    if (!c.output_diff.empty())
-        os << "  output difference: " << c.output_diff << "\n";
+    std::string out = race.describe(prog);
+    out += "  instances observed: ";
+    appendNum(out, report.cluster.instances);
+    out += "\n  classification: ";
+    out += raceClassName(c.cls);
+    if (c.cls == RaceClass::SpecViolated) {
+        out += " (";
+        out += violationKindName(c.viol);
+        out += ')';
+    }
+    if (c.cls == RaceClass::KWitnessHarmless) {
+        out += " (k = ";
+        appendNum(out, c.k);
+        out += ')';
+    }
+    out += '\n';
+    if (!c.detail.empty()) {
+        out += "  detail: ";
+        out += c.detail;
+        out += '\n';
+    }
+    if (!c.output_diff.empty()) {
+        out += "  output difference: ";
+        out += c.output_diff;
+        out += '\n';
+    }
     if (c.cls == RaceClass::SpecViolated ||
         c.cls == RaceClass::OutputDiffers) {
-        os << "  evidence inputs:";
-        if (c.evidence_inputs.empty()) {
-            os << " (none required)";
-        } else {
-            for (std::int64_t v : c.evidence_inputs)
-                os << " " << v;
+        out += "  evidence inputs:";
+        if (c.evidence_inputs.empty())
+            out += " (none required)";
+        for (std::int64_t v : c.evidence_inputs) {
+            out += ' ';
+            appendNum(out, v);
         }
-        os << "\n";
+        out += '\n';
         if (!c.evidence_witness.empty()) {
-            os << "  witness input:";
-            for (const auto &w : c.evidence_witness)
-                os << " " << w.name << "=" << w.value;
-            os << "\n";
+            out += "  witness input:";
+            for (const auto &w : c.evidence_witness) {
+                out += ' ';
+                out += w.name;
+                out += '=';
+                appendNum(out, w.value);
+            }
+            out += '\n';
         }
-        os << "  evidence ordering: "
-           << (c.evidence_alternate ? "alternate" : "primary");
+        out += "  evidence ordering: ";
+        out += c.evidence_alternate ? "alternate" : "primary";
         if (!c.evidence_schedule.empty()) {
-            os << ", post-race schedule prefix";
-            for (int t : c.evidence_schedule)
-                os << " " << t;
+            out += ", post-race schedule prefix";
+            for (int t : c.evidence_schedule) {
+                out += ' ';
+                appendNum(out, t);
+            }
         } else {
-            os << ", post-race schedule seed " << c.evidence_seed;
+            out += ", post-race schedule seed ";
+            appendNum(out, c.evidence_seed);
         }
-        os << "\n";
+        out += '\n';
         if (!c.evidence_signature.empty()) {
-            os << "  schedule signature: " << c.evidence_signature
-               << "\n";
+            out += "  schedule signature: ";
+            out += c.evidence_signature;
+            out += '\n';
         }
     }
-    os << "  post-race concrete states: "
-       << (c.states_differ ? "differ" : "same") << "\n";
-    return os.str();
+    out += "  post-race concrete states: ";
+    out += c.states_differ ? "differ\n" : "same\n";
+    return out;
 }
 
 } // namespace portend::core

@@ -84,8 +84,16 @@ class Portend
      * opts.detector: option sets that agree on those three record
      * the same detection, which the fuzz oracle relies on to
      * classify one detection under many option sets.
+     *
+     * @p observers are extra passive sinks (other detectors) that
+     * see every event of the same run, after the configured
+     * detector; the caller owns and reads them. They never steer
+     * the schedule: a sink has no say in the policy's picks, and a
+     * detection run is never shortened (its RecordingPolicy vouches
+     * no loop key), so the trace, clusters and metrics shard are
+     * those of a run without observers.
      */
-    DetectionResult detect();
+    DetectionResult detect(const std::vector<rt::EventSink *> &observers = {});
 
     /**
      * Full pipeline: detect, then classify every cluster through

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <tuple>
+
+#include "support/str.h"
 
 namespace portend::race {
 
@@ -26,27 +27,36 @@ raceAccessOf(const rt::Event &ev)
 std::string
 RaceReport::key() const
 {
-    int lo = std::min(first.pc, second.pc);
-    int hi = std::max(first.pc, second.pc);
-    std::ostringstream os;
-    os << cell << ":" << lo << ":" << hi;
-    return os.str();
+    std::string out;
+    appendNum(out, cell);
+    out += ':';
+    appendNum(out, std::min(first.pc, second.pc));
+    out += ':';
+    appendNum(out, std::max(first.pc, second.pc));
+    return out;
 }
 
 std::string
 RaceReport::describe(const ir::Program &p) const
 {
-    std::ostringstream os;
-    os << "Data race during access to: " << p.cellName(cell) << "\n";
-    os << "  current thread id: " << second.tid << ": "
-       << (second.is_write ? "WRITE" : "READ") << "\n";
-    os << "  racing thread id: " << first.tid << ": "
-       << (first.is_write ? "WRITE" : "READ") << "\n";
-    os << "  Current thread at: " << second.loc.toString() << " (pc"
-       << second.pc << ")\n";
-    os << "  Previous at: " << first.loc.toString() << " (pc"
-       << first.pc << ")\n";
-    return os.str();
+    std::string out = "Data race during access to: ";
+    out += p.cellName(cell);
+    out += "\n  current thread id: ";
+    appendNum(out, second.tid);
+    out += second.is_write ? ": WRITE\n" : ": READ\n";
+    out += "  racing thread id: ";
+    appendNum(out, first.tid);
+    out += first.is_write ? ": WRITE\n" : ": READ\n";
+    out += "  Current thread at: ";
+    out += second.loc.toString();
+    out += " (pc";
+    appendNum(out, second.pc);
+    out += ")\n  Previous at: ";
+    out += first.loc.toString();
+    out += " (pc";
+    appendNum(out, first.pc);
+    out += ")\n";
+    return out;
 }
 
 std::vector<RaceCluster>

@@ -19,15 +19,24 @@ ScheduleTrace::concreteInputs() const
 std::string
 ScheduleTrace::serialize() const
 {
-    std::ostringstream os;
-    os << "trace v1\n";
-    for (const auto &d : decisions)
-        os << "d " << d.tid << " " << d.pc << " " << d.step << "\n";
-    for (const auto &r : inputs) {
-        os << "i " << (r.symbolic ? 1 : 0) << " " << r.sym_id << " "
-           << r.value << "\n";
+    std::string out = "trace v1\n";
+    for (const auto &d : decisions) {
+        out += "d ";
+        appendNum(out, d.tid);
+        out += ' ';
+        appendNum(out, d.pc);
+        out += ' ';
+        appendNum(out, d.step);
+        out += '\n';
     }
-    return os.str();
+    for (const auto &r : inputs) {
+        out += r.symbolic ? "i 1 " : "i 0 ";
+        appendNum(out, r.sym_id);
+        out += ' ';
+        appendNum(out, r.value);
+        out += '\n';
+    }
+    return out;
 }
 
 std::optional<ScheduleTrace>

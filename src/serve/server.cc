@@ -330,10 +330,12 @@ Server::handleSubmit(ClientConn &c, const std::string &manifest)
     sub.campaign =
         std::make_unique<campaign::Campaign>(std::move(*camp));
     sub.result = sub.campaign->probeCache();
-    for (std::size_t i = 0; i < sub.result.units.size(); ++i)
-        if (sub.result.units[i].source ==
-            campaign::UnitSource::Pending)
+    for (std::size_t i = 0; i < sub.result.units.size(); ++i) {
+        if (sub.result.units[i].source == campaign::UnitSource::Pending)
             sub.pending.push_back(i);
+        else
+            bump(obs::Counter::ServeUnitsCached);
+    }
     sub.client_fd = c.fd;
     maybeFinishSubmission(sub);
 }
@@ -384,8 +386,6 @@ Server::handleWorkerFrame(std::size_t wi, const wire::Frame &f)
     is >> sig >> cached_s;
     const bool cached = cached_s == "1";
     bump(obs::Counter::ServeUnitsCompleted);
-    if (cached)
-        bump(obs::Counter::ServeUnitsCached);
     std::string err;
     if (!sub.campaign->recordCompletion(sub.result, w.unit, sig,
                                         cached, &err)) {

@@ -1,7 +1,6 @@
 #include "support/str.h"
 
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 
 namespace portend {
 
@@ -37,16 +36,12 @@ split(const std::string &s, char sep)
 bool
 parseI64(const std::string &s, std::int64_t *out)
 {
-    if (s.empty())
+    const char *end = s.data() + s.size();
+    std::int64_t v = 0;
+    const auto [at, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || at != end)
         return false;
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    if (errno == ERANGE)
-        return false; // strtoll saturated: the value does not fit
-    if (!end || end == s.c_str() || *end != '\0')
-        return false;
-    *out = static_cast<std::int64_t>(v);
+    *out = v;
     return true;
 }
 

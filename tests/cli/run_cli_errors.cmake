@@ -6,7 +6,9 @@
 # The out-of-range rows pin the --ma 99999999999999999999 regression:
 # strtoll used to saturate without an ERANGE check, so an absurd
 # budget silently became INT64_MAX (then truncated through an int
-# cast) instead of being rejected.
+# cast) instead of being rejected. A number is an optional '-' and
+# digits: the blank and '+' that strtoll skipped (`--ma ' +1'`,
+# `--seed ' 1'`) are refused.
 #
 # Retired flags stay pinned: a script that still passes the old
 # dispatch-loop flag, the loopback TCP endpoint (`--port`), the
@@ -53,6 +55,8 @@ set(bad_cases
     "classify avv --jobs 2147483648"
     "classify avv --seed -1"
     "classify avv --seed 1x"
+    "classify avv --ma ' +1'"
+    "classify avv --seed ' 1'"
     "classify avv --k banana"
     "classify avv --explore random"
     "classify avv --explore dpor"

@@ -280,5 +280,35 @@ TEST(FuzzCorpus, InjectedOracleBugFlowsToMinimizedDisagreement)
     }
 }
 
+TEST(FuzzCorpus, DeepOnlyFindingsShrinkUnderDeepProbes)
+{
+    // A judge that fails one check of the real oracle on every
+    // program that runs it. Only a deep run runs a deep-only check,
+    // so its minimization probes must be deep: a shallow probe never
+    // sees the check fail and hands the recipe back unshrunk.
+    for (const char *forced : {"k-monotonicity", "ma-monotonicity"}) {
+        FuzzOptions opts;
+        opts.budget = 1;
+        opts.fuzz_seed = 42;
+        opts.judge = [forced](const ir::Program &prog,
+                              const OracleOptions &o) {
+            OracleVerdict v = runOracle(prog, o);
+            for (CheckResult &c : v.checks) {
+                if (c.name == forced) {
+                    c.ok = false;
+                    c.detail = "forced";
+                }
+            }
+            return v;
+        };
+        FuzzResult res = runFuzz(opts);
+        ASSERT_EQ(res.findings.size(), 1u) << forced;
+        EXPECT_EQ(res.findings[0].check, forced);
+        EXPECT_EQ(res.findings[0].minimized.serialize(),
+                  "recipe v1 fuzz_s42_i0 2")
+            << forced;
+    }
+}
+
 } // namespace
 } // namespace portend::fuzz

@@ -11,6 +11,9 @@
 
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
+#include "portend/portend.h"
+#include "race/hb.h"
+#include "race/lockset.h"
 #include "workloads/registry.h"
 
 namespace portend::fuzz {
@@ -140,16 +143,121 @@ TEST(FuzzOracle, ScheduleCoverageMonotonicityOnWorkloads)
     }
 }
 
+/** Names of the checks @p v ran. */
+std::set<std::string>
+checkNames(const OracleVerdict &v)
+{
+    std::set<std::string> names;
+    for (const CheckResult &c : v.checks)
+        names.insert(c.name);
+    return names;
+}
+
+// A shallow run skips exactly the metamorphic re-runs, and
+// isDeepCheck is that rule: a check is deep exactly when a shallow
+// run of the same program never runs it. ibuf declares inputs, so
+// its deep run runs all six deep checks.
 TEST(FuzzOracle, ShallowBatterySkipsMetamorphicReruns)
 {
-    GeneratedProgram g = generateProgram(42, 1, GeneratorOptions{});
-    OracleOptions opts;
-    opts.deep = false;
-    OracleVerdict v = runOracle(g.program, opts);
-    for (const CheckResult &c : v.checks) {
-        EXPECT_NE(c.name, "determinism");
-        EXPECT_NE(c.name, "jobs-invariance");
-        EXPECT_NE(c.name, "k-monotonicity");
+    std::vector<ir::Program> progs;
+    progs.push_back(workloads::buildWorkload("ibuf").program);
+    progs.push_back(workloads::buildWorkload("avv").program);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        progs.push_back(
+            generateProgram(42, i, GeneratorOptions{}).program);
+    int deep_checks = 0;
+    for (std::size_t i = 0; i < progs.size(); ++i) {
+        OracleOptions opts;
+        const std::set<std::string> deep =
+            checkNames(runOracle(progs[i], opts));
+        opts.deep = false;
+        const std::set<std::string> shallow =
+            checkNames(runOracle(progs[i], opts));
+        for (const std::string &name : shallow)
+            EXPECT_TRUE(deep.count(name)) << i << ": " << name;
+        for (const std::string &name : deep) {
+            EXPECT_EQ(isDeepCheck(name), !shallow.count(name))
+                << i << ": " << name;
+            deep_checks += i == 0 && isDeepCheck(name);
+        }
+    }
+    EXPECT_EQ(deep_checks, 6);
+}
+
+/** Clusters as text: identity, count and both accesses. */
+std::string
+clusterText(const ir::Program &prog,
+            const std::vector<race::RaceCluster> &clusters)
+{
+    std::string out;
+    for (const race::RaceCluster &c : clusters) {
+        out += c.representative.key() + " x" +
+               std::to_string(c.instances) + " steps " +
+               std::to_string(c.representative.first.step) + "," +
+               std::to_string(c.representative.second.step) + "\n" +
+               c.representative.describe(prog);
+    }
+    return out;
+}
+
+/**
+ * The oracle's mutex-blind and lockset detectors observe the primary
+ * detection run instead of recording their own. Each reports the
+ * clusters a separate detection under it reports, and the primary
+ * run's trace, clusters and metrics do not move with them attached.
+ */
+void
+expectObserversMatchSeparateRuns(const ir::Program &prog,
+                                 const core::PortendOptions &o,
+                                 const std::string &what)
+{
+    race::HbDetector nomutex(prog, race::HbOptions{true});
+    race::LocksetDetector lockset(prog);
+    const core::DetectionResult with =
+        core::Portend(prog, o).detect({&nomutex, &lockset});
+    const core::DetectionResult alone = core::Portend(prog, o).detect();
+    EXPECT_EQ(with.trace.serialize(), alone.trace.serialize()) << what;
+    EXPECT_EQ(clusterText(prog, with.clusters),
+              clusterText(prog, alone.clusters))
+        << what;
+    EXPECT_EQ(obs::metricsJson(with.metrics),
+              obs::metricsJson(alone.metrics))
+        << what;
+
+    const std::pair<core::DetectorKind, const std::vector<race::RaceReport> *>
+        observed[] = {
+            {core::DetectorKind::HappensBeforeNoMutex, &nomutex.races()},
+            {core::DetectorKind::Lockset, &lockset.races()}};
+    for (const auto &[kind, races] : observed) {
+        core::PortendOptions so = o;
+        so.detector = kind;
+        const core::DetectionResult separate =
+            core::Portend(prog, so).detect();
+        EXPECT_EQ(clusterText(prog, race::clusterRaces(*races)),
+                  clusterText(prog, separate.clusters))
+            << what << " under " << core::detectorName(kind);
+    }
+}
+
+TEST(DetectionObservers, MatchSeparateRunsOnTheRegistry)
+{
+    for (const std::string &name : workloads::workloadNames()) {
+        const workloads::Workload w = workloads::buildWorkload(name);
+        expectObserversMatchSeparateRuns(w.program, core::PortendOptions{},
+                                         name);
+    }
+}
+
+TEST(DetectionObservers, MatchSeparateRunsOnFuzzSeed42)
+{
+    core::PortendOptions o;
+    o.max_steps = kOracleMaxSteps;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        const GeneratedProgram g =
+            generateProgram(42, i, GeneratorOptions{});
+        ASSERT_TRUE(g.verify_errors.empty()) << i;
+        expectObserversMatchSeparateRuns(g.program, o,
+                                         "program " + std::to_string(i));
     }
 }
 
@@ -180,7 +288,8 @@ TEST(FuzzOracle, SignatureReflectsDetectionSeed)
 
 // The cache payload's numbers are range-checked: a digit string past
 // the 64-bit range, or a tally past int, is a malformed payload, not
-// a wrapped count.
+// a wrapped count. A number is what the writer emits, an optional
+// '-' and digits: a '+' or a second blank is malformed too.
 TEST(FuzzOracle, VerdictPayloadRefusesOutOfRangeNumbers)
 {
     OracleVerdict v;
@@ -195,7 +304,8 @@ TEST(FuzzOracle, VerdictPayloadRefusesOutOfRangeNumbers)
     ASSERT_NE(bytes.find(from), std::string::npos);
     for (const char *to :
          {"\ndistinct_races 99999999999999999999\n",
-          "\ndistinct_races 2147483648\n", "\ndistinct_races -1\n"}) {
+          "\ndistinct_races 2147483648\n", "\ndistinct_races -1\n",
+          "\ndistinct_races +3\n", "\ndistinct_races  3\n"}) {
         std::string edited = bytes;
         edited.replace(edited.find(from), from.size(), to);
         std::string error;

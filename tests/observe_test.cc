@@ -479,6 +479,8 @@ TEST(LadderEndIdentityTest, ClassifyAllReconcilesWithParent)
  * baseline's classification (it now reuses the k block's). The
  * explore re-run ran the retired random explorer; detection reads no
  * explorer, so its detection is measured under the primary options.
+ * Per program, deep or not: the mutex-blind and lockset detections
+ * (those detectors now observe the primary detection run).
  */
 std::uint64_t
 removedOracleSteps()
@@ -516,6 +518,17 @@ removedOracleSteps()
     lo.multi_schedule = false;
 
     std::uint64_t removed = 0;
+    for (int i = 0; i < 200; ++i) {
+        const fuzz::GeneratedProgram gen =
+            fuzz::generateProgram(42, i, fuzz::GeneratorOptions{});
+        EXPECT_TRUE(gen.verify_errors.empty()) << "index " << i;
+        for (core::DetectorKind d : {core::DetectorKind::HappensBeforeNoMutex,
+                                     core::DetectorKind::Lockset}) {
+            core::PortendOptions o = full;
+            o.detector = d;
+            removed += work([&] { core::Portend(gen.program, o).detect(); });
+        }
+    }
     int deep = 0;
     int with_inputs = 0;
     for (int i = 0; i < 200; i += fuzz::kDeepEvery) {

@@ -339,6 +339,46 @@ TEST(ServeTest, SubmitMatchesSingleProcessCampaignBytes)
     }
 }
 
+TEST(ServeTest, UnitsCachedCountsTheProbesHits)
+{
+    // With no re-dispatch, units submitted = completed + cached: a
+    // cold, a repeat and a `--seed 3 --k 3` submission of the
+    // registry run 22 units and take the repeat's 11 from the probe.
+    campaign::CampaignConfig cold;
+    cold.units = campaign::registryUnits();
+    campaign::CampaignConfig k3 = cold;
+    k3.analysis.detection_seed = 3;
+    k3.analysis.mp = 3;
+    k3.analysis.ma = 1;
+    k3.analysis.multi_schedule = false;
+
+    const std::string dir = scratchDir("units_cached");
+    serve::ServeOptions so;
+    so.dir = dir + "/state";
+    so.socket_path = dir + "/sock";
+    so.workers = 2;
+    std::string err;
+    std::optional<sub::Child> server = startServer(so, &err);
+    ASSERT_TRUE(server.has_value()) << err;
+    ServerGuard guard(*server);
+    serve::Endpoint ep;
+    ep.socket_path = so.socket_path;
+    for (const campaign::CampaignConfig *c : {&cold, &cold, &k3}) {
+        std::string out;
+        ASSERT_TRUE(serve::submit(ep, campaign::manifestText(*c), &out,
+                                  &err))
+            << err;
+    }
+    std::string status;
+    ASSERT_TRUE(serve::requestStatus(ep, &status, &err)) << err;
+    for (const char *want :
+         {"\"units_dispatched\": 22,", "\"units_completed\": 22,",
+          "\"units_cached\": 11,"})
+        EXPECT_NE(status.find(want), std::string::npos) << status;
+    ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
+    EXPECT_EQ(waitExit(*server), 0);
+}
+
 TEST(ServeTest, SigkilledWorkerUnitsAreRedispatched)
 {
     const campaign::CampaignConfig config = microConfig();

@@ -273,9 +273,9 @@ parseInt(const char *flag, const char *value)
     if (!value)
         usageError(std::string(flag) + " needs a value");
     std::int64_t v = 0;
-    // parseI64 checks errno == ERANGE, so an overflowing value like
-    // --ma 99999999999999999999 is an error here instead of silently
-    // saturating at INT64_MAX.
+    // parseI64 takes an optional '-' and digits in the 64-bit range,
+    // so an overflowing value like --ma 99999999999999999999, or one
+    // with a blank or a '+', is an error here instead of a number.
     if (!parseI64(value, &v))
         usageError(std::string(flag) +
                    ": not a number in the 64-bit range: " + value);
