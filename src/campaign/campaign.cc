@@ -3,6 +3,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "ir/serialize.h"
 #include "rt/decode.h"
 #include "support/parallel.h"
+#include "support/str.h"
 #include "support/trace.h"
 #include "sym/solver.h"
 #include "workloads/registry.h"
@@ -63,12 +65,43 @@ fixedDial(const std::string &key)
     return nullptr;
 }
 
-/** Read an unsigned dial. `>>` would wrap a leading '-' around to a
- *  huge value (`-5` reads as 2^64 - 5), so a '-' is refused. */
+/**
+ * Read manifest field @p field, all of it, as a number in [@p lo,
+ * @p hi]: parseI64's optional '-' and digits, the form manifestText
+ * writes. A dial with no negative values (@p lo >= 0) refuses a '-'
+ * outright, so `-0` is no zero.
+ */
+template <typename T>
 bool
-readUnsigned(std::istream &is, std::uint64_t *v)
+readNumber(const std::string &field, std::int64_t lo, std::int64_t hi,
+           T *out)
 {
-    return (is >> std::ws).peek() != '-' && bool(is >> *v);
+    std::int64_t v = 0;
+    if (!parseI64(field, &v) || v < lo || v > hi ||
+        (lo >= 0 && field[0] == '-'))
+        return false;
+    *out = static_cast<T>(v);
+    return true;
+}
+
+/** A manifest switch: exactly `0` or `1`. */
+bool
+readSwitch(const std::string &field, bool *out)
+{
+    if (field != "0" && field != "1")
+        return false;
+    *out = field == "1";
+    return true;
+}
+
+/** Split @p line at its first single space: the part before it goes
+ *  to @p head, the rest to @p tail (empty when there is none). */
+void
+splitField(const std::string &line, std::string *head, std::string *tail)
+{
+    const std::size_t sp = line.find(' ');
+    *head = line.substr(0, sp);
+    *tail = sp == std::string::npos ? "" : line.substr(sp + 1);
 }
 
 bool
@@ -289,77 +322,72 @@ parseManifest(const std::string &text, std::string *error)
         return std::nullopt;
     }
 
+    // Every line is `key value`, its fields joined by the single
+    // spaces manifestText writes: a second blank, a tab or a '+' is
+    // a bad line, as is anything after the value.
+    using I64 = std::numeric_limits<std::int64_t>;
+    constexpr int kIntMax = std::numeric_limits<int>::max();
     CampaignConfig config;
     core::PortendOptions &o = config.analysis;
     while (std::getline(is, line)) {
         if (line.empty())
             continue;
-        std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        auto rest = [&ls]() {
-            std::string r;
-            std::getline(ls, r);
-            if (!r.empty() && r.front() == ' ')
-                r.erase(0, 1);
-            return r;
-        };
+        std::string key, val;
+        splitField(line, &key, &val);
         bool ok = true;
         if (key == "render.json") {
-            int v = 0; ok = bool(ls >> v); config.render.json = v != 0;
+            ok = readSwitch(val, &config.render.json);
         } else if (key == "render.classify") {
-            int v = 0; ok = bool(ls >> v);
-            config.render.classify_mode = v != 0;
+            ok = readSwitch(val, &config.render.classify_mode);
         } else if (key == "render.only_class") {
-            std::optional<core::RaceClass> c =
-                core::raceClassFromName(rest());
-            ok = c.has_value();
-            config.render.only_class = c;
+            config.render.only_class = core::raceClassFromName(val);
+            ok = config.render.only_class.has_value();
         } else if (key == "mp") {
-            ok = bool(ls >> o.mp) && o.mp >= 1;
+            ok = readNumber(val, 1, kIntMax, &o.mp);
         } else if (key == "ma") {
-            ok = bool(ls >> o.ma) && o.ma >= 1;
+            ok = readNumber(val, 1, kIntMax, &o.ma);
         } else if (key == "adhoc") {
-            int v = 0; ok = bool(ls >> v); o.adhoc_detection = v != 0;
+            ok = readSwitch(val, &o.adhoc_detection);
         } else if (key == "multi_path") {
-            int v = 0; ok = bool(ls >> v); o.multi_path = v != 0;
+            ok = readSwitch(val, &o.multi_path);
         } else if (key == "multi_schedule") {
-            int v = 0; ok = bool(ls >> v); o.multi_schedule = v != 0;
+            ok = readSwitch(val, &o.multi_schedule);
         } else if (key == "sym_input") {
+            // `sym_input <has_range> <lo> <hi> <name>`; the name is
+            // the rest of the line.
             rt::SymInputSpec s;
-            int has_range = 0;
-            ok = bool(ls >> has_range >> s.lo >> s.hi);
-            s.has_range = has_range != 0;
-            s.name = rest();
+            std::string has_range, lo, hi;
+            splitField(val, &has_range, &val);
+            splitField(val, &lo, &val);
+            splitField(val, &hi, &s.name);
+            ok = readSwitch(has_range, &s.has_range) &&
+                 readNumber(lo, I64::min(), I64::max(), &s.lo) &&
+                 readNumber(hi, I64::min(), I64::max(), &s.hi) &&
+                 !s.name.empty();
             // An empty range is refused like the CLI's --sym-input.
-            ok = ok && !s.name.empty() && (!s.has_range || s.lo <= s.hi);
+            ok = ok && (!s.has_range || s.lo <= s.hi);
             if (ok)
                 o.sym_inputs.push_back(std::move(s));
         } else if (key == "max_steps") {
-            ok = readUnsigned(ls, &o.max_steps) && o.max_steps >= 1;
+            ok = readNumber(val, 1, I64::max(), &o.max_steps);
         } else if (key == "detection_seed") {
-            ok = readUnsigned(ls, &o.detection_seed);
+            ok = readNumber(val, 0, I64::max(), &o.detection_seed);
         } else if (key == "detector") {
-            std::string v;
-            ls >> v;
             std::optional<core::DetectorKind> d =
-                core::detectorFromName(v);
+                core::detectorFromName(val);
             ok = d.has_value();
             o.detector = d.value_or(o.detector);
         } else if (key == "explore") {
-            std::string v;
-            ok = bool(ls >> v) && v == kExplorer;
+            ok = val == kExplorer;
         } else if (key == "executor_max_states") {
-            ok = bool(ls >> o.executor_max_states) &&
-                 o.executor_max_states >= 1;
+            ok = readNumber(val, 1, kIntMax, &o.executor_max_states);
         } else if (const std::uint64_t *value = fixedDial(key)) {
             std::uint64_t v = 0;
-            ok = readUnsigned(ls, &v) && v == *value;
+            ok = readNumber(val, 0, I64::max(), &v) && v == *value;
         } else if (key == "unit") {
             UnitSpec u;
-            ok = bool(ls >> u.kind);
-            u.name = rest();
-            ok = ok && !u.name.empty();
+            splitField(val, &u.kind, &u.name);
+            ok = !u.kind.empty() && !u.name.empty();
             if (ok)
                 config.units.push_back(std::move(u));
         } else {
@@ -367,9 +395,6 @@ parseManifest(const std::string &text, std::string *error)
             // dial it does not know, so refuse instead of mis-running.
             ok = false;
         }
-        // Anything after the value(s) makes the line bad too: `mp 1
-        // 9` or `timeout_factor 5x` must not run as Mp 1 or factor 5.
-        ok = ok && (ls >> std::ws).eof();
         if (!ok) {
             fail(error, "manifest: bad line: " + line);
             return std::nullopt;

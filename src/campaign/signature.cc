@@ -27,7 +27,7 @@ configHash(const core::PortendOptions &opts, const std::string &salt)
     }
     h = hashCombine(h, core::kTimeoutFactor);
     h = hashCombine(h, opts.max_steps);
-    h = hashCombine(h, opts.detection_seed);
+    h = hashCombine(h, opts.detection_seed); // a cache namespace
     h = hashCombine(h, static_cast<std::uint64_t>(opts.detector));
     h = fnv1a(std::string("dpor"), h); // the one stage-3 explorer
     h = hashCombine(h, static_cast<std::uint64_t>(

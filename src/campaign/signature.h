@@ -10,16 +10,19 @@
  *    across processes, changes with any semantic program edit;
  *  - the config hash: every PortendOptions dial that can change a
  *    verdict or the rendered report bytes (explorer, Mp/Ma,
- *    detector, symbolic-input selection, budgets, seeds), plus a
+ *    detector, symbolic-input selection, budgets), plus a
  *    caller-supplied salt for per-unit state the options struct
  *    cannot see (semantic predicates travel by workload name; the
- *    render mode travels with the caller).
+ *    render mode travels with the caller). It also hashes
+ *    `detection_seed`, which changes no verdict: it is a cache
+ *    namespace, so two otherwise equal configurations can key their
+ *    units apart.
  *
  * The recorded detection trace needs no slot of its own: a program
- * run under the same `max_steps`, `detection_seed` and `detector`
- * always records the same trace (deterministic record and replay),
- * and those three dials are in the config hash. So the cache can be
- * probed before detection runs, and a hit skips the whole pipeline.
+ * run under the same `max_steps` and `detector` always records the
+ * same trace (deterministic record and replay), and both dials are
+ * in the config hash. So the cache can be probed before detection
+ * runs, and a hit skips the whole pipeline.
  *
  * Deliberately excluded: `jobs` (verdicts are byte-identical for
  * every worker count) and wall-clock. The same

@@ -56,7 +56,6 @@ renderMeta(const CorpusEntry &e)
     os << "check=" << e.check << "\n";
     os << "fuzz_seed=" << e.fuzz_seed << "\n";
     os << "index=" << e.index << "\n";
-    os << "detection_seed=" << e.detection_seed << "\n";
     os << "signature=" << e.signature << "\n";
     if (!e.witness.empty())
         os << "witness=" << e.witness << "\n";
@@ -103,8 +102,6 @@ parseMeta(const std::string &text, CorpusEntry &e, std::string *error)
             ok = parseU64(val, &e.fuzz_seed);
         else if (key == "index")
             ok = parseU64(val, &e.index);
-        else if (key == "detection_seed")
-            ok = parseU64(val, &e.detection_seed);
         else if (key == "signature")
             e.signature = val;
         else if (key == "witness")
@@ -112,7 +109,8 @@ parseMeta(const std::string &text, CorpusEntry &e, std::string *error)
         else if (key == "recipe")
             e.recipe_text = val;
         // Unknown keys are ignored: forward compatibility, and the
-        // retired `explore=` pin of older entries.
+        // retired `explore=` and `detection_seed=` lines of older
+        // entries.
         if (!ok) {
             if (error) {
                 *error = "meta.txt line " + std::to_string(lineno) +
@@ -219,11 +217,8 @@ replayEntry(const CorpusEntry &entry)
         return out;
     }
 
-    // The deep battery (OracleOptions' default) under the recorded
-    // detection seed.
-    OracleOptions o;
-    o.detection_seed = entry.detection_seed;
-    OracleVerdict v = runOracle(*prog, o);
+    // The deep battery (OracleOptions' default).
+    OracleVerdict v = runOracle(*prog, OracleOptions{});
     out.metrics = v.metrics;
 
     if (entry.kind == "disagreement") {

@@ -5,9 +5,9 @@
  * Each corpus entry is one directory holding a minimized PIL program
  * (ir::serializeProgram text), the schedule trace of its detection
  * run (ScheduleTrace::serialize text), and a small key=value
- * metadata file recording how the program was grown (recipe, seeds)
- * and what behavior it must reproduce (the oracle signature, or the
- * oracle check it falsified):
+ * metadata file recording how the program was grown (recipe, fuzz
+ * seed, index) and what behavior it must reproduce (the oracle
+ * signature, or the oracle check it falsified):
  *
  *   <corpus>/<entry>/meta.txt
  *   <corpus>/<entry>/program.pil
@@ -49,7 +49,6 @@ struct CorpusEntry
     std::string check;             ///< failed check (disagreements)
     std::uint64_t fuzz_seed = 0;   ///< campaign seed that found it
     std::uint64_t index = 0;       ///< program index in the campaign
-    std::uint64_t detection_seed = 1; ///< schedule seed to replay with
     std::string signature;         ///< expected oracle signature
 
     /** Solver-concretized witness inputs of the deep symbolic run
@@ -89,9 +88,8 @@ struct ReplayOutcome
 
 /**
  * Re-run one reproducer: deserialize the program, run the deep
- * oracle with the recorded detection seed, and compare
- * against the entry's expectations (see the file comment for
- * per-kind semantics).
+ * oracle, and compare against the entry's expectations (see the file
+ * comment for per-kind semantics).
  */
 ReplayOutcome replayEntry(const CorpusEntry &entry);
 

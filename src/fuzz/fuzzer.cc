@@ -36,17 +36,17 @@ struct IndexResult
  * Hash every oracle dial a verdict is a function of — the fuzz
  * analogue of campaign::configHash. `deep` is a dial: a deep verdict
  * carries extra checks, so deep and shallow runs of the same program
- * must cache under different signatures. detection_seed is the whole
- * schedule; jobs never appears (the oracle is single-index). The
- * pipeline budgets and the stage-3 explorer are constants now; they
- * keep their fields in the hashed text, so cache entries written when
- * they were options still hit.
+ * must cache under different signatures. jobs never appears (the
+ * oracle is single-index). The detection seed, the pipeline budgets
+ * and the stage-3 explorer are constants now; they keep their fields
+ * in the hashed text, so cache entries written when they were options
+ * still hit.
  */
 std::uint64_t
 oracleConfigHash(const OracleOptions &o)
 {
     std::string s = "portend-fuzz-oracle-v1";
-    s += ";seed=" + std::to_string(o.detection_seed);
+    s += ";seed=1";
     s += ";mp=" + std::to_string(kOracleMp);
     s += ";ma=" + std::to_string(kOracleMa);
     s += ";max_steps=" + std::to_string(kOracleMaxSteps);
@@ -70,17 +70,6 @@ hex8(std::uint64_t h)
     return out;
 }
 
-/** What a campaign judges every program under: the detection seed
- *  and @p deep. */
-OracleOptions
-oracleOptions(const FuzzOptions &opts, bool deep)
-{
-    OracleOptions o;
-    o.detection_seed = opts.detection_seed;
-    o.deep = deep;
-    return o;
-}
-
 /** Generate + judge one campaign index. */
 IndexResult
 runIndex(std::uint64_t index, const FuzzOptions &opts,
@@ -100,7 +89,7 @@ runIndex(std::uint64_t index, const FuzzOptions &opts,
         return r;
     }
 
-    const OracleOptions o = oracleOptions(opts, r.deep);
+    const OracleOptions o{r.deep};
 
     campaign::UnitKey key;
     std::string sig;
@@ -149,7 +138,7 @@ judgeRecipe(const ProgramRecipe &recipe, const FuzzOptions &opts,
         v.checks.push_back({"verify", false, all});
         return v;
     }
-    const OracleOptions o = oracleOptions(opts, deep);
+    const OracleOptions o{deep};
     return opts.judge ? opts.judge(gen.program, o)
                       : runOracle(gen.program, o);
 }
@@ -167,7 +156,6 @@ persistEntry(const ProgramRecipe &recipe, const OracleVerdict &v,
     entry.check = check;
     entry.fuzz_seed = opts.fuzz_seed;
     entry.index = index;
-    entry.detection_seed = opts.detection_seed;
     entry.signature = v.signature();
     entry.witness = v.witness_text;
     entry.recipe_text = recipe.serialize();
@@ -192,8 +180,7 @@ FuzzResult::summaryText() const
 {
     std::ostringstream os;
     os << "fuzz summary\n";
-    os << "  fuzz seed: " << fuzz_seed
-       << "  detection seed: " << detection_seed << "\n";
+    os << "  fuzz seed: " << fuzz_seed << "\n";
     os << "  programs: " << programs << " (" << verifier_clean
        << " verifier-clean)\n";
     os << "  sync idioms (programs containing each):\n";
@@ -241,7 +228,6 @@ runFuzz(const FuzzOptions &opts)
     Stopwatch sw;
     FuzzResult res;
     res.fuzz_seed = opts.fuzz_seed;
-    res.detection_seed = opts.detection_seed;
     res.corpus_dir = opts.corpus_dir;
     res.campaign_dir = opts.campaign_dir;
 

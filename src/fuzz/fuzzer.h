@@ -15,8 +15,8 @@
  *
  * Determinism contract: with a program budget (--budget), the
  * campaign's summary bytes and every corpus file are a pure function
- * of (fuzz seed, detection seed, budget) — worker count and
- * wall-clock never leak in. Programs are generated under the default
+ * of (fuzz seed, budget) — worker count and wall-clock never leak
+ * in. Programs are generated under the default
  * GeneratorOptions and judged under the dpor explorer. Wall-clock
  * mode (--seconds) trades that for a time box: the program count
  * then depends on the host, which is why the acceptance workflow
@@ -48,8 +48,7 @@ struct FuzzOptions
 {
     int budget = 200;       ///< programs to generate (when > 0)
     double seconds = 0.0;   ///< wall-clock box; overrides budget when > 0
-    std::uint64_t fuzz_seed = 1;      ///< generation seed (--fuzz-seed)
-    std::uint64_t detection_seed = 1; ///< schedule seed (--seed)
+    std::uint64_t fuzz_seed = 1; ///< generation seed (--fuzz-seed)
     int jobs = 1;           ///< worker threads (0 = hardware)
     std::string corpus_dir; ///< "" = do not write reproducers
 
@@ -57,8 +56,8 @@ struct FuzzOptions
      * Campaign directory ("" = ephemeral run, nothing persisted).
      * When set, every index's oracle verdict is stored in a
      * campaign::VerdictCache under its signature: program
-     * fingerprint + oracle-config hash (seed, budgets, explorer,
-     * deep flag), the same key classification campaigns use. A
+     * fingerprint + oracle-config hash (budgets, explorer, deep
+     * flag), the same key classification campaigns use. A
      * re-run or resumed campaign regenerates each program
      * (generation is cheap and deterministic) but skips the oracle
      * for every already-cached signature, which is where all the
@@ -90,7 +89,6 @@ struct FuzzFinding
 struct FuzzResult
 {
     std::uint64_t fuzz_seed = 0;
-    std::uint64_t detection_seed = 0;
     std::string corpus_dir;
     std::string campaign_dir;
 

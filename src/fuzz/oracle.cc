@@ -56,8 +56,8 @@ bool
 isDeepCheck(std::string_view name)
 {
     static constexpr std::string_view kDeep[] = {
-        "determinism",    "jobs-invariance",  "ma-monotonicity",
-        "k-monotonicity", "sym-monotonicity", "witness-replay"};
+        "determinism", "jobs-invariance", "ma-monotonicity",
+        "witness-replay"};
     return std::find(std::begin(kDeep), std::end(kDeep), name) !=
            std::end(kDeep);
 }
@@ -66,14 +66,13 @@ namespace {
 
 /** Portend options for the oracle's full-budget pipeline runs. */
 core::PortendOptions
-fullOptions(const OracleOptions &o)
+fullOptions()
 {
     core::PortendOptions p;
     p.mp = kOracleMp;
     p.ma = kOracleMa;
     p.max_steps = kOracleMaxSteps;
     p.executor_max_states = kOracleMaxStates;
-    p.detection_seed = o.detection_seed;
     p.jobs = 1;
     return p;
 }
@@ -154,7 +153,7 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
     // -- Primary pipeline run ----------------------------------------
     // The weaker detectors of detector monotonicity observe r1's own
     // detection run and are dropped before classification.
-    const core::PortendOptions full = fullOptions(opts);
+    const core::PortendOptions full = fullOptions();
     core::Portend tool(prog, full);
     core::DetectionResult detection;
     std::set<int> nomutex_cells, lockset_cells;
@@ -243,12 +242,12 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
     if (!opts.deep)
         return v;
 
-    // -- Determinism: same seed, byte-identical everything -----------
+    // -- Determinism: same options, byte-identical everything --------
     // The one deep re-run that records its own detection: it checks
     // that detection records the same trace twice. Every other re-run
     // below varies only options detection never reads (it reads
-    // max_steps, detection_seed and detector), so it classifies r1's
-    // detection instead of recording it again.
+    // max_steps and detector), so it classifies r1's detection
+    // instead of recording it again.
     {
         core::PortendResult r2 = core::Portend(prog, full).run();
         bool same_trace =
@@ -302,64 +301,11 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
               "doubling --ma lost a spec-violated verdict: " + lost);
     }
 
-    // The single-path single-schedule stage-1 baseline: the low end
-    // of k-monotonicity and the reference of sym-monotonicity.
-    core::PortendOptions lo = full;
-    lo.mp = 1;
-    lo.ma = 1;
-    lo.multi_path = false;
-    lo.multi_schedule = false;
-    const core::PortendResult rl =
-        core::Portend(prog, lo).runFrom(r1.detection);
-
-    // -- k-monotonicity ----------------------------------------------
-    {
-        // Match clusters by static race identity.
-        std::map<std::string, const core::PortendReport *> high;
-        for (const core::PortendReport &rep : r1.reports)
-            high[rep.cluster.representative.key()] = &rep;
-        std::string viol;
-        for (const core::PortendReport &rep : rl.reports) {
-            auto it = high.find(rep.cluster.representative.key());
-            if (it == high.end())
-                continue;
-            const core::Classification &clo = rep.classification;
-            const core::Classification &chi =
-                it->second->classification;
-            if (clo.cls == core::RaceClass::SpecViolated &&
-                chi.cls != core::RaceClass::SpecViolated) {
-                viol += (viol.empty() ? "" : "; ") + std::string(
-                    "race on ") +
-                    prog.cellName(rep.cluster.representative.cell) +
-                    " is spec-violated at k=1 but " +
-                    core::raceClassName(chi.cls) +
-                    " at the full budget";
-            } else if (clo.cls == core::RaceClass::KWitnessHarmless &&
-                       chi.cls ==
-                           core::RaceClass::KWitnessHarmless &&
-                       chi.k < clo.k) {
-                viol += (viol.empty() ? "" : "; ") + std::string(
-                    "k shrank from ") +
-                    std::to_string(clo.k) + " to " +
-                    std::to_string(chi.k) + " on " +
-                    prog.cellName(rep.cluster.representative.cell);
-            }
-        }
-        check("k-monotonicity", viol.empty(), viol);
-    }
-
-    // -- Symbolic-input monotonicity + witness replay ----------------
-    // Making declared inputs symbolic may only *upgrade* verdicts:
-    // the single-path stage-1 baseline witnesses one concrete
-    // (input, schedule) point, and every path the symbolic forker
-    // adds is another feasible point, so a decisive stage-1 verdict
-    // (spec violated / output differs) can never become harmless.
-    // The comparison deliberately uses the stage-1 baseline, not the
-    // full legacy run: two full multi-path runs with different
-    // symbol sets may truncate different path suffixes at the Mp
-    // budget, which reorders — without shrinking — the witnessed
-    // set. Any decisive symbolic verdict must also carry evidence
-    // that replayEvidence reproduces byte-identically.
+    // -- Witness replay ----------------------------------------------
+    // The symbolic run makes every declared input symbolic. Each of
+    // its decisive verdicts (spec violated / output differs) records
+    // solver-concretized witness inputs and must carry evidence that
+    // replayEvidence reproduces byte-identically.
     if (!prog.inputs.empty()) {
         core::PortendOptions so = full;
         for (const ir::InputDecl &d : prog.inputs)
@@ -367,46 +313,6 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
                 rt::SymInputSpec{d.name, false, 0, 0});
         core::PortendResult rs =
             core::Portend(prog, so).runFrom(r1.detection);
-
-        const auto rank = [](core::RaceClass c) {
-            switch (c) {
-            case core::RaceClass::SpecViolated:
-                return 4;
-            case core::RaceClass::OutputDiffers:
-                return 3;
-            case core::RaceClass::KWitnessHarmless:
-                return 2;
-            case core::RaceClass::SingleOrdering:
-                return 1;
-            default:
-                return 0;
-            }
-        };
-        std::map<std::string, const core::PortendReport *> sym;
-        for (const core::PortendReport &rep : rs.reports)
-            sym[rep.cluster.representative.key()] = &rep;
-        std::string viol;
-        for (const core::PortendReport &rep : rl.reports) {
-            if (rank(rep.classification.cls) < 3)
-                continue; // only decisive stage-1 verdicts bind
-            auto it = sym.find(rep.cluster.representative.key());
-            if (it == sym.end())
-                continue;
-            if (rank(it->second->classification.cls) <
-                rank(rep.classification.cls)) {
-                viol += (viol.empty() ? "" : "; ") +
-                        std::string("race on ") +
-                        prog.cellName(
-                            rep.cluster.representative.cell) +
-                        " downgraded from " +
-                        core::raceClassName(rep.classification.cls) +
-                        " to " +
-                        core::raceClassName(
-                            it->second->classification.cls) +
-                        " under symbolic inputs";
-            }
-        }
-        check("sym-monotonicity", viol.empty(), viol);
 
         for (const core::PortendReport &rep : rs.reports) {
             for (const core::WitnessInput &w :
@@ -429,7 +335,8 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
             };
         std::string mismatch;
         for (const core::PortendReport &rep : rs.reports) {
-            if (rank(rep.classification.cls) < 3)
+            if (rep.classification.cls != core::RaceClass::SpecViolated &&
+                rep.classification.cls != core::RaceClass::OutputDiffers)
                 continue;
             core::RaceAnalyzer::EvidenceReplay a =
                 analyzer.replayEvidence(rep.cluster.representative,

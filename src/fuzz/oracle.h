@@ -10,8 +10,9 @@
  *
  *  - structural: the program passes ir::verifyProgram, and its text
  *    serialization round-trips byte-identically;
- *  - determinism: the same seed yields byte-identical verdict
- *    reports and an identical recorded schedule trace;
+ *  - determinism: the same program and options yield
+ *    byte-identical verdict reports and an identical recorded
+ *    schedule trace;
  *  - jobs invariance: `--jobs 2` verdict bytes equal `--jobs 1`
  *    (the PR-2 scheduler contract);
  *  - detector monotonicity: every cell raced under the full
@@ -19,18 +20,11 @@
  *    detector (fewer HB edges can only grow the unordered set) and
  *    under the Eraser-style lockset detector (an HB race implies no
  *    common lock);
- *  - k-monotonicity: a "spec violated" verdict found by single-path
- *    single-schedule analysis is still found at a larger budget, and
- *    kWitnessHarmless k never shrinks as the budget grows;
  *  - schedule-coverage monotonicity: raising the Ma budget never
  *    loses a "spec violated" verdict;
- *  - sym-monotonicity: making declared program inputs symbolic may
- *    only upgrade verdicts — a decisive single-path stage-1 verdict
- *    (spec violated / output differs) never becomes harmless when
- *    the multi-path forker explores additional feasible inputs;
  *  - witness-replay: every decisive verdict of the symbolic run
- *    carries evidence that replayEvidence reproduces
- *    byte-identically on repeated replays;
+ *    (every declared input symbolic) carries evidence that
+ *    replayEvidence reproduces byte-identically on repeated replays;
  *  - classifier vs. baselines: a race the static ad-hoc-sync
  *    detector prunes as "single ordering" must be classified
  *    "single ordering" by Portend (dynamic and static recognition of
@@ -45,15 +39,19 @@
  * one shared detection, and the mutex-blind and lockset detectors of
  * the two detector-monotonicity checks observe that same run
  * (Portend::detect's observers) and are dropped before
- * classification. The jobs-invariance, ma-monotonicity,
- * k-monotonicity and sym-monotonicity re-runs only vary options
- * detection never reads, so they classify r1's detection
- * (Portend::runFrom) instead of recording it again; witness-replay
- * replays the sym run's copy of that trace. Determinism records its
- * own detection with the primary detector alone: that it records the
- * same trace twice is what it checks, and it also shows that r1's
- * observers did not steer r1's schedule. k- and sym-monotonicity
- * share one single-path stage-1 baseline run.
+ * classification. The jobs-invariance and ma-monotonicity re-runs
+ * and the symbolic run only vary options detection never reads, so
+ * they classify r1's detection (Portend::runFrom) instead of
+ * recording it again; witness-replay replays the symbolic run's copy
+ * of that trace. Determinism records its own detection with the
+ * primary detector alone: that it records the same trace twice is
+ * what it checks, and it also shows that r1's observers did not
+ * steer r1's schedule.
+ *
+ * No check compares a budget against a stage-1-only run. Stage 1
+ * (Algorithm 1 on the recorded inputs) reads none of the options the
+ * re-runs vary, and a decisive stage-1 verdict ends the analysis, so
+ * such a run agrees with every wider one by construction.
  */
 
 #ifndef PORTEND_FUZZ_ORACLE_H
@@ -83,14 +81,11 @@ constexpr int kOracleMaxStates = 64;              ///< symbolic fork cap
 /** Oracle configuration. */
 struct OracleOptions
 {
-    std::uint64_t detection_seed = 1; ///< schedule seed (CLI --seed)
-
     /**
      * Run the expensive metamorphic re-executions: determinism,
-     * jobs-invariance, ma-monotonicity, k-monotonicity and, for a
-     * program that declares inputs, sym-monotonicity and
-     * witness-replay (the checks isDeepCheck names). The cheap
-     * checks always run.
+     * jobs-invariance, ma-monotonicity and, for a program that
+     * declares inputs, witness-replay (the checks isDeepCheck
+     * names). The cheap checks always run.
      */
     bool deep = true;
 };

@@ -131,7 +131,14 @@ struct PortendOptions
      */
     std::vector<rt::SymInputSpec> sym_inputs;
     std::uint64_t max_steps = 2000000; ///< absolute step budget
-    std::uint64_t detection_seed = 1;  ///< seed for detection run
+
+    /**
+     * A cache namespace, not an analysis dial: no pipeline run reads
+     * it and no CLI flag sets it. campaign::configHash hashes it and
+     * a campaign manifest carries it, so configurations that differ
+     * only here cache their verdicts under different signatures.
+     */
+    std::uint64_t detection_seed = 1;
     DetectorKind detector = DetectorKind::HappensBefore;
     std::vector<SemanticPredicate> semantic_predicates;
     int executor_max_states = 512;

@@ -41,7 +41,6 @@ Portend::detect(const std::vector<rt::EventSink *> &observers)
     rt::ExecOptions eo;
     eo.preempt_on_memory = true;
     eo.max_steps = opts.max_steps;
-    eo.rng_seed = opts.detection_seed;
     rt::Interpreter interp(prog, eo);
 
     // Rotate through runnable threads at every preemption point to

@@ -80,10 +80,10 @@ class Portend
     /**
      * Run the detection phase only: execute the program with the
      * configured detector attached, recording the schedule trace.
-     * Reads only opts.max_steps, opts.detection_seed and
-     * opts.detector: option sets that agree on those three record
-     * the same detection, which the fuzz oracle relies on to
-     * classify one detection under many option sets.
+     * Reads only opts.max_steps and opts.detector: option sets
+     * that agree on those two record the same detection, which the
+     * fuzz oracle relies on to classify one detection under many
+     * option sets.
      *
      * @p observers are extra passive sinks (other detectors) that
      * see every event of the same run, after the configured

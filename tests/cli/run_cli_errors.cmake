@@ -8,17 +8,18 @@
 # budget silently became INT64_MAX (then truncated through an int
 # cast) instead of being rejected. A number is an optional '-' and
 # digits: the blank and '+' that strtoll skipped (`--ma ' +1'`,
-# `--seed ' 1'`) are refused.
+# `--fuzz-seed ' 1'`) are refused.
 #
 # Retired flags stay pinned: a script that still passes the old
 # dispatch-loop flag, the loopback TCP endpoint (`--port`), the
 # connect budget (`--timeout`), a serve budget that is now a
 # constant (`--max-submissions`, `--attempts`, `--max-restarts`), the
-# stage-3 explorer switch (`--explore`; dpor is the one explorer), or
-# an observability surface that `--metrics-out` and `--trace-out`
-# replace (`--stats`, `--progress`, `--quiet`) must fail loudly,
-# never run silently. The serve rows name a socket, so only the flag
-# under test can be what fails.
+# stage-3 explorer switch (`--explore`; dpor is the one explorer), the
+# detection seed (`--seed`; detection runs one deterministic schedule
+# that no seed changes), or an observability surface that
+# `--metrics-out` and `--trace-out` replace (`--stats`, `--progress`,
+# `--quiet`) must fail loudly, never run silently. The serve rows name
+# a socket, so only the flag under test can be what fails.
 #
 # `campaign run|resume|status <dir>` refuses a flag where the
 # directory belongs, so a forgotten `<dir>` never creates a campaign
@@ -53,10 +54,7 @@ set(bad_cases
     "classify avv --ma 0"
     "classify avv --jobs 0"
     "classify avv --jobs 2147483648"
-    "classify avv --seed -1"
-    "classify avv --seed 1x"
     "classify avv --ma ' +1'"
-    "classify avv --seed ' 1'"
     "classify avv --k banana"
     "classify avv --explore random"
     "classify avv --explore dpor"
@@ -76,6 +74,10 @@ set(bad_cases
     "fuzz --budget 1 --quiet"
     "fuzz --budget -5"
     "fuzz --fuzz-seed -2"
+    "fuzz --fuzz-seed 1x"
+    "fuzz --fuzz-seed ' 1'"
+    "classify avv --seed 1"
+    "fuzz --budget 1 --seed 1"
     "serve state --workers 0 --socket s"
     "serve state --port 65536"
     "serve d --socket s --max-submissions 1"
@@ -118,7 +120,7 @@ endforeach()
 # parsing (they may fail later for other reasons, but never with the
 # parse diagnostics above).
 execute_process(
-    COMMAND ${PORTEND} classify avv --ma 1 --mp 1 --seed 0
+    COMMAND ${PORTEND} classify avv --ma 1 --mp 1
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
     RESULT_VARIABLE rc)

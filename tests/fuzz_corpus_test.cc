@@ -43,7 +43,6 @@ makeRegressionEntry(std::uint64_t index)
     e.kind = "regression";
     e.fuzz_seed = 42;
     e.index = index;
-    e.detection_seed = 1;
     e.signature = v.signature();
     e.recipe_text = g.recipe.serialize();
     e.program_text = ir::serializeProgram(g.program);
@@ -64,7 +63,6 @@ TEST(FuzzCorpus, SaveLoadRoundTrip)
     EXPECT_EQ(back->kind, e.kind);
     EXPECT_EQ(back->fuzz_seed, e.fuzz_seed);
     EXPECT_EQ(back->index, e.index);
-    EXPECT_EQ(back->detection_seed, e.detection_seed);
     EXPECT_EQ(back->signature, e.signature);
     EXPECT_EQ(back->witness, e.witness);
     EXPECT_EQ(back->recipe_text, e.recipe_text);
@@ -150,7 +148,6 @@ TEST(FuzzCorpus, MetaNumbersAreDigitsThatFit)
     e.kind = "regression";
     e.fuzz_seed = 42;
     e.index = 7;
-    e.detection_seed = 1;
     std::string error;
     ASSERT_TRUE(saveEntry(dir, e, &error)) << error;
     const fs::path entry = fs::path(dir) / e.name;
@@ -169,8 +166,7 @@ TEST(FuzzCorpus, MetaNumbersAreDigitsThatFit)
         std::ofstream(entry / "meta.txt", std::ios::trunc) << edited;
         return loadEntry(entry.string(), &error);
     };
-    for (const std::string from :
-         {"fuzz_seed=42", "index=7", "detection_seed=1"}) {
+    for (const std::string from : {"fuzz_seed=42", "index=7"}) {
         const std::string key = from.substr(0, from.find('='));
         for (const char *bad : {"1junk", " 1", "-1", "+1", "",
                                 "18446744073709551616"}) {
@@ -183,9 +179,15 @@ TEST(FuzzCorpus, MetaNumbersAreDigitsThatFit)
     }
     // The largest value that fits still loads.
     std::optional<CorpusEntry> max =
-        loadWith("detection_seed=1", "detection_seed=18446744073709551615");
+        loadWith("index=7", "index=18446744073709551615");
     ASSERT_TRUE(max.has_value()) << error;
-    EXPECT_EQ(max->detection_seed, UINT64_MAX);
+    EXPECT_EQ(max->index, UINT64_MAX);
+    // The retired `detection_seed=` and `explore=` lines of older
+    // entries are ignored, whatever they hold.
+    std::optional<CorpusEntry> old = loadWith(
+        "index=7", "index=7\ndetection_seed=3\nexplore=random");
+    ASSERT_TRUE(old.has_value()) << error;
+    EXPECT_EQ(old->index, 7u);
 }
 
 TEST(FuzzCorpus, CampaignWritesReplayableCorpus)
@@ -286,7 +288,7 @@ TEST(FuzzCorpus, DeepOnlyFindingsShrinkUnderDeepProbes)
     // program that runs it. Only a deep run runs a deep-only check,
     // so its minimization probes must be deep: a shallow probe never
     // sees the check fail and hands the recipe back unshrunk.
-    for (const char *forced : {"k-monotonicity", "ma-monotonicity"}) {
+    for (const char *forced : {"determinism", "ma-monotonicity"}) {
         FuzzOptions opts;
         opts.budget = 1;
         opts.fuzz_seed = 42;

@@ -60,17 +60,17 @@ TEST(FuzzOracle, DeepBatteryRunsAllChecks)
     for (const char *want :
          {"verify", "roundtrip", "hb-subset-nomutex",
           "hb-subset-lockset", "determinism", "jobs-invariance",
-          "k-monotonicity", "ma-monotonicity"}) {
+          "ma-monotonicity"}) {
         EXPECT_TRUE(names.count(want)) << "check missing: " << want;
     }
     // Retired with the random explorer it cross-checked.
     EXPECT_FALSE(names.count("explore-monotonicity"));
 }
 
-// The symbolic battery (sym-monotonicity + witness-replay) runs
-// exactly when the program declares inputs, and on the
-// input-sensitive extension workloads it must be clean and record a
-// solver-concretized witness for the upgraded verdict.
+// The symbolic run and its witness-replay check run exactly when the
+// program declares inputs, and on the input-sensitive extension
+// workloads they must be clean and record a solver-concretized
+// witness for the upgraded verdict.
 TEST(FuzzOracle, SymbolicBatteryCleanOnExtensionWorkloads)
 {
     OracleOptions opts;
@@ -84,7 +84,6 @@ TEST(FuzzOracle, SymbolicBatteryCleanOnExtensionWorkloads)
         std::set<std::string> names;
         for (const CheckResult &c : v.checks)
             names.insert(c.name);
-        EXPECT_TRUE(names.count("sym-monotonicity")) << name;
         EXPECT_TRUE(names.count("witness-replay")) << name;
         EXPECT_NE(v.witness_text.find(":n="), std::string::npos)
             << name << ": witness_text = '" << v.witness_text << "'";
@@ -98,10 +97,8 @@ TEST(FuzzOracle, SymbolicBatterySkippedWithoutInputDecls)
     OracleOptions opts;
     opts.deep = true;
     OracleVerdict v = runOracle(w.program, opts);
-    for (const CheckResult &c : v.checks) {
-        EXPECT_NE(c.name, "sym-monotonicity");
+    for (const CheckResult &c : v.checks)
         EXPECT_NE(c.name, "witness-replay");
-    }
     EXPECT_TRUE(v.witness_text.empty());
 }
 
@@ -156,7 +153,7 @@ checkNames(const OracleVerdict &v)
 // A shallow run skips exactly the metamorphic re-runs, and
 // isDeepCheck is that rule: a check is deep exactly when a shallow
 // run of the same program never runs it. ibuf declares inputs, so
-// its deep run runs all six deep checks.
+// its deep run runs all four deep checks.
 TEST(FuzzOracle, ShallowBatterySkipsMetamorphicReruns)
 {
     std::vector<ir::Program> progs;
@@ -181,7 +178,7 @@ TEST(FuzzOracle, ShallowBatterySkipsMetamorphicReruns)
             deep_checks += i == 0 && isDeepCheck(name);
         }
     }
-    EXPECT_EQ(deep_checks, 6);
+    EXPECT_EQ(deep_checks, 4);
 }
 
 /** Clusters as text: identity, count and both accesses. */
@@ -270,20 +267,6 @@ TEST(FuzzOracle, SignatureIsStableAcrossRuns)
     EXPECT_EQ(a.signature(), b.signature());
     EXPECT_EQ(a.trace_text, b.trace_text);
     EXPECT_EQ(a.report_text, b.report_text);
-}
-
-TEST(FuzzOracle, SignatureReflectsDetectionSeed)
-{
-    // Different schedule seeds may expose different interleavings;
-    // whatever they find, the signature must name the seed's own
-    // results deterministically (two runs at each seed agree).
-    GeneratedProgram g = generateProgram(7, 5, GeneratorOptions{});
-    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-        OracleOptions opts;
-        opts.detection_seed = seed;
-        EXPECT_EQ(runOracle(g.program, opts).signature(),
-                  runOracle(g.program, opts).signature());
-    }
 }
 
 // The cache payload's numbers are range-checked: a digit string past

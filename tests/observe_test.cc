@@ -498,13 +498,11 @@ removedOracleSteps()
                m.counter(obs::Counter::LadderTailSteps);
     };
 
-    const fuzz::FuzzOptions fo;
     core::PortendOptions full;
     full.mp = fuzz::kOracleMp;
     full.ma = fuzz::kOracleMa;
     full.max_steps = fuzz::kOracleMaxSteps;
     full.executor_max_states = fuzz::kOracleMaxStates;
-    full.detection_seed = fo.detection_seed;
     full.jobs = 1;
 
     core::PortendOptions jobs2 = full;
@@ -566,6 +564,12 @@ removedOracleSteps()
  *  bdeaa30. */
 constexpr std::uint64_t kRetiredExploreRerunSteps = 38932;
 
+/** The same work of the single-path single-schedule stage-1 baseline
+ *  the k- and sym-monotonicity checks compared against (Mp = Ma = 1,
+ *  no multi-path, no multi-schedule, classifying each deep program's
+ *  primary detection), at edee4bd, their last commit. */
+constexpr std::uint64_t kRetiredStageOneBaselineSteps = 35749;
+
 TEST(LadderEndIdentityTest, FuzzSeed42ReconcilesWithParent)
 {
     const obs::MetricsShard one = fuzzExport(1);
@@ -573,10 +577,10 @@ TEST(LadderEndIdentityTest, FuzzSeed42ReconcilesWithParent)
     EXPECT_EQ(obs::metricsJson(one), obs::metricsJson(four));
     // The oracle's work at 2d1cc54, less the runs it stopped
     // repeating since, less the classification work of the retired
-    // explore-monotonicity re-run (measured at bdeaa30, its last
-    // commit).
+    // explore-monotonicity re-run and stage-1 baseline.
     expectLadderIdentity(one, 2515494 - removedOracleSteps() -
-                                  kRetiredExploreRerunSteps);
+                                  kRetiredExploreRerunSteps -
+                                  kRetiredStageOneBaselineSteps);
     // As at d04c87f, less that re-run's 46 recorded runs (34
     // distinct), from 286 generated candidates, not 1,708 (the
     // re-run generated none).

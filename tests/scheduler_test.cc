@@ -19,12 +19,10 @@ namespace {
 
 /** Run one workload's full pipeline with the given worker count. */
 PortendResult
-runWith(const workloads::Workload &w, int jobs,
-        std::uint64_t seed = 1)
+runWith(const workloads::Workload &w, int jobs)
 {
     PortendOptions opts;
     opts.jobs = jobs;
-    opts.detection_seed = seed;
     opts.semantic_predicates = w.semantic_predicates;
     Portend tool(w.program, opts);
     return tool.run();

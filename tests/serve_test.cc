@@ -342,8 +342,9 @@ TEST(ServeTest, SubmitMatchesSingleProcessCampaignBytes)
 TEST(ServeTest, UnitsCachedCountsTheProbesHits)
 {
     // With no re-dispatch, units submitted = completed + cached: a
-    // cold, a repeat and a `--seed 3 --k 3` submission of the
-    // registry run 22 units and take the repeat's 11 from the probe.
+    // cold, a repeat and a k-3 submission of the registry under
+    // `detection_seed 3` (a cache namespace of its own) run 22 units
+    // and take the repeat's 11 from the probe.
     campaign::CampaignConfig cold;
     cold.units = campaign::registryUnits();
     campaign::CampaignConfig k3 = cold;
@@ -379,6 +380,17 @@ TEST(ServeTest, UnitsCachedCountsTheProbesHits)
     EXPECT_EQ(waitExit(*server), 0);
 }
 
+/** The number after `"key": ` in a `--status` answer, or -1. */
+long
+statusCount(const std::string &status, const std::string &key)
+{
+    const std::string tag = "\"" + key + "\": ";
+    const std::size_t at = status.find(tag);
+    return at == std::string::npos
+               ? -1
+               : std::stol(status.substr(at + tag.size()));
+}
+
 TEST(ServeTest, SigkilledWorkerUnitsAreRedispatched)
 {
     const campaign::CampaignConfig config = microConfig();
@@ -412,6 +424,13 @@ TEST(ServeTest, SigkilledWorkerUnitsAreRedispatched)
         << status;
     EXPECT_NE(status.find("\"worker_restarts\": 1"),
               std::string::npos)
+        << status;
+    // A re-dispatched unit adds one dispatch per extra attempt: the
+    // kill hit a busy worker, so one unit was dispatched twice and
+    // every unit completed once.
+    EXPECT_EQ(statusCount(status, "units_completed"), 3) << status;
+    EXPECT_EQ(statusCount(status, "units_dispatched"),
+              statusCount(status, "units_completed") + 1)
         << status;
 
     ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
@@ -596,6 +615,13 @@ TEST(ServeTest, StuckWorkerIsKilledAtTheUnitTimeout)
     EXPECT_NE(status.find("\"worker_restarts\": 1"),
               std::string::npos)
         << status;
+    // A re-dispatched unit adds one dispatch per extra attempt: the
+    // kill hit a busy worker, so one unit was dispatched twice and
+    // every unit completed once.
+    EXPECT_EQ(statusCount(status, "units_completed"), 3) << status;
+    EXPECT_EQ(statusCount(status, "units_dispatched"),
+              statusCount(status, "units_completed") + 1)
+        << status;
 
     ASSERT_TRUE(serve::requestShutdown(ep, &err)) << err;
     EXPECT_EQ(waitExit(*server), 0);
@@ -759,7 +785,8 @@ TEST(ServeTest, FinishedSubmissionsReleaseTheirMemory)
     serve::Endpoint ep;
     ep.socket_path = so.socket_path;
 
-    // Distinct registry manifests, as `submit --json --seed S` sends.
+    // Distinct registry manifests: one `detection_seed` namespace
+    // each, so every submission misses the cache.
     campaign::CampaignConfig config;
     config.render.json = true;
     config.render.classify_mode = true;

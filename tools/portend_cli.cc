@@ -106,7 +106,6 @@ Options:
   --jobs <N>           worker threads for classification, batch mode,
                        and fuzzing (default: one per hardware
                        thread); results are identical for every N
-  --seed <N>           detection-run schedule seed (default 1)
   --detector <name>    hb | hb-nomutex | lockset (default hb)
   --class <name>       only report races of this class (paper
                        spelling, e.g. "spec violated")
@@ -166,9 +165,7 @@ Fuzzing options (portend fuzz):
                        byte-identical on every run and --jobs value
   --seconds <S>        wall-clock box instead of --budget (program
                        count then depends on the host)
-  --fuzz-seed <N>      program-generation seed (default 1); --seed
-                       stays the detection schedule seed, so the two
-                       vary independently
+  --fuzz-seed <N>      program-generation seed (default 1)
   --corpus <dir>       write minimized reproducers here (replay them
                        with `portend corpus run <dir>`)
   --campaign <dir>     persist the fuzz campaign under <dir>: every
@@ -418,9 +415,6 @@ parseOptions(int argc, char **argv, int start)
             if (!cli.only_class)
                 usageError("unknown race class: " + std::string(next) +
                            " (paper spelling, e.g. \"spec violated\")");
-            ++i;
-        } else if (a == "--seed") {
-            cli.opts.detection_seed = parseSeed("--seed", next);
             ++i;
         } else if (a == "--detector") {
             if (!next)
@@ -691,9 +685,6 @@ cmdFuzz(int argc, char **argv)
             ++i;
         } else if (a == "--fuzz-seed") {
             fo.fuzz_seed = parseSeed("--fuzz-seed", next);
-            ++i;
-        } else if (a == "--seed") {
-            fo.detection_seed = parseSeed("--seed", next);
             ++i;
         } else if (a == "--jobs") {
             fo.jobs = parseCount("--jobs", next, 1);
