@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -43,7 +44,7 @@ const FixedDial kFixedDials[] = {
     {"timeout_factor", core::kTimeoutFactor},
     {"preemption_bound",
      static_cast<std::uint64_t>(explore::ExplorerOptions{}.preemption_bound)},
-    {"solver.max_assignments", sym::SolverOptions{}.max_assignments},
+    {"solver.max_assignments", sym::kMaxAssignments},
     {"solver.max_candidates", sym::kMaxCandidates},
     {"total_state_budget", 0},
     {"total_step_budget", 0},
@@ -327,15 +328,22 @@ parseManifest(const std::string &text, std::string *error)
     // a bad line, as is anything after the value.
     using I64 = std::numeric_limits<std::int64_t>;
     constexpr int kIntMax = std::numeric_limits<int>::max();
+    // manifestText writes each dial once; only `unit` and `sym_input`
+    // lines repeat, so a second line for any other key is a bad line
+    // rather than an override.
     CampaignConfig config;
     core::PortendOptions &o = config.analysis;
+    std::set<std::string> seen;
     while (std::getline(is, line)) {
         if (line.empty())
             continue;
         std::string key, val;
         splitField(line, &key, &val);
         bool ok = true;
-        if (key == "render.json") {
+        if (key != "unit" && key != "sym_input" &&
+            !seen.insert(key).second) {
+            ok = false;
+        } else if (key == "render.json") {
             ok = readSwitch(val, &config.render.json);
         } else if (key == "render.classify") {
             ok = readSwitch(val, &config.render.classify_mode);

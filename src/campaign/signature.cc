@@ -34,7 +34,7 @@ configHash(const core::PortendOptions &opts, const std::string &salt)
                            explore::ExplorerOptions{}.preemption_bound));
     h = hashCombine(h,
                     static_cast<std::uint64_t>(opts.semantic_predicates.size()));
-    h = hashCombine(h, sym::SolverOptions{}.max_assignments);
+    h = hashCombine(h, sym::kMaxAssignments);
     h = hashCombine(h, sym::kMaxCandidates);
     h = hashCombine(h,
                     static_cast<std::uint64_t>(opts.executor_max_states));

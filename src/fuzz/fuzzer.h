@@ -3,24 +3,31 @@
  * Fuzzing campaign driver.
  *
  * Fans program generation + oracle evaluation out with support/'s
- * parallelFor (one index per program, results merged in index
- * order), then sequentially minimizes and persists reproducers:
+ * parallelFor (one index per program), then folds the joined
+ * results in index order and sequentially minimizes and persists
+ * reproducers:
  *
  *  - every flagged program (an oracle disagreement) is shrunk with
  *    the delta-debugging minimizer until the same check still fails,
  *    and saved as a "disagreement" corpus entry;
  *  - the first program exhibiting each novel behavior signature is
  *    shrunk while the signature is preserved and saved as a
- *    "regression" exemplar — the seed corpus future PRs replay.
+ *    "regression" exemplar, the seed corpus `corpus run` replays,
+ *    until kMaxNewEntries are kept; the novel signatures past that
+ *    cap are counted in the summary's corpus line.
  *
- * Determinism contract: with a program budget (--budget), the
- * campaign's summary bytes and every corpus file are a pure function
- * of (fuzz seed, budget) — worker count and wall-clock never leak
- * in. Programs are generated under the default
- * GeneratorOptions and judged under the dpor explorer. Wall-clock
- * mode (--seconds) trades that for a time box: the program count
- * then depends on the host, which is why the acceptance workflow
- * pins --budget.
+ * Determinism contract: the campaign's summary bytes and every
+ * corpus file are a pure function of (fuzz seed, program count) —
+ * worker count, wall-clock and the working directory never leak
+ * in. Programs are generated under the default GeneratorOptions and
+ * judged under the dpor explorer. With a program budget (--budget)
+ * the count is the budget. Wall-clock mode (--seconds) runs batches
+ * of 4 x jobs programs until the box is spent; each batch is folded,
+ * minimized and dropped as soon as it joins, so memory stays bounded
+ * by one batch and the box covers minimization too. Its program
+ * count depends on the host, which is why the acceptance workflow
+ * pins --budget; its summary and corpus equal those of --budget at
+ * that count.
  */
 
 #ifndef PORTEND_FUZZ_FUZZER_H
@@ -53,19 +60,6 @@ struct FuzzOptions
     std::string corpus_dir; ///< "" = do not write reproducers
 
     /**
-     * Campaign directory ("" = ephemeral run, nothing persisted).
-     * When set, every index's oracle verdict is stored in a
-     * campaign::VerdictCache under its signature: program
-     * fingerprint + oracle-config hash (budgets, explorer, deep
-     * flag), the same key classification campaigns use. A
-     * re-run or resumed campaign regenerates each program
-     * (generation is cheap and deterministic) but skips the oracle
-     * for every already-cached signature, which is where all the
-     * time goes. The cache is the whole record.
-     */
-    std::string campaign_dir;
-
-    /**
      * Test seam: replaces runOracle as the campaign's judge (null =
      * the real oracle). Lets tests inject a known-buggy oracle and
      * assert the flag -> minimize -> persist pipeline end to end.
@@ -90,13 +84,16 @@ struct FuzzResult
 {
     std::uint64_t fuzz_seed = 0;
     std::string corpus_dir;
-    std::string campaign_dir;
 
     int programs = 0;
     int verifier_clean = 0;
     int flagged = 0;          ///< programs with >= 1 failed check
     int regression_entries = 0;
     int disagreement_entries = 0;
+    /** Novel signatures of clean programs seen after kMaxNewEntries
+     *  exemplars were kept, so not minimized or persisted (0 when
+     *  corpus_dir is unset). */
+    int signatures_over_cap = 0;
 
     std::map<std::string, int> idiom_counts;   ///< programs per idiom
     std::map<std::string, int> class_counts;   ///< verdicts per class
@@ -105,15 +102,10 @@ struct FuzzResult
     std::map<std::string, int> check_failures; ///< check -> failures
     std::map<std::string, int> baseline_counts;
 
-    /** Indices whose oracle run was skipped entirely because their
-     *  verdict was cached (0 when campaign_dir is unset). */
-    int cache_hits = 0;
-
     std::vector<FuzzFinding> findings;
 
     /** The programs' pipeline shards (OracleVerdict::metrics),
-     *  merged as each program finishes (every merge commutes);
-     *  cache hits contribute none. */
+     *  merged as each program finishes (every merge commutes). */
     obs::MetricsShard metrics;
 
     double seconds = 0.0; ///< wall clock; never in summaryText()

@@ -1,7 +1,7 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
-#include <limits>
+#include <optional>
 #include <set>
 
 #include "baseline/adhoc_detector.h"
@@ -357,201 +357,6 @@ runOracle(const ir::Program &prog, const OracleOptions &opts)
         check("witness-replay", mismatch.empty(), mismatch);
     }
 
-    return v;
-}
-
-// -- Verdict cache payload (`portend-fuzz-verdict-v1`) ---------------
-//
-// Length-prefixed blocks: `tag <len>\n<len raw bytes>\n` for every
-// string field (trace/report text embed newlines, so line-based
-// formats cannot carry them), `tag <int>\n` for counters. Field order
-// is fixed; the reader consumes exactly that order and rejects
-// anything else.
-
-namespace {
-
-constexpr const char *kVerdictMagic = "portend-fuzz-verdict-v1";
-
-void
-putNum(std::string &out, const char *tag, long long v)
-{
-    out += tag;
-    out += ' ';
-    out += std::to_string(v);
-    out += '\n';
-}
-
-void
-putBlock(std::string &out, const char *tag, const std::string &bytes)
-{
-    putNum(out, tag, static_cast<long long>(bytes.size()));
-    out += bytes;
-    out += '\n';
-}
-
-/** Sequential field reader over one serialized verdict. */
-struct VerdictReader
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    std::string err{};
-
-    bool fail(const std::string &what)
-    {
-        if (err.empty())
-            err = what;
-        return false;
-    }
-
-    bool line(std::string *out)
-    {
-        const std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos)
-            return fail("truncated: missing newline");
-        out->assign(text, pos, nl - pos);
-        pos = nl + 1;
-        return true;
-    }
-
-    bool num(const char *tag, std::int64_t *out)
-    {
-        std::string l;
-        if (!line(&l))
-            return false;
-        const std::string prefix = std::string(tag) + " ";
-        if (l.compare(0, prefix.size(), prefix) != 0)
-            return fail(std::string("expected '") + tag + "' field");
-        if (!parseI64(l.substr(prefix.size()), out))
-            return fail(std::string("bad '") + tag + "' number");
-        return true;
-    }
-
-    /** A tally field: a number in [0, INT_MAX]. */
-    bool count(const char *tag, int *out)
-    {
-        std::int64_t v = 0;
-        if (!num(tag, &v))
-            return false;
-        if (v < 0 || v > std::numeric_limits<int>::max())
-            return fail(std::string("'") + tag + "' out of range");
-        *out = static_cast<int>(v);
-        return true;
-    }
-
-    bool block(const char *tag, std::string *out)
-    {
-        std::int64_t n = 0;
-        if (!num(tag, &n))
-            return false;
-        if (n < 0 || pos + static_cast<std::size_t>(n) + 1 > text.size())
-            return fail(std::string("'") + tag +
-                        "' block overruns payload");
-        if (text[pos + static_cast<std::size_t>(n)] != '\n')
-            return fail(std::string("'") + tag +
-                        "' block not newline-terminated");
-        out->assign(text, pos, static_cast<std::size_t>(n));
-        pos += static_cast<std::size_t>(n) + 1;
-        return true;
-    }
-};
-
-} // namespace
-
-std::string
-serializeVerdict(const OracleVerdict &v)
-{
-    std::string out;
-    out += kVerdictMagic;
-    out += '\n';
-    putBlock(out, "outcome", v.outcome);
-    putNum(out, "distinct_races", v.distinct_races);
-    putNum(out, "dynamic_races", v.dynamic_races);
-    putNum(out, "class_counts",
-           static_cast<long long>(v.class_counts.size()));
-    for (const auto &[cls, n] : v.class_counts) {
-        putBlock(out, "class", cls);
-        putNum(out, "count", n);
-    }
-    putNum(out, "baseline_counts",
-           static_cast<long long>(v.baseline_counts.size()));
-    for (const auto &[name, n] : v.baseline_counts) {
-        putBlock(out, "baseline", name);
-        putNum(out, "count", n);
-    }
-    putNum(out, "checks", static_cast<long long>(v.checks.size()));
-    for (const CheckResult &c : v.checks) {
-        putBlock(out, "check", c.name);
-        putNum(out, "ok", c.ok ? 1 : 0);
-        putBlock(out, "detail", c.detail);
-    }
-    putBlock(out, "trace_text", v.trace_text);
-    putBlock(out, "report_text", v.report_text);
-    putBlock(out, "witness_text", v.witness_text);
-    return out;
-}
-
-std::optional<OracleVerdict>
-deserializeVerdict(const std::string &text, std::string *error)
-{
-    VerdictReader r{text};
-    const auto bail = [&]() -> std::optional<OracleVerdict> {
-        if (error)
-            *error = r.err.empty() ? "malformed verdict payload"
-                                   : r.err;
-        return std::nullopt;
-    };
-
-    std::string magic;
-    if (!r.line(&magic) || magic != kVerdictMagic) {
-        r.fail("bad magic (want portend-fuzz-verdict-v1)");
-        return bail();
-    }
-    OracleVerdict v;
-    int n = 0;
-    if (!r.block("outcome", &v.outcome))
-        return bail();
-    if (!r.count("distinct_races", &v.distinct_races))
-        return bail();
-    if (!r.count("dynamic_races", &v.dynamic_races))
-        return bail();
-
-    if (!r.count("class_counts", &n))
-        return bail();
-    for (int i = 0; i < n; ++i) {
-        std::string cls;
-        if (!r.block("class", &cls) ||
-            !r.count("count", &v.class_counts[cls]))
-            return bail();
-    }
-    if (!r.count("baseline_counts", &n))
-        return bail();
-    for (int i = 0; i < n; ++i) {
-        std::string name;
-        if (!r.block("baseline", &name) ||
-            !r.count("count", &v.baseline_counts[name]))
-            return bail();
-    }
-    if (!r.count("checks", &n))
-        return bail();
-    for (int i = 0; i < n; ++i) {
-        CheckResult c;
-        std::int64_t ok = 0;
-        if (!r.block("check", &c.name) || !r.num("ok", &ok) ||
-            !r.block("detail", &c.detail))
-            return bail();
-        c.ok = ok != 0;
-        v.checks.push_back(std::move(c));
-    }
-    if (!r.block("trace_text", &v.trace_text))
-        return bail();
-    if (!r.block("report_text", &v.report_text))
-        return bail();
-    if (!r.block("witness_text", &v.witness_text))
-        return bail();
-    if (r.pos != text.size()) {
-        r.fail("trailing bytes after witness_text");
-        return bail();
-    }
     return v;
 }
 

@@ -60,7 +60,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,10 +132,8 @@ struct OracleVerdict
      * The primary run's pipeline shard (its classify.*, detect.*,
      * verdicts.* and ladder.* counters), merged per program into
      * the fuzz and corpus exports; null when the pipeline did not
-     * run. Held by pointer so that a campaign can free each shard
-     * once folded while it keeps the rest of the verdict. Not
-     * serialized: a verdict read back from the campaign cache
-     * carries none.
+     * run. Held by pointer so that a fuzz run can free each shard
+     * once folded while it keeps the rest of the verdict.
      */
     std::shared_ptr<const obs::MetricsShard> metrics;
 
@@ -164,19 +161,6 @@ struct OracleVerdict
 /** Run every applicable check against @p prog. */
 OracleVerdict runOracle(const ir::Program &prog,
                         const OracleOptions &opts);
-
-/**
- * Serialize a verdict as the fuzz campaign's cache payload
- * (`portend-fuzz-verdict-v1`): a text header per field with
- * length-prefixed byte blocks, so multi-line members (trace, report)
- * round-trip exactly. deserializeVerdict is the strict inverse —
- * any structural mismatch yields nullopt (the campaign then simply
- * re-runs the oracle, which is always sound).
- */
-std::string serializeVerdict(const OracleVerdict &v);
-std::optional<OracleVerdict>
-deserializeVerdict(const std::string &text,
-                   std::string *error = nullptr);
 
 } // namespace portend::fuzz
 

@@ -321,7 +321,7 @@ Solver::checkSat(const std::vector<ExprPtr> &constraints, Model *model)
 
     // Pruned DFS over candidate assignments.
     Model attempt;
-    std::uint64_t budget = opts.max_assignments;
+    std::uint64_t budget = kMaxAssignments;
     bool budget_hit = false;
 
     // Recursive lambda over domain index.

@@ -39,12 +39,9 @@ enum class SatResult { Sat, Unsat, Unknown };
  */
 constexpr std::uint64_t kMaxCandidates = 128;
 
-/** Tunable limits for the search. */
-struct SolverOptions
-{
-    /** Hard cap on assignments examined per query. */
-    std::uint64_t max_assignments = 200000;
-};
+/** Hard cap on assignments examined per query; past it the answer is
+ *  Unknown. */
+constexpr std::uint64_t kMaxAssignments = 200000;
 
 /**
  * Accumulates branch constraints along one execution path.
@@ -82,8 +79,6 @@ class PathCondition
 class Solver
 {
   public:
-    explicit Solver(SolverOptions opts = {}) : opts(opts) {}
-
     /**
      * Decide satisfiability of the conjunction of @p constraints.
      *
@@ -122,7 +117,6 @@ class Solver
     buildDomains(const std::vector<ExprPtr> &cs, const IntervalEnv &env,
                  const std::map<int, ExprPtr> &symbols) const;
 
-    SolverOptions opts;
     std::uint64_t queries_ = 0;
 };
 

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -21,9 +20,7 @@
 #include "campaign/campaign.h"
 #include "campaign/signature.h"
 #include "support/subproc.h"
-#include "fuzz/fuzzer.h"
 #include "fuzz/generator.h"
-#include "fuzz/oracle.h"
 #include "ir/serialize.h"
 #include "portend/portend.h"
 #include "rt/decode.h"
@@ -174,10 +171,10 @@ TEST(SignatureTest, EveryAnalysisDialMovesTheKey)
 
 // -- Format pins -----------------------------------------------------
 //
-// Literal manifest bytes, config hashes, a campaign-unit signature
-// and a fuzz cache entry name. Campaign directories written by
-// earlier builds must keep reopening, so none of these may move when
-// the option structs are refactored.
+// Literal manifest bytes, config hashes and a campaign-unit
+// signature. Campaign directories written by earlier builds must keep
+// reopening, so none of these may move when the option structs are
+// refactored.
 
 TEST(FormatPinTest, DefaultRegistryManifestText)
 {
@@ -238,25 +235,6 @@ TEST(FormatPinTest, CampaignUnitSignature)
     CampaignResult r = c.run(-1, 1);
     ASSERT_TRUE(r.complete()) << r.error;
     EXPECT_EQ(r.units[0].sig, "f750c861ffd0b7f8");
-}
-
-TEST(FormatPinTest, FuzzCampaignCacheEntryName)
-{
-    // What `portend fuzz --fuzz-seed 42 --budget 1 --campaign <dir>`
-    // stores (the worker count is not part of the signature).
-    const std::string dir = scratchDir("fuzz_pin");
-    fuzz::FuzzOptions opts;
-    opts.budget = 1;
-    opts.fuzz_seed = 42;
-    opts.jobs = 1;
-    opts.campaign_dir = dir;
-    fuzz::runFuzz(opts);
-    std::vector<std::string> names;
-    for (const fs::directory_entry &e :
-         fs::directory_iterator(dir + "/cache"))
-        names.push_back(e.path().filename().string());
-    EXPECT_EQ(names,
-              std::vector<std::string>{"e670e03422df9efa.entry"});
 }
 
 TEST(FormatPinTest, ProgramTextDigest)
@@ -395,6 +373,51 @@ TEST(FormatPinTest, ManifestDialsRefuseValuesTheCliRefuses)
         EXPECT_FALSE(parseManifest(edited, &error).has_value()) << to;
         EXPECT_EQ(error, "manifest: bad line: " + to);
     }
+
+    // The writer names each dial once, so a second line for one is a
+    // bad line, with a new value or the same, the fixed dials,
+    // `explore`, `detector` and `render.*` included. Only `unit` and
+    // `sym_input` lines repeat.
+    CampaignConfig once = base;
+    once.render.only_class = core::RaceClass::SpecViolated;
+    const std::string once_text = manifestText(once);
+    const std::pair<std::string, std::string> repeats[] = {
+        {"mp 5", "mp 1"},
+        {"ma 2", "ma 2"},
+        {"render.json 1", "render.json 0"},
+        {"render.stats 0", "render.stats 0"},
+        {"render.classify 0", "render.classify 1"},
+        {"render.only_class spec violated",
+         "render.only_class output differs"},
+        {"adhoc 1", "adhoc 0"},
+        {"multi_path 1", "multi_path 1"},
+        {"multi_schedule 1", "multi_schedule 0"},
+        {"max_symbolic_inputs 2", "max_symbolic_inputs 2"},
+        {"timeout_factor 5", "timeout_factor 5"},
+        {"max_steps 2000000", "max_steps 2000000"},
+        {"detection_seed 1", "detection_seed 7"},
+        {"detector hb", "detector hb"},
+        {"explore dpor", "explore dpor"},
+        {"executor_max_states 512", "executor_max_states 512"},
+        {"total_step_budget 0", "total_step_budget 0"},
+        {"unit workload dbm", "mp 1"},
+    };
+    for (const auto &[after, repeat] : repeats) {
+        std::string edited = once_text;
+        const std::size_t at = edited.find("\n" + after + "\n");
+        ASSERT_NE(at, std::string::npos) << after;
+        edited.insert(at + after.size() + 2, repeat + "\n");
+        EXPECT_FALSE(parseManifest(edited, &error).has_value()) << repeat;
+        EXPECT_EQ(error, "manifest: bad line: " + repeat);
+    }
+    std::string twice = once_text;
+    twice.insert(twice.find("\ntimeout_factor") + 1,
+                 "sym_input 0 0 0 m\n");
+    twice += "unit workload avv\n";
+    back = parseManifest(twice, &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_EQ(back->analysis.sym_inputs.size(), 2u);
+    EXPECT_EQ(back->units.size(), 4u);
 }
 
 TEST(SignatureTest, HexRoundTrip)
@@ -735,111 +758,6 @@ TEST(CampaignTest, CreateRejectsManifestMismatch)
     other.analysis.ma = 9;
     EXPECT_FALSE(Campaign::create(dir, other, &error).has_value());
     EXPECT_FALSE(error.empty());
-}
-
-// -- Fuzz verdict payload + fuzz campaign ----------------------------
-
-TEST(FuzzVerdictTest, SerializeRoundTrip)
-{
-    fuzz::OracleVerdict v;
-    v.outcome = "exited";
-    v.distinct_races = 2;
-    v.dynamic_races = 5;
-    v.class_counts = {{"spec violated", 1}, {"k-witness harmless", 1}};
-    v.baseline_counts = {{"replay-analyzer-conservative-fp", 3}};
-    v.checks = {{"determinism", true, ""},
-                {"hb-subset-lockset", false, "cell c raced\nonly in hb"}};
-    v.trace_text = "trace v1\nstep 0\nstep 1\n";
-    v.report_text = "report\nwith \"quotes\" and\nnewlines";
-    v.witness_text = "";
-
-    const std::string bytes = fuzz::serializeVerdict(v);
-    std::string error;
-    std::optional<fuzz::OracleVerdict> back =
-        fuzz::deserializeVerdict(bytes, &error);
-    ASSERT_TRUE(back.has_value()) << error;
-    EXPECT_EQ(back->outcome, v.outcome);
-    EXPECT_EQ(back->distinct_races, v.distinct_races);
-    EXPECT_EQ(back->dynamic_races, v.dynamic_races);
-    EXPECT_EQ(back->class_counts, v.class_counts);
-    EXPECT_EQ(back->baseline_counts, v.baseline_counts);
-    ASSERT_EQ(back->checks.size(), 2u);
-    EXPECT_EQ(back->checks[1].detail, v.checks[1].detail);
-    EXPECT_FALSE(back->checks[1].ok);
-    EXPECT_EQ(back->trace_text, v.trace_text);
-    EXPECT_EQ(back->report_text, v.report_text);
-    EXPECT_EQ(fuzz::serializeVerdict(*back), bytes);
-
-    // Truncations and garbage must yield nullopt, never a partial
-    // verdict (the campaign then re-runs the oracle).
-    for (std::size_t cut : {bytes.size() - 1, bytes.size() / 2,
-                            std::size_t{10}, std::size_t{0}}) {
-        EXPECT_FALSE(
-            fuzz::deserializeVerdict(bytes.substr(0, cut)).has_value())
-            << "cut at " << cut;
-    }
-    EXPECT_FALSE(fuzz::deserializeVerdict(bytes + "x").has_value());
-}
-
-TEST(FuzzCampaignTest, WarmRerunHitsCacheForEveryProgram)
-{
-    const std::string dir = scratchDir("fuzz_warm");
-    fs::remove_all(dir);
-
-    fuzz::FuzzOptions opts;
-    opts.budget = 6;
-    opts.jobs = 1;
-    opts.campaign_dir = dir;
-
-    fuzz::FuzzResult cold = fuzz::runFuzz(opts);
-    EXPECT_EQ(cold.cache_hits, 0);
-
-    fuzz::FuzzResult warm = fuzz::runFuzz(opts);
-    EXPECT_EQ(warm.cache_hits, cold.verifier_clean);
-    EXPECT_EQ(warm.programs, cold.programs);
-    EXPECT_EQ(warm.flagged, cold.flagged);
-    EXPECT_EQ(warm.outcome_counts, cold.outcome_counts);
-    EXPECT_EQ(warm.class_counts, cold.class_counts);
-    EXPECT_EQ(warm.check_runs, cold.check_runs);
-}
-
-// The summary's `campaign: N cache hit(s)` line and the exported
-// campaign.cache_hits counter are one tally, and every program is a
-// hit or a miss.
-TEST(FuzzCampaignTest, SummaryAndExportCountTheSameHits)
-{
-    const std::string dir = scratchDir("fuzz_tally");
-    fuzz::FuzzOptions opts;
-    opts.budget = 6;
-    opts.jobs = 2;
-    opts.campaign_dir = dir;
-    ASSERT_EQ(fuzz::runFuzz(opts).cache_hits, 0);
-
-    // Two deleted entries make the warm run re-judge two programs.
-    std::vector<fs::path> entries;
-    for (const fs::directory_entry &e :
-         fs::directory_iterator(dir + "/cache"))
-        entries.push_back(e.path());
-    ASSERT_EQ(entries.size(), 6u);
-    std::sort(entries.begin(), entries.end());
-    fs::remove(entries[0]);
-    fs::remove(entries[3]);
-
-    obs::Collector col;
-    obs::setCollector(&col);
-    fuzz::FuzzResult warm = fuzz::runFuzz(opts);
-    obs::setCollector(nullptr);
-    obs::MetricsShard m = warm.metrics;
-    col.drainInto(m);
-
-    EXPECT_EQ(warm.cache_hits, 4);
-    EXPECT_NE(warm.summaryText().find("  campaign: 4 cache hit(s) in " +
-                                      dir + "\n"),
-              std::string::npos)
-        << warm.summaryText();
-    EXPECT_EQ(m.counter(obs::Counter::CampaignCacheHits), 4u);
-    EXPECT_EQ(m.counter(obs::Counter::CampaignCacheMisses), 2u);
-    EXPECT_EQ(m.counter(obs::Counter::CampaignUnits), 6u);
 }
 
 } // namespace

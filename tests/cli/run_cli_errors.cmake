@@ -16,18 +16,19 @@
 # constant (`--max-submissions`, `--attempts`, `--max-restarts`), the
 # stage-3 explorer switch (`--explore`; dpor is the one explorer), the
 # detection seed (`--seed`; detection runs one deterministic schedule
-# that no seed changes), or an observability surface that
-# `--metrics-out` and `--trace-out` replace (`--stats`, `--progress`,
-# `--quiet`) must fail loudly, never run silently. The serve rows name
+# that no seed changes), the fuzz verdict cache (`fuzz --campaign`; a
+# fuzz run is a function of its seed and budget), or an observability
+# surface that `--metrics-out` and `--trace-out` replace (`--stats`,
+# `--progress`, `--quiet`) must fail loudly, never run silently. The serve rows name
 # a socket, so only the flag under test can be what fails.
 #
 # `campaign run|resume|status <dir>` refuses a flag where the
 # directory belongs, so a forgotten `<dir>` never creates a campaign
 # named after the flag. The path flags (`--metrics-out`,
-# `--trace-out`, `--corpus`, `--campaign`, `--socket`) follow the
-# same rule: a forgotten path never writes a file, or creates a
-# directory, named after the next flag, and `submit` never dials a
-# socket named after one.
+# `--trace-out`, `--corpus`, `--socket`) follow the same rule: a
+# forgotten path never writes a file, or creates a directory, named
+# after the next flag, and `submit` never dials a socket named after
+# one.
 #
 # `submit` with an action (`--status`, `--ping`, `--shutdown`) sends
 # no manifest: a second action or any other flag beside it is refused
@@ -65,7 +66,6 @@ set(bad_cases
     "campaign run --json"
     "classify avv --metrics-out --json"
     "classify avv --trace-out --json"
-    "fuzz --budget 2 --jobs 1 --campaign --json"
     "fuzz --budget 2 --jobs 1 --corpus --json"
     "submit --socket --json --status"
     "serve d --socket --json"
@@ -78,6 +78,7 @@ set(bad_cases
     "fuzz --fuzz-seed ' 1'"
     "classify avv --seed 1"
     "fuzz --budget 1 --seed 1"
+    "fuzz --budget 1 --campaign retired-fuzz-campaign"
     "serve state --workers 0 --socket s"
     "serve state --port 65536"
     "serve d --socket s --max-submissions 1"
@@ -115,6 +116,13 @@ foreach(case IN LISTS bad_cases)
             "no diagnostic on stderr for `portend ${case}`:\n${err}")
     endif()
 endforeach()
+
+# The retired fuzz verdict cache leaves no directory behind.
+# (Script mode: the binary dir is the working directory the rows
+# ran in.)
+if(EXISTS "${CMAKE_CURRENT_BINARY_DIR}/retired-fuzz-campaign")
+    message(FATAL_ERROR "fuzz --campaign created its directory")
+endif()
 
 # And the good-value boundary cases must NOT be rejected by flag
 # parsing (they may fail later for other reasons, but never with the

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "fuzz/corpus.h"
 #include "fuzz/fuzzer.h"
@@ -29,6 +30,26 @@ scratchDir(const std::string &name)
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir.string();
+}
+
+/** Two corpus directories hold the same entries, byte for byte. */
+void
+expectSameCorpus(const std::string &d1, const std::string &d2)
+{
+    std::vector<std::string> n1 = listEntries(d1);
+    std::vector<std::string> n2 = listEntries(d2);
+    ASSERT_EQ(n1, n2);
+    for (const std::string &name : n1) {
+        for (const char *file :
+             {"meta.txt", "program.pil", "trace.txt"}) {
+            std::ifstream f1(fs::path(d1) / name / file);
+            std::ifstream f2(fs::path(d2) / name / file);
+            std::stringstream s1, s2;
+            s1 << f1.rdbuf();
+            s2 << f2.rdbuf();
+            EXPECT_EQ(s1.str(), s2.str()) << name << "/" << file;
+        }
+    }
 }
 
 /** A real generated reproducer with its oracle snapshot. */
@@ -226,22 +247,57 @@ TEST(FuzzCorpus, CampaignIsDeterministicAcrossJobsAndRuns)
     // Summary bytes are identical modulo the corpus path line.
     a.corpus_dir = b.corpus_dir = "";
     EXPECT_EQ(a.summaryText(), b.summaryText());
+    expectSameCorpus(d1, d2);
+}
 
-    // Corpus contents are byte-identical, entry by entry.
-    std::vector<std::string> n1 = listEntries(d1);
-    std::vector<std::string> n2 = listEntries(d2);
-    ASSERT_EQ(n1, n2);
-    for (const std::string &name : n1) {
-        for (const char *file :
-             {"meta.txt", "program.pil", "trace.txt"}) {
-            std::ifstream f1(fs::path(d1) / name / file);
-            std::ifstream f2(fs::path(d2) / name / file);
-            std::stringstream s1, s2;
-            s1 << f1.rdbuf();
-            s2 << f2.rdbuf();
-            EXPECT_EQ(s1.str(), s2.str()) << name << "/" << file;
-        }
-    }
+TEST(FuzzCorpus, TimeBoxedRunEqualsBudgetRunAtItsProgramCount)
+{
+    // A time-boxed run folds, minimizes and drops one batch at a
+    // time; its summary and corpus must be those of --budget at the
+    // program count the box reached.
+    std::string d1 = scratchDir("boxed");
+    std::string d2 = scratchDir("budgeted");
+    FuzzOptions opts;
+    opts.fuzz_seed = 7;
+    opts.jobs = 2;
+    opts.seconds = 0.3;
+    opts.corpus_dir = d1;
+    FuzzResult boxed = runFuzz(opts);
+    ASSERT_GT(boxed.programs, 0);
+    EXPECT_EQ(boxed.programs % 8, 0) << "4 x jobs programs per batch";
+
+    opts.seconds = 0.0;
+    opts.budget = boxed.programs;
+    opts.corpus_dir = d2;
+    FuzzResult budgeted = runFuzz(opts);
+    boxed.corpus_dir = budgeted.corpus_dir = "";
+    EXPECT_EQ(boxed.summaryText(), budgeted.summaryText());
+    expectSameCorpus(d1, d2);
+}
+
+TEST(FuzzCorpus, ExemplarCapCountsTheSignaturesItDrops)
+{
+    // Seed 42's 200 clean programs show 44 distinct signatures; the
+    // first 16 are kept and the other 28 are counted, not hidden.
+    std::string dir = scratchDir("cap");
+    FuzzOptions opts;
+    opts.budget = 200;
+    opts.fuzz_seed = 42;
+    opts.jobs = 2;
+    opts.corpus_dir = dir;
+    FuzzResult res = runFuzz(opts);
+    EXPECT_EQ(res.regression_entries, kMaxNewEntries);
+    EXPECT_EQ(res.signatures_over_cap, 28);
+    EXPECT_NE(res.summaryText().find(
+                  "  corpus: 16 regression + 0 disagreement entr(ies) in " +
+                  dir + "; 28 novel signature(s) past the cap of 16 not "
+                        "kept\n"),
+              std::string::npos)
+        << res.summaryText();
+
+    // Without a corpus nothing is minimized, so nothing is capped.
+    opts.corpus_dir = "";
+    EXPECT_EQ(runFuzz(opts).signatures_over_cap, 0);
 }
 
 TEST(FuzzCorpus, InjectedOracleBugFlowsToMinimizedDisagreement)

@@ -269,34 +269,6 @@ TEST(FuzzOracle, SignatureIsStableAcrossRuns)
     EXPECT_EQ(a.report_text, b.report_text);
 }
 
-// The cache payload's numbers are range-checked: a digit string past
-// the 64-bit range, or a tally past int, is a malformed payload, not
-// a wrapped count. A number is what the writer emits, an optional
-// '-' and digits: a '+' or a second blank is malformed too.
-TEST(FuzzOracle, VerdictPayloadRefusesOutOfRangeNumbers)
-{
-    OracleVerdict v;
-    v.outcome = "exited";
-    v.distinct_races = 3;
-    v.class_counts["spec violated"] = 2;
-    v.checks.push_back({"verify", true, ""});
-    const std::string bytes = serializeVerdict(v);
-    ASSERT_TRUE(deserializeVerdict(bytes).has_value());
-
-    const std::string from = "\ndistinct_races 3\n";
-    ASSERT_NE(bytes.find(from), std::string::npos);
-    for (const char *to :
-         {"\ndistinct_races 99999999999999999999\n",
-          "\ndistinct_races 2147483648\n", "\ndistinct_races -1\n",
-          "\ndistinct_races +3\n", "\ndistinct_races  3\n"}) {
-        std::string edited = bytes;
-        edited.replace(edited.find(from), from.size(), to);
-        std::string error;
-        EXPECT_FALSE(deserializeVerdict(edited, &error).has_value()) << to;
-        EXPECT_NE(error.find("distinct_races"), std::string::npos) << error;
-    }
-}
-
 TEST(FuzzOracle, FlagsStructurallyInvalidPrograms)
 {
     ir::Program p; // no functions at all

@@ -168,13 +168,6 @@ Fuzzing options (portend fuzz):
   --fuzz-seed <N>      program-generation seed (default 1)
   --corpus <dir>       write minimized reproducers here (replay them
                        with `portend corpus run <dir>`)
-  --campaign <dir>     persist the fuzz campaign under <dir>: every
-                       generated program's verdict is cached by
-                       program fingerprint + oracle config, so an
-                       interrupted campaign resumes where it left
-                       off and a duplicate generated program costs
-                       one cache probe; a cached program adds no
-                       pipeline counters to --metrics-out
 
 Race classes (paper Fig. 1):
   spec violated        an ordering crashes, deadlocks, or hangs
@@ -691,10 +684,6 @@ cmdFuzz(int argc, char **argv)
             ++i;
         } else if (a == "--corpus") {
             fo.corpus_dir = pathValue("--corpus", next, "a directory");
-            ++i;
-        } else if (a == "--campaign") {
-            fo.campaign_dir =
-                pathValue("--campaign", next, "a directory");
             ++i;
         } else {
             usageError("unknown fuzz option: " + a);
