@@ -1,7 +1,7 @@
 #include "campaign/cache.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -58,12 +58,11 @@ deserializeCacheEntry(const std::string &text)
         } else if (key == "name") {
             e.name = val;
         } else if (key == "bytes") {
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(val.c_str(), &end, 10);
-            if (!end || *end != '\0')
+            // The whole field, digits only.
+            const char *end = val.data() + val.size();
+            const auto [at, ec] = std::from_chars(val.data(), end, bytes);
+            if (ec != std::errc() || at != end)
                 return std::nullopt;
-            bytes = static_cast<std::size_t>(n);
             saw_bytes = true;
             break; // payload follows immediately
         } else {
@@ -92,14 +91,8 @@ VerdictCache::entryPath(const std::string &sig) const
 }
 
 std::optional<CacheEntry>
-VerdictCache::probe(const std::string &sig)
+VerdictCache::probe(const std::string &sig) const
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = mem_.find(sig);
-        if (it != mem_.end())
-            return it->second;
-    }
     if (dir_.empty())
         return std::nullopt;
     std::ifstream is(entryPath(sig), std::ios::binary);
@@ -110,18 +103,12 @@ VerdictCache::probe(const std::string &sig)
     std::optional<CacheEntry> e = deserializeCacheEntry(os.str());
     if (!e || e->sig != sig)
         return std::nullopt; // corrupt or misfiled: treat as a miss
-    std::lock_guard<std::mutex> lock(mu_);
-    mem_[sig] = *e;
     return e;
 }
 
 bool
-VerdictCache::store(const CacheEntry &e, std::string *error)
+VerdictCache::store(const CacheEntry &e, std::string *error) const
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        mem_[e.sig] = e;
-    }
     if (dir_.empty())
         return true;
 

@@ -25,17 +25,15 @@
  * The `trace` line is the retired trace-hash slot, always written as
  * zeros so entry bytes never moved. Writes go through a temp file +
  * rename so a kill mid-store never leaves a torn entry under the
- * content address. A memory map
- * layered in front makes within-run duplicate probes free and lets
- * an ephemeral campaign (no directory) still dedup by signature.
+ * content address. The directory is the whole cache: every probe
+ * reads it, and a cache with no directory (an ephemeral campaign)
+ * holds nothing.
  */
 
 #ifndef PORTEND_CAMPAIGN_CACHE_H
 #define PORTEND_CAMPAIGN_CACHE_H
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -60,44 +58,40 @@ std::optional<CacheEntry>
 deserializeCacheEntry(const std::string &text);
 
 /**
- * Signature-addressed store: optional directory backing plus an
- * always-on memory map. Thread-safe.
+ * Signature-addressed store over one entry directory. Holds no state
+ * but the directory name, so any number of threads and processes may
+ * share a directory.
  */
 class VerdictCache
 {
   public:
-    /** @param dir entry directory ("" = memory-only). Created lazily
-     *  on first store. */
+    /** @param dir entry directory ("" = no cache: every probe misses
+     *  and every store is dropped). Created lazily on first store. */
     explicit VerdictCache(std::string dir = "");
 
     /**
-     * Look up @p sig: memory first, then disk (a disk hit is pulled
-     * into memory). A disk entry whose recorded signature disagrees
-     * with its file name is treated as absent.
+     * Read the entry for @p sig. An entry that does not parse or
+     * whose recorded signature disagrees with its file name is
+     * treated as absent.
      */
-    std::optional<CacheEntry> probe(const std::string &sig);
+    std::optional<CacheEntry> probe(const std::string &sig) const;
 
     /**
-     * Store @p e under its signature (idempotent; last store wins in
-     * memory, first *valid* file wins on disk — an existing entry
-     * that fails to deserialize or names the wrong signature is
-     * replaced, so corruption repairs itself on the next store).
-     * Disk I/O failures degrade to memory-only and are reported
-     * through @p error once.
+     * Store @p e under its signature (idempotent: the first *valid*
+     * file wins — an existing entry that fails to deserialize or
+     * names the wrong signature is replaced, so corruption repairs
+     * itself on the next store). False with @p error on an I/O
+     * failure; the entry is then simply absent.
      */
-    bool store(const CacheEntry &e, std::string *error = nullptr);
+    bool store(const CacheEntry &e, std::string *error = nullptr) const;
 
     /** Number of `.entry` files under the backing dir (0 if none). */
     std::size_t sizeOnDisk() const;
-
-    const std::string &dir() const { return dir_; }
 
   private:
     std::string entryPath(const std::string &sig) const;
 
     std::string dir_;
-    mutable std::mutex mu_;
-    std::map<std::string, CacheEntry> mem_;
 };
 
 } // namespace portend::campaign

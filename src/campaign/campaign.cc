@@ -470,17 +470,13 @@ executeUnit(const CampaignConfig &config, std::size_t index,
     return true;
 }
 
-Campaign::Campaign(CampaignConfig config)
-    : config_(std::move(config)),
-      cache_(std::make_unique<VerdictCache>())
-{}
+Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {}
 
 Campaign::Campaign(CampaignConfig config, std::string dir,
                    std::string cache_dir)
     : config_(std::move(config)), dir_(std::move(dir)),
-      cache_(std::make_unique<VerdictCache>(
-          cache_dir.empty() ? (fs::path(dir_) / kCacheDir).string()
-                            : cache_dir))
+      cache_(cache_dir.empty() ? (fs::path(dir_) / kCacheDir).string()
+                               : cache_dir)
 {}
 
 std::optional<Campaign>
@@ -552,7 +548,7 @@ Campaign::open(const std::string &dir, std::string *error,
 CampaignResult
 Campaign::probeCache()
 {
-    return probeUnits(config_, *cache_, nullptr);
+    return probeUnits(config_, cache_, nullptr);
 }
 
 bool
@@ -565,7 +561,7 @@ Campaign::recordCompletion(CampaignResult &result, std::size_t index,
     UnitResult &u = result.units[index];
     if (u.source != UnitSource::Pending)
         return true; // duplicate completion (re-dispatch overlap)
-    std::optional<CacheEntry> hit = cache_->probe(sig);
+    std::optional<CacheEntry> hit = cache_.probe(sig);
     if (!hit)
         return fail(error,
                     "no cache entry for reported signature " + sig);
@@ -600,7 +596,7 @@ Campaign::run(int abort_after_units, int jobs_override)
     // Phase 1: every unit the cache holds is done; the others stay
     // loaded and keyed for phase 2.
     std::vector<std::optional<LoadedUnit>> loaded;
-    CampaignResult result = probeUnits(config_, *cache_, &loaded);
+    CampaignResult result = probeUnits(config_, cache_, &loaded);
 
     // Phase 2: execute what remains. Each body writes only its own
     // unit and error slot; the first error in manifest order wins.
@@ -626,9 +622,9 @@ Campaign::run(int abort_after_units, int jobs_override)
         UnitResult &u = result.units[pending[i]];
         std::string store_err;
         if (std::optional<LoadedUnit> &l = loaded[u.index]) {
-            runLoaded(config_, *l, *cache_, &u, &store_err);
+            runLoaded(config_, *l, cache_, &u, &store_err);
             l.reset();
-        } else if (!executeUnit(config_, u.index, *cache_, &u,
+        } else if (!executeUnit(config_, u.index, cache_, &u,
                                 &errors[i], &store_err)) {
             // The unit did not load in phase 1; this reports why.
             failed.store(true);
@@ -663,7 +659,7 @@ Campaign::status()
 {
     Status st;
     st.total_units = config_.units.size();
-    st.cache_entries = cache_->sizeOnDisk();
+    st.cache_entries = cache_.sizeOnDisk();
     for (const UnitResult &u : probeCache().units)
         if (u.source != UnitSource::Pending)
             st.completed_units += 1;

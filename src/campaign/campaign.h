@@ -16,8 +16,9 @@
  * byte-identical across kills and resumes.
  *
  * Three properties carry the whole design:
- *  - *cold identity*: an ephemeral campaign (no directory) renders
- *    exactly the bytes `classify --all`/`run --all` always produced;
+ *  - *cold identity*: an ephemeral campaign (no directory, so no
+ *    cache) renders exactly the bytes `classify --all`/`run --all`
+ *    always produced;
  *  - *cache soundness*: equal signature implies equal verdict bytes
  *    (the pipeline is deterministic at every --jobs value), so
  *    replaying a cached payload is indistinguishable from re-running
@@ -33,7 +34,6 @@
 #define PORTEND_CAMPAIGN_CAMPAIGN_H
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -137,9 +137,8 @@ struct CampaignResult
  * the server, which re-probes the shared cache; run() executes its
  * misses from what its probe phase built and calls it only for a
  * unit that did not load there. False with @p error on a load
- * or pipeline failure; cache-store I/O errors degrade to
- * memory-only and surface through @p store_error without failing
- * the unit.
+ * or pipeline failure; a cache-store I/O error surfaces through
+ * @p store_error without failing the unit.
  */
 bool executeUnit(const CampaignConfig &config, std::size_t index,
                  VerdictCache &cache, UnitResult *out,
@@ -147,7 +146,7 @@ bool executeUnit(const CampaignConfig &config, std::size_t index,
 
 /**
  * A classification campaign over a fixed manifest. Construct
- * ephemeral (in-memory) via the config constructor, or persistent
+ * ephemeral (no directory) via the config constructor, or persistent
  * via create()/open().
  *
  * run() is the one-process driver; the serve layer drives the same
@@ -162,8 +161,8 @@ bool executeUnit(const CampaignConfig &config, std::size_t index,
 class Campaign
 {
   public:
-    /** Ephemeral campaign: no directory; the in-memory verdict cache
-     *  still dedups within the run. */
+    /** Ephemeral campaign: no directory and so no verdict cache;
+     *  every unit runs. */
     explicit Campaign(CampaignConfig config);
 
     /**
@@ -229,7 +228,7 @@ class Campaign
     void finalize(CampaignResult &result) const;
 
     /** The verdict cache (shared-dir campaigns share entries). */
-    VerdictCache &cache() { return *cache_; }
+    VerdictCache &cache() { return cache_; }
 
     const CampaignConfig &config() const { return config_; }
     const std::string &dir() const { return dir_; }
@@ -249,7 +248,7 @@ class Campaign
 
     CampaignConfig config_;
     std::string dir_; ///< "" = ephemeral
-    std::unique_ptr<VerdictCache> cache_;
+    VerdictCache cache_;
 };
 
 } // namespace portend::campaign

@@ -272,8 +272,7 @@ runCorpus(const std::string &dir)
         res.total += 1;
         if (out.ok)
             res.passed += 1;
-        if (out.metrics)
-            res.metrics.merge(*out.metrics);
+        res.metrics.merge(out.metrics);
         res.outcomes.push_back(std::move(out));
     }
     return res;

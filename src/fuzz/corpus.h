@@ -81,9 +81,9 @@ struct ReplayOutcome
     std::string name;
     bool ok = false;
     std::string detail; ///< why the replay failed ("" when ok)
-    /** The oracle's pipeline shard (OracleVerdict::metrics); null
+    /** The oracle's pipeline shard (OracleVerdict::metrics); empty
      *  when the entry did not load or parse. */
-    std::shared_ptr<const obs::MetricsShard> metrics;
+    obs::MetricsShard metrics;
 };
 
 /**

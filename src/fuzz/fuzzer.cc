@@ -1,8 +1,6 @@
 #include "fuzz/fuzzer.h"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <sstream>
 
@@ -112,7 +110,7 @@ persistEntry(const ProgramRecipe &recipe, const OracleVerdict &v,
  * persists their reproducers, both sequentially and in index order.
  * What spans results (the signatures seen, corpus I/O errors) lives
  * here, so folding a run batch by batch yields the same summary and
- * corpus as folding it at once.
+ * corpus whatever the batch size.
  */
 class Fold
 {
@@ -153,6 +151,7 @@ class Fold
             c->add(obs::Counter::FuzzPrograms, 1);
             c->add(obs::Counter::FuzzFlagged, v.flagged() ? 1 : 0);
         }
+        res_.metrics.merge(v.metrics);
         res_.programs += 1;
         if (gen.verify_errors.empty())
             res_.verifier_clean += 1;
@@ -297,38 +296,24 @@ runFuzz(const FuzzOptions &opts)
 
     const int jobs = resolveJobs(opts.jobs);
 
-    // -- Generation + oracle, fanned out with parallelFor -----------
-    // Each program's pipeline shard is merged as it finishes and
-    // freed: every merge commutes, so the order is free.
-    std::mutex metrics_mu;
-    const auto fanOut = [&](std::uint64_t first, std::size_t n) {
-        std::vector<IndexResult> batch(n);
-        parallelFor(jobs, n, [&](std::size_t i) {
-            IndexResult &r = batch[i];
-            r = runIndex(first + i, opts);
-            if (const std::shared_ptr<const obs::MetricsShard> m =
-                    std::move(r.verdict.metrics)) {
-                std::lock_guard<std::mutex> lock(metrics_mu);
-                res.metrics.merge(*m);
-            }
-        });
-        return batch;
-    };
-
+    // One loop for both stop rules: judge a batch with parallelFor,
+    // fold it once joined, drop it. Time-boxed mode's program count
+    // depends on the host (see fuzzer.h).
+    const bool boxed = opts.seconds > 0.0;
+    const std::uint64_t budget =
+        static_cast<std::uint64_t>(std::max(0, opts.budget));
+    const std::uint64_t batch =
+        static_cast<std::uint64_t>(kBatchPerJob) * std::max(1, jobs);
     Fold fold(opts, res);
-    if (opts.seconds > 0.0) {
-        // Time-boxed mode: one batch after another until the box is
-        // spent, each folded and dropped once joined. Program count
-        // depends on the host (see fuzzer.h).
-        const std::size_t batch =
-            static_cast<std::size_t>(std::max(1, jobs)) * 4;
-        for (std::uint64_t next = 0; sw.seconds() < opts.seconds;
-             next += batch)
-            fold.add(fanOut(next, batch), next);
-    } else {
-        fold.add(fanOut(0, static_cast<std::size_t>(
-                               std::max(0, opts.budget))),
-                 0);
+    for (std::uint64_t next = 0;
+         boxed ? sw.seconds() < opts.seconds : next < budget;) {
+        std::vector<IndexResult> results(
+            boxed ? batch : std::min(batch, budget - next));
+        parallelFor(jobs, results.size(), [&](std::size_t i) {
+            results[i] = runIndex(next + i, opts);
+        });
+        fold.add(results, next);
+        next += results.size();
     }
     fold.finish();
 

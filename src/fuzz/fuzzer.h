@@ -2,10 +2,11 @@
  * @file
  * Fuzzing campaign driver.
  *
- * Fans program generation + oracle evaluation out with support/'s
- * parallelFor (one index per program), then folds the joined
- * results in index order and sequentially minimizes and persists
- * reproducers:
+ * One loop of 16 x jobs batches (kBatchPerJob) for both stop rules:
+ * each batch fans program generation + oracle evaluation out with
+ * support/'s parallelFor (one index per program); once it joins, its
+ * results are folded in index order, their reproducers minimized and
+ * persisted sequentially, and the batch is dropped:
  *
  *  - every flagged program (an oracle disagreement) is shrunk with
  *    the delta-debugging minimizer until the same check still fails,
@@ -20,14 +21,14 @@
  * corpus file are a pure function of (fuzz seed, program count) —
  * worker count, wall-clock and the working directory never leak
  * in. Programs are generated under the default GeneratorOptions and
- * judged under the dpor explorer. With a program budget (--budget)
- * the count is the budget. Wall-clock mode (--seconds) runs batches
- * of 4 x jobs programs until the box is spent; each batch is folded,
- * minimized and dropped as soon as it joins, so memory stays bounded
- * by one batch and the box covers minimization too. Its program
- * count depends on the host, which is why the acceptance workflow
- * pins --budget; its summary and corpus equal those of --budget at
- * that count.
+ * judged under the dpor explorer. Memory stays bounded by one batch
+ * whatever the stop rule. With a program budget (--budget) the count
+ * is the budget, the last batch holding what is left of it.
+ * Wall-clock mode (--seconds) runs whole batches until the box is
+ * spent, and the box covers minimization too. Its program count
+ * depends on the host, which is why the acceptance workflow pins
+ * --budget; its summary and corpus equal those of --budget at that
+ * count.
  */
 
 #ifndef PORTEND_FUZZ_FUZZER_H
@@ -46,6 +47,15 @@ namespace portend::fuzz {
 
 /** Deep (metamorphic re-execution) oracle on every Nth index. */
 constexpr int kDeepEvery = 4;
+
+/**
+ * Programs per batch and worker: a batch judges kBatchPerJob x jobs
+ * programs before it is folded and dropped. Each batch ends in a
+ * join where workers idle until its slowest program finishes; at 16
+ * per worker that idle time no longer costs wall clock against one
+ * fan-out over the whole budget, at 4 it did.
+ */
+constexpr int kBatchPerJob = 16;
 
 /** Cap on new regression exemplars minimized per campaign. */
 constexpr int kMaxNewEntries = 16;
@@ -105,7 +115,7 @@ struct FuzzResult
     std::vector<FuzzFinding> findings;
 
     /** The programs' pipeline shards (OracleVerdict::metrics),
-     *  merged as each program finishes (every merge commutes). */
+     *  merged as each batch is folded. */
     obs::MetricsShard metrics;
 
     double seconds = 0.0; ///< wall clock; never in summaryText()

@@ -59,7 +59,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -131,11 +130,10 @@ struct OracleVerdict
     /**
      * The primary run's pipeline shard (its classify.*, detect.*,
      * verdicts.* and ladder.* counters), merged per program into
-     * the fuzz and corpus exports; null when the pipeline did not
-     * run. Held by pointer so that a fuzz run can free each shard
-     * once folded while it keeps the rest of the verdict.
+     * the fuzz and corpus exports; empty when the pipeline did not
+     * run.
      */
-    std::shared_ptr<const obs::MetricsShard> metrics;
+    obs::MetricsShard metrics;
 
     /**
      * Solver-concretized witness inputs of the deep symbolic run

@@ -69,8 +69,8 @@ Server::workerMain(int fd)
 {
     wire::FrameReader reader;
     // The most recent campaign stays open across its units: the
-    // manifest parse and the cache's in-memory layer amortize over
-    // every unit this worker runs for it in a row.
+    // manifest parse amortizes over every unit this worker runs for
+    // it in a row.
     std::optional<campaign::Campaign> camp;
     char buf[4096];
     for (;;) {

@@ -454,6 +454,17 @@ TEST(CacheTest, EntryRoundTripAndTornWriteRejected)
     EXPECT_FALSE(deserializeCacheEntry(
                      bytes.substr(0, bytes.size() - 5))
                      .has_value());
+
+    // The byte count is the whole field, digits only: an empty count
+    // is no 0, and a sign, a blank or trailing junk is no digit.
+    e.payload = "abc";
+    const std::string abc = serializeCacheEntry(e);
+    ASSERT_TRUE(deserializeCacheEntry(abc).has_value());
+    const std::string head = abc.substr(0, abc.find("bytes 3\n"));
+    for (const std::string bad :
+         {"bytes \n", "bytes +3\nabc", "bytes  3\nabc", "bytes 3x\nabc"})
+        EXPECT_FALSE(deserializeCacheEntry(head + bad).has_value())
+            << bad;
 }
 
 TEST(CacheTest, CorruptDiskEntryIsRepairedByStore)
@@ -474,8 +485,7 @@ TEST(CacheTest, CorruptDiskEntryIsRepairedByStore)
         std::ofstream f(path, std::ios::binary | std::ios::trunc);
         f << "garbage";
     }
-    // A fresh instance (no memory layer masking the damage) rejects
-    // the corrupt bytes...
+    // A probe rejects the corrupt bytes...
     {
         VerdictCache cache(dir);
         EXPECT_FALSE(cache.probe(e.sig).has_value());

@@ -16,6 +16,7 @@
 #include "fuzz/fuzzer.h"
 #include "fuzz/generator.h"
 #include "ir/serialize.h"
+#include "support/observe.h"
 
 namespace fs = std::filesystem;
 
@@ -264,7 +265,8 @@ TEST(FuzzCorpus, TimeBoxedRunEqualsBudgetRunAtItsProgramCount)
     opts.corpus_dir = d1;
     FuzzResult boxed = runFuzz(opts);
     ASSERT_GT(boxed.programs, 0);
-    EXPECT_EQ(boxed.programs % 8, 0) << "4 x jobs programs per batch";
+    EXPECT_EQ(boxed.programs % (kBatchPerJob * 2), 0)
+        << "kBatchPerJob x jobs programs per batch";
 
     opts.seconds = 0.0;
     opts.budget = boxed.programs;
@@ -273,6 +275,41 @@ TEST(FuzzCorpus, TimeBoxedRunEqualsBudgetRunAtItsProgramCount)
     boxed.corpus_dir = budgeted.corpus_dir = "";
     EXPECT_EQ(boxed.summaryText(), budgeted.summaryText());
     expectSameCorpus(d1, d2);
+}
+
+TEST(FuzzCorpus, BudgetRunFoldsEachBatchBeforeItJudgesTheNext)
+{
+    // --budget holds one batch at a time, as --seconds does: at
+    // --jobs 1 the judge of index i runs once the kBatchPerJob x
+    // (i / kBatchPerJob) programs of the earlier batches are folded,
+    // which is when fuzz.programs counts them.
+    obs::Collector collector;
+    obs::setCollector(&collector);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> folded_at;
+    FuzzOptions opts;
+    opts.budget = 40;
+    opts.fuzz_seed = 42;
+    opts.jobs = 1;
+    opts.judge = [&](const ir::Program &prog, const OracleOptions &o) {
+        obs::MetricsShard m;
+        collector.drainInto(m);
+        const std::string index =
+            prog.name.substr(prog.name.rfind("_i") + 2);
+        folded_at.emplace_back(std::stoull(index),
+                               m.counter(obs::Counter::FuzzPrograms));
+        return runOracle(prog, o);
+    };
+    const FuzzResult res = runFuzz(opts);
+    obs::setCollector(nullptr);
+
+    EXPECT_EQ(res.programs, 40);
+    ASSERT_EQ(folded_at.size(), 40u);
+    for (std::size_t i = 0; i < folded_at.size(); ++i) {
+        const auto [index, programs] = folded_at[i];
+        EXPECT_EQ(index, i);
+        EXPECT_EQ(programs, kBatchPerJob * (index / kBatchPerJob))
+            << "index " << index;
+    }
 }
 
 TEST(FuzzCorpus, ExemplarCapCountsTheSignaturesItDrops)
